@@ -1,11 +1,11 @@
 //! Shared application harness types.
 
-use gpu_sim::executor::Executor;
-use sepo_core::config::TableConfig;
-use sepo_core::sepo::{DriverConfig, SepoOutcome};
+use gpu_sim::executor::{Executor, LaneCtx};
+use sepo_core::config::{Organization, TableConfig};
+use sepo_core::sepo::{DriverConfig, SepoDriver, SepoOutcome, TaskResult};
 use sepo_core::table::SepoTable;
 use sepo_datagen::Dataset;
-use sepo_mapreduce::Partition;
+use sepo_mapreduce::{run_job, JobConfig, Mapper, Mode, Partition};
 
 /// Result of running one application on the SEPO substrate: the iteration
 /// accounting plus the finalized table holding the results in host memory.
@@ -53,7 +53,7 @@ impl AppConfig {
     }
 
     /// Resolve the table configuration for an app using `organization`.
-    pub fn table_config(&self, organization: sepo_core::config::Organization) -> TableConfig {
+    pub fn table_config(&self, organization: Organization) -> TableConfig {
         let cfg = self
             .table
             .clone()
@@ -146,6 +146,66 @@ impl AppConfig {
 /// [`Partition`] (the generators double as the input data partitioner).
 pub fn partition_of(ds: &Dataset) -> Partition {
     Partition::from_offsets(ds.offsets.clone(), ds.bytes.len())
+}
+
+/// The shared body of the direct-driver apps: build `cfg`'s table for
+/// `organization` on `executor`'s metrics and run
+/// `kernel(table, task, start_pair, lane)` over every record of `dataset`.
+/// The driver finalizes inside its guarded boundary, so the returned table
+/// already holds the full result in host memory.
+pub(crate) fn run_kernel<K>(
+    dataset: &Dataset,
+    cfg: &AppConfig,
+    executor: &Executor,
+    organization: Organization,
+    kernel: K,
+) -> AppRun
+where
+    K: Fn(&SepoTable, usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync,
+{
+    let table = SepoTable::new(
+        cfg.table_config(organization),
+        cfg.heap_bytes,
+        executor.metrics().clone(),
+    );
+    let outcome = SepoDriver::new(&table, executor)
+        .with_config(cfg.driver.clone())
+        .run(
+            dataset.len(),
+            |t| dataset.record_bytes(t),
+            |t, start, lane| kernel(&table, t, start, lane),
+        );
+    AppRun { outcome, table }
+}
+
+/// The shared body of the MapReduce apps: translate `cfg` into a
+/// [`JobConfig`] for `mode` and run `mapper` over `dataset` through the
+/// §V runtime.
+pub(crate) fn run_mapper<M: Mapper>(
+    dataset: &Dataset,
+    cfg: &AppConfig,
+    executor: &Executor,
+    mode: Mode,
+    mapper: &M,
+) -> AppRun {
+    let mut job = JobConfig::new(mode, cfg.heap_bytes);
+    job.driver = cfg.driver.clone();
+    if let Some(t) = cfg.table.clone() {
+        job = job.with_table(t);
+    }
+    job.table.remote_heap = cfg.remote_heap;
+    let out = run_job(
+        &dataset.bytes,
+        &partition_of(dataset),
+        mapper,
+        job,
+        executor,
+        executor.metrics().clone(),
+    );
+    AppRun {
+        outcome: out.outcome,
+        table: out.table,
+    }
 }
 
 /// Convenience: a deterministic executor + metrics pair for tests.

@@ -9,12 +9,12 @@
 //! observed predecessor/successor bases, combined with bitwise OR — the
 //! de Bruijn graph edge set accumulates across overlapping reads.
 
-use crate::common::{AppConfig, AppRun};
+use crate::common::{run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::{Combiner, Organization};
-use sepo_core::sepo::{SepoDriver, TaskResult};
-use sepo_core::table::{InsertStatus, SepoTable};
+use sepo_core::sepo::TaskResult;
+use sepo_core::table::InsertStatus;
 use sepo_datagen::dna::edge_bits;
 use sepo_datagen::Dataset;
 use std::collections::HashMap;
@@ -25,45 +25,37 @@ pub const K: usize = 16;
 
 /// Run DNA Assembly (k-mer graph construction) over `dataset`.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let table = SepoTable::new(
-        cfg.table_config(Organization::Combining(Combiner::Or)),
-        cfg.heap_bytes,
-        executor.metrics().clone(),
-    );
-    let outcome = {
-        let driver = SepoDriver::new(&table, executor).with_config(cfg.driver.clone());
-        driver.run(
-            dataset.len(),
-            |t| dataset.record_bytes(t),
-            |t, start, lane| {
-                let record = dataset.record(t);
-                let read = record.strip_suffix(b"\n").unwrap_or(record);
-                lane.compute(6 * read.len() as u64);
-                if read.len() < K {
-                    return TaskResult::Done;
-                }
-                // Pair i = k-mer starting at base i; resume where we left.
-                let n_kmers = read.len() - K + 1;
-                for i in (start as usize)..n_kmers {
-                    let kmer = &read[i..i + K];
-                    let prev = (i > 0).then(|| read[i - 1]);
-                    let next = (i + K < read.len()).then(|| read[i + K]);
-                    let bits = edge_bits(prev, next);
-                    match table.insert_combining(kmer, bits, lane) {
-                        InsertStatus::Success => {}
-                        InsertStatus::Postponed => {
-                            return TaskResult::Postponed {
-                                next_pair: i as u32,
-                            };
-                        }
+    run_kernel(
+        dataset,
+        cfg,
+        executor,
+        Organization::Combining(Combiner::Or),
+        |table, t, start, lane| {
+            let record = dataset.record(t);
+            let read = record.strip_suffix(b"\n").unwrap_or(record);
+            lane.compute(6 * read.len() as u64);
+            if read.len() < K {
+                return TaskResult::Done;
+            }
+            // Pair i = k-mer starting at base i; resume where we left.
+            let n_kmers = read.len() - K + 1;
+            for i in (start as usize)..n_kmers {
+                let kmer = &read[i..i + K];
+                let prev = (i > 0).then(|| read[i - 1]);
+                let next = (i + K < read.len()).then(|| read[i + K]);
+                let bits = edge_bits(prev, next);
+                match table.insert_combining(kmer, bits, lane) {
+                    InsertStatus::Success => {}
+                    InsertStatus::Postponed => {
+                        return TaskResult::Postponed {
+                            next_pair: i as u32,
+                        };
                     }
                 }
-                TaskResult::Done
-            },
-        )
-    };
-    table.finalize();
-    AppRun { outcome, table }
+            }
+            TaskResult::Done
+        },
+    )
 }
 
 /// Sequential reference implementation (verification oracle).

@@ -4,12 +4,12 @@
 //! they have been created. Each KV pair … is of the form <geographic
 //! location string, article ID>. The application uses the MAP_GROUP mode."
 
-use crate::common::{partition_of, AppConfig, AppRun};
+use crate::common::{run_mapper, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_datagen::geo::parse_article;
 use sepo_datagen::Dataset;
-use sepo_mapreduce::{run_job, Emitter, JobConfig, Mode};
+use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// The Geo Location mapper.
@@ -22,25 +22,7 @@ pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
 
 /// Run Geo Location over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let partition = partition_of(dataset);
-    let mut job = JobConfig::new(Mode::MapGroup, cfg.heap_bytes);
-    job.driver = cfg.driver.clone();
-    if let Some(t) = cfg.table.clone() {
-        job = job.with_table(t);
-    }
-    job.table.remote_heap = cfg.remote_heap;
-    let out = run_job(
-        &dataset.bytes,
-        &partition,
-        &mapper,
-        job,
-        executor,
-        executor.metrics().clone(),
-    );
-    AppRun {
-        outcome: out.outcome,
-        table: out.table,
-    }
+    run_mapper(dataset, cfg, executor, Mode::MapGroup, &mapper)
 }
 
 /// Sequential reference implementation: location → sorted article ids.

@@ -10,12 +10,10 @@
 //! (derived from page structure), so warps whose lanes parse structurally
 //! different pages serialize.
 
-use crate::common::{AppConfig, AppRun};
+use crate::common::{run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::Organization;
-use sepo_core::sepo::SepoDriver;
-use sepo_core::table::SepoTable;
 use sepo_datagen::html::parse_page;
 use sepo_datagen::Dataset;
 use sepo_mapreduce::Emitter;
@@ -23,35 +21,27 @@ use std::collections::HashMap;
 
 /// Run Inverted Index over `dataset` on the SEPO substrate.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let table = SepoTable::new(
-        cfg.table_config(Organization::MultiValued),
-        cfg.heap_bytes,
-        executor.metrics().clone(),
-    );
-    let outcome = {
-        let driver = SepoDriver::new(&table, executor).with_config(cfg.driver.clone());
-        driver.run(
-            dataset.len(),
-            |t| dataset.record_bytes(t),
-            |t, start, lane| {
-                let record = dataset.record(t);
-                // HTML scanning is branch-heavy: ~6 units per byte, plus a
-                // divergent dispatch whose path depends on page structure.
-                lane.compute(12 * record.len() as u64);
-                let (path, links) = parse_page(record);
-                lane.branch_class((links.len() % 16) as u32);
-                let mut emitter = Emitter::new(&table, lane, start);
-                for link in links {
-                    if !emitter.emit_grouped(link, &path) {
-                        break;
-                    }
+    run_kernel(
+        dataset,
+        cfg,
+        executor,
+        Organization::MultiValued,
+        |table, t, start, lane| {
+            let record = dataset.record(t);
+            // HTML scanning is branch-heavy: ~6 units per byte, plus a
+            // divergent dispatch whose path depends on page structure.
+            lane.compute(12 * record.len() as u64);
+            let (path, links) = parse_page(record);
+            lane.branch_class((links.len() % 16) as u32);
+            let mut emitter = Emitter::new(table, lane, start);
+            for link in links {
+                if !emitter.emit_grouped(link, &path) {
+                    break;
                 }
-                emitter.finish()
-            },
-        )
-    };
-    table.finalize();
-    AppRun { outcome, table }
+            }
+            emitter.finish()
+        },
+    )
 }
 
 /// Sequential reference implementation (verification oracle). Values are

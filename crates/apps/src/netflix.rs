@@ -8,61 +8,53 @@
 //! One task is one movie record; it emits a pair for every two users who
 //! rated the movie (k·(k−1)/2 pairs), combined by addition across movies.
 
-use crate::common::{AppConfig, AppRun};
+use crate::common::{run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::{Combiner, Organization};
-use sepo_core::sepo::{SepoDriver, TaskResult};
-use sepo_core::table::{InsertStatus, SepoTable};
+use sepo_core::sepo::TaskResult;
+use sepo_core::table::InsertStatus;
 use sepo_datagen::ratings::{pair_key, parse_movie, similarity};
 use sepo_datagen::Dataset;
 use std::collections::HashMap;
 
 /// Run Netflix over `dataset` on the SEPO substrate.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let table = SepoTable::new(
-        cfg.table_config(Organization::Combining(Combiner::Add)),
-        cfg.heap_bytes,
-        executor.metrics().clone(),
-    );
-    let outcome = {
-        let driver = SepoDriver::new(&table, executor).with_config(cfg.driver.clone());
-        driver.run(
-            dataset.len(),
-            |t| dataset.record_bytes(t),
-            |t, start, lane| {
-                let record = dataset.record(t);
-                lane.compute(8 * record.len() as u64);
-                let Some((_movie, raters)) = parse_movie(record) else {
-                    return TaskResult::Done;
-                };
-                // Deterministic pair enumeration order: (i, j), j > i.
-                let mut pair_idx = 0u32;
-                for i in 0..raters.len() {
-                    for j in i + 1..raters.len() {
-                        if pair_idx >= start {
-                            let (ua, ra) = raters[i];
-                            let (ub, rb) = raters[j];
-                            let key = pair_key(ua, ub);
-                            lane.compute(30);
-                            match table.insert_combining(&key, similarity(ra, rb), lane) {
-                                InsertStatus::Success => {}
-                                InsertStatus::Postponed => {
-                                    return TaskResult::Postponed {
-                                        next_pair: pair_idx,
-                                    };
-                                }
+    run_kernel(
+        dataset,
+        cfg,
+        executor,
+        Organization::Combining(Combiner::Add),
+        |table, t, start, lane| {
+            let record = dataset.record(t);
+            lane.compute(8 * record.len() as u64);
+            let Some((_movie, raters)) = parse_movie(record) else {
+                return TaskResult::Done;
+            };
+            // Deterministic pair enumeration order: (i, j), j > i.
+            let mut pair_idx = 0u32;
+            for i in 0..raters.len() {
+                for j in i + 1..raters.len() {
+                    if pair_idx >= start {
+                        let (ua, ra) = raters[i];
+                        let (ub, rb) = raters[j];
+                        let key = pair_key(ua, ub);
+                        lane.compute(30);
+                        match table.insert_combining(&key, similarity(ra, rb), lane) {
+                            InsertStatus::Success => {}
+                            InsertStatus::Postponed => {
+                                return TaskResult::Postponed {
+                                    next_pair: pair_idx,
+                                };
                             }
                         }
-                        pair_idx += 1;
                     }
+                    pair_idx += 1;
                 }
-                TaskResult::Done
-            },
-        )
-    };
-    table.finalize();
-    AppRun { outcome, table }
+            }
+            TaskResult::Done
+        },
+    )
 }
 
 /// Sequential reference implementation (verification oracle). Keys are the

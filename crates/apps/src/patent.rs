@@ -7,12 +7,12 @@
 //! all citing patents under each cited patent with the multi-valued
 //! organization.
 
-use crate::common::{partition_of, AppConfig, AppRun};
+use crate::common::{run_mapper, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_datagen::patents::parse_citation;
 use sepo_datagen::Dataset;
-use sepo_mapreduce::{run_job, Emitter, JobConfig, Mode};
+use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// The Patent Citation mapper.
@@ -25,25 +25,7 @@ pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
 
 /// Run Patent Citation over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let partition = partition_of(dataset);
-    let mut job = JobConfig::new(Mode::MapGroup, cfg.heap_bytes);
-    job.driver = cfg.driver.clone();
-    if let Some(t) = cfg.table.clone() {
-        job = job.with_table(t);
-    }
-    job.table.remote_heap = cfg.remote_heap;
-    let out = run_job(
-        &dataset.bytes,
-        &partition,
-        &mapper,
-        job,
-        executor,
-        executor.metrics().clone(),
-    );
-    AppRun {
-        outcome: out.outcome,
-        table: out.table,
-    }
+    run_mapper(dataset, cfg, executor, Mode::MapGroup, &mapper)
 }
 
 /// Sequential reference implementation: cited → sorted list of citing.

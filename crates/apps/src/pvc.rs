@@ -5,13 +5,13 @@
 //! after `n` inserts. One record emits one pair, so this is the cleanest
 //! SEPO workload: a postponed record simply retries whole next iteration.
 
-use crate::common::{AppConfig, AppRun};
+use crate::common::{run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::paging::AccessTrace;
 use gpu_sim::Charge;
 use parking_lot::Mutex;
 use sepo_core::config::{Combiner, Organization};
-use sepo_core::sepo::{SepoDriver, TaskResult};
+use sepo_core::sepo::TaskResult;
 use sepo_core::table::{InsertStatus, SepoTable};
 use sepo_datagen::weblog::parse_url;
 use sepo_datagen::Dataset;
@@ -36,49 +36,40 @@ pub fn run_with_trace(
     executor: &Executor,
     trace: Option<&Mutex<AccessTrace>>,
 ) -> AppRun {
-    let table = SepoTable::new(
-        cfg.table_config(Organization::Combining(Combiner::Add)),
-        cfg.heap_bytes,
-        executor.metrics().clone(),
-    );
-    let page_size = table.config().page_size as u64;
-    let outcome = {
-        let driver = SepoDriver::new(&table, executor).with_config(cfg.driver.clone());
-        driver.run(
-            dataset.len(),
-            |t| dataset.record_bytes(t),
-            |t, _start, lane| {
-                let record = dataset.record(t);
-                lane.compute(8 * record.len() as u64); // scan + field parse
-                let Some(url) = parse_url(record) else {
-                    return TaskResult::Done; // malformed line: skip
-                };
-                match table.insert_combining(url, 1, lane) {
-                    InsertStatus::Success => {
-                        if let Some(tr) = trace {
-                            // Virtual flat-table address of the entry.
-                            if let Some(addr) = virtual_addr(&table, url, page_size) {
-                                tr.lock().record(addr);
-                            }
+    run_kernel(
+        dataset,
+        cfg,
+        executor,
+        Organization::Combining(Combiner::Add),
+        |table, t, _start, lane| {
+            let record = dataset.record(t);
+            lane.compute(8 * record.len() as u64); // scan + field parse
+            let Some(url) = parse_url(record) else {
+                return TaskResult::Done; // malformed line: skip
+            };
+            match table.insert_combining(url, 1, lane) {
+                InsertStatus::Success => {
+                    if let Some(tr) = trace {
+                        // Virtual flat-table address of the entry.
+                        if let Some(addr) = virtual_addr(table, url) {
+                            tr.lock().record(addr);
                         }
-                        TaskResult::Done
                     }
-                    InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+                    TaskResult::Done
                 }
-            },
-        )
-    };
-    table.finalize();
-    AppRun { outcome, table }
+                InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+            }
+        },
+    )
 }
 
 /// Flat virtual address of `url`'s entry: host page id × page size + offset.
 /// Host page ids are dense and stable, so this is the address the entry
 /// would occupy in one contiguous, never-evicted table — what a
 /// demand-paging GPU would page over.
-fn virtual_addr(table: &SepoTable, url: &[u8], page_size: u64) -> Option<u64> {
+fn virtual_addr(table: &SepoTable, url: &[u8]) -> Option<u64> {
     let host = table.resident_entry_host(url)?;
-    Some(host.host_page() * page_size + host.offset() as u64)
+    Some(host.host_page() * table.config().page_size as u64 + host.offset() as u64)
 }
 
 /// Sequential reference implementation (verification oracle).

@@ -13,12 +13,12 @@
 //! artificially increasing the number of distinct keys recovers the lost
 //! performance.
 
-use crate::common::{partition_of, AppConfig, AppRun};
+use crate::common::{run_mapper, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::Combiner;
 use sepo_datagen::Dataset;
-use sepo_mapreduce::{run_job, Emitter, JobConfig, Mode};
+use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// Tokenize a record into words (ASCII whitespace separated). Shared with
@@ -41,25 +41,13 @@ pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
 
 /// Run Word Count over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    let partition = partition_of(dataset);
-    let mut job = JobConfig::new(Mode::MapReduce(Combiner::Add), cfg.heap_bytes);
-    job.driver = cfg.driver.clone();
-    if let Some(t) = cfg.table.clone() {
-        job = job.with_table(t);
-    }
-    job.table.remote_heap = cfg.remote_heap;
-    let out = run_job(
-        &dataset.bytes,
-        &partition,
-        &mapper,
-        job,
+    run_mapper(
+        dataset,
+        cfg,
         executor,
-        executor.metrics().clone(),
-    );
-    AppRun {
-        outcome: out.outcome,
-        table: out.table,
-    }
+        Mode::MapReduce(Combiner::Add),
+        &mapper,
+    )
 }
 
 /// Sequential reference implementation (verification oracle).

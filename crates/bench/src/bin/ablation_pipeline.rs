@@ -150,7 +150,7 @@ fn main() {
          pipe) vs strictly alternating; heap = {tight_heap} B"
     ));
     evict_table.print();
-    sepo_bench::write_json_mirrored(
+    sepo_bench::write_json(
         "ablation_pipeline",
         &serde_json::json!({
             "scale": scale,

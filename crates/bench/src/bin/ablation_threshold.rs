@@ -53,7 +53,6 @@ fn run_basic(
             },
         )
     };
-    table.finalize();
     (outcome, table, metrics)
 }
 

@@ -11,7 +11,7 @@
 //! match the baseline **byte for byte**: saved table image, per-iteration
 //! completion trajectory, and the full metrics snapshot.
 //!
-//! Writes `BENCH_chaos.json` (repo root and `results/`) recording per-app
+//! Writes `results/BENCH_chaos.json` recording per-app
 //! recovery counts, replayed iterations, checkpoint sizes, and wall-clock
 //! overhead, and exits non-zero if any app's recovery is not invisible.
 
@@ -160,9 +160,9 @@ fn main() {
         "total_replayed_iterations": total_replays,
         "all_identical": !failed,
     });
-    sepo_bench::write_json_mirrored("BENCH_chaos", &report);
+    sepo_bench::write_json("BENCH_chaos", &report);
     println!(
-        "\n{} recoveries across {} apps, {} iterations replayed; wrote BENCH_chaos.json",
+        "\n{} recoveries across {} apps, {} iterations replayed; wrote results/BENCH_chaos.json",
         total_recoveries,
         App::ALL.len(),
         total_replays

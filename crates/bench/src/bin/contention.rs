@@ -7,7 +7,7 @@
 //! hit/flush/overflow counters. The combined results must stay
 //! byte-identical; the combiner is a pure traffic optimisation.
 //!
-//! Writes `BENCH_contention.json` (repo root and `results/`) so the
+//! Writes `results/BENCH_contention.json` so the
 //! contention trajectory is tracked from PR to PR, and exits non-zero if
 //! the combiner stops absorbing traffic or perturbs results.
 
@@ -128,8 +128,8 @@ fn main() {
         "touch_reduction": off.touches as f64 / on.touches.max(1) as f64,
         "results_identical": results_identical,
     });
-    sepo_bench::write_json_mirrored("BENCH_contention", &report);
-    println!("\nwrote BENCH_contention.json");
+    sepo_bench::write_json("BENCH_contention", &report);
+    println!("\nwrote results/BENCH_contention.json");
 
     let mut failed = false;
     if !results_identical {

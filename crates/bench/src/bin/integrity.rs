@@ -24,7 +24,7 @@
 //! - **Zero undetected corruption.** Implied by the two above; any gate
 //!   failure exits non-zero.
 //!
-//! Writes `BENCH_integrity.json` (repo root and `results/`) with per-app,
+//! Writes `results/BENCH_integrity.json` with per-app,
 //! per-shard-count, per-tier injection/detection counts, recovery actions,
 //! and wall-clock overhead versus the clean reference.
 
@@ -314,10 +314,10 @@ fn main() {
         "undetected": total_injected - total_detected.min(total_injected),
         "all_detected_and_identical": !failed,
     });
-    sepo_bench::write_json_mirrored("BENCH_integrity", &report);
+    sepo_bench::write_json("BENCH_integrity", &report);
     println!(
         "\n{total_detected}/{total_injected} injected flips detected across {} apps; \
-         wrote BENCH_integrity.json",
+         wrote results/BENCH_integrity.json",
         App::ALL.len()
     );
     if failed {

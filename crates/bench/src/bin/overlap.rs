@@ -12,7 +12,7 @@
 //! previous boundary's eviction DMA via the BigKernel makespan recurrence
 //! instead of strictly alternating them.
 //!
-//! Writes `BENCH_overlap.json` (repo root and `results/`) recording, per
+//! Writes `results/BENCH_overlap.json` recording, per
 //! app, the serial and overlapped simulated totals and the saving, and
 //! exits non-zero if any app's results diverge between the two modes.
 
@@ -114,8 +114,8 @@ fn main() {
         "apps": rows,
         "all_identical": !failed,
     });
-    sepo_bench::write_json_mirrored("BENCH_overlap", &report);
-    println!("\nwrote BENCH_overlap.json");
+    sepo_bench::write_json("BENCH_overlap", &report);
+    println!("\nwrote results/BENCH_overlap.json");
     if failed {
         std::process::exit(1);
     }

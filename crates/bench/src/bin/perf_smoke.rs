@@ -4,7 +4,7 @@
 //! compares it against a faithful reproduction of the pre-pool executor
 //! (one `std::thread::scope` spawn/join set per launch, one warp claimed
 //! per `fetch_add`, five shared-atomic metric updates per warp). Writes
-//! `BENCH_gpu_sim.json` (repo root and `results/`) so the perf trajectory
+//! `results/BENCH_gpu_sim.json` so the perf trajectory
 //! is machine-readable.
 
 use gpu_sim::executor::{ExecMode, Executor};
@@ -134,8 +134,8 @@ fn main() {
         }),
         "best_speedup_vs_spawn_per_launch": best / old.launches_per_sec,
     });
-    sepo_bench::write_json_mirrored("BENCH_gpu_sim", &report);
-    println!("\nwrote BENCH_gpu_sim.json");
+    sepo_bench::write_json("BENCH_gpu_sim", &report);
+    println!("\nwrote results/BENCH_gpu_sim.json");
     if best / old.launches_per_sec < 5.0 {
         eprintln!(
             "WARNING: pooled executor under 5x the spawn-per-launch reference ({:.1}x)",

@@ -18,7 +18,7 @@
 //! - **Oracle.** The finalized epoch must answer every key exactly as the
 //!   offline collectors do.
 //!
-//! Writes `BENCH_serving.json` (repo root and `results/`) with p50/p99
+//! Writes `results/BENCH_serving.json` with p50/p99
 //! simulated per-query latency per app, and exits non-zero on any
 //! divergence.
 
@@ -318,9 +318,9 @@ fn main() {
         "total_queries": total_queries,
         "all_identical_and_oracle_ok": !failed,
     });
-    sepo_bench::write_json_mirrored("BENCH_serving", &report);
+    sepo_bench::write_json("BENCH_serving", &report);
     println!(
-        "\n{} queries served across {} apps; wrote BENCH_serving.json",
+        "\n{} queries served across {} apps; wrote results/BENCH_serving.json",
         total_queries,
         App::ALL.len()
     );

@@ -20,7 +20,7 @@
 //! - **Ownership audit.** `run_app_sharded` panics if any shard's table
 //!   holds a key outside its hash-prefix slice.
 //!
-//! Writes `BENCH_shards.json` (repo root and `results/`) with per-app,
+//! Writes `results/BENCH_shards.json` with per-app,
 //! per-shard-count simulated totals and speedups, stamped with the host's
 //! `available_parallelism` (shards run on real threads; a 1-CPU host
 //! serializes them, which changes wall-clock but not simulated time).
@@ -151,8 +151,8 @@ fn main() {
         "apps_faster_at_4_shards": faster_at_4,
         "all_identical": !failed,
     });
-    sepo_bench::write_json_mirrored("BENCH_shards", &report);
-    println!("wrote BENCH_shards.json");
+    sepo_bench::write_json("BENCH_shards", &report);
+    println!("wrote results/BENCH_shards.json");
     if failed {
         std::process::exit(1);
     }

@@ -26,7 +26,7 @@ pub mod report;
 pub mod timing;
 
 pub use harness::{host_parallelism, single_cpu_warning, REGRESSION_SCALE};
-pub use report::{write_json, write_json_mirrored, Table};
+pub use report::{write_json, Table};
 pub use timing::{
     cpu_total_time, gpu_total_time, pinned_total_time, sharded_total_time, GpuTiming,
 };

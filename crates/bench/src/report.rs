@@ -98,22 +98,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// [`write_json`], then byte-copy the written file to `<name>.json` in the
-/// current directory. Trajectory files (`BENCH_*.json`) live both at the
-/// repo root and under `results/`; serializing once and copying the bytes
-/// guarantees the two copies cannot drift.
-pub fn write_json_mirrored<T: Serialize>(name: &str, value: &T) {
-    write_json(name, value);
-    let src = Path::new("results").join(format!("{name}.json"));
-    let dst = format!("{name}.json");
-    if !src.exists() {
-        return; // write_json already reported the failure
-    }
-    if let Err(e) = std::fs::copy(&src, &dst) {
-        eprintln!("warning: cannot mirror {} to {dst}: {e}", src.display());
-    }
-}
-
 /// An ASCII bar chart — the textual rendering of the paper's figures.
 /// Bars are grouped (one group per application, one bar per dataset) and
 /// annotated, like Fig. 6's iteration counts atop the bars.
@@ -261,19 +245,14 @@ mod tests {
     }
 
     #[test]
-    fn mirrored_write_produces_identical_bytes() {
-        let name = "mirror_roundtrip_tmp";
-        write_json_mirrored(name, &serde_json::json!({"b": 1, "a": 2}));
-        let under_results = std::path::PathBuf::from(format!("results/{name}.json"));
-        let at_root = std::path::PathBuf::from(format!("{name}.json"));
-        let a = std::fs::read(&under_results).expect("results copy written");
-        let b = std::fs::read(&at_root).expect("root mirror written");
-        let _ = std::fs::remove_file(&under_results);
-        let _ = std::fs::remove_file(&at_root);
+    fn written_json_keeps_key_insertion_order() {
+        let name = "write_json_roundtrip_tmp";
+        write_json(name, &serde_json::json!({"b": 1, "a": 2}));
+        let path = std::path::PathBuf::from(format!("results/{name}.json"));
+        let written = std::fs::read(&path).expect("results copy written");
+        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir("results"); // only if the test created it
-        assert_eq!(a, b, "mirror must be a byte copy");
-        // Key order survives serialization (insertion-ordered maps).
-        assert_eq!(String::from_utf8_lossy(&a).find("\"b\""), Some(4));
+        assert_eq!(String::from_utf8_lossy(&written).find("\"b\""), Some(4));
     }
 
     #[test]

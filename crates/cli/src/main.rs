@@ -24,8 +24,10 @@
 //!                                        violation; results identical either
 //!                                        way)
 //!   --checkpoint <path>                  persist an iteration-boundary
-//!                                        checkpoint (SEPOCKP1) to <path>,
-//!                                        enabling hard-fault recovery
+//!                                        checkpoint to <path> (SEPOCKP2; with
+//!                                        --shards N one SEPOCKS2 file, a
+//!                                        section per shard), enabling
+//!                                        hard-fault recovery
 //!   --chaos-seed <seed>                  inject hard device faults (device
 //!                                        loss, poisoned launches) at the
 //!                                        standard rates; runs recover from
@@ -59,8 +61,8 @@
 //!                                        warp pool, and eviction pipe, and
 //!                                        the merged canonical image is
 //!                                        checked against an unsharded
-//!                                        reference run (--shards 1 is
-//!                                        exactly the single-device path)
+//!                                        reference run; shard i draws its
+//!                                        fault streams from seed ^ i
 //! sepo lookup [--scale N] [--queries N]  build a PVC table, run the SEPO
 //!                                        lookup phase over it
 //! sepo query <image> <key>...            query a table saved with --save
@@ -68,14 +70,21 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use sepo_apps::{run_app, AppConfig};
+use gpu_sim::{FaultConfig, FaultPlan, FaultSite, HardFaultKind};
+use sepo_apps::sharded::unsharded_image;
+use sepo_apps::{run_app, run_app_sharded, AppConfig};
 use sepo_baselines::{run_cpu_app, run_phoenix};
 use sepo_bench::report::{fmt_bytes, fmt_speedup};
 use sepo_bench::{cpu_total_time, device_heap, gpu_total_time, sharded_total_time};
 use sepo_cli::{app_by_slug, parse_flags, slug, Flags};
+use sepo_core::{
+    CheckpointPolicy, Combiner, EpochPublisher, EpochSnapshot, Organization, QueryError, SepoTable,
+    ShardedCheckpointFile, ShardedSnapshot,
+};
 use sepo_datagen::App;
+use std::collections::HashMap;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -95,7 +104,7 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn cmd_apps() -> ExitCode {
+fn cmd_apps() -> Result<(), String> {
     println!("{:<16} {:<30} paper dataset sizes", "slug", "application");
     for app in App::ALL {
         let mb = app.table1_mb();
@@ -107,31 +116,26 @@ fn cmd_apps() -> ExitCode {
                 .join(" / ")
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Rolling state of the `--serve` query load: per-epoch counters plus the
-/// last answer seen per key, so epoch-to-epoch monotonicity (partial
-/// aggregates never shrink, groups never lose values) is checked online.
+/// Rolling state of one shard's `--serve` query load: per-epoch counters
+/// plus the last answer seen per key, so epoch-to-epoch monotonicity
+/// (partial aggregates never shrink, groups never lose values) is checked
+/// online.
 #[derive(Default)]
 struct ServeStats {
     epochs: u32,
     queries: u64,
     hits: u64,
     violations: Vec<String>,
-    last_combined: std::collections::HashMap<Vec<u8>, u64>,
-    last_grouped: std::collections::HashMap<Vec<u8>, usize>,
+    /// Per key, the last combined value or group size answered.
+    last: HashMap<Vec<u8>, u64>,
 }
 
 /// Answer one epoch's Zipf-skewed query batch against its snapshot and
 /// fold the answers into `st`, recording any epoch-to-epoch regression.
-fn serve_epoch(
-    snap: &sepo_core::EpochSnapshot,
-    exec: &Executor,
-    per_epoch: usize,
-    st: &mut ServeStats,
-) {
-    use sepo_core::{Combiner, Organization};
+fn serve_epoch(snap: &EpochSnapshot, exec: &Executor, per_epoch: usize, st: &mut ServeStats) {
     use sepo_datagen::{Rng, Zipf};
     st.epochs += 1;
     let keys = snap.visible_keys();
@@ -152,225 +156,180 @@ fn serve_epoch(
     let queries: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
     st.queries += queries.len() as u64;
     let it = snap.iteration();
-    match snap.organization() {
-        Organization::Combining(comb) => match snap.batch_get(exec, &queries) {
-            Ok(answers) => {
-                for (k, a) in owned.iter().zip(&answers) {
-                    let Some(v) = a else {
-                        if st.last_combined.contains_key(k) {
-                            st.violations.push(format!(
-                                "epoch {it}: key {:?} vanished",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        continue;
-                    };
-                    st.hits += 1;
-                    let regressed = match (comb, st.last_combined.get(k)) {
-                        (Combiner::Add, Some(prev)) => v < prev,
-                        (Combiner::Or, Some(prev)) => v & prev != *prev,
-                        _ => false,
-                    };
-                    if regressed {
-                        st.violations.push(format!(
-                            "epoch {it}: key {:?} regressed to {v}",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    st.last_combined.insert(k.clone(), *v);
-                }
+    // One monotone measure per key: its combined value, or its group size.
+    let answers = match snap.organization() {
+        Organization::MultiValued => snap.batch_get_grouped(exec, &queries).map(|groups| {
+            let size = |vs: Vec<Vec<u8>>| vs.len() as u64;
+            groups.into_iter().map(|g| g.map(size)).collect()
+        }),
+        _ => snap.batch_get(exec, &queries),
+    };
+    let answers: Vec<Option<u64>> = match answers {
+        Ok(answers) => answers,
+        Err(e) => return st.violations.push(format!("epoch {it}: {e}")),
+    };
+    for (k, answer) in owned.iter().zip(answers) {
+        let key = String::from_utf8_lossy(k);
+        let prev = st.last.get(k).copied();
+        let Some(v) = answer else {
+            if prev.is_some() {
+                st.violations
+                    .push(format!("epoch {it}: key {key:?} vanished"));
             }
-            Err(e) => st.violations.push(format!("epoch {it}: {e}")),
-        },
-        Organization::MultiValued => match snap.batch_get_grouped(exec, &queries) {
-            Ok(answers) => {
-                for (k, a) in owned.iter().zip(&answers) {
-                    let Some(vs) = a else {
-                        if st.last_grouped.contains_key(k) {
-                            st.violations.push(format!(
-                                "epoch {it}: key {:?} vanished",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        continue;
-                    };
-                    st.hits += 1;
-                    if st.last_grouped.get(k).is_some_and(|&prev| vs.len() < prev) {
-                        st.violations.push(format!(
-                            "epoch {it}: key {:?} lost values",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    st.last_grouped.insert(k.clone(), vs.len());
-                }
-            }
-            Err(e) => st.violations.push(format!("epoch {it}: {e}")),
-        },
-        Organization::Basic => {}
+            continue;
+        };
+        st.hits += 1;
+        let regressed = prev.is_some_and(|prev| match snap.organization() {
+            Organization::Combining(Combiner::Add) | Organization::MultiValued => v < prev,
+            Organization::Combining(Combiner::Or) => v & prev != prev,
+            _ => false,
+        });
+        if regressed {
+            st.violations
+                .push(format!("epoch {it}: key {key:?} regressed to {v}"));
+        }
+        st.last.insert(k.clone(), v);
     }
 }
 
-/// Post-run serving oracle: no online violations, and every key the
-/// collectors report must answer identically from the finalized epoch.
+/// One shard's `--serve` stack: the publisher wired into its driver and
+/// the stats its epoch hook folds into.
+type ShardServing = (Arc<EpochPublisher>, Arc<Mutex<ServeStats>>);
+
+/// Post-run serving oracle over the hash-routed [`ShardedSnapshot`] view of
+/// every shard's last epoch (one shard: that epoch itself): no online
+/// violations, and every key the collectors report must answer identically
+/// from the finalized epochs.
 fn check_serving(
-    table: &sepo_core::SepoTable,
-    publisher: &sepo_core::EpochPublisher,
-    stats: &std::sync::Mutex<ServeStats>,
-    exec: &Executor,
+    tables: &[&SepoTable],
+    serving: &[ShardServing],
+    execs: &[Executor],
 ) -> Result<String, String> {
-    use sepo_core::Organization;
-    let st = stats.lock().unwrap();
-    if let Some(v) = st.violations.first() {
+    let (mut epochs, mut queries, mut hits, mut violations) = (0, 0, 0, Vec::new());
+    let mut snaps = Vec::new();
+    for (publisher, stats) in serving {
+        let st = stats.lock().unwrap();
+        epochs += st.epochs;
+        queries += st.queries;
+        hits += st.hits;
+        violations.extend(st.violations.iter().cloned());
+        snaps.push(publisher.current().ok_or("no epoch was ever published")?);
+    }
+    if let Some(v) = violations.first() {
         return Err(format!(
             "{} epoch violation(s), first: {v}",
-            st.violations.len()
+            violations.len()
         ));
     }
-    let snap = publisher.current().ok_or("no epoch was ever published")?;
-    if !snap.finalized() {
+    let view = ShardedSnapshot::new(snaps);
+    if !view.finalized() {
         return Err("last published epoch is not the finalized one".into());
     }
     let mut checked = 0usize;
-    match snap.organization() {
-        Organization::Combining(_) => {
-            let truth = table.collect_combining();
-            for chunk in truth.chunks(4096) {
-                let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                let ans = snap.batch_get(exec, &q).map_err(|e| e.to_string())?;
-                for ((k, v), a) in chunk.iter().zip(&ans) {
-                    if *a != Some(*v) {
-                        return Err(format!(
-                            "final epoch: key {:?} = {a:?}, collectors say {v}",
-                            String::from_utf8_lossy(k)
-                        ));
-                    }
-                    checked += 1;
-                }
+    for table in tables {
+        checked += match table.config().organization {
+            Organization::Combining(_) => check_keys(table.collect_combining(), 4096, |q| {
+                view.batch_get(execs, q)
+            })?,
+            Organization::MultiValued => {
+                let sorted = |mut vs: Vec<Vec<u8>>| {
+                    vs.sort();
+                    vs
+                };
+                let truth = table.collect_multivalued();
+                let truth = truth.into_iter().map(|(k, vs)| (k, sorted(vs))).collect();
+                check_keys(truth, 1024, |q| {
+                    let groups = view.batch_get_grouped(execs, q)?;
+                    Ok(groups.into_iter().map(|g| g.map(sorted)).collect())
+                })?
             }
-        }
-        Organization::MultiValued => {
-            let truth = table.collect_multivalued();
-            for chunk in truth.chunks(1024) {
-                let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                let ans = snap
-                    .batch_get_grouped(exec, &q)
-                    .map_err(|e| e.to_string())?;
-                for ((k, vs), a) in chunk.iter().zip(&ans) {
-                    let mut want = vs.clone();
-                    want.sort();
-                    let mut got = a.clone().unwrap_or_default();
-                    got.sort();
-                    if got != want {
-                        return Err(format!(
-                            "final epoch: key {:?} diverges ({} values vs {})",
-                            String::from_utf8_lossy(k),
-                            got.len(),
-                            want.len()
-                        ));
-                    }
-                    checked += 1;
-                }
-            }
-        }
-        Organization::Basic => {}
+            Organization::Basic => 0,
+        };
     }
     Ok(format!(
-        "{} epochs, {} queries answered ({} hits), final epoch checked {checked} keys: oracle ok",
-        st.epochs, st.queries, st.hits
+        "{epochs} epochs, {queries} queries answered ({hits} hits), final epoch checked {checked} keys: oracle ok"
     ))
+}
+
+/// Query every key of `truth` through `get`, `chunk` keys per batch, and
+/// demand exactly the collectors' value back. Returns the keys checked.
+fn check_keys<V: PartialEq>(
+    truth: Vec<(Vec<u8>, V)>,
+    chunk: usize,
+    get: impl Fn(&[&[u8]]) -> Result<Vec<Option<V>>, QueryError>,
+) -> Result<usize, String> {
+    for chunk in truth.chunks(chunk) {
+        let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
+        let answers = get(&q).map_err(|e| e.to_string())?;
+        for ((k, v), a) in chunk.iter().zip(answers) {
+            if a.as_ref() != Some(v) {
+                return Err(format!(
+                    "final epoch: key {:?} diverges from the collectors",
+                    String::from_utf8_lossy(k)
+                ));
+            }
+        }
+    }
+    Ok(truth.len())
 }
 
 /// Build the input dataset: `--input` file (one record per line) or the
 /// generated Table I dataset.
 fn load_dataset(app: App, f: &Flags) -> Result<sepo_datagen::Dataset, String> {
-    match &f.input {
-        Some(path) => {
-            // Real user data: one record per line.
-            // lint: io-ok (raw dataset input, not a checksummed image)
-            let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let mut ds = sepo_datagen::Dataset::new();
-            let mut start = 0usize;
-            for (i, &b) in bytes.iter().enumerate() {
-                if b == b'\n' {
-                    ds.push_record(&bytes[start..=i]);
-                    start = i + 1;
-                }
-            }
-            if start < bytes.len() {
-                ds.push_record(&bytes[start..]);
-            }
-            Ok(ds)
-        }
-        None => Ok(app.generate(f.dataset - 1, f.scale)),
+    let Some(path) = &f.input else {
+        return Ok(app.generate(f.dataset - 1, f.scale));
+    };
+    // Real user data: one record per line.
+    // lint: io-ok (raw dataset input, not a checksummed image)
+    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let mut ds = sepo_datagen::Dataset::new();
+    for record in bytes.split_inclusive(|&b| b == b'\n') {
+        ds.push_record(record);
     }
+    Ok(ds)
 }
 
-fn cmd_run(app: App, f: Flags) -> ExitCode {
-    if f.shards > 1 {
-        return cmd_run_sharded(app, f);
-    }
-    let spec = gpu_sim::SystemSpec::scaled(f.scale);
-    let heap = f.heap.unwrap_or_else(|| device_heap(&spec));
-    println!(
-        "{} | dataset #{} at scale 1/{} | device heap {}",
-        app.name(),
-        f.dataset,
-        f.scale,
-        fmt_bytes(heap)
-    );
-    let ds = match load_dataset(app, &f) {
-        Ok(ds) => ds,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "input: {} ({} records)",
-        fmt_bytes(ds.size_bytes()),
-        ds.len()
-    );
-
-    let mode = if f.parallel {
-        ExecMode::Parallel { workers: 0 }
-    } else {
-        ExecMode::ParallelDeterministic
-    };
-    let metrics = Arc::new(Metrics::new());
-    let mut exec = Executor::new(mode, Arc::clone(&metrics));
-    let mut plan = f.faults.map(|seed| {
-        println!("fault injection: standard rates, seed {seed}");
-        gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::standard(seed))
-    });
+/// Shard `i`'s simulated device: its own metrics, sanitizer and fault
+/// plan. Every stream is seeded `seed ^ i`, so each device sees independent
+/// faults and shard 0 draws exactly the single-device streams.
+fn shard_executor(f: &Flags, mode: ExecMode, i: u32) -> Executor {
+    let seeded = |seed: u64| seed ^ u64::from(i);
+    let quiet = |seed| FaultPlan::new(FaultConfig::quiet(seeded(seed)));
+    let mut plan = f
+        .faults
+        .map(|seed| FaultPlan::new(FaultConfig::standard(seeded(seed))));
     if let Some(seed) = f.chaos_seed {
-        println!("chaos injection: hard device faults at standard rates, seed {seed}");
-        let base = plan
-            .take()
-            .unwrap_or_else(|| gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed)));
-        plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seed)));
+        let base = plan.take().unwrap_or_else(|| quiet(seed));
+        plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seeded(seed))));
     }
     if let Some(seed) = f.corrupt {
-        println!("corruption injection: silent flips at standard rates, seed {seed}");
-        let base = plan
-            .take()
-            .unwrap_or_else(|| gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed)));
-        plan = Some(base.with_corruption(gpu_sim::CorruptionConfig::standard(seed)));
+        let base = plan.take().unwrap_or_else(|| quiet(seed));
+        plan = Some(base.with_corruption(gpu_sim::CorruptionConfig::standard(seeded(seed))));
     }
+    let mut exec = Executor::new(mode, Arc::new(Metrics::new()));
     if let Some(plan) = plan {
         exec = exec.with_faults(Arc::new(plan));
     }
     if f.sanitize {
         exec = exec.with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
-        println!("shadow-memory sanitizer: on");
     }
-    // --checkpoint persists boundary checkpoints; --chaos-seed and
-    // --corrupt without a path still need somewhere to recover from, so
-    // they keep one in memory.
-    let needs_memory_ckp = f.chaos_seed.is_some() || f.corrupt.is_some();
-    let policy = match (&f.checkpoint, needs_memory_ckp) {
-        (Some(path), _) => sepo_core::CheckpointPolicy::Disk(path.into()),
-        (None, true) => sepo_core::CheckpointPolicy::Memory,
-        (None, false) => sepo_core::CheckpointPolicy::Off,
+    exec
+}
+
+/// One device's `AppConfig` from the flags. `disk` is its `--checkpoint`
+/// policy; without one, `--chaos-seed` and `--corrupt` still need somewhere
+/// to recover from, so they keep a checkpoint in memory.
+fn shard_config(
+    f: &Flags,
+    heap: u64,
+    disk: Option<CheckpointPolicy>,
+    serving: Option<&ShardServing>,
+) -> AppConfig {
+    let recovering = f.chaos_seed.is_some() || f.corrupt.is_some();
+    let in_memory = if recovering {
+        CheckpointPolicy::Memory
+    } else {
+        CheckpointPolicy::Off
     };
     let mut cfg = AppConfig::new(heap)
         .with_audit(f.audit)
@@ -378,213 +337,47 @@ fn cmd_run(app: App, f: Flags) -> ExitCode {
         .with_sanitize(f.sanitize)
         .with_evict_overlap(f.evict_overlap)
         .with_scrub(f.scrub)
-        .with_checkpoint(policy.clone());
-    if needs_memory_ckp {
+        .with_checkpoint(disk.unwrap_or(in_memory));
+    if recovering {
         cfg = cfg.with_max_recoveries(32);
     }
-    // --serve: epoch-snapshot serving under the live run. Every boundary's
-    // snapshot is handed to a hook that answers a Zipf-skewed query batch
-    // through a *separate* serving executor (own metrics, own fault
-    // stream); the run itself must stay byte-identical.
-    let serving = f.serve.then(|| {
-        let publisher = Arc::new(sepo_core::EpochPublisher::default());
-        let serve_metrics = Arc::new(Metrics::new());
-        let mut serve_exec = Executor::new(mode, Arc::clone(&serve_metrics));
-        if let Some(seed) = f.faults {
-            // A distinct fault stream: serving retries its own aborts.
-            serve_exec = serve_exec.with_faults(Arc::new(gpu_sim::FaultPlan::new(
-                gpu_sim::FaultConfig::standard(seed ^ 0x5E17),
-            )));
-        }
-        let serve_exec = Arc::new(serve_exec);
-        let stats = Arc::new(std::sync::Mutex::new(ServeStats::default()));
-        let per_epoch = f.queries;
-        {
-            let stats = Arc::clone(&stats);
-            let hook_exec = Arc::clone(&serve_exec);
-            publisher.on_epoch(move |snap| {
-                serve_epoch(snap, &hook_exec, per_epoch, &mut stats.lock().unwrap());
-            });
-        }
-        println!("serving: epoch snapshots on, {per_epoch} queries per epoch");
-        (publisher, stats, serve_exec, serve_metrics)
-    });
-    if let Some((publisher, _, _, _)) = &serving {
+    if let Some((publisher, _)) = serving {
         cfg = cfg.with_serving(Arc::clone(publisher));
     }
-    let run = run_app(app, &ds, &cfg, &exec);
-    if let Some(plan) = exec.faults() {
-        println!(
-            "  injected faults: {} lane aborts over {} draws",
-            plan.injected(gpu_sim::FaultSite::Lane),
-            plan.draws(gpu_sim::FaultSite::Lane)
-        );
-        if plan.has_hard_faults() {
-            println!(
-                "  hard faults: {} device losses, {} poisoned launches",
-                plan.hard_injected(gpu_sim::HardFaultKind::DeviceLost),
-                plan.hard_injected(gpu_sim::HardFaultKind::PoisonedLaunch)
-            );
-        }
-        if plan.has_corruption() {
-            // The run finished, so every injected flip was detected and
-            // repaired — an escaped flip fails the run with a witness.
-            let rec = &run.outcome.recovery;
-            println!(
-                "  integrity: recovered ({} flips injected: {} retransmits, \
-                 {} checkpoint restores, {} image rewrites; {} host pages scrubbed clean)",
-                plan.total_corruption_injected(),
-                rec.retransmits,
-                rec.integrity_restores,
-                rec.checkpoint_rewrites,
-                rec.scrubbed_pages
-            );
-        }
-    }
-    if f.scrub && f.corrupt.is_none() {
-        println!(
-            "  scrub: {} finalized host pages verified",
-            run.outcome.recovery.scrubbed_pages
-        );
-    }
-    if policy.is_enabled() {
-        let rec = &run.outcome.recovery;
-        println!(
-            "  checkpoints: {} taken (latest {}), {} recoveries, {} iterations replayed",
-            rec.checkpoints_taken,
-            fmt_bytes(rec.checkpoint_bytes),
-            rec.recoveries,
-            rec.replayed_iterations
-        );
-    }
-    if f.audit {
-        println!("  audit: every iteration boundary checked");
-    }
-    if let Some(sz) = exec.shadow() {
-        println!("  sanitizer: {}", sz.report());
-    }
-    let snap = metrics.snapshot();
-    if f.combiner && snap.combiner_hits + snap.combiner_flushes > 0 {
-        println!(
-            "  warp combiner: {} emits absorbed, {} batched flushes, {} overflows",
-            snap.combiner_hits, snap.combiner_flushes, snap.combiner_overflows
-        );
-    }
-    println!("  head CAS retries: {}", snap.head_cas_retries);
-    let hist = run.table.full_contention_histogram();
-    let gpu = gpu_total_time(&run.outcome, &hist, &spec);
-    let (pages, bytes) = run.table.host_footprint();
-
-    let stats = run.table.table_stats();
-    println!("\nGPU/SEPO run");
-    println!("  iterations        {}", gpu.iterations);
-    println!(
-        "  table (host side) {} in {} pages",
-        fmt_bytes(bytes),
-        pages
-    );
-    println!(
-        "  evicted to CPU    {}",
-        fmt_bytes(run.outcome.total_evicted_bytes())
-    );
-    println!("  sim time          {}", gpu.total);
-    println!(
-        "    kernels {} | transfers {} | contention {}",
-        gpu.kernel, gpu.transfers, gpu.contention
-    );
-    println!(
-        "  table shape       {} keys over {} buckets (load factor {:.2}, max chain {}, mean {:.2})",
-        stats.distinct_keys, stats.buckets, stats.load_factor, stats.max_chain, stats.mean_chain
-    );
-
-    let cpu = if App::MAPREDUCE.contains(&app) {
-        let p = run_phoenix(app, &ds);
-        cpu_total_time(&p.snapshot, &p.contention, &spec)
-    } else {
-        let b = run_cpu_app(app, &ds);
-        cpu_total_time(&b.snapshot, &b.contention, &spec)
-    };
-    println!("\nCPU baseline");
-    println!(
-        "  sim time          {} ({})",
-        cpu,
-        if App::MAPREDUCE.contains(&app) {
-            "Phoenix++-style"
-        } else {
-            "shared hash table, 8 threads"
-        }
-    );
-    println!(
-        "\nspeedup             {}",
-        fmt_speedup(cpu.ratio(gpu.total))
-    );
-
-    if let Some((publisher, stats, serve_exec, serve_metrics)) = &serving {
-        match check_serving(&run.table, publisher, stats, serve_exec) {
-            Ok(summary) => {
-                let s = serve_metrics.snapshot();
-                println!("\nserving under the run");
-                println!("  {summary}");
-                println!(
-                    "  serving traffic: {} bulk transfers, {} over PCIe (charged off-run)",
-                    s.pcie_bulk_transfers,
-                    fmt_bytes(s.pcie_bulk_bytes)
-                );
-            }
-            Err(e) => {
-                eprintln!("serving oracle FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(path) = &f.save {
-        // lint: io-ok (save() appends the SEPOHST2 checksum trailer)
-        match std::fs::File::create(path) {
-            Ok(mut file) => match run.table.save(&mut file) {
-                Ok(()) => println!("table image saved to {path}"),
-                Err(e) => {
-                    eprintln!("cannot save table: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    cfg
 }
 
-/// `sepo run --shards N`: the same run sharded across N simulated devices
-/// (per-shard device heap, warp pool, eviction pipe, fault streams), plus
-/// an unsharded reference run the merged canonical image is checked
-/// against. Prints the `sharded image vs 1 device: …` identity line CI
-/// greps for and fails the process on divergence.
-fn cmd_run_sharded(app: App, f: Flags) -> ExitCode {
-    use sepo_apps::sharded::{run_app_sharded, unsharded_image};
+/// Sum of `of` over `items`: every counter `sepo run` reports is a sum over
+/// shards.
+fn total<T>(items: &[T], of: impl Fn(&T) -> u64) -> u64 {
+    items.iter().map(of).sum()
+}
+
+/// `sepo run`: the app over `--shards N` simulated devices (per-shard
+/// device heap, warp pool, eviction pipe, fault streams; N = 1 is the
+/// single-device run). For N > 1 an unsharded reference run follows, the
+/// merged canonical image is checked against it, and divergence fails the
+/// process after the `sharded image vs 1 device: …` line CI greps for.
+fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     let n = f.shards;
+    if n > 1 && f.save.is_some() {
+        return Err(
+            "--save needs a single table image; it is not available with --shards > 1".into(),
+        );
+    }
     let spec = gpu_sim::SystemSpec::scaled(f.scale);
     let heap = f.heap.unwrap_or_else(|| device_heap(&spec));
-    if f.save.is_some() {
-        eprintln!("--save needs a single table image; it is not available with --shards > 1");
-        return ExitCode::FAILURE;
-    }
+    let devices = match n {
+        1 => format!("device heap {}", fmt_bytes(heap)),
+        _ => format!("{n} shards, device heap {} per shard", fmt_bytes(heap)),
+    };
     println!(
-        "{} | dataset #{} at scale 1/{} | {n} shards, device heap {} per shard",
+        "{} | dataset #{} at scale 1/{} | {devices}",
         app.name(),
         f.dataset,
-        f.scale,
-        fmt_bytes(heap)
+        f.scale
     );
-    let ds = match load_dataset(app, &f) {
-        Ok(ds) => ds,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let ds = load_dataset(app, f)?;
     println!(
         "input: {} ({} records)",
         fmt_bytes(ds.size_bytes()),
@@ -597,393 +390,282 @@ fn cmd_run_sharded(app: App, f: Flags) -> ExitCode {
         ExecMode::ParallelDeterministic
     };
     if let Some(seed) = f.faults {
-        println!("fault injection: standard rates, per-shard seeds from {seed}");
+        println!("fault injection: standard rates, seed {seed}");
     }
     if let Some(seed) = f.chaos_seed {
-        println!("chaos injection: hard device faults, per-shard seeds from {seed}");
+        println!("chaos injection: hard device faults at standard rates, seed {seed}");
     }
     if let Some(seed) = f.corrupt {
-        println!("corruption injection: silent flips, per-shard seeds from {seed}");
+        println!("corruption injection: silent flips at standard rates, seed {seed}");
     }
     if f.sanitize {
-        println!("shadow-memory sanitizer: on (per shard)");
+        println!("shadow-memory sanitizer: on");
     }
-
-    // Shard i derives its fault streams from `seed ^ i`: every simulated
-    // device sees its own independent faults.
-    let shard_exec = |i: u32| -> Executor {
-        let mut exec = Executor::new(mode, Arc::new(Metrics::new()));
-        let mut plan = f.faults.map(|seed| {
-            gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::standard(seed ^ u64::from(i)))
-        });
-        if let Some(seed) = f.chaos_seed {
-            let base = plan.take().unwrap_or_else(|| {
-                gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed ^ u64::from(i)))
-            });
-            plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seed ^ u64::from(i))));
-        }
-        if let Some(seed) = f.corrupt {
-            let base = plan.take().unwrap_or_else(|| {
-                gpu_sim::FaultPlan::new(gpu_sim::FaultConfig::quiet(seed ^ u64::from(i)))
-            });
-            plan = Some(
-                base.with_corruption(gpu_sim::CorruptionConfig::standard(seed ^ u64::from(i))),
-            );
-        }
-        if let Some(plan) = plan {
-            exec = exec.with_faults(Arc::new(plan));
-        }
-        if f.sanitize {
-            exec = exec.with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
-        }
-        exec
+    // --checkpoint persists boundary checkpoints: one SEPOCKP2 image for a
+    // single device, one SEPOCKS2 file with a section per shard otherwise.
+    let shared_ckp = f.checkpoint.as_ref().filter(|_| n > 1).map(|path| {
+        println!("checkpoint: sharded SEPOCKS2 file at {path} ({n} sections)");
+        Arc::new(ShardedCheckpointFile::new(path.into(), n))
+    });
+    let disk = |i: u32| match &shared_ckp {
+        Some(file) => Some(CheckpointPolicy::SharedDisk(Arc::clone(file), i)),
+        None => Some(CheckpointPolicy::Disk(f.checkpoint.as_ref()?.into())),
     };
-
-    // --checkpoint with shards writes one SEPOCKS1 file with a section per
-    // shard; --chaos-seed without a path keeps per-shard memory checkpoints.
-    let shared_ckp = f.checkpoint.as_ref().map(|path| {
-        println!("checkpoint: sharded SEPOCKS1 file at {path} ({n} sections)");
-        Arc::new(sepo_core::ShardedCheckpointFile::new(path.into(), n))
+    // --serve: epoch-snapshot serving under the live run. Every boundary's
+    // snapshot is handed to a hook that answers a Zipf-skewed query batch
+    // through a *separate* serving executor per shard (own metrics, own
+    // fault stream); the run itself must stay byte-identical.
+    let serving = f.serve.then(|| {
+        println!(
+            "serving: epoch snapshots on, {} queries per epoch",
+            f.queries
+        );
+        let execs: Vec<Executor> = (0..n)
+            .map(|i| {
+                let exec = Executor::new(mode, Arc::new(Metrics::new()));
+                match f.faults {
+                    // A distinct fault stream: serving retries its own aborts.
+                    Some(seed) => exec.with_faults(Arc::new(FaultPlan::new(
+                        FaultConfig::standard(seed ^ 0x5E17 ^ u64::from(i)),
+                    ))),
+                    None => exec,
+                }
+            })
+            .collect();
+        let execs = Arc::new(execs);
+        let shards: Vec<ShardServing> = (0..n as usize)
+            .map(|i| {
+                let shard: ShardServing = Default::default();
+                let (execs, stats, per_epoch) =
+                    (Arc::clone(&execs), Arc::clone(&shard.1), f.queries);
+                shard.0.on_epoch(move |snap| {
+                    serve_epoch(snap, &execs[i], per_epoch, &mut stats.lock().unwrap());
+                });
+                shard
+            })
+            .collect();
+        (execs, shards)
     });
-    let publishers = f.serve.then(|| {
-        println!("serving: per-shard epoch snapshots on; finalized sharded-view oracle");
-        (0..n)
-            .map(|_| Arc::new(sepo_core::EpochPublisher::default()))
-            .collect::<Vec<_>>()
-    });
 
-    let execs: Vec<Executor> = (0..n).map(shard_exec).collect();
+    let execs: Vec<Executor> = (0..n).map(|i| shard_executor(f, mode, i)).collect();
     let cfgs: Vec<AppConfig> = (0..n)
         .map(|i| {
-            let needs_memory_ckp = f.chaos_seed.is_some() || f.corrupt.is_some();
-            let policy = match (&shared_ckp, needs_memory_ckp) {
-                (Some(file), _) => sepo_core::CheckpointPolicy::SharedDisk(Arc::clone(file), i),
-                (None, true) => sepo_core::CheckpointPolicy::Memory,
-                (None, false) => sepo_core::CheckpointPolicy::Off,
-            };
-            let mut cfg = AppConfig::new(heap)
-                .with_audit(f.audit)
-                .with_combiner(f.combiner)
-                .with_sanitize(f.sanitize)
-                .with_evict_overlap(f.evict_overlap)
-                .with_scrub(f.scrub)
-                .with_checkpoint(policy);
-            if needs_memory_ckp {
-                cfg = cfg.with_max_recoveries(32);
-            }
-            if let Some(pubs) = &publishers {
-                cfg = cfg.with_serving(Arc::clone(&pubs[i as usize]));
-            }
-            cfg
+            let serving = serving.as_ref().map(|(_, shards)| &shards[i as usize]);
+            shard_config(f, heap, disk(i), serving)
         })
         .collect();
-
     let sharded = run_app_sharded(app, &ds, &cfgs, &execs);
+    let runs = &sharded.shards;
 
-    // Unsharded reference: one device, same heap and flags, base fault
-    // seeds. The merged canonical image must match it byte for byte.
-    let ref_exec = shard_exec(0);
-    let mut ref_cfg = AppConfig::new(heap)
-        .with_audit(f.audit)
-        .with_combiner(f.combiner)
-        .with_sanitize(f.sanitize)
-        .with_evict_overlap(f.evict_overlap)
-        .with_scrub(f.scrub);
-    if f.chaos_seed.is_some() || f.corrupt.is_some() {
-        ref_cfg = ref_cfg
-            .with_checkpoint(sepo_core::CheckpointPolicy::Memory)
-            .with_max_recoveries(32);
-    }
-    let reference = run_app(app, &ds, &ref_cfg, &ref_exec);
-    let identical = sharded.image == unsharded_image(&reference);
-
-    println!("\nGPU/SEPO sharded run");
-    for (i, (run, routed)) in sharded
-        .shards
-        .iter()
-        .zip(&sharded.routed_records)
-        .enumerate()
-    {
-        let stats = run.table.table_stats();
+    let recs: Vec<_> = runs.iter().map(|r| r.outcome.recovery).collect();
+    let plans: Vec<_> = execs.iter().filter_map(|e| e.faults()).collect();
+    if !plans.is_empty() {
         println!(
-            "  shard {i}: {:>6} records routed, {:>2} iterations, {:>9} evicted, {:>6} keys",
-            routed,
-            run.iterations(),
-            fmt_bytes(run.outcome.total_evicted_bytes()),
-            stats.distinct_keys
+            "  injected faults: {} lane aborts over {} draws",
+            total(&plans, |p| p.injected(FaultSite::Lane)),
+            total(&plans, |p| p.draws(FaultSite::Lane))
         );
     }
-    if f.faults.is_some() || f.chaos_seed.is_some() {
-        for (i, exec) in execs.iter().enumerate() {
-            if let Some(plan) = exec.faults() {
-                print!(
-                    "  shard {i} faults: {} lane aborts over {} draws",
-                    plan.injected(gpu_sim::FaultSite::Lane),
-                    plan.draws(gpu_sim::FaultSite::Lane)
-                );
-                if plan.has_hard_faults() {
-                    print!(
-                        "; {} device losses, {} poisoned launches",
-                        plan.hard_injected(gpu_sim::HardFaultKind::DeviceLost),
-                        plan.hard_injected(gpu_sim::HardFaultKind::PoisonedLaunch)
-                    );
-                }
-                println!();
-            }
-        }
-    }
-    if shared_ckp.is_some() || f.chaos_seed.is_some() {
-        let taken: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.checkpoints_taken)
-            .sum();
-        let recoveries: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.recoveries)
-            .sum();
-        let replayed: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.replayed_iterations)
-            .sum();
+    if plans.iter().any(|p| p.has_hard_faults()) {
         println!(
-            "  checkpoints: {taken} taken across shards, {recoveries} recoveries, \
-             {replayed} iterations replayed"
+            "  hard faults: {} device losses, {} poisoned launches",
+            total(&plans, |p| p.hard_injected(HardFaultKind::DeviceLost)),
+            total(&plans, |p| p.hard_injected(HardFaultKind::PoisonedLaunch))
         );
     }
-    if f.corrupt.is_some() {
-        let injected: u64 = execs
-            .iter()
-            .filter_map(|e| e.faults())
-            .map(|p| p.total_corruption_injected())
-            .sum();
-        let retransmits: u64 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.retransmits)
-            .sum();
-        let restores: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.integrity_restores)
-            .sum();
-        let rewrites: u32 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.checkpoint_rewrites)
-            .sum();
-        let scrubbed: u64 = sharded
-            .shards
-            .iter()
-            .map(|r| r.outcome.recovery.scrubbed_pages)
-            .sum();
+    if plans.iter().any(|p| p.has_corruption()) {
+        // The run finished, so every injected flip was detected and
+        // repaired — an escaped flip fails the run with a witness.
         println!(
-            "  integrity: recovered ({injected} flips injected across shards: \
-             {retransmits} retransmits, {restores} checkpoint restores, \
-             {rewrites} image rewrites; {scrubbed} host pages scrubbed clean)"
+            "  integrity: recovered ({} flips injected: {} retransmits, \
+             {} checkpoint restores, {} image rewrites; {} host pages scrubbed clean)",
+            total(&plans, |p| p.total_corruption_injected()),
+            total(&recs, |r| r.retransmits),
+            total(&recs, |r| r.integrity_restores.into()),
+            total(&recs, |r| r.checkpoint_rewrites.into()),
+            total(&recs, |r| r.scrubbed_pages)
+        );
+    }
+    if f.scrub && f.corrupt.is_none() {
+        println!(
+            "  scrub: {} finalized host pages verified",
+            total(&recs, |r| r.scrubbed_pages)
+        );
+    }
+    if cfgs.iter().any(|c| c.driver.checkpoint.is_enabled()) {
+        println!(
+            "  checkpoints: {} taken (latest {}), {} recoveries, {} iterations replayed",
+            total(&recs, |r| r.checkpoints_taken.into()),
+            fmt_bytes(total(&recs, |r| r.checkpoint_bytes)),
+            total(&recs, |r| r.recoveries.into()),
+            total(&recs, |r| r.replayed_iterations.into())
         );
     }
     if f.audit {
-        println!("  audit: every shard, every iteration boundary checked");
+        println!("  audit: every iteration boundary checked");
     }
+    for sz in execs.iter().filter_map(|e| e.shadow()) {
+        println!("  sanitizer: {}", sz.report());
+    }
+    let snaps: Vec<_> = execs.iter().map(|e| e.metrics().snapshot()).collect();
+    let hits = total(&snaps, |s| s.combiner_hits);
+    let flushes = total(&snaps, |s| s.combiner_flushes);
+    if f.combiner && hits + flushes > 0 {
+        println!(
+            "  warp combiner: {hits} emits absorbed, {flushes} batched flushes, {} overflows",
+            total(&snaps, |s| s.combiner_overflows)
+        );
+    }
+    println!(
+        "  head CAS retries: {}",
+        total(&snaps, |s| s.head_cas_retries)
+    );
 
-    let hists: Vec<_> = sharded
-        .shards
+    let hists: Vec<_> = runs
         .iter()
         .map(|r| r.table.full_contention_histogram())
         .collect();
-    let parts: Vec<_> = sharded
-        .shards
+    let parts: Vec<_> = runs
         .iter()
         .zip(&hists)
         .map(|(r, h)| (&r.outcome, h))
         .collect();
+    // Per-iteration makespan max across shards; one shard's own clock.
     let gpu = sharded_total_time(&parts, &spec);
-    let ref_hist = reference.table.full_contention_histogram();
-    let ref_gpu = gpu_total_time(&reference.outcome, &ref_hist, &spec);
-
-    println!("  iterations        {} (slowest shard)", gpu.iterations);
+    let (pages, bytes) = runs
+        .iter()
+        .map(|r| r.table.host_footprint())
+        .fold((0, 0), |a, (p, b)| (a.0 + p, a.1 + b));
+    let evicted: u64 = runs.iter().map(|r| r.outcome.total_evicted_bytes()).sum();
+    println!("\nGPU/SEPO run");
+    println!("  iterations        {}", gpu.iterations);
     println!(
-        "  sim time          {} (per-iteration max across shards)",
-        gpu.total
+        "  table (host side) {} in {} pages",
+        fmt_bytes(bytes),
+        pages
     );
+    println!("  evicted to CPU    {}", fmt_bytes(evicted));
+    println!("  sim time          {}", gpu.total);
     println!(
         "    kernels {} | transfers {} | contention {}",
         gpu.kernel, gpu.transfers, gpu.contention
     );
-    println!("\nunsharded reference (1 device, same heap)");
-    println!("  iterations        {}", ref_gpu.iterations);
-    println!("  sim time          {}", ref_gpu.total);
-    println!(
-        "\nsharded image vs 1 device: {}",
-        if identical { "identical" } else { "DIVERGED" }
-    );
-    println!(
-        "speedup vs 1 device {}",
-        fmt_speedup(ref_gpu.total.ratio(gpu.total))
-    );
-
-    if let Some(pubs) = &publishers {
-        let mut snaps = Vec::new();
-        for (i, p) in pubs.iter().enumerate() {
-            match p.current() {
-                Some(s) => snaps.push(s),
-                None => {
-                    eprintln!("serving oracle FAILED: shard {i} never published an epoch");
-                    return ExitCode::FAILURE;
-                }
-            }
+    for (i, (run, routed)) in runs.iter().zip(&sharded.routed_records).enumerate() {
+        if n > 1 {
+            println!(
+                "  shard {i}: {routed:>6} records routed, {:>2} iterations, {:>9} evicted",
+                run.iterations(),
+                fmt_bytes(run.outcome.total_evicted_bytes())
+            );
         }
-        let view = sepo_core::ShardedSnapshot::new(snaps);
-        if !view.finalized() {
-            eprintln!("serving oracle FAILED: a shard's last epoch is not the finalized one");
-            return ExitCode::FAILURE;
-        }
-        let serve_execs: Vec<Executor> = (0..n)
-            .map(|_| Executor::new(mode, Arc::new(Metrics::new())))
-            .collect();
-        let tables: Vec<&sepo_core::SepoTable> = sharded.shards.iter().map(|r| &r.table).collect();
-        match check_sharded_serving(&tables, &view, &serve_execs) {
-            Ok(summary) => {
-                println!("\nserving over the sharded view");
-                println!("  {summary}");
-            }
-            Err(e) => {
-                eprintln!("serving oracle FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let stats = run.table.table_stats();
+        println!(
+            "  table shape       {} keys over {} buckets (load factor {:.2}, max chain {}, mean {:.2})",
+            stats.distinct_keys, stats.buckets, stats.load_factor, stats.max_chain, stats.mean_chain
+        );
     }
 
-    if identical {
-        ExitCode::SUCCESS
+    let (cpu, baseline) = if App::MAPREDUCE.contains(&app) {
+        let p = run_phoenix(app, &ds);
+        (
+            cpu_total_time(&p.snapshot, &p.contention, &spec),
+            "Phoenix++-style",
+        )
     } else {
-        ExitCode::FAILURE
-    }
-}
+        let b = run_cpu_app(app, &ds);
+        let cpu = cpu_total_time(&b.snapshot, &b.contention, &spec);
+        (cpu, "shared hash table, 8 threads")
+    };
+    println!("\nCPU baseline");
+    println!("  sim time          {cpu} ({baseline})");
+    println!(
+        "\nspeedup             {}",
+        fmt_speedup(cpu.ratio(gpu.total))
+    );
 
-/// Post-run oracle for `--shards N --serve`: every key every shard's
-/// collectors report must answer identically through the hash-routed
-/// [`sepo_core::ShardedSnapshot`] view.
-fn check_sharded_serving(
-    tables: &[&sepo_core::SepoTable],
-    view: &sepo_core::ShardedSnapshot,
-    execs: &[Executor],
-) -> Result<String, String> {
-    use sepo_core::Organization;
-    let mut checked = 0usize;
-    for table in tables {
-        match table.config().organization {
-            Organization::Combining(_) => {
-                let truth = table.collect_combining();
-                for chunk in truth.chunks(4096) {
-                    let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                    let ans = view.batch_get(execs, &q).map_err(|e| e.to_string())?;
-                    for ((k, v), a) in chunk.iter().zip(&ans) {
-                        if *a != Some(*v) {
-                            return Err(format!(
-                                "sharded view: key {:?} = {a:?}, collectors say {v}",
-                                String::from_utf8_lossy(k)
-                            ));
-                        }
-                        checked += 1;
-                    }
-                }
-            }
-            Organization::MultiValued => {
-                let truth = table.collect_multivalued();
-                for chunk in truth.chunks(1024) {
-                    let q: Vec<&[u8]> = chunk.iter().map(|(k, _)| k.as_slice()).collect();
-                    let ans = view
-                        .batch_get_grouped(execs, &q)
-                        .map_err(|e| e.to_string())?;
-                    for ((k, vs), a) in chunk.iter().zip(&ans) {
-                        let mut want = vs.clone();
-                        want.sort();
-                        let mut got = a.clone().unwrap_or_default();
-                        got.sort();
-                        if got != want {
-                            return Err(format!(
-                                "sharded view: key {:?} diverges ({} values vs {})",
-                                String::from_utf8_lossy(k),
-                                got.len(),
-                                want.len()
-                            ));
-                        }
-                        checked += 1;
-                    }
-                }
-            }
-            Organization::Basic => {}
+    if n > 1 {
+        // Unsharded reference: one device, same heap and flags, shard 0's
+        // fault seeds. The merged canonical image must match it byte for
+        // byte.
+        let ref_exec = shard_executor(f, mode, 0);
+        let reference = run_app(app, &ds, &shard_config(f, heap, None, None), &ref_exec);
+        let ref_hist = reference.table.full_contention_histogram();
+        let ref_gpu = gpu_total_time(&reference.outcome, &ref_hist, &spec);
+        println!("\nunsharded reference (1 device, same heap)");
+        println!("  iterations        {}", ref_gpu.iterations);
+        println!("  sim time          {}", ref_gpu.total);
+        let identical = sharded.image == unsharded_image(&reference);
+        println!(
+            "\nsharded image vs 1 device: {}",
+            if identical { "identical" } else { "DIVERGED" }
+        );
+        println!(
+            "speedup vs 1 device {}",
+            fmt_speedup(ref_gpu.total.ratio(gpu.total))
+        );
+        if !identical {
+            return Err("the merged sharded image diverged from the 1-device reference".into());
         }
     }
-    Ok(format!(
-        "{} shards, every collector key answered through the routed view: {checked} keys ok",
-        tables.len()
-    ))
+
+    if let Some((serve_execs, shards)) = &serving {
+        let tables: Vec<&SepoTable> = runs.iter().map(|r| &r.table).collect();
+        let summary = check_serving(&tables, shards, serve_execs)
+            .map_err(|e| format!("serving oracle FAILED: {e}"))?;
+        let traffic: Vec<_> = serve_execs.iter().map(|e| e.metrics().snapshot()).collect();
+        println!("\nserving under the run");
+        println!("  {summary}");
+        println!(
+            "  serving traffic: {} bulk transfers, {} over PCIe (charged off-run)",
+            total(&traffic, |s| s.pcie_bulk_transfers),
+            fmt_bytes(total(&traffic, |s| s.pcie_bulk_bytes))
+        );
+    }
+
+    if let (Some(path), [run]) = (&f.save, runs.as_slice()) {
+        // lint: io-ok (save() appends the SEPOHST2 checksum trailer)
+        let file = std::fs::File::create(path);
+        let mut file = file.map_err(|e| format!("cannot create {path}: {e}"))?;
+        run.table
+            .save(&mut file)
+            .map_err(|e| format!("cannot save table: {e}"))?;
+        println!("table image saved to {path}");
+    }
+    Ok(())
 }
 
-fn cmd_query(path: &str, keys: &[String]) -> ExitCode {
-    use sepo_core::{HostIndex, Organization, SepoTable};
+fn cmd_query(path: &str, keys: &[String]) -> Result<(), String> {
+    use sepo_core::HostIndex;
     // lint: io-ok (load() verifies the SEPOHST2 trailer before parsing)
-    let mut file = match std::fs::File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot open {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let table = match SepoTable::load(&mut file, 1 << 20, Arc::new(Metrics::new())) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot load table image: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let table = SepoTable::load(&mut file, 1 << 20, Arc::new(Metrics::new()))
+        .map_err(|e| format!("cannot load table image: {e}"))?;
     // lint: serve-ok (offline query path over a finalized saved image)
-    let idx = match HostIndex::try_build(&table) {
-        Ok(idx) => idx,
-        Err(e) => {
-            eprintln!("cannot query {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let idx = HostIndex::try_build(&table).map_err(|e| format!("cannot query {path}: {e}"))?;
     println!("loaded {path}: {} distinct keys", idx.len());
     for key in keys {
-        match table.config().organization {
-            Organization::Combining(_) => match idx.get_combined(key.as_bytes()) {
-                Ok(Some(v)) => println!("{key} = {v}"),
-                Ok(None) => println!("{key} = <absent>"),
-                Err(e) => {
-                    eprintln!("{key}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Organization::MultiValued => match idx.get_grouped(key.as_bytes()) {
-                Ok(Some(vs)) => println!(
-                    "{key} = [{}]",
-                    vs.iter()
-                        .map(|v| String::from_utf8_lossy(v).into_owned())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-                Ok(None) => println!("{key} = <absent>"),
-                Err(e) => {
-                    eprintln!("{key}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
+        let answer = match table.config().organization {
+            Organization::Combining(_) => idx
+                .get_combined(key.as_bytes())
+                .map(|v| v.map(|v| v.to_string())),
+            Organization::MultiValued => idx.get_grouped(key.as_bytes()).map(|vs| {
+                let shown = |v: &Vec<u8>| String::from_utf8_lossy(v).into_owned();
+                vs.map(|vs| format!("[{}]", vs.iter().map(shown).collect::<Vec<_>>().join(", ")))
+            }),
             Organization::Basic => {
-                println!("{key}: basic tables have no keyed query; use collect_basic()")
+                println!("{key}: basic tables have no keyed query; use collect_basic()");
+                continue;
             }
+        };
+        match answer.map_err(|e| format!("{key}: {e}"))? {
+            Some(v) => println!("{key} = {v}"),
+            None => println!("{key} = <absent>"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_lookup(f: Flags) -> ExitCode {
+fn cmd_lookup(f: Flags) -> Result<(), String> {
     use sepo_datagen::{weblog, Rng, Zipf};
     let spec = gpu_sim::SystemSpec::scaled(f.scale);
     let heap = f.heap.unwrap_or_else(|| device_heap(&spec));
@@ -1026,30 +708,30 @@ fn cmd_lookup(f: Flags) -> ExitCode {
             r.round, r.pages_loaded, r.queries_attempted, r.queries_completed
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("apps") => cmd_apps(),
-        Some("run") => {
-            let Some(app) = args.get(1).and_then(|s| app_by_slug(s)) else {
-                return usage();
-            };
-            match parse_flags(&args[2..]) {
-                Some(f) => cmd_run(app, f),
-                None => usage(),
-            }
+    let flags = |from: usize| args.get(from..).and_then(parse_flags);
+    // `None`: malformed command line.
+    let done = match args.first().map(String::as_str) {
+        Some("apps") => Some(cmd_apps()),
+        Some("run") => args
+            .get(1)
+            .and_then(|s| app_by_slug(s))
+            .zip(flags(2))
+            .map(|(app, f)| cmd_run(app, &f)),
+        Some("lookup") => flags(1).map(cmd_lookup),
+        Some("query") => args.get(1).map(|path| cmd_query(path, &args[2..])),
+        _ => None,
+    };
+    match done {
+        Some(Ok(())) => ExitCode::SUCCESS,
+        Some(Err(e)) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-        Some("lookup") => match parse_flags(&args[1..]) {
-            Some(f) => cmd_lookup(f),
-            None => usage(),
-        },
-        Some("query") => match args.get(1) {
-            Some(path) => cmd_query(path, &args[2..]),
-            None => usage(),
-        },
-        _ => usage(),
+        None => usage(),
     }
 }

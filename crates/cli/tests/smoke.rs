@@ -1,0 +1,100 @@
+//! End-to-end smoke of the `sepo` binary at the toy 1/16384 scale, for one
+//! device and for four: the report lines CI greps for must be present with
+//! non-zero counts, and `--save` must round-trip through `sepo query` on a
+//! single table and be rejected for a sharded run.
+
+use std::process::{Command, Output};
+
+fn sepo(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sepo"))
+        .args(args)
+        .output()
+        .expect("spawn the sepo binary")
+}
+
+/// `sepo run wordcount --scale 16384 --audit --sanitize --shards N <extra>`;
+/// the run must exit 0. Returns its stdout.
+fn run_wordcount(shards: &str, extra: &[&str]) -> String {
+    let mut args = vec![
+        "run",
+        "wordcount",
+        "--scale",
+        "16384",
+        "--audit",
+        "--sanitize",
+    ];
+    args.extend(["--shards", shards]);
+    args.extend(extra);
+    let out = sepo(&args);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(
+        out.status.success(),
+        "sepo {args:?} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// The count printed between `before` and `after` on the first line of
+/// `report` holding both — what `grep -E 'before[1-9][0-9]*after'` probes.
+fn count(report: &str, before: &str, after: &str) -> u64 {
+    let found = report.lines().find_map(|line| {
+        let rest = &line[line.find(before)? + before.len()..];
+        rest[..rest.find(after)?].parse().ok()
+    });
+    found.unwrap_or_else(|| panic!("no `{before}<n>{after}` line in:\n{report}"))
+}
+
+#[test]
+fn ci_report_lines_hold_for_one_device_and_for_four() {
+    for shards in ["1", "4"] {
+        let chaos = run_wordcount(shards, &["--chaos-seed", "142", "--heap", "98304"]);
+        assert!(count(&chaos, "hard faults: ", " device losses") >= 1);
+        assert!(count(&chaos, "), ", " recoveries") >= 1);
+
+        let serve = run_wordcount(shards, &["--serve"]);
+        assert!(serve.contains("oracle ok"), "{serve}");
+
+        let corrupt = run_wordcount(shards, &["--corrupt", "2", "--heap", "98304"]);
+        assert!(count(&corrupt, "integrity: recovered (", " flips injected") >= 1);
+
+        for report in [&chaos, &serve, &corrupt] {
+            assert_eq!(
+                report.contains("sharded image vs 1 device: identical"),
+                shards == "4",
+                "the identity line is printed for sharded runs only:\n{report}"
+            );
+        }
+    }
+}
+
+#[test]
+fn save_round_trips_through_query_on_one_device_only() {
+    let image = std::env::temp_dir().join(format!("sepo-smoke-{}.img", std::process::id()));
+    let image = image.to_str().expect("utf-8 temp path");
+
+    let saved = run_wordcount("1", &["--save", image]);
+    assert!(saved.contains(&format!("table image saved to {image}")));
+    let query = sepo(&["query", image, "the", "no-such-word"]);
+    let answers = String::from_utf8_lossy(&query.stdout).into_owned();
+    std::fs::remove_file(image).expect("the saved image exists");
+    assert!(query.status.success(), "{answers}");
+    let the = answers.lines().find_map(|line| line.strip_prefix("the = "));
+    assert!(the.is_some_and(|n| n.parse::<u64>().is_ok()), "{answers}");
+    assert!(answers.contains("no-such-word = <absent>"), "{answers}");
+
+    let sharded = sepo(&[
+        "run",
+        "wordcount",
+        "--scale",
+        "16384",
+        "--shards",
+        "4",
+        "--save",
+        image,
+    ]);
+    assert!(!sharded.status.success());
+    let why = String::from_utf8_lossy(&sharded.stderr);
+    assert!(why.contains("--save needs a single table image"), "{why}");
+    assert!(!std::path::Path::new(image).exists());
+}

@@ -447,7 +447,7 @@ mod tests {
         let bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
         let mut pipe = EvictionPipe::new(&dev, bus, 1024).unwrap();
         let used_before = t.heap().stats().used_bytes;
-        let evict = t.end_iteration_piped(&mut NoCharge, &mut pipe);
+        let evict = t.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
         // Claiming the pipe is empty while adoption is deferred must trip
         // the page-growth check.
         let v = audit

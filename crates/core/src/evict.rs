@@ -1,11 +1,12 @@
 //! Iteration boundaries: halting, eviction, and restart (§IV-C, Fig. 5).
 //!
 //! At the end of a SEPO iteration the driver calls [`SepoTable::end_iteration`],
-//! which applies the organization-specific policy:
+//! which applies one policy — only *key* pages may stay — that reads per
+//! organization as:
 //!
-//! * **basic / combining** — copy the entire resident heap to CPU memory,
-//!   free every page back to the pool, and reset all bucket heads (all
-//!   resident entries left the device).
+//! * **basic / combining** — no key pages exist: copy the entire resident
+//!   heap to CPU memory, free every page back to the pool, and reset all
+//!   bucket heads (all resident entries left the device).
 //! * **multi-valued** — copy out all *value* pages and those *key* pages
 //!   with no pending keys; key pages holding keys that still have values to
 //!   insert stay resident so next iteration's appends find them. Before
@@ -21,7 +22,6 @@
 //! These routines require quiescence — no kernels in flight — which the
 //! SEPO driver guarantees by running them between launches.
 
-use crate::config::Organization;
 use crate::entry::{self, key_entry};
 use crate::hash::bucket_of;
 use crate::integrity::{self, crc32c, TransferFailure, MAX_TRANSFER_RETRANSMITS};
@@ -72,77 +72,18 @@ pub struct EvictedPage {
     pub crc: u32,
 }
 
-/// Where evicted page images land: directly in the host heap (the
-/// synchronous model) or on the eviction pipe for deferred, asynchronous
-/// adoption.
-enum EvictDest<'a> {
-    Host,
-    Pipe(&'a mut EvictionPipe<EvictedPage>),
-}
-
 impl SepoTable {
     /// End-of-iteration eviction per the table's organization. Quiescent
     /// callers only.
     pub fn end_iteration(&self) -> EvictReport {
-        self.end_iteration_charged(&mut NoCharge)
-    }
-
-    /// [`SepoTable::end_iteration`] declaring its host-side accesses —
-    /// page evictions, kept-entry link rewrites — to `charge`. The SEPO
-    /// driver passes the shadow sanitizer's host sink here so evicted pages
-    /// are retired in the shadow map (later device touches become
-    /// use-after-evict findings) while the eviction machinery's own writes
-    /// stay exempt from race rules (the device is quiescent).
-    pub fn end_iteration_charged<C: Charge>(&self, charge: &mut C) -> EvictReport {
-        match self.cfg.organization {
-            Organization::Basic | Organization::Combining(_) => {
-                self.evict_all(charge, &mut EvictDest::Host)
-            }
-            Organization::MultiValued => {
-                self.evict_multivalued(false, charge, &mut EvictDest::Host)
-            }
-        }
-    }
-
-    /// [`SepoTable::end_iteration_charged`] with **deferred** host
-    /// adoption: evicted page images are enqueued on `pipe` (their DMA
-    /// issued on the bus ledger) instead of being stored in the host heap
-    /// inline. The device-side effects — page release, head resets, chain
-    /// rebuilds — and the returned report are identical to the synchronous
-    /// path; the shadow use-after-evict epoch is stamped at enqueue. The
-    /// caller adopts the images at transfer-completion points via
-    /// [`SepoTable::adopt_evicted`].
-    pub fn end_iteration_piped<C: Charge>(
-        &self,
-        charge: &mut C,
-        pipe: &mut EvictionPipe<EvictedPage>,
-    ) -> EvictReport {
-        match self.cfg.organization {
-            Organization::Basic | Organization::Combining(_) => {
-                self.evict_all(charge, &mut EvictDest::Pipe(pipe))
-            }
-            Organization::MultiValued => {
-                self.evict_multivalued(false, charge, &mut EvictDest::Pipe(pipe))
-            }
-        }
+        self.evict_boundary(&mut NoCharge, None, false)
     }
 
     /// Evict everything that remains (kept pages included). Call once after
     /// the last iteration; afterwards the result collectors see the full
     /// table in the host heap.
     pub fn finalize(&self) -> EvictReport {
-        self.finalize_charged(&mut NoCharge)
-    }
-
-    /// [`SepoTable::finalize`] with host-side access declarations (see
-    /// [`SepoTable::end_iteration_charged`]).
-    pub fn finalize_charged<C: Charge>(&self, charge: &mut C) -> EvictReport {
-        match self.cfg.organization {
-            Organization::Basic | Organization::Combining(_) => {
-                self.evict_all(charge, &mut EvictDest::Host)
-            }
-            Organization::MultiValued => self.evict_multivalued(true, charge, &mut EvictDest::Host),
-        }
+        self.evict_boundary(&mut NoCharge, None, true)
     }
 
     /// Store pipe-drained page images in the host heap under their stamped
@@ -212,17 +153,6 @@ impl SepoTable {
         crc
     }
 
-    /// Copy every resident page out and free it; clear all bucket heads.
-    fn evict_all<C: Charge>(&self, charge: &mut C, dest: &mut EvictDest<'_>) -> EvictReport {
-        let mut report = EvictReport::default();
-        for p in self.heap.resident_pages() {
-            report.absorb(self.evict_page(p, charge, dest));
-        }
-        self.reset_heads();
-        self.groups.reset_iteration();
-        report
-    }
-
     /// Copy one page off the device under its stamped identity and release
     /// it — into the host heap directly, or onto the eviction pipe for
     /// deferred adoption. Declares the page's logical identity evicted
@@ -234,21 +164,20 @@ impl SepoTable {
         &self,
         p: u32,
         charge: &mut C,
-        dest: &mut EvictDest<'_>,
+        pipe: &mut Option<&mut EvictionPipe<EvictedPage>>,
     ) -> EvictReport {
         charge.access(ShadowAddr::Page(self.heap.host_id(p)), AccessKind::Evicted);
         let data = self.heap.page_data(p);
         let bytes = data.len() as u64;
         let host_id = self.heap.host_id(p);
         let crc = self.wire_page(host_id, &data);
-        match dest {
-            EvictDest::Host => {
-                self.host.store(host_id, self.heap.page_kind(p), data, crc);
-            }
-            EvictDest::Pipe(pipe) => {
+        let kind = self.heap.page_kind(p);
+        match pipe {
+            None => self.host.store(host_id, kind, data, crc),
+            Some(pipe) => {
                 let page = EvictedPage {
                     host_id,
-                    kind: self.heap.page_kind(p),
+                    kind,
                     data: Arc::from(data),
                     crc,
                 };
@@ -263,13 +192,29 @@ impl SepoTable {
         }
     }
 
-    /// The multi-valued policy (Fig. 5b). `force` evicts kept pages too
-    /// (finalize).
-    fn evict_multivalued<C: Charge>(
+    /// The one eviction entry point behind [`SepoTable::end_iteration`] and
+    /// [`SepoTable::finalize`] (`force` evicts kept pages too): the policy of
+    /// Fig. 5, for every organization.
+    ///
+    /// Host-side accesses — page evictions, kept-entry link rewrites — are
+    /// declared to `charge`. The SEPO driver passes the shadow sanitizer's
+    /// host sink here so evicted pages are retired in the shadow map (later
+    /// device touches become use-after-evict findings) while the eviction
+    /// machinery's own writes stay exempt from race rules (the device is
+    /// quiescent).
+    ///
+    /// With `pipe`, host adoption is **deferred**: evicted page images are
+    /// enqueued on it (their DMA issued on the bus ledger) instead of being
+    /// stored in the host heap inline. The device-side effects — page
+    /// release, head resets, chain rebuilds — and the returned report are
+    /// identical to the synchronous path; the shadow use-after-evict epoch
+    /// is stamped at enqueue. The caller adopts the images at
+    /// transfer-completion points via [`SepoTable::adopt_evicted`].
+    pub fn evict_boundary<C: Charge>(
         &self,
-        force: bool,
         charge: &mut C,
-        dest: &mut EvictDest<'_>,
+        mut pipe: Option<&mut EvictionPipe<EvictedPage>>,
+        force: bool,
     ) -> EvictReport {
         let mut report = EvictReport::default();
         let resident = self.heap.resident_pages();
@@ -278,10 +223,10 @@ impl SepoTable {
             .copied()
             .filter(|&p| self.heap.page_kind(p) == PageKind::Key)
             .collect();
-        let value_pages: Vec<u32> = resident
+        let other_pages: Vec<u32> = resident
             .iter()
             .copied()
-            .filter(|&p| self.heap.page_kind(p) == PageKind::Value)
+            .filter(|&p| self.heap.page_kind(p) != PageKind::Key)
             .collect();
 
         // 1. Advance every key entry's host continuation past the value
@@ -304,9 +249,11 @@ impl SepoTable {
             });
         }
 
-        // 2. Value pages always leave.
-        for &p in &value_pages {
-            report.absorb(self.evict_page(p, charge, dest));
+        // 2. Value pages — and the mixed pages of basic / combining tables,
+        //    which have no key pages, so for them this is the whole
+        //    eviction — always leave.
+        for &p in &other_pages {
+            report.absorb(self.evict_page(p, charge, &mut pipe));
         }
 
         // 3. Key pages leave unless they hold pending keys (or we are
@@ -335,7 +282,7 @@ impl SepoTable {
                 report.kept_pages += 1;
                 report.kept_bytes += self.heap.page_used(p) as u64;
             } else {
-                report.absorb(self.evict_page(p, charge, dest));
+                report.absorb(self.evict_page(p, charge, &mut pipe));
             }
         }
 
@@ -569,7 +516,7 @@ mod tests {
         let stale = ShadowAddr::Page(t.heap().host_id(page));
 
         // ...the iteration boundary evicts everything...
-        t.end_iteration_charged(&mut sz.host_charge());
+        t.evict_boundary(&mut sz.host_charge(), None, false);
 
         // ...and the next launch dereferences the stale handle.
         sz.set_iteration(2);
@@ -614,7 +561,7 @@ mod tests {
         }
         let mut pipe = test_pipe();
         let r_sync = sync.end_iteration();
-        let r_piped = piped.end_iteration_piped(&mut NoCharge, &mut pipe);
+        let r_piped = piped.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
         assert_eq!(r_sync, r_piped, "reports must not depend on the path");
         assert_eq!(piped.heap().free_pages(), piped.heap().total_pages());
         // Adoption is deferred: nothing host-side until the pipe drains.
@@ -649,7 +596,7 @@ mod tests {
         }
         let mut pipe = test_pipe();
         let r_sync = sync.end_iteration();
-        let r_piped = piped.end_iteration_piped(&mut NoCharge, &mut pipe);
+        let r_piped = piped.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
         assert_eq!(r_sync, r_piped);
         assert_eq!(r_piped.kept_pages, 1, "pending key page stays either way");
         piped.adopt_evicted(pipe.quiesce());
@@ -676,7 +623,7 @@ mod tests {
         let addr = ShadowAddr::Page(t.heap().host_id(page));
 
         let sz = ShadowSanitizer::new();
-        t.end_iteration_charged(&mut sz.host_charge());
+        t.evict_boundary(&mut sz.host_charge(), None, false);
         sz.record_host(addr, AccessKind::PlainRead);
         assert_eq!(sz.finding_count(), 0);
     }

@@ -23,6 +23,7 @@ use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::combiner::{CombinerConfig, WarpCombiner};
 use crate::config::Organization;
 use crate::evict::{EvictReport, EvictedPage};
+use crate::integrity::crc32c;
 use crate::serve::EpochPublisher;
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
@@ -31,6 +32,7 @@ use gpu_sim::metrics::{Metrics, Snapshot};
 use gpu_sim::spec::PcieSpec;
 use gpu_sim::{
     CorruptionKind, DeviceMemory, EvictionPipe, FaultPlan, HardFaultError, NoCharge, PcieBus,
+    ShadowSanitizer,
 };
 use std::any::Any;
 use std::fmt;
@@ -155,7 +157,7 @@ impl SepoOutcome {
 /// Why a SEPO run could not complete. Returned by
 /// [`SepoDriver::try_run`]; [`SepoDriver::run`] converts
 /// [`SepoError::IterationCapExceeded`] back into its (incomplete)
-/// [`SepoOutcome`] and panics on the other variants.
+/// [`SepoOutcome`] and panics on the other variants with their message.
 #[derive(Debug)]
 pub enum SepoError {
     /// An iteration stored nothing and injected faults cannot explain it:
@@ -244,6 +246,28 @@ pub enum SepoError {
         /// The exhausted-rewrites verification error.
         source: io::Error,
     },
+    /// The cross-layer [`TableAudit`] ([`DriverConfig::audit`]) found the
+    /// layers disagreeing after an eviction — a bug, not an environmental
+    /// condition.
+    AuditFailed {
+        /// 1-based iteration whose boundary failed; `None` at `finalize`.
+        iteration: Option<u32>,
+        /// The rendered [`crate::AuditViolation`].
+        report: String,
+    },
+    /// The shadow-memory sanitizer ([`DriverConfig::sanitize`]) recorded
+    /// publish-discipline findings by this boundary.
+    SanitizerFailed {
+        /// 1-based iteration whose boundary failed; `None` at `finalize`.
+        iteration: Option<u32>,
+        /// The rendered [`gpu_sim::SanitizerReport`], witnesses included.
+        report: String,
+    },
+}
+
+/// "iteration N", or "finalize" for the run-ending eviction.
+fn boundary_name(iteration: Option<u32>) -> String {
+    iteration.map_or_else(|| "finalize".into(), |i| format!("iteration {i}"))
 }
 
 impl fmt::Display for SepoError {
@@ -315,6 +339,18 @@ impl fmt::Display for SepoError {
                 "checkpoint after iteration {at_iteration} failed \
                  verification: {source}"
             ),
+            SepoError::AuditFailed { iteration, report } => {
+                write!(
+                    f,
+                    "SEPO audit failed at {}: {report}",
+                    boundary_name(*iteration)
+                )
+            }
+            SepoError::SanitizerFailed { iteration, report } => write!(
+                f,
+                "SEPO sanitizer failed at {}: {report}",
+                boundary_name(*iteration)
+            ),
         }
     }
 }
@@ -348,9 +384,9 @@ pub struct DriverConfig {
     /// fail immediately as [`SepoError::NoProgress`].
     pub max_fault_retries: u32,
     /// Run the [`TableAudit`] cross-layer invariant checks at every
-    /// iteration boundary (and after `finalize()`), panicking on a
-    /// violation. Off by default; enabled by the CLI's `--audit` flag and
-    /// unconditionally in tests.
+    /// iteration boundary (and after `finalize()`), failing the run with
+    /// [`SepoError::AuditFailed`] on a violation. Off by default; enabled
+    /// by the CLI's `--audit` flag and unconditionally in tests.
     pub audit: bool,
     /// Attach a per-warp software combiner ([`WarpCombiner`]) in front of
     /// the table. Only effective for the combining organization; duplicate
@@ -361,9 +397,10 @@ pub struct DriverConfig {
     /// default) keeps the paper's direct insert path; the CLI turns it on.
     pub combiner: Option<CombinerConfig>,
     /// Check every declared device access against the shadow-memory
-    /// sanitizer ([`gpu_sim::shadow`]), panicking at the next iteration
-    /// boundary if any access violated the publish discipline (concurrent
-    /// plain access, plain/atomic mixing, use-after-evict). Requires a
+    /// sanitizer ([`gpu_sim::shadow`]), failing the run with
+    /// [`SepoError::SanitizerFailed`] at the next iteration boundary if any
+    /// access violated the publish discipline (concurrent plain access,
+    /// plain/atomic mixing, use-after-evict). Requires a
     /// sanitizer attached to the executor via [`Executor::with_shadow`].
     /// Declaring accesses charges no simulated cost, so results are
     /// byte-identical with this on or off. Off by default; enabled by the
@@ -457,8 +494,8 @@ impl<'a> SepoDriver<'a> {
     /// [`SepoError::IterationCapExceeded`] is unwrapped back into its
     /// incomplete [`SepoOutcome`] (the MapCG baseline inspects
     /// `pending_tasks`); the other errors — a configuration that can never
-    /// make progress, or an exhausted fault budget — panic with the typed
-    /// error's message.
+    /// make progress, an exhausted fault budget, a failed audit or
+    /// sanitizer verdict — panic with the typed error's message.
     pub fn run<B, K>(&self, n_tasks: usize, task_bytes: B, kernel: K) -> SepoOutcome
     where
         B: Fn(usize) -> u64 + Sync,
@@ -469,53 +506,6 @@ impl<'a> SepoDriver<'a> {
             Err(SepoError::IterationCapExceeded { outcome }) => *outcome,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Capture a boundary checkpoint per [`DriverConfig::checkpoint`],
-    /// writing it through to disk under [`CheckpointPolicy::Disk`].
-    #[allow(clippy::too_many_arguments)]
-    fn take_checkpoint(
-        &self,
-        done: &Bitmap,
-        progress: &[AtomicU32],
-        iterations: &[IterationStats],
-        fault_stalls: u32,
-        faults: Option<&FaultPlan>,
-        recovery: &mut RecoveryStats,
-    ) -> Result<Checkpoint, SepoError> {
-        let ckp = Checkpoint::capture(self.table, done, progress, iterations, fault_stalls, faults);
-        // Thread the corruption plan through so on-disk checkpoint writes
-        // draw seeded disk byte flips; the write path reads the image back,
-        // verifies its checksum trailer, and rewrites (bounded) until the
-        // landed bytes are trustworthy.
-        let corrupting = faults.filter(|p| p.has_corruption());
-        let typed = |source: io::Error| {
-            if source.kind() == io::ErrorKind::InvalidData {
-                SepoError::CorruptCheckpoint {
-                    at_iteration: ckp.iteration(),
-                    source,
-                }
-            } else {
-                SepoError::CheckpointIo {
-                    at_iteration: ckp.iteration(),
-                    source,
-                }
-            }
-        };
-        match &self.config.checkpoint {
-            CheckpointPolicy::Disk(path) => {
-                recovery.checkpoint_rewrites +=
-                    ckp.write_to_path_with(path, corrupting).map_err(typed)?;
-            }
-            CheckpointPolicy::SharedDisk(file, shard) => {
-                recovery.checkpoint_rewrites +=
-                    file.update_with(*shard, &ckp, corrupting).map_err(typed)?;
-            }
-            _ => {}
-        }
-        recovery.checkpoints_taken += 1;
-        recovery.checkpoint_bytes = ckp.encoded_size();
-        Ok(ckp)
     }
 
     /// Process `n_tasks` tasks to completion, reporting unrecoverable
@@ -550,109 +540,9 @@ impl<'a> SepoDriver<'a> {
         B: Fn(usize) -> u64 + Sync,
         K: Fn(usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync,
     {
-        let done = Bitmap::new(n_tasks);
-        let progress: Box<[AtomicU32]> = (0..n_tasks).map(|_| AtomicU32::new(0)).collect();
-        let mut iterations = Vec::new();
-        let mut pending: Vec<u32> = (0..n_tasks as u32).collect();
-        let is_basic = matches!(self.table.config().organization, Organization::Basic);
-        let halt_threshold = self.table.config().halt_threshold;
-        let mut audit = self.config.audit.then(|| TableAudit::begin(self.table));
-        let mut fault_stalls = 0u32;
-
-        // Hard-fault recovery: capture a checkpoint at every quiescent
-        // boundary (including the empty pre-run state, so a kill during
-        // iteration 1 recovers too) and roll back to it when a launch dies.
-        let faults = self.executor.faults().map(|p| p.as_ref());
-        // Integrity: install the fault plan on the table so eviction paths
-        // (wire_page, adopt_evicted) can draw in-flight corruption and
-        // verify stamps without signature changes. The guard detaches it on
-        // every exit path, success or typed failure.
-        struct PlanGuard<'t>(&'t SepoTable);
-        impl Drop for PlanGuard<'_> {
-            fn drop(&mut self) {
-                self.0.integrity().clear_plan();
-            }
-        }
-        let _plan_guard = self.executor.faults().map(|plan| {
-            self.table.integrity().install_plan(Arc::clone(plan));
-            PlanGuard(self.table)
-        });
-        let corrupt = faults.filter(|p| p.has_corruption());
-        let retransmits_baseline = self.table.integrity().retransmits();
-        // Resting-page integrity: CRC32C stamps of every resident device
-        // page with used bytes, taken at the last quiescent boundary. The
-        // next iteration's pre-launch scrub re-verifies them after seeded
-        // resting flips strike, so corruption never reaches a kernel.
-        let stamp_resting = |table: &SepoTable| -> Vec<(u32, u64, u32)> {
-            let heap = table.heap();
-            heap.resident_pages()
-                .into_iter()
-                .filter(|&p| heap.page_used(p) > 0)
-                .map(|p| {
-                    (
-                        p,
-                        heap.host_id(p),
-                        crate::integrity::crc32c(&heap.page_data(p)),
-                    )
-                })
-                .collect()
-        };
-        let mut resting: Vec<(u32, u64, u32)> = if corrupt.is_some() {
-            stamp_resting(self.table)
-        } else {
-            Vec::new()
-        };
-        let mut recovery = RecoveryStats::default();
-        let mut checkpoint: Option<Checkpoint> = None;
-        if self.config.checkpoint.is_enabled() {
-            checkpoint = Some(self.take_checkpoint(
-                &done,
-                &progress,
-                &iterations,
-                fault_stalls,
-                faults,
-                &mut recovery,
-            )?);
-        }
-
-        // Asynchronous eviction: a dedicated two-buffer staging pair and an
-        // in-flight DMA ledger of its own. The pipe's bus counts its wire
-        // traffic on a private Metrics instance so the table's metrics —
-        // and with them every IterationStats snapshot — stay byte-identical
-        // with overlap on or off; the executor's fault plan (if any) still
-        // injects transient PCIe errors into the eviction transfers, which
-        // cost retries in simulated time but never lose a page.
-        let mut pipe: Option<EvictionPipe<EvictedPage>> = if self.config.evict_overlap {
-            let page = self.table.heap().page_size();
-            let dev = DeviceMemory::new(2 * page as u64);
-            let mut bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
-            if let Some(plan) = self.executor.faults() {
-                bus = bus.with_faults(Arc::clone(plan));
-            }
-            Some(
-                EvictionPipe::new(&dev, bus, page)
-                    .expect("a fresh two-page device always fits its own staging pair"),
-            )
-        } else {
-            None
-        };
-
-        // Shadow-memory sanitizer: kernels declare their logical accesses
-        // through the lane's charge sink; the executor forwards them to the
-        // sanitizer attached via `Executor::with_shadow`. The driver only
-        // has to stamp the iteration number, route eviction's host-side
-        // accesses, and fail loudly when the check finds a violation.
-        let shadow = self.config.sanitize.then(|| {
-            self.executor
-                .shadow()
-                .cloned()
-                .expect("DriverConfig::sanitize requires Executor::with_shadow")
-        });
-        let findings_baseline = shadow.as_ref().map_or(0, |sz| sz.finding_count());
-
         // Warp-combiner hooks: each warp gets its own buffer, drained at
         // warp retirement — i.e. before a launch returns, hence before any
-        // postponement bookkeeping or eviction below observes the table.
+        // postponement bookkeeping or eviction observes the table.
         let combiner = match self.table.config().organization {
             Organization::Combining(comb) => self.config.combiner.map(|cc| (comb, cc)),
             _ => None,
@@ -676,381 +566,543 @@ impl<'a> SepoDriver<'a> {
             None
         };
 
-        // Serving: publish epoch 0 (the empty pre-run boundary) so readers
-        // have a consistent — if empty — snapshot before iteration 1.
-        if let Some(publisher) = &self.config.serving {
-            publisher.publish_boundary(self.table, 0, false);
+        // The paper's loop: launch over the pending set, postpone what does
+        // not fit, evict at the boundary, repeat. An abandoned iteration
+        // (hard fault, resting corruption) re-enters through `rollback`.
+        let mut run = Run::begin(self, n_tasks)?;
+        while !run.pending.is_empty() && run.iter_no() <= self.config.max_iterations {
+            let attempt = run
+                .open_iteration()
+                .and_then(|()| run.launch(&task_bytes, &kernel, scratch_hooks.as_ref()));
+            match attempt {
+                Ok(launched) => run.boundary(launched)?,
+                Err(cause) => run.rollback(cause)?,
+            }
         }
+        run.finish()
+    }
+}
 
-        while !pending.is_empty() {
-            let iter_no = iterations.len() as u32 + 1;
-            if iter_no > self.config.max_iterations {
+/// Why an iteration is abandoned and the run rewinds to the last boundary
+/// checkpoint. The two causes keep separate recovery budgets.
+enum Rollback {
+    /// A hard device fault killed one of the iteration's launches.
+    DeviceLost(HardFaultError),
+    /// The pre-launch scrub found a damaged resting page (its host id).
+    CorruptPage(u64),
+}
+
+/// What one iteration's launches did, handed to [`Run::boundary`].
+struct Launched {
+    /// Table metrics before the first launch.
+    before: Snapshot,
+    input_bytes: u64,
+    chunks: u32,
+    attempted: u64,
+    lanes_aborted: u64,
+    halted_early: bool,
+}
+
+/// The state of one [`SepoDriver::try_run`]; each step of its loop is a
+/// method here. The boundary order — adopt → publish → evict → verdicts →
+/// checkpoint → re-stamp — is fixed by the quiescence invariant.
+struct Run<'d> {
+    table: &'d SepoTable,
+    executor: &'d Executor,
+    config: &'d DriverConfig,
+    /// The executor's fault plan. For the run it is also installed on the
+    /// table's integrity state, so eviction paths (wire_page, adopt_evicted)
+    /// can draw in-flight corruption and verify stamps.
+    faults: Option<&'d Arc<FaultPlan>>,
+    /// The same plan, when it draws silent corruption.
+    corrupt: Option<&'d FaultPlan>,
+    done: Bitmap,
+    progress: Box<[AtomicU32]>,
+    pending: Vec<u32>,
+    iterations: Vec<IterationStats>,
+    fault_stalls: u32,
+    recovery: RecoveryStats,
+    retransmits_baseline: u64,
+    /// The last quiescent boundary, under [`DriverConfig::checkpoint`].
+    checkpoint: Option<Checkpoint>,
+    pipe: Option<EvictionPipe<EvictedPage>>,
+    /// Kernels declare their accesses through the lane's charge sink and
+    /// the executor forwards them; the driver only stamps the iteration
+    /// number, routes eviction's host-side accesses, and reads the verdict.
+    shadow: Option<Arc<ShadowSanitizer>>,
+    findings_baseline: u64,
+    audit: Option<TableAudit>,
+    /// `(page, host id, CRC32C)` of every resident device page with used
+    /// bytes, stamped at the last quiescent boundary.
+    resting: Vec<(u32, u64, u32)>,
+}
+
+impl Drop for Run<'_> {
+    /// Detach the installed fault plan on every exit path.
+    fn drop(&mut self) {
+        if self.faults.is_some() {
+            self.table.integrity().clear_plan();
+        }
+    }
+}
+
+impl<'d> Run<'d> {
+    /// Set up the run and take the pre-run baseline: checkpoint 0 (so a
+    /// kill during iteration 1 recovers too) and serving epoch 0.
+    fn begin(driver: &'d SepoDriver<'_>, n_tasks: usize) -> Result<Self, SepoError> {
+        let (table, executor, config) = (driver.table, driver.executor, &driver.config);
+        let audit = config.audit.then(|| TableAudit::begin(table));
+        let faults = executor.faults();
+        // Asynchronous eviction: a dedicated two-buffer staging pair and an
+        // in-flight DMA ledger of its own. The pipe's bus counts its wire
+        // traffic on a private Metrics instance so the table's metrics —
+        // and with them every IterationStats snapshot — stay byte-identical
+        // with overlap on or off; the executor's fault plan (if any) still
+        // injects transient PCIe errors into the eviction transfers, which
+        // cost retries in simulated time but never lose a page.
+        let pipe = config.evict_overlap.then(|| {
+            let page = table.heap().page_size();
+            let dev = DeviceMemory::new(2 * page as u64);
+            let mut bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
+            if let Some(plan) = faults {
+                bus = bus.with_faults(Arc::clone(plan));
+            }
+            EvictionPipe::new(&dev, bus, page)
+                .expect("a fresh two-page device always fits its own staging pair")
+        });
+        let shadow = config.sanitize.then(|| {
+            let sz = executor.shadow().cloned();
+            sz.expect("DriverConfig::sanitize requires Executor::with_shadow")
+        });
+        if let Some(plan) = faults {
+            table.integrity().install_plan(Arc::clone(plan));
+        }
+        let mut run = Run {
+            table,
+            executor,
+            config,
+            faults,
+            corrupt: faults.map(Arc::as_ref).filter(|p| p.has_corruption()),
+            done: Bitmap::new(n_tasks),
+            progress: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
+            pending: (0..n_tasks as u32).collect(),
+            iterations: Vec::new(),
+            fault_stalls: 0,
+            recovery: RecoveryStats::default(),
+            retransmits_baseline: table.integrity().retransmits(),
+            checkpoint: None,
+            pipe,
+            findings_baseline: shadow.as_ref().map_or(0, |sz| sz.finding_count()),
+            shadow,
+            audit,
+            resting: Vec::new(),
+        };
+        run.stamp_resting();
+        run.take_checkpoint()?;
+        run.publish(0, false);
+        Ok(run)
+    }
+
+    /// 1-based number of the iteration about to run (or running).
+    fn iter_no(&self) -> u32 {
+        self.iterations.len() as u32 + 1
+    }
+
+    /// Serving: publish a boundary's epoch ([`DriverConfig::serving`]).
+    fn publish(&self, iteration: u32, finalized: bool) {
+        if let Some(publisher) = &self.config.serving {
+            publisher.publish_boundary(self.table, iteration, finalized);
+        }
+    }
+
+    /// Stamp the resident pages: this quiescent point starts the next
+    /// resting window. A no-op unless the plan draws corruption.
+    fn stamp_resting(&mut self) {
+        if self.corrupt.is_none() {
+            return;
+        }
+        let heap = self.table.heap();
+        self.resting = heap
+            .resident_pages()
+            .into_iter()
+            .filter(|&p| heap.page_used(p) > 0)
+            .map(|p| (p, heap.host_id(p), crc32c(&heap.page_data(p))))
+            .collect();
+    }
+
+    /// Capture a boundary checkpoint per [`DriverConfig::checkpoint`],
+    /// writing it through to disk under the disk policies.
+    fn take_checkpoint(&mut self) -> Result<(), SepoError> {
+        if !self.config.checkpoint.is_enabled() {
+            return Ok(());
+        }
+        let ckp = Checkpoint::capture(
+            self.table,
+            &self.done,
+            &self.progress,
+            &self.iterations,
+            self.fault_stalls,
+            self.faults.map(Arc::as_ref),
+        );
+        let at_iteration = ckp.iteration();
+        let typed = |source: io::Error| match source.kind() {
+            io::ErrorKind::InvalidData => SepoError::CorruptCheckpoint {
+                at_iteration,
+                source,
+            },
+            _ => SepoError::CheckpointIo {
+                at_iteration,
+                source,
+            },
+        };
+        // The corruption plan rides along so on-disk writes draw seeded
+        // disk byte flips; the write path reads the image back, verifies
+        // its checksum trailer, and rewrites (bounded) until the landed
+        // bytes are trustworthy.
+        self.recovery.checkpoint_rewrites += match &self.config.checkpoint {
+            CheckpointPolicy::Disk(path) => {
+                ckp.write_to_path_with(path, self.corrupt).map_err(typed)?
+            }
+            CheckpointPolicy::SharedDisk(file, shard) => file
+                .update_with(*shard, &ckp, self.corrupt)
+                .map_err(typed)?,
+            _ => 0,
+        };
+        self.recovery.checkpoints_taken += 1;
+        self.recovery.checkpoint_bytes = ckp.encoded_size();
+        self.checkpoint = Some(ckp);
+        Ok(())
+    }
+
+    /// Open the iteration: stamp its number on the sanitizer, then close the
+    /// silent-corruption window. Resident pages rested untouched since the
+    /// last quiescent boundary, so draw seeded resting flips over them and
+    /// scrub every stamp before any kernel can consume damaged bytes.
+    fn open_iteration(&mut self) -> Result<(), Rollback> {
+        if let Some(sz) = &self.shadow {
+            sz.set_iteration(self.iter_no());
+        }
+        let Some(plan) = self.corrupt else {
+            return Ok(());
+        };
+        let heap = self.table.heap();
+        for &(page, _, _) in &self.resting {
+            if let Some(hit) = plan.draw_corruption(CorruptionKind::RestingPageFlip) {
+                heap.corrupt_bit(page, hit.entropy);
+            }
+        }
+        let mut witness = None;
+        for &(page, host_id, crc) in &self.resting {
+            if crc32c(&heap.page_data(page)) != crc {
+                self.recovery.corruptions_detected += 1;
+                witness.get_or_insert(host_id);
+            }
+        }
+        witness.map_or(Ok(()), |host_id| Err(Rollback::CorruptPage(host_id)))
+    }
+
+    /// Launch kernels over the pending set, one BigKernel chunk at a time.
+    /// A lane aborted by the fault plan never runs its task, so the task's
+    /// done bit stays clear and it retries next iteration. A *hard* fault
+    /// kills the whole launch before any lane runs and abandons the
+    /// iteration.
+    fn launch<B, K>(
+        &self,
+        task_bytes: &B,
+        kernel: &K,
+        scratch: Option<&WarpScratch<'_>>,
+    ) -> Result<Launched, Rollback>
+    where
+        B: Fn(usize) -> u64 + Sync,
+        K: Fn(usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync,
+    {
+        let is_basic = matches!(self.table.config().organization, Organization::Basic);
+        let halt_threshold = self.table.config().halt_threshold;
+        let (done, progress) = (&self.done, &self.progress);
+        let mut l = Launched {
+            before: self.table.metrics().snapshot(),
+            input_bytes: 0,
+            chunks: 0,
+            attempted: 0,
+            lanes_aborted: 0,
+            halted_early: false,
+        };
+        for chunk in self.pending.chunks(self.config.chunk_tasks.max(1)) {
+            // Stream the chunk's records to the device.
+            l.input_bytes += chunk.iter().map(|&t| task_bytes(t as usize)).sum::<u64>();
+            l.chunks += 1;
+            l.attempted += chunk.len() as u64;
+            let launch = |lane: &mut LaneCtx<'_>| {
+                let t = chunk[lane.task()] as usize;
+                lane.read_stream(task_bytes(t));
+                let start = progress[t].load(Ordering::Relaxed);
+                match kernel(t, start, lane) {
+                    TaskResult::Done => done.set_charged(t, lane),
+                    TaskResult::Postponed { next_pair } => {
+                        progress[t].store(next_pair, Ordering::Relaxed);
+                    }
+                }
+            };
+            let stats = match self
+                .executor
+                .try_launch_scoped(chunk.len(), scratch, launch)
+            {
+                Ok(stats) => stats,
+                Err(e) => match e.hard_fault() {
+                    Some(fault) => return Err(Rollback::DeviceLost(fault)),
+                    // Kernel panics keep their historical unwinding
+                    // behaviour; only hard device faults are recovered.
+                    None => std::panic::resume_unwind(e.into_panic()),
+                },
+            };
+            l.lanes_aborted += stats.lanes_aborted;
+            if is_basic && self.table.fraction_failed() >= halt_threshold {
+                // §IV-C: halt, evict, restart from the first postponed
+                // record (the boundary's pending-set rescan realizes that).
+                l.halted_early = true;
                 break;
             }
-            if let Some(sz) = &shadow {
-                sz.set_iteration(iter_no);
-            }
-            // Silent-corruption window: resident pages rested untouched
-            // since the last quiescent boundary. Draw seeded resting flips
-            // over them, then scrub every stamp before any kernel can
-            // consume damaged bytes — detected damage is repaired by
-            // restoring the boundary checkpoint (whose image is exactly
-            // the stamped bytes) or fails the run with a witness.
-            if let Some(plan) = corrupt {
-                let heap = self.table.heap();
-                for &(page, _, _) in &resting {
-                    if let Some(hit) = plan.draw_corruption(CorruptionKind::RestingPageFlip) {
-                        heap.corrupt_bit(page, hit.entropy);
-                    }
-                }
-                let mut witness: Option<u64> = None;
-                for &(page, host_id, crc) in &resting {
-                    if crate::integrity::crc32c(&heap.page_data(page)) != crc {
-                        recovery.corruptions_detected += 1;
-                        witness.get_or_insert(host_id);
-                    }
-                }
-                if let Some(host_id) = witness {
-                    let repairable = checkpoint.is_some()
-                        && recovery.integrity_restores < self.config.max_recoveries;
-                    if !repairable {
-                        return Err(SepoError::CorruptPage {
-                            at_iteration: iter_no,
-                            host_id,
-                            recoveries: recovery.integrity_restores,
-                        });
-                    }
-                    let Some(ckp) = checkpoint.as_ref() else {
-                        unreachable!("repairable implies a checkpoint");
-                    };
-                    ckp.restore(
-                        self.table,
-                        &done,
-                        &progress,
-                        &mut iterations,
-                        &mut fault_stalls,
-                        faults,
-                    );
-                    if let Some(sz) = &shadow {
-                        sz.device_reset();
-                    }
-                    recovery.integrity_restores += 1;
-                    resting = stamp_resting(self.table);
-                    pending = done.unset_indices().into_iter().map(|t| t as u32).collect();
-                    continue;
-                }
-            }
-            let before = self.table.metrics().snapshot();
-            let mut input_bytes = 0u64;
-            let mut chunks = 0u32;
-            let mut halted_early = false;
-            let mut attempted = 0u64;
-            let mut lanes_aborted = 0u64;
-            let mut hard_hit: Option<HardFaultError> = None;
-
-            for chunk in pending.chunks(self.config.chunk_tasks.max(1)) {
-                // Stream the chunk's records to the device.
-                for &t in chunk {
-                    input_bytes += task_bytes(t as usize);
-                }
-                chunks += 1;
-                attempted += chunk.len() as u64;
-                // One kernel launch over the chunk's pending tasks. A lane
-                // aborted by the fault plan never runs its task, so the
-                // task's done bit stays clear and it retries next
-                // iteration. A *hard* fault kills the whole launch before
-                // any lane runs; recovery below rolls back to the last
-                // boundary checkpoint.
-                let outcome =
-                    self.executor
-                        .try_launch_scoped(chunk.len(), scratch_hooks.as_ref(), |lane| {
-                            let t = chunk[lane.task()] as usize;
-                            lane.read_stream(task_bytes(t));
-                            let start = progress[t].load(Ordering::Relaxed);
-                            match kernel(t, start, lane) {
-                                TaskResult::Done => done.set_charged(t, lane),
-                                TaskResult::Postponed { next_pair } => {
-                                    progress[t].store(next_pair, Ordering::Relaxed);
-                                }
-                            }
-                        });
-                let stats = match outcome {
-                    Ok(stats) => stats,
-                    Err(e) => match e.hard_fault() {
-                        Some(fault) => {
-                            hard_hit = Some(fault);
-                            break;
-                        }
-                        // Kernel panics keep their historical unwinding
-                        // behaviour; only hard device faults are recovered.
-                        None => std::panic::resume_unwind(e.into_panic()),
-                    },
-                };
-                lanes_aborted += stats.lanes_aborted;
-                if is_basic && self.table.fraction_failed() >= halt_threshold {
-                    // §IV-C: halt, evict, restart from the first postponed
-                    // record (the pending-set rescan below realizes that).
-                    halted_early = true;
-                    break;
-                }
-            }
-
-            if let Some(fault) = hard_hit {
-                let recoverable =
-                    checkpoint.is_some() && recovery.recoveries < self.config.max_recoveries;
-                if !recoverable {
-                    return Err(SepoError::DeviceLost {
-                        at_iteration: iter_no,
-                        pending: pending.len() as u64,
-                        recoveries: recovery.recoveries,
-                        source: fault,
-                    });
-                }
-                let Some(ckp) = checkpoint.as_ref() else {
-                    unreachable!("recoverable implies a checkpoint");
-                };
-                // Checkpointing quiesces the pipe at every boundary before
-                // capture, so a kill mid-launch can never strand an
-                // in-flight eviction: the restore below rebuilds the exact
-                // adopted host heap the checkpoint saw.
-                if let Some(p) = pipe.as_ref() {
-                    debug_assert_eq!(
-                        p.in_flight(),
-                        0,
-                        "checkpointed boundaries leave the eviction pipe empty"
-                    );
-                }
-                // Rebuild the device (and driver) state of the last
-                // quiescent boundary. The killed iteration's partial writes
-                // are a strict prefix of what its replay will write, so the
-                // resumed run is byte-identical to an unkilled one.
-                ckp.restore(
-                    self.table,
-                    &done,
-                    &progress,
-                    &mut iterations,
-                    &mut fault_stalls,
-                    faults,
-                );
-                if let Some(sz) = &shadow {
-                    // The replay re-publishes the device cells the killed
-                    // iteration touched; forget their shadow history (the
-                    // evicted set and finding counts survive).
-                    sz.device_reset();
-                }
-                recovery.recoveries += 1;
-                recovery.replayed_iterations += 1;
-                if corrupt.is_some() {
-                    resting = stamp_resting(self.table);
-                }
-                pending = done.unset_indices().into_iter().map(|t| t as u32).collect();
-                continue;
-            }
-
-            // Adopt the previous boundary's evicted pages first: their DMA
-            // has been draining behind this iteration's kernels, and the
-            // device is quiescent again, so wait out any exposed remainder
-            // and re-home the images in the host heap before evicting more.
-            if let Some(p) = pipe.as_mut() {
-                let adopted = p.quiesce();
-                self.table.adopt_evicted(adopted);
-            }
-            // Serving: the device is quiescent, every launch of this
-            // iteration retired, and all previously piped evictions are
-            // home — publish the iteration's epoch before eviction
-            // rearranges residency. Hard-fault recovery `continue`s above
-            // this point, so a killed iteration never publishes.
-            if let Some(publisher) = &self.config.serving {
-                publisher.publish_boundary(self.table, iter_no, false);
-            }
-            let used_before_evict = audit.as_ref().map(|_| self.table.heap().stats().used_bytes);
-            let evict = match (&shadow, pipe.as_mut()) {
-                (Some(sz), Some(p)) => self.table.end_iteration_piped(&mut sz.host_charge(), p),
-                (Some(sz), None) => self.table.end_iteration_charged(&mut sz.host_charge()),
-                (None, Some(p)) => self.table.end_iteration_piped(&mut NoCharge, p),
-                (None, None) => self.table.end_iteration(),
-            };
-            // An eviction transfer that failed verification on every
-            // retransmit (or a damaged page caught at adoption) left a
-            // first-wins witness on the integrity state; surface it now,
-            // before anything downstream consumes the quarantined page.
-            if let Some(fail) = self.table.integrity().take_failure() {
-                return Err(SepoError::CorruptTransfer {
-                    at_iteration: iter_no,
-                    host_id: fail.host_id,
-                    source: fail.error,
-                });
-            }
-            let after = self.table.metrics().snapshot();
-            let next_pending: Vec<u32> = pending
-                .iter()
-                .copied()
-                .filter(|&t| !done.get(t as usize))
-                .collect();
-            let tasks_completed = pending.len() as u64 - next_pending.len() as u64;
-            if let Some(a) = audit.as_mut() {
-                // The audit reconciles host-heap growth against cumulative
-                // evictions; pages still on the eviction pipe's wire are
-                // declared so the books balance before adoption.
-                let in_flight =
-                    pipe.as_ref()
-                        .map_or_else(InFlightEviction::default, |p| InFlightEviction {
-                            pages: p.in_flight(),
-                            bytes: p.in_flight_bytes(),
-                        });
-                if let Err(v) = a.check_iteration(
-                    self.table,
-                    &done,
-                    next_pending.len(),
-                    used_before_evict.unwrap_or(0),
-                    &evict,
-                    in_flight,
-                ) {
-                    panic!("SEPO audit failed at iteration {iter_no}: {v}");
-                }
-            }
-            if let Some(sz) = &shadow {
-                if sz.finding_count() > findings_baseline {
-                    panic!(
-                        "SEPO sanitizer failed at iteration {iter_no}: {}",
-                        sz.report()
-                    );
-                }
-            }
-            // Progress check: an iteration may complete no whole task yet
-            // still advance (multi-pair tasks storing a prefix of their
-            // pairs); what must never happen is an iteration in which not a
-            // single allocation succeeded — that configuration can never
-            // terminate. Exception: injected lane aborts legitimately
-            // produce empty iterations, which are retried up to
-            // `max_fault_retries` consecutive times.
-            let kernel_delta = after.delta(&before);
-            let progressed =
-                tasks_completed > 0 || kernel_delta.alloc_success > 0 || next_pending.is_empty();
-            if progressed {
-                fault_stalls = 0;
-            } else if lanes_aborted > 0 {
-                fault_stalls += 1;
-                if fault_stalls > self.config.max_fault_retries {
-                    return Err(SepoError::FaultBudgetExhausted {
-                        iteration: iter_no,
-                        pending: next_pending.len() as u64,
-                        stalled_iterations: fault_stalls,
-                    });
-                }
-            } else {
-                return Err(SepoError::NoProgress {
-                    iteration: iter_no,
-                    pending: next_pending.len() as u64,
-                });
-            }
-            iterations.push(IterationStats {
-                iteration: iter_no,
-                tasks_attempted: attempted,
-                tasks_completed,
-                input_bytes,
-                chunks,
-                kernel: kernel_delta,
-                evict,
-                halted_early,
-            });
-            pending = next_pending;
-            if self.config.checkpoint.is_enabled() {
-                // A checkpoint must capture a *quiescent* host heap: wait
-                // out this boundary's in-flight eviction DMA and adopt the
-                // images first, so the `SEPOCKP1` image matches what a
-                // synchronous run captures and a restore rebuilds it.
-                if let Some(p) = pipe.as_mut() {
-                    let adopted = p.quiesce();
-                    self.table.adopt_evicted(adopted);
-                }
-                if let Some(fail) = self.table.integrity().take_failure() {
-                    return Err(SepoError::CorruptTransfer {
-                        at_iteration: iter_no,
-                        host_id: fail.host_id,
-                        source: fail.error,
-                    });
-                }
-                checkpoint = Some(self.take_checkpoint(
-                    &done,
-                    &progress,
-                    &iterations,
-                    fault_stalls,
-                    faults,
-                    &mut recovery,
-                )?);
-            }
-            // Re-stamp the surviving resident pages: this boundary is the
-            // start of the next resting window.
-            if corrupt.is_some() {
-                resting = stamp_resting(self.table);
-            }
         }
+        Ok(l)
+    }
 
-        // Drain the pipe before the final flush: finalize's evictions go
-        // straight to the host heap, and result collection walks it in
-        // eviction order, so every piped image must be home first.
-        if let Some(p) = pipe.as_mut() {
+    /// Rebuild the device (and driver) state of the last quiescent
+    /// boundary and recompute `pending` from the bitmap — or fail with the
+    /// cause's typed error when checkpointing is off or its budget is
+    /// spent. The abandoned iteration's partial writes are a strict prefix
+    /// of what its replay will write, so the resumed run is byte-identical
+    /// to an undisturbed one; it re-enters the loop above every publish,
+    /// so an abandoned iteration never publishes an epoch.
+    fn rollback(&mut self, cause: Rollback) -> Result<(), SepoError> {
+        let used = match cause {
+            Rollback::DeviceLost(_) => self.recovery.recoveries,
+            Rollback::CorruptPage(_) => self.recovery.integrity_restores,
+        };
+        let budget = self.config.max_recoveries;
+        let Some(ckp) = self.checkpoint.as_ref().filter(|_| used < budget) else {
+            let at_iteration = self.iter_no();
+            return Err(match cause {
+                Rollback::DeviceLost(source) => SepoError::DeviceLost {
+                    at_iteration,
+                    pending: self.pending.len() as u64,
+                    recoveries: used,
+                    source,
+                },
+                Rollback::CorruptPage(host_id) => SepoError::CorruptPage {
+                    at_iteration,
+                    host_id,
+                    recoveries: used,
+                },
+            });
+        };
+        // Checkpointing quiesces the pipe at every boundary before
+        // capture, so an abandoned iteration can never strand an in-flight
+        // eviction: the restore rebuilds the exact adopted host heap the
+        // checkpoint saw.
+        debug_assert_eq!(
+            self.pipe.as_ref().map_or(0, |p| p.in_flight()),
+            0,
+            "checkpointed boundaries leave the eviction pipe empty"
+        );
+        ckp.restore(
+            self.table,
+            &self.done,
+            &self.progress,
+            &mut self.iterations,
+            &mut self.fault_stalls,
+            self.faults.map(Arc::as_ref),
+        );
+        if let Some(sz) = &self.shadow {
+            // The replay re-publishes the device cells the abandoned
+            // iteration touched; forget their shadow history (the evicted
+            // set and finding counts survive).
+            sz.device_reset();
+        }
+        match cause {
+            Rollback::DeviceLost(_) => {
+                self.recovery.recoveries += 1;
+                self.recovery.replayed_iterations += 1;
+            }
+            Rollback::CorruptPage(_) => self.recovery.integrity_restores += 1,
+        }
+        self.stamp_resting();
+        let unset = self.done.unset_indices();
+        self.pending = unset.into_iter().map(|t| t as u32).collect();
+        Ok(())
+    }
+
+    /// Surface the integrity state's first-wins witness — an eviction
+    /// transfer that failed verification on every retransmit, or a damaged
+    /// page caught at adoption — before anything downstream consumes the
+    /// quarantined page.
+    fn transfer_verdict(&self, at_iteration: u32) -> Result<(), SepoError> {
+        match self.table.integrity().take_failure() {
+            Some(fail) => Err(SepoError::CorruptTransfer {
+                at_iteration,
+                host_id: fail.host_id,
+                source: fail.error,
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Wait out any exposed remainder of the eviction pipe's DMA and
+    /// re-home its page images in the host heap. Called wherever the host
+    /// heap must be whole: before a boundary evicts more (the previous
+    /// boundary's DMA has been draining behind this iteration's kernels),
+    /// before a checkpoint captures it, and before the final flush.
+    fn adopt_in_flight(&mut self, at_iteration: u32) -> Result<(), SepoError> {
+        if let Some(p) = self.pipe.as_mut() {
             let adopted = p.quiesce();
             self.table.adopt_evicted(adopted);
         }
-        let used_before_final = audit.as_ref().map(|_| self.table.heap().stats().used_bytes);
-        let final_evict = match &shadow {
-            Some(sz) => self.table.finalize_charged(&mut sz.host_charge()),
-            None => self.table.finalize(),
+        self.transfer_verdict(at_iteration)
+    }
+
+    /// Evict and judge: the boundary eviction (`pending_after` tasks remain)
+    /// or, with `None`, the run-ending `finalize` — whose evictions go
+    /// straight to the host heap, which result collection walks in
+    /// eviction order — then the transfer, audit and sanitizer verdicts.
+    fn evict(
+        &mut self,
+        at_iteration: u32,
+        pending_after: Option<usize>,
+    ) -> Result<EvictReport, SepoError> {
+        let force = pending_after.is_none();
+        let iteration = pending_after.map(|_| at_iteration);
+        let table = self.table;
+        let used_before = self.audit.as_ref().map(|_| table.heap().stats().used_bytes);
+        let pipe = self.pipe.as_mut().filter(|_| !force);
+        let report = match &self.shadow {
+            Some(sz) => table.evict_boundary(&mut sz.host_charge(), pipe, force),
+            None => table.evict_boundary(&mut NoCharge, pipe, force),
         };
-        if let Some(a) = audit.as_mut() {
-            if let Err(v) = a.check_final(
-                self.table,
-                used_before_final.unwrap_or(0),
-                &final_evict,
-                InFlightEviction::default(),
-            ) {
-                panic!("SEPO audit failed at finalize: {v}");
-            }
+        self.transfer_verdict(at_iteration)?;
+        if let (Some(a), Some(used_before)) = (self.audit.as_mut(), used_before) {
+            // The audit reconciles host-heap growth against cumulative
+            // evictions; pages still on the eviction pipe's wire are
+            // declared so the books balance before adoption.
+            let in_flight =
+                self.pipe
+                    .as_ref()
+                    .map_or_else(Default::default, |p| InFlightEviction {
+                        pages: p.in_flight(),
+                        bytes: p.in_flight_bytes(),
+                    });
+            let verdict = match pending_after {
+                Some(n) => a.check_iteration(table, &self.done, n, used_before, &report, in_flight),
+                None => a.check_final(table, used_before, &report, in_flight),
+            };
+            verdict.map_err(|v| SepoError::AuditFailed {
+                iteration,
+                report: v.to_string(),
+            })?;
         }
-        if let Some(sz) = &shadow {
-            if sz.finding_count() > findings_baseline {
-                panic!("SEPO sanitizer failed at finalize: {}", sz.report());
+        match &self.shadow {
+            Some(sz) if sz.finding_count() > self.findings_baseline => {
+                Err(SepoError::SanitizerFailed {
+                    iteration,
+                    report: sz.report().to_string(),
+                })
             }
+            _ => Ok(report),
         }
-        // finalize() evicted the last resident pages; a transfer that
-        // exhausted its retransmits there must fail the run before anyone
-        // reads the (quarantined) result.
-        if let Some(fail) = self.table.integrity().take_failure() {
-            return Err(SepoError::CorruptTransfer {
-                at_iteration: iterations.len() as u32 + 1,
-                host_id: fail.host_id,
-                source: fail.error,
+    }
+
+    /// The iteration boundary: every launch of the iteration has retired
+    /// and the device is quiescent.
+    fn boundary(&mut self, l: Launched) -> Result<(), SepoError> {
+        let iter_no = self.iter_no();
+        self.adopt_in_flight(iter_no)?;
+        // Publish the epoch before eviction rearranges residency.
+        self.publish(iter_no, false);
+        let next_pending: Vec<u32> = self
+            .pending
+            .iter()
+            .copied()
+            .filter(|&t| !self.done.get(t as usize))
+            .collect();
+        let evict = self.evict(iter_no, Some(next_pending.len()))?;
+        let kernel = self.table.metrics().snapshot().delta(&l.before);
+        let tasks_completed = (self.pending.len() - next_pending.len()) as u64;
+        // Progress check: an iteration may complete no whole task yet
+        // still advance (multi-pair tasks storing a prefix of their
+        // pairs); what must never happen is an iteration in which not a
+        // single allocation succeeded — that configuration can never
+        // terminate. Exception: injected lane aborts legitimately
+        // produce empty iterations, which are retried up to
+        // `max_fault_retries` consecutive times.
+        if tasks_completed > 0 || kernel.alloc_success > 0 || next_pending.is_empty() {
+            self.fault_stalls = 0;
+        } else if l.lanes_aborted > 0 {
+            self.fault_stalls += 1;
+            if self.fault_stalls > self.config.max_fault_retries {
+                return Err(SepoError::FaultBudgetExhausted {
+                    iteration: iter_no,
+                    pending: next_pending.len() as u64,
+                    stalled_iterations: self.fault_stalls,
+                });
+            }
+        } else {
+            return Err(SepoError::NoProgress {
+                iteration: iter_no,
+                pending: next_pending.len() as u64,
             });
         }
+        self.iterations.push(IterationStats {
+            iteration: iter_no,
+            tasks_attempted: l.attempted,
+            tasks_completed,
+            input_bytes: l.input_bytes,
+            chunks: l.chunks,
+            kernel,
+            evict,
+            halted_early: l.halted_early,
+        });
+        self.pending = next_pending;
+        if self.config.checkpoint.is_enabled() {
+            // A checkpoint must capture a *quiescent* host heap: wait out
+            // this boundary's in-flight eviction DMA first, so the image
+            // matches what a synchronous run captures and a restore
+            // rebuilds it.
+            self.adopt_in_flight(iter_no)?;
+            self.take_checkpoint()?;
+        }
+        self.stamp_resting();
+        Ok(())
+    }
+
+    /// Final flush, end-of-run scrub and the finalized epoch.
+    fn finish(mut self) -> Result<SepoOutcome, SepoError> {
+        let at_iteration = self.iter_no();
+        self.adopt_in_flight(at_iteration)?;
+        let final_evict = self.evict(at_iteration, None)?;
         // End-of-run scrub: every page now lives in the host store; walk
         // them all and re-verify the CRC32C stamp each carried out of the
         // device. Always on under seeded corruption, opt-in otherwise.
-        if corrupt.is_some() || self.config.scrub {
+        if self.corrupt.is_some() || self.config.scrub {
             for (host_id, _kind, data, crc) in self.table.host_heap().pages_with_crcs_in_order() {
-                if crate::integrity::crc32c(&data) != crc {
+                if crc32c(&data) != crc {
                     return Err(SepoError::CorruptPage {
-                        at_iteration: iterations.len() as u32 + 1,
+                        at_iteration,
                         host_id,
-                        recoveries: recovery.integrity_restores,
+                        recoveries: self.recovery.integrity_restores,
                     });
                 }
-                recovery.scrubbed_pages += 1;
+                self.recovery.scrubbed_pages += 1;
             }
         }
-        recovery.retransmits = self.table.integrity().retransmits() - retransmits_baseline;
-        // Serving: the finalized epoch — everything is on the host now, so
-        // snapshot reads resolve entirely through the incremental index.
-        if let Some(publisher) = &self.config.serving {
-            publisher.publish_boundary(self.table, iterations.len() as u32 + 1, true);
-        }
+        self.recovery.retransmits =
+            self.table.integrity().retransmits() - self.retransmits_baseline;
+        // Everything is on the host now, so the finalized epoch's reads
+        // resolve entirely through the incremental index.
+        self.publish(at_iteration, true);
         let outcome = SepoOutcome {
-            iterations,
-            total_tasks: n_tasks as u64,
+            iterations: std::mem::take(&mut self.iterations),
+            total_tasks: self.done.len() as u64,
             final_evict,
-            pending_tasks: pending.len() as u64,
-            recovery,
+            pending_tasks: self.pending.len() as u64,
+            recovery: self.recovery,
             evict_overlap: self.config.evict_overlap,
         };
         if outcome.pending_tasks > 0 {
@@ -1307,6 +1359,77 @@ mod tests {
         let t = impossible_table();
         let e = exec(t.metrics());
         SepoDriver::new(&t, &e).run(4, |_| 8, oversized_insert(&t));
+    }
+
+    /// A kernel that plain-writes one bucket head from every warp breaks
+    /// the publish discipline; the verdict step turns the findings into a
+    /// typed error naming the boundary and carrying the rendered report.
+    #[test]
+    fn sanitizer_findings_are_a_typed_error_naming_the_boundary() {
+        use gpu_sim::shadow::{AccessKind, ShadowAddr};
+        let t = small_table(Organization::Combining(Combiner::Add), 4);
+        let e = exec(t.metrics());
+        let err = SepoDriver::new(&t, &e)
+            .with_config(audited())
+            .try_run(
+                64,
+                |_| 8,
+                |_task, _start, lane| {
+                    lane.access(ShadowAddr::BucketHead(0), AccessKind::PlainWrite);
+                    TaskResult::Done
+                },
+            )
+            .unwrap_err();
+        let SepoError::SanitizerFailed { iteration, report } = &err else {
+            panic!("expected SanitizerFailed, got {err}");
+        };
+        assert_eq!(*iteration, Some(1));
+        assert!(report.contains("bucket"), "witness missing from: {report}");
+        assert!(err
+            .to_string()
+            .starts_with("SEPO sanitizer failed at iteration 1: "));
+    }
+
+    /// A kernel that evicts behind the driver's back leaves the host heap
+    /// holding pages the audit never saw evicted; the boundary's verdict is
+    /// a typed error, and `run` still panics with the same text.
+    #[test]
+    fn audit_violations_are_a_typed_error_and_run_still_panics_with_the_text() {
+        fn rogue(t: &SepoTable) -> impl Fn(usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync + '_ {
+            |task, _start, lane| {
+                t.insert_combining(format!("key-{task}").as_bytes(), 1, lane);
+                if task == 7 {
+                    t.end_iteration();
+                }
+                TaskResult::Done
+            }
+        }
+        let config = DriverConfig {
+            audit: true,
+            ..DriverConfig::default()
+        };
+        let t = small_table(Organization::Combining(Combiner::Add), 64);
+        let e = exec(t.metrics());
+        let err = SepoDriver::new(&t, &e)
+            .with_config(config.clone())
+            .try_run(8, |_| 8, rogue(&t))
+            .unwrap_err();
+        let SepoError::AuditFailed { iteration, report } = &err else {
+            panic!("expected AuditFailed, got {err}");
+        };
+        assert_eq!(*iteration, Some(1));
+        assert!(report.contains("invariant '"), "unrendered: {report}");
+        let message = err.to_string();
+        assert!(message.starts_with("SEPO audit failed at iteration 1: invariant '"));
+
+        let t = small_table(Organization::Combining(Combiner::Add), 64);
+        let e = exec(t.metrics());
+        let driver = SepoDriver::new(&t, &e).with_config(config);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            driver.run(8, |_| 8, rogue(&t));
+        }))
+        .unwrap_err();
+        assert_eq!(panic.downcast_ref::<String>(), Some(&message));
     }
 
     #[test]

@@ -174,3 +174,56 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
         );
     }
 }
+
+/// One shard is the unsharded run: for every app under a multi-iteration
+/// heap, `run_app_sharded` with a single executor must equal `run_app` in
+/// saved table image, trajectory, metrics `Snapshot` and `RecoveryStats` —
+/// the gate `sepo run` leans on to send `--shards 1` through the sharded
+/// entry point.
+#[test]
+fn one_shard_equals_the_unsharded_run_in_every_observable() {
+    for app in App::ALL {
+        let ds = app.generate(0, 8_192);
+        // A quarter of the input (floored so multi-valued pages still fit
+        // an entry) makes even the smallest scaled datasets spill.
+        let mut cfg = base_cfg(CheckpointPolicy::Memory);
+        cfg.heap_bytes = HEAP.min(ds.size_bytes() / 4).max(12 << 10);
+        let plain_exec = executor(None);
+        let plain = sepo_apps::run_app(app, &ds, &cfg, &plain_exec);
+        assert!(
+            plain.iterations() > 1,
+            "{} must iterate under a {}-byte heap",
+            app.name(),
+            cfg.heap_bytes
+        );
+        let shard_exec = [executor(None)];
+        let sharded = run_app_sharded(app, &ds, std::slice::from_ref(&cfg), &shard_exec);
+        let shard = &sharded.shards[0];
+        assert_eq!(sharded.routed_records, [ds.len()], "{}", app.name());
+        assert_eq!(
+            shard_image(shard),
+            shard_image(&plain),
+            "{}: saved image diverged",
+            app.name()
+        );
+        assert_eq!(
+            shard.outcome.iterations,
+            plain.outcome.iterations,
+            "{}: trajectory diverged",
+            app.name()
+        );
+        assert_eq!(shard.outcome.final_evict, plain.outcome.final_evict);
+        assert_eq!(
+            shard_exec[0].metrics().snapshot(),
+            plain_exec.metrics().snapshot(),
+            "{}: metrics diverged",
+            app.name()
+        );
+        assert_eq!(
+            shard.outcome.recovery,
+            plain.outcome.recovery,
+            "{}: recovery accounting diverged",
+            app.name()
+        );
+    }
+}
