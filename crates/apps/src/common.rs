@@ -84,7 +84,7 @@ impl AppConfig {
         self
     }
 
-    /// Attach the per-warp software combiner (the CLI's `--combiner`,
+    /// Attach the thread-block software combiner (the CLI's `--combiner`,
     /// default on there). Only combining-organization apps are affected;
     /// results are byte-identical either way.
     pub fn with_combiner(mut self, on: bool) -> Self {

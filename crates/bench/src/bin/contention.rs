@@ -1,7 +1,7 @@
-//! Hot-bucket contention smoke check: warp combiner on vs off.
+//! Hot-bucket contention gate: block combiner on vs off.
 //!
 //! Runs Word Count over Zipf-skewed text (the §VI-B contention-bound
-//! workload) twice — with and without the per-warp software combiner — and
+//! workload) twice — with and without the thread-block software combiner — and
 //! compares what actually reached the hash table: per-bucket insert
 //! touches, chain hops walked, head-CAS retries, and the combiner's own
 //! hit/flush/overflow counters. The combined results must stay
@@ -9,7 +9,9 @@
 //!
 //! Writes `results/BENCH_contention.json` so the
 //! contention trajectory is tracked from PR to PR, and exits non-zero if
-//! the combiner stops absorbing traffic or perturbs results.
+//! the combiner stops absorbing traffic, thrashes (more slots displaced
+//! than emits absorbed), moves more than 128 B of shared memory per emit,
+//! or perturbs results.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{Metrics, Snapshot};
@@ -18,13 +20,17 @@ use sepo_datagen::text::{generate, TextConfig};
 use std::sync::Arc;
 
 /// Target text volume. Small enough for a CI smoke step, large enough
-/// that the hottest words dominate whole warps.
+/// that the hottest words dominate whole thread blocks.
 const TARGET_BYTES: u64 = 256 * 1024;
 /// Distinct words: few enough that updates concentrate (§VI-B).
 const VOCAB: usize = 3_000;
 /// Device heap: ample, so both runs complete in one iteration and the
 /// comparison isolates insert traffic rather than eviction behaviour.
 const HEAP_BYTES: u64 = 4 << 20;
+/// Shared-memory traffic allowed per emit: a full 8-way set probe (64 B)
+/// plus admission with the key, with room to spare — the old whole-buffer
+/// walk cost 261 B here.
+const MAX_SMEM_BYTES_PER_EMIT: f64 = 128.0;
 
 struct Run {
     snapshot: Snapshot,
@@ -92,7 +98,7 @@ fn main() {
         );
     }
     println!(
-        "{:>14}: {:.1}% of emits absorbed in-warp, {} batched flushes, {} overflows",
+        "{:>14}: {:.1}% of emits absorbed in-block, {} batched flushes, {} overflows",
         "combiner",
         hit_rate * 100.0,
         on.snapshot.combiner_flushes,
@@ -101,7 +107,7 @@ fn main() {
 
     let results_identical = off.results_json == on.results_json;
     let report = serde_json::json!({
-        "bench": "hot-bucket contention, warp combiner on vs off",
+        "bench": "hot-bucket contention, block combiner on vs off",
         "workload": "wordcount",
         "target_bytes": TARGET_BYTES,
         "vocab_size": VOCAB,
@@ -159,6 +165,21 @@ fn main() {
     }
     if hit_rate < 0.10 {
         eprintln!("FAIL: combiner hit rate {:.1}% under 10%", hit_rate * 100.0);
+        failed = true;
+    }
+    if on.snapshot.combiner_overflows >= on.snapshot.combiner_hits {
+        eprintln!(
+            "FAIL: combiner thrashes ({} overflows vs {} hits)",
+            on.snapshot.combiner_overflows, on.snapshot.combiner_hits
+        );
+        failed = true;
+    }
+    let smem_per_emit = on.snapshot.smem_bytes as f64 / total_pairs as f64;
+    if smem_per_emit > MAX_SMEM_BYTES_PER_EMIT {
+        eprintln!(
+            "FAIL: {smem_per_emit:.0} B of shared-memory traffic per emit \
+             (limit {MAX_SMEM_BYTES_PER_EMIT})"
+        );
         failed = true;
     }
     if failed {

@@ -16,7 +16,7 @@ pub struct Flags {
     pub audit: bool,
     /// Seed for deterministic fault injection (`None` = no faults).
     pub faults: Option<u64>,
-    /// Per-warp software combiner in front of combining-organization
+    /// Thread-block software combiner in front of combining-organization
     /// tables (`--combiner on|off`). Default on: results are byte-identical
     /// either way and skewed workloads contend far less.
     pub combiner: bool,

@@ -12,7 +12,7 @@
 //!                                        iteration boundary
 //!   --faults <seed>                      deterministic fault injection at the
 //!                                        standard rates, seeded with <seed>
-//!   --combiner on|off                    per-warp software combiner in front
+//!   --combiner on|off                    thread-block software combiner in front
 //!                                        of combining tables (default on;
 //!                                        results identical either way)
 //!   --evict-overlap on|off               asynchronous double-buffered eviction
@@ -512,7 +512,7 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     let flushes = total(&snaps, |s| s.combiner_flushes);
     if f.combiner && hits + flushes > 0 {
         println!(
-            "  warp combiner: {hits} emits absorbed, {flushes} batched flushes, {} overflows",
+            "  block combiner: {hits} emits absorbed, {flushes} batched flushes, {} overflows",
             total(&snaps, |s| s.combiner_overflows)
         );
     }

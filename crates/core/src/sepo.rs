@@ -27,7 +27,7 @@ use crate::integrity::crc32c;
 use crate::serve::EpochPublisher;
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
-use gpu_sim::executor::{Executor, LaneCtx, WarpScratch};
+use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
 use gpu_sim::metrics::{Metrics, Snapshot};
 use gpu_sim::spec::PcieSpec;
 use gpu_sim::{
@@ -388,13 +388,14 @@ pub struct DriverConfig {
     /// [`SepoError::AuditFailed`] on a violation. Off by default; enabled
     /// by the CLI's `--audit` flag and unconditionally in tests.
     pub audit: bool,
-    /// Attach a per-warp software combiner ([`WarpCombiner`]) in front of
-    /// the table. Only effective for the combining organization; duplicate
-    /// emits within a warp fold into a shared-memory-style buffer and flush
-    /// as one device atomic per distinct key at warp retirement — strictly
-    /// before iteration-boundary bookkeeping, so results and resume points
-    /// are byte-identical with the combiner on or off. `None` (the
-    /// default) keeps the paper's direct insert path; the CLI turns it on.
+    /// Attach a thread-block software combiner ([`WarpCombiner`]) in front
+    /// of the table. Only effective for the combining organization;
+    /// duplicate emits within a block fold into a shared-memory-style tile
+    /// and flush as one device atomic per cached key at block retirement —
+    /// strictly before iteration-boundary bookkeeping, so results and
+    /// resume points are byte-identical with the combiner on or off. `None`
+    /// (the default) keeps the paper's direct insert path; the CLI turns it
+    /// on.
     pub combiner: Option<CombinerConfig>,
     /// Check every declared device access against the shadow-memory
     /// sanitizer ([`gpu_sim::shadow`]), failing the run with
@@ -540,9 +541,9 @@ impl<'a> SepoDriver<'a> {
         B: Fn(usize) -> u64 + Sync,
         K: Fn(usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync,
     {
-        // Warp-combiner hooks: each warp gets its own buffer, drained at
-        // warp retirement — i.e. before a launch returns, hence before any
-        // postponement bookkeeping or eviction observes the table.
+        // Block-combiner hooks: each thread block gets its own tile, drained
+        // when the block retires — i.e. before a launch returns, hence
+        // before any postponement bookkeeping or eviction observes the table.
         let combiner = match self.table.config().organization {
             Organization::Combining(comb) => self.config.combiner.map(|cc| (comb, cc)),
             _ => None,
@@ -550,15 +551,15 @@ impl<'a> SepoDriver<'a> {
         let table = self.table;
         let scratch_init;
         let scratch_finish;
-        let scratch_hooks: Option<WarpScratch<'_>> = if let Some((comb, cc)) = combiner {
+        let scratch_hooks: Option<BlockScratch<'_>> = if let Some((comb, cc)) = combiner {
             scratch_init = move || -> Box<dyn Any + Send> { Box::new(WarpCombiner::new(comb, cc)) };
             scratch_finish = move |state: &mut (dyn Any + Send), charge: &mut dyn Charge| {
                 let wc = state
                     .downcast_mut::<WarpCombiner>()
-                    .expect("warp scratch holds the combiner the driver installed");
+                    .expect("block scratch holds the combiner the driver installed");
                 wc.flush(table, &mut &mut *charge);
             };
-            Some(WarpScratch {
+            Some(BlockScratch {
                 init: &scratch_init,
                 finish: &scratch_finish,
             })
@@ -810,7 +811,7 @@ impl<'d> Run<'d> {
         &self,
         task_bytes: &B,
         kernel: &K,
-        scratch: Option<&WarpScratch<'_>>,
+        scratch: Option<&BlockScratch<'_>>,
     ) -> Result<Launched, Rollback>
     where
         B: Fn(usize) -> u64 + Sync,

@@ -375,7 +375,7 @@ impl SepoTable {
 
     /// [`SepoTable::insert_combining`] with a precomputed [`fnv1a`] hash —
     /// the hash-once entry point: callers that already hashed the key (the
-    /// emitter, the warp combiner) thread the `u64` through instead of
+    /// emitter, the block combiner) thread the `u64` through instead of
     /// re-hashing the key bytes here.
     pub fn insert_combining_hashed<C: Charge>(
         &self,
@@ -398,7 +398,7 @@ impl SepoTable {
     }
 
     /// Combining insert that also names the resident entry the value landed
-    /// in. The warp combiner uses the handle to apply later deltas in place
+    /// in. The block combiner uses the handle to apply later deltas in place
     /// ([`SepoTable::combine_delta`]) without touching the bucket chain:
     /// the handle stays valid until the next iteration boundary, because
     /// eviction only runs between launches.
@@ -480,7 +480,7 @@ impl SepoTable {
 
     /// Apply an already-combined delta to a resident entry named by a prior
     /// [`SepoTable::insert_combining_entry`]. One device atomic regardless
-    /// of how many emits the delta absorbed — the batched half of the warp
+    /// of how many emits the delta absorbed — the batched half of the block
     /// combiner's flush.
     pub(crate) fn combine_delta<C: Charge>(
         &self,

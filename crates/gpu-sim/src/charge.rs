@@ -18,16 +18,16 @@ pub trait Charge {
     fn device_bytes(&mut self, bytes: u64);
     /// Record `hops` hash-chain link traversals.
     fn chain_hops(&mut self, hops: u64);
-    /// Charge `bytes` of on-chip shared-memory traffic (warp-combiner
+    /// Charge `bytes` of on-chip shared-memory traffic (block-combiner
     /// probes and slot updates). Orders of magnitude cheaper than
     /// `device_bytes`; default no-op so plain sinks ignore it.
     fn smem_bytes(&mut self, _bytes: u64) {}
-    /// Record emits absorbed by a warp combiner (no table touch).
+    /// Record emits absorbed by a block combiner (no table touch).
     fn combiner_hits(&mut self, _n: u64) {}
     /// Record combiner slots flushed into the table (one device atomic
-    /// per distinct buffered key).
+    /// per cached key with a pending delta).
     fn combiner_flushes(&mut self, _n: u64) {}
-    /// Record combiner slots evicted early because the buffer was full.
+    /// Record combiner slots displaced because their set was full.
     fn combiner_overflows(&mut self, _n: u64) {}
     /// Record lost bucket-head CAS races (publish retries).
     fn head_cas_retries(&mut self, _n: u64) {}
@@ -38,7 +38,7 @@ pub trait Charge {
     fn access(&mut self, _addr: ShadowAddr, _kind: AccessKind) {}
 }
 
-/// Forwarding impl so `&mut dyn Charge` (e.g. the sink a warp-scratch
+/// Forwarding impl so `&mut dyn Charge` (e.g. the sink a block-scratch
 /// `finish` hook receives) satisfies `C: Charge` bounds on generic methods.
 impl<C: Charge + ?Sized> Charge for &mut C {
     #[inline]

@@ -33,7 +33,7 @@ const GPU_STREAM_EFFICIENCY: f64 = 0.75;
 const CPU_STREAM_EFFICIENCY: f64 = 0.80;
 /// On-chip shared memory bandwidth relative to peak DRAM bandwidth. Kepler
 /// SMX shared memory sustains several times the device's DRAM rate with no
-/// coalescing concerns, which is what makes warp-combiner probes close to
+/// coalescing concerns, which is what makes block-combiner probes close to
 /// free next to the device atomics they replace.
 const GPU_SMEM_BANDWIDTH_RATIO: f64 = 8.0;
 

@@ -2,21 +2,27 @@
 //!
 //! Kernels are Rust closures invoked once per *task* (≈ one input record,
 //! the granularity at which SEPO postpones work). Tasks are grouped into
-//! warps of [`WARP_SIZE`] consecutive lanes, the scheduling unit of the
-//! simulated GPU:
+//! warps of [`WARP_SIZE`] consecutive lanes (the unit of divergence and of
+//! event tallies), and warps into thread blocks of [`BLOCK_WARPS`]
+//! consecutive warps — the scheduling unit of the simulated GPU and the
+//! scope of a kernel's shared-memory scratch state ([`BlockScratch`]). A
+//! block's warps always run back to back on one participant; the last block
+//! of a launch may be short.
 //!
-//! * In [`ExecMode::Parallel`], warps are executed concurrently by the
+//! * In [`ExecMode::Parallel`], blocks are executed concurrently by the
 //!   process-wide persistent [`pool`](crate::pool) (no threads are spawned
-//!   per launch; warps are claimed in adaptive chunks). The data structures
+//!   per launch; whole blocks are claimed in adaptive chunks, so anything
+//!   that depends only on a block's own lanes — scratch-state counters
+//!   included — does not depend on the worker count). The data structures
 //!   the kernel touches (hash table, allocator, bitmaps) therefore
 //!   experience *real* concurrency — real atomics, real races over page
 //!   space — which is what makes the postponement behaviour genuine rather
 //!   than scripted.
-//! * In [`ExecMode::Deterministic`], warps run in ascending order on the
+//! * In [`ExecMode::Deterministic`], blocks run in ascending order on the
 //!   calling thread, so reported iteration counts and transfer volumes are
 //!   exactly reproducible.
 //! * [`ExecMode::ParallelDeterministic`] executes each launch exactly like
-//!   `Deterministic` — warps in ascending order, on the calling thread, so
+//!   `Deterministic` — blocks in ascending order, on the calling thread, so
 //!   per-launch event counts are byte-identical *by construction* — and
 //!   signals that the surrounding harness may run independent simulations
 //!   (separate tables, separate [`Metrics`]) concurrently on the pool via
@@ -34,7 +40,7 @@ use crate::faults::{FaultPlan, FaultSite, HardFaultError};
 use crate::metrics::Metrics;
 use crate::pool::{self, Work, WorkerPool};
 use crate::shadow::{AccessKind, ShadowAddr, ShadowEvent, ShadowSanitizer, WARP_LEVEL_LANE};
-use crate::spec::WARP_SIZE;
+use crate::spec::{BLOCK_WARPS, WARP_SIZE};
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::collections::BTreeSet;
@@ -45,13 +51,14 @@ use std::sync::Arc;
 /// How kernel launches are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Execute warps concurrently on the shared worker pool (`workers`
-    /// caps this launch's participants; 0 = every pool worker plus the
-    /// submitting thread). Results are exact, but event *schedules* (and
-    /// schedule-dependent counts such as chain hops) vary run to run.
+    /// Execute thread blocks concurrently on the shared worker pool
+    /// (`workers` caps this launch's participants; 0 = every pool worker
+    /// plus the submitting thread). Results are exact, but event
+    /// *schedules* (and schedule-dependent counts such as chain hops) vary
+    /// run to run.
     Parallel { workers: usize },
-    /// Execute warps sequentially in ascending warp order on the calling
-    /// thread (bit-reproducible results).
+    /// Execute blocks (and the warps inside them) sequentially in ascending
+    /// order on the calling thread (bit-reproducible results).
     Deterministic,
     /// Per-launch execution identical to [`ExecMode::Deterministic`];
     /// declares that the harness parallelizes across independent
@@ -88,23 +95,24 @@ struct WarpLocal {
     shadow: Option<Vec<ShadowEvent>>,
 }
 
-/// Per-warp scratch hooks: the software analogue of a kernel's shared
-/// memory. `init` runs once when a warp starts, producing warp-lifetime
-/// state its lanes may access through [`LaneCtx::scratch_parts`]; `finish`
-/// runs when the warp retires — before the launch returns, hence before
-/// any iteration-boundary bookkeeping (eviction, audits, postponement
-/// rescans) the caller performs after the launch.
-pub struct WarpScratch<'s> {
-    /// Build one warp's scratch state.
+/// Thread-block scratch hooks: the software analogue of a kernel's
+/// `__shared__` memory. `init` runs once when a block starts, producing
+/// block-lifetime state that the lanes of all its (≤ [`BLOCK_WARPS`]) warps
+/// may access through [`LaneCtx::scratch_parts`]; `finish` runs when the
+/// block's last warp retires — before the launch returns, hence before any
+/// iteration-boundary bookkeeping (eviction, audits, postponement rescans)
+/// the caller performs after the launch.
+pub struct BlockScratch<'s> {
+    /// Build one block's scratch state.
     pub init: &'s (dyn Fn() -> Box<dyn Any + Send> + Sync),
-    /// Drain the scratch state at warp retirement, charging any final work
-    /// to the warp's tally.
+    /// Drain the scratch state at block retirement, charging any final work
+    /// to the tally of the block's last warp.
     pub finish: &'s (dyn Fn(&mut (dyn Any + Send), &mut dyn crate::charge::Charge) + Sync),
 }
 
-impl fmt::Debug for WarpScratch<'_> {
+impl fmt::Debug for BlockScratch<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("WarpScratch { .. }")
+        f.write_str("BlockScratch { .. }")
     }
 }
 
@@ -211,8 +219,8 @@ impl LaneCtx<'_> {
         self.warp.branch_classes.insert(class);
     }
 
-    /// Split this lane into its warp-scratch state (when the launch was
-    /// [`Executor::launch_scoped`] with a [`WarpScratch`]) and a charge
+    /// Split this lane into its block's scratch state (when the launch was
+    /// [`Executor::launch_scoped`] with a [`BlockScratch`]) and a charge
     /// sink over the warp tally. The split borrows disjoint fields, so a
     /// lane can update scratch state while charging costs.
     #[inline]
@@ -420,13 +428,13 @@ impl Shard {
     }
 }
 
-/// Pool job for one launch: warps are the units; each participant owns the
-/// shard indexed by its slot.
+/// Pool job for one launch: thread blocks are the units; each participant
+/// owns the shard indexed by its slot.
 struct KernelJob<'k, K> {
     kernel: &'k K,
     n_tasks: usize,
     faults: Option<&'k FaultPlan>,
-    scratch: Option<&'k WarpScratch<'k>>,
+    scratch: Option<&'k BlockScratch<'k>>,
     /// Buffer declared shadow accesses for a sanitizer at retirement.
     shadow_on: bool,
     shards: Vec<UnsafeCell<Shard>>,
@@ -439,79 +447,75 @@ struct KernelJob<'k, K> {
 unsafe impl<K: Sync> Sync for KernelJob<'_, K> {}
 
 impl<K: Fn(&mut LaneCtx<'_>) + Sync> Work for KernelJob<'_, K> {
-    fn run_units(&self, warps: Range<usize>, slot: usize) {
+    fn run_units(&self, blocks: Range<usize>, slot: usize) {
         // lint: shard-ok (worker-local scratch slot inside one device)
         let shard = unsafe { &mut *self.shards[slot].get() };
-        for warp in warps {
-            run_warp(
-                self.kernel,
-                warp,
-                self.n_tasks,
-                self.faults,
-                self.scratch,
-                self.shadow_on,
-                shard,
-            );
+        let n_warps = self.n_tasks.div_ceil(WARP_SIZE);
+        for block in blocks {
+            // One scratch state per block, shared by its warps in turn and
+            // drained when the last of them retires — so every scratch
+            // effect lands before the launch returns.
+            let mut state = self.scratch.map(|hooks| (hooks.init)());
+            let warps = block * BLOCK_WARPS..((block + 1) * BLOCK_WARPS).min(n_warps);
+            for warp in warps.clone() {
+                self.run_warp(warp, state.as_deref_mut(), warp + 1 == warps.end, shard);
+            }
         }
     }
 }
 
-/// Execute one warp's lanes serially, folding its tally into `shard`.
-/// Lanes killed by the fault plan skip their kernel invocation — the task
-/// runs nothing and stays unprocessed from the caller's point of view.
-/// When `scratch` hooks are attached, warp scratch state is created before
-/// the first lane and drained (`finish`) at warp retirement, before the
-/// tally is folded — so every scratch effect lands before the launch
-/// returns.
-fn run_warp<K>(
-    kernel: &K,
-    warp: usize,
-    n_tasks: usize,
-    faults: Option<&FaultPlan>,
-    scratch: Option<&WarpScratch<'_>>,
-    shadow_on: bool,
-    shard: &mut Shard,
-) where
-    K: Fn(&mut LaneCtx<'_>) + Sync,
-{
-    let mut local = WarpLocal {
-        warp_index: warp as u32,
-        shadow: shadow_on.then(Vec::new),
-        ..WarpLocal::default()
-    };
-    let mut scratch_state = scratch.map(|s| (s.init)());
-    let start = warp * WARP_SIZE;
-    let end = (start + WARP_SIZE).min(n_tasks);
-    for task in start..end {
-        if let Some(plan) = faults {
-            if plan.should_fault(FaultSite::Lane) {
-                shard.lanes_aborted += 1;
-                continue;
-            }
-        }
-        let mut ctx = LaneCtx {
-            task,
-            warp: &mut local,
-            scratch: scratch_state.as_deref_mut(),
+impl<K: Fn(&mut LaneCtx<'_>) + Sync> KernelJob<'_, K> {
+    /// Execute one warp's lanes serially, folding its tally into `shard`.
+    /// Lanes killed by the fault plan skip their kernel invocation — the
+    /// task runs nothing and stays unprocessed from the caller's point of
+    /// view. `retires_block` marks the block's last warp: its retirement
+    /// runs the scratch `finish` hook, after its last lane (aborted or
+    /// not) and before its tally is folded.
+    fn run_warp(
+        &self,
+        warp: usize,
+        mut scratch_state: Option<&mut (dyn Any + Send)>,
+        retires_block: bool,
+        shard: &mut Shard,
+    ) {
+        let mut local = WarpLocal {
+            warp_index: warp as u32,
+            shadow: self.shadow_on.then(Vec::new),
+            ..WarpLocal::default()
         };
-        kernel(&mut ctx);
-    }
-    if let (Some(hooks), Some(state)) = (scratch, scratch_state.as_mut()) {
-        let mut charge = WarpCharge { warp: &mut local };
-        (hooks.finish)(&mut **state, &mut charge);
-    }
-    shard.compute_units += local.compute_units;
-    shard.stream_bytes += local.stream_bytes;
-    shard.device_bytes += local.device_bytes;
-    shard.chain_hops += local.chain_hops;
-    shard.smem_bytes += local.smem_bytes;
-    shard.combiner_hits += local.combiner_hits;
-    shard.combiner_flushes += local.combiner_flushes;
-    shard.combiner_overflows += local.combiner_overflows;
-    shard.head_cas_retries += local.head_cas_retries;
-    shard.divergence_events += (local.branch_classes.len() as u64).saturating_sub(1);
-    if let Some(log) = local.shadow {
-        shard.shadow.extend(log);
+        let start = warp * WARP_SIZE;
+        let end = (start + WARP_SIZE).min(self.n_tasks);
+        for task in start..end {
+            if let Some(plan) = self.faults {
+                if plan.should_fault(FaultSite::Lane) {
+                    shard.lanes_aborted += 1;
+                    continue;
+                }
+            }
+            let mut ctx = LaneCtx {
+                task,
+                warp: &mut local,
+                scratch: scratch_state.as_deref_mut(),
+            };
+            (self.kernel)(&mut ctx);
+        }
+        if let (true, Some(hooks), Some(state)) = (retires_block, self.scratch, scratch_state) {
+            let mut charge = WarpCharge { warp: &mut local };
+            (hooks.finish)(state, &mut charge);
+        }
+        shard.compute_units += local.compute_units;
+        shard.stream_bytes += local.stream_bytes;
+        shard.device_bytes += local.device_bytes;
+        shard.chain_hops += local.chain_hops;
+        shard.smem_bytes += local.smem_bytes;
+        shard.combiner_hits += local.combiner_hits;
+        shard.combiner_flushes += local.combiner_flushes;
+        shard.combiner_overflows += local.combiner_overflows;
+        shard.head_cas_retries += local.head_cas_retries;
+        shard.divergence_events += (local.branch_classes.len() as u64).saturating_sub(1);
+        if let Some(log) = local.shadow {
+            shard.shadow.extend(log);
+        }
     }
 }
 
@@ -587,14 +591,15 @@ impl Executor {
             .unwrap_or_else(|e| std::panic::resume_unwind(e.into_panic()))
     }
 
-    /// Like [`Executor::launch`], with per-warp scratch hooks attached: each
-    /// warp gets its own scratch state (`scratch.init`) which its lanes can
-    /// reach via [`LaneCtx::scratch_parts`], drained by `scratch.finish`
-    /// when the warp retires — strictly before this call returns.
+    /// Like [`Executor::launch`], with thread-block scratch hooks attached:
+    /// each block gets its own scratch state (`scratch.init`) which the
+    /// lanes of its warps can reach via [`LaneCtx::scratch_parts`], drained
+    /// by `scratch.finish` when the block's last warp retires — strictly
+    /// before this call returns.
     pub fn launch_scoped<K>(
         &self,
         n_tasks: usize,
-        scratch: Option<&WarpScratch<'_>>,
+        scratch: Option<&BlockScratch<'_>>,
         kernel: K,
     ) -> LaunchStats
     where
@@ -606,7 +611,7 @@ impl Executor {
 
     /// Like [`Executor::launch`], but a kernel panic is returned as a
     /// [`LaunchError`] instead of unwinding. The launch always drains:
-    /// every warp not in the panicking chunk still executes, and the worker
+    /// every block not in the panicking chunk still executes, and the worker
     /// pool remains fully usable.
     pub fn try_launch<K>(&self, n_tasks: usize, kernel: K) -> Result<LaunchStats, LaunchError>
     where
@@ -620,7 +625,7 @@ impl Executor {
     pub fn try_launch_scoped<K>(
         &self,
         n_tasks: usize,
-        scratch: Option<&WarpScratch<'_>>,
+        scratch: Option<&BlockScratch<'_>>,
         kernel: K,
     ) -> Result<LaunchStats, LaunchError>
     where
@@ -643,8 +648,9 @@ impl Executor {
             }
         }
         let n_warps = n_tasks.div_ceil(WARP_SIZE);
+        let n_blocks = n_warps.div_ceil(BLOCK_WARPS);
         let (max_slots, chunk) = match self.mode {
-            ExecMode::Deterministic | ExecMode::ParallelDeterministic => (1, n_warps),
+            ExecMode::Deterministic | ExecMode::ParallelDeterministic => (1, n_blocks),
             ExecMode::Parallel { workers } => {
                 let pool = WorkerPool::global();
                 let cap = if workers == 0 {
@@ -654,7 +660,7 @@ impl Executor {
                 };
                 // Adaptive chunking: ~8 claims per participant amortizes
                 // the claim cursor without starving the tail of the launch.
-                (cap, (n_warps / (cap * 8)).max(1))
+                (cap, (n_blocks / (cap * 8)).max(1))
             }
         };
         let job = KernelJob {
@@ -667,7 +673,7 @@ impl Executor {
                 .map(|_| UnsafeCell::new(Shard::default()))
                 .collect(),
         };
-        let outcome = pool::WorkerPool::global().run(n_warps, chunk, max_slots, &job);
+        let outcome = pool::WorkerPool::global().run(n_blocks, chunk, max_slots, &job);
 
         // Flush whatever completed warps recorded — also on panic, so a
         // failed launch still accounts the work it did.
@@ -960,43 +966,105 @@ mod tests {
         assert_eq!(stats.tasks, 100);
     }
 
-    #[test]
-    fn warp_scratch_init_and_finish_run_once_per_warp() {
+    /// Launch `n` counting lanes under `exec` with scratch hooks that
+    /// record, per block, how many lanes ran before `finish` fired.
+    /// Returns (inits, lanes seen by each finish in block order, stats).
+    fn scoped_counting_launch(e: &Executor, n: usize) -> (u64, Vec<u64>, LaunchStats) {
         use crate::charge::Charge;
-        let (e, m) = exec(ExecMode::Deterministic);
         let inits = AtomicU64::new(0);
-        let finishes = AtomicU64::new(0);
+        let finished = parking_lot::Mutex::new(Vec::new());
         let init = || -> Box<dyn Any + Send> {
             inits.fetch_add(1, Ordering::Relaxed);
-            Box::new(0u64)
+            Box::new((usize::MAX, 0u64))
         };
         let finish = |state: &mut (dyn Any + Send), charge: &mut dyn Charge| {
-            finishes.fetch_add(1, Ordering::Relaxed);
-            let lanes = *state.downcast_ref::<u64>().unwrap();
-            // Drain the warp's accumulated lane count as flushes.
+            let &(first_task, lanes) = state.downcast_ref::<(usize, u64)>().unwrap();
+            finished.lock().push((first_task, lanes));
+            // Drain the block's accumulated lane count as flushes.
             charge.combiner_flushes(lanes);
         };
-        let hooks = WarpScratch {
+        let hooks = BlockScratch {
             init: &init,
             finish: &finish,
         };
-        let n = 100; // 4 warps (ceil 100/32)
         let stats = e.launch_scoped(n, Some(&hooks), |ctx| {
+            let task = ctx.task();
             let (scratch, mut charge) = ctx.scratch_parts();
-            let counter = scratch.unwrap().downcast_mut::<u64>().unwrap();
-            *counter += 1;
+            let state = scratch.unwrap().downcast_mut::<(usize, u64)>().unwrap();
+            state.0 = state.0.min(task);
+            state.1 += 1;
             charge.combiner_hits(1);
             charge.smem_bytes(8);
         });
-        assert_eq!(stats.tasks, 100);
-        assert_eq!(inits.load(Ordering::Relaxed), 4);
-        assert_eq!(finishes.load(Ordering::Relaxed), 4);
-        let s = m.snapshot();
-        assert_eq!(s.combiner_hits, 100);
-        assert_eq!(s.smem_bytes, 800);
-        // finish saw every lane of its own warp, and its charges landed
-        // in the same launch's flush.
-        assert_eq!(s.combiner_flushes, 100);
+        let mut finished = finished.into_inner();
+        finished.sort_unstable();
+        let lanes = finished.into_iter().map(|(_, lanes)| lanes).collect();
+        (inits.load(Ordering::Relaxed), lanes, stats)
+    }
+
+    #[test]
+    fn block_scratch_init_and_finish_run_once_per_block() {
+        let block = WARP_SIZE * BLOCK_WARPS;
+        for mode in [ExecMode::Deterministic, ExecMode::Parallel { workers: 4 }] {
+            // 2 full blocks + a short tail block of 3 warps (the last one
+            // 4 lanes wide); then a launch smaller than one warp.
+            for n in [2 * block + 2 * WARP_SIZE + 4, 5] {
+                let (e, m) = exec(mode);
+                let (inits, lanes, stats) = scoped_counting_launch(&e, n);
+                let n_blocks = n.div_ceil(WARP_SIZE).div_ceil(BLOCK_WARPS);
+                assert_eq!(stats.tasks, n as u64);
+                assert_eq!(stats.warps, n.div_ceil(WARP_SIZE) as u64);
+                assert_eq!(inits, n_blocks as u64);
+                // finish fired once per block, after the block's last lane:
+                // it saw every lane of its own block and no other's.
+                let expect: Vec<u64> = (0..n_blocks)
+                    .map(|b| (n - b * block).min(block) as u64)
+                    .collect();
+                assert_eq!(lanes, expect, "{mode:?} n={n}");
+                let s = m.snapshot();
+                assert_eq!(s.combiner_hits, n as u64);
+                assert_eq!(s.smem_bytes, 8 * n as u64);
+                // finish's charges landed in the same launch's flush.
+                assert_eq!(s.combiner_flushes, n as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn block_scratch_finishes_when_faults_kill_lanes_of_the_last_warp() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        // Every lane aborts: no kernel lane ever runs, yet each block's
+        // scratch state is still created and drained exactly once.
+        let m = Arc::new(Metrics::new());
+        let plan = Arc::new(FaultPlan::new(FaultConfig {
+            seed: 5,
+            alloc_failure_rate: 0.0,
+            pcie_error_rate: 0.0,
+            lane_abort_rate: 1.0,
+        }));
+        let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);
+        let n = WARP_SIZE * BLOCK_WARPS + 40; // 2 blocks, the tail 2 warps
+        let (inits, lanes, stats) = scoped_counting_launch(&e, n);
+        assert_eq!(stats.lanes_aborted, n as u64);
+        assert_eq!(inits, 2);
+        assert_eq!(lanes, vec![0, 0]);
+
+        // A partial abort rate kills some lanes of the last warp; finish
+        // still runs after the survivors, seeing exactly the lanes that ran.
+        let m = Arc::new(Metrics::new());
+        let plan = Arc::new(FaultPlan::new(FaultConfig {
+            seed: 5,
+            alloc_failure_rate: 0.0,
+            pcie_error_rate: 0.0,
+            lane_abort_rate: 0.5,
+        }));
+        let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);
+        let (inits, lanes, stats) = scoped_counting_launch(&e, n);
+        assert!(stats.lanes_aborted > 0 && stats.tasks > 0);
+        assert_eq!(inits, 2);
+        assert_eq!(lanes.len(), 2);
+        assert_eq!(lanes.iter().sum::<u64>(), stats.tasks);
+        assert_eq!(m.snapshot().combiner_flushes, stats.tasks);
     }
 
     #[test]

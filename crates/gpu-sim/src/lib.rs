@@ -56,7 +56,7 @@ pub use clock::{SimClock, SimTime};
 pub use cost::{CpuCostModel, GpuCostModel};
 pub use evict_pipe::EvictionPipe;
 pub use executor::{
-    ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, WarpCharge, WarpScratch,
+    BlockScratch, ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, WarpCharge,
 };
 pub use faults::{
     CorruptionConfig, CorruptionDraw, CorruptionError, CorruptionKind, FaultConfig, FaultPlan,
@@ -71,5 +71,5 @@ pub use pool::WorkerPool;
 pub use shadow::{
     AccessKind, Finding, FindingKind, SanitizerReport, ShadowAddr, ShadowEvent, ShadowSanitizer,
 };
-pub use spec::{DeviceSpec, HostSpec, PcieSpec, SystemSpec, WARP_SIZE};
+pub use spec::{DeviceSpec, HostSpec, PcieSpec, SystemSpec, BLOCK_WARPS, WARP_SIZE};
 pub use staging::{stream_chunks, ChunkTooLarge, StagingBuffers};

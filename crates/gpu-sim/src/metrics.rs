@@ -29,14 +29,14 @@ pub struct Metrics {
     /// Hash-chain links traversed (also contributes to `device_bytes`;
     /// tracked separately for reporting).
     pub chain_hops: AtomicU64,
-    /// Bytes of on-chip shared-memory traffic (warp-combiner probes and
+    /// Bytes of on-chip shared-memory traffic (block-combiner probes and
     /// slot updates) — far cheaper than `device_bytes`.
     pub smem_bytes: AtomicU64,
-    /// Emits absorbed by a warp combiner without touching the table.
+    /// Emits absorbed by a block combiner without touching the table.
     pub combiner_hits: AtomicU64,
     /// Combiner slots flushed into the table (one device atomic each).
     pub combiner_flushes: AtomicU64,
-    /// Combiner slots evicted early because the warp buffer was full.
+    /// Combiner slots displaced because their set of the tile was full.
     pub combiner_overflows: AtomicU64,
     /// Lost bucket-head CAS races (publish retries under real concurrency;
     /// identically zero in the deterministic modes).

@@ -16,6 +16,12 @@
 /// the GTX 780ti used by the paper.
 pub const WARP_SIZE: usize = 32;
 
+/// Warps per thread block: 8 warps = 256 threads, the launch geometry
+/// [`DeviceSpec::resident_threads`] assumes (four such blocks resident per
+/// SMX). A block is the executor's scheduling unit and the scope of a
+/// kernel's shared-memory scratch state.
+pub const BLOCK_WARPS: usize = 8;
+
 /// Specification of the simulated GPU device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {

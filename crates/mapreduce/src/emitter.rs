@@ -41,23 +41,23 @@ impl<'a, 'l, 'w> Emitter<'a, 'l, 'w> {
     /// may stop early (later emits are ignored either way).
     ///
     /// The key is hashed exactly once here; the `u64` is threaded through
-    /// the insert/find paths (and the warp combiner's slot probe, when the
+    /// the insert/find paths (and the block combiner's set probe, when the
     /// driver attached one) instead of re-running FNV-1a per layer.
     pub fn emit_combining(&mut self, key: &[u8], value: u64) -> bool {
         if !self.should_attempt() {
             return self.postponed_at.is_none();
         }
         let hash = fnv1a(key);
-        // Sharded ownership filter, ahead of the warp combiner so a
+        // Sharded ownership filter, ahead of the block combiner so a
         // foreign key never occupies a combiner slot: the owner shard's
         // replica of this task stores it (see `SepoTable` shard docs).
         if !self.table.config().owns_hash(hash) {
             return true;
         }
-        // Route through the warp combiner when the launch installed one:
-        // duplicate keys within the warp fold locally and flush at warp
-        // retirement; first touches and postponements follow the direct
-        // path bit for bit.
+        // Route through the block combiner when the launch installed one:
+        // duplicate keys within the thread block fold locally and flush at
+        // block retirement; first touches and postponements follow the
+        // direct path bit for bit.
         let (scratch, mut warp_charge) = self.lane.scratch_parts();
         let status = match scratch.and_then(|s| s.downcast_mut::<WarpCombiner>()) {
             Some(wc) => wc.emit(self.table, key, hash, value, &mut warp_charge),

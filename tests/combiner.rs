@@ -1,4 +1,4 @@
-//! The warp combiner must be invisible in everything but traffic: for all
+//! The block combiner must be invisible in everything but traffic: for all
 //! seven paper applications, a run with the combiner on produces the exact
 //! results JSON, iteration count, and per-iteration accounting of a run
 //! with it off — under `ParallelDeterministic`, with the cross-layer audit

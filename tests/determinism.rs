@@ -7,10 +7,14 @@
 //! under test is a forced-eviction PVC run — a small heap pushes it through
 //! multiple SEPO iterations, exercising postponement, eviction, and the
 //! iteration driver, not just a single happy-path pass.
+//!
+//! Racing `Parallel` launches promise less — only what depends on a thread
+//! block's own lanes — and the block combiner's counters are exactly that;
+//! the last test here pins them across worker counts.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{Metrics, Snapshot};
-use sepo_apps::{pvc, AppConfig};
+use sepo_apps::{pvc, wordcount, AppConfig};
 use sepo_datagen::App;
 use std::sync::Arc;
 
@@ -81,5 +85,45 @@ fn equivalence_holds_inside_concurrent_harness_cells() {
     for (i, slot) in reports.iter().enumerate() {
         let report = slot.lock().unwrap().take().expect("cell completed");
         assert_eq!(report, reference, "concurrent cell {i} diverged");
+    }
+}
+
+#[test]
+fn block_combiner_counters_do_not_depend_on_worker_count() {
+    // Zipf Word Count on an ample heap: no first touch ever postpones, so
+    // what a tile absorbs, displaces and flushes is a function of its own
+    // block's emit sequence. Blocks are claimed whole and never split
+    // across participants (the tail block of a launch is merely short), so
+    // racing launches must report the counters of the in-order run.
+    let ds = sepo_datagen::text::generate(
+        &sepo_datagen::text::TextConfig {
+            target_bytes: 256 * 1024,
+            vocab_size: 3_000,
+            ..Default::default()
+        },
+        17,
+    );
+    let counters = |mode| {
+        let metrics = Arc::new(Metrics::new());
+        let exec = Executor::new(mode, Arc::clone(&metrics));
+        let cfg = AppConfig::new(4 << 20).with_combiner(true);
+        let run = wordcount::run(&ds, &cfg, &exec);
+        assert_eq!(run.iterations(), 1, "the heap must be ample");
+        let s = metrics.snapshot();
+        (
+            s.combiner_hits,
+            s.combiner_flushes,
+            s.combiner_overflows,
+            s.smem_bytes,
+        )
+    };
+    let reference = counters(ExecMode::Deterministic);
+    assert!(reference.0 > 0, "the combiner must absorb emits");
+    for workers in [1, 2, 4] {
+        assert_eq!(
+            counters(ExecMode::Parallel { workers }),
+            reference,
+            "Parallel {{ workers: {workers} }} diverged"
+        );
     }
 }

@@ -4,7 +4,10 @@
 use gpu_sim::NoCharge;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sepo_core::{Combiner, InsertStatus, Organization, SepoTable, TableConfig};
+use sepo_core::hash::fnv1a;
+use sepo_core::{
+    Combiner, CombinerConfig, InsertStatus, Organization, SepoTable, TableConfig, WarpCombiner,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -173,6 +176,56 @@ proptest! {
         got.sort();
         model.sort();
         prop_assert_eq!(got, model);
+    }
+
+    /// Block combiner: a `(key, value)` stream through a tile of any
+    /// capacity — single slot, one partial set, one full set, several sets
+    /// — leaves the table exactly as direct inserts do, with every emit
+    /// reporting the same status (so postponement surfaces identically on a
+    /// heap too small for the keys). `EndIteration` is a launch boundary:
+    /// the tile drains, then both tables evict. Every fifth key is longer
+    /// than the tile's key arena and bypasses it.
+    #[test]
+    fn block_combiner_equals_direct_inserts(script in ops()) {
+        let key_of = |k: u8| match k % 5 {
+            0 => format!("a-key-too-long-for-the-arena-{k:03}").into_bytes(),
+            _ => key_bytes(k),
+        };
+        for comb in [Combiner::Add, Combiner::Or, Combiner::Min, Combiner::Max] {
+            for capacity in [1, 7, 8, 64, 256] {
+                for pages in [1, 8] {
+                    let direct = tiny_table(Organization::Combining(comb), pages);
+                    let tiled = tiny_table(Organization::Combining(comb), pages);
+                    let mut tile = WarpCombiner::new(comb, CombinerConfig { capacity });
+                    let mut ch = NoCharge;
+                    for op in &script {
+                        match op {
+                            Op::Insert { key, value } => {
+                                let (k, v) = (key_of(*key), *value as u64);
+                                prop_assert_eq!(
+                                    tile.emit(&tiled, &k, fnv1a(&k), v, &mut ch),
+                                    direct.insert_combining(&k, v, &mut ch)
+                                );
+                            }
+                            Op::EndIteration => {
+                                tile.flush(&tiled, &mut ch);
+                                tiled.end_iteration();
+                                direct.end_iteration();
+                            }
+                        }
+                    }
+                    tile.flush(&tiled, &mut ch);
+                    prop_assert_eq!(tile.pending(), 0);
+                    tiled.finalize();
+                    direct.finalize();
+                    let mut got = tiled.collect_combining();
+                    let mut want = direct.collect_combining();
+                    got.sort();
+                    want.sort();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 
     /// Resident lookups always reflect the sums of this iteration's
