@@ -173,7 +173,7 @@ pub struct HeapSnapshot {
 }
 
 impl HeapSnapshot {
-    /// Serialized footprint of this snapshot in a `SEPOCKP1` image:
+    /// Serialized footprint of this snapshot in a `SEPOCKP2` image:
     /// fixed header fields, the pool indices, and per-page metadata+bytes.
     pub fn encoded_size(&self) -> u64 {
         let fixed = 8 + 8 + 8 + 8 + 4 + 4 + 4; // counters + lengths

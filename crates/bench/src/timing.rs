@@ -75,41 +75,14 @@ fn iteration_costs(outcome: &SepoOutcome, gpu: &GpuCostModel, bus: &PcieBus) -> 
     costs
 }
 
-/// Simulated end-to-end time of a SEPO GPU run.
+/// Simulated end-to-end time of a SEPO GPU run: the sharded clock over one
+/// device.
 pub fn gpu_total_time(
     outcome: &SepoOutcome,
     contention: &ContentionHistogram,
     spec: &SystemSpec,
 ) -> GpuTiming {
-    let gpu = GpuCostModel::new(spec.device.clone());
-    let bus = PcieBus::new(spec.pcie.clone(), Arc::new(Metrics::new()));
-    let costs = iteration_costs(outcome, &gpu, &bus);
-    let kernel_total = costs.kernels.iter().fold(SimTime::ZERO, |acc, &k| acc + k);
-    let segments = costs.segments;
-    let evictions = costs.evictions;
-    // Compose each iteration's pipelined upload/kernel segment with its
-    // boundary eviction. Synchronous boundaries alternate strictly:
-    // segment, eviction, segment, … With `evict_overlap` the eviction pipe
-    // lets boundary i's DMA drain behind segment i+1, which is exactly the
-    // BigKernel makespan recurrence with segments as the "transfer" lane
-    // and evictions as the "compute" lane:
-    // s_1 + Σ max(s_i, e_{i-1}) + e_n.
-    let body = if outcome.evict_overlap {
-        pipelined_total(&segments, &evictions)
-    } else {
-        serial_total(&segments, &evictions)
-    };
-    let final_download = costs.final_download;
-    let contention_t = gpu.contention_time(contention);
-    let transfer_total = (body - kernel_total) + final_download;
-    let total = body + final_download + contention_t;
-    GpuTiming {
-        total,
-        kernel: kernel_total,
-        transfers: transfer_total,
-        contention: contention_t,
-        iterations: outcome.n_iterations(),
-    }
+    sharded_total_time(&[(outcome, contention)], spec)
 }
 
 /// Simulated end-to-end time of a hash-prefix-sharded run across N
@@ -148,6 +121,13 @@ pub fn sharded_total_time(
     let evictions: Vec<SimTime> = (0..n_iters).map(|i| max_at(|c| &c.evictions, i)).collect();
     let kernel_total = (0..n_iters).fold(SimTime::ZERO, |acc, i| acc + max_at(|c| &c.kernels, i));
     let evict_overlap = shards.iter().all(|(o, _)| o.evict_overlap);
+    // Compose each iteration's pipelined upload/kernel segment with its
+    // boundary eviction. Synchronous boundaries alternate strictly:
+    // segment, eviction, segment, … With `evict_overlap` the eviction pipe
+    // lets boundary i's DMA drain behind segment i+1, which is exactly the
+    // BigKernel makespan recurrence with segments as the "transfer" lane
+    // and evictions as the "compute" lane:
+    // s_1 + Σ max(s_i, e_{i-1}) + e_n.
     let body = if evict_overlap {
         pipelined_total(&segments, &evictions)
     } else {
@@ -255,13 +235,16 @@ mod tests {
     #[test]
     fn gpu_timing_composes_positive_terms() {
         let spec = SystemSpec::scaled(8192);
-        let (outcome, hist, _) = small_run(1 << 20);
-        let t = gpu_total_time(&outcome, &hist, &spec);
-        assert!(t.total > SimTime::ZERO);
-        assert!(t.kernel > SimTime::ZERO);
-        assert!(t.transfers > SimTime::ZERO);
-        assert!(t.total >= t.kernel);
-        assert_eq!(t.iterations, outcome.n_iterations());
+        // One pass, then the multi-iteration (evicting) trajectory.
+        for heap in [1 << 20, 8 * 1024] {
+            let (outcome, hist, _) = small_run(heap);
+            let t = gpu_total_time(&outcome, &hist, &spec);
+            assert!(t.total > SimTime::ZERO);
+            assert!(t.kernel > SimTime::ZERO);
+            assert!(t.transfers > SimTime::ZERO);
+            assert_eq!(t.total, t.kernel + t.transfers + t.contention);
+            assert_eq!(t.iterations, outcome.n_iterations());
+        }
     }
 
     #[test]
@@ -303,17 +286,6 @@ mod tests {
         // The saving is bounded by what was eligible for hiding: the
         // overlapped makespan can never drop below the segments alone.
         assert!(to.total >= ts.kernel);
-    }
-
-    #[test]
-    fn one_shard_prices_exactly_like_the_single_device_model() {
-        let spec = SystemSpec::scaled(8192);
-        let (outcome, hist, _) = small_run(8 * 1024);
-        let single = gpu_total_time(&outcome, &hist, &spec);
-        let sharded = sharded_total_time(&[(&outcome, &hist)], &spec);
-        assert_eq!(sharded.total, single.total);
-        assert_eq!(sharded.kernel, single.kernel);
-        assert_eq!(sharded.iterations, single.iterations);
     }
 
     #[test]

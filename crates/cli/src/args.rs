@@ -24,7 +24,7 @@ pub struct Flags {
     /// sanitizer, panicking on publish-discipline violations. Results are
     /// byte-identical either way.
     pub sanitize: bool,
-    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP1`),
+    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP2`),
     /// enabling hard-fault recovery.
     pub checkpoint: Option<String>,
     /// Seed for hard-fault chaos injection (device loss, poisoned

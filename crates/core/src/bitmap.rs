@@ -242,9 +242,7 @@ mod tests {
 
         struct Recorder(Vec<(ShadowAddr, AccessKind)>);
         impl Charge for Recorder {
-            fn compute(&mut self, _: u64) {}
-            fn device_bytes(&mut self, _: u64) {}
-            fn chain_hops(&mut self, _: u64) {}
+            fn add(&mut self, _: gpu_sim::Counter, _: u64) {}
             fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
                 self.0.push((addr, kind));
             }

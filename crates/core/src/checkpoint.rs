@@ -79,7 +79,7 @@ use crate::persist::{append_trailer, kind_from_tag, kind_tag, read_exact_field, 
 use crate::sepo::IterationStats;
 use crate::table::SepoTable;
 use gpu_sim::faults::CorruptionKind;
-use gpu_sim::metrics::Snapshot;
+use gpu_sim::metrics::{Counter, Snapshot};
 use gpu_sim::{FaultPlan, TransientDrawState};
 use sepo_alloc::{HeapSnapshot, PageKind, ResidentPage};
 use std::io::{self, Read, Write};
@@ -91,7 +91,10 @@ const MAGIC: &[u8; 8] = b"SEPOCKP2";
 const MAGIC_NAME: &str = "SEPOCKP2";
 const SHARDED_MAGIC: &[u8; 8] = b"SEPOCKS2";
 const SHARDED_MAGIC_NAME: &str = "SEPOCKS2";
-const N_METRIC_WORDS: usize = 17;
+// Each image stores `Snapshot::words()` verbatim, so the counter table is
+// part of the format: adding, removing or reordering a counter must bump
+// both magics.
+const _: () = assert!(Counter::N == 17, "counter table changed: bump the magic");
 
 /// How many times a checkpoint write is retried when read-back
 /// verification finds the on-disk image damaged (seeded disk byte
@@ -423,13 +426,13 @@ impl Checkpoint {
         n += 4 + 8 * self.heads.len() as u64;
         n += 4 + 4 * self.touches.len() as u64;
         n += 4 + 8 * self.group_allocs.len() as u64;
-        n += 8 * N_METRIC_WORDS as u64;
+        n += 8 * Counter::N as u64;
         n += 1;
         if let Some(t) = &self.transient {
             n += 4 + 8 * (t.draws.len() + t.injected.len()) as u64;
         }
         n += 4;
-        n += self.iterations.len() as u64 * (4 + 4 + 1 + 3 * 8 + 8 * N_METRIC_WORDS as u64 + 4 * 8);
+        n += self.iterations.len() as u64 * (4 + 4 + 1 + 3 * 8 + 8 * Counter::N as u64 + 4 * 8);
         n += self.heap.encoded_size();
         n += 4;
         for (_, _, data, _) in &self.host_pages {
@@ -457,7 +460,7 @@ impl Checkpoint {
         write_u64s(w, &self.heads)?;
         write_u32s(w, &self.touches)?;
         write_u64s(w, &self.group_allocs)?;
-        for v in snapshot_words(&self.metrics) {
+        for v in self.metrics.words() {
             w.write_all(&v.to_le_bytes())?;
         }
         match &self.transient {
@@ -478,7 +481,7 @@ impl Checkpoint {
             w.write_all(&it.tasks_attempted.to_le_bytes())?;
             w.write_all(&it.tasks_completed.to_le_bytes())?;
             w.write_all(&it.input_bytes.to_le_bytes())?;
-            for v in snapshot_words(&it.kernel) {
+            for v in it.kernel.words() {
                 w.write_all(&v.to_le_bytes())?;
             }
             w.write_all(&(it.evict.evicted_pages as u64).to_le_bytes())?;
@@ -739,59 +742,12 @@ fn read_u64s<R: Read>(r: &mut R, what: &str) -> io::Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Flatten a metrics [`Snapshot`] to its serialization order. Field-by-field
-/// so adding a metric without extending the checkpoint format is a compile
-/// error at the matching [`snapshot_from_words`].
-fn snapshot_words(s: &Snapshot) -> [u64; N_METRIC_WORDS] {
-    [
-        s.tasks,
-        s.compute_units,
-        s.device_bytes,
-        s.stream_bytes,
-        s.chain_hops,
-        s.smem_bytes,
-        s.combiner_hits,
-        s.combiner_flushes,
-        s.combiner_overflows,
-        s.head_cas_retries,
-        s.divergence_events,
-        s.alloc_success,
-        s.alloc_postponed,
-        s.pcie_bulk_transfers,
-        s.pcie_bulk_bytes,
-        s.pcie_small_transactions,
-        s.pcie_small_bytes,
-    ]
-}
-
-fn snapshot_from_words(w: &[u64; N_METRIC_WORDS]) -> Snapshot {
-    Snapshot {
-        tasks: w[0],
-        compute_units: w[1],
-        device_bytes: w[2],
-        stream_bytes: w[3],
-        chain_hops: w[4],
-        smem_bytes: w[5],
-        combiner_hits: w[6],
-        combiner_flushes: w[7],
-        combiner_overflows: w[8],
-        head_cas_retries: w[9],
-        divergence_events: w[10],
-        alloc_success: w[11],
-        alloc_postponed: w[12],
-        pcie_bulk_transfers: w[13],
-        pcie_bulk_bytes: w[14],
-        pcie_small_transactions: w[15],
-        pcie_small_bytes: w[16],
-    }
-}
-
 fn read_snapshot<R: Read>(r: &mut R, what: &str) -> io::Result<Snapshot> {
-    let mut w = [0u64; N_METRIC_WORDS];
+    let mut w = [0u64; Counter::N];
     for v in w.iter_mut() {
         *v = read_u64(r, what)?;
     }
-    Ok(snapshot_from_words(&w))
+    Ok(Snapshot::from_words(w))
 }
 
 #[cfg(test)]
@@ -835,11 +791,8 @@ mod tests {
             tasks_completed: 90,
             input_bytes: 1600,
             chunks: 2,
-            kernel: Snapshot {
-                tasks: i as u64,
-                alloc_success: 7,
-                ..Snapshot::default()
-            },
+            // Every word distinct, so a round trip pins all 17 positions.
+            kernel: Snapshot::from_words(std::array::from_fn(|w| (100 * i as usize + w) as u64)),
             evict: EvictReport {
                 evicted_pages: 3,
                 evicted_bytes: 3000,
@@ -932,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn sepockp1_round_trips_and_sizes_exactly() {
+    fn sepockp2_round_trips_and_sizes_exactly() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let mut buf = Vec::new();

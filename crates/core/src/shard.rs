@@ -172,9 +172,9 @@ fn write_bytes(out: &mut Vec<u8>, b: &[u8]) {
 
 /// Cross-shard ownership audit over finalized shard tables: every key a
 /// shard's collectors surface must hash into that shard's prefix slice.
-/// This is the global half of the per-shard [`TableAudit`]
-/// (crate::audit::TableAudit) — a key on the wrong shard means the router
-/// or the table's ownership filter leaked.
+/// This is the global half of the per-shard [`crate::TableAudit`] — a key
+/// on the wrong shard means the router or the table's ownership filter
+/// leaked.
 pub fn audit_ownership(tables: &[&SepoTable]) -> Result<(), String> {
     for t in tables {
         let Some(spec) = t.config().shard else {

@@ -36,8 +36,9 @@
 //! [`Metrics`] **once per launch**, so the shared counters see a handful of
 //! atomic adds per launch instead of five per warp.
 
+use crate::charge::Charge;
 use crate::faults::{FaultPlan, FaultSite, HardFaultError};
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics, Tally};
 use crate::pool::{self, Work, WorkerPool};
 use crate::shadow::{AccessKind, ShadowAddr, ShadowEvent, ShadowSanitizer, WARP_LEVEL_LANE};
 use crate::spec::{BLOCK_WARPS, WARP_SIZE};
@@ -78,21 +79,28 @@ impl Default for ExecMode {
 /// retires.
 #[derive(Debug, Default)]
 struct WarpLocal {
-    compute_units: u64,
-    stream_bytes: u64,
-    device_bytes: u64,
-    chain_hops: u64,
-    smem_bytes: u64,
-    combiner_hits: u64,
-    combiner_flushes: u64,
-    combiner_overflows: u64,
-    head_cas_retries: u64,
+    tally: Tally,
     branch_classes: BTreeSet<u32>,
     /// This warp's index within the launch (stamps shadow events).
     warp_index: u32,
     /// Declared shadow accesses; `None` unless a sanitizer is attached, so
     /// unsanitized launches never allocate or push.
     shadow: Option<Vec<ShadowEvent>>,
+}
+
+impl WarpLocal {
+    /// Buffer one declared shadow access made by `lane` of this warp.
+    #[inline]
+    fn declare(&mut self, addr: ShadowAddr, kind: AccessKind, lane: u32) {
+        if let Some(log) = self.shadow.as_mut() {
+            log.push(ShadowEvent {
+                addr,
+                kind,
+                warp: self.warp_index,
+                lane,
+            });
+        }
+    }
 }
 
 /// Thread-block scratch hooks: the software analogue of a kernel's
@@ -107,7 +115,7 @@ pub struct BlockScratch<'s> {
     pub init: &'s (dyn Fn() -> Box<dyn Any + Send> + Sync),
     /// Drain the scratch state at block retirement, charging any final work
     /// to the tally of the block's last warp.
-    pub finish: &'s (dyn Fn(&mut (dyn Any + Send), &mut dyn crate::charge::Charge) + Sync),
+    pub finish: &'s (dyn Fn(&mut (dyn Any + Send), &mut dyn Charge) + Sync),
 }
 
 impl fmt::Debug for BlockScratch<'_> {
@@ -132,58 +140,15 @@ pub struct WarpCharge<'a> {
     warp: &'a mut WarpLocal,
 }
 
-impl crate::charge::Charge for WarpCharge<'_> {
+impl Charge for WarpCharge<'_> {
     #[inline]
-    fn compute(&mut self, units: u64) {
-        self.warp.compute_units += units;
-    }
-
-    #[inline]
-    fn device_bytes(&mut self, bytes: u64) {
-        self.warp.device_bytes += bytes;
-    }
-
-    #[inline]
-    fn chain_hops(&mut self, hops: u64) {
-        self.warp.chain_hops += hops;
-        self.warp.device_bytes += hops * 16; // a hop reads one dual link
-    }
-
-    #[inline]
-    fn smem_bytes(&mut self, bytes: u64) {
-        self.warp.smem_bytes += bytes;
-    }
-
-    #[inline]
-    fn combiner_hits(&mut self, n: u64) {
-        self.warp.combiner_hits += n;
-    }
-
-    #[inline]
-    fn combiner_flushes(&mut self, n: u64) {
-        self.warp.combiner_flushes += n;
-    }
-
-    #[inline]
-    fn combiner_overflows(&mut self, n: u64) {
-        self.warp.combiner_overflows += n;
-    }
-
-    #[inline]
-    fn head_cas_retries(&mut self, n: u64) {
-        self.warp.head_cas_retries += n;
+    fn add(&mut self, counter: Counter, n: u64) {
+        self.warp.tally.add(counter, n);
     }
 
     #[inline]
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
-        if let Some(log) = self.warp.shadow.as_mut() {
-            log.push(ShadowEvent {
-                addr,
-                kind,
-                warp: self.warp.warp_index,
-                lane: WARP_LEVEL_LANE,
-            });
-        }
+        self.warp.declare(addr, kind, WARP_LEVEL_LANE);
     }
 }
 
@@ -194,22 +159,10 @@ impl LaneCtx<'_> {
         self.task
     }
 
-    /// Charge `units` of scalar compute work.
-    #[inline]
-    pub fn charge_compute(&mut self, units: u64) {
-        self.warp.compute_units += units;
-    }
-
     /// Record `bytes` of coalesced streaming reads (input records).
     #[inline]
     pub fn read_stream(&mut self, bytes: u64) {
-        self.warp.stream_bytes += bytes;
-    }
-
-    /// Record `bytes` of irregular device-memory traffic.
-    #[inline]
-    pub fn touch_device(&mut self, bytes: u64) {
-        self.warp.device_bytes += bytes;
+        self.warp.tally.add(Counter::StreamBytes, bytes);
     }
 
     /// Declare the branch class this lane took at a divergent branch.
@@ -229,58 +182,16 @@ impl LaneCtx<'_> {
     }
 }
 
-impl crate::charge::Charge for LaneCtx<'_> {
+impl Charge for LaneCtx<'_> {
     #[inline]
-    fn compute(&mut self, units: u64) {
-        self.charge_compute(units);
-    }
-
-    #[inline]
-    fn device_bytes(&mut self, bytes: u64) {
-        self.touch_device(bytes);
-    }
-
-    #[inline]
-    fn chain_hops(&mut self, hops: u64) {
-        self.warp.chain_hops += hops;
-        self.warp.device_bytes += hops * 16; // a hop reads one dual link
-    }
-
-    #[inline]
-    fn smem_bytes(&mut self, bytes: u64) {
-        self.warp.smem_bytes += bytes;
-    }
-
-    #[inline]
-    fn combiner_hits(&mut self, n: u64) {
-        self.warp.combiner_hits += n;
-    }
-
-    #[inline]
-    fn combiner_flushes(&mut self, n: u64) {
-        self.warp.combiner_flushes += n;
-    }
-
-    #[inline]
-    fn combiner_overflows(&mut self, n: u64) {
-        self.warp.combiner_overflows += n;
-    }
-
-    #[inline]
-    fn head_cas_retries(&mut self, n: u64) {
-        self.warp.head_cas_retries += n;
+    fn add(&mut self, counter: Counter, n: u64) {
+        self.warp.tally.add(counter, n);
     }
 
     #[inline]
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
-        if let Some(log) = self.warp.shadow.as_mut() {
-            log.push(ShadowEvent {
-                addr,
-                kind,
-                warp: self.warp.warp_index,
-                lane: (self.task % WARP_SIZE) as u32,
-            });
-        }
+        self.warp
+            .declare(addr, kind, (self.task % WARP_SIZE) as u32);
     }
 }
 
@@ -396,16 +307,7 @@ impl std::error::Error for LaunchError {
 /// synchronization, flushed to [`Metrics`] once per launch.
 #[derive(Debug, Default)]
 struct Shard {
-    compute_units: u64,
-    stream_bytes: u64,
-    device_bytes: u64,
-    chain_hops: u64,
-    smem_bytes: u64,
-    combiner_hits: u64,
-    combiner_flushes: u64,
-    combiner_overflows: u64,
-    head_cas_retries: u64,
-    divergence_events: u64,
+    tally: Tally,
     lanes_aborted: u64,
     /// Declared shadow accesses, in this shard's warp-retirement order.
     shadow: Vec<ShadowEvent>,
@@ -413,16 +315,7 @@ struct Shard {
 
 impl Shard {
     fn absorb(&mut self, other: Shard) {
-        self.compute_units += other.compute_units;
-        self.stream_bytes += other.stream_bytes;
-        self.device_bytes += other.device_bytes;
-        self.chain_hops += other.chain_hops;
-        self.smem_bytes += other.smem_bytes;
-        self.combiner_hits += other.combiner_hits;
-        self.combiner_flushes += other.combiner_flushes;
-        self.combiner_overflows += other.combiner_overflows;
-        self.head_cas_retries += other.head_cas_retries;
-        self.divergence_events += other.divergence_events;
+        self.tally.absorb(&other.tally);
         self.lanes_aborted += other.lanes_aborted;
         self.shadow.extend(other.shadow);
     }
@@ -503,16 +396,11 @@ impl<K: Fn(&mut LaneCtx<'_>) + Sync> KernelJob<'_, K> {
             let mut charge = WarpCharge { warp: &mut local };
             (hooks.finish)(state, &mut charge);
         }
-        shard.compute_units += local.compute_units;
-        shard.stream_bytes += local.stream_bytes;
-        shard.device_bytes += local.device_bytes;
-        shard.chain_hops += local.chain_hops;
-        shard.smem_bytes += local.smem_bytes;
-        shard.combiner_hits += local.combiner_hits;
-        shard.combiner_flushes += local.combiner_flushes;
-        shard.combiner_overflows += local.combiner_overflows;
-        shard.head_cas_retries += local.head_cas_retries;
-        shard.divergence_events += (local.branch_classes.len() as u64).saturating_sub(1);
+        local.tally.add(
+            Counter::DivergenceEvents,
+            (local.branch_classes.len() as u64).saturating_sub(1),
+        );
+        shard.tally.absorb(&local.tally);
         if let Some(log) = local.shadow {
             shard.shadow.extend(log);
         }
@@ -684,17 +572,7 @@ impl Executor {
         if let Some(sanitizer) = &self.shadow {
             sanitizer.ingest(std::mem::take(&mut total.shadow));
         }
-        self.metrics.add_compute_units(total.compute_units);
-        self.metrics.add_stream_bytes(total.stream_bytes);
-        self.metrics.add_device_bytes(total.device_bytes);
-        self.metrics.add_chain_hops(total.chain_hops);
-        self.metrics.add_smem_bytes(total.smem_bytes);
-        self.metrics.add_combiner_hits(total.combiner_hits);
-        self.metrics.add_combiner_flushes(total.combiner_flushes);
-        self.metrics
-            .add_combiner_overflows(total.combiner_overflows);
-        self.metrics.add_head_cas_retries(total.head_cas_retries);
-        self.metrics.add_divergence_events(total.divergence_events);
+        self.metrics.add_tally(&total.tally);
 
         outcome.map_err(LaunchError::panic)?;
         // Aborted lanes never ran their task; only executed tasks count.
@@ -703,7 +581,7 @@ impl Executor {
         Ok(LaunchStats {
             tasks: executed,
             warps: n_warps as u64,
-            divergence_events: total.divergence_events,
+            divergence_events: total.tally.get(Counter::DivergenceEvents),
             lanes_aborted: total.lanes_aborted,
         })
     }
@@ -769,15 +647,17 @@ mod tests {
     fn charges_flow_into_metrics() {
         let (e, m) = exec(ExecMode::Deterministic);
         e.launch(10, |ctx| {
-            ctx.charge_compute(5);
+            ctx.compute(5);
             ctx.read_stream(100);
-            ctx.touch_device(8);
+            ctx.device_bytes(8);
+            ctx.chain_hops(2);
         });
         let s = m.snapshot();
         assert_eq!(s.tasks, 10);
         assert_eq!(s.compute_units, 50);
         assert_eq!(s.stream_bytes, 1_000);
-        assert_eq!(s.device_bytes, 80);
+        assert_eq!(s.chain_hops, 20);
+        assert_eq!(s.device_bytes, 80 + 20 * 16);
     }
 
     #[test]
@@ -819,7 +699,7 @@ mod tests {
         let run = |mode| {
             let (e, m) = exec(mode);
             e.launch(10_000, |ctx| {
-                ctx.charge_compute((ctx.task() % 7) as u64);
+                ctx.compute((ctx.task() % 7) as u64);
                 ctx.branch_class((ctx.task() % 3) as u32);
             });
             m.snapshot()
@@ -837,9 +717,9 @@ mod tests {
             let (e, m) = exec(mode);
             for round in 0..5 {
                 e.launch(3_000 + round * 7, |ctx| {
-                    ctx.charge_compute((ctx.task() % 11) as u64);
+                    ctx.compute((ctx.task() % 11) as u64);
                     ctx.read_stream(24);
-                    ctx.touch_device((ctx.task() % 3) as u64 * 16);
+                    ctx.device_bytes((ctx.task() % 3) as u64 * 16);
                     ctx.branch_class((ctx.task() % 2) as u32);
                 });
             }
@@ -859,14 +739,14 @@ mod tests {
                 if ctx.task() == 517 {
                     panic!("lane 517 died");
                 }
-                ctx.charge_compute(1);
+                ctx.compute(1);
             })
             .unwrap_err();
         assert_eq!(err.message(), "lane 517 died");
         // `tasks` is only credited on success.
         assert_eq!(m.snapshot().tasks, 0);
         // The executor (and the shared pool behind it) keeps working.
-        let stats = e.launch(1_000, |ctx| ctx.charge_compute(1));
+        let stats = e.launch(1_000, |ctx| ctx.compute(1));
         assert_eq!(stats.tasks, 1_000);
         assert_eq!(m.snapshot().tasks, 1_000);
     }
@@ -970,7 +850,6 @@ mod tests {
     /// record, per block, how many lanes ran before `finish` fired.
     /// Returns (inits, lanes seen by each finish in block order, stats).
     fn scoped_counting_launch(e: &Executor, n: usize) -> (u64, Vec<u64>, LaunchStats) {
-        use crate::charge::Charge;
         let inits = AtomicU64::new(0);
         let finished = parking_lot::Mutex::new(Vec::new());
         let init = || -> Box<dyn Any + Send> {

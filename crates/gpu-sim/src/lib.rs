@@ -63,7 +63,7 @@ pub use faults::{
     FaultSite, HardFaultConfig, HardFaultError, HardFaultKind, TransientDrawState,
 };
 pub use memory::{DeviceMemory, OutOfDeviceMemory, Reservation};
-pub use metrics::{ContentionHistogram, Metrics, Snapshot};
+pub use metrics::{ContentionHistogram, Counter, Metrics, Snapshot};
 pub use paging::{AccessTrace, LruSimulator, PagingOutcome};
 pub use pcie::{CompletedTransfer, InFlightTransfer, PcieBus, PcieTransferError};
 pub use pipeline::{pipelined_total, serial_total};

@@ -12,83 +12,116 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic event counters. Cheap to clone via `Arc`; kernels flush
-/// per-warp local tallies into it to keep host-side atomic traffic low.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Tasks (input records / map invocations) executed.
-    pub tasks: AtomicU64,
-    /// Abstract scalar work units charged by kernels (≈ useful ALU ops).
-    pub compute_units: AtomicU64,
-    /// Bytes of irregular (uncoalesced) device-memory traffic: hash-table
-    /// chain walks, entry reads/writes, allocator metadata.
-    pub device_bytes: AtomicU64,
-    /// Bytes of streaming (coalesced) device-memory traffic: reading input
-    /// records from the staging buffers.
-    pub stream_bytes: AtomicU64,
-    /// Hash-chain links traversed (also contributes to `device_bytes`;
-    /// tracked separately for reporting).
-    pub chain_hops: AtomicU64,
-    /// Bytes of on-chip shared-memory traffic (block-combiner probes and
-    /// slot updates) — far cheaper than `device_bytes`.
-    pub smem_bytes: AtomicU64,
-    /// Emits absorbed by a block combiner without touching the table.
-    pub combiner_hits: AtomicU64,
-    /// Combiner slots flushed into the table (one device atomic each).
-    pub combiner_flushes: AtomicU64,
-    /// Combiner slots displaced because their set of the tile was full.
-    pub combiner_overflows: AtomicU64,
-    /// Lost bucket-head CAS races (publish retries under real concurrency;
-    /// identically zero in the deterministic modes).
-    pub head_cas_retries: AtomicU64,
-    /// Warp-divergence events: for each warp, one event per *extra* branch
-    /// class beyond the first that the warp had to serially execute.
-    pub divergence_events: AtomicU64,
-    /// Allocation requests served by the page allocator.
-    pub alloc_success: AtomicU64,
-    /// Allocation requests declined (POSTPONE responses).
-    pub alloc_postponed: AtomicU64,
-    /// Bulk PCIe transfers initiated (large DMA copies).
-    pub pcie_bulk_transfers: AtomicU64,
-    /// Bytes moved by bulk PCIe transfers.
-    pub pcie_bulk_bytes: AtomicU64,
-    /// Small PCIe transactions (remote loads/stores to pinned host memory).
-    pub pcie_small_transactions: AtomicU64,
-    /// Bytes moved by small PCIe transactions.
-    pub pcie_small_bytes: AtomicU64,
-}
+/// The counter table: the one place that says which event counters exist
+/// and in which order. Each line generates a [`Counter`] variant, the
+/// [`Snapshot`] field of the same position and the `Metrics::add_*`
+/// shorthand. The order is the checkpoint's serialization order
+/// ([`Snapshot::words`]): adding, removing or reordering a line changes the
+/// `SEPOCKP2` layout and must bump that magic.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident, $adder:ident;)*) => {
+        /// One event counter; `as usize` is its index in [`Counter::ALL`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
 
-macro_rules! add_methods {
-    ($($field:ident => $adder:ident),* $(,)?) => {
+        impl Counter {
+            /// Every counter, in declaration (= serialization) order.
+            pub const ALL: [Counter; Counter::N] = [$(Counter::$variant),*];
+            /// Number of counters.
+            pub const N: usize = [$(Counter::$variant),*].len();
+        }
+
+        /// Plain-value copy of [`Metrics`] at a point in time.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Snapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Snapshot {
+            /// The counters as words indexed by [`Counter`].
+            pub fn words(&self) -> [u64; Counter::N] {
+                [$(self.$field),*]
+            }
+
+            /// Inverse of [`Snapshot::words`].
+            pub fn from_words(w: [u64; Counter::N]) -> Self {
+                Snapshot { $($field: w[Counter::$variant as usize],)* }
+            }
+        }
+
         impl Metrics {
             $(
                 #[inline]
                 pub fn $adder(&self, n: u64) {
-                    self.$field.fetch_add(n, Ordering::Relaxed);
+                    self.add(Counter::$variant, n);
                 }
             )*
         }
     };
 }
 
-add_methods! {
-    tasks => add_tasks,
-    compute_units => add_compute_units,
-    device_bytes => add_device_bytes,
-    stream_bytes => add_stream_bytes,
-    chain_hops => add_chain_hops,
-    smem_bytes => add_smem_bytes,
-    combiner_hits => add_combiner_hits,
-    combiner_flushes => add_combiner_flushes,
-    combiner_overflows => add_combiner_overflows,
-    head_cas_retries => add_head_cas_retries,
-    divergence_events => add_divergence_events,
-    alloc_success => add_alloc_success,
-    alloc_postponed => add_alloc_postponed,
-    pcie_bulk_transfers => add_pcie_bulk_transfers,
-    pcie_bulk_bytes => add_pcie_bulk_bytes,
-    pcie_small_transactions => add_pcie_small_transactions,
-    pcie_small_bytes => add_pcie_small_bytes,
+counters! {
+    /// Tasks (input records / map invocations) executed.
+    Tasks => tasks, add_tasks;
+    /// Abstract scalar work units charged by kernels (≈ useful ALU ops).
+    ComputeUnits => compute_units, add_compute_units;
+    /// Bytes of irregular (uncoalesced) device-memory traffic: hash-table
+    /// chain walks, entry reads/writes, allocator metadata.
+    DeviceBytes => device_bytes, add_device_bytes;
+    /// Bytes of streaming (coalesced) device-memory traffic: reading input
+    /// records from the staging buffers.
+    StreamBytes => stream_bytes, add_stream_bytes;
+    /// Hash-chain links traversed (also contributes to `device_bytes`;
+    /// tracked separately for reporting).
+    ChainHops => chain_hops, add_chain_hops;
+    /// Bytes of on-chip shared-memory traffic (block-combiner probes and
+    /// slot updates) — far cheaper than `device_bytes`.
+    SmemBytes => smem_bytes, add_smem_bytes;
+    /// Emits absorbed by a block combiner without touching the table.
+    CombinerHits => combiner_hits, add_combiner_hits;
+    /// Combiner slots flushed into the table (one device atomic each).
+    CombinerFlushes => combiner_flushes, add_combiner_flushes;
+    /// Combiner slots displaced because their set of the tile was full.
+    CombinerOverflows => combiner_overflows, add_combiner_overflows;
+    /// Lost bucket-head CAS races (publish retries under real concurrency;
+    /// identically zero in the deterministic modes).
+    HeadCasRetries => head_cas_retries, add_head_cas_retries;
+    /// Warp-divergence events: for each warp, one event per *extra* branch
+    /// class beyond the first that the warp had to serially execute.
+    DivergenceEvents => divergence_events, add_divergence_events;
+    /// Allocation requests served by the page allocator.
+    AllocSuccess => alloc_success, add_alloc_success;
+    /// Allocation requests declined (POSTPONE responses).
+    AllocPostponed => alloc_postponed, add_alloc_postponed;
+    /// Bulk PCIe transfers initiated (large DMA copies).
+    PcieBulkTransfers => pcie_bulk_transfers, add_pcie_bulk_transfers;
+    /// Bytes moved by bulk PCIe transfers.
+    PcieBulkBytes => pcie_bulk_bytes, add_pcie_bulk_bytes;
+    /// Small PCIe transactions (remote loads/stores to pinned host memory).
+    PcieSmallTransactions => pcie_small_transactions, add_pcie_small_transactions;
+    /// Bytes moved by small PCIe transactions.
+    PcieSmallBytes => pcie_small_bytes, add_pcie_small_bytes;
+}
+
+impl Snapshot {
+    /// Field-wise difference `self - earlier`, saturating at zero. Used to
+    /// attribute events to a phase bounded by two snapshots.
+    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
+        let mut w = self.words();
+        for (v, e) in w.iter_mut().zip(earlier.words()) {
+            *v = v.saturating_sub(e);
+        }
+        Snapshot::from_words(w)
+    }
+}
+
+/// Shared atomic event counters. Cheap to clone via `Arc`; kernels flush
+/// per-warp local tallies into it to keep host-side atomic traffic low.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    counters: [AtomicU64; Counter::N],
 }
 
 impl Metrics {
@@ -97,143 +130,59 @@ impl Metrics {
         Self::default()
     }
 
+    #[inline]
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Add every counter of `tally` (one launch's worth of events). Most
+    /// launches touch a few counters; the rest cost no atomic.
+    pub(crate) fn add_tally(&self, tally: &Tally) {
+        for (counter, &n) in self.counters.iter().zip(&tally.0) {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Capture a consistent-enough point-in-time copy. (Individual counters
     /// are read with relaxed ordering; callers snapshot only at quiescent
     /// points — between kernel launches — where no concurrent writers run.)
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            tasks: self.tasks.load(Ordering::Relaxed),
-            compute_units: self.compute_units.load(Ordering::Relaxed),
-            device_bytes: self.device_bytes.load(Ordering::Relaxed),
-            stream_bytes: self.stream_bytes.load(Ordering::Relaxed),
-            chain_hops: self.chain_hops.load(Ordering::Relaxed),
-            smem_bytes: self.smem_bytes.load(Ordering::Relaxed),
-            combiner_hits: self.combiner_hits.load(Ordering::Relaxed),
-            combiner_flushes: self.combiner_flushes.load(Ordering::Relaxed),
-            combiner_overflows: self.combiner_overflows.load(Ordering::Relaxed),
-            head_cas_retries: self.head_cas_retries.load(Ordering::Relaxed),
-            divergence_events: self.divergence_events.load(Ordering::Relaxed),
-            alloc_success: self.alloc_success.load(Ordering::Relaxed),
-            alloc_postponed: self.alloc_postponed.load(Ordering::Relaxed),
-            pcie_bulk_transfers: self.pcie_bulk_transfers.load(Ordering::Relaxed),
-            pcie_bulk_bytes: self.pcie_bulk_bytes.load(Ordering::Relaxed),
-            pcie_small_transactions: self.pcie_small_transactions.load(Ordering::Relaxed),
-            pcie_small_bytes: self.pcie_small_bytes.load(Ordering::Relaxed),
-        }
+        Snapshot::from_words(std::array::from_fn(|i| {
+            self.counters[i].load(Ordering::Relaxed)
+        }))
     }
 
     /// Overwrite every counter with the values captured in `s`, rolling
     /// the sink back to a checkpointed state. Only meaningful at quiescent
     /// points (iteration boundaries during hard-fault recovery).
     pub fn restore(&self, s: &Snapshot) {
-        self.tasks.store(s.tasks, Ordering::Relaxed);
-        self.compute_units.store(s.compute_units, Ordering::Relaxed);
-        self.device_bytes.store(s.device_bytes, Ordering::Relaxed);
-        self.stream_bytes.store(s.stream_bytes, Ordering::Relaxed);
-        self.chain_hops.store(s.chain_hops, Ordering::Relaxed);
-        self.smem_bytes.store(s.smem_bytes, Ordering::Relaxed);
-        self.combiner_hits.store(s.combiner_hits, Ordering::Relaxed);
-        self.combiner_flushes
-            .store(s.combiner_flushes, Ordering::Relaxed);
-        self.combiner_overflows
-            .store(s.combiner_overflows, Ordering::Relaxed);
-        self.head_cas_retries
-            .store(s.head_cas_retries, Ordering::Relaxed);
-        self.divergence_events
-            .store(s.divergence_events, Ordering::Relaxed);
-        self.alloc_success.store(s.alloc_success, Ordering::Relaxed);
-        self.alloc_postponed
-            .store(s.alloc_postponed, Ordering::Relaxed);
-        self.pcie_bulk_transfers
-            .store(s.pcie_bulk_transfers, Ordering::Relaxed);
-        self.pcie_bulk_bytes
-            .store(s.pcie_bulk_bytes, Ordering::Relaxed);
-        self.pcie_small_transactions
-            .store(s.pcie_small_transactions, Ordering::Relaxed);
-        self.pcie_small_bytes
-            .store(s.pcie_small_bytes, Ordering::Relaxed);
-    }
-
-    /// Reset all counters to zero. Only meaningful at quiescent points.
-    pub fn reset(&self) {
-        self.tasks.store(0, Ordering::Relaxed);
-        self.compute_units.store(0, Ordering::Relaxed);
-        self.device_bytes.store(0, Ordering::Relaxed);
-        self.stream_bytes.store(0, Ordering::Relaxed);
-        self.chain_hops.store(0, Ordering::Relaxed);
-        self.smem_bytes.store(0, Ordering::Relaxed);
-        self.combiner_hits.store(0, Ordering::Relaxed);
-        self.combiner_flushes.store(0, Ordering::Relaxed);
-        self.combiner_overflows.store(0, Ordering::Relaxed);
-        self.head_cas_retries.store(0, Ordering::Relaxed);
-        self.divergence_events.store(0, Ordering::Relaxed);
-        self.alloc_success.store(0, Ordering::Relaxed);
-        self.alloc_postponed.store(0, Ordering::Relaxed);
-        self.pcie_bulk_transfers.store(0, Ordering::Relaxed);
-        self.pcie_bulk_bytes.store(0, Ordering::Relaxed);
-        self.pcie_small_transactions.store(0, Ordering::Relaxed);
-        self.pcie_small_bytes.store(0, Ordering::Relaxed);
+        for (counter, v) in self.counters.iter().zip(s.words()) {
+            counter.store(v, Ordering::Relaxed);
+        }
     }
 }
 
-/// Plain-value copy of [`Metrics`] at a point in time.
+/// Unsynchronized event tally indexed by [`Counter`]: what a warp, and then
+/// a launch participant, accumulates before one flush into [`Metrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Snapshot {
-    pub tasks: u64,
-    pub compute_units: u64,
-    pub device_bytes: u64,
-    pub stream_bytes: u64,
-    pub chain_hops: u64,
-    pub smem_bytes: u64,
-    pub combiner_hits: u64,
-    pub combiner_flushes: u64,
-    pub combiner_overflows: u64,
-    pub head_cas_retries: u64,
-    pub divergence_events: u64,
-    pub alloc_success: u64,
-    pub alloc_postponed: u64,
-    pub pcie_bulk_transfers: u64,
-    pub pcie_bulk_bytes: u64,
-    pub pcie_small_transactions: u64,
-    pub pcie_small_bytes: u64,
-}
+pub(crate) struct Tally([u64; Counter::N]);
 
-impl Snapshot {
-    /// Field-wise difference `self - earlier`, saturating at zero. Used to
-    /// attribute events to a phase bounded by two snapshots.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            tasks: self.tasks.saturating_sub(earlier.tasks),
-            compute_units: self.compute_units.saturating_sub(earlier.compute_units),
-            device_bytes: self.device_bytes.saturating_sub(earlier.device_bytes),
-            stream_bytes: self.stream_bytes.saturating_sub(earlier.stream_bytes),
-            chain_hops: self.chain_hops.saturating_sub(earlier.chain_hops),
-            smem_bytes: self.smem_bytes.saturating_sub(earlier.smem_bytes),
-            combiner_hits: self.combiner_hits.saturating_sub(earlier.combiner_hits),
-            combiner_flushes: self
-                .combiner_flushes
-                .saturating_sub(earlier.combiner_flushes),
-            combiner_overflows: self
-                .combiner_overflows
-                .saturating_sub(earlier.combiner_overflows),
-            head_cas_retries: self
-                .head_cas_retries
-                .saturating_sub(earlier.head_cas_retries),
-            divergence_events: self
-                .divergence_events
-                .saturating_sub(earlier.divergence_events),
-            alloc_success: self.alloc_success.saturating_sub(earlier.alloc_success),
-            alloc_postponed: self.alloc_postponed.saturating_sub(earlier.alloc_postponed),
-            pcie_bulk_transfers: self
-                .pcie_bulk_transfers
-                .saturating_sub(earlier.pcie_bulk_transfers),
-            pcie_bulk_bytes: self.pcie_bulk_bytes.saturating_sub(earlier.pcie_bulk_bytes),
-            pcie_small_transactions: self
-                .pcie_small_transactions
-                .saturating_sub(earlier.pcie_small_transactions),
-            pcie_small_bytes: self
-                .pcie_small_bytes
-                .saturating_sub(earlier.pcie_small_bytes),
+impl Tally {
+    #[inline]
+    pub(crate) fn add(&mut self, counter: Counter, n: u64) {
+        self.0[counter as usize] += n;
+    }
+
+    pub(crate) fn get(&self, counter: Counter) -> u64 {
+        self.0[counter as usize]
+    }
+
+    /// Field-wise `self += other`.
+    pub(crate) fn absorb(&mut self, other: &Tally) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
         }
     }
 }
@@ -330,8 +279,81 @@ mod tests {
         assert_eq!(s.compute_units, 100);
         assert_eq!(s.device_bytes, 64);
         assert_eq!(s.chain_hops, 2);
-        m.reset();
+        m.restore(&Snapshot::default());
         assert_eq!(m.snapshot(), Snapshot::default());
+    }
+
+    /// Pins the counter order: it is the `SEPOCKP2` / `SEPOCKS2` metric
+    /// layout, so reordering the `counters!` list must fail here (and bump
+    /// the checkpoint magic) instead of silently changing the format.
+    #[test]
+    fn snapshot_words_follow_the_declared_order() {
+        let s = Snapshot {
+            tasks: 1,
+            compute_units: 2,
+            device_bytes: 3,
+            stream_bytes: 4,
+            chain_hops: 5,
+            smem_bytes: 6,
+            combiner_hits: 7,
+            combiner_flushes: 8,
+            combiner_overflows: 9,
+            head_cas_retries: 10,
+            divergence_events: 11,
+            alloc_success: 12,
+            alloc_postponed: 13,
+            pcie_bulk_transfers: 14,
+            pcie_bulk_bytes: 15,
+            pcie_small_transactions: 16,
+            pcie_small_bytes: 17,
+        };
+        let expect: [u64; 17] = std::array::from_fn(|i| i as u64 + 1);
+        assert_eq!(s.words(), expect);
+        assert_eq!(Snapshot::from_words(s.words()), s);
+    }
+
+    #[test]
+    fn tally_absorb_adds_fieldwise_and_flushes_like_the_shorthands() {
+        let mut a = Tally::default();
+        let mut b = Tally::default();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            a.add(c, i as u64 + 1);
+            b.add(c, 100 * (i as u64 + 1));
+        }
+        a.absorb(&b);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(a.get(c), 101 * (i as u64 + 1));
+        }
+
+        let via_tally = Metrics::new();
+        via_tally.add_tally(&a);
+        via_tally.add_tally(&b);
+        let via_shorthands = Metrics::new();
+        let adders: [fn(&Metrics, u64); Counter::N] = [
+            Metrics::add_tasks,
+            Metrics::add_compute_units,
+            Metrics::add_device_bytes,
+            Metrics::add_stream_bytes,
+            Metrics::add_chain_hops,
+            Metrics::add_smem_bytes,
+            Metrics::add_combiner_hits,
+            Metrics::add_combiner_flushes,
+            Metrics::add_combiner_overflows,
+            Metrics::add_head_cas_retries,
+            Metrics::add_divergence_events,
+            Metrics::add_alloc_success,
+            Metrics::add_alloc_postponed,
+            Metrics::add_pcie_bulk_transfers,
+            Metrics::add_pcie_bulk_bytes,
+            Metrics::add_pcie_small_transactions,
+            Metrics::add_pcie_small_bytes,
+        ];
+        for (i, add) in adders.into_iter().enumerate() {
+            add(&via_shorthands, 201 * (i as u64 + 1));
+        }
+        assert_eq!(via_tally.snapshot(), via_shorthands.snapshot());
+        assert_eq!(via_tally.snapshot().tasks, 201);
+        assert_eq!(via_tally.snapshot().pcie_small_bytes, 201 * 17);
     }
 
     #[test]

@@ -44,6 +44,7 @@
 //! cost, so results are byte-identical with it on or off.
 
 use crate::charge::Charge;
+use crate::metrics::Counter;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -509,11 +510,8 @@ pub struct HostCharge<'a>(&'a ShadowSanitizer);
 
 impl Charge for HostCharge<'_> {
     #[inline]
-    fn compute(&mut self, _: u64) {}
-    #[inline]
-    fn device_bytes(&mut self, _: u64) {}
-    #[inline]
-    fn chain_hops(&mut self, _: u64) {}
+    fn add(&mut self, _: Counter, _: u64) {}
+
     #[inline]
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
         self.0.record_host(addr, kind);

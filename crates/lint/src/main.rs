@@ -6,11 +6,11 @@
 //! resolved structurally — see `lexer.rs`) and runs the rule set declared
 //! in `rules/mod.rs`:
 //!
-//! - eight per-file rules ported from the old line-regex checker
-//!   (relaxed-ordering, wall-clock, metrics-direct, charge-forwarding,
-//!   io-unwrap, evict-direct-dma, serve-snapshot-bypass,
-//!   cross-shard-direct), now matching token structure so banned patterns
-//!   quoted in strings, comments, or test bodies never fire;
+//! - seven per-file rules ported from the old line-regex checker
+//!   (relaxed-ordering, wall-clock, metrics-direct, io-unwrap,
+//!   evict-direct-dma, serve-snapshot-bypass, cross-shard-direct), now
+//!   matching token structure so banned patterns quoted in strings,
+//!   comments, or test bodies never fire;
 //! - three cross-file analyses: acquire/release pairing on the
 //!   table-state atomics, Charge-hook liveness, and the stale-escape
 //!   audit (`rules/pairing.rs`, `rules/charge.rs`, `rules/escapes.rs`).
@@ -301,7 +301,6 @@ mod tests {
             "relaxed-ordering",
             "wall-clock",
             "metrics-direct",
-            "charge-forwarding",
             "io-unwrap",
             "evict-direct-dma",
             "serve-snapshot-bypass",
@@ -459,7 +458,7 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn charge_analyses_pass_on_the_real_charge_rs() {
+    fn charge_liveness_passes_on_the_real_charge_rs() {
         let files = rules::load_workspace(&workspace_root()).unwrap();
         let findings = rules::charge::check(&files);
         assert!(findings.is_empty(), "{findings:?}");

@@ -388,8 +388,8 @@ mod tests {
             Finding {
                 file: "crates/gpu-sim/src/charge.rs".to_string(),
                 line: 0,
-                rule: "charge-forwarding",
-                message: "blanket `&mut C` impl does not forward `access`".to_string(),
+                rule: "charge-hook-liveness",
+                message: "cannot locate `pub trait Charge`".to_string(),
             },
         ]
     }

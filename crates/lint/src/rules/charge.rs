@@ -1,14 +1,16 @@
-//! Charge-trait analyses: blanket-impl forwarding and hook liveness.
+//! Charge-trait analysis: hook liveness.
 //!
-//! Both rules re-parse the `Charge` trait's method set from the token
+//! The rule re-parses the `Charge` trait's method set from the token
 //! stream on every run, so a hook added to the trait is covered the
-//! moment it is declared — no hand-maintained method list.
+//! moment it is declared — no hand-maintained method list. (That every
+//! sink forwards every hook is the compiler's job: the trait's two
+//! required methods have no default body.)
 
 use super::SourceFile;
 use crate::lexer::{Tok, TokKind};
 use crate::report::Finding;
 
-/// The one file where the `Charge` trait and its blanket impl live.
+/// The one file where the `Charge` trait lives.
 pub const CHARGE_SRC: &str = "crates/gpu-sim/src/charge.rs";
 
 fn is_ident(t: &Tok, s: &str) -> bool {
@@ -19,7 +21,7 @@ fn is_punct(t: &Tok, s: &str) -> bool {
     t.kind == TokKind::Punct && t.text == s
 }
 
-/// One trait/impl method: name and declaration line.
+/// One trait method: name and declaration line.
 #[derive(Debug)]
 struct Method {
     name: String,
@@ -70,22 +72,6 @@ fn trait_methods(toks: &[&Tok]) -> Vec<Method> {
     Vec::new()
 }
 
-/// Methods the blanket `impl<C: Charge + ?Sized> Charge for &mut C`
-/// forwards. Matched structurally as `Charge for & mut C {`.
-fn blanket_methods(toks: &[&Tok]) -> Vec<Method> {
-    for i in 0..toks.len() {
-        if is_ident(toks[i], "Charge")
-            && toks.get(i + 1).is_some_and(|t| is_ident(t, "for"))
-            && toks.get(i + 2).is_some_and(|t| is_punct(t, "&"))
-            && toks.get(i + 3).is_some_and(|t| is_ident(t, "mut"))
-            && toks.get(i + 4).is_some_and(|t| is_ident(t, "C"))
-        {
-            return fns_in_block(toks, i + 5);
-        }
-    }
-    Vec::new()
-}
-
 /// Does any file other than `charge.rs` contain a non-test `.name(`
 /// method call?
 fn has_live_call_site(files: &[SourceFile], name: &str) -> bool {
@@ -106,7 +92,7 @@ fn has_live_call_site(files: &[SourceFile], name: &str) -> bool {
     })
 }
 
-/// Run both charge analyses. No-op when the file set does not include
+/// Run the liveness analysis. No-op when the file set does not include
 /// `charge.rs` (fixture trees for other rules).
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let Some(charge) = files.iter().find(|f| f.rel == CHARGE_SRC) else {
@@ -121,42 +107,15 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
 
     let traitm = trait_methods(&toks);
-    let blanket = blanket_methods(&toks);
     if traitm.is_empty() {
         out.push(Finding {
             file: CHARGE_SRC.to_string(),
             line: 0,
-            rule: "charge-forwarding",
+            rule: "charge-hook-liveness",
             message: "cannot locate `pub trait Charge`".to_string(),
         });
         return out;
     }
-    if blanket.is_empty() {
-        out.push(Finding {
-            file: CHARGE_SRC.to_string(),
-            line: 0,
-            rule: "charge-forwarding",
-            message: "cannot locate the blanket `impl<C: Charge + ?Sized> \
-                      Charge for &mut C`"
-                .to_string(),
-        });
-        return out;
-    }
-    for m in &traitm {
-        if !blanket.iter().any(|b| b.name == m.name) {
-            out.push(Finding {
-                file: CHARGE_SRC.to_string(),
-                line: 0,
-                rule: "charge-forwarding",
-                message: format!(
-                    "blanket `&mut C` impl does not forward `{}`; calls through \
-                     `&mut dyn Charge` would silently hit the trait default",
-                    m.name
-                ),
-            });
-        }
-    }
-
     for m in &traitm {
         if !has_live_call_site(files, &m.name) {
             out.push(Finding {
@@ -179,19 +138,10 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
 mod tests {
     use super::*;
 
-    const TRAIT_AND_IMPL: &str = "\
+    const TRAIT: &str = "\
 pub trait Charge {
     fn compute(&mut self, u: u64);
     fn device_bytes(&mut self, b: u64) {}
-}
-
-impl<C: Charge + ?Sized> Charge for &mut C {
-    fn compute(&mut self, u: u64) {
-        (**self).compute(u);
-    }
-    fn device_bytes(&mut self, b: u64) {
-        (**self).device_bytes(b);
-    }
 }
 ";
 
@@ -204,43 +154,17 @@ impl<C: Charge + ?Sized> Charge for &mut C {
     }
 
     #[test]
-    fn complete_blanket_and_live_hooks_are_clean() {
+    fn live_hooks_are_clean() {
         let live = "fn k(c: &mut dyn Charge) { c.compute(1); c.device_bytes(64); }\n";
-        let findings = check_src(TRAIT_AND_IMPL, &[("crates/core/src/table.rs", live)]);
+        let findings = check_src(TRAIT, &[("crates/core/src/table.rs", live)]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
-    fn missing_forward_is_flagged_at_line_zero() {
-        let src = "\
-pub trait Charge {
-    fn compute(&mut self, u: u64);
-    fn chain_hops(&mut self, h: u64) {}
-}
-
-impl<C: Charge + ?Sized> Charge for &mut C {
-    fn compute(&mut self, u: u64) {
-        (**self).compute(u);
-    }
-}
-";
-        let live = "fn k(c: &mut dyn Charge) { c.compute(1); c.chain_hops(2); }\n";
-        let findings = check_src(src, &[("crates/core/src/table.rs", live)]);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].rule, "charge-forwarding");
-        assert_eq!(findings[0].line, 0);
-        assert!(findings[0].message.contains("`chain_hops`"));
-    }
-
-    #[test]
-    fn missing_trait_or_blanket_is_an_error_not_a_pass() {
+    fn missing_trait_is_an_error_not_a_pass() {
         let findings = check_src("fn nothing() {}\n", &[]);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("pub trait Charge"));
-        let trait_only = "pub trait Charge {\n    fn compute(&mut self, u: u64);\n}\n";
-        let findings = check_src(trait_only, &[]);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("blanket"));
     }
 
     #[test]
@@ -259,7 +183,7 @@ mod tests {
 ";
         let live = "fn k(c: &mut dyn Charge) { c.compute(1); }\n";
         let findings = check_src(
-            TRAIT_AND_IMPL,
+            TRAIT,
             &[
                 ("crates/core/src/table.rs", live),
                 ("crates/core/src/evict.rs", test_only),
@@ -273,9 +197,10 @@ mod tests {
 
     #[test]
     fn calls_inside_charge_rs_itself_do_not_count_as_live() {
-        // The blanket impl forwards every method — those self-calls must
-        // not satisfy liveness.
-        let findings = check_src(TRAIT_AND_IMPL, &[]);
+        // Forwarding impls and the trait's own shorthands call the hooks —
+        // those self-calls must not satisfy liveness.
+        let src = format!("{TRAIT}fn f(c: &mut S) {{ c.compute(1); c.device_bytes(1); }}\n");
+        let findings = check_src(&src, &[]);
         assert_eq!(findings.len(), 2, "{findings:?}");
         assert!(findings.iter().all(|f| f.rule == "charge-hook-liveness"));
     }

@@ -157,20 +157,6 @@ pub const RULES: &[RuleSpec] = &[
               `// lint: metrics-direct-ok (<why>)`.",
     },
     RuleSpec {
-        slug: "charge-forwarding",
-        summary: "blanket `&mut C` Charge impl must forward every trait method",
-        severity: Severity::Error,
-        escape: None,
-        scope: Scope::Files(&[charge::CHARGE_SRC]),
-        doc: "The blanket `impl<C: Charge + ?Sized> Charge for &mut C` in \
-              gpu-sim must forward *every* `Charge` trait method. A method \
-              missing there silently falls back to the trait default behind \
-              `&mut dyn Charge`, discarding charges (or sanitizer accesses) \
-              on the warp-scratch path. The analyzer parses the trait's \
-              method set from source, so new hooks are covered the moment \
-              they are declared.",
-    },
-    RuleSpec {
         slug: "io-unwrap",
         summary: "panic on the persistence/checkpoint IO path",
         severity: Severity::Error,
@@ -260,10 +246,11 @@ pub const RULES: &[RuleSpec] = &[
         doc: "Every method of the `Charge` trait must be invoked from at \
               least one non-test call site outside `charge.rs` — a dead \
               hook means the charges it was meant to carry silently vanish \
-              from the cost model (a default no-op body makes that \
-              invisible to the compiler). Together with `charge-forwarding` \
-              this supersedes the old hand-counted method list: the \
-              analyzer re-parses the trait's method set on every run.",
+              from the cost model, and an unused provided method is \
+              invisible to the compiler. The analyzer re-parses the trait's \
+              method set on every run. (Forwarding needs no rule: a sink \
+              implements the trait's two required methods, `add` and \
+              `access`, or it does not compile.)",
     },
     RuleSpec {
         slug: "unchecked-page-io",
@@ -426,8 +413,8 @@ mod tests {
         }
         assert_eq!(
             RULES.len(),
-            12,
-            "8 legacy rules + unchecked-page-io + 3 cross-file analyses"
+            11,
+            "7 legacy rules + unchecked-page-io + 3 cross-file analyses"
         );
     }
 

@@ -10,6 +10,7 @@
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::pool;
+use gpu_sim::Charge;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ fn every_task_runs_exactly_once_under_parallel_deterministic() {
 #[test]
 fn launches_reuse_the_pool_without_spawning_threads() {
     // Warm-up: the first use of any executor starts the global pool.
-    exec(ExecMode::Parallel { workers: 0 }).launch(1_000, |ctx| ctx.charge_compute(1));
+    exec(ExecMode::Parallel { workers: 0 }).launch(1_000, |ctx| ctx.compute(1));
     let startups = pool::startup_count();
     let spawned = pool::threads_spawned();
     assert_eq!(startups, 1, "exactly one pool start-up per process");
@@ -44,9 +45,9 @@ fn launches_reuse_the_pool_without_spawning_threads() {
     // figure6 run — thousands of launches — cost one thread-pool startup).
     for round in 0..60 {
         let e = exec(ExecMode::Parallel { workers: 0 });
-        e.launch(500 + round, |ctx| ctx.charge_compute(1));
+        e.launch(500 + round, |ctx| ctx.compute(1));
         let e = exec(ExecMode::ParallelDeterministic);
-        e.launch(500 + round, |ctx| ctx.charge_compute(1));
+        e.launch(500 + round, |ctx| ctx.compute(1));
     }
     assert_eq!(pool::startup_count(), startups, "no second pool start-up");
     assert_eq!(
@@ -65,7 +66,7 @@ fn kernel_panic_surfaces_as_launch_error_and_pool_survives() {
             if ctx.task() == 1234 {
                 panic!("injected kernel fault");
             }
-            ctx.charge_compute(1);
+            ctx.compute(1);
         })
         .expect_err("panicking kernel must fail the launch");
     assert_eq!(err.message(), "injected kernel fault");
@@ -77,7 +78,7 @@ fn kernel_panic_surfaces_as_launch_error_and_pool_survives() {
         ExecMode::ParallelDeterministic,
     ] {
         let e = exec(mode);
-        let stats = e.launch(2_000, |ctx| ctx.charge_compute(1));
+        let stats = e.launch(2_000, |ctx| ctx.compute(1));
         assert_eq!(stats.tasks, 2_000);
     }
 }
