@@ -34,6 +34,7 @@ use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE};
 use gpu_sim::metrics::Metrics;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,6 +61,24 @@ impl PageKind {
             2 => PageKind::Key,
             3 => PageKind::Value,
             _ => PageKind::Free,
+        }
+    }
+
+    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP2` page
+    /// records).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The kind a persisted page record names. A stored page is never
+    /// `Free`, so tag 0 is as malformed as an unknown one.
+    pub fn from_tag(tag: u8) -> io::Result<PageKind> {
+        match PageKind::from_u8(tag) {
+            PageKind::Free => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unknown page kind tag {tag}"),
+            )),
+            kind => Ok(kind),
         }
     }
 }
@@ -170,21 +189,6 @@ pub struct HeapSnapshot {
     pub acquired_total: u64,
     /// Every resident (non-free) page, in index order.
     pub resident: Vec<ResidentPage>,
-}
-
-impl HeapSnapshot {
-    /// Serialized footprint of this snapshot in a `SEPOCKP2` image:
-    /// fixed header fields, the pool indices, and per-page metadata+bytes.
-    pub fn encoded_size(&self) -> u64 {
-        let fixed = 8 + 8 + 8 + 8 + 4 + 4 + 4; // counters + lengths
-        let pool = 4 * self.pool.len() as u64;
-        let pages: u64 = self
-            .resident
-            .iter()
-            .map(|p| 4 + 8 + 1 + 1 + 4 + 4 + 4 + p.data.len() as u64)
-            .sum();
-        fixed + pool + pages
-    }
 }
 
 /// Point-in-time allocator statistics.
@@ -919,16 +923,6 @@ mod tests {
         let h = heap(2, 1024);
         let other = heap(3, 1024);
         h.restore(&other.snapshot());
-    }
-
-    #[test]
-    fn snapshot_encoded_size_tracks_contents() {
-        let h = heap(2, 1024);
-        let empty = h.snapshot().encoded_size();
-        let p = h.acquire_page(PageKind::Mixed).unwrap();
-        h.bump(p, 32).unwrap();
-        let full = h.snapshot().encoded_size();
-        assert!(full > empty, "resident bytes must grow the footprint");
     }
 
     #[test]

@@ -4,26 +4,216 @@
 //! into the `HostHeap`, indexed by the **host page id** the page was
 //! stamped with at acquisition, together with the page's [`PageKind`] (the
 //! multi-valued organization enumerates key pages and value pages
-//! differently). Because every [`HostLink`] created on the device already
-//! names `(host_page_id, offset)`, evicted chains remain traversable on the
-//! CPU without any pointer rewriting — the paper's "eventual location of
-//! contents in CPU memory" pointer (§III-B).
+//! differently). Because every [`HostLink`](crate::HostLink) created on the
+//! device already names `(host_page_id, offset)`, evicted chains remain
+//! traversable on the CPU without any pointer rewriting — the paper's
+//! "eventual location of contents in CPU memory" pointer (§III-B).
+//!
+//! A host page is one type, [`StampedPage`]: identity, kind, the CRC32C
+//! stamp computed from the pristine bytes before they left the device, and
+//! the `Arc`-shared bytes, which are private. There are two ways out:
+//!
+//! * **transport** — clone, [`StampedPage::write_record`] /
+//!   [`StampedPage::read_record`], [`HostHeap::store`] /
+//!   [`HostHeap::restore`]: bytes and stamp move together, nothing is read;
+//! * **[`StampedPage::verify`]** — the only route to parseable bytes: it
+//!   recomputes the checksum and hands out a [`VerifiedPage`], or a
+//!   [`CorruptPage`] naming the host id.
 
 use crate::heap::PageKind;
-use crate::layout::HostLink;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// A stored page: its kind, its bytes, and the CRC32C stamp it carried
-/// when it was adopted (an opaque `u32` to this crate — `sepo_core`'s
-/// integrity layer computes and verifies it).
-type StoredPage = (PageKind, Arc<[u8]>, u32);
+/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`) lookup table,
+/// built at compile time. Table-driven, one byte per step: plenty for page
+/// sizes here, and zero dependencies.
+const CRC32C_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0x82F6_3B78
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
+/// CRC32C of `data` (initial value all-ones, final inversion — the standard
+/// iSCSI/ext4 convention, so `crc32c(b"123456789") == 0xE3069283`).
+pub fn crc32c(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// A host page whose bytes no longer match the stamp they were evicted
+/// with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CorruptPage {
+    /// Host id of the damaged page.
+    pub host_id: u64,
+}
+
+impl fmt::Display for CorruptPage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "host page {} failed checksum verification", self.host_id)
+    }
+}
+
+impl std::error::Error for CorruptPage {}
+
+/// An evicted page image: the never-reused host identity stamped at page
+/// acquisition, the page kind, the CRC32C of the pristine bytes, and the
+/// bytes themselves, shared so that pipes, checkpoints and the host heap
+/// pass one buffer around by refcount.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StampedPage {
+    host_id: u64,
+    kind: PageKind,
+    crc: u32,
+    data: Arc<[u8]>,
+}
+
+impl StampedPage {
+    /// Stamp pristine bytes as they leave the device.
+    pub fn stamp(host_id: u64, kind: PageKind, data: impl Into<Arc<[u8]>>) -> Self {
+        let data = data.into();
+        let crc = crc32c(&data);
+        StampedPage::from_parts(host_id, kind, data, crc)
+    }
+
+    /// Rejoin bytes with a stamp computed elsewhere (a deserialised record,
+    /// an injected fault). Transport: nothing is checked until
+    /// [`StampedPage::verify`].
+    pub fn from_parts(host_id: u64, kind: PageKind, data: impl Into<Arc<[u8]>>, crc: u32) -> Self {
+        StampedPage {
+            host_id,
+            kind,
+            crc,
+            data: data.into(),
+        }
+    }
+
+    pub fn host_id(&self) -> u64 {
+        self.host_id
+    }
+
+    pub fn kind(&self) -> PageKind {
+        self.kind
+    }
+
+    /// The CRC32C the bytes carried when they left the device.
+    pub fn crc(&self) -> u32 {
+        self.crc
+    }
+
+    /// Recompute the checksum and hand out the bytes if it matches the
+    /// stamp. The page image is shared, not copied.
+    pub fn verify(&self) -> Result<VerifiedPage, CorruptPage> {
+        if crc32c(&self.data) != self.crc {
+            return Err(CorruptPage {
+                host_id: self.host_id,
+            });
+        }
+        Ok(VerifiedPage(self.clone()))
+    }
+
+    /// Write the page record shared by the `SEPOHST2` and `SEPOCKP2`
+    /// formats: `host_id u64, kind u8, crc u32, len u32, bytes`,
+    /// little-endian.
+    pub fn write_record<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        w.write_all(&self.host_id.to_le_bytes())?;
+        w.write_all(&[self.kind.tag()])?;
+        w.write_all(&self.crc.to_le_bytes())?;
+        w.write_all(&(self.data.len() as u32).to_le_bytes())?;
+        w.write_all(&self.data)
+    }
+
+    /// Parse one page record of a `magic` image and re-verify the persisted
+    /// stamp against the payload, so the detection chain reaches back to
+    /// the checksum computed when the page originally left the device.
+    pub fn read_record<R: Read>(r: &mut R, magic: &str) -> io::Result<StampedPage> {
+        let host_id = u64::from_le_bytes(read_array(r, "host page id", magic)?);
+        let [kind] = read_array(r, "host page kind", magic)?;
+        let crc = u32::from_le_bytes(read_array(r, "host page checksum stamp", magic)?);
+        let len = u32::from_le_bytes(read_array(r, "host page length", magic)?);
+        let mut data = vec![0u8; len as usize];
+        read_exact_field(r, &mut data, "host page payload", magic)?;
+        let page = StampedPage::from_parts(host_id, PageKind::from_tag(kind)?, data, crc);
+        page.verify().map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("{magic} image: {e}"))
+        })?;
+        Ok(page)
+    }
+}
+
+/// `read_exact` with truncation mapped to a descriptive
+/// [`io::ErrorKind::InvalidData`] error naming the field that ended early —
+/// a truncated image reports *where* it was cut, not a bare "unexpected end
+/// of file". Shared by every persisted format's reader.
+pub fn read_exact_field<R: Read>(
+    r: &mut R,
+    buf: &mut [u8],
+    what: &str,
+    magic: &str,
+) -> io::Result<()> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("truncated {magic} image: unexpected end of input reading {what}"),
+        ),
+        _ => e,
+    })
+}
+
+/// [`read_exact_field`] for a fixed-width field.
+pub fn read_array<const N: usize, R: Read>(
+    r: &mut R,
+    what: &str,
+    magic: &str,
+) -> io::Result<[u8; N]> {
+    let mut buf = [0u8; N];
+    read_exact_field(r, &mut buf, what, magic)?;
+    Ok(buf)
+}
+
+/// A page image whose bytes matched their stamp: only
+/// [`StampedPage::verify`] makes one.
+#[derive(Debug, Clone)]
+pub struct VerifiedPage(StampedPage);
+
+impl VerifiedPage {
+    pub fn host_id(&self) -> u64 {
+        self.0.host_id
+    }
+
+    pub fn kind(&self) -> PageKind {
+        self.0.kind
+    }
+
+    pub fn bytes(&self) -> &[u8] {
+        &self.0.data
+    }
+}
 
 /// Store of evicted pages, keyed by host page id.
 #[derive(Debug, Default)]
 pub struct HostHeap {
-    pages: Mutex<BTreeMap<u64, StoredPage>>,
+    pages: Mutex<BTreeMap<u64, StampedPage>>,
 }
 
 impl HostHeap {
@@ -31,50 +221,12 @@ impl HostHeap {
         Self::default()
     }
 
-    /// Store the bytes of a page evicted under host id `host_id`, stamped
-    /// with the checksum `crc` computed from its pristine bytes at eviction
-    /// time. Re-storing the same id replaces the copy (used when a kept
-    /// page is finally evicted with more content than a prior snapshot).
-    /// Accepts either an owned `Vec<u8>` or an already-shared `Arc<[u8]>`;
-    /// the latter stores the buffer without copying (restore/adoption
-    /// paths already hold shared pages).
-    pub fn store(&self, host_id: u64, kind: PageKind, data: impl Into<Arc<[u8]>>, crc: u32) {
-        self.pages.lock().insert(host_id, (kind, data.into(), crc));
-    }
-
-    /// Fetch a page's bytes.
-    pub fn page(&self, host_id: u64) -> Option<Arc<[u8]>> {
-        self.pages
-            .lock()
-            .get(&host_id)
-            .map(|(_, d, _)| Arc::clone(d))
-    }
-
-    /// Fetch a page's kind.
-    pub fn page_kind(&self, host_id: u64) -> Option<PageKind> {
-        self.pages.lock().get(&host_id).map(|(k, _, _)| *k)
-    }
-
-    /// Fetch the checksum a page was stamped with at adoption.
-    pub fn crc_of(&self, host_id: u64) -> Option<u32> {
-        self.pages.lock().get(&host_id).map(|(_, _, c)| *c)
-    }
-
-    /// Read `len` bytes at `link`, if the page is present and the range is
-    /// in bounds.
-    pub fn read(&self, link: HostLink, len: usize) -> Option<Vec<u8>> {
-        let page = self.page(link.host_page())?;
-        let start = link.offset() as usize;
-        let end = start.checked_add(len)?;
-        page.get(start..end).map(|s| s.to_vec())
-    }
-
-    /// Read a little-endian `u64` at `link + field_offset`.
-    pub fn read_u64(&self, link: HostLink, field_offset: u32) -> Option<u64> {
-        let page = self.page(link.host_page())?;
-        let start = (link.offset() + field_offset) as usize;
-        let bytes: [u8; 8] = page.get(start..start + 8)?.try_into().ok()?;
-        Some(u64::from_le_bytes(bytes))
+    /// Store an evicted page under its host id. Re-storing the same id
+    /// replaces the copy (used when a kept page is finally evicted with
+    /// more content than a prior snapshot). The page's buffer is shared,
+    /// never copied.
+    pub fn store(&self, page: StampedPage) {
+        self.pages.lock().insert(page.host_id, page);
     }
 
     /// Number of stored pages.
@@ -91,47 +243,21 @@ impl HostHeap {
         self.pages
             .lock()
             .values()
-            .map(|(_, p, _)| p.len() as u64)
+            .map(|p| p.data.len() as u64)
             .sum()
     }
 
-    /// All pages in ascending host-id order (final result enumeration walks
-    /// pages in eviction order).
-    pub fn pages_in_order(&self) -> Vec<(u64, PageKind, Arc<[u8]>)> {
-        self.pages
-            .lock()
-            .iter()
-            .map(|(&id, (kind, data, _))| (id, *kind, Arc::clone(data)))
-            .collect()
-    }
-
-    /// All pages in ascending host-id order together with their checksum
-    /// stamps (persistence and scrub paths re-verify these).
-    pub fn pages_with_crcs_in_order(&self) -> Vec<(u64, PageKind, Arc<[u8]>, u32)> {
-        self.pages
-            .lock()
-            .iter()
-            .map(|(&id, (kind, data, crc))| (id, *kind, Arc::clone(data), *crc))
-            .collect()
-    }
-
-    /// Drop everything (reuse across runs).
-    pub fn clear(&self) {
-        self.pages.lock().clear();
+    /// All pages in ascending host-id order (eviction order). The pages
+    /// share the store's buffers — a snapshot costs refcounts, not copies.
+    pub fn pages(&self) -> Vec<StampedPage> {
+        self.pages.lock().values().cloned().collect()
     }
 
     /// Replace the entire store with `pages` under one lock acquisition
-    /// (checkpoint restore). The page payloads are shared `Arc`s — a
-    /// snapshot taken with [`HostHeap::pages_with_crcs_in_order`] and
-    /// restored here never copies page bytes, only refcounts. Checksum
-    /// stamps travel with the snapshot so a restored store re-verifies
-    /// exactly like the original.
-    pub fn restore_pages(&self, pages: &[(u64, PageKind, Arc<[u8]>, u32)]) {
-        let mut map = self.pages.lock();
-        map.clear();
-        for (id, kind, data, crc) in pages {
-            map.insert(*id, (*kind, Arc::clone(data), *crc));
-        }
+    /// (checkpoint restore). Stamps travel with the pages, so a restored
+    /// store verifies exactly like the original.
+    pub fn restore(&self, pages: &[StampedPage]) {
+        *self.pages.lock() = pages.iter().map(|p| (p.host_id, p.clone())).collect();
     }
 }
 
@@ -140,80 +266,100 @@ mod tests {
     use super::*;
 
     #[test]
-    fn store_and_read_back() {
-        let hh = HostHeap::new();
-        hh.store(7, PageKind::Mixed, b"0123456789abcdef".to_vec(), 0xAB);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh.total_bytes(), 16);
-        assert_eq!(hh.page_kind(7), Some(PageKind::Mixed));
-        assert_eq!(hh.crc_of(7), Some(0xAB));
-        assert_eq!(hh.crc_of(8), None);
-        let link = HostLink::new(7, 4);
-        assert_eq!(hh.read(link, 4).unwrap(), b"4567");
+    fn crc32c_matches_reference_vector() {
+        // The canonical iSCSI check value.
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+        assert_eq!(crc32c(b""), 0);
     }
 
     #[test]
-    fn read_u64_is_little_endian() {
-        let hh = HostHeap::new();
-        let mut data = vec![0u8; 16];
-        data[8..16].copy_from_slice(&0xABCD_EF01_2345_6789u64.to_le_bytes());
-        hh.store(1, PageKind::Value, data, 0);
+    fn crc32c_detects_every_single_bit_flip() {
+        let data: Vec<u8> = (0..257u32).map(|i| (i * 31 % 251) as u8).collect();
+        let clean = crc32c(&data);
+        for bit in 0..data.len() * 8 {
+            let mut bad = data.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32c(&bad), clean, "bit {bit} flip went undetected");
+        }
+    }
+
+    #[test]
+    fn verify_is_the_only_way_to_the_bytes_and_names_the_damaged_page() {
+        let page = StampedPage::stamp(7, PageKind::Mixed, b"0123456789abcdef".to_vec());
+        let verified = page.verify().unwrap();
+        assert_eq!(verified.bytes(), b"0123456789abcdef");
+        assert_eq!((verified.host_id(), verified.kind()), (7, PageKind::Mixed));
+        let damaged =
+            StampedPage::from_parts(7, PageKind::Mixed, b"0123456789abcdeF".to_vec(), page.crc());
+        let err = damaged.verify().unwrap_err();
+        assert_eq!(err, CorruptPage { host_id: 7 });
+        assert_eq!(err.to_string(), "host page 7 failed checksum verification");
+    }
+
+    #[test]
+    fn records_round_trip_and_reject_a_damaged_payload() {
+        let page = StampedPage::stamp(3, PageKind::Value, b"payload".to_vec());
+        let mut buf = Vec::new();
+        page.write_record(&mut buf).unwrap();
+        assert_eq!(buf.len(), 8 + 1 + 4 + 4 + b"payload".len());
+        let back = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST2").unwrap();
+        assert_eq!(back, page);
+        *buf.last_mut().unwrap() ^= 1;
+        let err = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST2").unwrap_err();
         assert_eq!(
-            hh.read_u64(HostLink::new(1, 0), 8).unwrap(),
-            0xABCD_EF01_2345_6789
+            err.to_string(),
+            "SEPOHST2 image: host page 3 failed checksum verification"
+        );
+        let err = StampedPage::read_record(&mut &buf[..10], "SEPOCKP2").unwrap_err();
+        assert!(
+            err.to_string().contains("truncated SEPOCKP2 image"),
+            "{err}"
         );
     }
 
     #[test]
-    fn missing_page_and_out_of_bounds_return_none() {
-        let hh = HostHeap::new();
-        hh.store(1, PageKind::Key, vec![0u8; 8], 0);
-        assert!(hh.read(HostLink::new(2, 0), 1).is_none());
-        assert!(hh.read(HostLink::new(1, 4), 8).is_none());
-        assert!(hh.read_u64(HostLink::new(1, 4), 0).is_none());
-        assert!(hh.page_kind(9).is_none());
-    }
-
-    #[test]
-    fn store_accepts_shared_buffers_without_copying() {
+    fn store_shares_buffers_and_restoring_an_id_replaces() {
         let hh = HostHeap::new();
         let shared: Arc<[u8]> = Arc::from(b"shared-bytes".to_vec());
-        hh.store(4, PageKind::Mixed, Arc::clone(&shared), 0);
+        let page = StampedPage::stamp(4, PageKind::Mixed, Arc::clone(&shared));
+        hh.store(page.clone());
         // The stored page IS the caller's buffer, not a copy.
-        assert!(Arc::ptr_eq(&hh.page(4).unwrap(), &shared));
+        assert!(Arc::ptr_eq(&hh.pages()[0].data, &shared));
+        assert_eq!(hh.pages(), vec![page]);
+        hh.store(StampedPage::stamp(4, PageKind::Mixed, b"newer".to_vec()));
+        assert_eq!((hh.len(), hh.total_bytes()), (1, 5));
+        assert_eq!(hh.pages()[0].verify().unwrap().bytes(), b"newer");
     }
 
     #[test]
-    fn restore_replaces() {
+    fn restore_swaps_contents_without_copying() {
         let hh = HostHeap::new();
-        hh.store(3, PageKind::Key, b"old".to_vec(), 1);
-        hh.store(3, PageKind::Key, b"newer".to_vec(), 2);
-        assert_eq!(hh.len(), 1);
-        assert_eq!(hh.page(3).unwrap().as_ref(), b"newer");
-    }
-
-    #[test]
-    fn restore_pages_swaps_contents_without_copying() {
-        let hh = HostHeap::new();
-        hh.store(1, PageKind::Mixed, b"pre-checkpoint".to_vec(), 11);
-        let snapshot = hh.pages_with_crcs_in_order();
-        hh.store(2, PageKind::Key, b"post-checkpoint".to_vec(), 0);
-        hh.store(1, PageKind::Mixed, b"mutated".to_vec(), 12);
-        hh.restore_pages(&snapshot);
+        hh.store(StampedPage::stamp(
+            1,
+            PageKind::Mixed,
+            b"pre-checkpoint".to_vec(),
+        ));
+        let snapshot = hh.pages();
+        hh.store(StampedPage::stamp(
+            2,
+            PageKind::Key,
+            b"post-checkpoint".to_vec(),
+        ));
+        hh.store(StampedPage::stamp(1, PageKind::Mixed, b"mutated".to_vec()));
+        hh.restore(&snapshot);
         assert_eq!(hh.len(), 1);
         // Restored page IS the snapshot's buffer (refcount, not copy).
-        assert!(Arc::ptr_eq(&hh.page(1).unwrap(), &snapshot[0].2));
+        assert!(Arc::ptr_eq(&hh.pages()[0].data, &snapshot[0].data));
     }
 
     #[test]
     fn pages_iterate_in_host_id_order() {
         let hh = HostHeap::new();
-        hh.store(5, PageKind::Mixed, vec![5], 0);
-        hh.store(1, PageKind::Key, vec![1], 0);
-        hh.store(3, PageKind::Value, vec![3], 0);
-        let ids: Vec<u64> = hh.pages_in_order().iter().map(|(id, _, _)| *id).collect();
-        assert_eq!(ids, vec![1, 3, 5]);
-        hh.clear();
         assert!(hh.is_empty());
+        hh.store(StampedPage::stamp(5, PageKind::Mixed, vec![5]));
+        hh.store(StampedPage::stamp(1, PageKind::Key, vec![1]));
+        hh.store(StampedPage::stamp(3, PageKind::Value, vec![3]));
+        let ids: Vec<u64> = hh.pages().iter().map(StampedPage::host_id).collect();
+        assert_eq!(ids, vec![1, 3, 5]);
     }
 }

@@ -12,7 +12,8 @@
 //!   pointers"), declining with POSTPONE when the pool runs dry;
 //! * dual device/host addressing ([`layout`]) so evicted chains stay
 //!   traversable from the CPU, and a [`HostHeap`]
-//!   holding the evicted bytes.
+//!   holding the evicted pages as [`StampedPage`]s, whose bytes are only
+//!   reachable through a checksum verification.
 //!
 //! The allocator reports successes, postponements and metadata traffic into
 //! the shared [`gpu_sim::Metrics`] sink so the cost model can price them.
@@ -24,5 +25,5 @@ pub mod layout;
 
 pub use group::{GroupAllocator, PageClass, Postpone};
 pub use heap::{Heap, HeapSnapshot, HeapStats, PageKind, ResidentPage};
-pub use hostheap::HostHeap;
+pub use hostheap::{crc32c, CorruptPage, HostHeap, StampedPage, VerifiedPage};
 pub use layout::{align_up, DevHandle, HostLink, Link, ALIGN, MAX_PAGE_SIZE, OFFSET_BITS};

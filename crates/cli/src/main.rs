@@ -280,7 +280,6 @@ fn load_dataset(app: App, f: &Flags) -> Result<sepo_datagen::Dataset, String> {
         return Ok(app.generate(f.dataset - 1, f.scale));
     };
     // Real user data: one record per line.
-    // lint: io-ok (raw dataset input, not a checksummed image)
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut ds = sepo_datagen::Dataset::new();
     for record in bytes.split_inclusive(|&b| b == b'\n') {
@@ -623,7 +622,6 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     }
 
     if let (Some(path), [run]) = (&f.save, runs.as_slice()) {
-        // lint: io-ok (save() appends the SEPOHST2 checksum trailer)
         let file = std::fs::File::create(path);
         let mut file = file.map_err(|e| format!("cannot create {path}: {e}"))?;
         run.table
@@ -635,13 +633,11 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
 }
 
 fn cmd_query(path: &str, keys: &[String]) -> Result<(), String> {
-    use sepo_core::HostIndex;
-    // lint: io-ok (load() verifies the SEPOHST2 trailer before parsing)
+    use sepo_core::HostStore;
     let mut file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let table = SepoTable::load(&mut file, 1 << 20, Arc::new(Metrics::new()))
         .map_err(|e| format!("cannot load table image: {e}"))?;
-    // lint: serve-ok (offline query path over a finalized saved image)
-    let idx = HostIndex::try_build(&table).map_err(|e| format!("cannot query {path}: {e}"))?;
+    let idx = HostStore::of_finalized(&table).map_err(|e| format!("cannot query {path}: {e}"))?;
     println!("loaded {path}: {} distinct keys", idx.len());
     for key in keys {
         let answer = match table.config().organization {

@@ -260,6 +260,7 @@ mod tests {
     use crate::config::{Combiner, Organization, TableConfig};
     use gpu_sim::charge::NoCharge;
     use gpu_sim::metrics::Metrics;
+    use sepo_alloc::{PageKind, StampedPage};
     use std::sync::Arc;
 
     fn table(org: Organization, pages: usize) -> SepoTable {
@@ -342,10 +343,8 @@ mod tests {
         let t = table(Organization::Combining(Combiner::Add), 8);
         let mut audit = TableAudit::begin(&t);
         // Stuff a page into the host heap behind the audit's back.
-        let data = vec![0u8; 16];
-        let crc = crate::integrity::crc32c(&data);
-        t.host_heap()
-            .store(999, sepo_alloc::PageKind::Mixed, data, crc);
+        let page = StampedPage::stamp(999, PageKind::Mixed, vec![0u8; 16]);
+        t.host_heap().store(page);
         let done = Bitmap::new(0);
         let v = audit
             .check_iteration(
@@ -364,10 +363,8 @@ mod tests {
     fn baseline_tolerates_preexisting_host_pages() {
         let t = table(Organization::Combining(Combiner::Add), 8);
         // A restored image present *before* the audit begins is fine.
-        let data = vec![1u8; 8];
-        let crc = crate::integrity::crc32c(&data);
         t.host_heap()
-            .store(7, sepo_alloc::PageKind::Mixed, data, crc);
+            .store(StampedPage::stamp(7, PageKind::Mixed, vec![1u8; 8]));
         let mut audit = TableAudit::begin(&t);
         let done = Bitmap::new(0);
         audit

@@ -1,6 +1,8 @@
 //! Table configuration.
 
+use crate::entry::EntryKind;
 use crate::shard::ShardSpec;
+use sepo_alloc::PageKind;
 use std::fmt;
 
 /// How two KV pairs with the same key are handled (§IV-B).
@@ -25,6 +27,18 @@ impl Organization {
             Organization::Basic => "basic",
             Organization::MultiValued => "multi-valued",
             Organization::Combining(_) => "combining",
+        }
+    }
+
+    /// How this organization's *primary* entries — the ones that carry a
+    /// key — are laid out, and the kind of page they live on. Multi-valued
+    /// value nodes sit on separate [`PageKind::Value`] pages and are only
+    /// reached through their key's chain.
+    pub fn primary_layout(&self) -> (EntryKind, PageKind) {
+        match self {
+            Organization::Basic => (EntryKind::Basic, PageKind::Mixed),
+            Organization::MultiValued => (EntryKind::Key, PageKind::Key),
+            Organization::Combining(_) => (EntryKind::Combining, PageKind::Mixed),
         }
     }
 }

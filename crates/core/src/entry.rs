@@ -121,6 +121,18 @@ pub enum ParsedEntry<'a> {
     },
 }
 
+impl<'a> ParsedEntry<'a> {
+    /// The key of a primary entry; value nodes carry none.
+    pub fn key(&self) -> Option<&'a [u8]> {
+        match *self {
+            ParsedEntry::Combining { key, .. }
+            | ParsedEntry::Basic { key, .. }
+            | ParsedEntry::Key { key, .. } => Some(key),
+            ParsedEntry::Value { .. } => None,
+        }
+    }
+}
+
 fn read_u64_at(page: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(page.get(off..off + 8)?.try_into().ok()?))
 }
@@ -132,6 +144,19 @@ pub enum EntryKind {
     Basic,
     Key,
     Value,
+}
+
+impl EntryKind {
+    /// Offsets of a primary entry's length word (key length in the low 32
+    /// bits) and of its key bytes.
+    pub fn key_fields(self) -> (u32, u32) {
+        match self {
+            EntryKind::Combining => (combining::KLEN, combining::KEY),
+            EntryKind::Basic => (basic::LENS, basic::PAYLOAD),
+            EntryKind::Key => (key_entry::KLEN, key_entry::KEY),
+            EntryKind::Value => unreachable!("value nodes carry no key"),
+        }
+    }
 }
 
 /// Parse the entry at `off` in `page`, returning the view (or `None` for a

@@ -24,13 +24,13 @@
 
 use crate::entry::{self, key_entry};
 use crate::hash::bucket_of;
-use crate::integrity::{self, crc32c, TransferFailure, MAX_TRANSFER_RETRANSMITS};
+use crate::integrity::{self, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
 use gpu_sim::evict_pipe::EvictionPipe;
 use gpu_sim::faults::{CorruptionError, CorruptionKind};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, HostLink, Link, PageKind};
+use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,22 +56,6 @@ impl EvictReport {
     }
 }
 
-/// An evicted page image travelling through the driver's eviction pipe:
-/// the stamped host identity, the page kind, and the `Arc`-shared data the
-/// host heap adopts without copying once the DMA completes.
-#[derive(Debug, Clone)]
-pub struct EvictedPage {
-    /// Never-reused host identity stamped at page acquisition.
-    pub host_id: u64,
-    /// Key or value page.
-    pub kind: PageKind,
-    /// The page image as copied off the device at enqueue time.
-    pub data: Arc<[u8]>,
-    /// CRC32C of `data`, stamped from the pristine bytes before the image
-    /// crossed the bus; re-verified at adoption and by every later reader.
-    pub crc: u32,
-}
-
 impl SepoTable {
     /// End-of-iteration eviction per the table's organization. Quiescent
     /// callers only.
@@ -87,21 +71,21 @@ impl SepoTable {
     }
 
     /// Store pipe-drained page images in the host heap under their stamped
-    /// identities, re-verifying each image's checksum stamp first. The
+    /// identities, verifying each image's checksum stamp first. The
     /// `Arc`-shared payloads make this copy-free. A stamp mismatch here
     /// means in-flight corruption survived retransmission: the witness is
     /// recorded and the driver aborts the run with
     /// `SepoError::CorruptTransfer` at the next boundary (the damaged
     /// image is quarantined, never stored).
-    pub fn adopt_evicted(&self, pages: impl IntoIterator<Item = EvictedPage>) {
+    pub fn adopt_evicted(&self, pages: impl IntoIterator<Item = StampedPage>) {
         for pg in pages {
-            if crc32c(&pg.data) != pg.crc {
+            if let Err(corrupt) = pg.verify() {
                 let draw = self
                     .integrity
                     .corrupting_plan()
                     .map_or(0, |p| p.corruption_draws(CorruptionKind::PcieBitFlip));
                 self.integrity.note_failure(TransferFailure {
-                    host_id: pg.host_id,
+                    host_id: corrupt.host_id,
                     error: CorruptionError {
                         kind: CorruptionKind::PcieBitFlip,
                         draw,
@@ -110,7 +94,7 @@ impl SepoTable {
                 continue;
             }
             self.integrity.note_verified();
-            self.host.store(pg.host_id, pg.kind, pg.data, pg.crc);
+            self.host.store(pg);
         }
     }
 
@@ -120,20 +104,22 @@ impl SepoTable {
     /// each one, prove the stamp catches it, and retransmit up to
     /// [`MAX_TRANSFER_RETRANSMITS`] times. Exhausting the retransmit
     /// budget records an unrecovered-transfer witness the driver surfaces
-    /// as `SepoError::CorruptTransfer`. Returns the stamp; the pristine
-    /// image is what lands host-side on success, so recovered runs stay
-    /// byte-identical to corruption-free ones.
-    fn wire_page(&self, host_id: u64, data: &[u8]) -> u32 {
-        let crc = crc32c(data);
+    /// as `SepoError::CorruptTransfer`. The pristine image is what lands
+    /// host-side on success, so recovered runs stay byte-identical to
+    /// corruption-free ones.
+    fn wire_page(&self, host_id: u64, kind: PageKind, data: Vec<u8>) -> StampedPage {
+        let data: Arc<[u8]> = data.into();
+        let page = StampedPage::stamp(host_id, kind, Arc::clone(&data));
         self.integrity.note_stamped();
         if let Some(plan) = self.integrity.corrupting_plan() {
             let mut retransmits = 0;
             while let Some(hit) = plan.draw_corruption(CorruptionKind::PcieBitFlip) {
                 // Materialize the damage and verify the stamp detects it
                 // (CRC32C catches all single-bit errors by construction).
-                let damaged = integrity::flip_bit(data, hit.entropy);
+                let damaged = integrity::flip_bit(&data, hit.entropy);
+                let landed = StampedPage::from_parts(host_id, kind, damaged, page.crc());
                 assert!(
-                    data.is_empty() || crc32c(&damaged) != crc,
+                    data.is_empty() || landed.verify().is_err(),
                     "single-bit flip must never pass checksum verification"
                 );
                 if retransmits >= MAX_TRANSFER_RETRANSMITS {
@@ -150,7 +136,7 @@ impl SepoTable {
                 self.integrity.note_retransmit();
             }
         }
-        crc
+        page
     }
 
     /// Copy one page off the device under its stamped identity and release
@@ -164,23 +150,16 @@ impl SepoTable {
         &self,
         p: u32,
         charge: &mut C,
-        pipe: &mut Option<&mut EvictionPipe<EvictedPage>>,
+        pipe: &mut Option<&mut EvictionPipe<StampedPage>>,
     ) -> EvictReport {
-        charge.access(ShadowAddr::Page(self.heap.host_id(p)), AccessKind::Evicted);
+        let host_id = self.heap.host_id(p);
+        charge.access(ShadowAddr::Page(host_id), AccessKind::Evicted);
         let data = self.heap.page_data(p);
         let bytes = data.len() as u64;
-        let host_id = self.heap.host_id(p);
-        let crc = self.wire_page(host_id, &data);
-        let kind = self.heap.page_kind(p);
+        let page = self.wire_page(host_id, self.heap.page_kind(p), data);
         match pipe {
-            None => self.host.store(host_id, kind, data, crc),
+            None => self.host.store(page),
             Some(pipe) => {
-                let page = EvictedPage {
-                    host_id,
-                    kind,
-                    data: Arc::from(data),
-                    crc,
-                };
                 pipe.enqueue(page, bytes);
             }
         }
@@ -213,7 +192,7 @@ impl SepoTable {
     pub fn evict_boundary<C: Charge>(
         &self,
         charge: &mut C,
-        mut pipe: Option<&mut EvictionPipe<EvictedPage>>,
+        mut pipe: Option<&mut EvictionPipe<StampedPage>>,
         force: bool,
     ) -> EvictReport {
         let mut report = EvictReport::default();
@@ -295,18 +274,7 @@ impl SepoTable {
                 let key_off = DevHandle::new(k.page(), k.offset() + key_entry::KEY);
                 let klen = (self.heap.read_u64(k, key_entry::KLEN) & 0xFFFF_FFFF) as usize;
                 let key = self.heap.read(key_off, klen);
-                let bucket = bucket_of(key, self.cfg.n_buckets);
-                // lint: relaxed-ok (quiescent iteration boundary)
-                let old_raw = self.heads[bucket].load(Ordering::Relaxed);
-                let next = if old_raw == u64::MAX {
-                    Link::NULL
-                } else {
-                    self.heap.link_for(DevHandle::from_raw(old_raw))
-                };
-                self.heap.write_u64(k, entry::NEXT_DEV, next.dev.to_raw());
-                self.heap.write_u64(k, entry::NEXT_HOST, next.host.to_raw());
-                // lint: relaxed-ok (quiescent iteration boundary)
-                self.heads[bucket].store(k.to_raw(), Ordering::Relaxed);
+                self.prepend_resident(bucket_of(key, self.cfg.n_buckets), k);
             });
         }
         self.groups.reset_iteration();
@@ -333,21 +301,29 @@ impl SepoTable {
         }
     }
 
-    fn reset_heads(&self) {
+    /// Make resident entry `e` the head of `bucket`'s chain, rewriting its
+    /// link words to point at the previous head (quiescent: eviction's
+    /// chain rebuild and the lookup phase's, over paged-in copies).
+    pub(crate) fn prepend_resident(&self, bucket: usize, e: DevHandle) {
+        // lint: relaxed-ok (quiescent chain rebuild, no kernel in flight)
+        let old_raw = self.heads[bucket].load(Ordering::Relaxed);
+        let next = if old_raw == u64::MAX {
+            Link::NULL
+        } else {
+            self.heap.link_for(DevHandle::from_raw(old_raw))
+        };
+        self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
+        self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
+        // lint: relaxed-ok (quiescent chain rebuild, no kernel in flight)
+        self.heads[bucket].store(e.to_raw(), Ordering::Relaxed);
+    }
+
+    /// Empty every bucket chain (quiescent).
+    pub(crate) fn reset_heads(&self) {
         for h in self.heads.iter() {
             // lint: relaxed-ok (quiescent iteration boundary)
             h.store(u64::MAX, Ordering::Relaxed);
         }
-    }
-
-    /// Host link of the current head entry of `bucket`, if resident —
-    /// used by tests and by result assembly sanity checks.
-    pub fn resident_head_host(&self, bucket: usize) -> Option<HostLink> {
-        let raw = self.heads[bucket].load(Ordering::Acquire);
-        if raw == u64::MAX {
-            return None;
-        }
-        Some(self.heap.link_for(DevHandle::from_raw(raw)).host)
     }
 }
 
@@ -539,7 +515,7 @@ mod tests {
         assert_eq!(w.iteration, 2);
     }
 
-    fn test_pipe() -> EvictionPipe<EvictedPage> {
+    fn test_pipe() -> EvictionPipe<StampedPage> {
         use gpu_sim::{DeviceMemory, PcieBus, PcieSpec};
         let dev = DeviceMemory::new(4 * 1024);
         let bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
@@ -569,10 +545,7 @@ mod tests {
         assert_eq!(pipe.in_flight(), r_piped.evicted_pages);
         assert_eq!(pipe.in_flight_bytes(), r_piped.evicted_bytes);
         piped.adopt_evicted(pipe.quiesce());
-        assert_eq!(
-            piped.host_heap().pages_in_order(),
-            sync.host_heap().pages_in_order()
-        );
+        assert_eq!(piped.host_heap().pages(), sync.host_heap().pages());
     }
 
     /// Same parity property for the multi-valued policy, whose eviction
@@ -600,10 +573,7 @@ mod tests {
         assert_eq!(r_sync, r_piped);
         assert_eq!(r_piped.kept_pages, 1, "pending key page stays either way");
         piped.adopt_evicted(pipe.quiesce());
-        assert_eq!(
-            piped.host_heap().pages_in_order(),
-            sync.host_heap().pages_in_order()
-        );
+        assert_eq!(piped.host_heap().pages(), sync.host_heap().pages());
         // The kept key remains appendable after the piped boundary too.
         assert!(piped
             .insert_multivalued(b"key", b"v-next", &mut c)

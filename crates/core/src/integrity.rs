@@ -2,14 +2,14 @@
 //!
 //! Loud failures (alloc errors, lane aborts, `DeviceLost`) are survived by
 //! retries and checkpoints; *silent* corruption is the failure mode this
-//! module exists for. Every [`EvictedPage`] is stamped with a CRC32C
-//! (Castagnoli) checksum computed from the pristine bytes before they cross
-//! the simulated PCIe bus, and the stamp is re-verified at host adoption,
-//! [`HostStore`] absorption, serving reads, [`HostIndex`] build, and an
-//! end-of-run scrub. The persisted formats (`SEPOHST2`, `SEPOCKP2`,
-//! `SEPOCKS2`) carry whole-image trailing checksums so any single flipped
-//! bit on disk is rejected at load, never parsed into a silently wrong
-//! image.
+//! module exists for. Every evicted page is a [`StampedPage`]: it carries a
+//! CRC32C (Castagnoli) checksum computed from the pristine bytes before
+//! they cross the simulated PCIe bus, and its bytes are reachable only
+//! through [`StampedPage::verify`] — at host adoption, [`HostStore`]
+//! absorption, every finalized-table reader, and an end-of-run scrub. The
+//! persisted formats (`SEPOHST2`, `SEPOCKP2`, `SEPOCKS2`) carry whole-image
+//! trailing checksums so any single flipped bit on disk is rejected at
+//! load, never parsed into a silently wrong image.
 //!
 //! CRC32C detects *all* single-bit errors (and all odd-weight errors, all
 //! burst errors up to 32 bits), which is exactly the fault model
@@ -17,48 +17,15 @@
 //! to a byte-identical image or fails loudly with a witness; it can never
 //! complete with a divergent image.
 //!
-//! [`EvictedPage`]: crate::evict::EvictedPage
+//! [`StampedPage`]: sepo_alloc::StampedPage
+//! [`StampedPage::verify`]: sepo_alloc::StampedPage::verify
 //! [`HostStore`]: crate::serve::HostStore
-//! [`HostIndex`]: crate::hostquery::HostIndex
 //! [`CorruptionKind`]: gpu_sim::CorruptionKind
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use gpu_sim::{CorruptionError, FaultPlan};
-
-/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`) lookup table,
-/// built at compile time. Table-driven, one byte per step: plenty for page
-/// sizes here, and zero dependencies.
-const CRC32C_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0x82F6_3B78
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32C of `data` (initial value all-ones, final inversion — the standard
-/// iSCSI/ext4 convention, so `crc32c(b"123456789") == 0xE3069283`).
-pub fn crc32c(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// How many times a transfer whose checksum failed verification is
 /// re-issued before the eviction is declared unrecoverable. Mirrors the
@@ -186,24 +153,6 @@ pub fn flip_byte_in_place(data: &mut [u8], entropy: u64) {
 mod tests {
     use super::*;
     use gpu_sim::{CorruptionKind, FaultConfig};
-
-    #[test]
-    fn crc32c_matches_reference_vector() {
-        // The canonical iSCSI check value.
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-    }
-
-    #[test]
-    fn crc32c_detects_every_single_bit_flip() {
-        let data: Vec<u8> = (0..257u32).map(|i| (i * 31 % 251) as u8).collect();
-        let clean = crc32c(&data);
-        for bit in 0..data.len() * 8 {
-            let mut bad = data.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(crc32c(&bad), clean, "bit {bit} flip went undetected");
-        }
-    }
 
     #[test]
     fn flip_bit_damages_exactly_one_bit_deterministically() {

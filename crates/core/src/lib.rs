@@ -21,7 +21,8 @@
 //!   (basic/combining) or selective value-page / non-pending-key-page
 //!   eviction with chain rebuild (multi-valued).
 //! * [`results`] — final result enumeration from the CPU-side store by
-//!   page walking and host-linked chain traversal.
+//!   page walking and host-linked chain traversal, over pages that passed
+//!   their checksum stamp.
 //! * [`lookup`] — the paper's "mental exercise": SEPO lookups against a
 //!   larger-than-memory table, paging table segments back to the device
 //!   and postponing queries whose keys are not yet resident.
@@ -54,7 +55,6 @@ pub mod config;
 pub mod entry;
 pub mod evict;
 pub mod hash;
-pub mod hostquery;
 pub mod integrity;
 pub mod lookup;
 pub mod persist;
@@ -70,14 +70,14 @@ pub use bitmap::Bitmap;
 pub use checkpoint::{read_sharded_from_path, Checkpoint, CheckpointPolicy, ShardedCheckpointFile};
 pub use combiner::{CombinerConfig, WarpCombiner};
 pub use config::{Combiner, Organization, TableConfig};
-pub use evict::{EvictReport, EvictedPage};
-pub use hostquery::HostIndex;
-pub use integrity::{crc32c, IntegrityState, TransferFailure, MAX_TRANSFER_RETRANSMITS};
+pub use evict::EvictReport;
+pub use integrity::{IntegrityState, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 pub use lookup::{LookupOutcome, LookupRound};
 pub use results::GroupedPair;
 pub use sepo::{
     DriverConfig, IterationStats, RecoveryStats, SepoDriver, SepoError, SepoOutcome, TaskResult,
 };
+pub use sepo_alloc::crc32c;
 pub use serve::{EpochPublisher, EpochSnapshot, HostStore, QueryError, ServeConfig};
 pub use shard::{canonical_image, shard_of, shard_of_key, ShardSpec, ShardedSnapshot};
 pub use stats::TableStats;

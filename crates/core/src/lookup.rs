@@ -20,15 +20,14 @@
 //! side.
 
 use crate::bitmap::Bitmap;
-use crate::config::Organization;
-use crate::entry::{combining, EntryKind, PageWalker};
+use crate::entry::{EntryKind, PageWalker};
 use crate::hash::bucket_of;
 use crate::serve::{ensure_batch_fits, QueryError};
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
 use gpu_sim::executor::Executor;
 use gpu_sim::metrics::Snapshot;
-use sepo_alloc::{DevHandle, Link, PageKind};
+use sepo_alloc::{DevHandle, PageKind, VerifiedPage};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-round accounting of a lookup phase.
@@ -99,26 +98,18 @@ impl SepoTable {
         executor: &Executor,
         queries: &[&[u8]],
     ) -> Result<LookupOutcome, QueryError> {
-        if !matches!(self.cfg.organization, Organization::Combining(_)) {
-            return Err(QueryError::WrongOrganization {
-                expected: "combining",
-                actual: self.cfg.organization.label(),
-            });
-        }
-        if self.heap.free_pages() != self.heap.total_pages() {
-            return Err(QueryError::NotFinalized);
-        }
+        self.cfg.organization.combiner()?;
+        // Only verified bytes are paged back in: a damaged host page fails
+        // the phase typed instead of answering from it.
+        let host_pages: Vec<VerifiedPage> = self
+            .finalized_host_pages()?
+            .into_iter()
+            .filter(|p| p.kind() == PageKind::Mixed)
+            .collect();
         ensure_batch_fits(queries.len(), u32::MAX as usize)?;
 
         let pending = Bitmap::new(queries.len());
         let results: Box<[AtomicU64]> = (0..queries.len()).map(|_| AtomicU64::new(0)).collect();
-        let host_pages: Vec<(u64, Vec<u8>)> = self
-            .host
-            .pages_in_order()
-            .into_iter()
-            .filter(|(_, kind, _)| *kind == PageKind::Mixed)
-            .map(|(id, _, data)| (id, data.to_vec()))
-            .collect();
 
         let mut rounds = Vec::new();
         let mut cursor = 0usize;
@@ -130,7 +121,7 @@ impl SepoTable {
             let mut loaded = Vec::new();
             let mut loaded_bytes = 0u64;
             while cursor < host_pages.len() {
-                let (_, data) = &host_pages[cursor];
+                let data = host_pages[cursor].bytes();
                 match self.heap.load_page_image(data, PageKind::Mixed) {
                     Some(p) => {
                         loaded.push(p);
@@ -173,7 +164,7 @@ impl SepoTable {
             for p in loaded.iter() {
                 self.heap.release_page(*p);
             }
-            self.reset_heads_for_lookup();
+            self.reset_heads();
 
             let next_pending: Vec<u32> = pending_queries
                 .iter()
@@ -203,40 +194,17 @@ impl SepoTable {
     }
 
     /// Prepend every (non-tombstoned) combining entry of the loaded pages
-    /// into the bucket chains, rewriting the copies' link words.
+    /// into the bucket chains, rewriting the copies' link words (key bytes
+    /// and values are untouched, so `lookup_combining` works as-is).
     fn rebuild_chains_over(&self, pages: &[u32]) {
         for &p in pages {
             let data = self.heap.page_data(p);
             for (off, entry) in PageWalker::new(&data, EntryKind::Combining) {
-                let crate::entry::ParsedEntry::Combining { key, .. } = entry else {
-                    continue;
-                };
-                let bucket = bucket_of(key, self.cfg.n_buckets);
-                let e = DevHandle::new(p, off as u32);
-                // lint: relaxed-ok (quiescent chain rebuild between kernels)
-                let old_raw = self.heads[bucket].load(Ordering::Relaxed);
-                let next = if old_raw == u64::MAX {
-                    Link::NULL
-                } else {
-                    self.heap.link_for(DevHandle::from_raw(old_raw))
-                };
-                self.heap
-                    .write_u64(e, crate::entry::NEXT_DEV, next.dev.to_raw());
-                self.heap
-                    .write_u64(e, crate::entry::NEXT_HOST, next.host.to_raw());
-                // lint: relaxed-ok (quiescent chain rebuild between kernels)
-                self.heads[bucket].store(e.to_raw(), Ordering::Relaxed);
+                if let Some(key) = entry.key() {
+                    let bucket = bucket_of(key, self.cfg.n_buckets);
+                    self.prepend_resident(bucket, DevHandle::new(p, off as u32));
+                }
             }
-        }
-        // The rewritten key bytes/values are untouched; combining::KLEN and
-        // VALUE offsets still hold, so lookup_combining works as-is.
-        let _ = combining::KLEN;
-    }
-
-    fn reset_heads_for_lookup(&self) {
-        for h in self.heads.iter() {
-            // lint: relaxed-ok (quiescent head reset before the lookup kernel)
-            h.store(u64::MAX, Ordering::Relaxed);
         }
     }
 }
@@ -244,7 +212,7 @@ impl SepoTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Combiner, TableConfig};
+    use crate::config::{Combiner, Organization, TableConfig};
     use gpu_sim::charge::NoCharge;
     use gpu_sim::executor::ExecMode;
     use gpu_sim::metrics::Metrics;

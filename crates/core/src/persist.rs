@@ -2,7 +2,7 @@
 //!
 //! The host heap — the CPU-side image of the whole table — is
 //! self-describing, so a finalized table can be written to disk and
-//! restored later for host-side queries ([`crate::hostquery::HostIndex`]),
+//! restored later for host-side queries ([`crate::serve::HostStore`]),
 //! device-side lookup phases ([`crate::lookup`]), or even further insert
 //! iterations (restored heaps continue the host-id sequence so dual
 //! pointers never collide).
@@ -30,10 +30,10 @@
 //! saving such a table is an error.
 
 use crate::config::{Combiner, Organization, TableConfig};
-use crate::integrity::crc32c;
 use crate::table::SepoTable;
 use gpu_sim::metrics::Metrics;
-use sepo_alloc::{HostHeap, PageKind};
+use sepo_alloc::hostheap::read_array;
+use sepo_alloc::{crc32c, StampedPage};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -70,49 +70,6 @@ fn org_from_tag(tag: u8) -> io::Result<Organization> {
                 format!("unknown organization tag {other}"),
             ))
         }
-    })
-}
-
-pub(crate) fn kind_tag(kind: PageKind) -> u8 {
-    match kind {
-        PageKind::Free => 0,
-        PageKind::Mixed => 1,
-        PageKind::Key => 2,
-        PageKind::Value => 3,
-    }
-}
-
-pub(crate) fn kind_from_tag(tag: u8) -> io::Result<PageKind> {
-    Ok(match tag {
-        1 => PageKind::Mixed,
-        2 => PageKind::Key,
-        3 => PageKind::Value,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown page kind tag {other}"),
-            ))
-        }
-    })
-}
-
-/// `read_exact` with truncation mapped to a descriptive [`io::ErrorKind::InvalidData`]
-/// error naming the field that ended early — a truncated image reports
-/// *where* it was cut, not a bare "unexpected end of file". Shared by the
-/// `SEPOHST2` loader here and the `SEPOCKP2` checkpoint reader
-/// ([`crate::checkpoint`]).
-pub(crate) fn read_exact_field<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    what: &str,
-    magic: &str,
-) -> io::Result<()> {
-    r.read_exact(buf).map_err(|e| match e.kind() {
-        io::ErrorKind::UnexpectedEof => io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("truncated {magic} image: unexpected end of input reading {what}"),
-        ),
-        _ => e,
     })
 }
 
@@ -160,14 +117,14 @@ impl SepoTable {
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.push(org_tag(self.config().organization)?);
-        let pages = self.host_heap().pages_with_crcs_in_order();
+        let pages = self.host_heap().pages();
         buf.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        for (id, kind, data, crc) in pages {
-            buf.extend_from_slice(&id.to_le_bytes());
-            buf.push(kind_tag(kind));
-            buf.extend_from_slice(&crc.to_le_bytes());
-            buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&data);
+        for page in pages {
+            // A page that no longer matches its stamp must not be laundered
+            // into an image whose trailer vouches for it.
+            page.verify()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            page.write_record(&mut buf)?;
         }
         append_trailer(&mut buf);
         w.write_all(&buf)
@@ -193,50 +150,27 @@ impl SepoTable {
         }
         let body = verify_trailer(&image, "SEPOHST2")?;
         let r = &mut &body[..];
-        let mut magic = [0u8; 8];
-        read_exact_field(r, &mut magic, "magic", "SEPOHST2")?;
+        let magic: [u8; 8] = read_array(r, "magic", "SEPOHST2")?;
         if &magic != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not a SEPOHST2 image",
             ));
         }
-        let mut tag = [0u8; 1];
-        read_exact_field(r, &mut tag, "organization tag", "SEPOHST2")?;
-        let organization = org_from_tag(tag[0])?;
-        let mut n = [0u8; 4];
-        read_exact_field(r, &mut n, "page count", "SEPOHST2")?;
-        let n_pages = u32::from_le_bytes(n);
+        let [tag] = read_array(r, "organization tag", "SEPOHST2")?;
+        let organization = org_from_tag(tag)?;
+        let n_pages = u32::from_le_bytes(read_array(r, "page count", "SEPOHST2")?);
 
         let cfg = TableConfig::tuned(organization, heap_bytes);
         let table = SepoTable::new(cfg, heap_bytes, metrics);
-        let host = HostHeap::new();
         let mut max_id = 0u64;
         for _ in 0..n_pages {
-            let mut id = [0u8; 8];
-            read_exact_field(r, &mut id, "page host id", "SEPOHST2")?;
-            let id = u64::from_le_bytes(id);
-            let mut k = [0u8; 1];
-            read_exact_field(r, &mut k, "page kind", "SEPOHST2")?;
-            let kind = kind_from_tag(k[0])?;
-            let mut crc = [0u8; 4];
-            read_exact_field(r, &mut crc, "page checksum stamp", "SEPOHST2")?;
-            let crc = u32::from_le_bytes(crc);
-            let mut len = [0u8; 4];
-            read_exact_field(r, &mut len, "page length", "SEPOHST2")?;
-            let len = u32::from_le_bytes(len) as usize;
-            let mut data = vec![0u8; len];
-            read_exact_field(r, &mut data, "page payload", "SEPOHST2")?;
-            if crc32c(&data) != crc {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("SEPOHST2 image: host page {id} failed checksum verification"),
-                ));
-            }
-            host.store(id, kind, data, crc);
-            max_id = max_id.max(id);
+            let page = StampedPage::read_record(r, "SEPOHST2")?;
+            max_id = max_id.max(page.host_id());
+            table.host.store(page);
         }
-        table.adopt_host_heap(host, max_id + 1);
+        // The host-id sequence resumes past every restored page.
+        table.heap.advance_host_ids(max_id + 1);
         Ok(table)
     }
 }
@@ -244,7 +178,7 @@ impl SepoTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hostquery::HostIndex;
+    use crate::serve::HostStore;
     use gpu_sim::charge::NoCharge;
     use gpu_sim::executor::{ExecMode, Executor};
     use std::collections::HashMap;
@@ -290,13 +224,12 @@ mod tests {
         t.save(&mut buf).unwrap();
         let restored =
             SepoTable::load(&mut buf.as_slice(), 4 * 1024, Arc::new(Metrics::new())).unwrap();
-        let before = t.host_heap().pages_with_crcs_in_order();
-        let after = restored.host_heap().pages_with_crcs_in_order();
+        let before = t.host_heap().pages();
+        let after = restored.host_heap().pages();
         assert!(!before.is_empty());
-        assert_eq!(before.len(), after.len());
-        for ((ia, ka, da, ca), (ib, kb, db, cb)) in before.iter().zip(&after) {
-            assert_eq!((ia, ka, da, ca), (ib, kb, db, cb));
-            assert_eq!(crc32c(da), *ca, "stamp must match payload");
+        assert_eq!(before, after, "ids, kinds, stamps and bytes all survive");
+        for page in &after {
+            assert!(page.verify().is_ok(), "stamp must match payload");
         }
     }
 
@@ -307,7 +240,7 @@ mod tests {
         t.save(&mut buf).unwrap();
         let restored =
             SepoTable::load(&mut buf.as_slice(), 8 * 1024, Arc::new(Metrics::new())).unwrap();
-        let idx = HostIndex::build(&restored);
+        let idx = HostStore::of_finalized(&restored).unwrap();
         assert_eq!(idx.get_combined(b"key-0007"), Ok(Some(7)));
         let exec = Executor::new(ExecMode::Deterministic, Arc::clone(restored.metrics()));
         let out = restored.lookup_phase(&exec, &[b"key-0003", b"missing"]);

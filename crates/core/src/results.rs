@@ -7,17 +7,88 @@
 //! applications consume the copied-back heap. Multi-valued results walk key
 //! pages and then follow each key's host-linked value chain, which remains
 //! intact across evictions thanks to the dual-pointer scheme.
+//!
+//! Every host-side reader comes through here: page bytes are only reachable
+//! via [`StampedPage::verify`](sepo_alloc::StampedPage::verify), primary
+//! entries via `primary_entries`, value chains via `walk_value_chain`.
 
 use crate::config::Organization;
-use crate::entry::{EntryKind, PageWalker, ParsedEntry};
+use crate::entry::{parse_at, EntryKind, PageWalker, ParsedEntry};
+use crate::serve::QueryError;
 use crate::table::SepoTable;
-use sepo_alloc::{HostLink, PageKind};
+use sepo_alloc::{CorruptPage, HostLink, VerifiedPage};
 use std::collections::HashMap;
 
 /// Owned multi-valued result: a key with every value inserted for it.
 pub type GroupedPair = (Vec<u8>, Vec<Vec<u8>>);
 
+/// The primary (key-carrying) entries of one verified host page under
+/// `org`, each with the host link that names it. Pages of another kind —
+/// a multi-valued table's value pages — yield nothing.
+pub(crate) fn primary_entries(
+    org: Organization,
+    page: &VerifiedPage,
+) -> impl Iterator<Item = (HostLink, ParsedEntry<'_>)> {
+    let (entry_kind, page_kind) = org.primary_layout();
+    let bytes = if page.kind() == page_kind {
+        page.bytes()
+    } else {
+        &[]
+    };
+    let host_id = page.host_id();
+    PageWalker::new(bytes, entry_kind).map(move |(off, e)| (HostLink::new(host_id, off as u32), e))
+}
+
+/// Walk the host-linked value chain starting at `link`, newest to oldest,
+/// handing each value to `visit`. `page_of` resolves a host id to its
+/// verified page; a link to a page it does not know — never evicted, or
+/// quarantined for a bad checksum — is a typed
+/// [`QueryError::CorruptPage`], not a shorter group.
+pub(crate) fn walk_value_chain<'p>(
+    mut link: HostLink,
+    page_of: impl Fn(u64) -> Option<&'p VerifiedPage>,
+    mut visit: impl FnMut(&'p [u8]),
+) -> Result<(), QueryError> {
+    while !link.is_null() {
+        let host_id = link.host_page();
+        let page = page_of(host_id).ok_or(CorruptPage { host_id })?;
+        let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
+            parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
+        else {
+            break;
+        };
+        visit(value);
+        link = HostLink::from_raw(next_host);
+    }
+    Ok(())
+}
+
 impl SepoTable {
+    /// Refuses while pages are still resident: a host-side read would
+    /// silently miss them.
+    pub(crate) fn ensure_finalized(&self) -> Result<(), QueryError> {
+        if self.heap.free_pages() != self.heap.total_pages() {
+            return Err(QueryError::NotFinalized);
+        }
+        Ok(())
+    }
+
+    /// Every host page of this *finalized* table, verified, in host-id
+    /// (eviction) order — the door all offline readers share. Names the
+    /// first page whose bytes no longer match their stamp.
+    pub(crate) fn finalized_host_pages(&self) -> Result<Vec<VerifiedPage>, QueryError> {
+        self.ensure_finalized()?;
+        let verified: Result<Vec<_>, _> = self.host.pages().iter().map(|p| p.verify()).collect();
+        verified.map_err(QueryError::from)
+    }
+
+    /// [`SepoTable::finalized_host_pages`] for the infallible collectors:
+    /// panics with the typed error's text.
+    fn host_pages_or_panic(&self, caller: &str) -> Vec<VerifiedPage> {
+        self.finalized_host_pages()
+            .unwrap_or_else(|e| panic!("{caller}: {e}"))
+    }
+
     /// Collect `(key, combined value)` pairs of a combining table, in
     /// first-eviction order.
     ///
@@ -31,23 +102,16 @@ impl SepoTable {
     /// here, on the CPU, exactly.
     ///
     /// Requires `finalize()`; panics if pages are still resident (that
-    /// would silently drop data).
+    /// would silently drop data) or a host page fails verification.
     pub fn collect_combining(&self) -> Vec<(Vec<u8>, u64)> {
-        self.assert_finalized();
-        let comb = match self.cfg.organization {
-            Organization::Combining(c) => c,
-            _ => panic!(
-                "collect_combining on a {} table",
-                self.cfg.organization.label()
-            ),
+        let org = self.cfg.organization;
+        let Organization::Combining(comb) = org else {
+            panic!("collect_combining on a {} table", org.label());
         };
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
-        for (_, kind, page) in self.host.pages_in_order() {
-            if kind != PageKind::Mixed {
-                continue;
-            }
-            for (_, e) in PageWalker::new(&page, EntryKind::Combining) {
+        for page in self.host_pages_or_panic("collect_combining") {
+            for (_, e) in primary_entries(org, &page) {
                 if let ParsedEntry::Combining { key, value } = e {
                     match index.get(key) {
                         Some(&i) => out[i].1 = comb.apply(out[i].1, value),
@@ -65,13 +129,9 @@ impl SepoTable {
     /// Collect raw `(key, value)` pairs of a basic table (duplicates
     /// preserved).
     pub fn collect_basic(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
-        self.assert_finalized();
         let mut out = Vec::new();
-        for (_, kind, page) in self.host.pages_in_order() {
-            if kind != PageKind::Mixed {
-                continue;
-            }
-            for (_, e) in PageWalker::new(&page, EntryKind::Basic) {
+        for page in self.host_pages_or_panic("collect_basic") {
+            for (_, e) in primary_entries(Organization::Basic, &page) {
                 if let ParsedEntry::Basic { key, value } = e {
                     out.push((key.to_vec(), value.to_vec()));
                 }
@@ -85,71 +145,43 @@ impl SepoTable {
     /// the same key created in different iterations (see
     /// [`collect_combining`](Self::collect_combining)) are concatenated.
     pub fn collect_multivalued(&self) -> Vec<GroupedPair> {
-        self.assert_finalized();
+        let pages = self.host_pages_or_panic("collect_multivalued");
+        // Pages arrive in host-id order, so a chain link resolves by search.
+        let page_of = |id: u64| {
+            let at = pages.binary_search_by_key(&id, VerifiedPage::host_id);
+            at.ok().map(|i| &pages[i])
+        };
         let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut out: Vec<GroupedPair> = Vec::new();
-        for (_, kind, page) in self.host.pages_in_order() {
-            if kind != PageKind::Key {
-                continue;
-            }
-            for (_, e) in PageWalker::new(&page, EntryKind::Key) {
+        for page in &pages {
+            for (_, e) in primary_entries(Organization::MultiValued, page) {
                 if let ParsedEntry::Key {
                     key,
                     value_host_cont,
                 } = e
                 {
-                    let values = self.follow_value_chain(HostLink::from_raw(value_host_cont));
-                    match index.get(key) {
-                        Some(&i) => out[i].1.extend(values),
+                    let i = match index.get(key) {
+                        Some(&i) => i,
                         None => {
                             index.insert(key.to_vec(), out.len());
-                            out.push((key.to_vec(), values));
+                            out.push((key.to_vec(), Vec::new()));
+                            out.len() - 1
                         }
-                    }
+                    };
+                    let values = &mut out[i].1;
+                    walk_value_chain(HostLink::from_raw(value_host_cont), page_of, |v| {
+                        values.push(v.to_vec())
+                    })
+                    .unwrap_or_else(|e| panic!("collect_multivalued: {e}"));
                 }
             }
         }
         out
     }
 
-    /// Walk a host-linked value chain, newest to oldest (also used by the
-    /// CPU-side [`HostIndex`](crate::hostquery::HostIndex)).
-    pub(crate) fn host_values_from(&self, link: HostLink) -> Vec<Vec<u8>> {
-        self.follow_value_chain(link)
-    }
-
-    /// Walk a host-linked value chain, newest to oldest.
-    fn follow_value_chain(&self, mut link: HostLink) -> Vec<Vec<u8>> {
-        let mut values = Vec::new();
-        while !link.is_null() {
-            let page = self
-                .host
-                .page(link.host_page())
-                .expect("value chain references evicted page that must exist");
-            let off = link.offset() as usize;
-            let Some((entry, _)) = crate::entry::parse_at(&page, off, EntryKind::Value) else {
-                break;
-            };
-            let Some(ParsedEntry::Value { value, next_host }) = entry else {
-                break;
-            };
-            values.push(value.to_vec());
-            link = HostLink::from_raw(next_host);
-        }
-        values
-    }
-
     /// Total distinct host pages + bytes the table occupies in CPU memory.
     pub fn host_footprint(&self) -> (usize, u64) {
         (self.host.len(), self.host.total_bytes())
-    }
-
-    fn assert_finalized(&self) {
-        assert_eq!(
-            self.heap.free_pages(),
-            self.heap.total_pages(),
-            "collect_* requires finalize(): resident pages would be missed"
-        );
     }
 
     /// Convenience for tests and examples: collect whichever result shape

@@ -22,8 +22,7 @@ use crate::bitmap::Bitmap;
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::combiner::{CombinerConfig, WarpCombiner};
 use crate::config::Organization;
-use crate::evict::{EvictReport, EvictedPage};
-use crate::integrity::crc32c;
+use crate::evict::EvictReport;
 use crate::serve::EpochPublisher;
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
@@ -34,6 +33,7 @@ use gpu_sim::{
     CorruptionKind, DeviceMemory, EvictionPipe, FaultPlan, HardFaultError, NoCharge, PcieBus,
     ShadowSanitizer,
 };
+use sepo_alloc::{crc32c, StampedPage};
 use std::any::Any;
 use std::fmt;
 use std::io;
@@ -626,7 +626,7 @@ struct Run<'d> {
     retransmits_baseline: u64,
     /// The last quiescent boundary, under [`DriverConfig::checkpoint`].
     checkpoint: Option<Checkpoint>,
-    pipe: Option<EvictionPipe<EvictedPage>>,
+    pipe: Option<EvictionPipe<StampedPage>>,
     /// Kernels declare their accesses through the lane's charge sink and
     /// the executor forwards them; the driver only stamps the iteration
     /// number, routes eviction's host-side accesses, and reads the verdict.
@@ -1082,11 +1082,11 @@ impl<'d> Run<'d> {
         // them all and re-verify the CRC32C stamp each carried out of the
         // device. Always on under seeded corruption, opt-in otherwise.
         if self.corrupt.is_some() || self.config.scrub {
-            for (host_id, _kind, data, crc) in self.table.host_heap().pages_with_crcs_in_order() {
-                if crc32c(&data) != crc {
+            for page in self.table.host_heap().pages() {
+                if let Err(corrupt) = page.verify() {
                     return Err(SepoError::CorruptPage {
                         at_iteration,
-                        host_id,
+                        host_id: corrupt.host_id,
                         recoveries: self.recovery.integrity_restores,
                     });
                 }

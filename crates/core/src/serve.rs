@@ -23,7 +23,9 @@
 //!   absorbs evicted pages as boundaries land them — no `finalize()`
 //!   required. Every epoch carries a *watermark*: host entries indexed at
 //!   or after it are invisible, so a reader pinned to epoch N never sees a
-//!   partially applied later iteration.
+//!   partially applied later iteration. The same index, built in one go by
+//!   [`HostStore::of_finalized`], is the offline read path over a
+//!   finalized table (`sepo query`).
 //!
 //! Reads never touch the live table: the driver's final image, iteration
 //! trajectory, and metrics are byte-identical with serving on or off
@@ -34,23 +36,24 @@
 //! prices.
 //!
 //! This module also owns [`QueryError`], the typed error surface shared
-//! with the offline query paths ([`crate::HostIndex`], the lookup phase).
+//! with the offline query paths (the collectors, the lookup phase).
 
 use crate::config::{Combiner, Organization};
-use crate::entry::{self, combining, key_entry, value_node, EntryKind, PageWalker, ParsedEntry};
+use crate::entry::{self, combining, key_entry, value_node, EntryKind};
 use crate::hash::bucket_of;
+use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
 use gpu_sim::executor::Executor;
 use parking_lot::{Mutex, RwLock};
-use sepo_alloc::{DevHandle, HostLink, Link, PageKind};
-use std::collections::{HashMap, HashSet};
+use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, VerifiedPage};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Typed errors for the query paths (serving, [`crate::HostIndex`], the
-/// SEPO lookup phase). Replaces the aborts the seed code used.
+/// Typed errors for the query paths (serving, offline [`HostStore`] reads,
+/// the SEPO lookup phase). Replaces the aborts the seed code used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
     /// The operation requires a finalized table (all pages evicted); the
@@ -67,7 +70,7 @@ pub enum QueryError {
     /// path tried to read it (silent corruption caught at the read).
     CorruptPage {
         /// The serving epoch that hit the page; `None` for offline paths
-        /// ([`crate::HostIndex`] builds, lookup-phase reads).
+        /// (finalized-table reads, the lookup phase).
         epoch: Option<u32>,
         /// Host id of the page whose bytes no longer match their stamp.
         host_id: u64,
@@ -106,6 +109,15 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+impl From<CorruptPage> for QueryError {
+    fn from(e: CorruptPage) -> QueryError {
+        QueryError::CorruptPage {
+            epoch: None,
+            host_id: e.host_id,
+        }
+    }
+}
+
 impl QueryError {
     /// Stamp a serving epoch onto a [`QueryError::CorruptPage`] raised by
     /// the shared host-store internals (which do not know which epoch is
@@ -117,6 +129,32 @@ impl QueryError {
                 host_id,
             },
             other => other,
+        }
+    }
+}
+
+impl Organization {
+    /// The combiner of a combining table; the typed refusal of a point
+    /// lookup against any other organization.
+    pub(crate) fn combiner(self) -> Result<Combiner, QueryError> {
+        match self {
+            Organization::Combining(c) => Ok(c),
+            other => Err(QueryError::WrongOrganization {
+                expected: "combining",
+                actual: other.label(),
+            }),
+        }
+    }
+
+    /// The typed refusal of a grouped scan against anything but a
+    /// multi-valued table.
+    pub(crate) fn require_multivalued(self) -> Result<(), QueryError> {
+        match self {
+            Organization::MultiValued => Ok(()),
+            other => Err(QueryError::WrongOrganization {
+                expected: "multi-valued",
+                actual: other.label(),
+            }),
         }
     }
 }
@@ -250,6 +288,19 @@ impl EpochSnapshot {
         page.data.get(off..off + len)
     }
 
+    /// The resident entries of the bucket chain headed by `head_raw`, in
+    /// chain order, ending at the first dead link (or unreadable link word).
+    fn chain(&self, head_raw: u64) -> impl Iterator<Item = DevHandle> + '_ {
+        let first = DevHandle::from_raw(head_raw);
+        std::iter::successors((!first.is_null()).then_some(first), move |&cur| {
+            let next = Link {
+                dev: DevHandle::from_raw(self.read_u64(cur, entry::NEXT_DEV)?),
+                host: HostLink::from_raw(self.read_u64(cur, entry::NEXT_HOST)?),
+            };
+            self.link_live(next).then_some(next.dev)
+        })
+    }
+
     /// Walk the snapshot's bucket chain for `key`, mirroring the live
     /// table's `find_resident`: charge a hop and a header read per entry,
     /// compare lengths before bytes, stop at the first dead link. No shadow
@@ -261,16 +312,9 @@ impl EpochSnapshot {
         kind: EntryKind,
         charge: &mut C,
     ) -> Option<DevHandle> {
-        let (klen_field, key_field) = match kind {
-            EntryKind::Combining => (combining::KLEN, combining::KEY),
-            EntryKind::Key => (key_entry::KLEN, key_entry::KEY),
-            _ => unreachable!("probe_entry serves combining and multi-valued tables"),
-        };
-        let bucket = bucket_of(key, self.n_buckets);
+        let (klen_field, key_field) = kind.key_fields();
         charge.device_bytes(8);
-        let mut cur_raw = self.heads[bucket];
-        while cur_raw != DevHandle::NULL.to_raw() {
-            let cur = DevHandle::from_raw(cur_raw);
+        for cur in self.chain(self.heads[bucket_of(key, self.n_buckets)]) {
             charge.chain_hops(1);
             charge.device_bytes(16);
             let klen = (self.read_u64(cur, klen_field)? & 0xFFFF_FFFF) as usize;
@@ -280,14 +324,6 @@ impl EpochSnapshot {
                     return Some(cur);
                 }
             }
-            let next = Link {
-                dev: DevHandle::from_raw(self.read_u64(cur, entry::NEXT_DEV)?),
-                host: HostLink::from_raw(self.read_u64(cur, entry::NEXT_HOST)?),
-            };
-            if !self.link_live(next) {
-                break;
-            }
-            cur_raw = next.dev.to_raw();
         }
         None
     }
@@ -398,15 +434,7 @@ impl EpochSnapshot {
         executor: &Executor,
         queries: &[&[u8]],
     ) -> Result<Vec<Option<u64>>, QueryError> {
-        let comb = match self.organization {
-            Organization::Combining(c) => c,
-            other => {
-                return Err(QueryError::WrongOrganization {
-                    expected: "combining",
-                    actual: other.label(),
-                })
-            }
-        };
+        let comb = self.organization.combiner()?;
         ensure_batch_fits(queries.len(), self.max_batch)?;
         self.ensure_host_intact()?;
         if queries.is_empty() {
@@ -456,12 +484,7 @@ impl EpochSnapshot {
         executor: &Executor,
         queries: &[&[u8]],
     ) -> Result<Vec<Option<Vec<Vec<u8>>>>, QueryError> {
-        if !matches!(self.organization, Organization::MultiValued) {
-            return Err(QueryError::WrongOrganization {
-                expected: "multi-valued",
-                actual: self.organization.label(),
-            });
-        }
+        self.organization.require_multivalued()?;
         ensure_batch_fits(queries.len(), self.max_batch)?;
         self.ensure_host_intact()?;
         if queries.is_empty() {
@@ -494,9 +517,11 @@ impl EpochSnapshot {
                 None => (Vec::new(), HostLink::NULL),
             };
             self.host
+                .inner
+                .read()
                 .extend_chain(cont, &mut values, &mut host_bytes)
                 .map_err(|e| e.at_epoch(self.iteration))?;
-            values.extend(host_tail);
+            values.extend(host_tail.unwrap_or_default());
             down_bytes += values.iter().map(|v| v.len() as u64 + 8).sum::<u64>();
             merged.push((!values.is_empty()).then_some(values));
         }
@@ -510,22 +535,10 @@ impl EpochSnapshot {
     /// support for oracles and query-load generation; the serving data
     /// path itself goes through [`EpochSnapshot::batch_get`].
     pub fn visible_keys(&self) -> Vec<Vec<u8>> {
-        let kind = match self.organization {
-            Organization::MultiValued => EntryKind::Key,
-            Organization::Basic => EntryKind::Basic,
-            Organization::Combining(_) => EntryKind::Combining,
-        };
-        let (klen_field, key_field) = match kind {
-            EntryKind::Combining => (combining::KLEN, combining::KEY),
-            EntryKind::Key => (key_entry::KLEN, key_entry::KEY),
-            EntryKind::Basic => (entry::basic::LENS, entry::basic::PAYLOAD),
-            EntryKind::Value => unreachable!(),
-        };
+        let (klen_field, key_field) = self.organization.primary_layout().0.key_fields();
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for &head in self.heads.iter() {
-            let mut cur_raw = head;
-            while cur_raw != DevHandle::NULL.to_raw() {
-                let cur = DevHandle::from_raw(cur_raw);
+            for cur in self.chain(head) {
                 let Some(lens) = self.read_u64(cur, klen_field) else {
                     break;
                 };
@@ -533,18 +546,6 @@ impl EpochSnapshot {
                 if let Some(key) = self.read_bytes(cur, key_field, klen) {
                     keys.push(key.to_vec());
                 }
-                let next = Link {
-                    dev: DevHandle::from_raw(
-                        self.read_u64(cur, entry::NEXT_DEV).unwrap_or(u64::MAX),
-                    ),
-                    host: HostLink::from_raw(
-                        self.read_u64(cur, entry::NEXT_HOST).unwrap_or(u64::MAX),
-                    ),
-                };
-                if !self.link_live(next) {
-                    break;
-                }
-                cur_raw = next.dev.to_raw();
             }
         }
         keys.extend(self.host.keys_under(self.watermark));
@@ -557,13 +558,8 @@ impl EpochSnapshot {
     /// page that was quarantined at absorption: the page's entries are
     /// invisible to the index, so any answer could silently miss data.
     fn ensure_host_intact(&self) -> Result<(), QueryError> {
-        match self.host.corrupt_under(self.watermark) {
-            Some(host_id) => Err(QueryError::CorruptPage {
-                epoch: Some(self.iteration),
-                host_id,
-            }),
-            None => Ok(()),
-        }
+        let intact = self.host.intact_under(self.watermark);
+        intact.map_err(|e| QueryError::from(e).at_epoch(self.iteration))
     }
 
     /// One bulk PCIe upload for the deduplicated key batch, charged on the
@@ -603,16 +599,16 @@ struct HostEntryRef {
 
 #[derive(Default)]
 struct HostStoreInner {
-    /// Host page ids already absorbed (pages are immutable once evicted;
-    /// re-stored kept pages replace bytes but keep their indexed prefix
-    /// valid, since host pages only ever grow by appending new entries in
-    /// later evictions under a *new* host id).
-    seen: HashSet<u64>,
+    /// Organization of the table being indexed (set at first absorption).
+    organization: Option<Organization>,
     next_seq: u64,
     entries: HashMap<Vec<u8>, Vec<HostEntryRef>>,
-    /// Own `Arc` clones of absorbed page images: an epoch's host reads are
-    /// isolated from anything the live host heap does afterwards.
-    pages: HashMap<u64, Arc<[u8]>>,
+    /// The absorbed page images, verified once at absorption. They share
+    /// the evicted buffers, and an epoch's host reads are isolated from
+    /// anything the live host heap does afterwards. Pages are immutable
+    /// once evicted — a kept page evicted again with more content leaves
+    /// under a *new* host id — so an id seen once is never re-read.
+    pages: HashMap<u64, VerifiedPage>,
     /// Pages whose bytes failed checksum verification at absorption,
     /// with the sequence number they consumed. They are never indexed;
     /// any epoch whose watermark covers one fails its batches with
@@ -622,18 +618,52 @@ struct HostStoreInner {
 }
 
 impl HostStoreInner {
-    fn read_u64(&self, link: HostLink, field: u32) -> Option<u64> {
-        let page = self.pages.get(&link.host_page())?;
-        let off = (link.offset() + field) as usize;
-        Some(u64::from_le_bytes(page.get(off..off + 8)?.try_into().ok()?))
+    fn read_u64(&self, link: HostLink, field: u32) -> Result<u64, QueryError> {
+        let word = self.pages.get(&link.host_page()).and_then(|page| {
+            let off = (link.offset() + field) as usize;
+            page.bytes().get(off..off + 8)?.try_into().ok()
+        });
+        // A link that lands on a quarantined (or vanished) page.
+        let host_id = link.host_page();
+        Ok(word
+            .map(u64::from_le_bytes)
+            .ok_or(CorruptPage { host_id })?)
+    }
+
+    /// Append the host-linked value chain starting at `link` to `out`.
+    /// Pages a visible entry's chain references were evicted at the same
+    /// boundary or earlier, so they are always absorbed by the time any
+    /// epoch can see the entry; a quarantined page is not among them, so a
+    /// chain crossing into one fails typed rather than truncating.
+    fn extend_chain(
+        &self,
+        link: HostLink,
+        out: &mut Vec<Vec<u8>>,
+        bytes: &mut u64,
+    ) -> Result<(), QueryError> {
+        walk_value_chain(
+            link,
+            |id| self.pages.get(&id),
+            |value| {
+                *bytes += value.len() as u64 + 24;
+                out.push(value.to_vec());
+            },
+        )
     }
 }
 
-/// Incremental host-side index: absorbs evicted pages at each iteration
-/// boundary as the driver publishes epochs, instead of requiring a
-/// finalized table like [`crate::HostIndex`]. Sequence numbers assigned at
-/// absorption order let each epoch see exactly the entries that existed at
-/// its boundary (`seq < watermark`).
+/// The one host-side key index: key → host links of every evicted entry
+/// stored under it, over verified page images. The serving path grows it
+/// incrementally — the publisher absorbs evicted pages at each iteration
+/// boundary, and sequence numbers assigned in absorption order let each
+/// epoch see exactly the entries that existed at its boundary
+/// (`seq < watermark`). Offline readers index a finalized table in one go
+/// with [`HostStore::of_finalized`] and see everything.
+///
+/// Duplicate entries from different SEPO iterations (see
+/// [`results`](crate::results)) are resolved at query time the way the
+/// collectors resolve them: combining values merge through the table's
+/// combiner, multi-valued chains concatenate.
 pub struct HostStore {
     inner: RwLock<HostStoreInner>,
 }
@@ -656,6 +686,55 @@ impl HostStore {
         }
     }
 
+    /// Index a finalized table's whole host image — the CPU side of the
+    /// paper's "eventually accessible from both CPU and GPU sides"
+    /// (§III-B), serving point and grouped lookups straight from the
+    /// evicted pages. Returns [`QueryError::NotFinalized`] while the table
+    /// still has resident pages (the host walk would silently miss them)
+    /// and [`QueryError::CorruptPage`] when a host page's bytes no longer
+    /// match the stamp it was evicted with.
+    pub fn of_finalized(table: &SepoTable) -> Result<HostStore, QueryError> {
+        table.ensure_finalized()?;
+        let store = HostStore::new();
+        let watermark = store.absorb(table);
+        store.intact_under(watermark)?;
+        Ok(store)
+    }
+
+    /// Distinct keys indexed.
+    pub fn len(&self) -> usize {
+        self.inner.read().entries.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Organization of the indexed table. Every `HostStore` handed out
+    /// (or read through an epoch) has absorbed its table at least once.
+    fn organization(&self) -> Organization {
+        let org = self.inner.read().organization;
+        org.expect("a HostStore is read only after its first absorption")
+    }
+
+    /// Combined value of `key` over everything indexed (combining tables):
+    /// partial aggregates from different iterations merge through the
+    /// table's combiner. Returns [`QueryError::WrongOrganization`] on
+    /// non-combining tables.
+    pub fn get_combined(&self, key: &[u8]) -> Result<Option<u64>, QueryError> {
+        let comb = self.organization().combiner()?;
+        self.combined_under(key, u64::MAX, comb, &mut 0)
+    }
+
+    /// All values grouped under `key` over everything indexed
+    /// (multi-valued tables), newest first within each originating
+    /// iteration. Returns [`QueryError::WrongOrganization`] on
+    /// non-multi-valued tables.
+    pub fn get_grouped(&self, key: &[u8]) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
+        self.organization().require_multivalued()?;
+        self.grouped_under(key, u64::MAX, &mut 0)
+    }
+
     /// Absorb every host page the table has that we have not indexed yet,
     /// in ascending host-id order (deterministic sequence numbers), and
     /// return the new watermark. Called by the publisher at quiescent
@@ -663,60 +742,37 @@ impl HostStore {
     /// hard-fault recovery replays boundaries with identical content, so
     /// skipping already-seen ids is safe.
     fn absorb(&self, table: &SepoTable) -> u64 {
-        let kind = match table.config().organization {
-            Organization::MultiValued => EntryKind::Key,
-            Organization::Basic => EntryKind::Basic,
-            Organization::Combining(_) => EntryKind::Combining,
-        };
-        let page_kind = match kind {
-            EntryKind::Key => PageKind::Key,
-            _ => PageKind::Mixed,
-        };
+        let org = table.config().organization;
         let mut inner = self.inner.write();
-        for (host_id, pk, data, crc) in table.host_heap().pages_with_crcs_in_order() {
-            if !inner.seen.insert(host_id) {
+        inner.organization = Some(org);
+        for page in table.host_heap().pages() {
+            let host_id = page.host_id();
+            if inner.pages.contains_key(&host_id) || inner.corrupt.contains_key(&host_id) {
                 continue;
             }
-            if crate::integrity::crc32c(&data) != crc {
+            let seq = inner.next_seq;
+            inner.next_seq += 1;
+            let Ok(page) = page.verify() else {
                 // The page's bytes no longer match the stamp they were
                 // evicted with: quarantine rather than index damaged
                 // data. It still consumes a sequence number, so epochs
                 // published *before* this boundary stay readable.
-                let seq = inner.next_seq;
-                inner.next_seq += 1;
                 inner.corrupt.insert(host_id, seq);
                 continue;
+            };
+            for (link, parsed) in primary_entries(org, &page) {
+                if let Some(key) = parsed.key() {
+                    let refs = inner.entries.entry(key.to_vec()).or_default();
+                    refs.push(HostEntryRef { seq, link });
+                }
             }
-            inner.pages.insert(host_id, Arc::clone(&data));
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            if pk != page_kind {
-                continue;
-            }
-            for (off, parsed) in PageWalker::new(&data, kind) {
-                let key = match parsed {
-                    ParsedEntry::Combining { key, .. } => key,
-                    ParsedEntry::Basic { key, .. } => key,
-                    ParsedEntry::Key { key, .. } => key,
-                    ParsedEntry::Value { .. } => continue,
-                };
-                inner
-                    .entries
-                    .entry(key.to_vec())
-                    .or_default()
-                    .push(HostEntryRef {
-                        seq,
-                        link: HostLink::new(host_id, off as u32),
-                    });
-            }
+            inner.pages.insert(host_id, page);
         }
         inner.next_seq
     }
 
     /// Combined host partial for `key` below `watermark` (combining
-    /// tables). `bytes` accumulates simulated CPU-side read traffic. A
-    /// link that lands on a quarantined (or vanished) page surfaces a
-    /// typed [`QueryError::CorruptPage`], never a panic.
+    /// tables). `bytes` accumulates simulated CPU-side read traffic.
     fn combined_under(
         &self,
         key: &[u8],
@@ -730,12 +786,7 @@ impl HostStore {
         };
         let mut acc: Option<u64> = None;
         for r in refs.iter().filter(|r| r.seq < watermark) {
-            let v = inner
-                .read_u64(r.link, combining::VALUE)
-                .ok_or(QueryError::CorruptPage {
-                    epoch: None,
-                    host_id: r.link.host_page(),
-                })?;
+            let v = inner.read_u64(r.link, combining::VALUE)?;
             *bytes += 8;
             acc = Some(match acc {
                 None => v,
@@ -746,91 +797,39 @@ impl HostStore {
     }
 
     /// Values of every host-indexed key entry for `key` below `watermark`
-    /// (multi-valued tables): each evicted key entry contributes its
-    /// host-linked continuation chain, newest eviction first.
+    /// (multi-valued tables; `None` for a key never evicted): each evicted
+    /// key entry contributes its host-linked continuation chain, in
+    /// eviction order — the order the collectors concatenate them in.
     fn grouped_under(
         &self,
         key: &[u8],
         watermark: u64,
         bytes: &mut u64,
-    ) -> Result<Vec<Vec<u8>>, QueryError> {
+    ) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
         let inner = self.inner.read();
         let Some(refs) = inner.entries.get(key) else {
-            return Ok(Vec::new());
+            return Ok(None);
         };
         let mut values = Vec::new();
-        for r in refs.iter().rev().filter(|r| r.seq < watermark) {
-            let cont = inner.read_u64(r.link, key_entry::VALUE_HOST_CONT).ok_or(
-                QueryError::CorruptPage {
-                    epoch: None,
-                    host_id: r.link.host_page(),
-                },
-            )?;
+        for r in refs.iter().filter(|r| r.seq < watermark) {
+            let cont = inner.read_u64(r.link, key_entry::VALUE_HOST_CONT)?;
             *bytes += 8;
-            Self::walk_chain(&inner, HostLink::from_raw(cont), &mut values, bytes)?;
+            inner.extend_chain(HostLink::from_raw(cont), &mut values, bytes)?;
         }
-        Ok(values)
+        Ok(Some(values))
     }
 
-    /// Append the host-linked value chain starting at `link` to `out`.
-    /// Pages a visible entry's chain references were evicted at the same
-    /// boundary or earlier, so they are always absorbed by the time any
-    /// epoch can see the entry.
-    fn extend_chain(
-        &self,
-        link: HostLink,
-        out: &mut Vec<Vec<u8>>,
-        bytes: &mut u64,
-    ) -> Result<(), QueryError> {
+    /// Refuses with the lowest-id corrupt page an epoch with `watermark`
+    /// can see, if any. Batches against such an epoch fail typed: the
+    /// quarantined page's entries are unrecoverable from the serving side,
+    /// so any answer could silently miss data.
+    fn intact_under(&self, watermark: u64) -> Result<(), CorruptPage> {
         let inner = self.inner.read();
-        Self::walk_chain(&inner, link, out, bytes)
-    }
-
-    fn walk_chain(
-        inner: &HostStoreInner,
-        mut link: HostLink,
-        out: &mut Vec<Vec<u8>>,
-        bytes: &mut u64,
-    ) -> Result<(), QueryError> {
-        while !link.is_null() {
-            let host_id = link.host_page();
-            if inner.corrupt.contains_key(&host_id) {
-                // The chain crosses into a quarantined page: fail typed
-                // rather than silently truncate the group.
-                return Err(QueryError::CorruptPage {
-                    epoch: None,
-                    host_id,
-                });
-            }
-            let Some(page) = inner.pages.get(&host_id) else {
-                break;
-            };
-            let Some((entry, _)) = entry::parse_at(page, link.offset() as usize, EntryKind::Value)
-            else {
-                break;
-            };
-            let Some(ParsedEntry::Value { value, next_host }) = entry else {
-                break;
-            };
-            *bytes += value.len() as u64 + 24;
-            out.push(value.to_vec());
-            link = HostLink::from_raw(next_host);
+        let visible = inner.corrupt.iter().filter(|(_, &seq)| seq < watermark);
+        match visible.map(|(&host_id, _)| host_id).min() {
+            Some(host_id) => Err(CorruptPage { host_id }),
+            None => Ok(()),
         }
-        Ok(())
-    }
-
-    /// The lowest-id corrupt page an epoch with `watermark` can see, if
-    /// any. Batches against such an epoch fail typed: the quarantined
-    /// page's entries are unrecoverable from the serving side, so any
-    /// answer could silently miss data.
-    fn corrupt_under(&self, watermark: u64) -> Option<u64> {
-        let inner = self.inner.read();
-        inner
-            .corrupt
-            .iter()
-            .filter(|(_, &seq)| seq < watermark)
-            .map(|(&id, _)| id)
-            .min()
     }
 
     /// Keys with at least one entry below `watermark`.
@@ -952,6 +951,7 @@ mod tests {
     use gpu_sim::executor::ExecMode;
     use gpu_sim::metrics::Metrics;
     use gpu_sim::{FaultConfig, FaultPlan};
+    use sepo_alloc::{PageKind, StampedPage};
 
     fn serving_exec() -> Executor {
         Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
@@ -1154,13 +1154,13 @@ mod tests {
         assert!(good.batch_get(&exec, &q).is_ok());
         // A silently corrupted page lands in the host heap under a fresh
         // id: its bytes no longer match its eviction-time stamp.
-        let wrong_stamp = crate::integrity::crc32c(b"damaged-bytes") ^ 1;
-        t.host_heap().store(
+        let wrong_stamp = sepo_alloc::crc32c(b"damaged-bytes") ^ 1;
+        t.host_heap().store(StampedPage::from_parts(
             9_999,
             PageKind::Mixed,
             b"damaged-bytes".to_vec(),
             wrong_stamp,
-        );
+        ));
         publisher.publish_boundary(&t, 99, false);
         let bad = publisher.current().unwrap();
         let err = bad.batch_get(&exec, &q).unwrap_err();
@@ -1197,5 +1197,79 @@ mod tests {
             driver_snapshot,
             "serving must never charge the driver's metrics"
         );
+    }
+
+    /// Insert `pairs` directly (no driver) under memory pressure, one SEPO
+    /// iteration per pass, then finalize.
+    fn fill_and_finalize(t: &SepoTable, mut pairs: Vec<(Vec<u8>, Vec<u8>)>) {
+        let mut ch = gpu_sim::NoCharge;
+        let mut guard = 0;
+        while !pairs.is_empty() {
+            pairs.retain(|(k, v)| {
+                let status = match t.config().organization {
+                    Organization::Combining(_) => t.insert_combining(k, 1, &mut ch),
+                    _ => t.insert_multivalued(k, v, &mut ch),
+                };
+                !status.is_success()
+            });
+            t.end_iteration();
+            guard += 1;
+            assert!(guard < 100);
+        }
+        t.finalize();
+    }
+
+    #[test]
+    fn offline_combined_lookups_match_collectors() {
+        let t = table(Organization::Combining(Combiner::Add), 3);
+        // Two hits per key.
+        fill_and_finalize(&t, (0..400).map(|i| (key(i / 2), Vec::new())).collect());
+        let idx = HostStore::of_finalized(&t).unwrap();
+        assert_eq!(idx.len(), 200);
+        assert!(!idx.is_empty());
+        for (k, v) in t.collect_combining() {
+            assert_eq!(idx.get_combined(&k), Ok(Some(v)));
+        }
+        assert_eq!(idx.get_combined(b"absent"), Ok(None));
+        assert!(matches!(
+            idx.get_grouped(&key(0)),
+            Err(QueryError::WrongOrganization {
+                expected: "multi-valued",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn offline_grouped_lookups_match_collectors_in_order() {
+        let t = table(Organization::MultiValued, 4);
+        let pairs = (0..150).map(|i| (key(i % 25), format!("val-{i:04}").into_bytes()));
+        fill_and_finalize(&t, pairs.collect());
+        let idx = HostStore::of_finalized(&t).unwrap();
+        let groups = t.collect_multivalued();
+        assert_eq!(groups.len(), 25);
+        for (k, vs) in groups {
+            assert_eq!(idx.get_grouped(&k), Ok(Some(vs)));
+        }
+        assert_eq!(idx.get_grouped(b"absent"), Ok(None));
+        assert!(matches!(
+            idx.get_combined(&key(0)),
+            Err(QueryError::WrongOrganization {
+                expected: "combining",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn offline_index_refuses_an_unfinalized_table() {
+        let t = table(Organization::Combining(Combiner::Add), 2);
+        t.insert_combining(b"k", 1, &mut gpu_sim::NoCharge);
+        assert!(matches!(
+            HostStore::of_finalized(&t),
+            Err(QueryError::NotFinalized)
+        ));
+        t.finalize();
+        assert!(HostStore::of_finalized(&t).is_ok());
     }
 }

@@ -5,12 +5,10 @@
 //! properties; this module computes them from the finalized host store so
 //! users and the CLI can see what a run actually built.
 
-use crate::config::Organization;
-use crate::entry::{EntryKind, PageWalker, ParsedEntry};
 use crate::hash::bucket_of;
+use crate::results::primary_entries;
 use crate::table::SepoTable;
-use sepo_alloc::PageKind;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Occupancy and chain-shape statistics of a finalized table.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,34 +31,20 @@ pub struct TableStats {
 
 impl SepoTable {
     /// Compute occupancy statistics from the host store (finalized tables
-    /// only — panics otherwise, like the collectors).
+    /// only — panics otherwise, or on a host page that fails verification,
+    /// like the collectors).
     pub fn table_stats(&self) -> TableStats {
-        assert_eq!(
-            self.heap().free_pages(),
-            self.heap().total_pages(),
-            "table_stats requires finalize()"
-        );
-        let (kind, page_kind) = match self.config().organization {
-            Organization::MultiValued => (EntryKind::Key, PageKind::Key),
-            Organization::Basic => (EntryKind::Basic, PageKind::Mixed),
-            Organization::Combining(_) => (EntryKind::Combining, PageKind::Mixed),
-        };
+        let pages = self
+            .finalized_host_pages()
+            .unwrap_or_else(|e| panic!("table_stats: {e}"));
         let mut entries = 0u64;
         let mut per_bucket: HashMap<usize, u64> = HashMap::new();
-        let mut distinct: HashMap<Vec<u8>, ()> = HashMap::new();
-        for (_, pk, page) in self.host_heap().pages_in_order() {
-            if pk != page_kind {
-                continue;
-            }
-            for (_, e) in PageWalker::new(&page, kind) {
-                let key = match e {
-                    ParsedEntry::Combining { key, .. } => key,
-                    ParsedEntry::Basic { key, .. } => key,
-                    ParsedEntry::Key { key, .. } => key,
-                    ParsedEntry::Value { .. } => continue,
-                };
+        let mut distinct: HashSet<&[u8]> = HashSet::new();
+        for page in &pages {
+            for (_, e) in primary_entries(self.config().organization, page) {
+                let Some(key) = e.key() else { continue };
                 entries += 1;
-                if distinct.insert(key.to_vec(), ()).is_none() {
+                if distinct.insert(key) {
                     *per_bucket
                         .entry(bucket_of(key, self.config().n_buckets))
                         .or_insert(0) += 1;
@@ -89,7 +73,7 @@ impl SepoTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Combiner, TableConfig};
+    use crate::config::{Combiner, Organization, TableConfig};
     use gpu_sim::charge::NoCharge;
     use gpu_sim::metrics::Metrics;
     use std::sync::Arc;

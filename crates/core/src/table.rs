@@ -20,7 +20,7 @@ use crate::integrity::IntegrityState;
 use gpu_sim::charge::Charge;
 use gpu_sim::metrics::{ContentionHistogram, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, GroupAllocator, Heap, HostHeap, HostLink, Link, PageClass, PageKind};
+use sepo_alloc::{DevHandle, GroupAllocator, Heap, HostHeap, HostLink, Link, PageClass};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,10 +77,7 @@ impl SepoTable {
     /// the heap with `reserve_remaining` (see the examples).
     pub fn new(cfg: TableConfig, heap_bytes: u64, metrics: Arc<Metrics>) -> Self {
         let heap = Arc::new(Heap::new(heap_bytes, cfg.page_size, Arc::clone(&metrics)));
-        let primary_kind = match cfg.organization {
-            Organization::MultiValued => PageKind::Key,
-            _ => PageKind::Mixed,
-        };
+        let (_, primary_kind) = cfg.organization.primary_layout();
         let groups = GroupAllocator::new(Arc::clone(&heap), cfg.n_groups(), primary_kind);
         let heads = (0..cfg.n_buckets)
             .map(|_| AtomicU64::new(NULL_RAW))
@@ -132,19 +129,6 @@ impl SepoTable {
             // lint: relaxed-ok (quiescent iteration boundary)
             .map(|h| h.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Adopt a restored host image: copy its pages into this table's host
-    /// heap and advance the device heap's host-id sequence past them.
-    pub(crate) fn adopt_host_heap(&self, host: HostHeap, next_host_id: u64) {
-        for (id, kind, data, crc) in host.pages_with_crcs_in_order() {
-            // The restored image's pages are already shared buffers; adopt
-            // them as-is instead of cloning every page. Stamps travel with
-            // the pages so later reads re-verify against the original
-            // eviction-time checksum.
-            self.host.store(id, kind, data, crc);
-        }
-        self.heap.advance_host_ids(next_host_id);
     }
 
     /// Fraction of bucket groups currently postponing allocations — the
@@ -817,6 +801,7 @@ mod tests {
     use super::*;
     use crate::config::Combiner;
     use gpu_sim::charge::NoCharge;
+    use sepo_alloc::PageKind;
 
     fn table(org: Organization, heap_kb: usize) -> SepoTable {
         let cfg = TableConfig::new(org)

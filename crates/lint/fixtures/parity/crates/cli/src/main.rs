@@ -1,4 +1,4 @@
-// Parity fixture (frozen): cross-shard and serving offences in the CLI.
+// Parity fixture (frozen): cross-shard offences in the CLI.
 
 fn peek(run: &ShardedRun) -> u64 {
     let t = &run.shards[2].table;
@@ -12,8 +12,4 @@ fn sanctioned_iteration(run: &ShardedRun) -> usize {
 fn keyless_home(run: &ShardedRun) -> u64 {
     let t = &run.shards[0].table; // lint: shard-ok (shard 0 is the keyless home)
     t.len()
-}
-
-fn offline_query(t: &SepoTable) {
-    let _idx = HostIndex::try_build(t);
 }

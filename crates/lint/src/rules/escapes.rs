@@ -136,8 +136,8 @@ mod tests {
             vec!["relaxed-ok"]
         );
         assert_eq!(
-            markers_in("/* lint: serve-ok (x) and lint: shard-ok */"),
-            vec!["serve-ok", "shard-ok"]
+            markers_in("/* lint: unwrap-ok (x) and lint: shard-ok */"),
+            vec!["unwrap-ok", "shard-ok"]
         );
         assert!(markers_in("// plain comment").is_empty());
     }

@@ -30,11 +30,6 @@ fn path2(toks: &[&Tok], i: usize, a: &str, b: &str) -> bool {
         && is_ident(toks[i + 3], b)
 }
 
-/// `A::B(` — the two-segment path at `i`, immediately called.
-fn path2_call(toks: &[&Tok], i: usize, a: &str, b: &str) -> bool {
-    path2(toks, i, a, b) && i + 4 < toks.len() && is_punct(toks[i + 4], "(")
-}
-
 /// `.name(` with the dot at `i - 1` and `name` at `i`.
 fn method_call(toks: &[&Tok], i: usize, name: &str) -> bool {
     i >= 1
@@ -76,9 +71,7 @@ pub fn check(file: &SourceFile, escapes: &mut Registry) -> Vec<Finding> {
     let metrics = applies("metrics-direct");
     let io = applies("io-unwrap");
     let dma = applies("evict-direct-dma");
-    let serve = applies("serve-snapshot-bypass");
     let shard = applies("cross-shard-direct");
-    let pageio = applies("unchecked-page-io");
 
     let toks: Vec<&Tok> = file.lx.toks.iter().filter(|t| !t.in_attr).collect();
     let mut out = Vec::new();
@@ -164,43 +157,6 @@ pub fn check(file: &SourceFile, escapes: &mut Registry) -> Vec<Finding> {
                  DMA through the EvictionPipe ledger (or annotate a \
                  deliberate direct charge with \
                  `// lint: evict-dma-ok (<why>)`)",
-            );
-        }
-        if serve
-            && (path2(&toks, i, "HostIndex", "build")
-                || path2(&toks, i, "HostIndex", "try_build")
-                || method_call(&toks, i, "pages_in_order"))
-        {
-            emit(
-                &mut out,
-                escapes,
-                rel,
-                t.line,
-                "serve-snapshot-bypass",
-                "finalized-table index or raw host-heap walk on a \
-                 serving path; read through the epoch snapshot / \
-                 incremental HostStore (or annotate a deliberate \
-                 offline use with `// lint: serve-ok (<why>)`)",
-            );
-        }
-        if pageio
-            && (path2_call(&toks, i, "fs", "read")
-                || path2_call(&toks, i, "fs", "write")
-                || path2_call(&toks, i, "fs", "read_to_string")
-                || path2_call(&toks, i, "File", "open")
-                || path2_call(&toks, i, "File", "create")
-                || method_call(&toks, i, "restore_pages"))
-        {
-            emit(
-                &mut out,
-                escapes,
-                rel,
-                t.line,
-                "unchecked-page-io",
-                "raw page/checkpoint image IO on a checksummed path; go \
-                 through the verified write/read-back helpers, or \
-                 annotate a deliberate use with \
-                 `// lint: io-ok (<why>)`",
             );
         }
         if shard
@@ -335,31 +291,6 @@ mod tests {
         assert!(check_one("crates/core/src/sepo.rs", pricing).is_empty());
         let same = "let t = bus.bulk_transfer(b); // lint: evict-dma-ok (final drain)\n";
         assert!(check_one("crates/core/src/evict.rs", same).is_empty());
-    }
-
-    #[test]
-    fn serve_bypass_flagged_only_on_serving_paths() {
-        for pat in [
-            "let idx = HostIndex::build(&table);\n",
-            "let idx = HostIndex::try_build(&table)?;\n",
-            "for (id, pk, page) in table.host_heap().pages_in_order() {\n",
-        ] {
-            for rel in [
-                "crates/core/src/serve.rs",
-                "crates/core/src/sepo.rs",
-                "crates/cli/src/main.rs",
-            ] {
-                assert_eq!(
-                    rules_of(&check_one(rel, pat)),
-                    vec!["serve-snapshot-bypass"],
-                    "{rel}: {pat:?} must be flagged on a serving path"
-                );
-            }
-            assert!(check_one("crates/core/src/hostquery.rs", pat).is_empty());
-            assert!(check_one("crates/core/src/results.rs", pat).is_empty());
-        }
-        let same = "let idx = HostIndex::try_build(&t); // lint: serve-ok (offline query)\n";
-        assert!(check_one("crates/cli/src/main.rs", same).is_empty());
     }
 
     #[test]

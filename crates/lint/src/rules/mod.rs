@@ -188,24 +188,6 @@ pub const RULES: &[RuleSpec] = &[
               (`bulk_transfer_time`) are allowed.",
     },
     RuleSpec {
-        slug: "serve-snapshot-bypass",
-        summary: "finalized-table index or raw host-heap walk on a serving path",
-        severity: Severity::Error,
-        escape: Some("serve-ok"),
-        scope: Scope::Files(&[
-            "crates/core/src/serve.rs",
-            "crates/core/src/sepo.rs",
-            "crates/cli/src/main.rs",
-        ]),
-        doc: "Serving must read through epoch snapshots and the incremental \
-              `HostStore` — a `HostIndex::build(` / `HostIndex::try_build(` \
-              or a raw `.pages_in_order(` host-heap walk on the serving \
-              paths would silently see mid-iteration state and break epoch \
-              pinning. A deliberate use (the publisher's own boundary \
-              absorption, offline query commands) needs a \
-              `// lint: serve-ok (<why>)` comment.",
-    },
-    RuleSpec {
         slug: "cross-shard-direct",
         summary: "direct index into one shard's state outside the router/merge paths",
         severity: Severity::Error,
@@ -251,31 +233,6 @@ pub const RULES: &[RuleSpec] = &[
               method set on every run. (Forwarding needs no rule: a sink \
               implements the trait's two required methods, `add` and \
               `access`, or it does not compile.)",
-    },
-    RuleSpec {
-        slug: "unchecked-page-io",
-        summary: "raw page/checkpoint image IO without checksum verification",
-        severity: Severity::Error,
-        escape: Some("io-ok"),
-        scope: Scope::Files(&[
-            "crates/core/src/checkpoint.rs",
-            "crates/core/src/sepo.rs",
-            "crates/core/src/serve.rs",
-            "crates/core/src/table.rs",
-            "crates/cli/src/main.rs",
-        ]),
-        doc: "Checkpoint and host-image bytes must never be trusted raw: \
-              every persisted image carries a CRC32C trailer (and host \
-              pages carry per-page stamps), and the only sound way to move \
-              them is through the verified helpers in `persist.rs` / \
-              `checkpoint.rs` (write + read-back + `verify_trailer`). A \
-              bare `std::fs::read(` / `std::fs::write(` / `File::open(` / \
-              `File::create(` — or adopting `Arc<[u8]>` page images via \
-              `.restore_pages(` — on these paths can silently accept a \
-              flipped bit. A deliberate use (the verified helpers' own \
-              internals, stamp-verified adoption, non-image IO like \
-              dataset input) needs a `// lint: io-ok (<why>)` comment. \
-              `persist.rs` itself and `#[cfg(test)]` extents are exempt.",
     },
     RuleSpec {
         slug: "stale-escape",
@@ -411,11 +368,7 @@ mod tests {
                 r.slug
             );
         }
-        assert_eq!(
-            RULES.len(),
-            11,
-            "7 legacy rules + unchecked-page-io + 3 cross-file analyses"
-        );
+        assert_eq!(RULES.len(), 9, "6 per-file rules + 3 cross-file analyses");
     }
 
     #[test]
@@ -438,6 +391,6 @@ mod tests {
             assert!(!seen.contains(&r), "marker {r} reused");
             seen.push(r);
         }
-        assert_eq!(seen.len(), 7);
+        assert_eq!(seen.len(), 5);
     }
 }

@@ -5,7 +5,7 @@ use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::NoCharge;
 use sepo_core::{
-    Combiner, HostIndex, InsertStatus, Organization, SepoDriver, SepoTable, TableConfig, TaskResult,
+    Combiner, HostStore, InsertStatus, Organization, SepoDriver, SepoTable, TableConfig, TaskResult,
 };
 use std::sync::Arc;
 
@@ -114,7 +114,7 @@ fn combiner_variants_behave_distinctly() {
 fn host_index_on_empty_table() {
     let t = table(Organization::Combining(Combiner::Add), 64 * 1024);
     t.finalize();
-    let idx = HostIndex::build(&t);
+    let idx = HostStore::of_finalized(&t).unwrap();
     assert!(idx.is_empty());
     assert_eq!(idx.get_combined(b"anything"), Ok(None));
 }

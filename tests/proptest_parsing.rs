@@ -1,12 +1,11 @@
-//! Robustness fuzzing: page walkers and host-heap readers must never
-//! panic, loop forever, or read out of bounds on arbitrary byte images —
-//! the result-enumeration path consumes raw page snapshots, so a corrupted
-//! or truncated image must degrade to "fewer entries", never to UB or a
-//! crash.
+//! Robustness fuzzing: page walkers must never panic, loop forever, or
+//! read out of bounds on arbitrary byte images — a truncated image must
+//! degrade to "fewer entries", never to UB or a crash — and a stamped host
+//! page must hand out its bytes exactly when they still match the stamp.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sepo_alloc::{HostHeap, HostLink, PageKind};
+use sepo_alloc::{CorruptPage, PageKind, StampedPage};
 use sepo_core::entry::{parse_at, EntryKind, PageWalker};
 
 proptest! {
@@ -52,24 +51,31 @@ proptest! {
         }
     }
 
-    /// Host-heap reads on arbitrary links never panic and respect bounds.
+    /// Any page image verifies under its own stamp and survives the record
+    /// round trip; any single flipped bit under the old stamp is refused
+    /// with the page's host id, by `verify` and by the record reader.
     #[test]
-    fn host_heap_reads_are_bounded(
-        data in vec(any::<u8>(), 0..256),
-        page_id in 0u64..4,
-        link_page in 0u64..6,
-        offset in 0u32..512,
-        len in 0usize..512,
+    fn stamped_pages_verify_exactly_when_untouched(
+        data in vec(any::<u8>(), 1..512),
+        host_id in any::<u64>(),
+        bit in any::<usize>(),
     ) {
-        let hh = HostHeap::new();
-        let crc = sepo_core::crc32c(&data);
-        hh.store(page_id, PageKind::Mixed, data.clone(), crc);
-        let link = HostLink::new(link_page, offset);
-        if let Some(read) = hh.read(link, len) {
-            prop_assert_eq!(read.len(), len);
-            prop_assert!(link_page == page_id);
-            prop_assert!(offset as usize + len <= data.len());
-        }
-        let _ = hh.read_u64(link, 0);
+        let page = StampedPage::stamp(host_id, PageKind::Mixed, data.clone());
+        let verified = page.verify().unwrap();
+        prop_assert_eq!(verified.bytes(), &data[..]);
+        let mut record = Vec::new();
+        page.write_record(&mut record).unwrap();
+        prop_assert_eq!(&StampedPage::read_record(&mut &record[..], "SEPOHST2").unwrap(), &page);
+
+        let bit = bit % (data.len() * 8);
+        let mut damaged = data;
+        damaged[bit / 8] ^= 1 << (bit % 8);
+        let damaged = StampedPage::from_parts(host_id, PageKind::Mixed, damaged, page.crc());
+        prop_assert_eq!(damaged.verify().unwrap_err(), CorruptPage { host_id });
+        let mut record = Vec::new();
+        damaged.write_record(&mut record).unwrap();
+        let err = StampedPage::read_record(&mut &record[..], "SEPOHST2").unwrap_err();
+        let expected = format!("SEPOHST2 image: {}", CorruptPage { host_id });
+        prop_assert_eq!(err.to_string(), expected);
     }
 }

@@ -48,11 +48,10 @@ fn combining_single_pair_tasks_yield_one_entry_per_key() {
     // Count raw host entries per key (collect_combining would merge them;
     // the invariant is that there is nothing to merge).
     let mut entry_count: HashMap<Vec<u8>, u32> = HashMap::new();
-    for (_, kind, page) in t.host_heap().pages_in_order() {
-        if kind != PageKind::Mixed {
-            continue;
-        }
-        for (_, e) in PageWalker::new(&page, EntryKind::Combining) {
+    for page in t.host_heap().pages() {
+        assert_eq!(page.kind(), PageKind::Mixed);
+        let page = page.verify().expect("clean run");
+        for (_, e) in PageWalker::new(page.bytes(), EntryKind::Combining) {
             if let ParsedEntry::Combining { key, .. } = e {
                 *entry_count.entry(key.to_vec()).or_insert(0) += 1;
             }
