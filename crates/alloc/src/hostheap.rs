@@ -78,8 +78,8 @@ impl std::error::Error for CorruptPage {}
 
 /// An evicted page image: the never-reused host identity stamped at page
 /// acquisition, the page kind, the CRC32C of the pristine bytes, and the
-/// bytes themselves, shared so that pipes, checkpoints and the host heap
-/// pass one buffer around by refcount.
+/// bytes themselves, shared so that checkpoints, snapshots and the host
+/// heap pass one buffer around by refcount.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StampedPage {
     host_id: u64,

@@ -115,10 +115,8 @@ impl AppConfig {
         self
     }
 
-    /// Evict through the asynchronous double-buffered pipe (the CLI's
-    /// `--evict-overlap`): eviction DMA drains behind the next iteration's
-    /// kernels instead of stalling the boundary. Results are byte-identical
-    /// either way; only the simulated-time pricing changes.
+    /// Price boundary eviction DMA as hidden behind the next iteration's
+    /// kernels; the run is identical (the CLI's `--evict-overlap`).
     pub fn with_evict_overlap(mut self, on: bool) -> Self {
         self.driver.evict_overlap = on;
         self

@@ -17,7 +17,7 @@
 //!   numbering (and therefore postponement resume points) stays identical
 //!   to the unsharded run while each key is stored exactly once.
 //! * [`run_app_sharded`] — drives one application over N shards, each with
-//!   its own executor (device memory, warp pool, eviction pipe) and its own
+//!   its own executor (device memory, warp pool, fault streams) and its own
 //!   SEPO table slice, concurrently on the shared worker pool. The merged
 //!   result is the [`sepo_core::canonical_image`], which is invariant
 //!   across shard counts — N=1 anchors correctness.

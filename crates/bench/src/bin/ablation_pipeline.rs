@@ -10,8 +10,8 @@
 //! A second section prices the *eviction* direction the same way: each
 //! iteration's pipelined upload/kernel segment composed with its boundary
 //! eviction DMA, either strictly alternating (the synchronous boundary) or
-//! with each eviction draining behind the next segment (the
-//! `--evict-overlap` pipe) — the same recurrence, run device→host.
+//! with each eviction draining behind the next segment (how a run with
+//! `--evict-overlap on` is priced) — the same recurrence, run device→host.
 
 use gpu_sim::clock::SimTime;
 use gpu_sim::cost::GpuCostModel;
@@ -120,13 +120,13 @@ fn main() {
             });
         }
         let boundaries = evictions.iter().filter(|e| **e > SimTime::ZERO).count();
-        let evict_piped = pipelined_total(&segments, &evictions);
+        let evict_overlapped = pipelined_total(&segments, &evictions);
         let evict_serial = serial_total(&segments, &evictions);
-        let evict_saved = evict_serial - evict_piped;
+        let evict_saved = evict_serial - evict_overlapped;
         evict_table.row(vec![
             chunk_tasks.to_string(),
             boundaries.to_string(),
-            evict_piped.to_string(),
+            evict_overlapped.to_string(),
             evict_serial.to_string(),
             format!(
                 "{evict_saved} ({:.0}%)",
@@ -136,7 +136,7 @@ fn main() {
         evict_json.push(serde_json::json!({
             "chunk_tasks": chunk_tasks,
             "eviction_boundaries": boundaries,
-            "pipelined_seconds": evict_piped.as_secs_f64(),
+            "pipelined_seconds": evict_overlapped.as_secs_f64(),
             "serial_seconds": evict_serial.as_secs_f64(),
         }));
     }
@@ -146,8 +146,8 @@ fn main() {
     table.print();
     evict_table.note(format!(
         "heap tightened to 1/64 to force mid-run boundaries; eviction DMA \
-         drained behind the next iteration's segment (the --evict-overlap \
-         pipe) vs strictly alternating; heap = {tight_heap} B"
+         priced as overlapped (drained behind the next iteration's segment) \
+         vs strictly alternating; heap = {tight_heap} B"
     ));
     evict_table.print();
     sepo_bench::write_json(

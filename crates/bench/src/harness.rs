@@ -1,6 +1,6 @@
 //! Shared scaffolding for the regression bench binaries.
 //!
-//! The `overlap`, `chaos`, `serving` and `shards` bins all follow the same
+//! The `chaos`, `serving` and `shards` bins all follow the same
 //! shape: run the seven §VI applications at the regression scale under the
 //! parallel-deterministic executor with the cross-layer audit and the
 //! shadow sanitizer on, capture a byte-comparable artifact bundle per run,

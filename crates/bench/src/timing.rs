@@ -123,10 +123,10 @@ pub fn sharded_total_time(
     let evict_overlap = shards.iter().all(|(o, _)| o.evict_overlap);
     // Compose each iteration's pipelined upload/kernel segment with its
     // boundary eviction. Synchronous boundaries alternate strictly:
-    // segment, eviction, segment, … With `evict_overlap` the eviction pipe
-    // lets boundary i's DMA drain behind segment i+1, which is exactly the
-    // BigKernel makespan recurrence with segments as the "transfer" lane
-    // and evictions as the "compute" lane:
+    // segment, eviction, segment, … A run priced with `evict_overlap`
+    // assumes boundary i's DMA drains behind segment i+1, which is exactly
+    // the BigKernel makespan recurrence with segments as the "transfer"
+    // lane and evictions as the "compute" lane:
     // s_1 + Σ max(s_i, e_{i-1}) + e_n.
     let body = if evict_overlap {
         pipelined_total(&segments, &evictions)
@@ -271,7 +271,7 @@ mod tests {
         assert!(serial.n_iterations() > 1, "the fixture must evict");
         assert_eq!(
             serial.iterations, overlap.iterations,
-            "the pipe must not change the trajectory it prices"
+            "the pricing bit must not change the trajectory it prices"
         );
         let ts = gpu_total_time(&serial, &hs, &spec);
         let to = gpu_total_time(&overlap, &ho, &spec);

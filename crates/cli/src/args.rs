@@ -30,10 +30,9 @@ pub struct Flags {
     /// Seed for hard-fault chaos injection (device loss, poisoned
     /// launches). Turns on in-memory checkpointing so the run survives.
     pub chaos_seed: Option<u64>,
-    /// Asynchronous double-buffered eviction (`--evict-overlap on|off`):
-    /// iteration-boundary eviction DMA drains behind the next iteration's
-    /// kernels. Default off (the paper's synchronous boundary); results
-    /// are byte-identical either way.
+    /// Price boundary eviction DMA as hidden behind the next iteration's
+    /// kernels; the run is identical (`--evict-overlap on|off`). Default
+    /// off (the paper's synchronous boundary).
     pub evict_overlap: bool,
     /// Mixed-workload serving (`--serve`): publish an epoch snapshot at
     /// every iteration boundary and answer `--queries`-scaled point

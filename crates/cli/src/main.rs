@@ -15,10 +15,10 @@
 //!   --combiner on|off                    thread-block software combiner in front
 //!                                        of combining tables (default on;
 //!                                        results identical either way)
-//!   --evict-overlap on|off               asynchronous double-buffered eviction
-//!                                        DMA behind the next iteration's
-//!                                        kernels (default off; results
-//!                                        identical either way)
+//!   --evict-overlap on|off               price boundary eviction DMA as
+//!                                        hidden behind the next iteration's
+//!                                        kernels (default off); the run is
+//!                                        identical
 //!   --sanitize                           shadow-memory sanitizer over every
 //!                                        declared device access (panics on a
 //!                                        violation; results identical either
@@ -58,7 +58,7 @@
 //!                                        devices (power of two, default 1);
 //!                                        each shard owns a hash-prefix slice
 //!                                        of the key space with its own heap,
-//!                                        warp pool, and eviction pipe, and
+//!                                        warp pool, and fault streams, and
 //!                                        the merged canonical image is
 //!                                        checked against an unsharded
 //!                                        reference run; shard i draws its
@@ -353,7 +353,7 @@ fn total<T>(items: &[T], of: impl Fn(&T) -> u64) -> u64 {
 }
 
 /// `sepo run`: the app over `--shards N` simulated devices (per-shard
-/// device heap, warp pool, eviction pipe, fault streams; N = 1 is the
+/// device heap, warp pool, fault streams; N = 1 is the
 /// single-device run). For N > 1 an unsharded reference run follows, the
 /// merged canonical image is checked against it, and divergence fails the
 /// process after the `sharded image vs 1 device: …` line CI greps for.

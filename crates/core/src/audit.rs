@@ -20,13 +20,9 @@
 //!   remain resident afterwards.
 //! * **host-heap growth** — the CPU-side store gains exactly one page and
 //!   exactly `evicted_bytes` bytes per evicted page (host ids are unique
-//!   per acquisition, so nothing is silently replaced). With the async
-//!   eviction pipe, pages whose DMA is still in flight are neither
-//!   device-resident nor host-adopted; the driver reports them via
-//!   [`InFlightEviction`] and the growth checks count them as evicted but
-//!   not yet arrived.
-//! * **device ledger** (when a [`DeviceMemory`] is attached) — the
-//!   capacity ledger's used total equals the sum of its live reservations.
+//!   per acquisition, so nothing is silently replaced). Eviction stores
+//!   every page before it returns, so the books balance exactly at every
+//!   boundary.
 //!
 //! A violation is a *bug*, not an environmental condition, so the driver
 //! panics on one; [`TableAudit`] itself reports
@@ -35,7 +31,6 @@
 use crate::bitmap::Bitmap;
 use crate::evict::EvictReport;
 use crate::table::SepoTable;
-use gpu_sim::DeviceMemory;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -55,18 +50,6 @@ impl fmt::Display for AuditViolation {
 }
 
 impl std::error::Error for AuditViolation {}
-
-/// Evicted pages whose DMA has not yet completed: already off the device,
-/// not yet adopted by the host heap. The driver snapshots the eviction
-/// pipe's ledger here at each audit point; both fields are zero when the
-/// pipe is disabled or quiesced.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InFlightEviction {
-    /// Page images in flight.
-    pub pages: usize,
-    /// Bytes across those images.
-    pub bytes: u64,
-}
 
 macro_rules! ensure {
     ($cond:expr, $check:expr, $($fmt:tt)+) => {
@@ -93,7 +76,6 @@ pub struct TableAudit {
     cum_evicted_pages: usize,
     cum_evicted_bytes: u64,
     iterations_checked: u64,
-    device: Option<DeviceMemory>,
 }
 
 impl TableAudit {
@@ -105,14 +87,7 @@ impl TableAudit {
             cum_evicted_pages: 0,
             cum_evicted_bytes: 0,
             iterations_checked: 0,
-            device: None,
         }
-    }
-
-    /// Also verify the reservation ledger of `device` at every check.
-    pub fn with_device(mut self, device: DeviceMemory) -> Self {
-        self.device = Some(device);
-        self
     }
 
     /// Iteration boundaries successfully checked so far.
@@ -121,8 +96,7 @@ impl TableAudit {
     }
 
     /// Structural checks valid at any quiescent point: heap page
-    /// accounting, host-id uniqueness, and (if attached) the device
-    /// capacity ledger.
+    /// accounting and host-id uniqueness.
     pub fn check_structure(&self, table: &SepoTable) -> Result<(), AuditViolation> {
         let heap = table.heap();
         let resident = heap.resident_pages();
@@ -150,14 +124,6 @@ impl TableAudit {
                 "host id {id} stamped on two resident pages"
             );
         }
-        if let Some(device) = &self.device {
-            if let Err(detail) = device.verify_ledger() {
-                return Err(AuditViolation {
-                    check: "device-ledger",
-                    detail,
-                });
-            }
-        }
         Ok(())
     }
 
@@ -167,9 +133,7 @@ impl TableAudit {
     ///   it derived from it;
     /// * `used_before_evict` — `heap().stats().used_bytes` captured
     ///   immediately before `end_iteration()`;
-    /// * `evict` — that eviction's report;
-    /// * `in_flight` — the eviction pipe's unadopted pages at this
-    ///   boundary (zeroes when overlap is off).
+    /// * `evict` — that eviction's report.
     pub fn check_iteration(
         &mut self,
         table: &SepoTable,
@@ -177,7 +141,6 @@ impl TableAudit {
         pending_after: usize,
         used_before_evict: u64,
         evict: &EvictReport,
-        in_flight: InFlightEviction,
     ) -> Result<(), AuditViolation> {
         let set = done.count_set();
         ensure!(
@@ -192,23 +155,20 @@ impl TableAudit {
             "{set} done bits + {pending_after} pending tasks != {} tasks",
             done.len()
         );
-        self.check_eviction(table, used_before_evict, evict, in_flight)?;
+        self.check_eviction(table, used_before_evict, evict)?;
         self.iterations_checked += 1;
         Ok(())
     }
 
     /// Check the run-ending `finalize()` eviction (no bitmap check: the
     /// run may have stopped at the iteration cap with tasks pending).
-    /// The driver quiesces the pipe before finalizing, so `in_flight` is
-    /// normally zero here.
     pub fn check_final(
         &mut self,
         table: &SepoTable,
         used_before_evict: u64,
         evict: &EvictReport,
-        in_flight: InFlightEviction,
     ) -> Result<(), AuditViolation> {
-        self.check_eviction(table, used_before_evict, evict, in_flight)
+        self.check_eviction(table, used_before_evict, evict)
     }
 
     fn check_eviction(
@@ -216,7 +176,6 @@ impl TableAudit {
         table: &SepoTable,
         used_before_evict: u64,
         evict: &EvictReport,
-        in_flight: InFlightEviction,
     ) -> Result<(), AuditViolation> {
         ensure!(
             evict.evicted_bytes + evict.kept_bytes == used_before_evict,
@@ -236,18 +195,16 @@ impl TableAudit {
         self.cum_evicted_bytes += evict.evicted_bytes;
         let host_pages = table.host_heap().len() - self.host_pages_baseline;
         ensure!(
-            host_pages + in_flight.pages == self.cum_evicted_pages,
+            host_pages == self.cum_evicted_pages,
             "host-heap-page-growth",
-            "host heap grew by {host_pages} pages + {} in flight, but {} were evicted",
-            in_flight.pages,
+            "host heap grew by {host_pages} pages, but {} were evicted",
             self.cum_evicted_pages
         );
         let host_bytes = table.host_heap().total_bytes() - self.host_bytes_baseline;
         ensure!(
-            host_bytes + in_flight.bytes == self.cum_evicted_bytes,
+            host_bytes == self.cum_evicted_bytes,
             "host-heap-byte-growth",
-            "host heap grew by {host_bytes} bytes + {} in flight, but {} were evicted",
-            in_flight.bytes,
+            "host heap grew by {host_bytes} bytes, but {} were evicted",
             self.cum_evicted_bytes
         );
         self.check_structure(table)
@@ -289,21 +246,12 @@ mod tests {
         assert!(used_before > 0);
         let evict = t.end_iteration();
         audit
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                used_before,
-                &evict,
-                InFlightEviction::default(),
-            )
+            .check_iteration(&t, &done, 0, used_before, &evict)
             .unwrap();
         assert_eq!(audit.iterations_checked(), 1);
         let used = t.heap().stats().used_bytes;
         let fin = t.finalize();
-        audit
-            .check_final(&t, used, &fin, InFlightEviction::default())
-            .unwrap();
+        audit.check_final(&t, used, &fin).unwrap();
     }
 
     #[test]
@@ -314,9 +262,7 @@ mod tests {
         done.set(0);
         // 1 done + 5 pending != 10 tasks.
         let evict = EvictReport::default();
-        let v = audit
-            .check_iteration(&t, &done, 5, 0, &evict, InFlightEviction::default())
-            .unwrap_err();
+        let v = audit.check_iteration(&t, &done, 5, 0, &evict).unwrap_err();
         assert_eq!(v.check, "bitmap-vs-pending");
         assert_eq!(audit.iterations_checked(), 0);
     }
@@ -332,7 +278,7 @@ mod tests {
         // Claim 100 bytes were resident, but report nothing moved or kept.
         let evict = EvictReport::default();
         let v = audit
-            .check_iteration(&t, &done, 0, 100, &evict, InFlightEviction::default())
+            .check_iteration(&t, &done, 0, 100, &evict)
             .unwrap_err();
         assert_eq!(v.check, "eviction-byte-conservation");
         assert!(v.to_string().contains("eviction-byte-conservation"));
@@ -347,14 +293,7 @@ mod tests {
         t.host_heap().store(page);
         let done = Bitmap::new(0);
         let v = audit
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                0,
-                &EvictReport::default(),
-                InFlightEviction::default(),
-            )
+            .check_iteration(&t, &done, 0, 0, &EvictReport::default())
             .unwrap_err();
         assert_eq!(v.check, "host-heap-page-growth");
     }
@@ -368,24 +307,8 @@ mod tests {
         let mut audit = TableAudit::begin(&t);
         let done = Bitmap::new(0);
         audit
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                0,
-                &EvictReport::default(),
-                InFlightEviction::default(),
-            )
+            .check_iteration(&t, &done, 0, 0, &EvictReport::default())
             .unwrap();
-    }
-
-    #[test]
-    fn attached_device_ledger_is_verified() {
-        let t = table(Organization::Combining(Combiner::Add), 4);
-        let dev = DeviceMemory::new(10_000);
-        let _r = dev.reserve("table heap", 4 * 1024).unwrap();
-        let audit = TableAudit::begin(&t).with_device(dev);
-        audit.check_structure(&t).unwrap();
     }
 
     #[test]
@@ -408,80 +331,10 @@ mod tests {
         let evict = t.end_iteration();
         assert!(evict.kept_pages > 0, "pending key page must be kept");
         audit
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                used_before,
-                &evict,
-                InFlightEviction::default(),
-            )
+            .check_iteration(&t, &done, 0, used_before, &evict)
             .unwrap();
         let used = t.heap().stats().used_bytes;
         let fin = t.finalize();
-        audit
-            .check_final(&t, used, &fin, InFlightEviction::default())
-            .unwrap();
-    }
-
-    /// With the eviction pipe armed, pages sit between device and host
-    /// while their DMA drains: the growth checks must accept them when the
-    /// driver reports them in flight, and still catch the books being
-    /// cooked (claiming zero in flight while adoption is deferred).
-    #[test]
-    fn in_flight_pages_reconcile_host_growth() {
-        use gpu_sim::{DeviceMemory, EvictionPipe, PcieBus, PcieSpec};
-        let t = table(Organization::Combining(Combiner::Add), 8);
-        let mut audit = TableAudit::begin(&t);
-        let mut c = NoCharge;
-        for i in 0..40 {
-            assert!(t
-                .insert_combining(format!("k{i}").as_bytes(), 1, &mut c)
-                .is_success());
-        }
-        let done = Bitmap::new(0);
-        let dev = DeviceMemory::new(4 * 1024);
-        let bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
-        let mut pipe = EvictionPipe::new(&dev, bus, 1024).unwrap();
-        let used_before = t.heap().stats().used_bytes;
-        let evict = t.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
-        // Claiming the pipe is empty while adoption is deferred must trip
-        // the page-growth check.
-        let v = audit
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                used_before,
-                &evict,
-                InFlightEviction::default(),
-            )
-            .unwrap_err();
-        assert_eq!(v.check, "host-heap-page-growth");
-        // Reporting the true ledger reconciles the books...
-        let mut honest = TableAudit::begin(&t);
-        honest
-            .check_iteration(
-                &t,
-                &done,
-                0,
-                used_before,
-                &evict,
-                InFlightEviction {
-                    pages: pipe.in_flight(),
-                    bytes: pipe.in_flight_bytes(),
-                },
-            )
-            .unwrap();
-        // ...and so does adopting everything with a drained pipe.
-        t.adopt_evicted(pipe.quiesce());
-        let mut adopted = TableAudit::begin(&t);
-        adopted.host_pages_baseline = 0;
-        adopted.host_bytes_baseline = 0;
-        adopted.cum_evicted_pages = evict.evicted_pages;
-        adopted.cum_evicted_bytes = evict.evicted_bytes;
-        adopted
-            .check_final(&t, 0, &EvictReport::default(), InFlightEviction::default())
-            .unwrap();
+        audit.check_final(&t, used, &fin).unwrap();
     }
 }

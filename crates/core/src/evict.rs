@@ -27,7 +27,6 @@ use crate::hash::bucket_of;
 use crate::integrity::{self, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
-use gpu_sim::evict_pipe::EvictionPipe;
 use gpu_sim::faults::{CorruptionError, CorruptionKind};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
@@ -60,42 +59,14 @@ impl SepoTable {
     /// End-of-iteration eviction per the table's organization. Quiescent
     /// callers only.
     pub fn end_iteration(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, None, false)
+        self.evict_boundary(&mut NoCharge, false)
     }
 
     /// Evict everything that remains (kept pages included). Call once after
     /// the last iteration; afterwards the result collectors see the full
     /// table in the host heap.
     pub fn finalize(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, None, true)
-    }
-
-    /// Store pipe-drained page images in the host heap under their stamped
-    /// identities, verifying each image's checksum stamp first. The
-    /// `Arc`-shared payloads make this copy-free. A stamp mismatch here
-    /// means in-flight corruption survived retransmission: the witness is
-    /// recorded and the driver aborts the run with
-    /// `SepoError::CorruptTransfer` at the next boundary (the damaged
-    /// image is quarantined, never stored).
-    pub fn adopt_evicted(&self, pages: impl IntoIterator<Item = StampedPage>) {
-        for pg in pages {
-            if let Err(corrupt) = pg.verify() {
-                let draw = self
-                    .integrity
-                    .corrupting_plan()
-                    .map_or(0, |p| p.corruption_draws(CorruptionKind::PcieBitFlip));
-                self.integrity.note_failure(TransferFailure {
-                    host_id: corrupt.host_id,
-                    error: CorruptionError {
-                        kind: CorruptionKind::PcieBitFlip,
-                        draw,
-                    },
-                });
-                continue;
-            }
-            self.integrity.note_verified();
-            self.host.store(pg);
-        }
+        self.evict_boundary(&mut NoCharge, true)
     }
 
     /// Model one page image crossing the PCIe bus under the integrity
@@ -139,30 +110,16 @@ impl SepoTable {
         page
     }
 
-    /// Copy one page off the device under its stamped identity and release
-    /// it — into the host heap directly, or onto the eviction pipe for
-    /// deferred adoption. Declares the page's logical identity evicted
-    /// *before* the release, while the identity is still readable: with a
-    /// pipe destination this is the enqueue-time epoch stamp (the page is
-    /// logically dead to the device the moment it is selected, even though
-    /// its DMA completes later).
-    fn evict_page<C: Charge>(
-        &self,
-        p: u32,
-        charge: &mut C,
-        pipe: &mut Option<&mut EvictionPipe<StampedPage>>,
-    ) -> EvictReport {
+    /// Copy one page off the device under its stamped identity into the
+    /// host heap and release it. Declares the page's logical identity
+    /// evicted *before* the release, while the identity is still readable.
+    fn evict_page<C: Charge>(&self, p: u32, charge: &mut C) -> EvictReport {
         let host_id = self.heap.host_id(p);
         charge.access(ShadowAddr::Page(host_id), AccessKind::Evicted);
         let data = self.heap.page_data(p);
         let bytes = data.len() as u64;
-        let page = self.wire_page(host_id, self.heap.page_kind(p), data);
-        match pipe {
-            None => self.host.store(page),
-            Some(pipe) => {
-                pipe.enqueue(page, bytes);
-            }
-        }
+        self.host
+            .store(self.wire_page(host_id, self.heap.page_kind(p), data));
         self.heap.release_page(p);
         EvictReport {
             evicted_pages: 1,
@@ -182,19 +139,11 @@ impl SepoTable {
     /// machinery's own writes stay exempt from race rules (the device is
     /// quiescent).
     ///
-    /// With `pipe`, host adoption is **deferred**: evicted page images are
-    /// enqueued on it (their DMA issued on the bus ledger) instead of being
-    /// stored in the host heap inline. The device-side effects — page
-    /// release, head resets, chain rebuilds — and the returned report are
-    /// identical to the synchronous path; the shadow use-after-evict epoch
-    /// is stamped at enqueue. The caller adopts the images at
-    /// transfer-completion points via [`SepoTable::adopt_evicted`].
-    pub fn evict_boundary<C: Charge>(
-        &self,
-        charge: &mut C,
-        mut pipe: Option<&mut EvictionPipe<StampedPage>>,
-        force: bool,
-    ) -> EvictReport {
+    /// Every evicted page is stamped and stored in the host heap before
+    /// this returns. Whether its DMA is *priced* as hidden behind the next
+    /// iteration's kernels is a benchmark-layer decision
+    /// (`SepoOutcome::evict_overlap`); the eviction itself is one path.
+    pub fn evict_boundary<C: Charge>(&self, charge: &mut C, force: bool) -> EvictReport {
         let mut report = EvictReport::default();
         let resident = self.heap.resident_pages();
         let key_pages: Vec<u32> = resident
@@ -232,7 +181,7 @@ impl SepoTable {
         //    which have no key pages, so for them this is the whole
         //    eviction — always leave.
         for &p in &other_pages {
-            report.absorb(self.evict_page(p, charge, &mut pipe));
+            report.absorb(self.evict_page(p, charge));
         }
 
         // 3. Key pages leave unless they hold pending keys (or we are
@@ -261,7 +210,7 @@ impl SepoTable {
                 report.kept_pages += 1;
                 report.kept_bytes += self.heap.page_used(p) as u64;
             } else {
-                report.absorb(self.evict_page(p, charge, &mut pipe));
+                report.absorb(self.evict_page(p, charge));
             }
         }
 
@@ -492,7 +441,7 @@ mod tests {
         let stale = ShadowAddr::Page(t.heap().host_id(page));
 
         // ...the iteration boundary evicts everything...
-        t.evict_boundary(&mut sz.host_charge(), None, false);
+        t.evict_boundary(&mut sz.host_charge(), false);
 
         // ...and the next launch dereferences the stale handle.
         sz.set_iteration(2);
@@ -515,71 +464,6 @@ mod tests {
         assert_eq!(w.iteration, 2);
     }
 
-    fn test_pipe() -> EvictionPipe<StampedPage> {
-        use gpu_sim::{DeviceMemory, PcieBus, PcieSpec};
-        let dev = DeviceMemory::new(4 * 1024);
-        let bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
-        EvictionPipe::new(&dev, bus, 1024).unwrap()
-    }
-
-    /// Piped eviction must be observationally identical to the synchronous
-    /// path — same report, same device state — with host adoption simply
-    /// deferred until the pipe drains.
-    #[test]
-    fn piped_eviction_defers_adoption_but_matches_synchronous_results() {
-        let sync = table(Organization::Combining(Combiner::Add), 8);
-        let piped = table(Organization::Combining(Combiner::Add), 8);
-        let mut c = NoCharge;
-        for i in 0..20 {
-            let k = format!("k{i}");
-            assert!(sync.insert_combining(k.as_bytes(), 1, &mut c).is_success());
-            assert!(piped.insert_combining(k.as_bytes(), 1, &mut c).is_success());
-        }
-        let mut pipe = test_pipe();
-        let r_sync = sync.end_iteration();
-        let r_piped = piped.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
-        assert_eq!(r_sync, r_piped, "reports must not depend on the path");
-        assert_eq!(piped.heap().free_pages(), piped.heap().total_pages());
-        // Adoption is deferred: nothing host-side until the pipe drains.
-        assert_eq!(piped.host_heap().len(), 0);
-        assert_eq!(pipe.in_flight(), r_piped.evicted_pages);
-        assert_eq!(pipe.in_flight_bytes(), r_piped.evicted_bytes);
-        piped.adopt_evicted(pipe.quiesce());
-        assert_eq!(piped.host_heap().pages(), sync.host_heap().pages());
-    }
-
-    /// Same parity property for the multi-valued policy, whose eviction
-    /// rewrites continuations and keeps pending key pages resident.
-    #[test]
-    fn piped_multivalued_eviction_matches_synchronous_results() {
-        let sync = table(Organization::MultiValued, 2);
-        let piped = table(Organization::MultiValued, 2);
-        let mut c = NoCharge;
-        for t in [&sync, &piped] {
-            assert!(t.insert_multivalued(b"key", b"v0", &mut c).is_success());
-            for i in 0..60 {
-                let v = format!("value-{i:03}-padding-padding");
-                if !t
-                    .insert_multivalued(b"key", v.as_bytes(), &mut c)
-                    .is_success()
-                {
-                    break;
-                }
-            }
-        }
-        let mut pipe = test_pipe();
-        let r_sync = sync.end_iteration();
-        let r_piped = piped.evict_boundary(&mut NoCharge, Some(&mut pipe), false);
-        assert_eq!(r_sync, r_piped);
-        assert_eq!(r_piped.kept_pages, 1, "pending key page stays either way");
-        piped.adopt_evicted(pipe.quiesce());
-        assert_eq!(piped.host_heap().pages(), sync.host_heap().pages());
-        // The kept key remains appendable after the piped boundary too.
-        assert!(piped
-            .insert_multivalued(b"key", b"v-next", &mut c)
-            .is_success());
-    }
-
     /// The host is allowed to keep touching evicted identities (that is the
     /// whole point of eviction) — only device accesses are findings.
     #[test]
@@ -593,7 +477,7 @@ mod tests {
         let addr = ShadowAddr::Page(t.heap().host_id(page));
 
         let sz = ShadowSanitizer::new();
-        t.evict_boundary(&mut sz.host_charge(), None, false);
+        t.evict_boundary(&mut sz.host_charge(), false);
         sz.record_host(addr, AccessKind::PlainRead);
         assert_eq!(sz.finding_count(), 0);
     }

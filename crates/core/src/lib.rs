@@ -65,7 +65,7 @@ pub mod shard;
 pub mod stats;
 pub mod table;
 
-pub use audit::{AuditViolation, InFlightEviction, TableAudit};
+pub use audit::{AuditViolation, TableAudit};
 pub use bitmap::Bitmap;
 pub use checkpoint::{read_sharded_from_path, Checkpoint, CheckpointPolicy, ShardedCheckpointFile};
 pub use combiner::{CombinerConfig, WarpCombiner};

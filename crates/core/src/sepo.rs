@@ -17,7 +17,7 @@
 //!   in place; multi-valued must see the full pass to know which keys are
 //!   pending).
 
-use crate::audit::{InFlightEviction, TableAudit};
+use crate::audit::TableAudit;
 use crate::bitmap::Bitmap;
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::combiner::{CombinerConfig, WarpCombiner};
@@ -27,13 +27,9 @@ use crate::serve::EpochPublisher;
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
 use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
-use gpu_sim::metrics::{Metrics, Snapshot};
-use gpu_sim::spec::PcieSpec;
-use gpu_sim::{
-    CorruptionKind, DeviceMemory, EvictionPipe, FaultPlan, HardFaultError, NoCharge, PcieBus,
-    ShadowSanitizer,
-};
-use sepo_alloc::{crc32c, StampedPage};
+use gpu_sim::metrics::Snapshot;
+use gpu_sim::{CorruptionKind, FaultPlan, HardFaultError, NoCharge, ShadowSanitizer};
+use sepo_alloc::crc32c;
 use std::any::Any;
 use std::fmt;
 use std::io;
@@ -121,9 +117,9 @@ pub struct SepoOutcome {
     /// Hard-fault recovery accounting ([`DriverConfig::checkpoint`]). All
     /// zero when checkpointing is off and no hard fault struck.
     pub recovery: RecoveryStats,
-    /// Did this run evict through the asynchronous pipe
-    /// ([`DriverConfig::evict_overlap`])? The benchmark layer keys its
-    /// overlapped-vs-serial eviction pricing off this flag.
+    /// Is this run's boundary-eviction DMA priced as hidden behind the next
+    /// iteration's kernels? Copied from [`DriverConfig::evict_overlap`];
+    /// the benchmark layer's makespan model is its only reader.
     pub evict_overlap: bool,
 }
 
@@ -419,16 +415,11 @@ pub struct DriverConfig {
     /// [`SepoError::DeviceLost`]. Irrelevant while `checkpoint` is off (the
     /// first hard fault is then fatal).
     pub max_recoveries: u32,
-    /// Evict asynchronously: iteration-boundary evictions enqueue their
-    /// page images on a double-buffered eviction pipe
-    /// ([`gpu_sim::EvictionPipe`]) whose DMA drains behind the next
-    /// iteration's kernels, and the host heap adopts the images at the next
-    /// quiescent point instead of inline. Results — table images, iteration
-    /// trajectories, iteration counts — are byte-identical with this on or
-    /// off; only the simulated-time pricing changes (the benchmark layer
-    /// overlaps eviction DMA with compute via
-    /// [`gpu_sim::pipelined_total`]). Off by default; the CLI's
-    /// `--evict-overlap on` turns it on.
+    /// Price boundary eviction DMA as hidden behind the next iteration's
+    /// kernels; the run is identical. The driver only copies this into
+    /// [`SepoOutcome::evict_overlap`], where the benchmark layer's makespan
+    /// model ([`gpu_sim::pipelined_total`]) reads it. Off by default; the
+    /// CLI's `--evict-overlap on` turns it on.
     pub evict_overlap: bool,
     /// Online serving: when set, the driver publishes an
     /// [`crate::serve::EpochSnapshot`] through this publisher at every
@@ -605,15 +596,15 @@ struct Launched {
 }
 
 /// The state of one [`SepoDriver::try_run`]; each step of its loop is a
-/// method here. The boundary order — adopt → publish → evict → verdicts →
+/// method here. The boundary order — publish → evict → verdicts →
 /// checkpoint → re-stamp — is fixed by the quiescence invariant.
 struct Run<'d> {
     table: &'d SepoTable,
     executor: &'d Executor,
     config: &'d DriverConfig,
     /// The executor's fault plan. For the run it is also installed on the
-    /// table's integrity state, so eviction paths (wire_page, adopt_evicted)
-    /// can draw in-flight corruption and verify stamps.
+    /// table's integrity state, so eviction's `wire_page` can draw
+    /// in-flight corruption.
     faults: Option<&'d Arc<FaultPlan>>,
     /// The same plan, when it draws silent corruption.
     corrupt: Option<&'d FaultPlan>,
@@ -626,7 +617,6 @@ struct Run<'d> {
     retransmits_baseline: u64,
     /// The last quiescent boundary, under [`DriverConfig::checkpoint`].
     checkpoint: Option<Checkpoint>,
-    pipe: Option<EvictionPipe<StampedPage>>,
     /// Kernels declare their accesses through the lane's charge sink and
     /// the executor forwards them; the driver only stamps the iteration
     /// number, routes eviction's host-side accesses, and reads the verdict.
@@ -654,23 +644,6 @@ impl<'d> Run<'d> {
         let (table, executor, config) = (driver.table, driver.executor, &driver.config);
         let audit = config.audit.then(|| TableAudit::begin(table));
         let faults = executor.faults();
-        // Asynchronous eviction: a dedicated two-buffer staging pair and an
-        // in-flight DMA ledger of its own. The pipe's bus counts its wire
-        // traffic on a private Metrics instance so the table's metrics —
-        // and with them every IterationStats snapshot — stay byte-identical
-        // with overlap on or off; the executor's fault plan (if any) still
-        // injects transient PCIe errors into the eviction transfers, which
-        // cost retries in simulated time but never lose a page.
-        let pipe = config.evict_overlap.then(|| {
-            let page = table.heap().page_size();
-            let dev = DeviceMemory::new(2 * page as u64);
-            let mut bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
-            if let Some(plan) = faults {
-                bus = bus.with_faults(Arc::clone(plan));
-            }
-            EvictionPipe::new(&dev, bus, page)
-                .expect("a fresh two-page device always fits its own staging pair")
-        });
         let shadow = config.sanitize.then(|| {
             let sz = executor.shadow().cloned();
             sz.expect("DriverConfig::sanitize requires Executor::with_shadow")
@@ -692,7 +665,6 @@ impl<'d> Run<'d> {
             recovery: RecoveryStats::default(),
             retransmits_baseline: table.integrity().retransmits(),
             checkpoint: None,
-            pipe,
             findings_baseline: shadow.as_ref().map_or(0, |sz| sz.finding_count()),
             shadow,
             audit,
@@ -896,15 +868,6 @@ impl<'d> Run<'d> {
                 },
             });
         };
-        // Checkpointing quiesces the pipe at every boundary before
-        // capture, so an abandoned iteration can never strand an in-flight
-        // eviction: the restore rebuilds the exact adopted host heap the
-        // checkpoint saw.
-        debug_assert_eq!(
-            self.pipe.as_ref().map_or(0, |p| p.in_flight()),
-            0,
-            "checkpointed boundaries leave the eviction pipe empty"
-        );
         ckp.restore(
             self.table,
             &self.done,
@@ -933,9 +896,8 @@ impl<'d> Run<'d> {
     }
 
     /// Surface the integrity state's first-wins witness — an eviction
-    /// transfer that failed verification on every retransmit, or a damaged
-    /// page caught at adoption — before anything downstream consumes the
-    /// quarantined page.
+    /// transfer that failed verification on every retransmit — before
+    /// anything downstream consumes the page.
     fn transfer_verdict(&self, at_iteration: u32) -> Result<(), SepoError> {
         match self.table.integrity().take_failure() {
             Some(fail) => Err(SepoError::CorruptTransfer {
@@ -947,23 +909,9 @@ impl<'d> Run<'d> {
         }
     }
 
-    /// Wait out any exposed remainder of the eviction pipe's DMA and
-    /// re-home its page images in the host heap. Called wherever the host
-    /// heap must be whole: before a boundary evicts more (the previous
-    /// boundary's DMA has been draining behind this iteration's kernels),
-    /// before a checkpoint captures it, and before the final flush.
-    fn adopt_in_flight(&mut self, at_iteration: u32) -> Result<(), SepoError> {
-        if let Some(p) = self.pipe.as_mut() {
-            let adopted = p.quiesce();
-            self.table.adopt_evicted(adopted);
-        }
-        self.transfer_verdict(at_iteration)
-    }
-
     /// Evict and judge: the boundary eviction (`pending_after` tasks remain)
-    /// or, with `None`, the run-ending `finalize` — whose evictions go
-    /// straight to the host heap, which result collection walks in
-    /// eviction order — then the transfer, audit and sanitizer verdicts.
+    /// or, with `None`, the run-ending `finalize` — then the transfer,
+    /// audit and sanitizer verdicts.
     fn evict(
         &mut self,
         at_iteration: u32,
@@ -973,26 +921,15 @@ impl<'d> Run<'d> {
         let iteration = pending_after.map(|_| at_iteration);
         let table = self.table;
         let used_before = self.audit.as_ref().map(|_| table.heap().stats().used_bytes);
-        let pipe = self.pipe.as_mut().filter(|_| !force);
         let report = match &self.shadow {
-            Some(sz) => table.evict_boundary(&mut sz.host_charge(), pipe, force),
-            None => table.evict_boundary(&mut NoCharge, pipe, force),
+            Some(sz) => table.evict_boundary(&mut sz.host_charge(), force),
+            None => table.evict_boundary(&mut NoCharge, force),
         };
         self.transfer_verdict(at_iteration)?;
         if let (Some(a), Some(used_before)) = (self.audit.as_mut(), used_before) {
-            // The audit reconciles host-heap growth against cumulative
-            // evictions; pages still on the eviction pipe's wire are
-            // declared so the books balance before adoption.
-            let in_flight =
-                self.pipe
-                    .as_ref()
-                    .map_or_else(Default::default, |p| InFlightEviction {
-                        pages: p.in_flight(),
-                        bytes: p.in_flight_bytes(),
-                    });
             let verdict = match pending_after {
-                Some(n) => a.check_iteration(table, &self.done, n, used_before, &report, in_flight),
-                None => a.check_final(table, used_before, &report, in_flight),
+                Some(n) => a.check_iteration(table, &self.done, n, used_before, &report),
+                None => a.check_final(table, used_before, &report),
             };
             verdict.map_err(|v| SepoError::AuditFailed {
                 iteration,
@@ -1014,7 +951,6 @@ impl<'d> Run<'d> {
     /// and the device is quiescent.
     fn boundary(&mut self, l: Launched) -> Result<(), SepoError> {
         let iter_no = self.iter_no();
-        self.adopt_in_flight(iter_no)?;
         // Publish the epoch before eviction rearranges residency.
         self.publish(iter_no, false);
         let next_pending: Vec<u32> = self
@@ -1061,14 +997,7 @@ impl<'d> Run<'d> {
             halted_early: l.halted_early,
         });
         self.pending = next_pending;
-        if self.config.checkpoint.is_enabled() {
-            // A checkpoint must capture a *quiescent* host heap: wait out
-            // this boundary's in-flight eviction DMA first, so the image
-            // matches what a synchronous run captures and a restore
-            // rebuilds it.
-            self.adopt_in_flight(iter_no)?;
-            self.take_checkpoint()?;
-        }
+        self.take_checkpoint()?;
         self.stamp_resting();
         Ok(())
     }
@@ -1076,11 +1005,11 @@ impl<'d> Run<'d> {
     /// Final flush, end-of-run scrub and the finalized epoch.
     fn finish(mut self) -> Result<SepoOutcome, SepoError> {
         let at_iteration = self.iter_no();
-        self.adopt_in_flight(at_iteration)?;
         let final_evict = self.evict(at_iteration, None)?;
-        // End-of-run scrub: every page now lives in the host store; walk
-        // them all and re-verify the CRC32C stamp each carried out of the
-        // device. Always on under seeded corruption, opt-in otherwise.
+        // End-of-run scrub — the one place a run re-checks stamps: every
+        // page now lives in the host store; walk them all and re-verify the
+        // CRC32C stamp each carried out of the device. Always on under
+        // seeded corruption, opt-in otherwise.
         if self.corrupt.is_some() || self.config.scrub {
             for page in self.table.host_heap().pages() {
                 if let Err(corrupt) = page.verify() {
@@ -1090,6 +1019,7 @@ impl<'d> Run<'d> {
                         recoveries: self.recovery.integrity_restores,
                     });
                 }
+                self.table.integrity().note_verified();
                 self.recovery.scrubbed_pages += 1;
             }
         }
@@ -1714,96 +1644,30 @@ mod tests {
         (outcome, img, t.metrics().snapshot())
     }
 
+    /// `evict_overlap` is a pricing assumption, not a second eviction path:
+    /// the run — trajectory, final flush, image, metrics, recovery
+    /// accounting — is the same with it on or off, and only the outcome's
+    /// copy of the bit differs.
     #[test]
-    fn overlapped_eviction_matches_synchronous_byte_for_byte() {
-        let (sync, sync_img, sync_metrics) = overlap_fixture(audited());
-        let (piped, piped_img, piped_metrics) = overlap_fixture(DriverConfig {
-            evict_overlap: true,
-            ..audited()
-        });
-        assert!(sync.n_iterations() > 1, "the fixture must force evictions");
-        assert!(!sync.evict_overlap);
-        assert!(piped.evict_overlap);
-        assert_eq!(
-            sync.iterations, piped.iterations,
-            "piped eviction must not change the iteration trajectory"
-        );
-        assert_eq!(sync.final_evict, piped.final_evict);
-        assert_eq!(sync_img, piped_img, "result images must be byte-identical");
-        assert_eq!(
-            sync_metrics, piped_metrics,
-            "the pipe's bus counts on a private Metrics instance"
-        );
-    }
-
-    #[test]
-    fn overlapped_eviction_matches_under_checkpointing() {
-        // Per-boundary checkpoints quiesce the pipe; the trajectory must
-        // still match a synchronous checkpointed run.
-        let ckp = DriverConfig {
+    fn evict_overlap_prices_but_does_not_change_the_run() {
+        let checkpointed = DriverConfig {
             checkpoint: CheckpointPolicy::Memory,
             ..audited()
         };
-        let (sync, sync_img, _) = overlap_fixture(ckp.clone());
-        let (piped, piped_img, _) = overlap_fixture(DriverConfig {
+        let (sync, sync_img, sync_metrics) = overlap_fixture(checkpointed.clone());
+        let (priced, priced_img, priced_metrics) = overlap_fixture(DriverConfig {
             evict_overlap: true,
-            ..ckp
+            ..checkpointed
         });
+        assert!(sync.n_iterations() > 1, "the fixture must force evictions");
         assert!(sync.recovery.checkpoints_taken > 1);
-        assert_eq!(sync.iterations, piped.iterations);
-        assert_eq!(sync.recovery, piped.recovery);
-        assert_eq!(sync_img, piped_img);
-    }
-
-    #[test]
-    fn killed_and_resumed_overlapped_runs_match_unkilled_byte_for_byte() {
-        // The chaos test below with the pipe on: a hard kill can strike
-        // while the previous boundary's pages were adopted at checkpoint
-        // time, and the resumed run must still be byte-identical.
-        fn run(with_faults: bool) -> (SepoOutcome, Vec<u8>) {
-            let t = small_table(Organization::Combining(Combiner::Add), 4);
-            let mut e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
-                .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
-            if with_faults {
-                e = e.with_faults(hard_plan(0.15, 0.05, 0xC0FFEE));
-            }
-            let outcome = SepoDriver::new(&t, &e)
-                .with_config(DriverConfig {
-                    chunk_tasks: 64,
-                    audit: true,
-                    sanitize: true,
-                    evict_overlap: true,
-                    checkpoint: CheckpointPolicy::Memory,
-                    max_recoveries: 10_000,
-                    ..DriverConfig::default()
-                })
-                .try_run(
-                    400,
-                    |_| 16,
-                    |task, _start, lane| {
-                        let key = format!("key-{task:05}");
-                        match t.insert_combining(key.as_bytes(), 1, lane) {
-                            crate::table::InsertStatus::Success => TaskResult::Done,
-                            crate::table::InsertStatus::Postponed => {
-                                TaskResult::Postponed { next_pair: 0 }
-                            }
-                        }
-                    },
-                )
-                .unwrap();
-            let mut img = Vec::new();
-            t.save(&mut img).unwrap();
-            (outcome, img)
-        }
-        let (base, base_img) = run(false);
-        let (chaos, chaos_img) = run(true);
-        assert!(
-            chaos.recovery.recoveries > 0,
-            "the seed must kill at least one launch for this test to bite"
-        );
-        assert_eq!(base.iterations, chaos.iterations);
-        assert_eq!(base.final_evict, chaos.final_evict);
-        assert_eq!(base_img, chaos_img, "result images must be byte-identical");
+        assert!(!sync.evict_overlap);
+        assert!(priced.evict_overlap);
+        assert_eq!(sync.iterations, priced.iterations);
+        assert_eq!(sync.final_evict, priced.final_evict);
+        assert_eq!(sync_img, priced_img, "result images must be byte-identical");
+        assert_eq!(sync_metrics, priced_metrics);
+        assert_eq!(sync.recovery, priced.recovery);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! under heavy traffic) needs a concurrent read path. The scheme here:
 //!
 //! - **Epochs.** At every quiescent iteration boundary (after all launches
-//!   of the iteration retired and in-flight piped evictions were adopted,
-//!   before the boundary's own eviction) the driver publishes an
-//!   [`EpochSnapshot`] through the [`EpochPublisher`] wired into
-//!   [`crate::DriverConfig::serving`]. The snapshot shares the same state a
-//!   checkpoint captures — bucket-head words and resident-page images —
-//!   but hands them out behind `Arc` instead of copying per reader.
+//!   of the iteration retired, before the boundary's own eviction) the
+//!   driver publishes an [`EpochSnapshot`] through the [`EpochPublisher`]
+//!   wired into [`crate::DriverConfig::serving`]. The snapshot shares the
+//!   same state a checkpoint captures — bucket-head words and
+//!   resident-page images — but hands them out behind `Arc` instead of
+//!   copying per reader.
 //! - **Device-resident probes.** [`EpochSnapshot::batch_get`] dedups the
 //!   batch, charges one bulk PCIe upload, and probes the snapshot's bucket
 //!   chains with a batched kernel launched through a caller-supplied
@@ -29,9 +29,9 @@
 //!
 //! Reads never touch the live table: the driver's final image, iteration
 //! trajectory, and metrics are byte-identical with serving on or off
-//! (serving charges land on the serving executor's own metrics, mirroring
-//! the eviction pipe's private PCIe bus). Snapshot capture itself is
-//! treated as zero-cost aliasing of already-resident state; a real
+//! (serving charges land on the serving executor's own metrics). Snapshot
+//! capture itself is treated as zero-cost aliasing of already-resident
+//! state; a real
 //! implementation would piggyback on the checkpoint DMA that PR 5 already
 //! prices.
 //!
@@ -900,9 +900,9 @@ impl EpochPublisher {
     }
 
     /// Publish the epoch at a quiescent iteration boundary. Driver-only:
-    /// every launch of the iteration has retired and in-flight piped
-    /// evictions are adopted, so heads, resident pages, and the host heap
-    /// are mutually consistent. Pure reads — the table, its metrics, and
+    /// every launch of the iteration has retired and every earlier
+    /// eviction is stored, so heads, resident pages, and the host heap are
+    /// mutually consistent. Pure reads — the table, its metrics, and
     /// the driver's trajectory are untouched, which is what keeps
     /// serving-on runs byte-identical to serving-off runs.
     pub(crate) fn publish_boundary(&self, table: &SepoTable, iteration: u32, finalized: bool) {

@@ -194,41 +194,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A monotonically accumulating simulated clock.
-///
-/// Sections of the simulated run advance the clock by the durations the cost
-/// model assigns to them. The clock itself is trivially simple; it exists so
-/// call sites read as time accounting rather than bare arithmetic.
-#[derive(Debug, Default, Clone)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// A clock starting at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock by `dt` and return the new time.
-    #[inline]
-    pub fn advance(&mut self, dt: SimTime) -> SimTime {
-        self.now += dt;
-        self.now
-    }
-
-    /// Reset the clock to zero.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,17 +238,6 @@ mod tests {
         assert_eq!(a.min(b), a);
         let total: SimTime = [a, b, a].into_iter().sum();
         assert_eq!(total.as_nanos(), 40);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        c.advance(SimTime::from_nanos(5));
-        c.advance(SimTime::from_nanos(7));
-        assert_eq!(c.now().as_nanos(), 12);
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 
     #[test]

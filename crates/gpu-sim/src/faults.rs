@@ -80,8 +80,7 @@ const N_HARD_KINDS: usize = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
     /// A bit flips in an evicted page while it crosses the PCIe bus
-    /// (in-flight transfer corruption, including the eviction pipe's
-    /// ledgered transfers).
+    /// (in-flight transfer corruption).
     PcieBitFlip,
     /// A bit flips in a device-resident page between kernel launches
     /// (cosmic ray / weak cell in simulated device DRAM).

@@ -18,9 +18,9 @@
 //!   simulated time for either engine; [`clock::SimTime`] keeps simulated
 //!   durations apart from wall-clock ones.
 //! * [`pipeline`] — BigKernel-style double-buffered transfer/compute
-//!   overlap (the analytic makespan model); [`staging`] — the buffer
-//!   mechanism itself; [`evict_pipe`] — the same pipeline run in the
-//!   device→host eviction direction, with deferred host adoption.
+//!   overlap as an analytic makespan recurrence: input uploads behind
+//!   kernels, and (when a run is priced as overlapped) boundary-eviction
+//!   DMA behind the next iteration's kernels.
 //! * [`paging`] — the LRU demand-paging replay used for Table III.
 //! * [`faults`] — seeded, deterministic fault injection (transient
 //!   allocation failures, PCIe transfer errors, lane aborts) used to prove
@@ -38,7 +38,6 @@
 pub mod charge;
 pub mod clock;
 pub mod cost;
-pub mod evict_pipe;
 pub mod executor;
 pub mod faults;
 pub mod memory;
@@ -49,12 +48,10 @@ pub mod pipeline;
 pub mod pool;
 pub mod shadow;
 pub mod spec;
-pub mod staging;
 
 pub use charge::{Charge, MetricsCharge, NoCharge};
-pub use clock::{SimClock, SimTime};
+pub use clock::SimTime;
 pub use cost::{CpuCostModel, GpuCostModel};
-pub use evict_pipe::EvictionPipe;
 pub use executor::{
     BlockScratch, ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, WarpCharge,
 };
@@ -65,11 +62,10 @@ pub use faults::{
 pub use memory::{DeviceMemory, OutOfDeviceMemory, Reservation};
 pub use metrics::{ContentionHistogram, Counter, Metrics, Snapshot};
 pub use paging::{AccessTrace, LruSimulator, PagingOutcome};
-pub use pcie::{CompletedTransfer, InFlightTransfer, PcieBus, PcieTransferError};
+pub use pcie::{PcieBus, PcieTransferError};
 pub use pipeline::{pipelined_total, serial_total};
 pub use pool::WorkerPool;
 pub use shadow::{
     AccessKind, Finding, FindingKind, SanitizerReport, ShadowAddr, ShadowEvent, ShadowSanitizer,
 };
 pub use spec::{DeviceSpec, HostSpec, PcieSpec, SystemSpec, BLOCK_WARPS, WARP_SIZE};
-pub use staging::{stream_chunks, ChunkTooLarge, StagingBuffers};

@@ -175,27 +175,6 @@ impl DeviceMemory {
             .cloned()
             .collect()
     }
-
-    /// Cross-check the ledger against itself: `used` must equal the sum of
-    /// live reservations and never exceed capacity. Returns a description
-    /// of the first violation, if any — consumed by the audit layer.
-    pub fn verify_ledger(&self) -> Result<(), String> {
-        let ledger = self.ledger.lock();
-        let sum: u64 = ledger.reservations.iter().map(|(_, b)| b).sum();
-        if sum != ledger.used {
-            return Err(format!(
-                "ledger used {} != sum of live reservations {}",
-                ledger.used, sum
-            ));
-        }
-        if ledger.used > self.capacity {
-            return Err(format!(
-                "ledger used {} exceeds capacity {}",
-                ledger.used, self.capacity
-            ));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -261,18 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn verify_ledger_passes_through_reserve_release_cycles() {
-        let mem = DeviceMemory::new(1_000);
-        let a = mem.reserve("a", 100).unwrap();
-        mem.reserve("b", 200).unwrap();
-        mem.verify_ledger().unwrap();
-        mem.release(a);
-        mem.verify_ledger().unwrap();
-        mem.reserve_remaining("heap");
-        mem.verify_ledger().unwrap();
-    }
-
-    #[test]
     fn fault_plan_injects_transient_failures_that_leave_capacity_intact() {
         use crate::faults::{FaultConfig, FaultPlan};
         let plan = Arc::new(FaultPlan::new(FaultConfig {
@@ -287,7 +254,6 @@ mod tests {
         assert!(err.to_string().contains("transient"));
         // The failed attempt reserved nothing.
         assert_eq!(mem.used(), 0);
-        mem.verify_ledger().unwrap();
         assert_eq!(plan.injected(crate::faults::FaultSite::Alloc), 1);
     }
 

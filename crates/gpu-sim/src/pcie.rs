@@ -13,7 +13,6 @@ use crate::clock::SimTime;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::Metrics;
 use crate::spec::PcieSpec;
-use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,38 +38,6 @@ impl std::error::Error for PcieTransferError {}
 /// fault sequence implausible and pushing the transfer through anyway.
 const MAX_TRANSFER_RETRIES: u32 = 8;
 
-/// An asynchronous bulk DMA registered with [`PcieBus::begin_transfer`]:
-/// the ticket the caller holds while the transfer is in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InFlightTransfer {
-    /// Ledger identity, monotone per bus. Returned again by
-    /// [`PcieBus::drain_until`] when the transfer completes.
-    pub id: u64,
-    /// Simulated time at which the DMA engine finishes this transfer.
-    pub completion: SimTime,
-}
-
-/// A transfer popped off the in-flight ledger by [`PcieBus::drain_until`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletedTransfer {
-    /// The id handed out by [`PcieBus::begin_transfer`].
-    pub id: u64,
-    /// Bytes the transfer moved.
-    pub bytes: u64,
-    /// Simulated completion time (`<=` the drain horizon).
-    pub completion: SimTime,
-}
-
-/// The DMA engine's in-flight bookkeeping: one engine per bus, transfers
-/// complete strictly in issue order.
-#[derive(Debug, Default)]
-struct TransferLedger {
-    next_id: u64,
-    busy_until: SimTime,
-    /// Issued-but-not-drained transfers, in completion (= issue) order.
-    in_flight: Vec<CompletedTransfer>,
-}
-
 /// The simulated PCIe bus. Transfer methods return the simulated duration
 /// and record volumes into the shared [`Metrics`] sink.
 #[derive(Debug, Clone)]
@@ -78,9 +45,6 @@ pub struct PcieBus {
     spec: PcieSpec,
     metrics: Arc<Metrics>,
     faults: Option<Arc<FaultPlan>>,
-    /// Shared across clones: the device has one DMA engine, so every handle
-    /// to the bus sees the same in-flight queue.
-    ledger: Arc<Mutex<TransferLedger>>,
 }
 
 impl PcieBus {
@@ -89,7 +53,6 @@ impl PcieBus {
             spec,
             metrics,
             faults: None,
-            ledger: Arc::new(Mutex::new(TransferLedger::default())),
         }
     }
 
@@ -146,60 +109,6 @@ impl PcieBus {
         let latency = SimTime::from_nanos(self.spec.transaction_latency_ns);
         let wire = SimTime::from_secs_f64(bytes as f64 / self.spec.bulk_bandwidth as f64);
         latency + wire
-    }
-
-    /// Begin an **asynchronous** bulk DMA of `bytes` at simulated time
-    /// `now`. The transfer is priced like [`Self::bulk_transfer`] (metrics
-    /// per attempt, transient faults absorbed as retries-in-simulated-time)
-    /// but instead of charging the caller inline it is entered into the
-    /// bus's in-flight ledger: the engine starts it when it is free
-    /// (`max(now, busy_until)`) and the returned ticket carries the
-    /// completion time. Callers collect finished transfers with
-    /// [`Self::drain_until`].
-    pub fn begin_transfer(&self, bytes: u64, now: SimTime) -> InFlightTransfer {
-        let duration = self.bulk_transfer(bytes);
-        let mut ledger = self.ledger.lock();
-        let start = now.max(ledger.busy_until);
-        let completion = start + duration;
-        let id = ledger.next_id;
-        ledger.next_id += 1;
-        ledger.busy_until = completion;
-        ledger.in_flight.push(CompletedTransfer {
-            id,
-            bytes,
-            completion,
-        });
-        InFlightTransfer { id, completion }
-    }
-
-    /// Pop every in-flight transfer whose completion time is `<= t`, in
-    /// completion order. Transfers completing after `t` stay on the ledger.
-    pub fn drain_until(&self, t: SimTime) -> Vec<CompletedTransfer> {
-        let mut ledger = self.ledger.lock();
-        // Completions are monotone (single engine), so the ready prefix is
-        // exactly the transfers due by `t`.
-        let ready = ledger
-            .in_flight
-            .iter()
-            .take_while(|e| e.completion <= t)
-            .count();
-        ledger.in_flight.drain(..ready).collect()
-    }
-
-    /// Simulated time at which the DMA engine goes idle (zero when nothing
-    /// was ever issued). Draining until this horizon empties the ledger.
-    pub fn busy_until(&self) -> SimTime {
-        self.ledger.lock().busy_until
-    }
-
-    /// Number of issued-but-not-drained transfers.
-    pub fn in_flight_transfers(&self) -> usize {
-        self.ledger.lock().in_flight.len()
-    }
-
-    /// Total bytes across issued-but-not-drained transfers.
-    pub fn in_flight_bytes(&self) -> u64 {
-        self.ledger.lock().in_flight.iter().map(|e| e.bytes).sum()
     }
 
     /// Cost of `transactions` small remote transactions moving `bytes`
@@ -406,63 +315,6 @@ mod tests {
         assert!(total_faulty > total_clean);
         // Metrics counted each attempt.
         assert!(m.snapshot().pcie_bulk_transfers > 200);
-    }
-
-    #[test]
-    fn ledger_queues_transfers_back_to_back() {
-        let b = bus();
-        let one = b.bulk_transfer_time(1_000);
-        let a = b.begin_transfer(1_000, SimTime::ZERO);
-        let c = b.begin_transfer(1_000, SimTime::ZERO);
-        // One DMA engine: the second transfer waits for the first.
-        assert_eq!(a.completion, one);
-        assert_eq!(c.completion, one + one);
-        assert_eq!(b.busy_until(), c.completion);
-        assert_eq!(b.in_flight_transfers(), 2);
-        assert_eq!(b.in_flight_bytes(), 2_000);
-    }
-
-    #[test]
-    fn drain_until_pops_exactly_the_due_prefix() {
-        let b = bus();
-        let a = b.begin_transfer(1_000, SimTime::ZERO);
-        let c = b.begin_transfer(2_000, SimTime::ZERO);
-        // Nothing is due before the first completion.
-        assert!(b
-            .drain_until(a.completion - SimTime::from_nanos(1))
-            .is_empty());
-        let first = b.drain_until(a.completion);
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0].id, a.id);
-        assert_eq!(first[0].bytes, 1_000);
-        assert_eq!(b.in_flight_transfers(), 1);
-        let rest = b.drain_until(b.busy_until());
-        assert_eq!(rest.len(), 1);
-        assert_eq!(rest[0].id, c.id);
-        assert_eq!(b.in_flight_transfers(), 0);
-        assert_eq!(b.in_flight_bytes(), 0);
-    }
-
-    #[test]
-    fn idle_gaps_restart_the_engine_at_now() {
-        let b = bus();
-        let one = b.bulk_transfer_time(1_000);
-        let a = b.begin_transfer(1_000, SimTime::ZERO);
-        // Issue the next transfer long after the engine went idle: it
-        // starts at `now`, not at the previous completion.
-        let late = a.completion + SimTime::from_millis(5);
-        let c = b.begin_transfer(1_000, late);
-        assert_eq!(c.completion, late + one);
-    }
-
-    #[test]
-    fn ledger_is_shared_across_clones() {
-        let b = bus();
-        let clone = b.clone();
-        b.begin_transfer(1_000, SimTime::ZERO);
-        assert_eq!(clone.in_flight_transfers(), 1);
-        clone.drain_until(clone.busy_until());
-        assert_eq!(b.in_flight_transfers(), 0);
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub fn check(file: &SourceFile, escapes: &mut Registry) -> Vec<Finding> {
     let clock = applies("wall-clock");
     let metrics = applies("metrics-direct");
     let io = applies("io-unwrap");
-    let dma = applies("evict-direct-dma");
     let shard = applies("cross-shard-direct");
 
     let toks: Vec<&Tok> = file.lx.toks.iter().filter(|t| !t.in_attr).collect();
@@ -141,22 +140,6 @@ pub fn check(file: &SourceFile, escapes: &mut Registry) -> Vec<Finding> {
                 "panic on the persistence/checkpoint IO path; \
                  propagate io::Result (or annotate a deliberate \
                  infallible case with `// lint: unwrap-ok (<why>)`)",
-            );
-        }
-        if dma
-            && (method_call(&toks, i, "bulk_transfer")
-                || method_call(&toks, i, "try_bulk_transfer"))
-        {
-            emit(
-                &mut out,
-                escapes,
-                rel,
-                t.line,
-                "evict-direct-dma",
-                "inline PcieBus charge on an eviction path; issue the \
-                 DMA through the EvictionPipe ledger (or annotate a \
-                 deliberate direct charge with \
-                 `// lint: evict-dma-ok (<why>)`)",
             );
         }
         if shard
@@ -265,32 +248,6 @@ mod tests {
         let findings = check_one("crates/core/src/checkpoint.rs", src);
         assert_eq!(rules_of(&findings), vec!["io-unwrap"], "{findings:?}");
         assert_eq!(findings[0].line, 2, "only the non-test unwrap counts");
-    }
-
-    #[test]
-    fn direct_dma_flagged_only_on_eviction_paths() {
-        let direct = "let t = self.bus.bulk_transfer(page_bytes);\n";
-        for rel in ["crates/core/src/evict.rs", "crates/core/src/sepo.rs"] {
-            assert_eq!(
-                rules_of(&check_one(rel, direct)),
-                vec!["evict-direct-dma"],
-                "{rel}: a direct bus charge on an eviction path must be flagged"
-            );
-        }
-        // Elsewhere direct charges are fine — the bus is the pricing API.
-        assert!(check_one("crates/core/src/table.rs", direct).is_empty());
-        assert!(check_one("crates/gpu-sim/src/pcie.rs", direct).is_empty());
-        let fallible = "let t = bus.try_bulk_transfer(page_bytes)?;\n";
-        assert_eq!(
-            rules_of(&check_one("crates/core/src/evict.rs", fallible)),
-            vec!["evict-direct-dma"]
-        );
-        // Pricing without charging the ledger is allowed — and the token
-        // match is exact, not a substring: `bulk_transfer_time` differs.
-        let pricing = "let t = bus.bulk_transfer_time(page_bytes);\n";
-        assert!(check_one("crates/core/src/sepo.rs", pricing).is_empty());
-        let same = "let t = bus.bulk_transfer(b); // lint: evict-dma-ok (final drain)\n";
-        assert!(check_one("crates/core/src/evict.rs", same).is_empty());
     }
 
     #[test]

@@ -173,21 +173,6 @@ pub const RULES: &[RuleSpec] = &[
               are exempt (tests unwrap freely).",
     },
     RuleSpec {
-        slug: "evict-direct-dma",
-        summary: "inline PcieBus charge on an eviction path",
-        severity: Severity::Error,
-        escape: Some("evict-dma-ok"),
-        scope: Scope::Files(&["crates/core/src/evict.rs", "crates/core/src/sepo.rs"]),
-        doc: "Eviction DMA must be issued through the `EvictionPipe`'s \
-              in-flight ledger so the completion model, the audit's \
-              in-flight reconciliation, and the checkpoint-quiesce invariant \
-              all see it; an inline `.bulk_transfer(` / `.try_bulk_transfer(` \
-              charge would silently fall outside the overlap accounting. \
-              A deliberate direct charge needs a \
-              `// lint: evict-dma-ok (<why>)` comment. Pricing-only calls \
-              (`bulk_transfer_time`) are allowed.",
-    },
-    RuleSpec {
         slug: "cross-shard-direct",
         summary: "direct index into one shard's state outside the router/merge paths",
         severity: Severity::Error,
@@ -368,7 +353,7 @@ mod tests {
                 r.slug
             );
         }
-        assert_eq!(RULES.len(), 9, "6 per-file rules + 3 cross-file analyses");
+        assert_eq!(RULES.len(), 8, "5 per-file rules + 3 cross-file analyses");
     }
 
     #[test]
@@ -391,6 +376,6 @@ mod tests {
             assert!(!seen.contains(&r), "marker {r} reused");
             seen.push(r);
         }
-        assert_eq!(seen.len(), 5);
+        assert_eq!(seen.len(), 4);
     }
 }

@@ -23,18 +23,10 @@ const HARD_RATES: (f64, f64) = (0.05, 0.02);
 
 /// Run `app` once. `transient_seed` arms the standard transient fault mix
 /// (shared by both runs of a comparison); `hard_seed` additionally arms
-/// hard kills plus in-memory checkpointing so the run survives them.
+/// hard kills plus in-memory checkpointing so the run survives them;
+/// `evict_overlap` sets the eviction-pricing bit, which must not change
+/// the run.
 fn run_once(
-    app: App,
-    heap: u64,
-    transient_seed: Option<u64>,
-    hard_seed: Option<u64>,
-) -> (Vec<u8>, Vec<u64>, Snapshot, RecoveryStats) {
-    run_once_cfg(app, heap, transient_seed, hard_seed, false)
-}
-
-/// [`run_once`] with the asynchronous eviction pipe optionally on.
-fn run_once_cfg(
     app: App,
     heap: u64,
     transient_seed: Option<u64>,
@@ -86,11 +78,12 @@ fn run_once_cfg(
 #[test]
 fn all_apps_resume_byte_identical_after_hard_kills() {
     for app in App::ALL {
-        let (image, traj, snapshot, base_rec) = run_once(app, 96 << 10, None, None);
+        let (image, traj, snapshot, base_rec) = run_once(app, 96 << 10, None, None, false);
         assert_eq!(base_rec, RecoveryStats::default(), "{}", app.name());
         let mut killed = false;
         for seed in 0xC0DE..0xC0DE + 10u64 {
-            let (c_image, c_traj, c_snapshot, rec) = run_once(app, 96 << 10, None, Some(seed));
+            let (c_image, c_traj, c_snapshot, rec) =
+                run_once(app, 96 << 10, None, Some(seed), false);
             assert_eq!(
                 c_image,
                 image,
@@ -114,21 +107,19 @@ fn all_apps_resume_byte_identical_after_hard_kills() {
     }
 }
 
-/// Device loss with the asynchronous eviction pipe on: kills land in
-/// iterations whose previous boundary enqueued eviction DMA, and the
-/// resumed run must still match an unkilled overlap-enabled run byte for
-/// byte. Checkpoint capture quiesces the pipe at every boundary, so the
-/// restore rebuilds exactly the adopted host heap the checkpoint saw —
-/// this test is the end-to-end proof.
+/// Device loss in a run priced with overlapped eviction: the boundary
+/// before each kill stored its evicted pages synchronously (the pricing
+/// bit changes nothing about the run), so the killed-and-resumed run must
+/// match an unkilled run with the bit *off*, byte for byte.
 #[test]
 fn device_lost_with_eviction_dma_in_flight_resumes_byte_identical() {
     for app in [App::WordCount, App::InvertedIndex, App::PageViewCount] {
-        let (image, traj, snapshot, base_rec) = run_once_cfg(app, 96 << 10, None, None, true);
+        let (image, traj, snapshot, base_rec) = run_once(app, 96 << 10, None, None, false);
         assert_eq!(base_rec, RecoveryStats::default(), "{}", app.name());
         let mut killed = false;
         for seed in 0xD0A..0xD0A + 10u64 {
             let (c_image, c_traj, c_snapshot, rec) =
-                run_once_cfg(app, 96 << 10, None, Some(seed), true);
+                run_once(app, 96 << 10, None, Some(seed), true);
             assert_eq!(
                 c_image,
                 image,
@@ -166,9 +157,9 @@ proptest! {
     ) {
         for app in App::ALL {
             let heap = heap_kb << 10;
-            let (image, traj, snapshot, _) = run_once(app, heap, Some(seed), None);
+            let (image, traj, snapshot, _) = run_once(app, heap, Some(seed), None, false);
             let (c_image, c_traj, c_snapshot, rec) =
-                run_once(app, heap, Some(seed), Some(seed));
+                run_once(app, heap, Some(seed), Some(seed), false);
             prop_assert_eq!(
                 &c_image,
                 &image,
@@ -181,11 +172,9 @@ proptest! {
         }
     }
 
-    /// Transient PCIe faults layered under the eviction pipe: the pipe's
-    /// bus draws from the shared plan's PCIe stream, so its transfers eat
-    /// seeded retries — which may only ever cost simulated time. Results
-    /// (image, trajectory, iteration count) and the table's own metrics
-    /// must be byte-identical with the pipe on or off.
+    /// The eviction-pricing bit under the standard transient fault mix:
+    /// results (image, trajectory, iteration count) and the table's own
+    /// metrics must be byte-identical with it on or off.
     #[test]
     fn overlap_matches_synchronous_under_transient_faults(
         seed in any::<u64>(),
@@ -193,10 +182,8 @@ proptest! {
     ) {
         for app in App::ALL {
             let heap = heap_kb << 10;
-            let (image, traj, snapshot, _) =
-                run_once_cfg(app, heap, Some(seed), None, false);
-            let (o_image, o_traj, o_snapshot, _) =
-                run_once_cfg(app, heap, Some(seed), None, true);
+            let (image, traj, snapshot, _) = run_once(app, heap, Some(seed), None, false);
+            let (o_image, o_traj, o_snapshot, _) = run_once(app, heap, Some(seed), None, true);
             prop_assert_eq!(&o_image, &image, "{}: overlap image differs", app.name());
             prop_assert_eq!(
                 o_traj.len(),
