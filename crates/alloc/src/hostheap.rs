@@ -27,11 +27,12 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`) lookup table,
-/// built at compile time. Table-driven, one byte per step: plenty for page
-/// sizes here, and zero dependencies.
-const CRC32C_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32C (Castagnoli, reflected polynomial `0x82F63B78`) slice-by-8
+/// tables, built at compile time. `CRC32C_TABLES[0]` is the classic
+/// one-byte-per-step table; `CRC32C_TABLES[k][b]` advances byte `b` past `k`
+/// further zero bytes, so eight lookups fold eight input bytes at once.
+const CRC32C_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -44,18 +45,42 @@ const CRC32C_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC32C of `data` (initial value all-ones, final inversion — the standard
 /// iSCSI/ext4 convention, so `crc32c(b"123456789") == 0xE3069283`).
+/// Slice-by-8: zero dependencies, several times the bytewise table's rate.
 pub fn crc32c(data: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32C_TABLES;
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t7[(lo & 0xFF) as usize]
+            ^ t6[((lo >> 8) & 0xFF) as usize]
+            ^ t5[((lo >> 16) & 0xFF) as usize]
+            ^ t4[(lo >> 24) as usize]
+            ^ t3[w[4] as usize]
+            ^ t2[w[5] as usize]
+            ^ t1[w[6] as usize]
+            ^ t0[w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -270,6 +295,30 @@ mod tests {
         // The canonical iSCSI check value.
         assert_eq!(crc32c(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c(b""), 0);
+    }
+
+    /// One step of the bytewise loop slice-by-8 replaced, kept as the
+    /// oracle: CRC32C of `data` is `!data.iter().fold(!0, bytewise_step)`.
+    fn bytewise_step(crc: u32, &b: &u8) -> u32 {
+        (crc >> 8) ^ CRC32C_TABLES[0][((crc ^ b as u32) & 0xFF) as usize]
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_oracle_at_every_length_and_alignment() {
+        const MAX_LEN: usize = 4100;
+        let data: Vec<u8> = (0..(MAX_LEN + 8) as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for start in 0..8 {
+            // The oracle's running state over data[start..start + len].
+            let mut state = !0u32;
+            for len in 0..=MAX_LEN {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32c(slice), !state, "start {start} len {len}");
+                state = bytewise_step(state, &data[start + len]);
+            }
+        }
+        assert_eq!(!b"123456789".iter().fold(!0, bytewise_step), 0xE306_9283);
     }
 
     #[test]

@@ -75,20 +75,34 @@ impl Default for ExecMode {
     }
 }
 
-/// Per-warp event tally, folded into a participant shard when the warp
-/// retires.
+/// The warp in flight on one participant: its event tally, folded into the
+/// participant's shard when the warp retires. One per shard, reused warp
+/// after warp.
 #[derive(Debug, Default)]
 struct WarpLocal {
     tally: Tally,
     branch_classes: BTreeSet<u32>,
     /// This warp's index within the launch (stamps shadow events).
     warp_index: u32,
-    /// Declared shadow accesses; `None` unless a sanitizer is attached, so
-    /// unsanitized launches never allocate or push.
+    /// The shard's declared-access buffer, which warps append to in place;
+    /// `None` unless a sanitizer is attached, so unsanitized launches never
+    /// allocate or push.
     shadow: Option<Vec<ShadowEvent>>,
 }
 
 impl WarpLocal {
+    /// Start warp `warp_index` with an empty tally. Shadow events past
+    /// `retired` belong to a warp that panicked before retiring; they go,
+    /// as its tally did.
+    fn start(&mut self, warp_index: u32, retired: usize) {
+        self.tally = Tally::default();
+        self.branch_classes.clear();
+        self.warp_index = warp_index;
+        if let Some(log) = self.shadow.as_mut() {
+            log.truncate(retired);
+        }
+    }
+
     /// Buffer one declared shadow access made by `lane` of this warp.
     #[inline]
     fn declare(&mut self, addr: ShadowAddr, kind: AccessKind, lane: u32) {
@@ -309,15 +323,41 @@ impl std::error::Error for LaunchError {
 struct Shard {
     tally: Tally,
     lanes_aborted: u64,
-    /// Declared shadow accesses, in this shard's warp-retirement order.
-    shadow: Vec<ShadowEvent>,
+    /// The warp in flight; its shadow buffer holds this shard's declared
+    /// accesses in warp-retirement order.
+    warp: WarpLocal,
+    /// Shadow events recorded by retired warps.
+    retired: usize,
 }
 
 impl Shard {
-    fn absorb(&mut self, other: Shard) {
-        self.tally.absorb(&other.tally);
-        self.lanes_aborted += other.lanes_aborted;
-        self.shadow.extend(other.shadow);
+    /// A shard whose warps append declared accesses to `shadow`, if given.
+    fn new(shadow: Option<Vec<ShadowEvent>>) -> Self {
+        Shard {
+            warp: WarpLocal {
+                shadow,
+                ..WarpLocal::default()
+            },
+            ..Shard::default()
+        }
+    }
+
+    /// Fold the in-flight warp into the shard.
+    fn retire_warp(&mut self) {
+        let warp = &mut self.warp;
+        warp.tally.add(
+            Counter::DivergenceEvents,
+            (warp.branch_classes.len() as u64).saturating_sub(1),
+        );
+        self.tally.absorb(&warp.tally);
+        self.retired = warp.shadow.as_ref().map_or(0, Vec::len);
+    }
+
+    /// The declared accesses of every retired warp.
+    fn into_shadow(self) -> Option<Vec<ShadowEvent>> {
+        let mut log = self.warp.shadow?;
+        log.truncate(self.retired);
+        Some(log)
     }
 }
 
@@ -328,8 +368,6 @@ struct KernelJob<'k, K> {
     n_tasks: usize,
     faults: Option<&'k FaultPlan>,
     scratch: Option<&'k BlockScratch<'k>>,
-    /// Buffer declared shadow accesses for a sanitizer at retirement.
-    shadow_on: bool,
     shards: Vec<UnsafeCell<Shard>>,
 }
 
@@ -371,11 +409,7 @@ impl<K: Fn(&mut LaneCtx<'_>) + Sync> KernelJob<'_, K> {
         retires_block: bool,
         shard: &mut Shard,
     ) {
-        let mut local = WarpLocal {
-            warp_index: warp as u32,
-            shadow: self.shadow_on.then(Vec::new),
-            ..WarpLocal::default()
-        };
+        shard.warp.start(warp as u32, shard.retired);
         let start = warp * WARP_SIZE;
         let end = (start + WARP_SIZE).min(self.n_tasks);
         for task in start..end {
@@ -387,23 +421,18 @@ impl<K: Fn(&mut LaneCtx<'_>) + Sync> KernelJob<'_, K> {
             }
             let mut ctx = LaneCtx {
                 task,
-                warp: &mut local,
+                warp: &mut shard.warp,
                 scratch: scratch_state.as_deref_mut(),
             };
             (self.kernel)(&mut ctx);
         }
         if let (true, Some(hooks), Some(state)) = (retires_block, self.scratch, scratch_state) {
-            let mut charge = WarpCharge { warp: &mut local };
+            let mut charge = WarpCharge {
+                warp: &mut shard.warp,
+            };
             (hooks.finish)(state, &mut charge);
         }
-        local.tally.add(
-            Counter::DivergenceEvents,
-            (local.branch_classes.len() as u64).saturating_sub(1),
-        );
-        shard.tally.absorb(&local.tally);
-        if let Some(log) = local.shadow {
-            shard.shadow.extend(log);
-        }
+        shard.retire_warp();
     }
 }
 
@@ -436,9 +465,10 @@ impl Executor {
     }
 
     /// Attach a shadow-memory sanitizer: every access the kernel declares
-    /// through [`crate::charge::Charge::access`] is buffered warp-locally
-    /// and merged into the sanitizer (in shard slot order) when the launch
-    /// retires. Declared accesses charge no simulated cost, so attaching a
+    /// through [`crate::charge::Charge::access`] is appended to its
+    /// participant shard's buffer (lent by the sanitizer) and replayed
+    /// into the sanitizer, in shard slot order, when the launch retires.
+    /// Declared accesses charge no simulated cost, so attaching a
     /// sanitizer never changes results or metrics.
     pub fn with_shadow(mut self, sanitizer: Arc<ShadowSanitizer>) -> Self {
         self.shadow = Some(sanitizer);
@@ -551,38 +581,46 @@ impl Executor {
                 (cap, (n_blocks / (cap * 8)).max(1))
             }
         };
+        let mut buffers = self
+            .shadow
+            .as_ref()
+            .map(|sanitizer| sanitizer.lend_buffers(max_slots).into_iter());
         let job = KernelJob {
             kernel: &kernel,
             n_tasks,
             faults: self.faults.as_deref(),
             scratch,
-            shadow_on: self.shadow.is_some(),
             shards: (0..max_slots)
-                .map(|_| UnsafeCell::new(Shard::default()))
+                .map(|_| UnsafeCell::new(Shard::new(buffers.as_mut().and_then(Iterator::next))))
                 .collect(),
         };
         let outcome = pool::WorkerPool::global().run(n_blocks, chunk, max_slots, &job);
 
         // Flush whatever completed warps recorded — also on panic, so a
         // failed launch still accounts the work it did.
-        let mut total = Shard::default();
+        let mut tally = Tally::default();
+        let mut lanes_aborted = 0;
+        let mut logs = Vec::new();
         for cell in job.shards {
-            total.absorb(cell.into_inner());
+            let shard = cell.into_inner();
+            tally.absorb(&shard.tally);
+            lanes_aborted += shard.lanes_aborted;
+            logs.extend(shard.into_shadow());
         }
         if let Some(sanitizer) = &self.shadow {
-            sanitizer.ingest(std::mem::take(&mut total.shadow));
+            sanitizer.ingest_buffers(logs);
         }
-        self.metrics.add_tally(&total.tally);
+        self.metrics.add_tally(&tally);
 
         outcome.map_err(LaunchError::panic)?;
         // Aborted lanes never ran their task; only executed tasks count.
-        let executed = n_tasks as u64 - total.lanes_aborted;
+        let executed = n_tasks as u64 - lanes_aborted;
         self.metrics.add_tasks(executed);
         Ok(LaunchStats {
             tasks: executed,
             warps: n_warps as u64,
-            divergence_events: total.tally.get(Counter::DivergenceEvents),
-            lanes_aborted: total.lanes_aborted,
+            divergence_events: tally.get(Counter::DivergenceEvents),
+            lanes_aborted,
         })
     }
 }

@@ -9,13 +9,14 @@
 //! *checks* that discipline; this module does.
 //!
 //! Data-structure code declares every logically-shared access through
-//! [`crate::charge::Charge::access`] (a default-no-op hook, so sinks that
-//! don't care pay nothing and simulated costs are untouched). Declared
-//! events carry a [`ShadowAddr`] — a *logical* address, independent of
-//! physical page reuse — plus an [`AccessKind`], the issuing warp and lane.
-//! Events buffer in the warp tally, fold into the launch's metric shards,
-//! and are merged in slot order at launch retirement into the sanitizer,
-//! which replays them against a per-address state machine:
+//! [`crate::charge::Charge::access`] (sinks that don't care drop it, and
+//! simulated costs are untouched). Declared events carry a [`ShadowAddr`] —
+//! a *logical* address, independent of physical page reuse — plus an
+//! [`AccessKind`], the issuing warp and lane. Each warp appends its events
+//! in place to its participant shard's buffer (buffers are lent by the
+//! sanitizer and keep their capacity from launch to launch); at launch
+//! retirement the buffers are replayed in slot order against a per-address
+//! state machine:
 //!
 //! * Each launch is one **epoch**. Two warps of the same epoch are
 //!   logically concurrent (SIMT warps have no intra-launch ordering);
@@ -36,17 +37,29 @@
 //!   iteration boundaries are quiescent, so the host may rewrite links of
 //!   kept entries or read evicted images freely.
 //!
+//! The state is dense and eviction-scoped, so each access costs O(1):
+//! bucket-head and bitmap-word cells live in `Vec`s indexed by their
+//! number, and each page identity has one record — evicted flag, cursor
+//! cell, marker cell, and entry cells indexed by `offset / 8` (every entry
+//! layout is 8-aligned) — reached by a single lookup. An eviction drops the
+//! page's cells (the evicted flag is checked first, so they would never be
+//! read again), which keeps memory proportional to the resident pages.
+//!
 //! Zero findings under a deterministic schedule plus byte-identical replay
 //! (`ExecMode::ParallelDeterministic`) means the *declared* access stream
-//! of that schedule is race-free; under `Parallel` mode the merge order of
-//! shards is not schedule-true, so findings remain sound per-warp but
-//! witness ordering is best-effort. The sanitizer charges no simulated
-//! cost, so results are byte-identical with it on or off.
+//! of that schedule is race-free. Under `Parallel` mode the shards are
+//! merged in slot order, not schedule order, so a cross-warp pair split
+//! across shards can replay in the wrong order: racing runs report
+//! spurious mixed plain/atomic findings (see DESIGN.md §10). The sanitizer
+//! charges no simulated cost, so results are byte-identical with it on or
+//! off; its wall-clock cost is measured by `perf/`
+//! (`gpu_sim.shadow.tax_ratio`).
 
 use crate::charge::Charge;
 use crate::metrics::Counter;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Logical address of a simulated-device word the discipline covers.
@@ -138,8 +151,8 @@ pub const HOST_WARP: u32 = u32::MAX;
 /// warp retirement, which act for the whole warp rather than one lane).
 pub const WARP_LEVEL_LANE: u32 = crate::spec::WARP_SIZE as u32;
 
-/// One declared access, as buffered in the warp tallies and merged at
-/// launch retirement.
+/// One declared access, as appended to a participant shard's buffer and
+/// replayed at launch retirement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowEvent {
     /// Logical address accessed.
@@ -250,31 +263,201 @@ impl fmt::Display for SanitizerReport {
     }
 }
 
-/// Shadow state of one logical address. Absence from the cell map means
-/// *fresh*: never accessed (or only ever host-accessed before any device
-/// write).
-#[derive(Debug, Clone, Copy)]
-enum CellState {
+/// Shadow state of one logical address.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Cell {
+    /// Never accessed since the last device reset.
+    #[default]
+    Fresh,
     /// Plain-written by `warp` during `epoch` and not yet published; private
     /// to that warp for the rest of the epoch.
     Owned { warp: u32, epoch: u64 },
-    /// Published (or only ever touched atomically): shared, read/atomic
-    /// access only.
+    /// Published (or only ever touched atomically, or left behind by the
+    /// host): shared, read/atomic access only.
     Published,
+}
+
+/// What the shadow state knew about an address before the access that
+/// completed a violation; rendered into [`Finding::prior`].
+#[derive(Debug, Clone, Copy)]
+enum Prior {
+    /// `warp` holds an unpublished plain write from this epoch.
+    HeldBy(u32),
+    Published,
+    /// The page was evicted.
+    Evicted(u64),
+}
+
+impl fmt::Display for Prior {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Prior::HeldBy(warp) => {
+                write!(
+                    f,
+                    "warp {warp} holds an unpublished plain write from this epoch"
+                )
+            }
+            Prior::Published => {
+                f.write_str("address was published; published words allow only read/atomic access")
+            }
+            Prior::Evicted(p) => write!(f, "page #{p} was evicted to the host heap"),
+        }
+    }
+}
+
+impl Cell {
+    /// Apply one device access by `warp` during `epoch`; returns the
+    /// violation it completes, if any.
+    fn step(&mut self, kind: AccessKind, warp: u32, epoch: u64) -> Option<(FindingKind, Prior)> {
+        let rival = match *self {
+            Cell::Owned { warp: w, epoch: e } if e == epoch && w != warp => Some(w),
+            _ => None,
+        };
+        match kind {
+            AccessKind::PlainWrite => {
+                if let Some(w) = rival {
+                    return Some((FindingKind::ConcurrentPlainAccess, Prior::HeldBy(w)));
+                }
+                if *self == Cell::Published {
+                    return Some((FindingKind::MixedPlainAtomic, Prior::Published));
+                }
+                *self = Cell::Owned { warp, epoch };
+                None
+            }
+            AccessKind::PlainRead => {
+                rival.map(|w| (FindingKind::ConcurrentPlainAccess, Prior::HeldBy(w)))
+            }
+            AccessKind::Atomic | AccessKind::CasPublish => {
+                *self = Cell::Published;
+                rival.map(|w| (FindingKind::MixedPlainAtomic, Prior::HeldBy(w)))
+            }
+            AccessKind::Evicted => unreachable!("evictions retire pages, not cells"),
+        }
+    }
+}
+
+/// The cell at index `i`, growing `cells` with fresh cells to reach it.
+#[inline]
+fn cell_at(cells: &mut Vec<Cell>, i: usize) -> &mut Cell {
+    if i >= cells.len() {
+        cells.resize(i + 1, Cell::Fresh);
+    }
+    &mut cells[i]
+}
+
+/// Everything the sanitizer knows about one logical page.
+#[derive(Debug, Default)]
+struct PageShadow {
+    /// The page was evicted; its cells are gone and stay gone.
+    evicted: bool,
+    cursor: Cell,
+    marker: Cell,
+    /// Entry cells by `offset / 8`.
+    entries: Vec<Cell>,
+}
+
+/// One multiply: host identities are dense monotone counters, so this
+/// spreads them evenly over the table's buckets at a fraction of SipHash's
+/// cost. The heap mints the identities — none come from input — so
+/// SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Where an address's shadow state lives.
+enum Slot<'a> {
+    Live(&'a mut Cell),
+    /// The address lies on this evicted page.
+    Evicted(u64),
+}
+
+/// The per-address shadow state, dense and eviction-scoped.
+#[derive(Debug, Default)]
+struct Cells {
+    heads: Vec<Cell>,
+    words: Vec<Cell>,
+    /// One record per page identity (identities are never reused).
+    pages: HashMap<u64, PageShadow, BuildHasherDefault<IdHasher>>,
+}
+
+impl Cells {
+    #[inline]
+    fn slot(&mut self, addr: ShadowAddr) -> Slot<'_> {
+        let page = match addr {
+            ShadowAddr::BucketHead(b) => return Slot::Live(cell_at(&mut self.heads, b as usize)),
+            ShadowAddr::BitmapWord(w) => return Slot::Live(cell_at(&mut self.words, w as usize)),
+            ShadowAddr::HeapCursor(p) | ShadowAddr::Page(p) | ShadowAddr::Entry { page: p, .. } => {
+                p
+            }
+        };
+        let rec = self.pages.entry(page).or_default();
+        if rec.evicted {
+            return Slot::Evicted(page);
+        }
+        Slot::Live(match addr {
+            ShadowAddr::HeapCursor(_) => &mut rec.cursor,
+            ShadowAddr::Page(_) => &mut rec.marker,
+            ShadowAddr::Entry { offset, .. } => {
+                debug_assert!(offset % 8 == 0, "entry bases are 8-aligned: {addr}");
+                cell_at(&mut rec.entries, (offset / 8) as usize)
+            }
+            ShadowAddr::BucketHead(_) | ShadowAddr::BitmapWord(_) => unreachable!(),
+        })
+    }
+
+    /// Retire `page`: drop its cells and mark it evicted for good.
+    fn evict(&mut self, page: u64) {
+        *self.pages.entry(page).or_default() = PageShadow {
+            evicted: true,
+            ..PageShadow::default()
+        };
+    }
+
+    /// Drop every cell, keeping the evicted flags.
+    fn reset(&mut self) {
+        self.heads.clear();
+        self.words.clear();
+        self.pages.retain(|_, rec| rec.evicted);
+    }
+
+    /// Cells currently held: bucket heads, bitmap words, and the cells of
+    /// pages not evicted.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        let pages = self.pages.values().filter(|rec| !rec.evicted);
+        self.heads.len() + self.words.len() + pages.map(|rec| 2 + rec.entries.len()).sum::<usize>()
+    }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// Launch counter; bumped once per [`ShadowSanitizer::ingest`].
+    /// Launch counter; bumped once per ingested launch.
     epoch: u64,
-    cells: HashMap<ShadowAddr, CellState>,
-    /// Host identities of evicted pages (identities are never reused).
-    evicted: HashSet<u64>,
+    cells: Cells,
     events_checked: u64,
     concurrent_plain: u64,
     mixed_plain_atomic: u64,
     use_after_evict: u64,
     witnesses: Vec<Finding>,
+    /// Emptied per-slot event buffers, kept for the next launch.
+    spare: Vec<Vec<ShadowEvent>>,
 }
 
 impl Inner {
@@ -282,7 +465,7 @@ impl Inner {
         self.concurrent_plain + self.mixed_plain_atomic + self.use_after_evict
     }
 
-    fn finding(&mut self, kind: FindingKind, ev: ShadowEvent, iteration: u32, prior: String) {
+    fn finding(&mut self, kind: FindingKind, ev: ShadowEvent, iteration: u32, prior: Prior) {
         match kind {
             FindingKind::ConcurrentPlainAccess => self.concurrent_plain += 1,
             FindingKind::MixedPlainAtomic => self.mixed_plain_atomic += 1,
@@ -297,100 +480,37 @@ impl Inner {
                 lane: ev.lane,
                 epoch: self.epoch,
                 iteration,
-                prior,
+                prior: prior.to_string(),
             });
         }
     }
 
+    #[inline]
     fn apply(&mut self, ev: ShadowEvent, iteration: u32) {
         self.events_checked += 1;
         let host = ev.warp == HOST_WARP;
 
         if let AccessKind::Evicted = ev.kind {
             if let Some(p) = ev.addr.page() {
-                self.evicted.insert(p);
+                self.cells.evict(p);
             }
             return;
         }
-        if let Some(p) = ev.addr.page() {
-            if self.evicted.contains(&p) {
-                if !host {
-                    self.finding(
-                        FindingKind::UseAfterEvict,
-                        ev,
-                        iteration,
-                        format!("page #{p} was evicted to the host heap"),
-                    );
-                }
-                // Host access to evicted data (eviction machinery, host
-                // queries over stored images) is always legal.
-                return;
-            }
-        }
-        if host {
+        let epoch = self.epoch;
+        let verdict = match self.cells.slot(ev.addr) {
+            // Host access to evicted data (eviction machinery, host queries
+            // over stored images) is always legal.
+            Slot::Evicted(p) => (!host).then_some((FindingKind::UseAfterEvict, Prior::Evicted(p))),
             // Iteration boundaries are quiescent: whatever the host leaves
             // behind is published state for the next epoch.
-            self.cells.insert(ev.addr, CellState::Published);
-            return;
-        }
-
-        let epoch = self.epoch;
-        let state = self.cells.get(&ev.addr).copied();
-        match ev.kind {
-            AccessKind::PlainWrite => match state {
-                Some(CellState::Owned { warp, epoch: e }) if e == epoch && warp != ev.warp => {
-                    self.finding(
-                        FindingKind::ConcurrentPlainAccess,
-                        ev,
-                        iteration,
-                        format!("warp {warp} holds an unpublished plain write from this epoch"),
-                    );
-                }
-                Some(CellState::Published) => {
-                    self.finding(
-                        FindingKind::MixedPlainAtomic,
-                        ev,
-                        iteration,
-                        "address was published; published words allow only read/atomic access"
-                            .to_string(),
-                    );
-                }
-                _ => {
-                    self.cells.insert(
-                        ev.addr,
-                        CellState::Owned {
-                            warp: ev.warp,
-                            epoch,
-                        },
-                    );
-                }
-            },
-            AccessKind::PlainRead => {
-                if let Some(CellState::Owned { warp, epoch: e }) = state {
-                    if e == epoch && warp != ev.warp {
-                        self.finding(
-                            FindingKind::ConcurrentPlainAccess,
-                            ev,
-                            iteration,
-                            format!("warp {warp} holds an unpublished plain write from this epoch"),
-                        );
-                    }
-                }
+            Slot::Live(cell) if host => {
+                *cell = Cell::Published;
+                None
             }
-            AccessKind::Atomic | AccessKind::CasPublish => {
-                if let Some(CellState::Owned { warp, epoch: e }) = state {
-                    if e == epoch && warp != ev.warp {
-                        self.finding(
-                            FindingKind::MixedPlainAtomic,
-                            ev,
-                            iteration,
-                            format!("warp {warp} holds an unpublished plain write from this epoch"),
-                        );
-                    }
-                }
-                self.cells.insert(ev.addr, CellState::Published);
-            }
-            AccessKind::Evicted => unreachable!("handled above"),
+            Slot::Live(cell) => cell.step(ev.kind, ev.warp, epoch),
+        };
+        if let Some((kind, prior)) = verdict {
+            self.finding(kind, ev, iteration, prior);
         }
     }
 }
@@ -439,14 +559,41 @@ impl ShadowSanitizer {
     }
 
     /// Merge one retired launch's declared accesses (in slot order) and
-    /// advance the epoch. Called by the executor; not normally user code.
+    /// advance the epoch. The executor hands over its per-slot buffers
+    /// instead (`ingest_buffers`); this is the one-buffer form.
     pub fn ingest(&self, events: Vec<ShadowEvent>) {
+        self.replay(&[events]);
+    }
+
+    /// Replay `buffers` back to back as one launch.
+    fn replay(&self, buffers: &[Vec<ShadowEvent>]) {
         let iteration = self.iteration.load(Ordering::Relaxed);
         let mut inner = self.inner.lock();
         inner.epoch += 1;
-        for ev in events {
+        for &ev in buffers.iter().flatten() {
             inner.apply(ev, iteration);
         }
+    }
+
+    /// `slots` empty event buffers for one launch's participant shards,
+    /// with the capacity earlier launches grew them to.
+    pub(crate) fn lend_buffers(&self, slots: usize) -> Vec<Vec<ShadowEvent>> {
+        let mut inner = self.inner.lock();
+        let keep = inner.spare.len().saturating_sub(slots);
+        let mut lent = inner.spare.split_off(keep);
+        lent.resize_with(slots, Vec::new);
+        lent
+    }
+
+    /// [`ShadowSanitizer::ingest`] for a launch whose shards filled lent
+    /// buffers: replay them in slot order, then keep them, emptied, for the
+    /// next launch.
+    pub(crate) fn ingest_buffers(&self, mut buffers: Vec<Vec<ShadowEvent>>) {
+        self.replay(&buffers);
+        for buf in &mut buffers {
+            buf.clear();
+        }
+        self.inner.lock().spare.append(&mut buffers);
     }
 
     /// Model a device reset during hard-fault recovery: the simulated
@@ -457,7 +604,13 @@ impl ShadowSanitizer {
     /// before the checkpoint stay evicted across the reset — as are the
     /// cumulative event and finding counters.
     pub fn device_reset(&self) {
-        self.inner.lock().cells.clear();
+        self.inner.lock().cells.reset();
+    }
+
+    /// Shadow cells currently held (see `Cells::live`).
+    #[cfg(test)]
+    fn live_cells(&self) -> usize {
+        self.inner.lock().cells.live()
     }
 
     /// Declare one host-side access at the current epoch (race rules do not
@@ -736,5 +889,335 @@ mod tests {
             lane.access(entry, AccessKind::CasPublish);
         });
         assert_eq!(sanitizer.finding_count(), 0);
+    }
+
+    /// The map-based state machine the dense state replaced, kept as the
+    /// oracle: a `HashMap` of cells keyed by address (absent = fresh) and a
+    /// `HashSet` of evicted page identities, both only ever growing.
+    mod oracle {
+        use super::super::*;
+        use std::collections::{HashMap, HashSet};
+
+        #[derive(Debug, Clone, Copy)]
+        enum CellState {
+            Owned { warp: u32, epoch: u64 },
+            Published,
+        }
+
+        #[derive(Debug)]
+        pub struct MapOracle {
+            epoch: u64,
+            iteration: u32,
+            cells: HashMap<ShadowAddr, CellState>,
+            evicted: HashSet<u64>,
+            report: SanitizerReport,
+        }
+
+        impl MapOracle {
+            pub fn new() -> Self {
+                MapOracle {
+                    epoch: 0,
+                    iteration: 0,
+                    cells: HashMap::new(),
+                    evicted: HashSet::new(),
+                    report: SanitizerReport {
+                        events_checked: 0,
+                        findings_total: 0,
+                        concurrent_plain: 0,
+                        mixed_plain_atomic: 0,
+                        use_after_evict: 0,
+                        witnesses: Vec::new(),
+                    },
+                }
+            }
+
+            pub fn set_iteration(&mut self, iteration: u32) {
+                self.iteration = iteration;
+            }
+
+            pub fn ingest(&mut self, events: &[ShadowEvent]) {
+                self.epoch += 1;
+                for &ev in events {
+                    self.apply(ev);
+                }
+            }
+
+            pub fn record_host(&mut self, addr: ShadowAddr, kind: AccessKind) {
+                self.apply(ShadowEvent {
+                    addr,
+                    kind,
+                    warp: HOST_WARP,
+                    lane: 0,
+                });
+            }
+
+            pub fn device_reset(&mut self) {
+                self.cells.clear();
+            }
+
+            pub fn report(&self) -> SanitizerReport {
+                self.report.clone()
+            }
+
+            fn finding(&mut self, kind: FindingKind, ev: ShadowEvent, prior: String) {
+                let r = &mut self.report;
+                r.findings_total += 1;
+                match kind {
+                    FindingKind::ConcurrentPlainAccess => r.concurrent_plain += 1,
+                    FindingKind::MixedPlainAtomic => r.mixed_plain_atomic += 1,
+                    FindingKind::UseAfterEvict => r.use_after_evict += 1,
+                }
+                if r.witnesses.len() < ShadowSanitizer::MAX_WITNESSES {
+                    r.witnesses.push(Finding {
+                        kind,
+                        addr: ev.addr,
+                        access: ev.kind,
+                        warp: ev.warp,
+                        lane: ev.lane,
+                        epoch: self.epoch,
+                        iteration: self.iteration,
+                        prior,
+                    });
+                }
+            }
+
+            fn apply(&mut self, ev: ShadowEvent) {
+                self.report.events_checked += 1;
+                let host = ev.warp == HOST_WARP;
+                if let AccessKind::Evicted = ev.kind {
+                    if let Some(p) = ev.addr.page() {
+                        self.evicted.insert(p);
+                    }
+                    return;
+                }
+                if let Some(p) = ev.addr.page() {
+                    if self.evicted.contains(&p) {
+                        if !host {
+                            let prior = format!("page #{p} was evicted to the host heap");
+                            self.finding(FindingKind::UseAfterEvict, ev, prior);
+                        }
+                        return;
+                    }
+                }
+                if host {
+                    self.cells.insert(ev.addr, CellState::Published);
+                    return;
+                }
+                let epoch = self.epoch;
+                let held = |warp: u32| {
+                    format!("warp {warp} holds an unpublished plain write from this epoch")
+                };
+                match (ev.kind, self.cells.get(&ev.addr).copied()) {
+                    (AccessKind::PlainWrite, Some(CellState::Owned { warp, epoch: e }))
+                        if e == epoch && warp != ev.warp =>
+                    {
+                        self.finding(FindingKind::ConcurrentPlainAccess, ev, held(warp));
+                    }
+                    (AccessKind::PlainWrite, Some(CellState::Published)) => {
+                        let prior = "address was published; published words allow only \
+                                     read/atomic access";
+                        self.finding(FindingKind::MixedPlainAtomic, ev, prior.to_string());
+                    }
+                    (AccessKind::PlainWrite, _) => {
+                        let owned = CellState::Owned {
+                            warp: ev.warp,
+                            epoch,
+                        };
+                        self.cells.insert(ev.addr, owned);
+                    }
+                    (AccessKind::PlainRead, state) => {
+                        if let Some(CellState::Owned { warp, epoch: e }) = state {
+                            if e == epoch && warp != ev.warp {
+                                self.finding(FindingKind::ConcurrentPlainAccess, ev, held(warp));
+                            }
+                        }
+                    }
+                    (AccessKind::Atomic | AccessKind::CasPublish, state) => {
+                        if let Some(CellState::Owned { warp, epoch: e }) = state {
+                            if e == epoch && warp != ev.warp {
+                                self.finding(FindingKind::MixedPlainAtomic, ev, held(warp));
+                            }
+                        }
+                        self.cells.insert(ev.addr, CellState::Published);
+                    }
+                    (AccessKind::Evicted, _) => unreachable!("handled above"),
+                }
+            }
+        }
+    }
+
+    /// One call on the sanitizer's public surface.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Launch(Vec<ShadowEvent>),
+        Host(ShadowAddr, AccessKind),
+        DeviceReset,
+        Iteration(u32),
+    }
+
+    fn addr() -> impl Strategy<Value = ShadowAddr> {
+        prop_oneof![
+            1 => (0u32..3).prop_map(ShadowAddr::BucketHead),
+            1 => (0u32..2).prop_map(ShadowAddr::BitmapWord),
+            1 => (0u64..3).prop_map(ShadowAddr::HeapCursor),
+            3 => (0u64..3, 0u32..4).prop_map(|(page, slot)| ShadowAddr::Entry {
+                page,
+                offset: slot * 8,
+            }),
+            1 => (0u64..3).prop_map(ShadowAddr::Page),
+        ]
+    }
+
+    fn kind() -> impl Strategy<Value = AccessKind> {
+        prop_oneof![
+            3 => Just(AccessKind::PlainRead),
+            3 => Just(AccessKind::PlainWrite),
+            3 => Just(AccessKind::Atomic),
+            3 => Just(AccessKind::CasPublish),
+            1 => Just(AccessKind::Evicted),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let event = (addr(), kind(), 0u32..3, 0u32..WARP_LEVEL_LANE + 1)
+            .prop_map(|(addr, kind, warp, lane)| dev(addr, kind, warp, lane));
+        prop_oneof![
+            6 => proptest::collection::vec(event, 0..12).prop_map(Op::Launch),
+            3 => (addr(), kind()).prop_map(|(addr, kind)| Op::Host(addr, kind)),
+            1 => Just(Op::DeviceReset),
+            1 => (0u32..4).prop_map(Op::Iteration),
+        ]
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The dense, eviction-scoped state and the map-based oracle agree
+        /// on every report — counts, `events_checked`, and witnesses with
+        /// their `prior` text, in order — after every call.
+        #[test]
+        fn dense_state_matches_the_map_oracle(ops in proptest::collection::vec(op(), 1..60)) {
+            let s = ShadowSanitizer::new();
+            let mut oracle = oracle::MapOracle::new();
+            for op in ops {
+                match op {
+                    Op::Launch(events) => {
+                        oracle.ingest(&events);
+                        s.ingest(events);
+                    }
+                    Op::Host(addr, kind) => {
+                        oracle.record_host(addr, kind);
+                        s.record_host(addr, kind);
+                    }
+                    Op::DeviceReset => {
+                        oracle.device_reset();
+                        s.device_reset();
+                    }
+                    Op::Iteration(i) => {
+                        oracle.set_iteration(i);
+                        s.set_iteration(i);
+                    }
+                }
+                prop_assert_eq!(s.report(), oracle.report());
+            }
+        }
+    }
+
+    /// Write and publish `entries` entries on each of `pages`, one launch
+    /// per page, through the canonical insert discipline.
+    fn fill_pages(s: &ShadowSanitizer, pages: std::ops::Range<u64>, entries: u32) {
+        for page in pages {
+            let mut events = vec![dev(ShadowAddr::HeapCursor(page), AccessKind::Atomic, 0, 0)];
+            for e in 0..entries {
+                let entry = ShadowAddr::Entry {
+                    page,
+                    offset: e * 48,
+                };
+                let head = ShadowAddr::BucketHead(e);
+                events.extend([
+                    dev(entry, AccessKind::PlainWrite, e, 1),
+                    dev(head, AccessKind::Atomic, e, 1),
+                    dev(head, AccessKind::CasPublish, e, 1),
+                    dev(entry, AccessKind::CasPublish, e, 1),
+                ]);
+            }
+            s.ingest(events);
+        }
+    }
+
+    #[test]
+    fn evicted_pages_release_their_cells_but_stay_evicted() {
+        const PAGES: u64 = 64;
+        const RESIDENT: u64 = 4;
+        const ENTRIES: u32 = 16;
+        let s = ShadowSanitizer::new();
+        fill_pages(&s, 0..PAGES, ENTRIES);
+        let full = s.live_cells();
+        assert!(full > (PAGES * u64::from(ENTRIES)) as usize, "{full}");
+        for page in RESIDENT..PAGES {
+            s.record_host(ShadowAddr::Page(page), AccessKind::Evicted);
+        }
+        // Only the resident pages' cells (and the bucket heads) remain:
+        // exactly what a run that never saw the evicted pages holds.
+        let resident_only = ShadowSanitizer::new();
+        fill_pages(&resident_only, 0..RESIDENT, ENTRIES);
+        assert_eq!(s.live_cells(), resident_only.live_cells());
+        assert!(s.live_cells() * 8 < full);
+        assert_eq!(s.finding_count(), 0);
+
+        // A later device touch of an evicted page is still caught.
+        s.set_iteration(5);
+        let gone = ShadowAddr::Entry {
+            page: PAGES - 1,
+            offset: 48,
+        };
+        s.ingest(vec![dev(gone, AccessKind::PlainRead, 3, 17)]);
+        let r = s.report();
+        assert_eq!(r.use_after_evict, 1);
+        let w = &r.witnesses[0];
+        assert_eq!((w.warp, w.lane, w.iteration), (3, 17, 5));
+        assert_eq!(
+            w.prior,
+            format!("page #{} was evicted to the host heap", PAGES - 1)
+        );
+        // Touching it allocated nothing.
+        assert_eq!(s.live_cells(), resident_only.live_cells());
+    }
+
+    #[test]
+    fn a_warp_that_panics_before_retiring_declares_nothing() {
+        let sanitizer = Arc::new(ShadowSanitizer::new());
+        let m = Arc::new(Metrics::new());
+        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        // Warp 0 retires; warp 1's third lane panics after its first three
+        // lanes declared, so only warp 0's 32 accesses reach the sanitizer.
+        let err = e.try_launch(96, |lane| {
+            lane.access(ShadowAddr::BitmapWord(0), AccessKind::Atomic);
+            if lane.task() == 34 {
+                panic!("lane 34 died");
+            }
+        });
+        assert!(err.is_err());
+        assert_eq!(sanitizer.report().events_checked, 32);
+    }
+
+    #[test]
+    fn launch_buffers_keep_their_capacity() {
+        let sanitizer = Arc::new(ShadowSanitizer::new());
+        let m = Arc::new(Metrics::new());
+        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        let kernel = |lane: &mut crate::executor::LaneCtx<'_>| {
+            lane.access(ShadowAddr::BitmapWord(0), AccessKind::Atomic);
+        };
+        e.launch(1_000, kernel);
+        let lent = sanitizer.lend_buffers(1);
+        let capacity = lent[0].capacity();
+        assert!(lent[0].is_empty() && capacity >= 1_000, "{capacity}");
+        sanitizer.ingest_buffers(lent);
+        e.launch(1_000, kernel);
+        assert_eq!(sanitizer.lend_buffers(1)[0].capacity(), capacity);
+        assert_eq!(sanitizer.report().events_checked, 2_000);
     }
 }
