@@ -64,7 +64,7 @@ impl PageKind {
         }
     }
 
-    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP2` page
+    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP3` page
     /// records).
     pub fn tag(self) -> u8 {
         self as u8

@@ -6,7 +6,7 @@
 //! (in-flight PCIe bit flips, resting device-page flips, disk byte flips
 //! on checkpoint images). Seeds are swept until at least one flip actually
 //! strikes, so every comparison covers real injected damage. Checkpoints
-//! go to disk (a sharded SEPOCKS2 file at 4 shards) so the disk-flip path
+//! go to disk (a sharded SEPOCKS3 file at 4 shards) so the disk-flip path
 //! is exercised too.
 //!
 //! Three gates make this a regression harness rather than a report:
@@ -305,7 +305,7 @@ fn main() {
             "tier": *name, "pcie": *p, "resting": *r, "disk": *d,
         })).collect::<Vec<_>>(),
         "shard_counts": SHARD_COUNTS,
-        "checkpoint_policy": "disk (SEPOCKP2; sharded SEPOCKS2), every iteration boundary",
+        "checkpoint_policy": "disk (SEPOCKP3; sharded SEPOCKS3), every iteration boundary",
         "available_parallelism": sepo_bench::host_parallelism(),
         "single_cpu_warning": cpu_warning,
         "runs": rows,

@@ -14,7 +14,8 @@ pub struct Flags {
     pub save: Option<String>,
     /// Run the cross-layer invariant audit at every iteration boundary.
     pub audit: bool,
-    /// Seed for deterministic fault injection (`None` = no faults).
+    /// Seed for deterministic transient fault injection: lane aborts at
+    /// the standard rate (`None` = no faults).
     pub faults: Option<u64>,
     /// Thread-block software combiner in front of combining-organization
     /// tables (`--combiner on|off`). Default on: results are byte-identical
@@ -24,8 +25,8 @@ pub struct Flags {
     /// sanitizer, panicking on publish-discipline violations. Results are
     /// byte-identical either way.
     pub sanitize: bool,
-    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP2`),
-    /// enabling hard-fault recovery.
+    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP3`;
+    /// one `SEPOCKS3` file with `--shards N`), enabling hard-fault recovery.
     pub checkpoint: Option<String>,
     /// Seed for hard-fault chaos injection (device loss, poisoned
     /// launches). Turns on in-memory checkpointing so the run survives.

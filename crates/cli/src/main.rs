@@ -10,8 +10,11 @@
 //!                                        parallel-deterministic)
 //!   --audit                              cross-layer invariant audit at every
 //!                                        iteration boundary
-//!   --faults <seed>                      deterministic fault injection at the
-//!                                        standard rates, seeded with <seed>
+//!   --faults <seed>                      deterministic transient faults: lane
+//!                                        aborts at the standard rate (one
+//!                                        lane in 200), seeded with <seed>;
+//!                                        aborted tasks are re-issued next
+//!                                        iteration
 //!   --combiner on|off                    thread-block software combiner in front
 //!                                        of combining tables (default on;
 //!                                        results identical either way)
@@ -24,8 +27,8 @@
 //!                                        violation; results identical either
 //!                                        way)
 //!   --checkpoint <path>                  persist an iteration-boundary
-//!                                        checkpoint to <path> (SEPOCKP2; with
-//!                                        --shards N one SEPOCKS2 file, a
+//!                                        checkpoint to <path> (SEPOCKP3; with
+//!                                        --shards N one SEPOCKS3 file, a
 //!                                        section per shard), enabling
 //!                                        hard-fault recovery
 //!   --chaos-seed <seed>                  inject hard device faults (device
@@ -70,7 +73,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, FaultSite, HardFaultKind};
+use gpu_sim::{FaultConfig, FaultPlan, HardFaultKind};
 use sepo_apps::sharded::unsharded_image;
 use sepo_apps::{run_app, run_app_sharded, AppConfig};
 use sepo_baselines::{run_cpu_app, run_phoenix};
@@ -400,10 +403,10 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     if f.sanitize {
         println!("shadow-memory sanitizer: on");
     }
-    // --checkpoint persists boundary checkpoints: one SEPOCKP2 image for a
-    // single device, one SEPOCKS2 file with a section per shard otherwise.
+    // --checkpoint persists boundary checkpoints: one SEPOCKP3 image for a
+    // single device, one SEPOCKS3 file with a section per shard otherwise.
     let shared_ckp = f.checkpoint.as_ref().filter(|_| n > 1).map(|path| {
-        println!("checkpoint: sharded SEPOCKS2 file at {path} ({n} sections)");
+        println!("checkpoint: sharded SEPOCKS3 file at {path} ({n} sections)");
         Arc::new(ShardedCheckpointFile::new(path.into(), n))
     });
     let disk = |i: u32| match &shared_ckp {
@@ -461,8 +464,8 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     if !plans.is_empty() {
         println!(
             "  injected faults: {} lane aborts over {} draws",
-            total(&plans, |p| p.injected(FaultSite::Lane)),
-            total(&plans, |p| p.draws(FaultSite::Lane))
+            total(&plans, |p| p.total_injected()),
+            total(&plans, |p| p.draws())
         );
     }
     if plans.iter().any(|p| p.has_hard_faults()) {

@@ -8,8 +8,8 @@
 //! shared references to the evicted host pages, the done bitmap and
 //! per-task pair progress, the per-iteration accounting gathered so far,
 //! and the statistics counters (metrics, touches, per-group allocation
-//! counts, transient fault-draw counters) that a resumed run must report
-//! identically to an unkilled one.
+//! counts, the lane-abort stream's draw counters) that a resumed run must
+//! report identically to an unkilled one.
 //!
 //! Restoring a checkpoint into the *same* table shape reproduces the
 //! boundary exactly: pool order, raw page heads, host-id sequence, even
@@ -19,10 +19,10 @@
 //! part of a checkpoint — restoring them would make a seeded
 //! `DeviceLost` re-fire at the same draw and kill the run forever.
 //!
-//! On-disk format (`SEPOCKP2`, little-endian):
+//! On-disk format (`SEPOCKP3`, little-endian):
 //!
 //! ```text
-//! magic        8 bytes  "SEPOCKP2"
+//! magic        8 bytes  "SEPOCKP3"
 //! iteration    u32      completed iterations at capture
 //! fault_stalls u32      consecutive fault-stalled iterations
 //! n_tasks      u64
@@ -32,7 +32,7 @@
 //! touches      u32 count, count x u32
 //! group allocs u32 count, count x u64
 //! metrics      17 x u64                 absolute counter snapshot
-//! transient    u8 flag; if 1: u32 site count, draws u64 x n, injected u64 x n
+//! transient    u8 flag; if 1: lane draws u64, lane aborts u64
 //! iterations   u32 count, per entry:
 //!              iteration u32, chunks u32, halted u8,
 //!              attempted/completed/input_bytes u64, kernel 17 x u64,
@@ -57,20 +57,20 @@
 //! rewrites the file when a seeded disk byte flip damaged it in flight,
 //! giving up with a checksum error after a bounded number of rewrites.
 //!
-//! Sharded runs write one file for all shards (`SEPOCKS2`): a global
+//! Sharded runs write one file for all shards (`SEPOCKS3`): a global
 //! header naming the shard count, then one length-prefixed standard
-//! `SEPOCKP2` section per shard (length 0 = that shard has not
+//! `SEPOCKP3` section per shard (length 0 = that shard has not
 //! checkpointed yet), then a whole-container CRC32C trailer. Each
 //! shard's driver updates its own section through a shared
 //! [`ShardedCheckpointFile`]; resume reads every section back with
 //! [`read_sharded_from_path`] and restores every shard. Every section is
-//! a complete `SEPOCKP2` image, so shard payloads are covered by their
+//! a complete `SEPOCKP3` image, so shard payloads are covered by their
 //! own trailers *and* the container trailer.
 //!
 //! ```text
-//! magic        8 bytes  "SEPOCKS2"
+//! magic        8 bytes  "SEPOCKS3"
 //! shard count  u32
-//! sections     per shard: len u32, len bytes of SEPOCKP2 image
+//! sections     per shard: len u32, len bytes of SEPOCKP3 image
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 
@@ -89,10 +89,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOCKP2";
-const MAGIC_NAME: &str = "SEPOCKP2";
-const SHARDED_MAGIC: &[u8; 8] = b"SEPOCKS2";
-const SHARDED_MAGIC_NAME: &str = "SEPOCKS2";
+const MAGIC: &[u8; 8] = b"SEPOCKP3";
+const MAGIC_NAME: &str = "SEPOCKP3";
+const SHARDED_MAGIC: &[u8; 8] = b"SEPOCKS3";
+const SHARDED_MAGIC_NAME: &str = "SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
 // part of the format: adding, removing or reordering a counter must bump
 // both magics.
@@ -155,12 +155,12 @@ pub enum CheckpointPolicy {
     /// so the marginal cost is the resident device bytes).
     Memory,
     /// Keep the latest checkpoint in memory *and* persist it to this path
-    /// as a `SEPOCKP2` image after every boundary, so a separate process
+    /// as a `SEPOCKP3` image after every boundary, so a separate process
     /// can resume after the original one dies.
     Disk(PathBuf),
     /// Sharded-run variant of `Disk`: keep the latest checkpoint in memory
     /// and write it through to this shard's section of a shared
-    /// `SEPOCKS2` container, so one file resumes every shard.
+    /// `SEPOCKS3` container, so one file resumes every shard.
     SharedDisk(Arc<ShardedCheckpointFile>, u32),
 }
 
@@ -188,7 +188,7 @@ impl CheckpointPolicy {
 }
 
 /// The shared writer behind [`CheckpointPolicy::SharedDisk`]: one
-/// `SEPOCKS2` file holding every shard's latest boundary checkpoint.
+/// `SEPOCKS3` file holding every shard's latest boundary checkpoint.
 ///
 /// Shard drivers run concurrently, so updates serialize behind a mutex;
 /// each update replaces one shard's section and rewrites the file whole
@@ -272,7 +272,7 @@ impl ShardedCheckpointFile {
     }
 }
 
-/// Load a `SEPOCKS2` container: one entry per shard, `None` for a shard
+/// Load a `SEPOCKS3` container: one entry per shard, `None` for a shard
 /// that had not checkpointed when the file was last written. The
 /// container's checksum trailer is verified against the whole file
 /// before any section is parsed.
@@ -285,7 +285,7 @@ pub fn read_sharded_from_path(path: &Path) -> io::Result<Vec<Option<Checkpoint>>
     if &magic != SHARDED_MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            "not a SEPOCKS2 container",
+            "not a SEPOCKS3 container",
         ));
     }
     let n_shards = read_u32(r, "shard count")? as usize;
@@ -361,8 +361,8 @@ impl Checkpoint {
     /// same table, and cross-process resume builds one from the same
     /// configuration. Panics on a shape mismatch.
     ///
-    /// Transient fault-draw counters are rolled back (so replayed
-    /// iterations re-draw the same transient faults); hard-fault draw
+    /// The lane-abort stream's counters are rolled back (so replayed
+    /// iterations re-draw the same lane aborts); hard-fault draw
     /// counters are left alone (so the fault that killed the run is not
     /// deterministically re-drawn at the same point forever).
     pub fn restore(
@@ -416,7 +416,7 @@ impl Checkpoint {
         self.n_tasks
     }
 
-    /// Exact size in bytes of the `SEPOCKP2` image [`Checkpoint::to_writer`]
+    /// Exact size in bytes of the `SEPOCKP3` image [`Checkpoint::to_writer`]
     /// produces — the checkpoint footprint the chaos benchmark reports.
     /// Sized by the code that writes the image, into a sink that only
     /// counts (no page byte is read).
@@ -427,7 +427,7 @@ impl Checkpoint {
         count.0 + 4 // whole-image checksum trailer
     }
 
-    /// The `SEPOCKP2` image: the body followed by a CRC32C trailer over
+    /// The `SEPOCKP3` image: the body followed by a CRC32C trailer over
     /// every preceding byte.
     fn image(&self) -> io::Result<Vec<u8>> {
         let mut image = Vec::new();
@@ -436,7 +436,7 @@ impl Checkpoint {
         Ok(image)
     }
 
-    /// Serialize as a `SEPOCKP2` image.
+    /// Serialize as a `SEPOCKP3` image.
     pub fn to_writer<W: Write>(&self, w: &mut W) -> io::Result<()> {
         w.write_all(&self.image()?)
     }
@@ -458,10 +458,8 @@ impl Checkpoint {
             None => w.write_all(&[0u8])?,
             Some(t) => {
                 w.write_all(&[1u8])?;
-                w.write_all(&(t.draws.len() as u32).to_le_bytes())?;
-                for v in t.draws.iter().chain(t.injected.iter()) {
-                    w.write_all(&v.to_le_bytes())?;
-                }
+                w.write_all(&t.draws.to_le_bytes())?;
+                w.write_all(&t.injected.to_le_bytes())?;
             }
         }
         w.write_all(&(self.iterations.len() as u32).to_le_bytes())?;
@@ -503,7 +501,7 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Deserialize a `SEPOCKP2` image. The whole-image checksum trailer
+    /// Deserialize a `SEPOCKP3` image. The whole-image checksum trailer
     /// is verified first, so any flipped bit anywhere is rejected with a
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
@@ -519,7 +517,7 @@ impl Checkpoint {
         if &magic != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "not a SEPOCKP2 image",
+                "not a SEPOCKP3 image",
             ));
         }
         let iteration = read_u32(r, "iteration")?;
@@ -533,23 +531,10 @@ impl Checkpoint {
         let metrics = read_snapshot(r, "metrics")?;
         let transient = match read_u8(r, "transient flag")? {
             0 => None,
-            1 => {
-                let mut t = TransientDrawState::default();
-                let n = read_u32(r, "transient site count")? as usize;
-                if n != t.draws.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("transient site count {n} does not match this build"),
-                    ));
-                }
-                for v in t.draws.iter_mut() {
-                    *v = read_u64(r, "transient draws")?;
-                }
-                for v in t.injected.iter_mut() {
-                    *v = read_u64(r, "transient injections")?;
-                }
-                Some(t)
-            }
+            1 => Some(TransientDrawState {
+                draws: read_u64(r, "transient draws")?,
+                injected: read_u64(r, "transient injections")?,
+            }),
             other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -642,7 +627,7 @@ impl Checkpoint {
         })
     }
 
-    /// Persist as a `SEPOCKP2` file (the `--checkpoint <path>` flag).
+    /// Persist as a `SEPOCKP3` file (the `--checkpoint <path>` flag).
     pub fn write_to_path(&self, path: &Path) -> io::Result<()> {
         self.write_to_path_with(path, None).map(|_| ())
     }
@@ -655,7 +640,7 @@ impl Checkpoint {
         write_image_verified(path, &self.image()?, plan, MAGIC_NAME)
     }
 
-    /// Load a `SEPOCKP2` file.
+    /// Load a `SEPOCKP3` file.
     pub fn read_from_path(path: &Path) -> io::Result<Checkpoint> {
         let image = std::fs::read(path)?;
         Checkpoint::from_reader(&mut image.as_slice())
@@ -866,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn sepockp2_round_trips_and_sizes_exactly() {
+    fn sepockp3_round_trips_and_sizes_exactly() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let mut buf = Vec::new();
@@ -882,29 +867,33 @@ mod tests {
         fill(&t, 0..20);
         let plan = FaultPlan::new(gpu_sim::FaultConfig {
             seed: 5,
-            alloc_failure_rate: 0.5,
-            pcie_error_rate: 0.0,
-            lane_abort_rate: 0.0,
+            lane_abort_rate: 0.5,
         });
         for _ in 0..10 {
-            let _ = plan.should_fault(gpu_sim::FaultSite::Alloc);
+            let _ = plan.should_abort_lane();
         }
         let done = Bitmap::new(4);
         let progress: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[], 0, Some(&plan));
+        assert!(plan.total_injected() > 0, "the section must carry hits");
         let mut buf = Vec::new();
         ckp.to_writer(&mut buf).unwrap();
         assert_eq!(buf.len() as u64, ckp.encoded_size());
+        // The transient section is the flag byte plus the lane stream's two
+        // counters; without a plan it is the flag byte alone.
+        let planless = Checkpoint::capture(&t, &done, &progress, &[], 0, None);
+        assert_eq!(ckp.encoded_size() - planless.encoded_size(), 16);
         let back = Checkpoint::from_reader(&mut buf.as_slice()).unwrap();
         assert_eq!(back, ckp);
         // Restoring rolls the plan's transient counters back.
         for _ in 0..5 {
-            let _ = plan.should_fault(gpu_sim::FaultSite::Alloc);
+            let _ = plan.should_abort_lane();
         }
         let mut iters = Vec::new();
         let mut stalls = 0;
         back.restore(&t, &done, &progress, &mut iters, &mut stalls, Some(&plan));
-        assert_eq!(plan.transient_snapshot().draws[0], 10);
+        assert_eq!(plan.transient_snapshot(), ckp.transient.unwrap());
+        assert_eq!(plan.draws(), 10);
     }
 
     #[test]
@@ -979,13 +968,13 @@ mod tests {
         let file = ShardedCheckpointFile::new(path.clone(), 2);
         file.update(0, &ckp).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // A plain SEPOCKP2 image is not a container (its own trailer is
+        // A plain SEPOCKP3 image is not a container (its own trailer is
         // valid, so this exercises the magic check, not the checksum).
         let mut plain = Vec::new();
         ckp.to_writer(&mut plain).unwrap();
         std::fs::write(&path, &plain).unwrap();
         let err = read_sharded_from_path(&path).unwrap_err();
-        assert!(err.to_string().contains("not a SEPOCKS2 container"));
+        assert!(err.to_string().contains("not a SEPOCKS3 container"));
         // Truncating the container anywhere is a clean InvalidData error.
         for len in [0, 4, 11, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..len]).unwrap();
@@ -1019,17 +1008,25 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOCKP2 image")
-                    || msg.contains("SEPOCKP2 image failed checksum verification"),
+                msg.contains("truncated SEPOCKP3 image")
+                    || msg.contains("SEPOCKP3 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
         // Garbage magic under a *valid* trailer is a distinct, equally
-        // clean rejection (garbage without a trailer fails the checksum).
+        // clean rejection (garbage without a trailer fails the checksum) —
+        // and so is an image of the previous format, whose transient
+        // section this build would misread.
         let mut garbage = b"GARBAGE!________".to_vec();
         append_trailer(&mut garbage);
-        let err = Checkpoint::from_reader(&mut garbage.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("not a SEPOCKP2 image"));
+        let mut previous = buf[..buf.len() - 4].to_vec();
+        previous[..8].copy_from_slice(b"SEPOCKP2");
+        append_trailer(&mut previous);
+        for image in [garbage, previous] {
+            let err = Checkpoint::from_reader(&mut image.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("not a SEPOCKP3 image"));
+        }
     }
 
     #[test]
@@ -1048,7 +1045,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
-                    .contains("SEPOCKP2 image failed checksum verification"),
+                    .contains("SEPOCKP3 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {:?}",
                 err.to_string()
             );
@@ -1075,7 +1072,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
-                    .contains("SEPOCKS2 image failed checksum verification"),
+                    .contains("SEPOCKS3 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {:?}",
                 err.to_string()
             );

@@ -27,7 +27,7 @@ use crate::hash::bucket_of;
 use crate::integrity::{self, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
-use gpu_sim::faults::{CorruptionError, CorruptionKind};
+use gpu_sim::faults::{CorruptionError, CorruptionKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
 use std::sync::atomic::Ordering;
@@ -59,30 +59,36 @@ impl SepoTable {
     /// End-of-iteration eviction per the table's organization. Quiescent
     /// callers only.
     pub fn end_iteration(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, false)
+        self.evict_boundary(&mut NoCharge, false, None)
     }
 
     /// Evict everything that remains (kept pages included). Call once after
     /// the last iteration; afterwards the result collectors see the full
     /// table in the host heap.
     pub fn finalize(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, true)
+        self.evict_boundary(&mut NoCharge, true, None)
     }
 
     /// Model one page image crossing the PCIe bus under the integrity
-    /// layer: stamp a CRC32C from the pristine bytes, then — when a
-    /// corruption plan is live — draw in-flight bit flips, *materialize*
+    /// layer: stamp a CRC32C from the pristine bytes, then — under a
+    /// `corrupt` plan — draw in-flight bit flips, *materialize*
     /// each one, prove the stamp catches it, and retransmit up to
     /// [`MAX_TRANSFER_RETRANSMITS`] times. Exhausting the retransmit
     /// budget records an unrecovered-transfer witness the driver surfaces
     /// as `SepoError::CorruptTransfer`. The pristine image is what lands
     /// host-side on success, so recovered runs stay byte-identical to
     /// corruption-free ones.
-    fn wire_page(&self, host_id: u64, kind: PageKind, data: Vec<u8>) -> StampedPage {
+    fn wire_page(
+        &self,
+        host_id: u64,
+        kind: PageKind,
+        data: Vec<u8>,
+        corrupt: Option<&FaultPlan>,
+    ) -> StampedPage {
         let data: Arc<[u8]> = data.into();
         let page = StampedPage::stamp(host_id, kind, Arc::clone(&data));
         self.integrity.note_stamped();
-        if let Some(plan) = self.integrity.corrupting_plan() {
+        if let Some(plan) = corrupt {
             let mut retransmits = 0;
             while let Some(hit) = plan.draw_corruption(CorruptionKind::PcieBitFlip) {
                 // Materialize the damage and verify the stamp detects it
@@ -113,13 +119,19 @@ impl SepoTable {
     /// Copy one page off the device under its stamped identity into the
     /// host heap and release it. Declares the page's logical identity
     /// evicted *before* the release, while the identity is still readable.
-    fn evict_page<C: Charge>(&self, p: u32, charge: &mut C) -> EvictReport {
+    fn evict_page<C: Charge>(
+        &self,
+        p: u32,
+        charge: &mut C,
+        corrupt: Option<&FaultPlan>,
+    ) -> EvictReport {
         let host_id = self.heap.host_id(p);
         charge.access(ShadowAddr::Page(host_id), AccessKind::Evicted);
         let data = self.heap.page_data(p);
         let bytes = data.len() as u64;
+        let kind = self.heap.page_kind(p);
         self.host
-            .store(self.wire_page(host_id, self.heap.page_kind(p), data));
+            .store(self.wire_page(host_id, kind, data, corrupt));
         self.heap.release_page(p);
         EvictReport {
             evicted_pages: 1,
@@ -140,10 +152,17 @@ impl SepoTable {
     /// quiescent).
     ///
     /// Every evicted page is stamped and stored in the host heap before
-    /// this returns. Whether its DMA is *priced* as hidden behind the next
-    /// iteration's kernels is a benchmark-layer decision
-    /// (`SepoOutcome::evict_overlap`); the eviction itself is one path.
-    pub fn evict_boundary<C: Charge>(&self, charge: &mut C, force: bool) -> EvictReport {
+    /// this returns; under a `corrupt` plan (one that draws silent
+    /// corruption) its transfer also draws seeded in-flight bit flips.
+    /// Whether its DMA is *priced* as hidden behind the next iteration's
+    /// kernels is a benchmark-layer decision (`SepoOutcome::evict_overlap`);
+    /// the eviction itself is one path.
+    pub fn evict_boundary<C: Charge>(
+        &self,
+        charge: &mut C,
+        force: bool,
+        corrupt: Option<&FaultPlan>,
+    ) -> EvictReport {
         let mut report = EvictReport::default();
         let resident = self.heap.resident_pages();
         let key_pages: Vec<u32> = resident
@@ -181,7 +200,7 @@ impl SepoTable {
         //    which have no key pages, so for them this is the whole
         //    eviction — always leave.
         for &p in &other_pages {
-            report.absorb(self.evict_page(p, charge));
+            report.absorb(self.evict_page(p, charge, corrupt));
         }
 
         // 3. Key pages leave unless they hold pending keys (or we are
@@ -210,7 +229,7 @@ impl SepoTable {
                 report.kept_pages += 1;
                 report.kept_bytes += self.heap.page_used(p) as u64;
             } else {
-                report.absorb(self.evict_page(p, charge));
+                report.absorb(self.evict_page(p, charge, corrupt));
             }
         }
 
@@ -441,7 +460,7 @@ mod tests {
         let stale = ShadowAddr::Page(t.heap().host_id(page));
 
         // ...the iteration boundary evicts everything...
-        t.evict_boundary(&mut sz.host_charge(), false);
+        t.evict_boundary(&mut sz.host_charge(), false, None);
 
         // ...and the next launch dereferences the stale handle.
         sz.set_iteration(2);
@@ -477,7 +496,7 @@ mod tests {
         let addr = ShadowAddr::Page(t.heap().host_id(page));
 
         let sz = ShadowSanitizer::new();
-        t.evict_boundary(&mut sz.host_charge(), false);
+        t.evict_boundary(&mut sz.host_charge(), false, None);
         sz.record_host(addr, AccessKind::PlainRead);
         assert_eq!(sz.finding_count(), 0);
     }

@@ -1,13 +1,13 @@
 //! End-to-end data integrity: CRC32C stamps and verification state.
 //!
-//! Loud failures (alloc errors, lane aborts, `DeviceLost`) are survived by
-//! retries and checkpoints; *silent* corruption is the failure mode this
+//! Loud failures (lane aborts, `DeviceLost`) are survived by re-issue and
+//! checkpoints; *silent* corruption is the failure mode this
 //! module exists for. Every evicted page is a [`StampedPage`]: it carries a
 //! CRC32C (Castagnoli) checksum computed from the pristine bytes before
 //! they cross the simulated PCIe bus, and its bytes are reachable only
 //! through [`StampedPage::verify`] — at host adoption, [`HostStore`]
 //! absorption, every finalized-table reader, and an end-of-run scrub. The
-//! persisted formats (`SEPOHST2`, `SEPOCKP2`, `SEPOCKS2`) carry whole-image
+//! persisted formats (`SEPOHST2`, `SEPOCKP3`, `SEPOCKS3`) carry whole-image
 //! trailing checksums so any single flipped bit on disk is rejected at
 //! load, never parsed into a silently wrong image.
 //!
@@ -23,13 +23,12 @@
 //! [`CorruptionKind`]: gpu_sim::CorruptionKind
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use gpu_sim::{CorruptionError, FaultPlan};
+use gpu_sim::CorruptionError;
 
 /// How many times a transfer whose checksum failed verification is
-/// re-issued before the eviction is declared unrecoverable. Mirrors the
-/// bus's own `MAX_TRANSFER_RETRIES` for loud transfer errors.
+/// re-issued before the eviction is declared unrecoverable.
 pub const MAX_TRANSFER_RETRANSMITS: u32 = 8;
 
 /// The witness carried by `SepoError::CorruptTransfer` when retransmission
@@ -43,14 +42,11 @@ pub struct TransferFailure {
     pub error: CorruptionError,
 }
 
-/// Shared integrity state attached to a `SepoTable`. Holds the fault plan
-/// (installed by the driver at run start so eviction paths can draw
-/// in-flight corruption without signature changes) plus detection counters
+/// Shared integrity state attached to a `SepoTable`: detection counters
 /// and the unrecovered-transfer witness slot the driver polls at iteration
 /// boundaries.
 #[derive(Debug, Default)]
 pub struct IntegrityState {
-    plan: Mutex<Option<Arc<FaultPlan>>>,
     pages_stamped: AtomicU64,
     pages_verified: AtomicU64,
     retransmits: AtomicU64,
@@ -58,25 +54,6 @@ pub struct IntegrityState {
 }
 
 impl IntegrityState {
-    /// Install the run's fault plan so eviction paths can draw in-flight
-    /// corruption decisions. Passing a plan without corruption streams (or
-    /// calling with the same plan twice) is harmless.
-    pub fn install_plan(&self, plan: Arc<FaultPlan>) {
-        *self.plan.lock().unwrap() = Some(plan);
-    }
-
-    /// Detach the fault plan (end of run).
-    pub fn clear_plan(&self) {
-        *self.plan.lock().unwrap() = None;
-    }
-
-    /// The installed plan, if it draws corruption. `None` when corruption
-    /// is off, so callers can skip the entire injection path.
-    pub fn corrupting_plan(&self) -> Option<Arc<FaultPlan>> {
-        let guard = self.plan.lock().unwrap();
-        guard.as_ref().filter(|p| p.has_corruption()).cloned()
-    }
-
     /// Record a page stamped at eviction.
     pub fn note_stamped(&self) {
         self.pages_stamped.fetch_add(1, Ordering::Relaxed);
@@ -152,7 +129,7 @@ pub fn flip_byte_in_place(data: &mut [u8], entropy: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{CorruptionKind, FaultConfig};
+    use gpu_sim::CorruptionKind;
 
     #[test]
     fn flip_bit_damages_exactly_one_bit_deterministically() {
@@ -176,12 +153,6 @@ mod tests {
     #[test]
     fn integrity_state_keeps_first_failure_and_counts() {
         let s = IntegrityState::default();
-        assert!(s.corrupting_plan().is_none());
-        s.install_plan(Arc::new(FaultPlan::new(FaultConfig::quiet(1))));
-        assert!(
-            s.corrupting_plan().is_none(),
-            "plan without corruption streams must not enable injection"
-        );
         s.note_stamped();
         s.note_verified();
         s.note_retransmit();

@@ -81,7 +81,7 @@ pub struct RecoveryStats {
     /// Checkpoints captured over the run (one per iteration boundary plus
     /// the pre-run baseline when checkpointing is on).
     pub checkpoints_taken: u32,
-    /// `SEPOCKP2` footprint of the latest checkpoint, in bytes.
+    /// `SEPOCKP3` footprint of the latest checkpoint, in bytes.
     pub checkpoint_bytes: u64,
     /// In-flight eviction corruptions detected by the transfer checksum
     /// and repaired by retransmitting the page.
@@ -602,11 +602,11 @@ struct Run<'d> {
     table: &'d SepoTable,
     executor: &'d Executor,
     config: &'d DriverConfig,
-    /// The executor's fault plan. For the run it is also installed on the
-    /// table's integrity state, so eviction's `wire_page` can draw
-    /// in-flight corruption.
-    faults: Option<&'d Arc<FaultPlan>>,
-    /// The same plan, when it draws silent corruption.
+    /// The executor's fault plan; checkpoints capture and restore its lane
+    /// counters.
+    faults: Option<&'d FaultPlan>,
+    /// The same plan, when it draws silent corruption: handed to eviction
+    /// (in-flight flips), the resting-page window and checkpoint writes.
     corrupt: Option<&'d FaultPlan>,
     done: Bitmap,
     progress: Box<[AtomicU32]>,
@@ -628,35 +628,23 @@ struct Run<'d> {
     resting: Vec<(u32, u64, u32)>,
 }
 
-impl Drop for Run<'_> {
-    /// Detach the installed fault plan on every exit path.
-    fn drop(&mut self) {
-        if self.faults.is_some() {
-            self.table.integrity().clear_plan();
-        }
-    }
-}
-
 impl<'d> Run<'d> {
     /// Set up the run and take the pre-run baseline: checkpoint 0 (so a
     /// kill during iteration 1 recovers too) and serving epoch 0.
     fn begin(driver: &'d SepoDriver<'_>, n_tasks: usize) -> Result<Self, SepoError> {
         let (table, executor, config) = (driver.table, driver.executor, &driver.config);
         let audit = config.audit.then(|| TableAudit::begin(table));
-        let faults = executor.faults();
+        let faults = executor.faults().map(Arc::as_ref);
         let shadow = config.sanitize.then(|| {
             let sz = executor.shadow().cloned();
             sz.expect("DriverConfig::sanitize requires Executor::with_shadow")
         });
-        if let Some(plan) = faults {
-            table.integrity().install_plan(Arc::clone(plan));
-        }
         let mut run = Run {
             table,
             executor,
             config,
             faults,
-            corrupt: faults.map(Arc::as_ref).filter(|p| p.has_corruption()),
+            corrupt: faults.filter(|p| p.has_corruption()),
             done: Bitmap::new(n_tasks),
             progress: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
             pending: (0..n_tasks as u32).collect(),
@@ -715,7 +703,7 @@ impl<'d> Run<'d> {
             &self.progress,
             &self.iterations,
             self.fault_stalls,
-            self.faults.map(Arc::as_ref),
+            self.faults,
         );
         let at_iteration = ckp.iteration();
         let typed = |source: io::Error| match source.kind() {
@@ -874,7 +862,7 @@ impl<'d> Run<'d> {
             &self.progress,
             &mut self.iterations,
             &mut self.fault_stalls,
-            self.faults.map(Arc::as_ref),
+            self.faults,
         );
         if let Some(sz) = &self.shadow {
             // The replay re-publishes the device cells the abandoned
@@ -922,8 +910,8 @@ impl<'d> Run<'d> {
         let table = self.table;
         let used_before = self.audit.as_ref().map(|_| table.heap().stats().used_bytes);
         let report = match &self.shadow {
-            Some(sz) => table.evict_boundary(&mut sz.host_charge(), force),
-            None => table.evict_boundary(&mut NoCharge, force),
+            Some(sz) => table.evict_boundary(&mut sz.host_charge(), force, self.corrupt),
+            None => table.evict_boundary(&mut NoCharge, force, self.corrupt),
         };
         self.transfer_verdict(at_iteration)?;
         if let (Some(a), Some(used_before)) = (self.audit.as_mut(), used_before) {
@@ -1426,8 +1414,6 @@ mod tests {
         let t = small_table(Organization::Combining(Combiner::Add), 64);
         let plan = Arc::new(FaultPlan::new(FaultConfig {
             seed: 0xFA17,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: 0.10,
         }));
         let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
@@ -1450,7 +1436,7 @@ mod tests {
             outcome.n_iterations() > 1,
             "aborted lanes must force extra iterations"
         );
-        assert!(plan.injected(gpu_sim::FaultSite::Lane) > 0);
+        assert!(plan.total_injected() > 0);
         let got: HashMap<Vec<u8>, u64> = t.collect_combining().into_iter().collect();
         assert_eq!(got.len(), 300);
         assert!(got.values().all(|&v| v == 1), "no key may double-count");
@@ -1462,8 +1448,6 @@ mod tests {
         let t = small_table(Organization::Combining(Combiner::Add), 64);
         let plan = Arc::new(FaultPlan::new(FaultConfig {
             seed: 1,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: 1.0,
         }));
         let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))

@@ -37,7 +37,7 @@
 //! atomic adds per launch instead of five per warp.
 
 use crate::charge::Charge;
-use crate::faults::{FaultPlan, FaultSite, HardFaultError};
+use crate::faults::{FaultPlan, HardFaultError};
 use crate::metrics::{Counter, Metrics, Tally};
 use crate::pool::{self, Work, WorkerPool};
 use crate::shadow::{AccessKind, ShadowAddr, ShadowEvent, ShadowSanitizer, WARP_LEVEL_LANE};
@@ -187,7 +187,7 @@ impl LaneCtx<'_> {
     }
 
     /// Split this lane into its block's scratch state (when the launch was
-    /// [`Executor::launch_scoped`] with a [`BlockScratch`]) and a charge
+    /// [`Executor::try_launch_scoped`] with a [`BlockScratch`]) and a charge
     /// sink over the warp tally. The split borrows disjoint fields, so a
     /// lane can update scratch state while charging costs.
     #[inline]
@@ -414,7 +414,7 @@ impl<K: Fn(&mut LaneCtx<'_>) + Sync> KernelJob<'_, K> {
         let end = (start + WARP_SIZE).min(self.n_tasks);
         for task in start..end {
             if let Some(plan) = self.faults {
-                if plan.should_fault(FaultSite::Lane) {
+                if plan.should_abort_lane() {
                     shard.lanes_aborted += 1;
                     continue;
                 }
@@ -509,24 +509,6 @@ impl Executor {
             .unwrap_or_else(|e| std::panic::resume_unwind(e.into_panic()))
     }
 
-    /// Like [`Executor::launch`], with thread-block scratch hooks attached:
-    /// each block gets its own scratch state (`scratch.init`) which the
-    /// lanes of its warps can reach via [`LaneCtx::scratch_parts`], drained
-    /// by `scratch.finish` when the block's last warp retires — strictly
-    /// before this call returns.
-    pub fn launch_scoped<K>(
-        &self,
-        n_tasks: usize,
-        scratch: Option<&BlockScratch<'_>>,
-        kernel: K,
-    ) -> LaunchStats
-    where
-        K: Fn(&mut LaneCtx<'_>) + Sync,
-    {
-        self.try_launch_scoped(n_tasks, scratch, kernel)
-            .unwrap_or_else(|e| std::panic::resume_unwind(e.into_panic()))
-    }
-
     /// Like [`Executor::launch`], but a kernel panic is returned as a
     /// [`LaunchError`] instead of unwinding. The launch always drains:
     /// every block not in the panicking chunk still executes, and the worker
@@ -538,8 +520,11 @@ impl Executor {
         self.try_launch_scoped(n_tasks, None, kernel)
     }
 
-    /// [`Executor::launch_scoped`] with the panic-capturing contract of
-    /// [`Executor::try_launch`].
+    /// [`Executor::try_launch`] with thread-block scratch hooks attached:
+    /// each block gets its own scratch state (`scratch.init`) which the
+    /// lanes of its warps can reach via [`LaneCtx::scratch_parts`], drained
+    /// by `scratch.finish` when the block's last warp retires — strictly
+    /// before this call returns.
     pub fn try_launch_scoped<K>(
         &self,
         n_tasks: usize,
@@ -813,8 +798,6 @@ mod tests {
             let m = Arc::new(Metrics::new());
             let plan = Arc::new(FaultPlan::new(FaultConfig {
                 seed,
-                alloc_failure_rate: 0.0,
-                pcie_error_rate: 0.0,
                 lane_abort_rate: 0.2,
             }));
             let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m))
@@ -904,15 +887,17 @@ mod tests {
             init: &init,
             finish: &finish,
         };
-        let stats = e.launch_scoped(n, Some(&hooks), |ctx| {
-            let task = ctx.task();
-            let (scratch, mut charge) = ctx.scratch_parts();
-            let state = scratch.unwrap().downcast_mut::<(usize, u64)>().unwrap();
-            state.0 = state.0.min(task);
-            state.1 += 1;
-            charge.combiner_hits(1);
-            charge.smem_bytes(8);
-        });
+        let stats = e
+            .try_launch_scoped(n, Some(&hooks), |ctx| {
+                let task = ctx.task();
+                let (scratch, mut charge) = ctx.scratch_parts();
+                let state = scratch.unwrap().downcast_mut::<(usize, u64)>().unwrap();
+                state.0 = state.0.min(task);
+                state.1 += 1;
+                charge.combiner_hits(1);
+                charge.smem_bytes(8);
+            })
+            .unwrap();
         let mut finished = finished.into_inner();
         finished.sort_unstable();
         let lanes = finished.into_iter().map(|(_, lanes)| lanes).collect();
@@ -955,8 +940,6 @@ mod tests {
         let m = Arc::new(Metrics::new());
         let plan = Arc::new(FaultPlan::new(FaultConfig {
             seed: 5,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: 1.0,
         }));
         let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);
@@ -971,8 +954,6 @@ mod tests {
         let m = Arc::new(Metrics::new());
         let plan = Arc::new(FaultPlan::new(FaultConfig {
             seed: 5,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: 0.5,
         }));
         let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);

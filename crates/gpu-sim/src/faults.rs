@@ -3,62 +3,30 @@
 //! WarpSpeed (McCoy & Pandey) argues that what blocks large-scale adoption
 //! of GPU hash tables is missing failure-handling, not raw speed — and the
 //! SEPO paper's own claim is *graceful* degradation under resource
-//! exhaustion. A [`FaultPlan`] lets the harness prove that claim: it
-//! injects transient allocation failures ([`DeviceMemory`]), PCIe transfer
-//! errors ([`PcieBus`]) and lane aborts (the executor) at configurable
-//! rates, driven entirely by a seed.
+//! exhaustion. A [`FaultPlan`] lets the harness prove that claim with three
+//! classes of fault: *transient* lane aborts (the executor skips a lane's
+//! task, and the SEPO driver re-issues it next iteration), *hard* faults
+//! that kill a launch before it starts ([`HardFaultKind`]), and *silent*
+//! corruption of data in flight or at rest ([`CorruptionKind`]).
 //!
-//! Each injection site draws from its own monotone counter hashed together
-//! with the seed (SplitMix64). Under [`ExecMode::Deterministic`] and
-//! [`ExecMode::ParallelDeterministic`] the draw *order* equals the
-//! execution order, so the same seed reproduces the same fault sequence —
-//! iteration counts and results JSON stay byte-identical across runs.
+//! Each fault kind is one seeded stream: a monotone draw counter hashed
+//! together with the stream's seed and salt (SplitMix64). Under
+//! [`ExecMode::Deterministic`] and [`ExecMode::ParallelDeterministic`] the
+//! draw *order* equals the execution order, so the same seed reproduces the
+//! same fault sequence — iteration counts and results JSON stay
+//! byte-identical across runs.
 //!
-//! [`DeviceMemory`]: crate::memory::DeviceMemory
-//! [`PcieBus`]: crate::pcie::PcieBus
 //! [`ExecMode::Deterministic`]: crate::executor::ExecMode::Deterministic
 //! [`ExecMode::ParallelDeterministic`]: crate::executor::ExecMode::ParallelDeterministic
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Where a fault can strike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultSite {
-    /// A device-memory reservation transiently fails (driver glitch: the
-    /// request would fit, but the allocator says no this time).
-    Alloc,
-    /// A bulk PCIe transfer fails mid-flight and must be re-issued.
-    Pcie,
-    /// A kernel lane aborts before running its task; the task stays
-    /// unprocessed and is re-issued by the SEPO driver next iteration.
-    Lane,
-}
+/// Salt of the lane-abort stream.
+const LANE_SALT: u64 = 0x1A7E_AB07_0000_0003;
 
-impl FaultSite {
-    fn index(self) -> usize {
-        match self {
-            FaultSite::Alloc => 0,
-            FaultSite::Pcie => 1,
-            FaultSite::Lane => 2,
-        }
-    }
-
-    /// Stable per-site salt mixed into the hash so the three streams are
-    /// independent even under one seed.
-    fn salt(self) -> u64 {
-        match self {
-            FaultSite::Alloc => 0xA110_C8ED_0000_0001,
-            FaultSite::Pcie => 0xBC1E_70BB_0000_0002,
-            FaultSite::Lane => 0x1A7E_AB07_0000_0003,
-        }
-    }
-}
-
-const N_SITES: usize = 3;
-
-/// A *hard* fault kind: unlike the transient [`FaultSite`]s, these are not
-/// retried in place. They kill the in-flight launch before it touches any
-/// state and surface to the driver, which either resumes from its last
+/// A *hard* fault kind: unlike transient lane aborts, these are not retried
+/// in place. They kill the in-flight launch before it touches any state and
+/// surface to the driver, which either resumes from its last
 /// iteration-boundary checkpoint or aborts the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HardFaultKind {
@@ -71,12 +39,10 @@ pub enum HardFaultKind {
     PoisonedLaunch,
 }
 
-const N_HARD_KINDS: usize = 2;
-
-/// A *silent* corruption kind: unlike both the transient [`FaultSite`]s and
-/// the [`HardFaultKind`]s, these do not announce themselves — they flip bits
-/// in data at rest or in flight and it is the integrity layer's job
-/// (CRC32C stamps in `sepo_core`) to notice before the damage propagates.
+/// A *silent* corruption kind: unlike both transient lane aborts and the
+/// [`HardFaultKind`]s, these do not announce themselves — they flip bits in
+/// data at rest or in flight and it is the integrity layer's job (CRC32C
+/// stamps in `sepo_core`) to notice before the damage propagates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionKind {
     /// A bit flips in an evicted page while it crosses the PCIe bus
@@ -90,26 +56,16 @@ pub enum CorruptionKind {
     DiskByteFlip,
 }
 
-const N_CORRUPTION_KINDS: usize = 3;
-
 impl CorruptionKind {
     /// All kinds in draw order.
-    pub const ALL: [CorruptionKind; N_CORRUPTION_KINDS] = [
+    pub const ALL: [CorruptionKind; 3] = [
         CorruptionKind::PcieBitFlip,
         CorruptionKind::RestingPageFlip,
         CorruptionKind::DiskByteFlip,
     ];
 
-    fn index(self) -> usize {
-        match self {
-            CorruptionKind::PcieBitFlip => 0,
-            CorruptionKind::RestingPageFlip => 1,
-            CorruptionKind::DiskByteFlip => 2,
-        }
-    }
-
-    /// Per-kind salt; distinct from every transient-site and hard-kind salt
-    /// so corruption streams never correlate with fault streams.
+    /// Per-kind salt; distinct from the lane and hard-kind salts so
+    /// corruption streams never correlate with fault streams.
     fn salt(self) -> u64 {
         match self {
             CorruptionKind::PcieBitFlip => 0xBADF_00D0_0000_0006,
@@ -212,15 +168,11 @@ impl CorruptionConfig {
 }
 
 impl HardFaultKind {
-    fn index(self) -> usize {
-        match self {
-            HardFaultKind::DeviceLost => 0,
-            HardFaultKind::PoisonedLaunch => 1,
-        }
-    }
+    /// All kinds in draw order: device loss first.
+    const ALL: [HardFaultKind; 2] = [HardFaultKind::DeviceLost, HardFaultKind::PoisonedLaunch];
 
-    /// Per-kind salt; distinct from every transient-site salt so the hard
-    /// streams never correlate with the transient ones.
+    /// Per-kind salt; distinct from the lane salt so the hard streams never
+    /// correlate with the transient one.
     fn salt(self) -> u64 {
         match self {
             HardFaultKind::DeviceLost => 0xDE51_CE10_0000_0004,
@@ -259,7 +211,7 @@ impl std::error::Error for HardFaultError {}
 /// Per-kind hard-fault rates in `[0.0, 1.0]`, plus their own seed. Kept
 /// separate from [`FaultConfig`] so existing transient plans are untouched:
 /// an unkilled comparison run simply never attaches a hard config, and its
-/// transient draw streams stay byte-identical to a chaos run's.
+/// transient draw stream stays byte-identical to a chaos run's.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardFaultConfig {
     /// Seed for the hard-fault draw streams (independent of the transient
@@ -299,60 +251,25 @@ impl HardFaultConfig {
     }
 }
 
-/// Scale a `[0,1]` rate to the u64 threshold space (draw < threshold →
-/// inject); saturates at `u64::MAX` because `u64::MAX as f64` rounds up.
-fn threshold_for(rate: f64) -> u64 {
-    let r = rate.clamp(0.0, 1.0);
-    if r >= 1.0 {
-        u64::MAX
-    } else {
-        (r * u64::MAX as f64) as u64
-    }
-}
-
-/// Hard-fault state attached to a [`FaultPlan`] via
-/// [`FaultPlan::with_hard`].
-#[derive(Debug)]
-struct HardFaults {
-    config: HardFaultConfig,
-    thresholds: [u64; N_HARD_KINDS],
-    draws: [AtomicU64; N_HARD_KINDS],
-    injected: [AtomicU64; N_HARD_KINDS],
-}
-
-/// Silent-corruption state attached to a [`FaultPlan`] via
-/// [`FaultPlan::with_corruption`].
-#[derive(Debug)]
-struct Corruptions {
-    config: CorruptionConfig,
-    thresholds: [u64; N_CORRUPTION_KINDS],
-    draws: [AtomicU64; N_CORRUPTION_KINDS],
-    injected: [AtomicU64; N_CORRUPTION_KINDS],
-}
-
-/// Point-in-time copy of the three *transient* sites' draw/injection
+/// Point-in-time copy of the transient lane stream's draw/injection
 /// counters, captured into iteration-boundary checkpoints so a resumed run
-/// replays the exact same transient fault decisions as an unkilled run.
-/// Hard-fault counters are deliberately **not** part of this: restoring
-/// them would make the replayed launch re-draw the very kill that triggered
-/// recovery, looping forever.
+/// replays the exact same lane aborts as an unkilled run. Hard-fault
+/// counters are deliberately **not** part of this: restoring them would
+/// make the replayed launch re-draw the very kill that triggered recovery,
+/// looping forever.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransientDrawState {
-    /// Per-site decisions drawn, indexed like [`FaultSite`].
-    pub draws: [u64; N_SITES],
-    /// Per-site faults injected, indexed like [`FaultSite`].
-    pub injected: [u64; N_SITES],
+    /// Lane decisions drawn.
+    pub draws: u64,
+    /// Lanes aborted.
+    pub injected: u64,
 }
 
-/// Per-site injection rates in `[0.0, 1.0]`, plus the seed.
+/// The transient injection rate in `[0.0, 1.0]`, plus the seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
-    /// Seed for the deterministic draw streams.
+    /// Seed for the deterministic lane-abort stream.
     pub seed: u64,
-    /// Probability that a device-memory reservation transiently fails.
-    pub alloc_failure_rate: f64,
-    /// Probability that a bulk PCIe transfer attempt errors.
-    pub pcie_error_rate: f64,
     /// Probability that a kernel lane aborts before its task runs.
     pub lane_abort_rate: f64,
 }
@@ -362,28 +279,16 @@ impl FaultConfig {
     pub fn quiet(seed: u64) -> Self {
         FaultConfig {
             seed,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: 0.0,
         }
     }
 
-    /// The default adversarial mix used by `--faults <seed>`: rare
-    /// allocation and transfer errors, occasional lane aborts.
+    /// The transient mix used by `--faults <seed>`: occasional lane aborts
+    /// (one lane in 200), which the driver re-issues next iteration.
     pub fn standard(seed: u64) -> Self {
         FaultConfig {
             seed,
-            alloc_failure_rate: 0.02,
-            pcie_error_rate: 0.01,
             lane_abort_rate: 0.005,
-        }
-    }
-
-    fn rate(&self, site: FaultSite) -> f64 {
-        match site {
-            FaultSite::Alloc => self.alloc_failure_rate,
-            FaultSite::Pcie => self.pcie_error_rate,
-            FaultSite::Lane => self.lane_abort_rate,
         }
     }
 }
@@ -396,36 +301,85 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A live fault plan: [`FaultConfig`] plus per-site draw and injection
-/// counters. One plan belongs to one simulation (like `Metrics`); sharing
-/// a plan across concurrent simulations would interleave their draw
-/// streams and break reproducibility.
+/// One seeded decision stream: draw `n` hashes the seed, the stream's salt
+/// and `n` together and hits when the hash falls below the threshold (the
+/// rate scaled to the u64 range).
+#[derive(Debug)]
+struct Stream {
+    seed: u64,
+    salt: u64,
+    threshold: u64,
+    draws: AtomicU64,
+    injected: AtomicU64,
+}
+
+impl Stream {
+    fn new(seed: u64, salt: u64, rate: f64) -> Self {
+        // `u64::MAX as f64` rounds up, so rate 1.0 saturates explicitly.
+        let r = rate.clamp(0.0, 1.0);
+        let threshold = if r >= 1.0 {
+            u64::MAX
+        } else {
+            (r * u64::MAX as f64) as u64
+        };
+        Stream {
+            seed,
+            salt,
+            threshold,
+            draws: AtomicU64::new(0),
+            injected: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether the stream can ever hit.
+    fn is_live(&self) -> bool {
+        self.threshold != 0
+    }
+
+    /// Draw the next decision: `Some((n, hash))` when draw `n` hits. A
+    /// rate-0 stream draws nothing, so it burns no counter.
+    fn draw(&self) -> Option<(u64, u64)> {
+        if !self.is_live() {
+            return None;
+        }
+        let n = self.draws.fetch_add(1, Ordering::Relaxed);
+        let hash = splitmix64(self.seed ^ self.salt ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        if hash >= self.threshold {
+            return None;
+        }
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        Some((n, hash))
+    }
+
+    fn draws(&self) -> u64 {
+        self.draws.load(Ordering::Relaxed)
+    }
+
+    fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
+    }
+}
+
+/// A live fault plan: the lane-abort stream of a [`FaultConfig`], plus the
+/// hard-fault and corruption streams when attached (rate-0 streams until
+/// then, which never draw). One plan belongs to one simulation (like
+/// `Metrics`); sharing a plan across concurrent simulations would
+/// interleave their draw streams and break reproducibility.
 #[derive(Debug)]
 pub struct FaultPlan {
-    config: FaultConfig,
-    /// Thresholds precomputed on the u64 scale: draw < threshold → inject.
-    thresholds: [u64; N_SITES],
-    draws: [AtomicU64; N_SITES],
-    injected: [AtomicU64; N_SITES],
-    /// Hard (non-retryable) fault streams; absent unless
-    /// [`FaultPlan::with_hard`] attached them.
-    hard: Option<HardFaults>,
-    /// Silent-corruption streams; absent unless
-    /// [`FaultPlan::with_corruption`] attached them.
-    corruption: Option<Corruptions>,
+    lane: Stream,
+    /// Indexed by [`HardFaultKind`] declaration order.
+    hard: [Stream; 2],
+    /// Indexed by [`CorruptionKind`] declaration order.
+    corruption: [Stream; 3],
 }
 
 impl FaultPlan {
     pub fn new(config: FaultConfig) -> Self {
-        let thresholds = [FaultSite::Alloc, FaultSite::Pcie, FaultSite::Lane]
-            .map(|s| threshold_for(config.rate(s)));
         FaultPlan {
-            config,
-            thresholds,
-            draws: Default::default(),
-            injected: Default::default(),
-            hard: None,
-            corruption: None,
+            lane: Stream::new(config.seed, LANE_SALT, config.lane_abort_rate),
+            hard: HardFaultKind::ALL.map(|k| Stream::new(0, k.salt(), 0.0)),
+            corruption: CorruptionKind::ALL.map(|k| Stream::new(0, k.salt(), 0.0)),
         }
     }
 
@@ -433,14 +387,7 @@ impl FaultPlan {
     /// plan. Hard faults draw once per kernel launch, *before* the launch
     /// touches any state, so a killed launch mutates nothing.
     pub fn with_hard(mut self, config: HardFaultConfig) -> Self {
-        let thresholds = [HardFaultKind::DeviceLost, HardFaultKind::PoisonedLaunch]
-            .map(|k| threshold_for(config.rate(k)));
-        self.hard = Some(HardFaults {
-            config,
-            thresholds,
-            draws: Default::default(),
-            injected: Default::default(),
-        });
+        self.hard = HardFaultKind::ALL.map(|k| Stream::new(config.seed, k.salt(), config.rate(k)));
         self
     }
 
@@ -450,31 +397,14 @@ impl FaultPlan {
     /// iteration, one per disk write) at quiescent points, so the draw
     /// order is deterministic under `ParallelDeterministic`.
     pub fn with_corruption(mut self, config: CorruptionConfig) -> Self {
-        let thresholds = CorruptionKind::ALL.map(|k| threshold_for(config.rate(k)));
-        self.corruption = Some(Corruptions {
-            config,
-            thresholds,
-            draws: Default::default(),
-            injected: Default::default(),
-        });
+        self.corruption =
+            CorruptionKind::ALL.map(|k| Stream::new(config.seed, k.salt(), config.rate(k)));
         self
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// The hard-fault configuration, when attached.
-    pub fn hard_config(&self) -> Option<&HardFaultConfig> {
-        self.hard.as_ref().map(|h| &h.config)
     }
 
     /// Whether any hard-fault stream is attached with a nonzero rate.
     pub fn has_hard_faults(&self) -> bool {
-        self.hard
-            .as_ref()
-            .is_some_and(|h| h.thresholds.iter().any(|&t| t != 0))
+        self.hard.iter().any(Stream::is_live)
     }
 
     /// Draw the hard-fault decisions for one launch; `Some` means the
@@ -485,58 +415,32 @@ impl FaultPlan {
     /// *next* decision and therefore cannot deterministically re-kill
     /// itself.
     pub fn draw_hard(&self) -> Option<HardFaultError> {
-        let h = self.hard.as_ref()?;
-        for kind in [HardFaultKind::DeviceLost, HardFaultKind::PoisonedLaunch] {
-            let i = kind.index();
-            if h.thresholds[i] == 0 {
-                continue; // rate 0: don't burn a counter increment
-            }
-            let n = h.draws[i].fetch_add(1, Ordering::Relaxed);
-            let hash =
-                splitmix64(h.config.seed ^ kind.salt() ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
-            if hash < h.thresholds[i] {
-                h.injected[i].fetch_add(1, Ordering::Relaxed);
-                return Some(HardFaultError { kind, draw: n });
-            }
-        }
-        None
+        HardFaultKind::ALL.into_iter().find_map(|kind| {
+            let (draw, _) = self.hard[kind as usize].draw()?;
+            Some(HardFaultError { kind, draw })
+        })
     }
 
-    /// Hard-fault decisions drawn so far for `kind` (0 when no hard config
-    /// is attached).
+    /// Hard-fault decisions drawn so far for `kind`.
     pub fn hard_draws(&self, kind: HardFaultKind) -> u64 {
-        self.hard
-            .as_ref()
-            .map_or(0, |h| h.draws[kind.index()].load(Ordering::Relaxed))
+        self.hard[kind as usize].draws()
     }
 
-    /// Hard faults injected so far for `kind` (0 when no hard config is
-    /// attached).
+    /// Hard faults injected so far for `kind`.
     pub fn hard_injected(&self, kind: HardFaultKind) -> u64 {
-        self.hard
-            .as_ref()
-            .map_or(0, |h| h.injected[kind.index()].load(Ordering::Relaxed))
+        self.hard[kind as usize].injected()
     }
 
     /// Total hard faults injected across both kinds.
     pub fn total_hard_injected(&self) -> u64 {
-        self.hard.as_ref().map_or(0, |h| {
-            h.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-        })
-    }
-
-    /// The silent-corruption configuration, when attached.
-    pub fn corruption_config(&self) -> Option<&CorruptionConfig> {
-        self.corruption.as_ref().map(|c| &c.config)
+        self.hard.iter().map(Stream::injected).sum()
     }
 
     /// Whether any silent-corruption stream is attached with a nonzero
     /// rate. Gates every injection/stamp/scrub code path so corruption-off
     /// runs pay nothing and stay byte-identical.
     pub fn has_corruption(&self) -> bool {
-        self.corruption
-            .as_ref()
-            .is_some_and(|c| c.thresholds.iter().any(|&t| t != 0))
+        self.corruption.iter().any(Stream::is_live)
     }
 
     /// Draw the next corruption decision for `kind`: `Some` means "flip a
@@ -545,103 +449,63 @@ impl FaultPlan {
     /// checkpoint recovery — a replayed iteration draws the *next*
     /// decision and therefore cannot deterministically re-corrupt itself.
     pub fn draw_corruption(&self, kind: CorruptionKind) -> Option<CorruptionDraw> {
-        let c = self.corruption.as_ref()?;
-        let i = kind.index();
-        if c.thresholds[i] == 0 {
-            return None; // rate 0: don't burn a counter increment
-        }
-        let n = c.draws[i].fetch_add(1, Ordering::Relaxed);
-        let hash = splitmix64(c.config.seed ^ kind.salt() ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        if hash < c.thresholds[i] {
-            c.injected[i].fetch_add(1, Ordering::Relaxed);
-            Some(CorruptionDraw {
-                kind,
-                draw: n,
-                // Re-finalize the hit hash so the offset entropy is
-                // decorrelated from the threshold comparison.
-                entropy: splitmix64(hash),
-            })
-        } else {
-            None
-        }
+        let (draw, hash) = self.corruption[kind as usize].draw()?;
+        Some(CorruptionDraw {
+            kind,
+            draw,
+            // Re-finalize the hit hash so the offset entropy is
+            // decorrelated from the threshold comparison.
+            entropy: splitmix64(hash),
+        })
     }
 
-    /// Corruption decisions drawn so far for `kind` (0 when no corruption
-    /// config is attached).
+    /// Corruption decisions drawn so far for `kind`.
     pub fn corruption_draws(&self, kind: CorruptionKind) -> u64 {
-        self.corruption
-            .as_ref()
-            .map_or(0, |c| c.draws[kind.index()].load(Ordering::Relaxed))
+        self.corruption[kind as usize].draws()
     }
 
-    /// Corruptions injected so far for `kind` (0 when no corruption config
-    /// is attached).
+    /// Corruptions injected so far for `kind`.
     pub fn corruption_injected(&self, kind: CorruptionKind) -> u64 {
-        self.corruption
-            .as_ref()
-            .map_or(0, |c| c.injected[kind.index()].load(Ordering::Relaxed))
+        self.corruption[kind as usize].injected()
     }
 
     /// Total corruptions injected across all kinds.
     pub fn total_corruption_injected(&self) -> u64 {
-        self.corruption.as_ref().map_or(0, |c| {
-            c.injected.iter().map(|n| n.load(Ordering::Relaxed)).sum()
-        })
+        self.corruption.iter().map(Stream::injected).sum()
     }
 
-    /// Capture the transient draw/injection counters for a checkpoint.
-    /// Only meaningful at quiescent points (iteration boundaries).
+    /// Capture the lane stream's counters for a checkpoint. Only
+    /// meaningful at quiescent points (iteration boundaries).
     pub fn transient_snapshot(&self) -> TransientDrawState {
         TransientDrawState {
-            draws: std::array::from_fn(|i| self.draws[i].load(Ordering::Relaxed)),
-            injected: std::array::from_fn(|i| self.injected[i].load(Ordering::Relaxed)),
+            draws: self.lane.draws(),
+            injected: self.lane.injected(),
         }
     }
 
-    /// Roll the transient draw/injection counters back to a checkpointed
-    /// state, so a resumed iteration replays the exact transient fault
-    /// decisions the killed attempt drew. Hard counters are untouched.
+    /// Roll the lane stream's counters back to a checkpointed state, so a
+    /// resumed iteration replays the exact lane aborts the killed attempt
+    /// drew. Hard and corruption counters are untouched.
     pub fn restore_transient(&self, s: &TransientDrawState) {
-        for i in 0..N_SITES {
-            self.draws[i].store(s.draws[i], Ordering::Relaxed);
-            self.injected[i].store(s.injected[i], Ordering::Relaxed);
-        }
+        self.lane.draws.store(s.draws, Ordering::Relaxed);
+        self.lane.injected.store(s.injected, Ordering::Relaxed);
     }
 
-    /// Draw the next decision for `site`: `true` means "inject a fault
-    /// here". Deterministic in the draw sequence: the n-th call for a site
-    /// under a given seed always returns the same answer.
-    pub fn should_fault(&self, site: FaultSite) -> bool {
-        let i = site.index();
-        if self.thresholds[i] == 0 {
-            return false; // rate 0: don't even burn a counter increment
-        }
-        let n = self.draws[i].fetch_add(1, Ordering::Relaxed);
-        let hash =
-            splitmix64(self.config.seed ^ site.salt() ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let hit = hash < self.thresholds[i];
-        if hit {
-            self.injected[i].fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+    /// Draw the next lane decision: `true` means "abort this lane".
+    /// Deterministic in the draw sequence: the n-th call under a given
+    /// seed always returns the same answer.
+    pub fn should_abort_lane(&self) -> bool {
+        self.lane.draw().is_some()
     }
 
-    /// Decisions drawn so far for `site`.
-    pub fn draws(&self, site: FaultSite) -> u64 {
-        self.draws[site.index()].load(Ordering::Relaxed)
+    /// Lane decisions drawn so far.
+    pub fn draws(&self) -> u64 {
+        self.lane.draws()
     }
 
-    /// Faults injected so far for `site`.
-    pub fn injected(&self, site: FaultSite) -> u64 {
-        self.injected[site.index()].load(Ordering::Relaxed)
-    }
-
-    /// Total faults injected across all sites.
+    /// Lanes aborted so far — every transient fault this plan injected.
     pub fn total_injected(&self) -> u64 {
-        self.injected
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.lane.injected()
     }
 }
 
@@ -653,25 +517,22 @@ mod tests {
     fn zero_rates_never_fault() {
         let p = FaultPlan::new(FaultConfig::quiet(42));
         for _ in 0..10_000 {
-            assert!(!p.should_fault(FaultSite::Alloc));
-            assert!(!p.should_fault(FaultSite::Pcie));
-            assert!(!p.should_fault(FaultSite::Lane));
+            assert!(!p.should_abort_lane());
         }
         assert_eq!(p.total_injected(), 0);
+        assert_eq!(p.draws(), 0, "rate 0 must not burn draws");
     }
 
     #[test]
     fn rate_one_always_faults() {
         let p = FaultPlan::new(FaultConfig {
             seed: 1,
-            alloc_failure_rate: 1.0,
-            pcie_error_rate: 0.0,
-            lane_abort_rate: 0.0,
+            lane_abort_rate: 1.0,
         });
         for _ in 0..1_000 {
-            assert!(p.should_fault(FaultSite::Alloc));
+            assert!(p.should_abort_lane());
         }
-        assert_eq!(p.injected(FaultSite::Alloc), 1_000);
+        assert_eq!(p.total_injected(), 1_000);
     }
 
     #[test]
@@ -679,44 +540,19 @@ mod tests {
         let cfg = FaultConfig::standard(0xDEAD_BEEF);
         let a = FaultPlan::new(cfg);
         let b = FaultPlan::new(cfg);
-        let seq_a: Vec<bool> = (0..5_000)
-            .map(|_| a.should_fault(FaultSite::Lane))
-            .collect();
-        let seq_b: Vec<bool> = (0..5_000)
-            .map(|_| b.should_fault(FaultSite::Lane))
-            .collect();
+        let seq_a: Vec<bool> = (0..5_000).map(|_| a.should_abort_lane()).collect();
+        let seq_b: Vec<bool> = (0..5_000).map(|_| b.should_abort_lane()).collect();
         assert_eq!(seq_a, seq_b);
-        assert_eq!(a.injected(FaultSite::Lane), b.injected(FaultSite::Lane));
+        assert_eq!(a.total_injected(), b.total_injected());
     }
 
     #[test]
     fn different_seeds_differ() {
         let a = FaultPlan::new(FaultConfig::standard(1));
         let b = FaultPlan::new(FaultConfig::standard(2));
-        let seq_a: Vec<bool> = (0..5_000)
-            .map(|_| a.should_fault(FaultSite::Lane))
-            .collect();
-        let seq_b: Vec<bool> = (0..5_000)
-            .map(|_| b.should_fault(FaultSite::Lane))
-            .collect();
+        let seq_a: Vec<bool> = (0..5_000).map(|_| a.should_abort_lane()).collect();
+        let seq_b: Vec<bool> = (0..5_000).map(|_| b.should_abort_lane()).collect();
         assert_ne!(seq_a, seq_b);
-    }
-
-    #[test]
-    fn sites_draw_independent_streams() {
-        let p = FaultPlan::new(FaultConfig {
-            seed: 99,
-            alloc_failure_rate: 0.5,
-            pcie_error_rate: 0.5,
-            lane_abort_rate: 0.5,
-        });
-        let alloc: Vec<bool> = (0..2_000)
-            .map(|_| p.should_fault(FaultSite::Alloc))
-            .collect();
-        let pcie: Vec<bool> = (0..2_000)
-            .map(|_| p.should_fault(FaultSite::Pcie))
-            .collect();
-        assert_ne!(alloc, pcie, "sites must not share a stream");
     }
 
     #[test]
@@ -780,13 +616,11 @@ mod tests {
         let cfg = FaultConfig::standard(0xFEED);
         let plain = FaultPlan::new(cfg);
         let chaotic = FaultPlan::new(cfg).with_hard(HardFaultConfig::standard(0xFEED));
-        let seq_plain: Vec<bool> = (0..5_000)
-            .map(|_| plain.should_fault(FaultSite::Lane))
-            .collect();
+        let seq_plain: Vec<bool> = (0..5_000).map(|_| plain.should_abort_lane()).collect();
         let seq_chaos: Vec<bool> = (0..5_000)
             .map(|_| {
                 let _ = chaotic.draw_hard();
-                chaotic.should_fault(FaultSite::Lane)
+                chaotic.should_abort_lane()
             })
             .collect();
         assert_eq!(
@@ -799,20 +633,16 @@ mod tests {
     fn transient_snapshot_round_trips_and_replays() {
         let p = FaultPlan::new(FaultConfig {
             seed: 11,
-            alloc_failure_rate: 0.3,
-            pcie_error_rate: 0.3,
             lane_abort_rate: 0.3,
         });
         for _ in 0..100 {
-            p.should_fault(FaultSite::Alloc);
-            p.should_fault(FaultSite::Pcie);
-            p.should_fault(FaultSite::Lane);
+            p.should_abort_lane();
         }
         let snap = p.transient_snapshot();
-        let first: Vec<bool> = (0..200).map(|_| p.should_fault(FaultSite::Lane)).collect();
+        let first: Vec<bool> = (0..200).map(|_| p.should_abort_lane()).collect();
         p.restore_transient(&snap);
         assert_eq!(p.transient_snapshot(), snap);
-        let replay: Vec<bool> = (0..200).map(|_| p.should_fault(FaultSite::Lane)).collect();
+        let replay: Vec<bool> = (0..200).map(|_| p.should_abort_lane()).collect();
         assert_eq!(first, replay, "restored counters must replay identically");
     }
 
@@ -905,22 +735,14 @@ mod tests {
             .with_hard(HardFaultConfig::standard(0xFEED))
             .with_corruption(CorruptionConfig::standard(0xFEED));
         let seq_plain: Vec<(bool, Option<HardFaultKind>)> = (0..5_000)
-            .map(|_| {
-                (
-                    plain.should_fault(FaultSite::Lane),
-                    plain.draw_hard().map(|e| e.kind),
-                )
-            })
+            .map(|_| (plain.should_abort_lane(), plain.draw_hard().map(|e| e.kind)))
             .collect();
         let seq_noisy: Vec<(bool, Option<HardFaultKind>)> = (0..5_000)
             .map(|_| {
                 for kind in CorruptionKind::ALL {
                     let _ = noisy.draw_corruption(kind);
                 }
-                (
-                    noisy.should_fault(FaultSite::Lane),
-                    noisy.draw_hard().map(|e| e.kind),
-                )
+                (noisy.should_abort_lane(), noisy.draw_hard().map(|e| e.kind))
             })
             .collect();
         assert_eq!(
@@ -959,20 +781,145 @@ mod tests {
         assert_eq!(e.to_string(), "resting page flip (corruption draw #17)");
     }
 
+    /// Every seeded stream, pinned to recorded values: a changed seed mix,
+    /// salt, threshold formula or draw order fails here, where the
+    /// same-seed tests above (two plans from one build) cannot notice.
+    #[test]
+    fn seeded_streams_match_recorded_draws() {
+        use CorruptionKind::{DiskByteFlip, PcieBitFlip, RestingPageFlip};
+        use HardFaultKind::{DeviceLost, PoisonedLaunch};
+
+        // (seed, lane abort rate, hits among the first 2,000 decisions)
+        let lanes: [(u64, f64, &[u64]); 2] = [
+            (
+                7,
+                0.01,
+                &[
+                    2, 40, 63, 174, 186, 196, 201, 319, 423, 532, 1183, 1193, 1250, 1331, 1436,
+                    1639, 1823,
+                ],
+            ),
+            (
+                0xDEAD_BEEF,
+                0.005,
+                &[374, 569, 658, 1163, 1271, 1287, 1443, 1484, 1734, 1770],
+            ),
+        ];
+        for (seed, rate, hits) in lanes {
+            let p = FaultPlan::new(FaultConfig {
+                lane_abort_rate: rate,
+                ..FaultConfig::quiet(seed)
+            });
+            let got: Vec<u64> = (0..2_000u64).filter(|_| p.should_abort_lane()).collect();
+            assert_eq!(got, hits, "lane stream, seed {seed:#x}");
+        }
+
+        // The first 20 kills, device loss drawn first on every launch.
+        let p = FaultPlan::new(FaultConfig::quiet(7)).with_hard(HardFaultConfig {
+            seed: 0xC0FFEE,
+            device_loss_rate: 0.05,
+            poisoned_launch_rate: 0.02,
+        });
+        let kills: Vec<(HardFaultKind, u64)> = std::iter::from_fn(|| Some(p.draw_hard()))
+            .flatten()
+            .take(20)
+            .map(|e| (e.kind, e.draw))
+            .collect();
+        let want = [
+            (DeviceLost, 1),
+            (PoisonedLaunch, 37),
+            (DeviceLost, 43),
+            (DeviceLost, 71),
+            (PoisonedLaunch, 77),
+            (DeviceLost, 86),
+            (DeviceLost, 99),
+            (DeviceLost, 108),
+            (DeviceLost, 125),
+            (PoisonedLaunch, 119),
+            (DeviceLost, 131),
+            (DeviceLost, 140),
+            (DeviceLost, 152),
+            (DeviceLost, 175),
+            (DeviceLost, 187),
+            (DeviceLost, 240),
+            (PoisonedLaunch, 228),
+            (DeviceLost, 260),
+            (DeviceLost, 266),
+            (DeviceLost, 278),
+        ];
+        assert_eq!(kills, want, "hard streams");
+
+        // (kind, [(draw, entropy)] of every hit among 1,000 draws)
+        let p = FaultPlan::new(FaultConfig::quiet(7)).with_corruption(CorruptionConfig {
+            seed: 0xC0DE,
+            pcie_bit_flip_rate: 0.01,
+            resting_page_flip_rate: 0.01,
+            disk_byte_flip_rate: 0.01,
+        });
+        let corruptions: [(CorruptionKind, &[(u64, u64)]); 3] = [
+            (
+                PcieBitFlip,
+                &[
+                    (148, 0xb092fe1c22c13cd4),
+                    (174, 0x8d7c87be5479c088),
+                    (216, 0x03498fb2433fcbb2),
+                    (260, 0xccc72e88193c7b5c),
+                    (474, 0xd2e1d1b2d389c482),
+                    (564, 0x579472cd54efe9be),
+                    (643, 0xf41ab6f1f145df73),
+                    (657, 0xf1b36bddaa7980ab),
+                    (947, 0xe88b63f63f9f74ea),
+                ],
+            ),
+            (
+                RestingPageFlip,
+                &[
+                    (33, 0x0b70dacfa3998821),
+                    (513, 0x68b087e44630efdf),
+                    (519, 0xe8f1028df4de7009),
+                    (575, 0x7ee300ac7733d624),
+                    (673, 0x1d7a45724e372ff2),
+                    (755, 0x5e28b301d1bb3776),
+                    (926, 0xfd0d67759ec069e5),
+                    (987, 0x6944186b60c4c3a1),
+                ],
+            ),
+            (
+                DiskByteFlip,
+                &[
+                    (76, 0x722289ed5dae0c22),
+                    (156, 0xdbe0112f02a75516),
+                    (232, 0x966bfba7911a43a1),
+                    (382, 0xd329325c42f0c549),
+                    (531, 0x92ed61706ff487f2),
+                    (541, 0x85af64cf2580bf6d),
+                    (574, 0xc51e698ed75064f5),
+                    (721, 0xd2a01b909372a707),
+                    (783, 0xdf3af1e1d3072d7f),
+                ],
+            ),
+        ];
+        for (kind, hits) in corruptions {
+            let got: Vec<(u64, u64)> = (0..1_000)
+                .filter_map(|_| p.draw_corruption(kind))
+                .map(|h| (h.draw, h.entropy))
+                .collect();
+            assert_eq!(got, hits, "{kind:?} stream");
+        }
+    }
+
     #[test]
     fn injection_rate_tracks_configured_rate() {
         let p = FaultPlan::new(FaultConfig {
             seed: 7,
-            alloc_failure_rate: 0.25,
-            pcie_error_rate: 0.0,
-            lane_abort_rate: 0.0,
+            lane_abort_rate: 0.25,
         });
         let n = 100_000u64;
         for _ in 0..n {
-            p.should_fault(FaultSite::Alloc);
+            p.should_abort_lane();
         }
-        let rate = p.injected(FaultSite::Alloc) as f64 / n as f64;
+        let rate = p.total_injected() as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "observed rate {rate}");
-        assert_eq!(p.draws(FaultSite::Alloc), n);
+        assert_eq!(p.draws(), n);
     }
 }

@@ -22,8 +22,8 @@
 //!   kernels, and (when a run is priced as overlapped) boundary-eviction
 //!   DMA behind the next iteration's kernels.
 //! * [`paging`] — the LRU demand-paging replay used for Table III.
-//! * [`faults`] — seeded, deterministic fault injection (transient
-//!   allocation failures, PCIe transfer errors, lane aborts) used to prove
+//! * [`faults`] — seeded, deterministic fault injection (transient lane
+//!   aborts, hard launch-killing faults, silent corruption) used to prove
 //!   degradation stays graceful under resource trouble.
 //! * [`shadow`] — epoch-based shadow-memory sanitizer: data structures
 //!   declare logical accesses through [`charge::Charge::access`] and the
@@ -57,12 +57,12 @@ pub use executor::{
 };
 pub use faults::{
     CorruptionConfig, CorruptionDraw, CorruptionError, CorruptionKind, FaultConfig, FaultPlan,
-    FaultSite, HardFaultConfig, HardFaultError, HardFaultKind, TransientDrawState,
+    HardFaultConfig, HardFaultError, HardFaultKind, TransientDrawState,
 };
 pub use memory::{DeviceMemory, OutOfDeviceMemory, Reservation};
 pub use metrics::{ContentionHistogram, Counter, Metrics, Snapshot};
 pub use paging::{AccessTrace, LruSimulator, PagingOutcome};
-pub use pcie::{PcieBus, PcieTransferError};
+pub use pcie::PcieBus;
 pub use pipeline::{pipelined_total, serial_total};
 pub use pool::WorkerPool;
 pub use shadow::{

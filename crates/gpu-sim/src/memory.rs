@@ -8,14 +8,12 @@
 //! backing storage lives in host RAM (we are simulating the device), so a
 //! reservation hands back nothing but an accounting token.
 
-use crate::faults::{FaultPlan, FaultSite};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
 
 /// Error returned when a reservation does not fit in the remaining device
-/// memory — or, with a [`FaultPlan`] attached, when the allocator
-/// transiently declined a request that would have fit.
+/// memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutOfDeviceMemory {
     /// Bytes requested.
@@ -24,26 +22,15 @@ pub struct OutOfDeviceMemory {
     pub free: u64,
     /// Label of the failed reservation.
     pub label: String,
-    /// True when the failure was injected by a [`FaultPlan`] rather than a
-    /// genuine capacity shortfall; retrying may succeed.
-    pub transient: bool,
 }
 
 impl fmt::Display for OutOfDeviceMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.transient {
-            write!(
-                f,
-                "transient allocation fault reserving {} bytes for '{}' ({} free)",
-                self.requested, self.label, self.free
-            )
-        } else {
-            write!(
-                f,
-                "out of device memory reserving {} bytes for '{}' ({} free)",
-                self.requested, self.label, self.free
-            )
-        }
+        write!(
+            f,
+            "out of device memory reserving {} bytes for '{}' ({} free)",
+            self.requested, self.label, self.free
+        )
     }
 }
 
@@ -62,7 +49,6 @@ struct Ledger {
 pub struct DeviceMemory {
     capacity: u64,
     ledger: Arc<Mutex<Ledger>>,
-    faults: Option<Arc<FaultPlan>>,
 }
 
 /// Accounting token for a reservation. Dropping it does *not* release the
@@ -82,15 +68,7 @@ impl DeviceMemory {
         DeviceMemory {
             capacity,
             ledger: Arc::new(Mutex::new(Ledger::default())),
-            faults: None,
         }
-    }
-
-    /// Attach a fault plan: `reserve` consults it and may transiently fail
-    /// requests that would otherwise fit (marked `transient` in the error).
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
     }
 
     /// Total capacity in bytes.
@@ -109,21 +87,8 @@ impl DeviceMemory {
         self.capacity - self.used()
     }
 
-    /// Reserve `bytes` under `label`, failing if it does not fit. With a
-    /// fault plan attached, the request may also fail transiently even when
-    /// it fits — callers distinguish via [`OutOfDeviceMemory::transient`]
-    /// and may simply retry.
+    /// Reserve `bytes` under `label`, failing if it does not fit.
     pub fn reserve(&self, label: &str, bytes: u64) -> Result<Reservation, OutOfDeviceMemory> {
-        if let Some(plan) = &self.faults {
-            if plan.should_fault(FaultSite::Alloc) {
-                return Err(OutOfDeviceMemory {
-                    requested: bytes,
-                    free: self.free(),
-                    label: label.to_string(),
-                    transient: true,
-                });
-            }
-        }
         let mut ledger = self.ledger.lock();
         let free = self.capacity - ledger.used;
         if bytes > free {
@@ -131,7 +96,6 @@ impl DeviceMemory {
                 requested: bytes,
                 free,
                 label: label.to_string(),
-                transient: false,
             });
         }
         ledger.used += bytes;
@@ -237,33 +201,5 @@ mod tests {
         let alias = mem.clone();
         mem.reserve("x", 200).unwrap();
         assert_eq!(alias.free(), 300);
-    }
-
-    #[test]
-    fn fault_plan_injects_transient_failures_that_leave_capacity_intact() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 11,
-            alloc_failure_rate: 1.0,
-            pcie_error_rate: 0.0,
-            lane_abort_rate: 0.0,
-        }));
-        let mem = DeviceMemory::new(1_000).with_faults(Arc::clone(&plan));
-        let err = mem.reserve("x", 100).unwrap_err();
-        assert!(err.transient);
-        assert!(err.to_string().contains("transient"));
-        // The failed attempt reserved nothing.
-        assert_eq!(mem.used(), 0);
-        assert_eq!(plan.injected(crate::faults::FaultSite::Alloc), 1);
-    }
-
-    #[test]
-    fn genuine_exhaustion_is_not_transient() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let plan = Arc::new(FaultPlan::new(FaultConfig::quiet(3)));
-        let mem = DeviceMemory::new(100).with_faults(plan);
-        mem.reserve("a", 80).unwrap();
-        let err = mem.reserve("b", 50).unwrap_err();
-        assert!(!err.transient);
     }
 }

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`Snapshot`] field of the same position and the `Metrics::add_*`
 /// shorthand. The order is the checkpoint's serialization order
 /// ([`Snapshot::words`]): adding, removing or reordering a line changes the
-/// `SEPOCKP2` layout and must bump that magic.
+/// `SEPOCKP3` layout and must bump that magic.
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $field:ident, $adder:ident;)*) => {
         /// One event counter; `as usize` is its index in [`Counter::ALL`].
@@ -283,7 +283,7 @@ mod tests {
         assert_eq!(m.snapshot(), Snapshot::default());
     }
 
-    /// Pins the counter order: it is the `SEPOCKP2` / `SEPOCKS2` metric
+    /// Pins the counter order: it is the `SEPOCKP3` / `SEPOCKS3` metric
     /// layout, so reordering the `counters!` list must fail here (and bump
     /// the checkpoint magic) instead of silently changing the format.
     #[test]

@@ -10,33 +10,9 @@
 //! which is much costlier than a few bulky PCIe transactions" (§VI-D).
 
 use crate::clock::SimTime;
-use crate::faults::{FaultPlan, FaultSite};
 use crate::metrics::Metrics;
 use crate::spec::PcieSpec;
-use std::fmt;
 use std::sync::Arc;
-
-/// A bulk transfer attempt failed mid-flight (injected by a
-/// [`FaultPlan`]). Carries the simulated time the doomed attempt wasted;
-/// re-issuing the transfer is always legal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PcieTransferError {
-    /// Simulated time burned by the failed attempt (latency + wire time up
-    /// to the failure point, modelled as a full pass).
-    pub wasted: SimTime,
-}
-
-impl fmt::Display for PcieTransferError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "transient PCIe transfer error (wasted {})", self.wasted)
-    }
-}
-
-impl std::error::Error for PcieTransferError {}
-
-/// Retries `bulk_transfer` folds into simulated time before declaring the
-/// fault sequence implausible and pushing the transfer through anyway.
-const MAX_TRANSFER_RETRIES: u32 = 8;
 
 /// The simulated PCIe bus. Transfer methods return the simulated duration
 /// and record volumes into the shared [`Metrics`] sink.
@@ -44,24 +20,11 @@ const MAX_TRANSFER_RETRIES: u32 = 8;
 pub struct PcieBus {
     spec: PcieSpec,
     metrics: Arc<Metrics>,
-    faults: Option<Arc<FaultPlan>>,
 }
 
 impl PcieBus {
     pub fn new(spec: PcieSpec, metrics: Arc<Metrics>) -> Self {
-        PcieBus {
-            spec,
-            metrics,
-            faults: None,
-        }
-    }
-
-    /// Attach a fault plan: bulk transfers may transiently error and are
-    /// retried in simulated time (each failed attempt still costs a full
-    /// latency + wire pass).
-    pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.faults = Some(plan);
-        self
+        PcieBus { spec, metrics }
     }
 
     /// The bus specification in force.
@@ -69,42 +32,8 @@ impl PcieBus {
         &self.spec
     }
 
-    /// One bulk DMA transfer *attempt* of `bytes` bytes. Errors only when
-    /// an attached [`FaultPlan`] injects a transfer fault; the error
-    /// carries the simulated time the failed attempt burned. Metrics are
-    /// recorded per attempt (the wire really moved the bytes).
-    pub fn try_bulk_transfer(&self, bytes: u64) -> Result<SimTime, PcieTransferError> {
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(bytes);
-        let t = self.bulk_transfer_time(bytes);
-        if let Some(plan) = &self.faults {
-            if plan.should_fault(FaultSite::Pcie) {
-                return Err(PcieTransferError { wasted: t });
-            }
-        }
-        Ok(t)
-    }
-
     /// Cost of one bulk DMA transfer of `bytes` bytes: fixed initiation
-    /// latency + bytes at bulk bandwidth. With a fault plan attached,
-    /// transient errors are absorbed as capped retries-in-simulated-time:
-    /// the returned duration includes every failed attempt.
-    pub fn bulk_transfer(&self, bytes: u64) -> SimTime {
-        let mut total = SimTime::ZERO;
-        for _ in 0..MAX_TRANSFER_RETRIES {
-            match self.try_bulk_transfer(bytes) {
-                Ok(t) => return total + t,
-                Err(e) => total += e.wasted,
-            }
-        }
-        // An implausibly long fault streak: charge one more clean pass and
-        // declare the transfer done rather than hang the simulation.
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(bytes);
-        total + self.bulk_transfer_time(bytes)
-    }
-
-    /// Pure cost computation for a bulk transfer (no metrics recorded).
+    /// latency + bytes at bulk bandwidth (no metrics recorded).
     pub fn bulk_transfer_time(&self, bytes: u64) -> SimTime {
         let latency = SimTime::from_nanos(self.spec.transaction_latency_ns);
         let wire = SimTime::from_secs_f64(bytes as f64 / self.spec.bulk_bandwidth as f64);
@@ -181,14 +110,14 @@ mod tests {
     }
 
     #[test]
-    fn bulk_records_metrics() {
+    fn small_transactions_record_metrics() {
         let m = Arc::new(Metrics::new());
         let b = PcieBus::new(PcieSpec::default(), Arc::clone(&m));
-        b.bulk_transfer(1_000);
-        b.bulk_transfer(2_000);
+        b.small_transactions(10, 1_000, 32);
+        b.small_transactions(5, 2_000, 32);
         let s = m.snapshot();
-        assert_eq!(s.pcie_bulk_transfers, 2);
-        assert_eq!(s.pcie_bulk_bytes, 3_000);
+        assert_eq!(s.pcie_small_transactions, 15);
+        assert_eq!(s.pcie_small_bytes, 3_000);
     }
 
     #[test]
@@ -281,56 +210,5 @@ mod tests {
             assert!(rate > last_rate, "rate must grow with page size");
             last_rate = rate;
         }
-    }
-
-    #[test]
-    fn try_bulk_transfer_succeeds_without_a_plan() {
-        let b = bus();
-        let t = b.try_bulk_transfer(1_000).unwrap();
-        assert!(t > SimTime::ZERO);
-    }
-
-    #[test]
-    fn faulted_transfers_retry_in_simulated_time() {
-        use crate::faults::{FaultConfig, FaultPlan, FaultSite};
-        let m = Arc::new(Metrics::new());
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 5,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.5,
-            lane_abort_rate: 0.0,
-        }));
-        let faulty =
-            PcieBus::new(PcieSpec::default(), Arc::clone(&m)).with_faults(Arc::clone(&plan));
-        let clean = bus();
-        let bytes = 1_000_000u64;
-        let mut total_faulty = SimTime::ZERO;
-        let mut total_clean = SimTime::ZERO;
-        for _ in 0..200 {
-            total_faulty += faulty.bulk_transfer(bytes);
-            total_clean += clean.bulk_transfer_time(bytes);
-        }
-        assert!(plan.injected(FaultSite::Pcie) > 0, "50% rate must fire");
-        // Every transfer completed, but retries made the faulty bus slower.
-        assert!(total_faulty > total_clean);
-        // Metrics counted each attempt.
-        assert!(m.snapshot().pcie_bulk_transfers > 200);
-    }
-
-    #[test]
-    fn certain_faults_still_terminate_via_the_retry_cap() {
-        use crate::faults::{FaultConfig, FaultPlan};
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 1,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 1.0,
-            lane_abort_rate: 0.0,
-        }));
-        let b = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new())).with_faults(plan);
-        // Rate 1.0 would retry forever without the cap; the call must
-        // return, charging the failed attempts plus one forced pass.
-        let t = b.bulk_transfer(1_000);
-        let one = b.bulk_transfer_time(1_000);
-        assert!(t.as_secs_f64() >= 8.0 * one.as_secs_f64());
     }
 }

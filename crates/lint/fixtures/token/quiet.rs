@@ -7,9 +7,9 @@
 //! and even head.load(Ordering::Relaxed).
 
 /// Doc comments cite `metrics().add_compute_units(1)` and `.unwrap()`
-/// and `bus.bulk_transfer(bytes)` without consequence.
+/// without consequence.
 fn string_literals() -> &'static str {
-    "timed with Instant::now(); see bus.bulk_transfer(bytes) and run.shards[0]"
+    "timed with Instant::now(); see run.shards[0]"
 }
 
 fn raw_string_literals() -> String {
@@ -37,8 +37,6 @@ mod tests {
         m.metrics().add_compute_units(1);
         w.write_all(b"x").unwrap();
         r.read_exact(&mut m).expect("magic");
-        let d = bus.bulk_transfer(64);
-        let e = bus.try_bulk_transfer(64);
         let one = &run.shards[1].table;
     }
 }

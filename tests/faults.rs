@@ -4,7 +4,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, FaultSite, SystemSpec};
+use gpu_sim::{FaultConfig, FaultPlan, SystemSpec};
 use sepo_apps::{run_app, AppConfig, AppRun};
 use sepo_datagen::App;
 use std::collections::HashMap;
@@ -71,11 +71,7 @@ fn faulted_pvc(seed: u64) -> (AppRun, u64, u64) {
         &AppConfig::new(24 * 1024).with_audit(true),
         &exec,
     );
-    (
-        run,
-        plan.injected(FaultSite::Lane),
-        plan.draws(FaultSite::Lane),
-    )
+    (run, plan.total_injected(), plan.draws())
 }
 
 /// Serialize the outcome fields a results file would carry; key order is
@@ -126,8 +122,6 @@ fn injected_faults_never_change_the_results() {
     let clean = audited_run(App::WordCount, &ds, 24 * 1024, ExecMode::Deterministic);
     let plan = Arc::new(FaultPlan::new(FaultConfig {
         seed: 99,
-        alloc_failure_rate: 0.0,
-        pcie_error_rate: 0.0,
         lane_abort_rate: 0.2,
     }));
     let exec = Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
@@ -138,7 +132,7 @@ fn injected_faults_never_change_the_results() {
         &AppConfig::new(24 * 1024).with_audit(true),
         &exec,
     );
-    assert!(plan.injected(FaultSite::Lane) > 0);
+    assert!(plan.total_injected() > 0);
     assert!(
         faulted.iterations() >= clean.iterations(),
         "faults may only add iterations"

@@ -6,7 +6,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, FaultSite};
+use gpu_sim::{FaultConfig, FaultPlan};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sepo_core::{
@@ -89,8 +89,6 @@ proptest! {
         let table = SepoTable::new(cfg, (pages * 1024) as u64, Arc::new(Metrics::new()));
         let plan = Arc::new(FaultPlan::new(FaultConfig {
             seed,
-            alloc_failure_rate: 0.0,
-            pcie_error_rate: 0.0,
             lane_abort_rate: abort_rate,
         }));
         let exec = Executor::new(ExecMode::Deterministic, Arc::clone(table.metrics()))
@@ -119,7 +117,7 @@ proptest! {
                 let got: HashMap<Vec<u8>, u64> =
                     table.collect_combining().into_iter().collect();
                 prop_assert_eq!(got, model, "a key was lost or double-counted");
-                if plan.injected(FaultSite::Lane) == 0 {
+                if plan.total_injected() == 0 {
                     // No faults fired: the clean run must finish in one
                     // iteration on a heap this large or iterate normally.
                     prop_assert!(outcome.n_iterations() >= 1);
@@ -154,8 +152,6 @@ proptest! {
             let table = SepoTable::new(cfg, 4 * 1024, Arc::new(Metrics::new()));
             let plan = Arc::new(FaultPlan::new(FaultConfig {
                 seed,
-                alloc_failure_rate: 0.0,
-                pcie_error_rate: 0.0,
                 lane_abort_rate: 0.15,
             }));
             let exec = Executor::new(
@@ -188,8 +184,8 @@ proptest! {
             (
                 outcome.n_iterations(),
                 completions,
-                plan.injected(FaultSite::Lane),
-                plan.draws(FaultSite::Lane),
+                plan.total_injected(),
+                plan.draws(),
                 contents,
             )
         };
