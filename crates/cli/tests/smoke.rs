@@ -1,7 +1,9 @@
 //! End-to-end smoke of the `sepo` binary at the toy 1/16384 scale, for one
-//! device and for four: the report lines CI greps for must be present with
-//! non-zero counts, and `--save` must round-trip through `sepo query` on a
-//! single table and be rejected for a sharded run.
+//! device and for four, with `--audit --sanitize` on: the chaos, serving
+//! and corruption report lines must be present with non-zero counts, a
+//! sharded run must print its merged-image identity line, and `--save`
+//! must round-trip through `sepo query` on a single table and be rejected
+//! for a sharded run. These are the CLI's only smoke checks of those paths.
 
 use std::process::{Command, Output};
 

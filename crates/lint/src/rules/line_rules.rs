@@ -255,7 +255,7 @@ mod tests {
         let direct = "let t = &run.shards[2].table;\n";
         for rel in [
             "crates/cli/src/main.rs",
-            "crates/bench/src/bin/shards.rs",
+            "crates/bench/src/bin/figure6.rs",
             "crates/core/src/sepo.rs",
         ] {
             assert_eq!(

@@ -146,10 +146,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The same property with transient faults (standard rates) layered
-    /// under the hard kills: the checkpointed transient draw streams make
-    /// the resumed run replay the killed attempt's lane aborts and alloc
-    /// failures exactly, so it still matches a never-killed run that drew
-    /// the same transient plan — however many kills struck.
+    /// under the hard kills: the checkpointed transient draw stream makes
+    /// the resumed run replay the killed attempt's lane aborts exactly, so
+    /// it still matches a never-killed run that drew the same transient
+    /// plan — however many kills struck.
     #[test]
     fn resume_matches_unkilled_under_transient_faults(
         seed in any::<u64>(),

@@ -8,19 +8,25 @@
 //! fails loudly with a typed witness. With in-memory checkpointing armed
 //! the recovery path always has a repair source, so every case here must
 //! take the first branch — any divergence means a flip escaped CRC32C
-//! detection somewhere in the PCIe/resting/disk pipeline.
+//! detection somewhere in the PCIe/resting/disk pipeline. With checkpoints
+//! on disk every flip is also *counted*: detections equal injections one
+//! to one.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{CorruptionConfig, FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
+use gpu_sim::{
+    CorruptionConfig, CorruptionKind, FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer,
+};
 use proptest::prelude::*;
 use sepo_apps::sharded::run_app_sharded;
 use sepo_apps::{run_app, AppConfig};
-use sepo_core::CheckpointPolicy;
-use sepo_datagen::App;
+use sepo_core::{CheckpointPolicy, RecoveryStats, ShardedCheckpointFile};
+use sepo_datagen::{App, Dataset};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Records-per-app scale divisor (the regression harnesses' shared scale).
+/// Records-per-app scale divisor: the datasets hold a few hundred to a few
+/// thousand records.
 const SCALE: u64 = 16_384;
 /// Device heap small enough that every app evicts across iterations.
 const HEAP: u64 = 96 << 10;
@@ -31,16 +37,19 @@ const HARD_RATES: (f64, f64) = (0.05, 0.02);
 
 /// What to layer onto a run besides the workload itself.
 #[derive(Clone, Copy, Debug, Default)]
-struct Layers {
+struct Layers<'a> {
     transient_seed: Option<u64>,
     chaos_seed: Option<u64>,
-    /// (seed, pcie bit-flip rate, resting page-flip rate). Disk flips
-    /// need a disk checkpoint path; these runs checkpoint in memory, so
-    /// the disk stream stays zero-rate (and burns no draws).
-    corrupt: Option<(u64, f64, f64)>,
+    /// (seed, pcie bit-flip rate, resting page-flip rate, disk byte-flip
+    /// rate).
+    corrupt: Option<(u64, f64, f64, f64)>,
+    /// Checkpoint file (a `SEPOCKS3` container when sharded). Without one
+    /// chaos and corruption checkpoint in memory, where the disk stream has
+    /// no image write to strike.
+    disk: Option<&'a Path>,
 }
 
-impl Layers {
+impl Layers<'_> {
     fn armed(&self) -> bool {
         self.transient_seed.is_some() || self.chaos_seed.is_some() || self.corrupt.is_some()
     }
@@ -58,16 +67,47 @@ impl Layers {
                 poisoned_launch_rate: HARD_RATES.1,
             });
         }
-        if let Some((seed, pcie, resting)) = self.corrupt {
+        if let Some((seed, pcie, resting, disk)) = self.corrupt {
             plan = plan.with_corruption(CorruptionConfig {
                 seed,
                 pcie_bit_flip_rate: pcie,
                 resting_page_flip_rate: resting,
-                disk_byte_flip_rate: 0.0,
+                disk_byte_flip_rate: disk,
             });
         }
         plan
     }
+}
+
+/// What one run left behind.
+struct Observed {
+    /// Saved table image unsharded, merged canonical image sharded.
+    image: Vec<u8>,
+    /// Per-iteration completed tasks; empty for a sharded run.
+    trajectory: Vec<u64>,
+    /// Flips the fault plans injected, summed over shards.
+    injected: u64,
+    /// Of `injected`, the flips that struck a checkpoint image write.
+    disk_flips: u64,
+    /// Flips a CRC32C check caught, summed over shards.
+    detected: u64,
+}
+
+/// Flips caught, by recovery action. One-to-one with injections when
+/// nothing escapes: each PCIe flip damages one transfer attempt (one
+/// retransmit), each resting flip one page per scrub window (one
+/// detection), each disk flip one image write attempt (one rewrite).
+fn detected(rec: &RecoveryStats) -> u64 {
+    rec.retransmits + rec.corruptions_detected + u64::from(rec.checkpoint_rewrites)
+}
+
+/// Flips the executors' plans injected: of every kind, or of one.
+fn injected(execs: &[Executor], kind: Option<CorruptionKind>) -> u64 {
+    execs
+        .iter()
+        .filter_map(|e| e.faults())
+        .map(|p| kind.map_or(p.total_corruption_injected(), |k| p.corruption_injected(k)))
+        .sum()
 }
 
 fn executor(layers: Layers) -> Executor {
@@ -94,42 +134,64 @@ fn config(layers: Layers) -> AppConfig {
     cfg
 }
 
-/// Run `app` unsharded; returns (image, trajectory, flips injected).
-fn run_once(app: App, ds: &sepo_datagen::Dataset, layers: Layers) -> (Vec<u8>, Vec<u64>, u64) {
-    let exec = executor(layers);
-    let run = run_app(app, ds, &config(layers), &exec);
+/// Run `app` unsharded.
+fn run_once(app: App, ds: &Dataset, layers: Layers) -> Observed {
+    let execs = [executor(layers)];
+    let mut cfg = config(layers);
+    if let Some(path) = layers.disk {
+        cfg = cfg.with_checkpoint(CheckpointPolicy::Disk(path.into()));
+    }
+    let run = run_app(app, ds, &cfg, &execs[0]);
     let mut image = Vec::new();
     run.table.save(&mut image).expect("save table image");
-    let trajectory: Vec<u64> = run
-        .outcome
-        .iterations
-        .iter()
-        .map(|i| i.tasks_completed)
-        .collect();
-    let injected = exec
-        .faults()
-        .map(|p| p.total_corruption_injected())
-        .unwrap_or(0);
-    (image, trajectory, injected)
+    Observed {
+        image,
+        trajectory: run
+            .outcome
+            .iterations
+            .iter()
+            .map(|i| i.tasks_completed)
+            .collect(),
+        injected: injected(&execs, None),
+        disk_flips: injected(&execs, Some(CorruptionKind::DiskByteFlip)),
+        detected: detected(&run.outcome.recovery),
+    }
 }
 
-/// Run `app` at `n` shards (shard i layers seeds `^ i`); returns the
-/// merged canonical image and total flips injected across shards.
-fn run_sharded(app: App, ds: &sepo_datagen::Dataset, n: u32, layers: Layers) -> (Vec<u8>, u64) {
+/// Run `app` at `n` shards; shard i layers seeds `^ i` and, with a disk
+/// checkpoint, writes section i of one shared file.
+fn run_sharded(app: App, ds: &Dataset, n: u32, layers: Layers) -> Observed {
     let layered = |i: u32| Layers {
         transient_seed: layers.transient_seed.map(|s| s ^ u64::from(i)),
         chaos_seed: layers.chaos_seed.map(|s| s ^ u64::from(i)),
-        corrupt: layers.corrupt.map(|(s, p, r)| (s ^ u64::from(i), p, r)),
+        corrupt: layers
+            .corrupt
+            .map(|(s, p, r, d)| (s ^ u64::from(i), p, r, d)),
+        ..layers
     };
+    let file = layers
+        .disk
+        .map(|path| Arc::new(ShardedCheckpointFile::new(path.into(), n)));
     let execs: Vec<Executor> = (0..n).map(|i| executor(layered(i))).collect();
-    let cfgs: Vec<AppConfig> = (0..n).map(|i| config(layered(i))).collect();
+    let cfgs: Vec<AppConfig> = (0..n)
+        .map(|i| match &file {
+            Some(file) => config(layered(i))
+                .with_checkpoint(CheckpointPolicy::SharedDisk(Arc::clone(file), i)),
+            None => config(layered(i)),
+        })
+        .collect();
     let sharded = run_app_sharded(app, ds, &cfgs, &execs);
-    let injected = execs
-        .iter()
-        .filter_map(|e| e.faults())
-        .map(|p| p.total_corruption_injected())
-        .sum();
-    (sharded.image, injected)
+    Observed {
+        image: sharded.image,
+        trajectory: Vec::new(),
+        injected: injected(&execs, None),
+        disk_flips: injected(&execs, Some(CorruptionKind::DiskByteFlip)),
+        detected: sharded
+            .shards
+            .iter()
+            .map(|r| detected(&r.outcome.recovery))
+            .sum(),
+    }
 }
 
 /// Every app, 1 and 4 shards, hostile fixed rates with chaos and the
@@ -145,28 +207,33 @@ fn all_apps_recover_byte_identical_under_layered_corruption() {
             ..Layers::default()
         };
         let dirty = Layers {
-            corrupt: Some((0xD1A6, 0.20, 0.08)),
+            corrupt: Some((0xD1A6, 0.20, 0.08, 0.0)),
             chaos_seed: Some(0xC4A5),
             ..clean
         };
 
-        let (ref_img, ref_traj, _) = run_once(app, &ds, clean);
-        let (img, traj, injected) = run_once(app, &ds, dirty);
-        total_injected += injected;
+        let reference = run_once(app, &ds, clean);
+        let recovered = run_once(app, &ds, dirty);
+        total_injected += recovered.injected;
         assert_eq!(
-            img,
-            ref_img,
+            recovered.image,
+            reference.image,
             "{}: recovered image diverged from corruption-free",
             app.name()
         );
-        assert_eq!(traj, ref_traj, "{}: trajectory diverged", app.name());
-
-        let (ref_merged, _) = run_sharded(app, &ds, 4, clean);
-        let (merged, injected4) = run_sharded(app, &ds, 4, dirty);
-        total_injected += injected4;
         assert_eq!(
-            merged,
-            ref_merged,
+            recovered.trajectory,
+            reference.trajectory,
+            "{}: trajectory diverged",
+            app.name()
+        );
+
+        let reference = run_sharded(app, &ds, 4, clean);
+        let recovered = run_sharded(app, &ds, 4, dirty);
+        total_injected += recovered.injected;
+        assert_eq!(
+            recovered.image,
+            reference.image,
             "{}: sharded merged image diverged under corruption",
             app.name()
         );
@@ -175,6 +242,86 @@ fn all_apps_recover_byte_identical_under_layered_corruption() {
         total_injected > 0,
         "the hostile rates must inject at least one flip across the sweep"
     );
+}
+
+/// Removes a scratch directory when dropped, so a failing test cleans up
+/// too.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Every app at 1 and 4 shards under a quiet transient stream, with
+/// checkpoints on disk so all three corruption sites see traffic, at the
+/// standard rates and at an elevated tier. Per cell, seeds are swept until
+/// a flip strikes (a flip-free run proves nothing); then every injected
+/// flip must be detected exactly once, and the recovered run must match the
+/// corruption-free one in image and, at one shard, trajectory. The sweep
+/// as a whole must strike checkpoint image writes.
+#[test]
+fn every_flip_is_detected_once_with_checkpoints_on_disk() {
+    /// (tier, pcie bit-flip, resting page-flip, disk byte-flip) rates; the
+    /// first is `CorruptionConfig::standard`.
+    const TIERS: [(&str, f64, f64, f64); 2] = [
+        ("standard", 0.05, 0.01, 0.05),
+        ("elevated", 0.20, 0.08, 0.25),
+    ];
+    const MAX_SEED_TRIES: u64 = 20;
+    const BASE_SEED: u64 = 0xB17_F11B;
+    fn run_at(app: App, ds: &Dataset, n: u32, layers: Layers) -> Observed {
+        if n == 1 {
+            run_once(app, ds, layers)
+        } else {
+            run_sharded(app, ds, n, layers)
+        }
+    }
+
+    let dir = ScratchDir(std::env::temp_dir().join(format!(
+        "sepo-integrity-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    )));
+    std::fs::create_dir_all(&dir.0).expect("create checkpoint dir");
+    let mut disk_flips = 0;
+    for app in App::ALL {
+        let ds = app.generate(0, SCALE);
+        for n in [1, 4] {
+            let clean = run_at(app, &ds, n, Layers::default());
+            for (t, (tier, pcie, resting, disk)) in (0u64..).zip(TIERS) {
+                let cell = format!("{} x{n} {tier}", app.name());
+                let path = dir.0.join(format!("{}-x{n}-{tier}.ckp", app.name()));
+                let (seed, dirty) = (0..MAX_SEED_TRIES)
+                    .map(|s| BASE_SEED + t * MAX_SEED_TRIES + s)
+                    .find_map(|seed| {
+                        let layers = Layers {
+                            corrupt: Some((seed, pcie, resting, disk)),
+                            disk: Some(&path),
+                            ..Layers::default()
+                        };
+                        let run = run_at(app, &ds, n, layers);
+                        (run.injected > 0).then_some((seed, run))
+                    })
+                    .unwrap_or_else(|| panic!("{cell}: no flip struck in {MAX_SEED_TRIES} seeds"));
+                assert_eq!(
+                    dirty.detected, dirty.injected,
+                    "{cell}: detections must equal flips injected (seed {seed:#x})"
+                );
+                assert_eq!(
+                    dirty.image, clean.image,
+                    "{cell}: recovered image diverged (seed {seed:#x})"
+                );
+                assert_eq!(
+                    dirty.trajectory, clean.trajectory,
+                    "{cell}: recovered trajectory diverged (seed {seed:#x})"
+                );
+                disk_flips += dirty.disk_flips;
+            }
+        }
+    }
+    assert!(disk_flips > 0, "no flip struck a checkpoint image write");
 }
 
 proptest! {
@@ -199,14 +346,19 @@ proptest! {
             ..Layers::default()
         };
         let dirty = Layers {
-            corrupt: Some((seed, pcie, resting)),
+            corrupt: Some((seed, pcie, resting, 0.0)),
             chaos_seed: with_chaos.then_some(seed ^ 0xC4),
             ..clean
         };
-        let (ref_img, ref_traj, _) = run_once(app, &ds, clean);
-        let (img, traj, _) = run_once(app, &ds, dirty);
-        prop_assert_eq!(img, ref_img, "{}: image diverged", app.name());
-        prop_assert_eq!(traj, ref_traj, "{}: trajectory diverged", app.name());
+        let reference = run_once(app, &ds, clean);
+        let recovered = run_once(app, &ds, dirty);
+        prop_assert_eq!(recovered.image, reference.image, "{}: image diverged", app.name());
+        prop_assert_eq!(
+            recovered.trajectory,
+            reference.trajectory,
+            "{}: trajectory diverged",
+            app.name()
+        );
     }
 
     /// The same invariant across 4 shards with per-shard derived seeds:
@@ -223,12 +375,17 @@ proptest! {
         let ds = app.generate(0, SCALE);
         let clean = Layers::default();
         let dirty = Layers {
-            corrupt: Some((seed, pcie, resting)),
+            corrupt: Some((seed, pcie, resting, 0.0)),
             chaos_seed: with_chaos.then_some(seed ^ 0xC4),
             ..clean
         };
-        let (ref_merged, _) = run_sharded(app, &ds, 4, clean);
-        let (merged, _) = run_sharded(app, &ds, 4, dirty);
-        prop_assert_eq!(merged, ref_merged, "{}: merged image diverged", app.name());
+        let reference = run_sharded(app, &ds, 4, clean);
+        let recovered = run_sharded(app, &ds, 4, dirty);
+        prop_assert_eq!(
+            recovered.image,
+            reference.image,
+            "{}: merged image diverged",
+            app.name()
+        );
     }
 }

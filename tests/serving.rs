@@ -3,8 +3,8 @@
 //! executor, audit and sanitizer on, seeded faults on both the run and the
 //! serving path) must
 //!
-//! - leave the run untouched — saved image and trajectory byte-identical
-//!   to a serving-off run,
+//! - leave the run untouched — saved image, trajectory and driver
+//!   metrics byte-identical to a serving-off run,
 //! - answer the finalized epoch exactly as the app's CPU `reference`
 //!   oracle,
 //! - never regress between epochs (partial aggregates grow monotonically,
@@ -15,7 +15,7 @@
 //!   with the offline lookup phase.
 
 use gpu_sim::executor::{ExecMode, Executor};
-use gpu_sim::metrics::Metrics;
+use gpu_sim::metrics::{Metrics, Snapshot};
 use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
 use proptest::prelude::*;
 use sepo_apps::{run_app, AppConfig};
@@ -68,6 +68,8 @@ type GroupedEpoch = (u32, Vec<Option<Vec<Vec<u8>>>>);
 struct ServingRun {
     image: Vec<u8>,
     trajectory: Vec<u64>,
+    /// The driver executor's metrics (serving charges its own).
+    snapshot: Snapshot,
     /// Per published epoch: (iteration, per-key combined answers).
     combined_epochs: Vec<(u32, Vec<Option<u64>>)>,
     grouped_epochs: Vec<GroupedEpoch>,
@@ -164,6 +166,7 @@ fn run_serving(
             .iter()
             .map(|i| i.tasks_completed)
             .collect(),
+        snapshot: metrics.snapshot(),
         combined_epochs,
         grouped_epochs,
         organization: run.table.config().organization,
@@ -171,8 +174,9 @@ fn run_serving(
     }
 }
 
-/// A serving-off run of the same configuration: the byte-identity baseline.
-fn run_plain(app: App, ds: &Dataset, fault_seed: Option<u64>) -> (Vec<u8>, Vec<u64>) {
+/// A serving-off run of the same configuration: the byte-identity baseline
+/// (image, trajectory, metrics).
+fn run_plain(app: App, ds: &Dataset, fault_seed: Option<u64>) -> (Vec<u8>, Vec<u64>, Snapshot) {
     let metrics = Arc::new(Metrics::new());
     let mut exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics))
         .with_shadow(Arc::new(ShadowSanitizer::new()));
@@ -193,6 +197,7 @@ fn run_plain(app: App, ds: &Dataset, fault_seed: Option<u64>) -> (Vec<u8>, Vec<u
             .iter()
             .map(|i| i.tasks_completed)
             .collect(),
+        metrics.snapshot(),
     )
 }
 
@@ -286,7 +291,7 @@ fn assert_epochs_sound(app: App, ds: &Dataset, keys: &[Vec<u8>], run: &ServingRu
 
 /// All seven apps: serving answers every epoch from the oracle key set,
 /// matches the CPU reference at the finalized epoch, and leaves the run's
-/// image and trajectory byte-identical to a serving-off run.
+/// image, trajectory and metrics byte-identical to a serving-off run.
 #[test]
 fn all_apps_serve_the_oracle_and_stay_invisible() {
     for app in App::ALL {
@@ -294,7 +299,7 @@ fn all_apps_serve_the_oracle_and_stay_invisible() {
         let keys = oracle_keys(app, &ds);
         let serving = run_serving(app, &ds, None, None, &keys);
         assert_epochs_sound(app, &ds, &keys, &serving);
-        let (image_off, traj_off) = run_plain(app, &ds, None);
+        let (image_off, traj_off, snapshot_off) = run_plain(app, &ds, None);
         assert_eq!(
             serving.image,
             image_off,
@@ -305,6 +310,12 @@ fn all_apps_serve_the_oracle_and_stay_invisible() {
             serving.trajectory,
             traj_off,
             "{}: serving perturbed the iteration trajectory",
+            app.name()
+        );
+        assert_eq!(
+            serving.snapshot,
+            snapshot_off,
+            "{}: serving charged the driver's metrics",
             app.name()
         );
     }
@@ -402,7 +413,7 @@ proptest! {
             let keys = oracle_keys(app, &ds);
             let serving = run_serving(app, &ds, Some(seed), None, &keys);
             assert_epochs_sound(app, &ds, &keys, &serving);
-            let (image_off, traj_off) = run_plain(app, &ds, Some(seed));
+            let (image_off, traj_off, _) = run_plain(app, &ds, Some(seed));
             prop_assert_eq!(
                 &serving.image,
                 &image_off,

@@ -1,13 +1,14 @@
-//! Multi-device sharded execution, end to end: hard-fault recovery on a
-//! single shard must be invisible (per-shard images, trajectories, and the
-//! merged canonical image all byte-identical to an unkilled run), and the
-//! shared SEPOCKS1 checkpoint file must carry a restorable section for
-//! every shard.
+//! Multi-device sharded execution, end to end: every shard count merges to
+//! the one-device canonical image, hard-fault recovery on a single shard
+//! must be invisible (per-shard images, trajectories, and the merged
+//! canonical image all byte-identical to an unkilled run), and the shared
+//! SEPOCKS3 checkpoint file must carry a restorable section for every
+//! shard.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
-use sepo_apps::sharded::{run_app_sharded, ShardedAppRun};
+use sepo_apps::sharded::{run_app_sharded, unsharded_image, ShardedAppRun};
 use sepo_apps::AppConfig;
 use sepo_core::{read_sharded_from_path, CheckpointPolicy, ShardedCheckpointFile};
 use sepo_datagen::{App, Dataset};
@@ -78,6 +79,38 @@ fn trajectory(run: &sepo_apps::AppRun) -> Vec<u64> {
         .collect()
 }
 
+/// Weak scaling is lossless: all seven apps at 2, 4 and 8 shards, each
+/// shard keeping the one-device heap and drawing its own standard transient
+/// fault stream (`seed ^ shard`), merge to the canonical image of the
+/// one-device run — the router and the per-shard ownership filters drop
+/// and duplicate nothing.
+#[test]
+fn every_shard_count_merges_to_the_one_device_image() {
+    const SEED: u64 = 0x5AAD_ED01;
+    // A heap the one-device run spills out of, so sharding relieves real
+    // table pressure.
+    let cfg = AppConfig::new(48 << 10)
+        .with_chunk_tasks(512)
+        .with_audit(true)
+        .with_sanitize(true);
+    let faulted = |seed| executor(Some(FaultPlan::new(FaultConfig::standard(seed))));
+    for app in App::ALL {
+        let ds = app.generate(0, 16_384);
+        let want = unsharded_image(&sepo_apps::run_app(app, &ds, &cfg, &faulted(SEED)));
+        for n in [2u32, 4, 8] {
+            let cfgs = vec![cfg.clone(); n as usize];
+            let execs: Vec<Executor> = (0..n).map(|i| faulted(SEED ^ u64::from(i))).collect();
+            let sharded = run_app_sharded(app, &ds, &cfgs, &execs);
+            assert_eq!(
+                sharded.image,
+                want,
+                "{}: merged image at {n} shards diverged from one device",
+                app.name()
+            );
+        }
+    }
+}
+
 /// Kill one shard's device mid-run (seeded `DeviceLost`); the resumed run
 /// must be byte-identical — on the killed shard's own image and
 /// trajectory, on every untouched shard, and on the merged canonical
@@ -129,7 +162,7 @@ fn killing_one_shards_device_resumes_byte_identically() {
 }
 
 /// A sharded run writing through one `ShardedCheckpointFile` leaves a
-/// SEPOCKS1 file with a readable section per shard, each sized to its
+/// SEPOCKS3 file with a readable section per shard, each sized to its
 /// shard's routed task count — the state a cross-process resume restores
 /// shard by shard.
 #[test]
@@ -154,7 +187,7 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
         );
     }
 
-    let sections = read_sharded_from_path(&path).expect("read SEPOCKS1 file back");
+    let sections = read_sharded_from_path(&path).expect("read SEPOCKS3 file back");
     std::fs::remove_file(&path).ok();
     assert_eq!(sections.len(), N as usize, "one section per shard");
     for (i, (section, shard)) in sections.iter().zip(run.shards.iter()).enumerate() {
