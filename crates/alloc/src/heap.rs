@@ -511,6 +511,12 @@ impl Heap {
         self.next_host_id.fetch_max(min, Ordering::Relaxed);
     }
 
+    /// Reserve `n` consecutive host ids for pages built on the host (host
+    /// compaction) and return the first. No device page ever carries them.
+    pub fn reserve_host_ids(&self, n: u64) -> u64 {
+        self.next_host_id.fetch_add(n, Ordering::Relaxed)
+    }
+
     /// Load a host page image back onto the device (the lookup phase's
     /// page-in path): acquires a fresh page, copies `data` into it, and
     /// marks exactly `data.len()` bytes used. Returns `None` when the pool

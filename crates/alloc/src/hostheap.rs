@@ -278,9 +278,19 @@ impl HostHeap {
         self.pages.lock().values().cloned().collect()
     }
 
+    /// The pages with host id `first` or above, in ascending host-id order
+    /// — what arrived since a reader last saw id `first - 1`.
+    pub fn pages_from(&self, first: u64) -> Vec<StampedPage> {
+        self.pages
+            .lock()
+            .range(first..)
+            .map(|(_, p)| p.clone())
+            .collect()
+    }
+
     /// Replace the entire store with `pages` under one lock acquisition
-    /// (checkpoint restore). Stamps travel with the pages, so a restored
-    /// store verifies exactly like the original.
+    /// (checkpoint restore, host compaction). Stamps travel with the pages,
+    /// so a restored store verifies exactly like the original.
     pub fn restore(&self, pages: &[StampedPage]) {
         *self.pages.lock() = pages.iter().map(|p| (p.host_id, p.clone())).collect();
     }
@@ -410,5 +420,12 @@ mod tests {
         hh.store(StampedPage::stamp(3, PageKind::Value, vec![3]));
         let ids: Vec<u64> = hh.pages().iter().map(StampedPage::host_id).collect();
         assert_eq!(ids, vec![1, 3, 5]);
+        let since = |first| -> Vec<u64> {
+            let pages = hh.pages_from(first);
+            pages.iter().map(StampedPage::host_id).collect()
+        };
+        assert_eq!(since(2), vec![3, 5]);
+        assert_eq!(since(5), vec![5]);
+        assert!(since(6).is_empty());
     }
 }

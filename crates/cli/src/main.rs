@@ -81,8 +81,8 @@ use sepo_bench::report::{fmt_bytes, fmt_speedup};
 use sepo_bench::{cpu_total_time, device_heap, gpu_total_time, sharded_total_time};
 use sepo_cli::{app_by_slug, parse_flags, slug, Flags};
 use sepo_core::{
-    CheckpointPolicy, Combiner, EpochPublisher, EpochSnapshot, Organization, QueryError, SepoTable,
-    ShardedCheckpointFile, ShardedSnapshot,
+    CheckpointPolicy, Combiner, CompactReport, EpochPublisher, EpochSnapshot, Organization,
+    QueryError, SepoTable, ShardedCheckpointFile, ShardedSnapshot,
 };
 use sepo_datagen::App;
 use std::collections::HashMap;
@@ -547,6 +547,17 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
         pages
     );
     println!("  evicted to CPU    {}", fmt_bytes(evicted));
+    let compacted: Vec<CompactReport> = runs.iter().filter_map(|r| r.outcome.compaction).collect();
+    if !compacted.is_empty() {
+        let kb = |of: fn(&CompactReport) -> u64| total(&compacted, of) as f64 / 1024.0;
+        println!(
+            "  host compaction: {} entries -> {} keys, {:.1} KB -> {:.1} KB",
+            total(&compacted, |c| c.entries),
+            total(&compacted, |c| c.keys),
+            kb(|c| c.bytes_before),
+            kb(|c| c.bytes_after)
+        );
+    }
     println!("  sim time          {}", gpu.total);
     println!(
         "    kernels {} | transfers {} | contention {}",

@@ -1,9 +1,11 @@
 //! End-to-end smoke of the `sepo` binary at the toy 1/16384 scale, for one
 //! device and for four, with `--audit --sanitize` on: the chaos, serving
 //! and corruption report lines must be present with non-zero counts, a
-//! sharded run must print its merged-image identity line, and `--save`
-//! must round-trip through `sepo query` on a single table and be rejected
-//! for a sharded run. These are the CLI's only smoke checks of those paths.
+//! sharded run must print its merged-image identity line, `--save` must
+//! round-trip through `sepo query` on a single table and be rejected for a
+//! sharded run, and the `host compaction:` line must appear on a
+//! multi-iteration run that folded partial aggregates and not on a
+//! one-iteration run. These are the CLI's only smoke checks of those paths.
 
 use std::process::{Command, Output};
 
@@ -99,4 +101,32 @@ fn save_round_trips_through_query_on_one_device_only() {
     let why = String::from_utf8_lossy(&sharded.stderr);
     assert!(why.contains("--save needs a single table image"), "{why}");
     assert!(!std::path::Path::new(image).exists());
+}
+
+/// The `iterations` figure of the report's GPU/SEPO block.
+fn iterations(report: &str) -> u64 {
+    let line = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("iterations"));
+    let n = line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok());
+    n.unwrap_or_else(|| panic!("no iterations line in:\n{report}"))
+}
+
+#[test]
+fn host_compaction_is_reported_exactly_when_it_ran() {
+    // DNA at a 48 KiB heap iterates four times, and k-mers recur across
+    // iterations: compaction folds their partials.
+    let out = sepo(&["run", "dna", "--scale", "16384", "--heap", "49152"]);
+    let dna = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(out.status.success(), "{dna}");
+    assert!(iterations(&dna) > 1, "{dna}");
+    let entries = count(&dna, "host compaction: ", " entries -> ");
+    let keys = count(&dna, " entries -> ", " keys, ");
+    assert!(entries > keys, "{dna}");
+    assert!(dna.contains(" KB -> "), "{dna}");
+
+    // One iteration: one eviction holds each key once; nothing to report.
+    let wordcount = run_wordcount("1", &[]);
+    assert_eq!(iterations(&wordcount), 1, "{wordcount}");
+    assert!(!wordcount.contains("host compaction"), "{wordcount}");
 }

@@ -24,11 +24,16 @@
 //!   every page before it returns, so the books balance exactly at every
 //!   boundary.
 //!
+//! After a combining table's host compaction ([`crate::compact`]), which
+//! follows the final eviction's check, [`TableAudit::check_compacted`]
+//! checks the one-entry-per-key image itself.
+//!
 //! A violation is a *bug*, not an environmental condition, so the driver
 //! panics on one; [`TableAudit`] itself reports
 //! [`AuditViolation`] values so tests can assert on specific checks.
 
 use crate::bitmap::Bitmap;
+use crate::entry::{combining, parse_at, EntryKind};
 use crate::evict::EvictReport;
 use crate::table::SepoTable;
 use std::collections::HashSet;
@@ -209,6 +214,49 @@ impl TableAudit {
         );
         self.check_structure(table)
     }
+
+    /// Check a combining table's host image after compaction
+    /// ([`crate::compact`]): no key has two entries, no region is a
+    /// tombstone, and the host bytes are exactly the entries' sizes.
+    pub fn check_compacted(&self, table: &SepoTable) -> Result<(), AuditViolation> {
+        let mut keys = HashSet::new();
+        let (mut host_bytes, mut entry_bytes) = (0u64, 0u64);
+        for page in table.host_heap().pages() {
+            let page = page.verify().map_err(|e| AuditViolation {
+                check: "compacted-page-stamp",
+                detail: e.to_string(),
+            })?;
+            let bytes = page.bytes();
+            host_bytes += bytes.len() as u64;
+            let mut off = 0;
+            while let Some((entry, next)) = parse_at(bytes, off, EntryKind::Combining) {
+                ensure!(
+                    entry.is_some(),
+                    "compacted-no-tombstones",
+                    "host page {} holds a tombstone at offset {off}",
+                    page.host_id()
+                );
+                if let Some(key) = entry.and_then(|e| e.key()) {
+                    ensure!(
+                        keys.insert(key.to_vec()),
+                        "compacted-one-entry-per-key",
+                        "key {:?} has a second entry on host page {}",
+                        String::from_utf8_lossy(key),
+                        page.host_id()
+                    );
+                    entry_bytes += combining::size(key.len()) as u64;
+                }
+                off = next;
+            }
+        }
+        ensure!(
+            host_bytes == entry_bytes,
+            "compacted-byte-count",
+            "host pages hold {host_bytes} bytes, but their {} entries take {entry_bytes}",
+            keys.len()
+        );
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -309,6 +357,36 @@ mod tests {
         audit
             .check_iteration(&t, &done, 0, 0, &EvictReport::default())
             .unwrap();
+    }
+
+    /// Evict `k` under two iterations, so the host holds two entries for it.
+    fn two_partials(t: &SepoTable) {
+        for _ in 0..2 {
+            assert!(t.insert_combining(b"k", 1, &mut NoCharge).is_success());
+            t.end_iteration();
+        }
+    }
+
+    #[test]
+    fn compacted_image_passes_and_partials_or_tombstones_do_not() {
+        let audit = TableAudit::begin(&table(Organization::Combining(Combiner::Add), 8));
+        let t = table(Organization::Combining(Combiner::Add), 8);
+        two_partials(&t);
+        let v = audit.check_compacted(&t).unwrap_err();
+        assert_eq!(v.check, "compacted-one-entry-per-key");
+        assert!(t.compact_host().unwrap().is_some());
+        audit.check_compacted(&t).unwrap();
+
+        // A lone tombstoned region: right size, dead entry.
+        let mut page = vec![0xFFu8; 16];
+        page.extend_from_slice(&0u64.to_le_bytes());
+        page.extend_from_slice(&(1u64 | crate::entry::TOMBSTONE).to_le_bytes());
+        page.extend_from_slice(&[b'x', 0, 0, 0, 0, 0, 0, 0]);
+        let dead = table(Organization::Combining(Combiner::Add), 8);
+        dead.host_heap()
+            .store(StampedPage::stamp(3, PageKind::Mixed, page));
+        let v = audit.check_compacted(&dead).unwrap_err();
+        assert_eq!(v.check, "compacted-no-tombstones");
     }
 
     #[test]

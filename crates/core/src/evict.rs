@@ -17,7 +17,8 @@
 //!
 //! [`SepoTable::finalize`] evicts everything that remains (kept pages
 //! included) once the run is complete, leaving the whole table addressable
-//! from CPU memory.
+//! from CPU memory, one entry per key for combining tables
+//! ([`crate::compact`]).
 //!
 //! These routines require quiescence — no kernels in flight — which the
 //! SEPO driver guarantees by running them between launches.
@@ -62,11 +63,16 @@ impl SepoTable {
         self.evict_boundary(&mut NoCharge, false, None)
     }
 
-    /// Evict everything that remains (kept pages included). Call once after
-    /// the last iteration; afterwards the result collectors see the full
-    /// table in the host heap.
+    /// Evict everything that remains (kept pages included), then compact a
+    /// combining table's host image to one entry per key
+    /// ([`SepoTable::compact_host`]). Call once after the last iteration;
+    /// afterwards the result collectors see the full table in the host
+    /// heap. A host page that fails its stamp is left in place, uncompacted,
+    /// for every reader to refuse by host id.
     pub fn finalize(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, true, None)
+        let report = self.evict_boundary(&mut NoCharge, true, None);
+        let _ = self.compact_host();
+        report
     }
 
     /// Model one page image crossing the PCIe bus under the integrity

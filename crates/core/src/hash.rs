@@ -4,7 +4,11 @@
 //! hash for variable-length byte keys; FNV-1a is what GPU hash-table
 //! implementations of the paper's era commonly used, is trivially portable
 //! to a kernel, and is deterministic across runs — a requirement for the
-//! reproducible postponement behaviour the harness reports.
+//! reproducible postponement behaviour the harness reports. The host-side
+//! indexes, which nothing simulates, map keys through a `KeyMap` instead.
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -51,9 +55,151 @@ pub fn bucket_of(key: &[u8], n_buckets: usize) -> usize {
     bucket_for(fnv1a(key), n_buckets)
 }
 
+/// Byte keys mapped to values, in first-insertion order — the host-side
+/// key indexes (host compaction's fold, the serving host store). Keys live
+/// back to back in one arena, so inserting allocates nothing per key. A
+/// lookup hashes the key once, with the standard library's randomly keyed
+/// hasher (input keys cannot be crafted to collide), and probes one
+/// open-addressed array of `(hash tag, id)` words.
+pub(crate) struct KeyMap<V> {
+    state: RandomState,
+    arena: Vec<u8>,
+    /// Per id: where its key sits in `arena`, and its value.
+    entries: Vec<(usize, u32, V)>,
+    /// Linear-probing slots, a power of two, at most half full: the low 32
+    /// bits of a key's hash in the high word, its id + 1 in the low word;
+    /// 0 is empty.
+    slots: Vec<u64>,
+}
+
+impl<V> Default for KeyMap<V> {
+    fn default() -> Self {
+        KeyMap {
+            state: RandomState::new(),
+            arena: Vec::new(),
+            entries: Vec::new(),
+            slots: vec![0; 16],
+        }
+    }
+}
+
+impl<V> KeyMap<V> {
+    /// Keys held.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn key(&self, id: usize) -> &[u8] {
+        let (start, len, _) = self.entries[id];
+        &self.arena[start..start + len as usize]
+    }
+
+    /// Every key and its value, in first-insertion order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
+        (0..self.len()).map(|id| (self.key(id), &self.entries[id].2))
+    }
+
+    fn tag(&self, key: &[u8]) -> u32 {
+        self.state.hash_one(key) as u32
+    }
+
+    /// The id of `key`, or the empty slot where it would go.
+    fn probe(&self, key: &[u8], tag: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return Err(i);
+            }
+            let id = (slot as u32 - 1) as usize;
+            if (slot >> 32) as u32 == tag && self.key(id) == key {
+                return Ok(id);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// `key`'s value, if present.
+    pub(crate) fn get(&self, key: &[u8]) -> Option<&V> {
+        let id = self.probe(key, self.tag(key)).ok()?;
+        Some(&self.entries[id].2)
+    }
+
+    /// Apply `update` to `key`'s value, or insert `new()` for a new key.
+    pub(crate) fn upsert(
+        &mut self,
+        key: &[u8],
+        new: impl FnOnce() -> V,
+        update: impl FnOnce(&mut V),
+    ) {
+        self.upsert_tagged(key, self.tag(key), new, update);
+    }
+
+    fn upsert_tagged(
+        &mut self,
+        key: &[u8],
+        tag: u32,
+        new: impl FnOnce() -> V,
+        update: impl FnOnce(&mut V),
+    ) {
+        match self.probe(key, tag) {
+            Ok(id) => update(&mut self.entries[id].2),
+            Err(slot) => {
+                self.entries
+                    .push((self.arena.len(), key.len() as u32, new()));
+                self.arena.extend_from_slice(key);
+                self.slots[slot] = (u64::from(tag) << 32) | self.entries.len() as u64;
+                if 2 * self.entries.len() > self.slots.len() {
+                    self.grow();
+                }
+            }
+        }
+    }
+
+    /// Double the slot array; a slot's tag alone places it again.
+    fn grow(&mut self) {
+        let grown = vec![0; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, grown);
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut i = (slot >> 32) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_map_keeps_first_insertion_order_through_growth_and_collisions() {
+        let mut map: KeyMap<u64> = KeyMap::default();
+        for i in 0..5000u64 {
+            let key = format!("key-{}", i % 1000);
+            map.upsert(key.as_bytes(), || i, |v| *v += i);
+        }
+        assert_eq!(map.len(), 1000);
+        for (id, (key, &v)) in map.iter().enumerate() {
+            assert_eq!(key, format!("key-{id}").as_bytes());
+            assert_eq!(v, 5 * id as u64 + 1000 * (1 + 2 + 3 + 4));
+        }
+        assert_eq!(map.get(b"key-999"), Some(&(5 * 999 + 10_000)));
+        assert_eq!(map.get(b"key-1000"), None);
+        assert_eq!(map.get(b""), None);
+        // Keys that share a tag share a probe run; bytes tell them apart.
+        let mut tagged: KeyMap<u32> = KeyMap::default();
+        for (n, k) in ["a", "b", "c", "b", "a"].iter().enumerate() {
+            tagged.upsert_tagged(k.as_bytes(), 7, || n as u32, |v| *v += 10);
+        }
+        let got: Vec<(&[u8], u32)> = tagged.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(got, vec![(&b"a"[..], 10), (b"b", 11), (b"c", 2)]);
+        assert_eq!(tagged.probe(b"d", 7), Err(10));
+    }
 
     #[test]
     fn known_vectors() {

@@ -20,6 +20,8 @@
 //! * [`evict`] — iteration-boundary policies: wholesale heap eviction
 //!   (basic/combining) or selective value-page / non-pending-key-page
 //!   eviction with chain rebuild (multi-valued).
+//! * [`compact`] — host compaction at the end of a run: a combining key's
+//!   partial aggregates from several iterations fold into one host entry.
 //! * [`results`] — final result enumeration from the CPU-side store by
 //!   page walking and host-linked chain traversal, over pages that passed
 //!   their checksum stamp.
@@ -51,6 +53,7 @@ pub mod audit;
 pub mod bitmap;
 pub mod checkpoint;
 pub mod combiner;
+pub mod compact;
 pub mod config;
 pub mod entry;
 pub mod evict;
@@ -69,6 +72,7 @@ pub use audit::{AuditViolation, TableAudit};
 pub use bitmap::Bitmap;
 pub use checkpoint::{read_sharded_from_path, Checkpoint, CheckpointPolicy, ShardedCheckpointFile};
 pub use combiner::{CombinerConfig, WarpCombiner};
+pub use compact::CompactReport;
 pub use config::{Combiner, Organization, TableConfig};
 pub use evict::EvictReport;
 pub use integrity::{IntegrityState, TransferFailure, MAX_TRANSFER_RETRANSMITS};

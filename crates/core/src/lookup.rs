@@ -14,10 +14,11 @@
 //! the device in batches that fit the heap; each round launches a kernel
 //! over the still-pending queries, which complete when their key is found
 //! in the resident segment and postpone otherwise. A query that survives
-//! every segment is definitively absent. Keys seen once complete
-//! immediately; with Zipf-skewed queries most of the work finishes in the
-//! first rounds — the same graceful-degradation economics as the insert
-//! side.
+//! every segment is definitively absent. A finalized combining table holds
+//! each key once ([`crate::compact`]), so the entry a query finds is its
+//! whole answer — the merged value, never one iteration's partial. With
+//! Zipf-skewed queries most of the work finishes in the first rounds — the
+//! same graceful-degradation economics as the insert side.
 
 use crate::bitmap::Bitmap;
 use crate::entry::{EntryKind, PageWalker};
@@ -366,6 +367,34 @@ mod tests {
         t.finalize();
         let out = t.try_lookup_phase(&e, &[b"k", b"absent"]).unwrap();
         assert_eq!(out.results, vec![Some(1), None]);
+    }
+
+    #[test]
+    fn keys_evicted_in_several_iterations_answer_their_merged_value() {
+        // Every key is inserted once per pass and each pass is evicted:
+        // five partials per key before finalize compacts them.
+        let cfg = TableConfig::new(Organization::Combining(Combiner::Add))
+            .with_buckets(128)
+            .with_buckets_per_group(32)
+            .with_page_size(1024);
+        let t = SepoTable::new(cfg, 8 * 1024, Arc::new(Metrics::new()));
+        for pass in 1..=5u64 {
+            for i in 0..60u64 {
+                let key = format!("key-{i:05}");
+                assert!(t
+                    .insert_combining(key.as_bytes(), pass * i, &mut NoCharge)
+                    .is_success());
+            }
+            t.end_iteration();
+        }
+        t.finalize();
+        let e = exec(&t);
+        let owned: Vec<String> = (0..60).map(|i| format!("key-{i:05}")).collect();
+        let queries: Vec<&[u8]> = owned.iter().map(|s| s.as_bytes()).collect();
+        let out = t.lookup_phase(&e, &queries);
+        for (i, r) in out.results.iter().enumerate() {
+            assert_eq!(*r, Some(15 * i as u64), "key {i} answered a partial");
+        }
     }
 
     #[test]

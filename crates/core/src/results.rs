@@ -90,36 +90,24 @@ impl SepoTable {
     }
 
     /// Collect `(key, combined value)` pairs of a combining table, in
-    /// first-eviction order.
-    ///
-    /// Within one SEPO iteration a key has exactly one entry (once a bucket
-    /// group's allocation fails it keeps failing until the iteration ends,
-    /// so all of a key's same-iteration inserts combine into the entry that
-    /// won the allocation). Across iterations a key *can* reappear when a
-    /// multi-pair task had later occurrences of the key that were never
-    /// attempted before the entry was evicted; because combiners are
-    /// commutative and associative, those partial aggregates are merged
-    /// here, on the CPU, exactly.
+    /// first-eviction order: a page walk, because a finalized combining
+    /// table holds each key once ([`crate::compact`] folded the partial
+    /// aggregates of keys evicted in several iterations).
     ///
     /// Requires `finalize()`; panics if pages are still resident (that
     /// would silently drop data) or a host page fails verification.
     pub fn collect_combining(&self) -> Vec<(Vec<u8>, u64)> {
         let org = self.cfg.organization;
-        let Organization::Combining(comb) = org else {
-            panic!("collect_combining on a {} table", org.label());
-        };
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
+        assert!(
+            matches!(org, Organization::Combining(_)),
+            "collect_combining on a {} table",
+            org.label()
+        );
+        let mut out = Vec::new();
         for page in self.host_pages_or_panic("collect_combining") {
             for (_, e) in primary_entries(org, &page) {
                 if let ParsedEntry::Combining { key, value } = e {
-                    match index.get(key) {
-                        Some(&i) => out[i].1 = comb.apply(out[i].1, value),
-                        None => {
-                            index.insert(key.to_vec(), out.len());
-                            out.push((key.to_vec(), value));
-                        }
-                    }
+                    out.push((key.to_vec(), value));
                 }
             }
         }
@@ -141,9 +129,11 @@ impl SepoTable {
     }
 
     /// Collect `(key, values)` groups of a multi-valued table. Value order
-    /// within a key is newest-first (chains are prepend-only). Groups of
-    /// the same key created in different iterations (see
-    /// [`collect_combining`](Self::collect_combining)) are concatenated.
+    /// within a key is newest-first (chains are prepend-only). A key entry
+    /// can leave the device before its key's last value arrives — a key
+    /// page with no pending key is evicted, and the kept-page cap evicts
+    /// pending ones too — so a key may own entries from several
+    /// iterations; their groups are concatenated.
     pub fn collect_multivalued(&self) -> Vec<GroupedPair> {
         let pages = self.host_pages_or_panic("collect_multivalued");
         // Pages arrive in host-id order, so a chain link resolves by search.

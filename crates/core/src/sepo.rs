@@ -21,6 +21,7 @@ use crate::audit::TableAudit;
 use crate::bitmap::Bitmap;
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::combiner::{CombinerConfig, WarpCombiner};
+use crate::compact::{CompactReport, Compactor};
 use crate::config::Organization;
 use crate::evict::EvictReport;
 use crate::serve::EpochPublisher;
@@ -121,6 +122,10 @@ pub struct SepoOutcome {
     /// iteration's kernels? Copied from [`DriverConfig::evict_overlap`];
     /// the benchmark layer's makespan model is its only reader.
     pub evict_overlap: bool,
+    /// What host compaction folded at the end of the run ([`crate::compact`]):
+    /// `None` unless a combining table evicted in more than one batch and
+    /// some key had several host entries (or a tombstone had to go).
+    pub compaction: Option<CompactReport>,
 }
 
 impl SepoOutcome {
@@ -220,9 +225,9 @@ pub enum SepoError {
         source: gpu_sim::CorruptionError,
     },
     /// Silent corruption of a resting page was detected by a checksum
-    /// scrub (at an iteration boundary, or end-of-run for host pages) and
-    /// could not be repaired: checkpointing was off, or the recovery
-    /// budget was already spent.
+    /// scrub (at an iteration boundary, or end-of-run for host pages) or by
+    /// host compaction's read of a host page, and could not be repaired:
+    /// checkpointing was off, or the recovery budget was already spent.
     CorruptPage {
         /// 1-based iteration at which the scrub detected the damage (one
         /// past the last iteration for the end-of-run host scrub).
@@ -597,7 +602,8 @@ struct Launched {
 
 /// The state of one [`SepoDriver::try_run`]; each step of its loop is a
 /// method here. The boundary order — publish → evict → verdicts →
-/// checkpoint → re-stamp — is fixed by the quiescence invariant.
+/// checkpoint → commit host pages → re-stamp — is fixed by the quiescence
+/// invariant.
 struct Run<'d> {
     table: &'d SepoTable,
     executor: &'d Executor,
@@ -626,6 +632,9 @@ struct Run<'d> {
     /// `(page, host id, CRC32C)` of every resident device page with used
     /// bytes, stamped at the last quiescent boundary.
     resting: Vec<(u32, u64, u32)>,
+    /// Host compaction of a combining table, fed at every checkpointed
+    /// boundary.
+    compactor: Option<Compactor>,
 }
 
 impl<'d> Run<'d> {
@@ -657,9 +666,14 @@ impl<'d> Run<'d> {
             shadow,
             audit,
             resting: Vec::new(),
+            compactor: match table.config().organization {
+                Organization::Combining(comb) => Some(Compactor::new(comb)),
+                _ => None,
+            },
         };
         run.stamp_resting();
         run.take_checkpoint()?;
+        run.commit_host_pages();
         run.publish(0, false);
         Ok(run)
     }
@@ -733,6 +747,14 @@ impl<'d> Run<'d> {
         self.recovery.checkpoint_bytes = ckp.encoded_size();
         self.checkpoint = Some(ckp);
         Ok(())
+    }
+
+    /// Hand the host pages this boundary stored to the compactor. After
+    /// the checkpoint, so no rollback can take them back.
+    fn commit_host_pages(&mut self) {
+        if let Some(c) = &mut self.compactor {
+            c.commit(self.table.host_heap());
+        }
     }
 
     /// Open the iteration: stamp its number on the sanitizer, then close the
@@ -986,14 +1008,42 @@ impl<'d> Run<'d> {
         });
         self.pending = next_pending;
         self.take_checkpoint()?;
+        self.commit_host_pages();
         self.stamp_resting();
         Ok(())
     }
 
-    /// Final flush, end-of-run scrub and the finalized epoch.
+    /// Host compaction of a combining table: wait for the fold of the
+    /// committed boundaries, fold the final flush, and replace the host
+    /// pages with one entry per key — then audit the result. A damaged page
+    /// the fold meets fails the run with its host id.
+    fn compact(&mut self, at_iteration: u32) -> Result<Option<CompactReport>, SepoError> {
+        let Some(compactor) = self.compactor.take() else {
+            return Ok(None);
+        };
+        let report = compactor
+            .finish(self.table)
+            .map_err(|corrupt| SepoError::CorruptPage {
+                at_iteration,
+                host_id: corrupt.host_id,
+                recoveries: self.recovery.integrity_restores,
+            })?;
+        if let (Some(a), Some(_)) = (&self.audit, report) {
+            a.check_compacted(self.table)
+                .map_err(|v| SepoError::AuditFailed {
+                    iteration: None,
+                    report: v.to_string(),
+                })?;
+        }
+        Ok(report)
+    }
+
+    /// Final flush, host compaction, end-of-run scrub and the finalized
+    /// epoch.
     fn finish(mut self) -> Result<SepoOutcome, SepoError> {
         let at_iteration = self.iter_no();
         let final_evict = self.evict(at_iteration, None)?;
+        let compaction = self.compact(at_iteration)?;
         // End-of-run scrub — the one place a run re-checks stamps: every
         // page now lives in the host store; walk them all and re-verify the
         // CRC32C stamp each carried out of the device. Always on under
@@ -1023,6 +1073,7 @@ impl<'d> Run<'d> {
             pending_tasks: self.pending.len() as u64,
             recovery: self.recovery,
             evict_overlap: self.config.evict_overlap,
+            compaction,
         };
         if outcome.pending_tasks > 0 {
             return Err(SepoError::IterationCapExceeded {
@@ -2051,6 +2102,48 @@ mod tests {
         assert_eq!(clean.unwrap().iterations, dirty.iterations);
         assert_eq!(clean_img, dirty_img);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Host compaction reads every host page through its stamp. A table
+    /// that carries a damaged page into a run whose keys recur fails the
+    /// run typed, naming the page, and leaves the host pages as they were.
+    #[test]
+    fn compaction_refuses_a_damaged_host_page_with_its_id() {
+        let t = small_table(Organization::Combining(Combiner::Add), 4);
+        let e = exec(t.metrics());
+        let keys: Vec<String> = (0..400).map(|i| format!("key-{i:05}")).collect();
+        let insert = |task: usize, _start: u32, lane: &mut LaneCtx<'_>| match t.insert_combining(
+            keys[task].as_bytes(),
+            1,
+            lane,
+        ) {
+            crate::table::InsertStatus::Success => TaskResult::Done,
+            crate::table::InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+        };
+        let driver = SepoDriver::new(&t, &e).with_config(audited());
+        let first = driver.try_run(keys.len(), |_| 16, insert).unwrap();
+        assert_eq!(first.compaction, None, "unique keys: nothing to fold");
+        let page = t.host_heap().pages().remove(0);
+        let mut bytes = page.verify().unwrap().bytes().to_vec();
+        bytes[20] ^= 0x10;
+        let damaged =
+            sepo_alloc::StampedPage::from_parts(page.host_id(), page.kind(), bytes, page.crc());
+        t.host_heap().store(damaged);
+        let before = t.host_heap().pages();
+
+        let err = driver.try_run(keys.len(), |_| 16, insert).unwrap_err();
+        let SepoError::CorruptPage {
+            host_id,
+            recoveries,
+            ..
+        } = err
+        else {
+            panic!("expected CorruptPage, got {err}");
+        };
+        assert_eq!(host_id, page.host_id());
+        assert_eq!(recoveries, 0);
+        let after = t.host_heap().pages();
+        assert_eq!(before, after[..before.len()], "compaction wrote nothing");
     }
 
     #[test]

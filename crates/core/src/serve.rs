@@ -23,9 +23,10 @@
 //!   absorbs evicted pages as boundaries land them — no `finalize()`
 //!   required. Every epoch carries a *watermark*: host entries indexed at
 //!   or after it are invisible, so a reader pinned to epoch N never sees a
-//!   partially applied later iteration. The same index, built in one go by
-//!   [`HostStore::of_finalized`], is the offline read path over a
-//!   finalized table (`sepo query`).
+//!   partially applied later iteration. The finalized epoch indexes the
+//!   compacted host image ([`crate::compact`]) in a store of its own, and
+//!   the same index, built in one go by [`HostStore::of_finalized`], is the
+//!   offline read path over a finalized table (`sepo query`).
 //!
 //! Reads never touch the live table: the driver's final image, iteration
 //! trajectory, and metrics are byte-identical with serving on or off
@@ -40,7 +41,7 @@
 
 use crate::config::{Combiner, Organization};
 use crate::entry::{self, combining, key_entry, value_node, EntryKind};
-use crate::hash::bucket_of;
+use crate::hash::{bucket_of, KeyMap};
 use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
@@ -595,14 +596,22 @@ struct HostEntryRef {
     /// Index-order sequence number; visible to an epoch iff `< watermark`.
     seq: u64,
     link: HostLink,
+    /// The same key's next entry in index order, or [`NO_REF`].
+    next: u32,
 }
+
+const NO_REF: u32 = u32::MAX;
 
 #[derive(Default)]
 struct HostStoreInner {
     /// Organization of the table being indexed (set at first absorption).
     organization: Option<Organization>,
     next_seq: u64,
-    entries: HashMap<Vec<u8>, Vec<HostEntryRef>>,
+    /// Per key: its first and last entry in `refs`.
+    keys: KeyMap<(u32, u32)>,
+    /// Every indexed entry; one key's entries chain in index (so `seq`)
+    /// order.
+    refs: Vec<HostEntryRef>,
     /// The absorbed page images, verified once at absorption. They share
     /// the evicted buffers, and an epoch's host reads are isolated from
     /// anything the live host heap does afterwards. Pages are immutable
@@ -618,6 +627,35 @@ struct HostStoreInner {
 }
 
 impl HostStoreInner {
+    fn add_ref(&mut self, key: &[u8], seq: u64, link: HostLink) {
+        let r = self.refs.len() as u32;
+        self.refs.push(HostEntryRef {
+            seq,
+            link,
+            next: NO_REF,
+        });
+        let refs = &mut self.refs;
+        self.keys.upsert(
+            key,
+            || (r, r),
+            |(_, last)| refs[std::mem::replace(last, r) as usize].next = r,
+        );
+    }
+
+    /// `key`'s entries below `watermark`, in index order; `None` for a key
+    /// never indexed.
+    fn refs_under(
+        &self,
+        key: &[u8],
+        watermark: u64,
+    ) -> Option<impl Iterator<Item = &HostEntryRef> + '_> {
+        let &(first, _) = self.keys.get(key)?;
+        let chain = std::iter::successors(Some(&self.refs[first as usize]), |r| {
+            self.refs.get(r.next as usize)
+        });
+        Some(chain.take_while(move |r| r.seq < watermark))
+    }
+
     fn read_u64(&self, link: HostLink, field: u32) -> Result<u64, QueryError> {
         let word = self.pages.get(&link.host_page()).and_then(|page| {
             let off = (link.offset() + field) as usize;
@@ -660,10 +698,10 @@ impl HostStoreInner {
 /// (`seq < watermark`). Offline readers index a finalized table in one go
 /// with [`HostStore::of_finalized`] and see everything.
 ///
-/// Duplicate entries from different SEPO iterations (see
-/// [`results`](crate::results)) are resolved at query time the way the
-/// collectors resolve them: combining values merge through the table's
-/// combiner, multi-valued chains concatenate.
+/// A key can own entries from several SEPO iterations. Combining partials
+/// merge at query time through the table's combiner — in-run epochs see
+/// them; a finalized table holds one per key ([`crate::compact`]) — and
+/// multi-valued chains concatenate, as the collectors concatenate them.
 pub struct HostStore {
     inner: RwLock<HostStoreInner>,
 }
@@ -673,7 +711,7 @@ impl fmt::Debug for HostStore {
         let inner = self.inner.read();
         f.debug_struct("HostStore")
             .field("pages", &inner.pages.len())
-            .field("keys", &inner.entries.len())
+            .field("keys", &inner.keys.len())
             .field("next_seq", &inner.next_seq)
             .finish()
     }
@@ -703,7 +741,7 @@ impl HostStore {
 
     /// Distinct keys indexed.
     pub fn len(&self) -> usize {
-        self.inner.read().entries.len()
+        self.inner.read().keys.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -740,7 +778,9 @@ impl HostStore {
     /// return the new watermark. Called by the publisher at quiescent
     /// boundaries only — the host heap never changes mid-iteration, and
     /// hard-fault recovery replays boundaries with identical content, so
-    /// skipping already-seen ids is safe.
+    /// skipping already-seen ids is safe. (Compaction replaces the pages
+    /// after the last boundary; the finalized epoch reads them through a
+    /// fresh store.)
     fn absorb(&self, table: &SepoTable) -> u64 {
         let org = table.config().organization;
         let mut inner = self.inner.write();
@@ -762,8 +802,7 @@ impl HostStore {
             };
             for (link, parsed) in primary_entries(org, &page) {
                 if let Some(key) = parsed.key() {
-                    let refs = inner.entries.entry(key.to_vec()).or_default();
-                    refs.push(HostEntryRef { seq, link });
+                    inner.add_ref(key, seq, link);
                 }
             }
             inner.pages.insert(host_id, page);
@@ -781,11 +820,11 @@ impl HostStore {
         bytes: &mut u64,
     ) -> Result<Option<u64>, QueryError> {
         let inner = self.inner.read();
-        let Some(refs) = inner.entries.get(key) else {
+        let Some(refs) = inner.refs_under(key, watermark) else {
             return Ok(None);
         };
         let mut acc: Option<u64> = None;
-        for r in refs.iter().filter(|r| r.seq < watermark) {
+        for r in refs {
             let v = inner.read_u64(r.link, combining::VALUE)?;
             *bytes += 8;
             acc = Some(match acc {
@@ -807,11 +846,11 @@ impl HostStore {
         bytes: &mut u64,
     ) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
         let inner = self.inner.read();
-        let Some(refs) = inner.entries.get(key) else {
+        let Some(refs) = inner.refs_under(key, watermark) else {
             return Ok(None);
         };
         let mut values = Vec::new();
-        for r in refs.iter().filter(|r| r.seq < watermark) {
+        for r in refs {
             let cont = inner.read_u64(r.link, key_entry::VALUE_HOST_CONT)?;
             *bytes += 8;
             inner.extend_chain(HostLink::from_raw(cont), &mut values, bytes)?;
@@ -835,11 +874,13 @@ impl HostStore {
     /// Keys with at least one entry below `watermark`.
     fn keys_under(&self, watermark: u64) -> Vec<Vec<u8>> {
         let inner = self.inner.read();
+        // A key's first entry is its earliest.
+        let visible = |&(first, _): &(u32, u32)| inner.refs[first as usize].seq < watermark;
         inner
-            .entries
+            .keys
             .iter()
-            .filter(|(_, refs)| refs.iter().any(|r| r.seq < watermark))
-            .map(|(k, _)| k.clone())
+            .filter(|(_, ends)| visible(ends))
+            .map(|(key, _)| key.to_vec())
             .collect()
     }
 }
@@ -906,7 +947,16 @@ impl EpochPublisher {
     /// the driver's trajectory are untouched, which is what keeps
     /// serving-on runs byte-identical to serving-off runs.
     pub(crate) fn publish_boundary(&self, table: &SepoTable, iteration: u32, finalized: bool) {
-        let watermark = self.host.absorb(table);
+        // The finalized epoch reads the compacted host image through a
+        // store of its own: the shared one still indexes the partial
+        // entries that compaction replaced, for the earlier epochs that
+        // hold it.
+        let host = if finalized {
+            Arc::new(HostStore::new())
+        } else {
+            Arc::clone(&self.host)
+        };
+        let watermark = host.absorb(table);
         let heads: Arc<[u64]> = table.snapshot_heads().into();
         // Epoch-guard internals: capturing the boundary's resident pages.
         let heap = table.heap().snapshot();
@@ -931,7 +981,7 @@ impl EpochPublisher {
             max_batch: self.config.max_batch,
             heads,
             pages: Arc::new(pages),
-            host: Arc::clone(&self.host),
+            host,
             watermark,
         });
         *self.current.write() = Some(Arc::clone(&snap));

@@ -94,30 +94,22 @@ pub fn shard_of_key(key: &[u8], bits: u32) -> u32 {
 /// Deterministic serialization of the merged results of finalized shard
 /// tables — the identity artifact of a sharded run.
 ///
-/// Combining values of the same key are merged through the table's
-/// combiner (commutative/associative, so exact); multi-valued groups of
-/// the same key are concatenated and the values sorted; basic pairs are
-/// sorted whole. Keys are sorted last, so the image depends only on the
-/// logical table contents, not on shard count, eviction timing, or
-/// per-shard page order. An unsharded run is the 1-element case, which is
-/// what anchors `--shards N` correctness to `--shards 1`.
+/// A combining key is stored once, on its owner shard, so combining pairs
+/// are concatenated and sorted (a key stored twice would show twice);
+/// multi-valued groups of the same key are concatenated and the values
+/// sorted; basic pairs are sorted whole. Keys are sorted last, so the image
+/// depends only on the logical table contents, not on shard count,
+/// eviction timing, or per-shard page order. An unsharded run is the
+/// 1-element case, which is what anchors `--shards N` correctness to
+/// `--shards 1`.
 pub fn canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
     assert!(!tables.is_empty(), "canonical image of zero shards");
     let org = tables[0].config().organization;
     let mut out = Vec::new();
     match org {
-        Organization::Combining(comb) => {
-            let mut merged: std::collections::HashMap<Vec<u8>, u64> =
-                std::collections::HashMap::new();
-            for t in tables {
-                for (k, v) in t.collect_combining() {
-                    merged
-                        .entry(k)
-                        .and_modify(|cur| *cur = comb.apply(*cur, v))
-                        .or_insert(v);
-                }
-            }
-            let mut pairs: Vec<(Vec<u8>, u64)> = merged.into_iter().collect();
+        Organization::Combining(_) => {
+            let mut pairs: Vec<(Vec<u8>, u64)> =
+                tables.iter().flat_map(|t| t.collect_combining()).collect();
             pairs.sort();
             write_len(&mut out, pairs.len());
             for (k, v) in pairs {

@@ -28,6 +28,11 @@
 //!   with the caller helping and then blocking until all complete. The
 //!   bench harness uses it to run independent (app × dataset) cells
 //!   concurrently while each cell stays internally deterministic.
+//! * [`WorkerPool::background`] hands one owned `FnOnce` to an idle worker
+//!   while the submitter carries on; [`Background::join`] takes its result
+//!   (running it on the joining thread if no worker has). The SEPO driver
+//!   folds evicted host pages this way while the next iteration's launches
+//!   run on the calling thread.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -288,6 +293,87 @@ impl WorkerPool {
         job.participate();
         job.wait()
     }
+
+    /// Queue `f` for the first idle worker and return at once. The task
+    /// owns everything it touches, so nothing waits on it until
+    /// [`Background::join`]; with no idle worker (or an empty pool) the
+    /// joining thread runs it.
+    pub fn background<T, F>(&self, f: F) -> Background<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let task = Arc::new(BackgroundTask {
+            f: Mutex::new(Some(Box::new(f))),
+            out: Mutex::new(None),
+        });
+        let task_ptr: *const BackgroundTask<T> = Arc::as_ptr(&task);
+        let job = single_unit_job(task_ptr);
+        self.shared.submit(Arc::clone(&job));
+        Background { task, job }
+    }
+}
+
+/// A one-unit job over `work`, which the caller keeps alive until the job
+/// completes.
+fn single_unit_job(work: *const (dyn Work + 'static)) -> Arc<JobCore> {
+    Arc::new(JobCore {
+        work: WorkPtr(work),
+        n_units: 1,
+        chunk: 1,
+        next: AtomicUsize::new(0),
+        done: AtomicUsize::new(0),
+        slots: AtomicUsize::new(0),
+        max_slots: 1,
+        status: Mutex::new(JobStatus {
+            completed: false,
+            panic: None,
+        }),
+        completed_cv: Condvar::new(),
+    })
+}
+
+/// The task behind a [`Background`] handle and the slot for its result.
+struct BackgroundTask<T> {
+    f: Mutex<Option<Box<dyn FnOnce() -> T + Send + 'static>>>,
+    out: Mutex<Option<T>>,
+}
+
+impl<T: Send> Work for BackgroundTask<T> {
+    fn run_units(&self, _units: Range<usize>, _slot: usize) {
+        let f = self.f.lock().unwrap().take();
+        let out = f.expect("background task ran twice")();
+        *self.out.lock().unwrap() = Some(out);
+    }
+}
+
+/// A task running on the pool; see [`WorkerPool::background`]. Dropping
+/// the handle waits for the task, so the job never outlives its closure.
+pub struct Background<T: Send + 'static> {
+    task: Arc<BackgroundTask<T>>,
+    job: Arc<JobCore>,
+}
+
+impl<T: Send + 'static> Background<T> {
+    /// Wait for the task — running it here if no worker has started it —
+    /// and return its result, re-raising its panic.
+    pub fn join(self) -> T {
+        self.job.participate();
+        if let Err(payload) = self.job.wait() {
+            std::panic::resume_unwind(payload);
+        }
+        let out = self.task.out.lock().unwrap().take();
+        out.expect("a completed background task left its result")
+    }
+}
+
+impl<T: Send + 'static> Drop for Background<T> {
+    fn drop(&mut self) {
+        // `join` already drained the job; otherwise finish it before the
+        // closure it points at can go away.
+        self.job.participate();
+        let _ = self.job.wait();
+    }
 }
 
 /// A single `FnOnce` task adapted to [`Work`] (one unit).
@@ -326,21 +412,7 @@ impl<'env> Scope<'env> {
             f: Mutex::new(Some(boxed)),
         });
         let task_ptr: *const ScopeTask = Arc::as_ptr(&task);
-        let work_static: *const (dyn Work + 'static) = task_ptr;
-        let job = Arc::new(JobCore {
-            work: WorkPtr(work_static),
-            n_units: 1,
-            chunk: 1,
-            next: AtomicUsize::new(0),
-            done: AtomicUsize::new(0),
-            slots: AtomicUsize::new(0),
-            max_slots: 1,
-            status: Mutex::new(JobStatus {
-                completed: false,
-                panic: None,
-            }),
-            completed_cv: Condvar::new(),
-        });
+        let job = single_unit_job(task_ptr);
         self.pool.shared.submit(Arc::clone(&job));
         self.jobs.lock().unwrap().push((task, job));
     }
@@ -565,6 +637,44 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 8);
+    }
+
+    #[test]
+    fn background_tasks_chain_results_and_run_on_the_joiner_without_workers() {
+        for workers in [0, 1, 2] {
+            let p = pool(workers);
+            // Each task owns the previous result: a chain of folds.
+            let mut acc = p.background(|| vec![0u64]);
+            for i in 1..20u64 {
+                let prev = acc.join();
+                acc = p.background(move || {
+                    let mut v = prev;
+                    v.push(i);
+                    v
+                });
+            }
+            assert_eq!(acc.join(), (0..20).collect::<Vec<u64>>());
+        }
+        let empty = pool(0);
+        let joiner = std::thread::current().id();
+        assert_eq!(
+            empty.background(move || std::thread::current().id()).join(),
+            joiner
+        );
+    }
+
+    #[test]
+    fn background_panic_reraises_at_join_and_drop_waits() {
+        let p = pool(1);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            p.background(|| -> u32 { panic!("fold failed") }).join()
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>().copied(), Some("fold failed"));
+        let ran = Arc::new(AtomicU64::new(0));
+        let flag = Arc::clone(&ran);
+        drop(p.background(move || flag.store(1, Ordering::Relaxed)));
+        assert_eq!(ran.load(Ordering::Relaxed), 1, "drop waits for the task");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Property-based tests: the SEPO table against a `HashMap` model, across
 //! all three organizations, with evictions injected at arbitrary points.
 
+use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::NoCharge;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use sepo_core::entry::{EntryKind, PageWalker, ParsedEntry};
 use sepo_core::hash::fnv1a;
 use sepo_core::{
-    Combiner, CombinerConfig, InsertStatus, Organization, SepoTable, TableConfig, WarpCombiner,
+    Combiner, CombinerConfig, DriverConfig, InsertStatus, Organization, SepoDriver, SepoTable,
+    TableConfig, WarpCombiner,
 };
+use sepo_mapreduce::Emitter;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -44,6 +49,120 @@ fn key_bytes(k: u8) -> Vec<u8> {
     format!("key-{k:03}").into_bytes()
 }
 
+/// Run `script` against combining table `t` the SEPO way — a postponed
+/// insert is re-issued after the next eviction — until nothing is pending;
+/// returns the `Add` model of the successful inserts.
+fn replay_combining(t: &SepoTable, script: &[Op]) -> Result<HashMap<Vec<u8>, u64>, TestCaseError> {
+    let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
+    let mut pending: Vec<(Vec<u8>, u64)> = Vec::new();
+    let mut ch = NoCharge;
+    let mut insert = |k: Vec<u8>, v: u64, pending: &mut Vec<(Vec<u8>, u64)>| match t
+        .insert_combining(&k, v, &mut ch)
+    {
+        InsertStatus::Success => *model.entry(k).or_insert(0) += v,
+        InsertStatus::Postponed => pending.push((k, v)),
+    };
+    for op in script {
+        match op {
+            Op::Insert { key, value } => insert(key_bytes(*key), *value as u64, &mut pending),
+            Op::EndIteration => {
+                t.end_iteration();
+                // Re-issue postponed inserts (the SEPO contract).
+                for (k, v) in std::mem::take(&mut pending) {
+                    insert(k, v, &mut pending);
+                }
+            }
+        }
+    }
+    // Drain any leftovers across extra iterations.
+    let mut guard = 0;
+    while !pending.is_empty() {
+        t.end_iteration();
+        for (k, v) in std::mem::take(&mut pending) {
+            insert(k, v, &mut pending);
+        }
+        guard += 1;
+        prop_assert!(guard < 50, "no progress draining pending inserts");
+    }
+    Ok(model)
+}
+
+/// The merge the collectors performed before host compaction existed:
+/// walk the host pages in host-id order; a key's first appearance fixes
+/// its place, later partials combine into it.
+fn collector_fold(t: &SepoTable, comb: Combiner) -> Vec<(Vec<u8>, u64)> {
+    let mut at: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut out: Vec<(Vec<u8>, u64)> = Vec::new();
+    for page in t.host_heap().pages() {
+        let page = page.verify().expect("clean pages");
+        for (_, e) in PageWalker::new(page.bytes(), EntryKind::Combining) {
+            let ParsedEntry::Combining { key, value } = e else {
+                continue;
+            };
+            match at.get(key) {
+                Some(&i) => out[i].1 = comb.apply(out[i].1, value),
+                None => {
+                    at.insert(key.to_vec(), out.len());
+                    out.push((key.to_vec(), value));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The script's inserts as multi-pair tasks: runs of up to three pairs,
+/// cut at every `EndIteration`. Multi-pair tasks are what leave a key's
+/// partial aggregates in several iterations.
+fn tasks_of(script: &[Op]) -> Vec<Vec<(Vec<u8>, u64)>> {
+    let mut tasks: Vec<Vec<(Vec<u8>, u64)>> = vec![Vec::new()];
+    for op in script {
+        let open = tasks.last_mut().expect("never empty");
+        match op {
+            Op::Insert { key, value } if open.len() < 3 => {
+                open.push((key_bytes(*key), *value as u64))
+            }
+            Op::Insert { key, value } => tasks.push(vec![(key_bytes(*key), *value as u64)]),
+            Op::EndIteration => tasks.push(Vec::new()),
+        }
+    }
+    tasks
+}
+
+/// One audited driver run of `tasks` (a single thread block per launch, so
+/// `Parallel` schedules it deterministically too); returns the saved image
+/// and the collected pairs.
+fn drive(
+    comb: Combiner,
+    pages: usize,
+    combiner: bool,
+    mode: ExecMode,
+    tasks: &[Vec<(Vec<u8>, u64)>],
+) -> (Vec<u8>, Vec<(Vec<u8>, u64)>) {
+    let t = tiny_table(Organization::Combining(comb), pages);
+    let exec = Executor::new(mode, Arc::clone(t.metrics()));
+    let config = DriverConfig {
+        chunk_tasks: 256,
+        audit: true,
+        combiner: combiner.then(CombinerConfig::default),
+        ..DriverConfig::default()
+    };
+    SepoDriver::new(&t, &exec).with_config(config).run(
+        tasks.len(),
+        |_| 16,
+        |task, start, lane| {
+            let mut e = Emitter::new(&t, lane, start);
+            for (k, v) in &tasks[task] {
+                e.emit_combining(k, *v);
+            }
+            e.finish()
+        },
+    );
+    let mut image = Vec::new();
+    t.save(&mut image).expect("save to memory");
+    (image, t.collect_combining())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -53,46 +172,7 @@ proptest! {
     #[test]
     fn combining_matches_model(script in ops()) {
         let t = tiny_table(Organization::Combining(Combiner::Add), 2);
-        let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
-        let mut pending: Vec<(Vec<u8>, u64)> = Vec::new();
-        let mut ch = NoCharge;
-        for op in &script {
-            match op {
-                Op::Insert { key, value } => {
-                    let k = key_bytes(*key);
-                    let v = *value as u64;
-                    match t.insert_combining(&k, v, &mut ch) {
-                        InsertStatus::Success => *model.entry(k).or_insert(0) += v,
-                        InsertStatus::Postponed => pending.push((k, v)),
-                    }
-                }
-                Op::EndIteration => {
-                    t.end_iteration();
-                    // Re-issue postponed inserts (the SEPO contract).
-                    let retry = std::mem::take(&mut pending);
-                    for (k, v) in retry {
-                        match t.insert_combining(&k, v, &mut ch) {
-                            InsertStatus::Success => *model.entry(k).or_insert(0) += v,
-                            InsertStatus::Postponed => pending.push((k, v)),
-                        }
-                    }
-                }
-            }
-        }
-        // Drain any leftovers across extra iterations.
-        let mut guard = 0;
-        while !pending.is_empty() {
-            t.end_iteration();
-            let retry = std::mem::take(&mut pending);
-            for (k, v) in retry {
-                match t.insert_combining(&k, v, &mut ch) {
-                    InsertStatus::Success => *model.entry(k).or_insert(0) += v,
-                    InsertStatus::Postponed => pending.push((k, v)),
-                }
-            }
-            guard += 1;
-            prop_assert!(guard < 50, "no progress draining pending inserts");
-        }
+        let model = replay_combining(&t, &script)?;
         t.finalize();
         let got: HashMap<Vec<u8>, u64> = t.collect_combining().into_iter().collect();
         prop_assert_eq!(got, model);
@@ -247,5 +327,60 @@ proptest! {
             prop_assert_eq!(t.lookup_combining(k, &mut ch), Some(*v));
         }
         prop_assert_eq!(t.lookup_combining(b"never-inserted", &mut ch), None);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Host compaction folds exactly what the collectors used to merge:
+    /// over a table evicted at arbitrary points, the compacted image
+    /// collects to the collector fold of the uncompacted pages — same keys,
+    /// values and first-eviction order — with one entry per key and no
+    /// byte beyond the entries. Through the driver, multi-pair tasks give
+    /// the model's values, and the compacted image is the same under
+    /// `Deterministic` and `Parallel { workers: 2 }`, block combiner off
+    /// and on.
+    #[test]
+    fn compaction_equals_the_collector_fold(script in ops()) {
+        let tasks = tasks_of(&script);
+        for comb in [Combiner::Add, Combiner::Or, Combiner::Min, Combiner::Max] {
+            let mut model: HashMap<Vec<u8>, u64> = HashMap::new();
+            for (k, v) in tasks.iter().flatten() {
+                model
+                    .entry(k.clone())
+                    .and_modify(|cur| *cur = comb.apply(*cur, *v))
+                    .or_insert(*v);
+            }
+            for pages in [1, 2, 8] {
+                let t = tiny_table(Organization::Combining(comb), pages);
+                replay_combining(&t, &script)?;
+                t.evict_boundary(&mut NoCharge, true, None);
+                let want = collector_fold(&t, comb);
+                t.compact_host().expect("clean pages");
+                let got = t.collect_combining();
+                prop_assert_eq!(&got, &want);
+                let packed: usize = got
+                    .iter()
+                    .map(|(k, _)| sepo_core::entry::combining::size(k.len()))
+                    .sum();
+                prop_assert_eq!(t.host_footprint().1, packed as u64);
+
+                let mut images = Vec::new();
+                for combiner in [false, true] {
+                    for mode in [ExecMode::Deterministic, ExecMode::Parallel { workers: 2 }] {
+                        let (image, pairs) = drive(comb, pages, combiner, mode, &tasks);
+                        prop_assert_eq!(pairs.len(), model.len(), "one entry per key");
+                        let pairs: HashMap<Vec<u8>, u64> = pairs.into_iter().collect();
+                        prop_assert_eq!(&pairs, &model);
+                        images.push(image);
+                    }
+                }
+                prop_assert!(
+                    images.windows(2).all(|w| w[0] == w[1]),
+                    "exec mode or block combiner changed the compacted image"
+                );
+            }
+        }
     }
 }

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use sepo_alloc::PageKind;
 use sepo_core::entry::{EntryKind, PageWalker, ParsedEntry};
 use sepo_core::{
-    Combiner, InsertStatus, Organization, SepoDriver, SepoTable, TableConfig, TaskResult,
+    Combiner, DriverConfig, InsertStatus, Organization, SepoDriver, SepoTable, TableConfig,
+    TaskResult,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -45,8 +46,11 @@ fn combining_single_pair_tasks_yield_one_entry_per_key() {
         .collect();
     let outcome = drive_combining(&t, &records);
     assert!(outcome.n_iterations() > 1, "needs memory pressure");
-    // Count raw host entries per key (collect_combining would merge them;
-    // the invariant is that there is nothing to merge).
+    assert_eq!(
+        outcome.compaction, None,
+        "host compaction had nothing to fold"
+    );
+    // Count raw host entries per key.
     let mut entry_count: HashMap<Vec<u8>, u32> = HashMap::new();
     for page in t.host_heap().pages() {
         assert_eq!(page.kind(), PageKind::Mixed);
@@ -92,17 +96,52 @@ fn pending_set_shrinks_monotonically() {
 }
 
 /// Eviction accounting: bytes shipped to the host equal the host heap's
-/// stored volume, and the device ends empty.
+/// stored volume before host compaction — the audit checks every
+/// boundary's `EvictReport` against the host heap, and the compaction
+/// report starts from the same total — and the device ends empty. After
+/// compaction the host holds exactly one entry's bytes per key.
 #[test]
 fn eviction_accounting_balances() {
     let t = table(Organization::Combining(Combiner::Add), 3);
-    let records: Vec<Vec<u8>> = (0..400)
+    // Three pairs per record over 150 keys: keys recur across iterations.
+    let keys: Vec<Vec<u8>> = (0..150)
         .map(|i| format!("key-{i:05}").into_bytes())
         .collect();
-    let outcome = drive_combining(&t, &records);
+    let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let outcome = SepoDriver::new(&t, &exec)
+        .with_config(DriverConfig {
+            audit: true,
+            ..DriverConfig::default()
+        })
+        .run(
+            400,
+            |_| 24,
+            |i, start, lane| {
+                for p in start..3 {
+                    let key = &keys[(i * 7 + p as usize * 31) % keys.len()];
+                    if !t.insert_combining(key, 1, lane).is_success() {
+                        return TaskResult::Postponed { next_pair: p };
+                    }
+                }
+                TaskResult::Done
+            },
+        );
     let shipped = outcome.total_evicted_bytes();
+    let compaction = outcome.compaction.expect("recurring keys leave partials");
+    assert_eq!(
+        shipped, compaction.bytes_before,
+        "bytes shipped != bytes stored host-side"
+    );
     let (_, stored) = t.host_footprint();
-    assert_eq!(shipped, stored, "bytes shipped != bytes stored host-side");
+    let collected = t.collect_combining();
+    assert_eq!(collected.len(), keys.len());
+    let packed: usize = collected
+        .iter()
+        .map(|(k, _)| sepo_core::entry::combining::size(k.len()))
+        .sum();
+    assert_eq!(stored, packed as u64);
+    assert_eq!(stored, compaction.bytes_after);
+    assert!(stored < shipped);
     assert_eq!(t.heap().free_pages(), t.heap().total_pages());
 }
 
