@@ -27,11 +27,12 @@
 //!    published via a `Release` CAS on a chain head, and read only after an
 //!    `Acquire` load of that head (the hash table enforces this). Fields
 //!    mutated after publication (combine values, value-chain heads) are
-//!    accessed exclusively through `&AtomicU64` obtained from
+//!    accessed exclusively through the `&Published` cell obtained from
 //!    [`Heap::atomic_u64`], never through plain reads.
 
 use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE};
 use gpu_sim::metrics::Metrics;
+use gpu_sim::sync::Published;
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::io;
@@ -94,7 +95,7 @@ pub struct PageMeta {
     /// "full".
     head: AtomicU32,
     /// Host page id stamped at acquisition; `NO_HOST_ID` when free.
-    host_id: AtomicU64,
+    host_id: Published,
     /// Current [`PageKind`] as `u8`.
     kind: std::sync::atomic::AtomicU8,
     /// Count of *pending* keys on this page (multi-valued: keys that still
@@ -109,7 +110,7 @@ impl PageMeta {
     fn new() -> Self {
         PageMeta {
             head: AtomicU32::new(0),
-            host_id: AtomicU64::new(NO_HOST_ID),
+            host_id: Published::new(NO_HOST_ID),
             kind: std::sync::atomic::AtomicU8::new(PageKind::Free as u8),
             pending_keys: AtomicU32::new(0),
             kept: AtomicBool::new(false),
@@ -270,9 +271,9 @@ impl Heap {
         meta.pending_keys.store(0, Ordering::Relaxed);
         meta.kept.store(false, Ordering::Relaxed);
         meta.kind.store(kind as u8, Ordering::Relaxed);
-        // Release so that threads that learn of this page (via the group's
-        // current-page pointer) observe the reset metadata.
-        meta.host_id.store(host_id, Ordering::Release);
+        // Published so that threads that learn of this page (via the
+        // group's current-page pointer) observe the reset metadata.
+        meta.host_id.publish(host_id);
         self.acquired_total.fetch_add(1, Ordering::Relaxed);
         Some(page)
     }
@@ -285,7 +286,8 @@ impl Heap {
         let used = meta.head.load(Ordering::Relaxed).min(self.page_size as u32);
         let waste = self.page_size as u32 - used;
         self.wasted.fetch_add(waste as u64, Ordering::Relaxed);
-        meta.host_id.store(NO_HOST_ID, Ordering::Relaxed);
+        // Quiescent, or a page the releasing lane never published.
+        meta.host_id.set(NO_HOST_ID);
         meta.kind.store(PageKind::Free as u8, Ordering::Relaxed);
         meta.head.store(0, Ordering::Relaxed);
         self.pool.lock().push(page);
@@ -328,7 +330,7 @@ impl Heap {
     /// Current host id of `page` (`u64::MAX` if free).
     #[inline]
     pub fn host_id(&self, page: u32) -> u64 {
-        self.pages[page as usize].host_id.load(Ordering::Acquire)
+        self.pages[page as usize].host_id.observe()
     }
 
     /// Kind of `page`.
@@ -493,16 +495,18 @@ impl Heap {
         unsafe { (self.ptr_at(dev.page(), off) as *const u64).read() }
     }
 
-    /// Borrow the `AtomicU64` embedded at `dev + field_offset` (combine
-    /// values, value-chain heads — fields mutated after publication).
+    /// Borrow the [`Published`] word embedded at `dev + field_offset`
+    /// (combine values, value-chain heads — fields mutated after
+    /// publication).
     #[inline]
-    pub fn atomic_u64(&self, dev: DevHandle, field_offset: u32) -> &AtomicU64 {
+    pub fn atomic_u64(&self, dev: DevHandle, field_offset: u32) -> &Published {
         let off = dev.offset() + field_offset;
         assert_eq!(off % 8, 0, "atomic field must be 8-byte aligned");
         assert!(off as usize + 8 <= self.page_size);
-        // SAFETY: aligned and in-bounds; AtomicU64 may alias the UnsafeCell
-        // storage because all concurrent access to this word is atomic.
-        unsafe { &*(self.ptr_at(dev.page(), off) as *const AtomicU64) }
+        // SAFETY: aligned and in-bounds; `Published` is a transparent
+        // `AtomicU64`, which may alias the UnsafeCell storage because all
+        // concurrent access to this word is atomic.
+        unsafe { &*(self.ptr_at(dev.page(), off) as *const Published) }
     }
 
     /// Ensure future host ids start at or beyond `min` (restoring a saved
@@ -553,7 +557,7 @@ impl Heap {
                 let meta = &self.pages[p as usize];
                 ResidentPage {
                     index: p,
-                    host_id: meta.host_id.load(Ordering::Acquire),
+                    host_id: meta.host_id.observe(),
                     kind: self.page_kind(p),
                     kept: meta.kept.load(Ordering::Relaxed),
                     pending_keys: meta.pending_keys.load(Ordering::Relaxed),
@@ -593,7 +597,7 @@ impl Heap {
             meta.pending_keys.store(0, Ordering::Relaxed);
             meta.kept.store(false, Ordering::Relaxed);
             meta.kind.store(PageKind::Free as u8, Ordering::Relaxed);
-            meta.host_id.store(NO_HOST_ID, Ordering::Relaxed);
+            meta.host_id.set(NO_HOST_ID);
         }
         for p in &s.resident {
             let meta = &self.pages[p.index as usize];
@@ -612,9 +616,7 @@ impl Heap {
             meta.pending_keys.store(p.pending_keys, Ordering::Relaxed);
             meta.kept.store(p.kept, Ordering::Relaxed);
             meta.kind.store(p.kind as u8, Ordering::Relaxed);
-            // Release pairs with the Acquire in `host_id`, as in
-            // `acquire_page`.
-            meta.host_id.store(p.host_id, Ordering::Release);
+            meta.host_id.publish(p.host_id);
         }
         *self.pool.lock() = s.pool.clone();
         self.next_host_id.store(s.next_host_id, Ordering::Relaxed);
@@ -778,7 +780,7 @@ mod tests {
         let dev = DevHandle::new(p, off);
         h.write_u64(dev, 0, 10);
         let a = h.atomic_u64(dev, 0);
-        a.fetch_add(5, Ordering::Relaxed);
+        assert_eq!(a.update(|v| v + 5), 10);
         assert_eq!(h.read_u64(dev, 0), 15);
     }
 
@@ -845,9 +847,9 @@ mod tests {
         let h = Arc::new(heap(4, 4096));
         let p = h.acquire_page(PageKind::Mixed).unwrap();
         let offsets = parking_lot::Mutex::new(Vec::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     let mut local = Vec::new();
                     while let Some(off) = h.bump(p, 24) {
                         local.push(off);
@@ -855,8 +857,7 @@ mod tests {
                     offsets.lock().extend(local);
                 });
             }
-        })
-        .unwrap();
+        });
         let mut all = offsets.into_inner();
         all.sort_unstable();
         // Every granted offset unique and stride-separated.

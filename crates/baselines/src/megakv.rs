@@ -22,7 +22,8 @@
 //!   re-inserting a key overwrites nothing and appends another index
 //!   entry; grouping/combining is left to the application.
 
-use gpu_sim::metrics::Metrics;
+use gpu_sim::charge::{Charge, MetricsCharge};
+use gpu_sim::metrics::{Counter, Metrics};
 use parking_lot::Mutex;
 use sepo_core::hash::{fnv1a, mix};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,9 +82,10 @@ impl MegaKvStore {
     /// Insert a batch. One bulk upload of the requests, per-item device
     /// index probing, CPU-side slot writes (host memory, not PCIe).
     pub fn batch_insert(&self, items: &[(&[u8], u64)]) -> Result<(), IndexFull> {
+        let mut charge = MetricsCharge(&self.metrics);
         let req_bytes: u64 = items.iter().map(|(k, _)| k.len() as u64 + 8).sum();
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(req_bytes);
+        charge.add(Counter::PcieBulkTransfers, 1);
+        charge.add(Counter::PcieBulkBytes, req_bytes);
         for (key, value) in items {
             let slot = {
                 let mut data = self.data.lock();
@@ -94,14 +96,14 @@ impl MegaKvStore {
             // + memory on the *host* side of the cost model via device
             // bytes? No — Mega-KV's data path is CPU work; we count it as
             // stream bytes so the CPU model prices it.
-            self.metrics.add_stream_bytes(key.len() as u64 + 32);
+            charge.add(Counter::StreamBytes, key.len() as u64 + 32);
             let h = fnv1a(key);
             let sig = Self::signature(h);
             let cell_value = (sig << 32) | (slot + 1);
             let mut placed = false;
             for i in 0..self.capacity {
                 let at = (h as usize).wrapping_add(i) % self.capacity;
-                self.metrics.add_device_bytes(8); // index probe
+                charge.device_bytes(8); // index probe
                 if self.index[at]
                     .compare_exchange(EMPTY_CELL, cell_value, Ordering::AcqRel, Ordering::Relaxed)
                     .is_ok()
@@ -115,17 +117,18 @@ impl MegaKvStore {
             }
         }
         // Locations ship back in one bulk transfer.
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(items.len() as u64 * 4);
+        charge.add(Counter::PcieBulkTransfers, 1);
+        charge.add(Counter::PcieBulkBytes, items.len() as u64 * 4);
         Ok(())
     }
 
     /// Look up a batch: bulk request upload, device index probing, bulk
     /// location download, then CPU-side verification/reads.
     pub fn batch_lookup(&self, keys: &[&[u8]]) -> Vec<Option<u64>> {
+        let mut charge = MetricsCharge(&self.metrics);
         let req_bytes: u64 = keys.iter().map(|k| k.len() as u64).sum();
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(req_bytes);
+        charge.add(Counter::PcieBulkTransfers, 1);
+        charge.add(Counter::PcieBulkBytes, req_bytes);
         let data = self.data.lock();
         let mut out = Vec::with_capacity(keys.len());
         for key in keys {
@@ -134,7 +137,7 @@ impl MegaKvStore {
             let mut found = None;
             for i in 0..self.capacity {
                 let at = (h as usize).wrapping_add(i) % self.capacity;
-                self.metrics.add_device_bytes(8); // index probe
+                charge.device_bytes(8); // index probe
                 let cell = self.index[at].load(Ordering::Acquire);
                 if cell == EMPTY_CELL {
                     break;
@@ -142,8 +145,7 @@ impl MegaKvStore {
                 if cell >> 32 == sig {
                     let slot = (cell & 0xFFFF_FFFF) as usize - 1;
                     // CPU-side verification read of the actual data.
-                    self.metrics
-                        .add_stream_bytes(data[slot].0.len() as u64 + 16);
+                    charge.add(Counter::StreamBytes, data[slot].0.len() as u64 + 16);
                     if data[slot].0 == *key {
                         found = Some(data[slot].1);
                         break;
@@ -152,8 +154,8 @@ impl MegaKvStore {
             }
             out.push(found);
         }
-        self.metrics.add_pcie_bulk_transfers(1);
-        self.metrics.add_pcie_bulk_bytes(keys.len() as u64 * 8);
+        charge.add(Counter::PcieBulkTransfers, 1);
+        charge.add(Counter::PcieBulkBytes, keys.len() as u64 * 8);
         out
     }
 

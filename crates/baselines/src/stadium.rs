@@ -20,7 +20,8 @@
 //! ticket/fingerprint board claimed with CAS, backed by fixed-size slots
 //! in pinned CPU memory reached via small PCIe transactions.
 
-use gpu_sim::metrics::Metrics;
+use gpu_sim::charge::{Charge, MetricsCharge};
+use gpu_sim::metrics::{Counter, Metrics};
 use parking_lot::Mutex;
 use sepo_core::hash::{fnv1a, mix};
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -116,12 +117,13 @@ impl StadiumTable {
         if key.len() > KEY_CAP {
             return Err(StadiumError::KeyTooLong);
         }
+        let mut charge = MetricsCharge(&self.metrics);
         let h = fnv1a(key);
         let fp = Self::fingerprint(h);
         for i in 0..self.capacity {
             let at = self.probe(h, i);
             // Device-side index probe: 1 byte of irregular device traffic.
-            self.metrics.add_device_bytes(1);
+            charge.device_bytes(1);
             match self.board[at].compare_exchange(
                 EMPTY,
                 CLAIMED,
@@ -136,10 +138,10 @@ impl StadiumTable {
                     slot.key[..key.len()].copy_from_slice(key);
                     slot.value = value;
                     drop(slot);
-                    self.metrics.add_pcie_small_transactions(1);
-                    self.metrics.add_pcie_small_bytes(SLOT_BYTES);
+                    charge.add(Counter::PcieSmallTransactions, 1);
+                    charge.add(Counter::PcieSmallBytes, SLOT_BYTES);
                     self.board[at].store(fp, Ordering::Release);
-                    self.metrics.add_alloc_success(1);
+                    charge.add(Counter::AllocSuccess, 1);
                     return Ok(());
                 }
                 Err(_) => continue, // occupied or being written: next probe
@@ -157,18 +159,19 @@ impl StadiumTable {
 
     /// All values stored under `key`, in probe order.
     pub fn lookup_all(&self, key: &[u8]) -> Vec<u64> {
+        let mut charge = MetricsCharge(&self.metrics);
         let h = fnv1a(key);
         let fp = Self::fingerprint(h);
         let mut out = Vec::new();
         for i in 0..self.capacity {
             let at = self.probe(h, i);
-            self.metrics.add_device_bytes(1); // index probe
+            charge.device_bytes(1); // index probe
             match self.board[at].load(Ordering::Acquire) {
                 EMPTY => break, // end of probe chain
                 f if f == fp => {
                     // Fingerprint hit: verify remotely (one small PCIe read).
-                    self.metrics.add_pcie_small_transactions(1);
-                    self.metrics.add_pcie_small_bytes(SLOT_BYTES);
+                    charge.add(Counter::PcieSmallTransactions, 1);
+                    charge.add(Counter::PcieSmallBytes, SLOT_BYTES);
                     let slot = self.slots[at].lock();
                     if &slot.key[..slot.klen as usize] == key {
                         out.push(slot.value);
@@ -270,18 +273,17 @@ mod tests {
     #[test]
     fn concurrent_inserts_land_exactly_once() {
         let t = Arc::new(table(4096));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for w in 0..8usize {
                 let t = Arc::clone(&t);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in (w..2000).step_by(8) {
                         t.insert(format!("key-{i:05}").as_bytes(), i as u64)
                             .unwrap();
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(t.len(), 2000);
         for i in 0..2000u64 {
             assert_eq!(t.lookup(format!("key-{i:05}").as_bytes()), Some(i));

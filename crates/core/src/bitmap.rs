@@ -8,19 +8,21 @@
 
 use gpu_sim::charge::Charge;
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gpu_sim::sync::Relaxed;
 
-/// A fixed-size concurrent bitmap, one bit per task.
+/// A fixed-size concurrent bitmap, one bit per task. Its words carry no
+/// payload: a set bit is idempotent and monotone within an iteration, and
+/// the driver scans them only at the quiescent boundary.
 #[derive(Debug)]
 pub struct Bitmap {
-    words: Box<[AtomicU64]>,
+    words: Box<[Relaxed<u64>]>,
     len: usize,
 }
 
 impl Bitmap {
     /// A bitmap of `len` bits, all clear.
     pub fn new(len: usize) -> Self {
-        let words = (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        let words = (0..len.div_ceil(64)).map(|_| Relaxed::new(0)).collect();
         Bitmap { words, len }
     }
 
@@ -37,8 +39,7 @@ impl Bitmap {
     #[inline]
     pub fn set(&self, i: usize) {
         debug_assert!(i < self.len);
-        // lint: relaxed-ok (idempotent fetch_or; word carries no payload)
-        self.words[i / 64].fetch_or(1 << (i % 64), Ordering::Relaxed);
+        self.words[i / 64].fetch_or(1 << (i % 64));
     }
 
     /// [`Bitmap::set`] declaring the word access to the shadow sanitizer —
@@ -53,8 +54,7 @@ impl Bitmap {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        // lint: relaxed-ok (monotone flag; readers tolerate staleness)
-        self.words[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0
+        self.words[i / 64].get() & (1 << (i % 64)) != 0
     }
 
     /// Number of set bits.
@@ -67,8 +67,7 @@ impl Bitmap {
         let n: usize = self
             .words
             .iter()
-            // lint: relaxed-ok (quiescent iteration boundary)
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+            .map(|w| w.get().count_ones() as usize)
             .sum();
         debug_assert!(
             n <= self.len,
@@ -83,8 +82,7 @@ impl Bitmap {
     pub fn unset_indices(&self) -> Vec<usize> {
         let mut out = Vec::new();
         for (wi, word) in self.words.iter().enumerate() {
-            // lint: relaxed-ok (quiescent iteration boundary)
-            let mut inv = !word.load(Ordering::Relaxed);
+            let mut inv = !word.get();
             // Mask off the tail beyond `len`.
             if (wi + 1) * 64 > self.len {
                 let valid = self.len - wi * 64;
@@ -103,11 +101,7 @@ impl Bitmap {
 
     /// Raw word values, for checkpointing at a quiescent point.
     pub fn snapshot_words(&self) -> Vec<u64> {
-        self.words
-            .iter()
-            // lint: relaxed-ok (quiescent iteration boundary)
-            .map(|w| w.load(Ordering::Relaxed))
-            .collect()
+        self.words.iter().map(Relaxed::get).collect()
     }
 
     /// Overwrite the words with a checkpointed snapshot (hard-fault
@@ -115,8 +109,7 @@ impl Bitmap {
     pub fn restore_words(&self, words: &[u64]) {
         assert_eq!(words.len(), self.words.len(), "bitmap word count mismatch");
         for (w, &v) in self.words.iter().zip(words) {
-            // lint: relaxed-ok (quiescent iteration boundary)
-            w.store(v, Ordering::Relaxed);
+            w.set(v);
         }
     }
 
@@ -128,8 +121,7 @@ impl Bitmap {
     /// Clear every bit.
     pub fn clear_all(&self) {
         for w in self.words.iter() {
-            // lint: relaxed-ok (quiescent iteration boundary)
-            w.store(0, Ordering::Relaxed);
+            w.set(0);
         }
     }
 }
@@ -214,17 +206,16 @@ mod tests {
     #[test]
     fn concurrent_sets_all_land() {
         let b = Arc::new(Bitmap::new(8_000));
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8usize {
                 let b = Arc::clone(&b);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in (t..8_000).step_by(8) {
                         b.set(i);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert!(b.all_set());
     }
 

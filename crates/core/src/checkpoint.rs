@@ -74,6 +74,8 @@
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::bitmap::Bitmap;
 use crate::integrity;
 use crate::persist::{append_trailer, verify_trailer};
@@ -81,12 +83,12 @@ use crate::sepo::IterationStats;
 use crate::table::SepoTable;
 use gpu_sim::faults::CorruptionKind;
 use gpu_sim::metrics::{Counter, Snapshot};
+use gpu_sim::sync::Relaxed;
 use gpu_sim::{FaultPlan, TransientDrawState};
 use sepo_alloc::hostheap::{read_array, read_exact_field};
 use sepo_alloc::{HeapSnapshot, PageKind, ResidentPage, StampedPage};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEPOCKP3";
@@ -328,7 +330,7 @@ impl Checkpoint {
     pub fn capture(
         table: &SepoTable,
         done: &Bitmap,
-        progress: &[AtomicU32],
+        progress: &[Relaxed<u32>],
         iterations: &[IterationStats],
         fault_stalls: u32,
         faults: Option<&FaultPlan>,
@@ -338,11 +340,7 @@ impl Checkpoint {
             fault_stalls,
             n_tasks: done.len() as u64,
             done_words: done.snapshot_words(),
-            progress: progress
-                .iter()
-                // lint: relaxed-ok (quiescent iteration boundary)
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
+            progress: progress.iter().map(Relaxed::get).collect(),
             heads: table.snapshot_heads(),
             touches: table.touch_counts(),
             group_allocs: table.groups.alloc_counts(),
@@ -369,7 +367,7 @@ impl Checkpoint {
         &self,
         table: &SepoTable,
         done: &Bitmap,
-        progress: &[AtomicU32],
+        progress: &[Relaxed<u32>],
         iterations: &mut Vec<IterationStats>,
         fault_stalls: &mut u32,
         faults: Option<&FaultPlan>,
@@ -385,8 +383,7 @@ impl Checkpoint {
             "checkpoint task count mismatch"
         );
         for (h, &v) in table.heads.iter().zip(&self.heads) {
-            // lint: relaxed-ok (quiescent recovery point)
-            h.store(v, Ordering::Relaxed);
+            h.set(v);
         }
         table.groups.reset_iteration();
         table.groups.restore_alloc_counts(&self.group_allocs);
@@ -399,8 +396,7 @@ impl Checkpoint {
         }
         done.restore_words(&self.done_words);
         for (p, &v) in progress.iter().zip(&self.progress) {
-            // lint: relaxed-ok (quiescent recovery point)
-            p.store(v, Ordering::Relaxed);
+            p.set(v);
         }
         *iterations = self.iterations.clone();
         *fault_stalls = self.fault_stalls;
@@ -769,7 +765,7 @@ mod tests {
         }
     }
 
-    fn mid_run_checkpoint(t: &SepoTable) -> (Checkpoint, Bitmap, Vec<AtomicU32>) {
+    fn mid_run_checkpoint(t: &SepoTable) -> (Checkpoint, Bitmap, Vec<Relaxed<u32>>) {
         fill(t, 0..150);
         // A few more inserts *without* a boundary, so the snapshot carries
         // resident device pages alongside the evicted host pages.
@@ -783,7 +779,7 @@ mod tests {
         for i in 0..150 {
             done.set(i);
         }
-        let progress: Vec<AtomicU32> = (0..200).map(|i| AtomicU32::new(i % 3)).collect();
+        let progress: Vec<Relaxed<u32>> = (0..200).map(|i| Relaxed::new(i % 3)).collect();
         let iters = vec![fake_iteration(1), fake_iteration(2)];
         let ckp = Checkpoint::capture(t, &done, &progress, &iters, 1, None);
         (ckp, done, progress)
@@ -801,7 +797,7 @@ mod tests {
         for i in 150..190 {
             done.set(i);
         }
-        progress[199].store(9, Ordering::Relaxed);
+        progress[199].set(9);
 
         let mut iters = Vec::new();
         let mut stalls = 7;
@@ -873,7 +869,7 @@ mod tests {
             let _ = plan.should_abort_lane();
         }
         let done = Bitmap::new(4);
-        let progress: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(0)).collect();
+        let progress: Vec<Relaxed<u32>> = (0..4).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[], 0, Some(&plan));
         assert!(plan.total_injected() > 0, "the section must carry hits");
         let mut buf = Vec::new();
@@ -1034,7 +1030,7 @@ mod tests {
         let t = small_table();
         fill(&t, 0..40);
         let done = Bitmap::new(40);
-        let progress: Vec<AtomicU32> = (0..40).map(|_| AtomicU32::new(0)).collect();
+        let progress: Vec<Relaxed<u32>> = (0..40).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[fake_iteration(1)], 0, None);
         let mut buf = Vec::new();
         ckp.to_writer(&mut buf).unwrap();
@@ -1057,7 +1053,7 @@ mod tests {
         let t = small_table();
         fill(&t, 0..40);
         let done = Bitmap::new(40);
-        let progress: Vec<AtomicU32> = (0..40).map(|_| AtomicU32::new(0)).collect();
+        let progress: Vec<Relaxed<u32>> = (0..40).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[fake_iteration(1)], 0, None);
         let path = std::env::temp_dir().join(format!("sepo-cks-flip-{}.bin", std::process::id()));
         let file = ShardedCheckpointFile::new(path.clone(), 2);

@@ -31,7 +31,6 @@ use gpu_sim::charge::{Charge, NoCharge};
 use gpu_sim::faults::{CorruptionError, CorruptionKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// What an eviction moved and kept.
@@ -279,8 +278,7 @@ impl SepoTable {
     /// link words to point at the previous head (quiescent: eviction's
     /// chain rebuild and the lookup phase's, over paged-in copies).
     pub(crate) fn prepend_resident(&self, bucket: usize, e: DevHandle) {
-        // lint: relaxed-ok (quiescent chain rebuild, no kernel in flight)
-        let old_raw = self.heads[bucket].load(Ordering::Relaxed);
+        let old_raw = self.heads[bucket].get();
         let next = if old_raw == u64::MAX {
             Link::NULL
         } else {
@@ -288,15 +286,13 @@ impl SepoTable {
         };
         self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
         self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
-        // lint: relaxed-ok (quiescent chain rebuild, no kernel in flight)
-        self.heads[bucket].store(e.to_raw(), Ordering::Relaxed);
+        self.heads[bucket].set(e.to_raw());
     }
 
     /// Empty every bucket chain (quiescent).
     pub(crate) fn reset_heads(&self) {
         for h in self.heads.iter() {
-            // lint: relaxed-ok (quiescent iteration boundary)
-            h.store(u64::MAX, Ordering::Relaxed);
+            h.set(u64::MAX);
         }
     }
 }

@@ -25,11 +25,11 @@ use crate::entry::{EntryKind, PageWalker};
 use crate::hash::bucket_of;
 use crate::serve::{ensure_batch_fits, QueryError};
 use crate::table::SepoTable;
-use gpu_sim::charge::Charge;
+use gpu_sim::charge::{Charge, MetricsCharge};
 use gpu_sim::executor::Executor;
-use gpu_sim::metrics::Snapshot;
+use gpu_sim::metrics::{Counter, Snapshot};
+use gpu_sim::sync::Relaxed;
 use sepo_alloc::{DevHandle, PageKind, VerifiedPage};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-round accounting of a lookup phase.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ impl SepoTable {
         ensure_batch_fits(queries.len(), u32::MAX as usize)?;
 
         let pending = Bitmap::new(queries.len());
-        let results: Box<[AtomicU64]> = (0..queries.len()).map(|_| AtomicU64::new(0)).collect();
+        let results: Box<[Relaxed<u64>]> = (0..queries.len()).map(|_| Relaxed::new(0)).collect();
 
         let mut rounds = Vec::new();
         let mut cursor = 0usize;
@@ -136,10 +136,9 @@ impl SepoTable {
                 !loaded.is_empty(),
                 "device heap cannot hold a single table page"
             );
-            // lint: metrics-direct-ok (host-side bulk upload, no kernel in flight)
-            self.heap.metrics().add_pcie_bulk_transfers(1);
-            // lint: metrics-direct-ok (host-side bulk upload, no kernel in flight)
-            self.heap.metrics().add_pcie_bulk_bytes(loaded_bytes);
+            let mut bus = MetricsCharge(self.heap.metrics());
+            bus.add(Counter::PcieBulkTransfers, 1);
+            bus.add(Counter::PcieBulkBytes, loaded_bytes);
 
             // 2. Rebuild bucket chains over the loaded entries (their
             //    embedded links referred to the *original* device layout).
@@ -154,8 +153,7 @@ impl SepoTable {
                 lane.compute(40 + key.len() as u64);
                 if let Some(v) = self.lookup_combining(key, lane) {
                     assert_eq!(v & FOUND, 0, "values must fit in 63 bits for lookup_phase");
-                    // lint: relaxed-ok (per-query result slot, owned by this lane)
-                    results[q].store(v | FOUND, Ordering::Relaxed);
+                    results[q].set(v | FOUND);
                     pending.set(q);
                 }
             });
@@ -186,8 +184,7 @@ impl SepoTable {
         let results = results
             .iter()
             .map(|r| {
-                // lint: relaxed-ok (read after the kernel joined; quiescent)
-                let v = r.load(Ordering::Relaxed);
+                let v = r.get();
                 (v & FOUND != 0).then_some(v & !FOUND)
             })
             .collect();

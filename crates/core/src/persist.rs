@@ -29,6 +29,8 @@
 //! Custom combiners carry function pointers and cannot be serialized;
 //! saving such a table is an error.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::config::{Combiner, Organization, TableConfig};
 use crate::table::SepoTable;
 use gpu_sim::metrics::Metrics;
@@ -78,15 +80,13 @@ fn org_from_tag(tag: u8) -> io::Result<Organization> {
 /// by all three persisted formats — whole-image verification comes first,
 /// before any structural parsing.
 pub(crate) fn verify_trailer<'a>(image: &'a [u8], section: &str) -> io::Result<&'a [u8]> {
-    if image.len() < 4 {
+    let Some((body, trailer)) = image.split_last_chunk::<4>() else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("truncated {section} image: unexpected end of input reading checksum trailer"),
         ));
-    }
-    let (body, trailer) = image.split_at(image.len() - 4);
-    // lint: unwrap-ok (split_at leaves exactly 4 trailer bytes)
-    let stored = u32::from_le_bytes(trailer.try_into().unwrap());
+    };
+    let stored = u32::from_le_bytes(*trailer);
     let computed = crc32c(body);
     if stored != computed {
         return Err(io::Error::new(

@@ -29,12 +29,12 @@ use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
 use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
 use gpu_sim::metrics::Snapshot;
+use gpu_sim::sync::Relaxed;
 use gpu_sim::{CorruptionKind, FaultPlan, HardFaultError, NoCharge, ShadowSanitizer};
 use sepo_alloc::crc32c;
 use std::any::Any;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Result of processing one task (input record) in a kernel.
@@ -615,7 +615,8 @@ struct Run<'d> {
     /// (in-flight flips), the resting-page window and checkpoint writes.
     corrupt: Option<&'d FaultPlan>,
     done: Bitmap,
-    progress: Box<[AtomicU32]>,
+    /// Per-task resume pair; a lane writes only its own task's word.
+    progress: Box<[Relaxed<u32>]>,
     pending: Vec<u32>,
     iterations: Vec<IterationStats>,
     fault_stalls: u32,
@@ -655,7 +656,7 @@ impl<'d> Run<'d> {
             faults,
             corrupt: faults.filter(|p| p.has_corruption()),
             done: Bitmap::new(n_tasks),
-            progress: (0..n_tasks).map(|_| AtomicU32::new(0)).collect(),
+            progress: (0..n_tasks).map(|_| Relaxed::new(0)).collect(),
             pending: (0..n_tasks as u32).collect(),
             iterations: Vec::new(),
             fault_stalls: 0,
@@ -818,11 +819,11 @@ impl<'d> Run<'d> {
             let launch = |lane: &mut LaneCtx<'_>| {
                 let t = chunk[lane.task()] as usize;
                 lane.read_stream(task_bytes(t));
-                let start = progress[t].load(Ordering::Relaxed);
+                let start = progress[t].get();
                 match kernel(t, start, lane) {
                     TaskResult::Done => done.set_charged(t, lane),
                     TaskResult::Postponed { next_pair } => {
-                        progress[t].store(next_pair, Ordering::Relaxed);
+                        progress[t].set(next_pair);
                     }
                 }
             };

@@ -44,13 +44,14 @@ use crate::entry::{self, combining, key_entry, value_node, EntryKind};
 use crate::hash::{bucket_of, KeyMap};
 use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
-use gpu_sim::charge::Charge;
+use gpu_sim::charge::{Charge, MetricsCharge};
 use gpu_sim::executor::Executor;
+use gpu_sim::metrics::Counter;
+use gpu_sim::sync::Relaxed;
 use parking_lot::{Mutex, RwLock};
 use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, VerifiedPage};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Typed errors for the query paths (serving, offline [`HostStore`] reads,
@@ -395,7 +396,7 @@ impl EpochSnapshot {
     where
         F: Fn(usize, &mut gpu_sim::executor::LaneCtx<'_>) -> u64 + Sync,
     {
-        let results: Vec<AtomicU64> = (0..n_unique).map(|_| AtomicU64::new(0)).collect();
+        let results: Vec<Relaxed<u64>> = (0..n_unique).map(|_| Relaxed::new(0)).collect();
         let mut pending: Vec<u32> = (0..n_unique as u32).collect();
         let mut rounds = 0;
         while !pending.is_empty() {
@@ -409,20 +410,19 @@ impl EpochSnapshot {
                 let u = pending[lane.task()] as usize;
                 let word = probe(u, lane);
                 debug_assert!(word & PROBE_DONE != 0);
-                results[u].store(word, Ordering::Relaxed);
+                results[u].set(word);
             });
             match launch {
                 // Aborted lanes never ran: their slots stay unresolved and
                 // are relaunched next round.
-                Ok(_) => pending
-                    .retain(|&u| results[u as usize].load(Ordering::Relaxed) & PROBE_DONE == 0),
+                Ok(_) => pending.retain(|&u| results[u as usize].get() & PROBE_DONE == 0),
                 // A hard fault kills the launch before any lane runs; the
                 // serving layer simply re-issues the whole batch.
                 Err(e) if e.hard_fault().is_some() => {}
                 Err(e) => std::panic::resume_unwind(e.into_panic()),
             }
         }
-        results.into_iter().map(AtomicU64::into_inner).collect()
+        results.iter().map(Relaxed::get).collect()
     }
 
     /// Answer a batch of point lookups against this epoch (combining
@@ -457,7 +457,7 @@ impl EpochSnapshot {
                 None => PROBE_DONE,
             }
         });
-        self.charge_download(executor, unique.len() as u64 * 8);
+        self.charge_bulk(executor, unique.len() as u64 * 8);
         let mut host_bytes = 0u64;
         let mut merged: Vec<Option<u64>> = Vec::with_capacity(unique.len());
         for (key, &word) in unique.iter().zip(&words) {
@@ -526,7 +526,7 @@ impl EpochSnapshot {
             down_bytes += values.iter().map(|v| v.len() as u64 + 8).sum::<u64>();
             merged.push((!values.is_empty()).then_some(values));
         }
-        self.charge_download(executor, down_bytes.max(unique.len() as u64 * 8));
+        self.charge_bulk(executor, down_bytes.max(unique.len() as u64 * 8));
         self.charge_host_reads(executor, host_bytes);
         Ok(slot_of.into_iter().map(|u| merged[u].clone()).collect())
     }
@@ -563,29 +563,25 @@ impl EpochSnapshot {
         intact.map_err(|e| QueryError::from(e).at_epoch(self.iteration))
     }
 
-    /// One bulk PCIe upload for the deduplicated key batch, charged on the
-    /// serving executor's metrics (never the driver's).
+    /// One bulk PCIe upload for the deduplicated key batch.
     fn charge_upload(&self, executor: &Executor, unique: &[&[u8]]) {
         let req_bytes: u64 = unique.iter().map(|k| k.len() as u64 + 8).sum();
-        // lint: metrics-direct-ok (bulk batch upload on the serving executor's private metrics)
-        executor.metrics().add_pcie_bulk_transfers(1);
-        // lint: metrics-direct-ok (bulk batch upload on the serving executor's private metrics)
-        executor.metrics().add_pcie_bulk_bytes(req_bytes);
+        self.charge_bulk(executor, req_bytes);
     }
 
-    /// One bulk PCIe download for the result array.
-    fn charge_download(&self, executor: &Executor, bytes: u64) {
-        // lint: metrics-direct-ok (bulk result download on the serving executor's private metrics)
-        executor.metrics().add_pcie_bulk_transfers(1);
-        // lint: metrics-direct-ok (bulk result download on the serving executor's private metrics)
-        executor.metrics().add_pcie_bulk_bytes(bytes);
+    /// One bulk PCIe transfer of `bytes` (a batch upload or the result
+    /// download), charged on the serving executor's metrics — never the
+    /// driver's.
+    fn charge_bulk(&self, executor: &Executor, bytes: u64) {
+        let mut bus = MetricsCharge(executor.metrics());
+        bus.add(Counter::PcieBulkTransfers, 1);
+        bus.add(Counter::PcieBulkBytes, bytes);
     }
 
     /// CPU-side traffic of the host-index fallthrough.
     fn charge_host_reads(&self, executor: &Executor, bytes: u64) {
         if bytes > 0 {
-            // lint: metrics-direct-ok (host fallthrough reads on the serving executor's private metrics)
-            executor.metrics().add_stream_bytes(bytes);
+            MetricsCharge(executor.metrics()).add(Counter::StreamBytes, bytes);
         }
     }
 }

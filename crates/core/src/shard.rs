@@ -209,6 +209,21 @@ fn collected_keys(t: &SepoTable) -> Vec<Vec<u8>> {
 /// A consistent global read view over one epoch snapshot per shard:
 /// queries route to their key's owner shard and the per-shard answers
 /// scatter back in request order, so callers see one logical table.
+///
+/// The per-shard snapshots stay private to this module, so no caller can
+/// bypass the hash-prefix ownership routing:
+///
+/// ```
+/// fn owner(snapshot: &sepo_core::ShardedSnapshot) -> usize {
+///     snapshot.shard_for(b"key")
+/// }
+/// ```
+///
+/// ```compile_fail
+/// fn first(snapshot: &sepo_core::ShardedSnapshot) {
+///     let _ = &snapshot.shards[0];
+/// }
+/// ```
 pub struct ShardedSnapshot {
     shards: Vec<Arc<EpochSnapshot>>,
     bits: u32,

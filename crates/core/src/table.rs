@@ -17,11 +17,11 @@ use crate::config::{Combiner, Organization, TableConfig};
 use crate::entry::{self, basic, combining, key_entry, value_node};
 use crate::hash::{bucket_for, bucket_of, fnv1a};
 use crate::integrity::IntegrityState;
-use gpu_sim::charge::Charge;
-use gpu_sim::metrics::{ContentionHistogram, Metrics};
+use gpu_sim::charge::{Charge, MetricsCharge};
+use gpu_sim::metrics::{ContentionHistogram, Counter, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
+use gpu_sim::sync::{Published, Relaxed};
 use sepo_alloc::{DevHandle, GroupAllocator, Heap, HostHeap, HostLink, Link, PageClass};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of an insert request under the SEPO model of computation.
@@ -46,9 +46,9 @@ pub struct SepoTable {
     pub(crate) cfg: TableConfig,
     pub(crate) heap: Arc<Heap>,
     pub(crate) groups: GroupAllocator,
-    pub(crate) heads: Box<[AtomicU64]>,
+    pub(crate) heads: Box<[Published]>,
     /// Per-bucket insert-touch counters feeding the contention model.
-    touches: Box<[AtomicU32]>,
+    touches: Box<[Relaxed<u32>]>,
     pub(crate) host: HostHeap,
     /// Integrity layer: checksum counters, the installed corruption plan,
     /// and the unrecovered-transfer witness slot.
@@ -80,9 +80,9 @@ impl SepoTable {
         let (_, primary_kind) = cfg.organization.primary_layout();
         let groups = GroupAllocator::new(Arc::clone(&heap), cfg.n_groups(), primary_kind);
         let heads = (0..cfg.n_buckets)
-            .map(|_| AtomicU64::new(NULL_RAW))
+            .map(|_| Published::new(NULL_RAW))
             .collect();
-        let touches = (0..cfg.n_buckets).map(|_| AtomicU32::new(0)).collect();
+        let touches = (0..cfg.n_buckets).map(|_| Relaxed::new(0)).collect();
         SepoTable {
             cfg,
             heap,
@@ -124,11 +124,7 @@ impl SepoTable {
     /// shared by checkpoint capture and epoch-snapshot publication. Only
     /// meaningful between launches, when no kernel is mutating heads.
     pub(crate) fn snapshot_heads(&self) -> Vec<u64> {
-        self.heads
-            .iter()
-            // lint: relaxed-ok (quiescent iteration boundary)
-            .map(|h| h.load(Ordering::Relaxed))
-            .collect()
+        self.heads.iter().map(Published::get).collect()
     }
 
     /// Fraction of bucket groups currently postponing allocations — the
@@ -140,12 +136,7 @@ impl SepoTable {
     /// Histogram of per-bucket insert touches, for the contention term of
     /// the cost model.
     pub fn contention_histogram(&self) -> ContentionHistogram {
-        ContentionHistogram::from_counts(
-            self.touches
-                .iter()
-                // lint: relaxed-ok (statistics counter, read quiescently)
-                .map(|t| t.load(Ordering::Relaxed) as u64),
-        )
+        ContentionHistogram::from_counts(self.touches.iter().map(|t| t.get() as u64))
     }
 
     /// Bucket-touch contention plus the allocator's per-group bump-pointer
@@ -164,18 +155,14 @@ impl SepoTable {
     /// Reset the per-bucket touch counters (between measured phases).
     pub fn reset_touches(&self) {
         for t in self.touches.iter() {
-            t.store(0, Ordering::Relaxed); // lint: relaxed-ok (statistics reset between phases)
+            t.set(0);
         }
     }
 
     /// Raw per-bucket touch counters, for checkpoint capture at a
     /// quiescent point.
     pub fn touch_counts(&self) -> Vec<u32> {
-        self.touches
-            .iter()
-            // lint: relaxed-ok (statistics counter, read quiescently)
-            .map(|t| t.load(Ordering::Relaxed))
-            .collect()
+        self.touches.iter().map(Relaxed::get).collect()
     }
 
     /// Roll the per-bucket touch counters back to a checkpointed state
@@ -184,7 +171,7 @@ impl SepoTable {
     pub fn restore_touches(&self, counts: &[u32]) {
         assert_eq!(counts.len(), self.touches.len(), "bucket count mismatch");
         for (t, &c) in self.touches.iter().zip(counts) {
-            t.store(c, Ordering::Relaxed); // lint: relaxed-ok (statistics reset at recovery)
+            t.set(c);
         }
     }
 
@@ -194,7 +181,7 @@ impl SepoTable {
 
     #[inline]
     fn touch(&self, bucket: usize) {
-        self.touches[bucket].fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok (statistics counter)
+        self.touches[bucket].fetch_add(1);
     }
 
     /// Logical shadow address of entry `e` for sanitizer declarations:
@@ -210,7 +197,7 @@ impl SepoTable {
 
     #[inline]
     fn head_raw(&self, bucket: usize) -> u64 {
-        self.heads[bucket].load(Ordering::Acquire)
+        self.heads[bucket].observe()
     }
 
     /// Dual link naming the current head of `bucket` (NULL when empty).
@@ -278,10 +265,7 @@ impl SepoTable {
     #[inline]
     fn charge_heap<C: Charge>(&self, charge: &mut C, bytes: u64, transactions: u64) {
         if self.cfg.remote_heap {
-            // PCIe traffic is bus-global, not a per-warp cost — it bypasses
-            // the warp shards by design.
-            self.metrics.add_pcie_small_transactions(transactions); // lint: metrics-direct-ok
-            self.metrics.add_pcie_small_bytes(bytes); // lint: metrics-direct-ok
+            self.charge_remote(transactions, bytes);
         } else {
             charge.device_bytes(bytes);
         }
@@ -291,12 +275,19 @@ impl SepoTable {
     #[inline]
     fn charge_hop<C: Charge>(&self, charge: &mut C) {
         if self.cfg.remote_heap {
-            // See charge_heap: bus-global PCIe accounting.
-            self.metrics.add_pcie_small_transactions(1); // lint: metrics-direct-ok
-            self.metrics.add_pcie_small_bytes(16); // lint: metrics-direct-ok
+            self.charge_remote(1, 16);
         } else {
             charge.chain_hops(1);
         }
+    }
+
+    /// Charge small PCIe transactions against the pinned remote heap. PCIe
+    /// traffic is bus-global, not a per-warp cost — it bypasses the warp
+    /// shards by design.
+    fn charge_remote(&self, transactions: u64, bytes: u64) {
+        let mut bus = MetricsCharge(&self.metrics);
+        bus.add(Counter::PcieSmallTransactions, transactions);
+        bus.add(Counter::PcieSmallBytes, bytes);
     }
 
     /// Abandon an unpublished allocation: stamp a tombstone carrying the
@@ -319,12 +310,7 @@ impl SepoTable {
         e: DevHandle,
         charge: &mut C,
     ) -> Result<(), u64> {
-        match self.heads[bucket].compare_exchange(
-            expect,
-            e.to_raw(),
-            Ordering::Release,
-            Ordering::Acquire,
-        ) {
+        match self.heads[bucket].cas_publish(expect, e.to_raw()) {
             Ok(_) => {
                 charge.access(
                     ShadowAddr::BucketHead(bucket as u32),
@@ -417,11 +403,9 @@ impl SepoTable {
             {
                 // Duplicate: combine atomically via the callback.
                 charge.access(self.shadow_entry(e), AccessKind::Atomic);
-                let slot = self.heap.atomic_u64(e, combining::VALUE);
-                slot.fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
-                    Some(comb.apply(old, value))
-                })
-                .expect("combiner closure never fails");
+                self.heap
+                    .atomic_u64(e, combining::VALUE)
+                    .update(|old| comb.apply(old, value));
                 self.charge_heap(charge, 16, 2);
                 if let Some(a) = allocated {
                     // We allocated speculatively and lost the race to a peer
@@ -474,11 +458,9 @@ impl SepoTable {
         charge: &mut C,
     ) {
         charge.access(self.shadow_entry(e), AccessKind::Atomic);
-        let slot = self.heap.atomic_u64(e, combining::VALUE);
-        slot.fetch_update(Ordering::AcqRel, Ordering::Acquire, |old| {
-            Some(comb.apply(old, delta))
-        })
-        .expect("combiner closure never fails");
+        self.heap
+            .atomic_u64(e, combining::VALUE)
+            .update(|old| comb.apply(old, delta));
         self.charge_heap(charge, 16, 2);
     }
 
@@ -498,11 +480,7 @@ impl SepoTable {
         let bucket = bucket_for(hash, self.cfg.n_buckets);
         let head_raw = self.head_raw(bucket);
         let e = self.find_resident(head_raw, key, combining::KLEN, combining::KEY, charge)?;
-        Some(
-            self.heap
-                .atomic_u64(e, combining::VALUE)
-                .load(Ordering::Acquire),
-        )
+        Some(self.heap.atomic_u64(e, combining::VALUE).observe())
     }
 
     /// Stable host link of a *resident* combining entry for `key` — its
@@ -735,7 +713,7 @@ impl SepoTable {
         );
         let head = self.heap.atomic_u64(k, key_entry::VALUE_HEAD);
         loop {
-            let old_raw = head.load(Ordering::Acquire);
+            let old_raw = head.observe();
             charge.access(self.shadow_entry(k), AccessKind::Atomic);
             let next = if old_raw == NULL_RAW {
                 // Chain continues in CPU memory (or is empty): link to the
@@ -748,10 +726,7 @@ impl SepoTable {
             };
             charge.access(self.shadow_entry(v), AccessKind::PlainWrite);
             self.write_next(v, next);
-            if head
-                .compare_exchange(old_raw, v.to_raw(), Ordering::Release, Ordering::Acquire)
-                .is_ok()
-            {
+            if head.cas_publish(old_raw, v.to_raw()).is_ok() {
                 charge.access(self.shadow_entry(v), AccessKind::CasPublish);
                 self.charge_heap(charge, vsize as u64 + 16, 3);
                 return InsertStatus::Success;
@@ -764,7 +739,7 @@ impl SepoTable {
     /// eviction. The per-entry flag dedups the per-page counter increment.
     fn mark_pending(&self, k: DevHandle) {
         let flags = self.heap.atomic_u64(k, key_entry::FLAGS);
-        let prev = flags.fetch_or(key_entry::FLAG_PENDING, Ordering::AcqRel);
+        let prev = flags.update(|f| f | key_entry::FLAG_PENDING);
         if prev & key_entry::FLAG_PENDING == 0 {
             self.heap.add_pending_key(k.page());
         }
@@ -859,7 +834,7 @@ mod tests {
         assert!(t.insert_basic(b"k", b"v2", &mut c).is_success());
         // Both entries resident: walk the chain by hand through the heap.
         let bucket = bucket_of(b"k", t.cfg.n_buckets);
-        let head = DevHandle::from_raw(t.heads[bucket].load(Ordering::Acquire));
+        let head = DevHandle::from_raw(t.heads[bucket].observe());
         assert!(!head.is_null());
         let next_raw = t.heap.read_u64(head, entry::NEXT_DEV);
         assert_ne!(next_raw, NULL_RAW, "second entry links to first");
@@ -959,11 +934,11 @@ mod tests {
         // to a small key set; totals must be exact.
         let t = Arc::new(table(Organization::Combining(Combiner::Add), 256));
         let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
                 let t = Arc::clone(&t);
                 let keys = &keys;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut c = NoCharge;
                     for i in 0..5_000 {
                         let k = &keys[i % keys.len()];
@@ -971,8 +946,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let mut c = NoCharge;
         for k in &keys {
             assert_eq!(

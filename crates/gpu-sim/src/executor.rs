@@ -379,7 +379,8 @@ unsafe impl<K: Sync> Sync for KernelJob<'_, K> {}
 
 impl<K: Fn(&mut LaneCtx<'_>) + Sync> Work for KernelJob<'_, K> {
     fn run_units(&self, blocks: Range<usize>, slot: usize) {
-        // lint: shard-ok (worker-local scratch slot inside one device)
+        // SAFETY: the pool hands each participant a distinct slot (see the
+        // `Sync` impl above), so this is the only reference to the shard.
         let shard = unsafe { &mut *self.shards[slot].get() };
         let n_warps = self.n_tasks.div_ceil(WARP_SIZE);
         for block in blocks {
@@ -600,7 +601,7 @@ impl Executor {
         outcome.map_err(LaunchError::panic)?;
         // Aborted lanes never ran their task; only executed tasks count.
         let executed = n_tasks as u64 - lanes_aborted;
-        self.metrics.add_tasks(executed);
+        self.metrics.add(Counter::Tasks, executed);
         Ok(LaunchStats {
             tasks: executed,
             warps: n_warps as u64,

@@ -29,6 +29,8 @@
 //!   declare logical accesses through [`charge::Charge::access`] and the
 //!   sanitizer flags plain/atomic mixing, unpublished cross-warp sharing,
 //!   and use-after-evict, at zero simulated cost.
+//! * [`sync`] — the two typed atomic cells shared device words live in:
+//!   [`sync::Published`] (Release/Acquire) and [`sync::Relaxed`].
 //!
 //! Everything that *matters to the paper's claims* — which inserts get
 //! postponed, how many SEPO iterations a dataset needs, how many bytes move
@@ -48,6 +50,7 @@ pub mod pipeline;
 pub mod pool;
 pub mod shadow;
 pub mod spec;
+pub mod sync;
 
 pub use charge::{Charge, MetricsCharge, NoCharge};
 pub use clock::SimTime;

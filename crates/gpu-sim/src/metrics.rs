@@ -13,13 +13,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The counter table: the one place that says which event counters exist
-/// and in which order. Each line generates a [`Counter`] variant, the
-/// [`Snapshot`] field of the same position and the `Metrics::add_*`
-/// shorthand. The order is the checkpoint's serialization order
-/// ([`Snapshot::words`]): adding, removing or reordering a line changes the
-/// `SEPOCKP3` layout and must bump that magic.
+/// and in which order. Each line generates a [`Counter`] variant and the
+/// [`Snapshot`] field of the same position. The order is the checkpoint's
+/// serialization order ([`Snapshot::words`]): adding, removing or
+/// reordering a line changes the `SEPOCKP3` layout and must bump that
+/// magic.
 macro_rules! counters {
-    ($($(#[$doc:meta])* $variant:ident => $field:ident, $adder:ident;)*) => {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident;)*) => {
         /// One event counter; `as usize` is its index in [`Counter::ALL`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Counter {
@@ -50,59 +50,50 @@ macro_rules! counters {
                 Snapshot { $($field: w[Counter::$variant as usize],)* }
             }
         }
-
-        impl Metrics {
-            $(
-                #[inline]
-                pub fn $adder(&self, n: u64) {
-                    self.add(Counter::$variant, n);
-                }
-            )*
-        }
     };
 }
 
 counters! {
     /// Tasks (input records / map invocations) executed.
-    Tasks => tasks, add_tasks;
+    Tasks => tasks;
     /// Abstract scalar work units charged by kernels (≈ useful ALU ops).
-    ComputeUnits => compute_units, add_compute_units;
+    ComputeUnits => compute_units;
     /// Bytes of irregular (uncoalesced) device-memory traffic: hash-table
     /// chain walks, entry reads/writes, allocator metadata.
-    DeviceBytes => device_bytes, add_device_bytes;
+    DeviceBytes => device_bytes;
     /// Bytes of streaming (coalesced) device-memory traffic: reading input
     /// records from the staging buffers.
-    StreamBytes => stream_bytes, add_stream_bytes;
+    StreamBytes => stream_bytes;
     /// Hash-chain links traversed (also contributes to `device_bytes`;
     /// tracked separately for reporting).
-    ChainHops => chain_hops, add_chain_hops;
+    ChainHops => chain_hops;
     /// Bytes of on-chip shared-memory traffic (block-combiner probes and
     /// slot updates) — far cheaper than `device_bytes`.
-    SmemBytes => smem_bytes, add_smem_bytes;
+    SmemBytes => smem_bytes;
     /// Emits absorbed by a block combiner without touching the table.
-    CombinerHits => combiner_hits, add_combiner_hits;
+    CombinerHits => combiner_hits;
     /// Combiner slots flushed into the table (one device atomic each).
-    CombinerFlushes => combiner_flushes, add_combiner_flushes;
+    CombinerFlushes => combiner_flushes;
     /// Combiner slots displaced because their set of the tile was full.
-    CombinerOverflows => combiner_overflows, add_combiner_overflows;
+    CombinerOverflows => combiner_overflows;
     /// Lost bucket-head CAS races (publish retries under real concurrency;
     /// identically zero in the deterministic modes).
-    HeadCasRetries => head_cas_retries, add_head_cas_retries;
+    HeadCasRetries => head_cas_retries;
     /// Warp-divergence events: for each warp, one event per *extra* branch
     /// class beyond the first that the warp had to serially execute.
-    DivergenceEvents => divergence_events, add_divergence_events;
+    DivergenceEvents => divergence_events;
     /// Allocation requests served by the page allocator.
-    AllocSuccess => alloc_success, add_alloc_success;
+    AllocSuccess => alloc_success;
     /// Allocation requests declined (POSTPONE responses).
-    AllocPostponed => alloc_postponed, add_alloc_postponed;
+    AllocPostponed => alloc_postponed;
     /// Bulk PCIe transfers initiated (large DMA copies).
-    PcieBulkTransfers => pcie_bulk_transfers, add_pcie_bulk_transfers;
+    PcieBulkTransfers => pcie_bulk_transfers;
     /// Bytes moved by bulk PCIe transfers.
-    PcieBulkBytes => pcie_bulk_bytes, add_pcie_bulk_bytes;
+    PcieBulkBytes => pcie_bulk_bytes;
     /// Small PCIe transactions (remote loads/stores to pinned host memory).
-    PcieSmallTransactions => pcie_small_transactions, add_pcie_small_transactions;
+    PcieSmallTransactions => pcie_small_transactions;
     /// Bytes moved by small PCIe transactions.
-    PcieSmallBytes => pcie_small_bytes, add_pcie_small_bytes;
+    PcieSmallBytes => pcie_small_bytes;
 }
 
 impl Snapshot {
@@ -119,6 +110,24 @@ impl Snapshot {
 
 /// Shared atomic event counters. Cheap to clone via `Arc`; kernels flush
 /// per-warp local tallies into it to keep host-side atomic traffic low.
+///
+/// Outside this crate a counter moves only through a [`Charge`] sink, the
+/// door a kernel lane's events pass too:
+///
+/// ```
+/// use gpu_sim::{Charge, Counter, Metrics, MetricsCharge};
+/// let metrics = Metrics::new();
+/// MetricsCharge(&metrics).add(Counter::AllocSuccess, 1);
+/// assert_eq!(metrics.snapshot().alloc_success, 1);
+/// ```
+///
+/// ```compile_fail
+/// use gpu_sim::Metrics;
+/// let metrics = Metrics::new();
+/// metrics.add_alloc_success(1);
+/// ```
+///
+/// [`Charge`]: crate::Charge
 #[derive(Debug, Default)]
 pub struct Metrics {
     counters: [AtomicU64; Counter::N],
@@ -270,10 +279,10 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let m = Metrics::new();
-        m.add_tasks(3);
-        m.add_compute_units(100);
-        m.add_device_bytes(64);
-        m.add_chain_hops(2);
+        m.add(Counter::Tasks, 3);
+        m.add(Counter::ComputeUnits, 100);
+        m.add(Counter::DeviceBytes, 64);
+        m.add(Counter::ChainHops, 2);
         let s = m.snapshot();
         assert_eq!(s.tasks, 3);
         assert_eq!(s.compute_units, 100);
@@ -313,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn tally_absorb_adds_fieldwise_and_flushes_like_the_shorthands() {
+    fn tally_absorb_adds_fieldwise_and_flushes_like_per_counter_adds() {
         let mut a = Tally::default();
         let mut b = Tally::default();
         for (i, c) in Counter::ALL.into_iter().enumerate() {
@@ -328,30 +337,11 @@ mod tests {
         let via_tally = Metrics::new();
         via_tally.add_tally(&a);
         via_tally.add_tally(&b);
-        let via_shorthands = Metrics::new();
-        let adders: [fn(&Metrics, u64); Counter::N] = [
-            Metrics::add_tasks,
-            Metrics::add_compute_units,
-            Metrics::add_device_bytes,
-            Metrics::add_stream_bytes,
-            Metrics::add_chain_hops,
-            Metrics::add_smem_bytes,
-            Metrics::add_combiner_hits,
-            Metrics::add_combiner_flushes,
-            Metrics::add_combiner_overflows,
-            Metrics::add_head_cas_retries,
-            Metrics::add_divergence_events,
-            Metrics::add_alloc_success,
-            Metrics::add_alloc_postponed,
-            Metrics::add_pcie_bulk_transfers,
-            Metrics::add_pcie_bulk_bytes,
-            Metrics::add_pcie_small_transactions,
-            Metrics::add_pcie_small_bytes,
-        ];
-        for (i, add) in adders.into_iter().enumerate() {
-            add(&via_shorthands, 201 * (i as u64 + 1));
+        let via_adds = Metrics::new();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            via_adds.add(c, 201 * (i as u64 + 1));
         }
-        assert_eq!(via_tally.snapshot(), via_shorthands.snapshot());
+        assert_eq!(via_tally.snapshot(), via_adds.snapshot());
         assert_eq!(via_tally.snapshot().tasks, 201);
         assert_eq!(via_tally.snapshot().pcie_small_bytes, 201 * 17);
     }
@@ -359,12 +349,12 @@ mod tests {
     #[test]
     fn restore_rolls_counters_back_to_a_snapshot() {
         let m = Metrics::new();
-        m.add_tasks(10);
-        m.add_device_bytes(640);
-        m.add_alloc_success(4);
+        m.add(Counter::Tasks, 10);
+        m.add(Counter::DeviceBytes, 640);
+        m.add(Counter::AllocSuccess, 4);
         let checkpoint = m.snapshot();
-        m.add_tasks(99);
-        m.add_pcie_bulk_bytes(1 << 20);
+        m.add(Counter::Tasks, 99);
+        m.add(Counter::PcieBulkBytes, 1 << 20);
         m.restore(&checkpoint);
         assert_eq!(m.snapshot(), checkpoint);
     }
@@ -372,10 +362,10 @@ mod tests {
     #[test]
     fn snapshot_delta_attributes_phase() {
         let m = Metrics::new();
-        m.add_tasks(5);
+        m.add(Counter::Tasks, 5);
         let before = m.snapshot();
-        m.add_tasks(7);
-        m.add_pcie_bulk_bytes(1_000);
+        m.add(Counter::Tasks, 7);
+        m.add(Counter::PcieBulkBytes, 1_000);
         let after = m.snapshot();
         let d = after.delta(&before);
         assert_eq!(d.tasks, 7);
@@ -390,7 +380,7 @@ mod tests {
                 let m = Arc::clone(&m);
                 std::thread::spawn(move || {
                     for _ in 0..10_000 {
-                        m.add_compute_units(1);
+                        m.add(Counter::ComputeUnits, 1);
                     }
                 })
             })

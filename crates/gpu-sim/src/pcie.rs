@@ -10,7 +10,7 @@
 //! which is much costlier than a few bulky PCIe transactions" (§VI-D).
 
 use crate::clock::SimTime;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::spec::PcieSpec;
 use std::sync::Arc;
 
@@ -48,8 +48,9 @@ impl PcieBus {
     /// outstanding transactions the DMA/driver path can keep in flight
     /// (memory-level parallelism across PCIe, typically a few tens).
     pub fn small_transactions(&self, transactions: u64, bytes: u64, overlap: u32) -> SimTime {
-        self.metrics.add_pcie_small_transactions(transactions);
-        self.metrics.add_pcie_small_bytes(bytes);
+        self.metrics
+            .add(Counter::PcieSmallTransactions, transactions);
+        self.metrics.add(Counter::PcieSmallBytes, bytes);
         self.small_transactions_time(transactions, bytes, overlap)
     }
 

@@ -1,11 +1,9 @@
 //! Shared persistent worker pool.
 //!
-//! Before this module existed, every parallel kernel launch spawned and
-//! joined its own set of OS threads (`crossbeam::scope` in the executor,
-//! again in the Phoenix baseline, again in the stress tests). A SEPO run
-//! issues thousands of small launches — one per driver chunk per iteration
-//! — so thread creation dominated launch overhead. The pool replaces that
-//! with one lazily-started, process-wide set of parked workers:
+//! A SEPO run issues thousands of small launches — one per driver chunk
+//! per iteration — so spawning threads per launch would dominate launch
+//! overhead. The pool keeps one lazily-started, process-wide set of parked
+//! workers instead:
 //!
 //! * [`WorkerPool::global`] starts the workers on first use (count from
 //!   `SEPO_WORKERS`, default `available_parallelism - 1` so the submitting
@@ -21,8 +19,7 @@
 //!   lock-free per-participant state (e.g. the executor's metric shards).
 //! * A panic inside a unit is caught, the job is still drained to
 //!   completion (remaining units run; the pool is never poisoned), and the
-//!   first payload is handed back to the submitter, which re-raises it —
-//!   the same observable behaviour as the old scoped-thread code.
+//!   first payload is handed back to the submitter, which re-raises it.
 //! * [`scope`] layers structured task-parallelism on top: `FnOnce` tasks
 //!   that may borrow from the caller's stack, executed by pool workers,
 //!   with the caller helping and then blocking until all complete. The

@@ -36,7 +36,7 @@ proptest! {
         } else {
             picks.iter().map(|&p| p % len).collect()
         };
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..threads {
                 let bitmap = Arc::clone(&bitmap);
                 let slice: Vec<usize> = targets
@@ -45,14 +45,13 @@ proptest! {
                     .skip(t)
                     .step_by(threads)
                     .collect();
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in slice {
                         bitmap.set(i);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let distinct: HashSet<usize> = targets.into_iter().collect();
         prop_assert_eq!(bitmap.count_set(), distinct.len());
         let unset = bitmap.unset_indices();

@@ -71,11 +71,11 @@ fn ten_million_combines_under_pressure() {
     while !pending.is_empty() {
         // Parallel storm over the pending multiset.
         let next = parking_lot::Mutex::new(Vec::new());
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for shard in pending.chunks(pending.len().div_ceil(8)) {
                 let t = Arc::clone(&t);
                 let next = &next;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ch = NoCharge;
                     let mut local = Vec::new();
                     for &(k, remaining) in shard {
@@ -94,8 +94,7 @@ fn ten_million_combines_under_pressure() {
                     next.lock().extend(local);
                 });
             }
-        })
-        .unwrap();
+        });
         t.end_iteration();
         pending = next.into_inner();
         round += 1;
