@@ -467,10 +467,12 @@ impl Executor {
 
     /// Attach a shadow-memory sanitizer: every access the kernel declares
     /// through [`crate::charge::Charge::access`] is appended to its
-    /// participant shard's buffer (lent by the sanitizer) and replayed
-    /// into the sanitizer, in shard slot order, when the launch retires.
-    /// Declared accesses charge no simulated cost, so attaching a
-    /// sanitizer never changes results or metrics.
+    /// participant shard's buffer (lent by the sanitizer). When the launch
+    /// retires the buffers go back to the sanitizer, which replays them in
+    /// shard slot order on an idle pool worker while the next launch runs;
+    /// any read of its verdict waits for that replay. Declared accesses
+    /// charge no simulated cost, so attaching a sanitizer never changes
+    /// results or metrics.
     pub fn with_shadow(mut self, sanitizer: Arc<ShadowSanitizer>) -> Self {
         self.shadow = Some(sanitizer);
         self

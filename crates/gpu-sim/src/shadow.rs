@@ -14,9 +14,16 @@
 //! a *logical* address, independent of physical page reuse — plus an
 //! [`AccessKind`], the issuing warp and lane. Each warp appends its events
 //! in place to its participant shard's buffer (buffers are lent by the
-//! sanitizer and keep their capacity from launch to launch); at launch
-//! retirement the buffers are replayed in slot order against a per-address
-//! state machine:
+//! sanitizer and keep their capacity from launch to launch). At launch
+//! retirement the sanitizer hands the buffers to an idle pool worker
+//! ([`crate::pool::WorkerPool::background`]), which replays them in slot
+//! order against a per-address state machine while the launching thread
+//! goes on to the next launch. At most one launch is in flight: the next
+//! retirement, and every read of the verdict ([`ShadowSanitizer::report`],
+//! [`ShadowSanitizer::finding_count`]) or host-side access, first waits for
+//! it — running it on the waiting thread if no worker has started it, which
+//! with an empty pool (`SEPO_WORKERS=0`) is always. A panic inside a replay
+//! re-raises there, at that next wait, not inside the launch. The rules:
 //!
 //! * Each launch is one **epoch**. Two warps of the same epoch are
 //!   logically concurrent (SIMT warps have no intra-launch ordering);
@@ -61,6 +68,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Logical address of a simulated-device word the discipline covers.
 ///
@@ -152,7 +160,7 @@ pub const HOST_WARP: u32 = u32::MAX;
 pub const WARP_LEVEL_LANE: u32 = crate::spec::WARP_SIZE as u32;
 
 /// One declared access, as appended to a participant shard's buffer and
-/// replayed at launch retirement.
+/// replayed after the launch retires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowEvent {
     /// Logical address accessed.
@@ -456,11 +464,17 @@ struct Inner {
     mixed_plain_atomic: u64,
     use_after_evict: u64,
     witnesses: Vec<Finding>,
-    /// Emptied per-slot event buffers, kept for the next launch.
-    spare: Vec<Vec<ShadowEvent>>,
 }
 
 impl Inner {
+    /// Apply one launch's buffers back to back, as the next epoch.
+    fn replay(&mut self, buffers: &[Vec<ShadowEvent>], iteration: u32) {
+        self.epoch += 1;
+        for &ev in buffers.iter().flatten() {
+            self.apply(ev, iteration);
+        }
+    }
+
     fn findings_total(&self) -> u64 {
         self.concurrent_plain + self.mixed_plain_atomic + self.use_after_evict
     }
@@ -515,19 +529,75 @@ impl Inner {
     }
 }
 
+mod state {
+    use super::Inner;
+    use crate::pool::{Background, WorkerPool};
+
+    /// The shadow state, or the launch replay that owns it until joined.
+    /// The fields are private to this module, so [`State::settled`] — which
+    /// joins the pending replay first — is the only way to the state.
+    pub(super) struct State {
+        /// `None` while `replay` holds it, and for good once a replay
+        /// panicked.
+        inner: Option<Box<Inner>>,
+        replay: Option<Background<Box<Inner>>>,
+    }
+
+    impl State {
+        pub(super) fn new() -> Self {
+            State {
+                inner: Some(Box::default()),
+                replay: None,
+            }
+        }
+
+        /// Take the shadow state out, joining the replay that holds it (and
+        /// re-raising that replay's panic).
+        fn take(&mut self) -> Box<Inner> {
+            match self.replay.take() {
+                Some(replay) => replay.join(),
+                None => self
+                    .inner
+                    .take()
+                    .expect("an earlier shadow replay panicked; its state is lost"),
+            }
+        }
+
+        /// The shadow state, once every ingested launch is replayed.
+        pub(super) fn settled(&mut self) -> &mut Inner {
+            let inner = self.take();
+            self.inner.insert(inner)
+        }
+
+        /// Hand the settled state to `replay`, run on an idle pool worker;
+        /// it owns the state until the next join.
+        pub(super) fn replay_with<F>(&mut self, replay: F)
+        where
+            F: FnOnce(Box<Inner>) -> Box<Inner> + Send + 'static,
+        {
+            let inner = self.take();
+            self.replay = Some(WorkerPool::global().background(move || replay(inner)));
+        }
+    }
+}
+
 /// The shadow-memory sanitizer. One instance covers one table/driver run;
 /// attach it to an [`crate::executor::Executor`] via
 /// [`crate::executor::Executor::with_shadow`] and it receives every
-/// declared access at each launch's retirement.
+/// declared access once each launch retires.
 pub struct ShadowSanitizer {
-    inner: parking_lot::Mutex<Inner>,
+    state: parking_lot::Mutex<state::State>,
+    /// Emptied per-slot event buffers, kept for the next launch. Apart from
+    /// `state`, so lending buffers never waits on a replay.
+    spare: Arc<parking_lot::Mutex<Vec<Vec<ShadowEvent>>>>,
     /// Driver-iteration label stamped onto findings (display only).
     iteration: AtomicU32,
 }
 
 impl fmt::Debug for ShadowSanitizer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let mut state = self.state.lock();
+        let inner = state.settled();
         f.debug_struct("ShadowSanitizer")
             .field("epoch", &inner.epoch)
             .field("events_checked", &inner.events_checked)
@@ -548,7 +618,8 @@ impl ShadowSanitizer {
 
     pub fn new() -> Self {
         ShadowSanitizer {
-            inner: parking_lot::Mutex::new(Inner::default()),
+            state: parking_lot::Mutex::new(state::State::new()),
+            spare: Arc::default(),
             iteration: AtomicU32::new(0),
         }
     }
@@ -562,38 +633,35 @@ impl ShadowSanitizer {
     /// advance the epoch. The executor hands over its per-slot buffers
     /// instead (`ingest_buffers`); this is the one-buffer form.
     pub fn ingest(&self, events: Vec<ShadowEvent>) {
-        self.replay(&[events]);
-    }
-
-    /// Replay `buffers` back to back as one launch.
-    fn replay(&self, buffers: &[Vec<ShadowEvent>]) {
-        let iteration = self.iteration.load(Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        inner.epoch += 1;
-        for &ev in buffers.iter().flatten() {
-            inner.apply(ev, iteration);
-        }
+        self.ingest_buffers(vec![events]);
     }
 
     /// `slots` empty event buffers for one launch's participant shards,
     /// with the capacity earlier launches grew them to.
     pub(crate) fn lend_buffers(&self, slots: usize) -> Vec<Vec<ShadowEvent>> {
-        let mut inner = self.inner.lock();
-        let keep = inner.spare.len().saturating_sub(slots);
-        let mut lent = inner.spare.split_off(keep);
+        let mut spare = self.spare.lock();
+        let keep = spare.len().saturating_sub(slots);
+        let mut lent = spare.split_off(keep);
         lent.resize_with(slots, Vec::new);
         lent
     }
 
     /// [`ShadowSanitizer::ingest`] for a launch whose shards filled lent
-    /// buffers: replay them in slot order, then keep them, emptied, for the
-    /// next launch.
+    /// buffers. Waits for the previous launch's replay, then replays this
+    /// one on an idle pool worker, in slot order under the iteration label
+    /// in force now; the replay keeps the buffers, emptied, for the next
+    /// launch.
     pub(crate) fn ingest_buffers(&self, mut buffers: Vec<Vec<ShadowEvent>>) {
-        self.replay(&buffers);
-        for buf in &mut buffers {
-            buf.clear();
-        }
-        self.inner.lock().spare.append(&mut buffers);
+        let iteration = self.iteration.load(Ordering::Relaxed);
+        let spare = Arc::clone(&self.spare);
+        self.state.lock().replay_with(move |mut inner| {
+            inner.replay(&buffers, iteration);
+            for buf in &mut buffers {
+                buf.clear();
+            }
+            spare.lock().append(&mut buffers);
+            inner
+        });
     }
 
     /// Model a device reset during hard-fault recovery: the simulated
@@ -604,29 +672,26 @@ impl ShadowSanitizer {
     /// before the checkpoint stay evicted across the reset — as are the
     /// cumulative event and finding counters.
     pub fn device_reset(&self) {
-        self.inner.lock().cells.reset();
+        self.state.lock().settled().cells.reset();
     }
 
     /// Shadow cells currently held (see `Cells::live`).
     #[cfg(test)]
     fn live_cells(&self) -> usize {
-        self.inner.lock().cells.live()
+        self.state.lock().settled().cells.live()
     }
 
     /// Declare one host-side access at the current epoch (race rules do not
     /// apply; see [`HOST_WARP`]).
     pub fn record_host(&self, addr: ShadowAddr, kind: AccessKind) {
         let iteration = self.iteration.load(Ordering::Relaxed);
-        let mut inner = self.inner.lock();
-        inner.apply(
-            ShadowEvent {
-                addr,
-                kind,
-                warp: HOST_WARP,
-                lane: 0,
-            },
-            iteration,
-        );
+        let ev = ShadowEvent {
+            addr,
+            kind,
+            warp: HOST_WARP,
+            lane: 0,
+        };
+        self.state.lock().settled().apply(ev, iteration);
     }
 
     /// A [`Charge`] sink that feeds [`ShadowSanitizer::record_host`] — hand
@@ -638,12 +703,13 @@ impl ShadowSanitizer {
 
     /// Total findings so far.
     pub fn finding_count(&self) -> u64 {
-        self.inner.lock().findings_total()
+        self.state.lock().settled().findings_total()
     }
 
     /// Snapshot counts and witnesses.
     pub fn report(&self) -> SanitizerReport {
-        let inner = self.inner.lock();
+        let mut state = self.state.lock();
+        let inner = state.settled();
         SanitizerReport {
             events_checked: inner.events_checked,
             findings_total: inner.findings_total(),
@@ -1212,12 +1278,29 @@ mod tests {
             lane.access(ShadowAddr::BitmapWord(0), AccessKind::Atomic);
         };
         e.launch(1_000, kernel);
+        // After a settle, the launch's buffer is back, emptied, with its
+        // capacity.
+        assert_eq!(sanitizer.report().events_checked, 1_000);
         let lent = sanitizer.lend_buffers(1);
         let capacity = lent[0].capacity();
         assert!(lent[0].is_empty() && capacity >= 1_000, "{capacity}");
         sanitizer.ingest_buffers(lent);
-        e.launch(1_000, kernel);
-        assert_eq!(sanitizer.lend_buffers(1)[0].capacity(), capacity);
-        assert_eq!(sanitizer.report().events_checked, 2_000);
+
+        // The executor's cycle — lend at launch start, hand back at
+        // retirement — allocates at most two buffer sets over 10 launches:
+        // one filling, one still replaying. A fresh buffer has no capacity.
+        let mut fresh = 0;
+        for _ in 0..10 {
+            let mut lent = sanitizer.lend_buffers(1);
+            assert!(lent[0].is_empty());
+            fresh += usize::from(lent[0].capacity() == 0);
+            lent[0].resize(
+                1_000,
+                dev(ShadowAddr::BitmapWord(0), AccessKind::Atomic, 0, 0),
+            );
+            sanitizer.ingest_buffers(lent);
+        }
+        assert!(fresh <= 1, "{fresh} buffer sets allocated beyond the first");
+        assert_eq!(sanitizer.report().events_checked, 11_000);
     }
 }

@@ -7,9 +7,14 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, ShadowSanitizer};
+use gpu_sim::shadow::{AccessKind, FindingKind, ShadowAddr};
+use gpu_sim::{Charge, FaultConfig, FaultPlan, ShadowSanitizer};
 use proptest::prelude::*;
 use sepo_apps::{run_app, AppConfig};
+use sepo_core::{
+    Combiner, DriverConfig, InsertStatus, Organization, SepoDriver, SepoError, SepoTable,
+    TableConfig, TaskResult,
+};
 use sepo_datagen::App;
 use std::sync::Arc;
 
@@ -82,6 +87,65 @@ fn all_apps_sanitize_clean_and_identical() {
             app.name()
         );
     }
+}
+
+/// A publish-discipline break planted in the *middle* launch of iteration 2
+/// fails the run at iteration 2's boundary, with the witness the launch
+/// produced. 192 tasks in chunks of 64 give each iteration three launches:
+/// iteration 1 inserts every key and postpones its second pair, iteration 2
+/// re-runs all tasks in order, and in its middle launch (tasks 64..128)
+/// task 69 (warp 0, lane 5) and task 107 (warp 1, lane 11) plain-write a
+/// bucket head iteration 1 published. A third launch retires after the
+/// violating one, so the boundary's verdict must see a launch's findings
+/// however its replay was scheduled.
+#[test]
+fn a_violation_in_a_middle_launch_fails_its_own_boundary() {
+    const TASKS: usize = 192;
+    let cfg = TableConfig::new(Organization::Combining(Combiner::Add))
+        .with_buckets(64)
+        .with_buckets_per_group(16)
+        .with_page_size(1024);
+    let table = SepoTable::new(cfg, 64 * 1024, Arc::new(Metrics::new()));
+    let sanitizer = Arc::new(ShadowSanitizer::new());
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()))
+        .with_shadow(Arc::clone(&sanitizer));
+    let config = DriverConfig {
+        chunk_tasks: 64,
+        audit: true,
+        sanitize: true,
+        ..DriverConfig::default()
+    };
+    let keys: Vec<String> = (0..TASKS).map(|t| format!("key-{t}")).collect();
+    let err = SepoDriver::new(&table, &exec)
+        .with_config(config)
+        .try_run(
+            TASKS,
+            |_| 16,
+            |task, start, lane| {
+                if start == 0 {
+                    return match table.insert_combining(keys[task].as_bytes(), 1, lane) {
+                        InsertStatus::Success => TaskResult::Postponed { next_pair: 1 },
+                        InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+                    };
+                }
+                if task == 69 || task == 107 {
+                    lane.access(ShadowAddr::BucketHead(0), AccessKind::PlainWrite);
+                }
+                TaskResult::Done
+            },
+        )
+        .unwrap_err();
+    let SepoError::SanitizerFailed { iteration, report } = &err else {
+        panic!("expected SanitizerFailed, got {err}");
+    };
+    assert_eq!(*iteration, Some(2), "{err}");
+    let settled = sanitizer.report();
+    assert_eq!(*report, settled.to_string(), "the verdict saw every launch");
+    let w = &settled.witnesses[0];
+    assert_eq!(w.addr, ShadowAddr::BucketHead(0));
+    assert_eq!(w.kind, FindingKind::MixedPlainAtomic, "{w}");
+    assert_eq!((w.warp, w.lane, w.epoch, w.iteration), (0, 5, 5, 2), "{w}");
+    assert_eq!(settled.findings_total, 2, "{settled}");
 }
 
 proptest! {
