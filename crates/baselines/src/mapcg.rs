@@ -153,7 +153,7 @@ mod tests {
     use std::sync::Arc;
 
     fn exec() -> Executor {
-        Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
+        Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
     }
 
     #[test]

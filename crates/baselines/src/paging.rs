@@ -33,7 +33,7 @@ pub struct PagingRow {
 pub fn record_pvc_trace(dataset: &Dataset) -> (AccessTrace, u64) {
     use sepo_core::config::{Combiner, Organization, TableConfig};
     let metrics = Arc::new(Metrics::new());
-    let executor = Executor::new(ExecMode::Deterministic, Arc::clone(&metrics));
+    let executor = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
     let heap = crate::cpu::ample_heap(dataset);
     // Packed layout for the virtual table the trace addresses: small pages
     // and few bucket groups, so nearly every page fills before the next is

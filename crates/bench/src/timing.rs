@@ -218,7 +218,7 @@ mod tests {
     fn small_run_cfg(heap: u64, overlap: bool) -> (SepoOutcome, ContentionHistogram, u64) {
         let ds = App::PageViewCount.generate(0, 8192);
         let metrics = Arc::new(Metrics::new());
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(&metrics));
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
         let run = pvc::run(
             &ds,
             &AppConfig::new(heap).with_evict_overlap(overlap),

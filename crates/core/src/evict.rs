@@ -446,7 +446,7 @@ mod tests {
 
         let t = table(Organization::Combining(Combiner::Add), 8);
         let sz = Arc::new(ShadowSanitizer::new());
-        let exec = Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
             .with_shadow(sz.clone());
 
         sz.set_iteration(1);

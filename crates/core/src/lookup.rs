@@ -241,7 +241,7 @@ mod tests {
     }
 
     fn exec(t: &SepoTable) -> Executor {
-        Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
     }
 
     #[test]

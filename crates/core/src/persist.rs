@@ -242,7 +242,10 @@ mod tests {
             SepoTable::load(&mut buf.as_slice(), 8 * 1024, Arc::new(Metrics::new())).unwrap();
         let idx = HostStore::of_finalized(&restored).unwrap();
         assert_eq!(idx.get_combined(b"key-0007"), Ok(Some(7)));
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(restored.metrics()));
+        let exec = Executor::new(
+            ExecMode::ParallelDeterministic,
+            Arc::clone(restored.metrics()),
+        );
         let out = restored.lookup_phase(&exec, &[b"key-0003", b"missing"]);
         assert_eq!(out.results, vec![Some(3), None]);
     }

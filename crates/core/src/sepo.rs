@@ -1095,7 +1095,7 @@ mod tests {
     use std::sync::Arc;
 
     fn exec(metrics: &Arc<Metrics>) -> Executor {
-        Executor::new(ExecMode::Deterministic, Arc::clone(metrics))
+        Executor::new(ExecMode::ParallelDeterministic, Arc::clone(metrics))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()))
     }
 
@@ -1468,7 +1468,7 @@ mod tests {
             seed: 0xFA17,
             lane_abort_rate: 0.10,
         }));
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(Arc::clone(&plan))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let keys: Vec<String> = (0..300).map(|i| format!("key-{i:05}")).collect();
@@ -1502,7 +1502,7 @@ mod tests {
             seed: 1,
             lane_abort_rate: 1.0,
         }));
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(plan)
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let err = SepoDriver::new(&t, &e)
@@ -1553,7 +1553,7 @@ mod tests {
     #[test]
     fn device_lost_without_checkpointing_is_fatal_and_source_chained() {
         let t = small_table(Organization::Combining(Combiner::Add), 64);
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(hard_plan(1.0, 0.0, 3))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let err = SepoDriver::new(&t, &e)
@@ -1595,7 +1595,7 @@ mod tests {
     #[test]
     fn certain_hard_faults_exhaust_the_recovery_budget() {
         let t = small_table(Organization::Combining(Combiner::Add), 64);
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(hard_plan(1.0, 0.0, 4))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let err = SepoDriver::new(&t, &e)
@@ -1713,7 +1713,7 @@ mod tests {
         // a serving executor with its own metrics.
         let publisher = Arc::new(crate::serve::EpochPublisher::default());
         let serve_exec = Arc::new(Executor::new(
-            ExecMode::Deterministic,
+            ExecMode::ParallelDeterministic,
             Arc::new(Metrics::new()),
         ));
         {
@@ -1757,7 +1757,7 @@ mod tests {
         type EpochReads = Vec<(u32, Vec<Option<u64>>)>;
         fn run(with_faults: bool) -> (EpochReads, Vec<u8>) {
             let t = small_table(Organization::Combining(Combiner::Add), 4);
-            let mut e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+            let mut e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
                 .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
             if with_faults {
                 e = e.with_faults(hard_plan(0.15, 0.05, 0xC0FFEE));
@@ -1765,7 +1765,8 @@ mod tests {
             let publisher = Arc::new(crate::serve::EpochPublisher::default());
             let reads: Arc<parking_lot::Mutex<EpochReads>> = Arc::default();
             {
-                let serve_exec = Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()));
+                let serve_exec =
+                    Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
                 let reads = Arc::clone(&reads);
                 let keys: Vec<Vec<u8>> = (0..400)
                     .step_by(7)
@@ -1848,7 +1849,7 @@ mod tests {
         // Chaos: seeded hard faults kill launches mid-run; checkpoints
         // resume them.
         let t2 = small_table(Organization::Combining(Combiner::Add), 4);
-        let e2 = Executor::new(ExecMode::Deterministic, Arc::clone(t2.metrics()))
+        let e2 = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t2.metrics()))
             .with_faults(hard_plan(0.15, 0.05, 0xC0FFEE))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let chaos = SepoDriver::new(&t2, &e2)
@@ -1906,7 +1907,7 @@ mod tests {
         config: DriverConfig,
     ) -> (Result<SepoOutcome, SepoError>, Vec<u8>) {
         let t = small_table(Organization::MultiValued, 6);
-        let mut e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let mut e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         if let Some(plan) = plan {
             e = e.with_faults(plan);
@@ -1939,7 +1940,7 @@ mod tests {
         config: DriverConfig,
     ) -> (Result<SepoOutcome, SepoError>, Vec<u8>) {
         let t = small_table(Organization::Combining(Combiner::Add), 4);
-        let mut e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()))
+        let mut e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         if let Some(plan) = plan {
             e = e.with_faults(plan);

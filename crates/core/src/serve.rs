@@ -1000,7 +1000,7 @@ mod tests {
     use sepo_alloc::{PageKind, StampedPage};
 
     fn serving_exec() -> Executor {
-        Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
+        Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
     }
 
     fn table(org: Organization, pages: usize) -> SepoTable {
@@ -1023,7 +1023,7 @@ mod tests {
         publisher: &Arc<EpochPublisher>,
     ) -> SepoTable {
         let t = table(Organization::Combining(Combiner::Add), pages);
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
         SepoDriver::new(&t, &exec)
             .with_config(DriverConfig {
                 chunk_tasks: 64,
@@ -1230,7 +1230,7 @@ mod tests {
         let t = run_combining_with_serving(80, 4, &publisher);
         let driver_snapshot = t.metrics().snapshot();
         let serve_metrics = Arc::new(Metrics::new());
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(&serve_metrics));
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&serve_metrics));
         let snap = publisher.current().unwrap();
         let keys: Vec<Vec<u8>> = (0..80).map(key).collect();
         let q: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();

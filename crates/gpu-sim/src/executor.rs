@@ -18,13 +18,10 @@
 //!   experience *real* concurrency — real atomics, real races over page
 //!   space — which is what makes the postponement behaviour genuine rather
 //!   than scripted.
-//! * In [`ExecMode::Deterministic`], blocks run in ascending order on the
-//!   calling thread, so reported iteration counts and transfer volumes are
-//!   exactly reproducible.
-//! * [`ExecMode::ParallelDeterministic`] executes each launch exactly like
-//!   `Deterministic` — blocks in ascending order, on the calling thread, so
-//!   per-launch event counts are byte-identical *by construction* — and
-//!   signals that the surrounding harness may run independent simulations
+//! * In [`ExecMode::ParallelDeterministic`], blocks run in ascending order
+//!   on the calling thread, so reported iteration counts, transfer volumes
+//!   and every per-launch event count are byte-identical *by construction*.
+//!   The surrounding harness may run independent simulations
 //!   (separate tables, separate [`Metrics`]) concurrently on the pool via
 //!   [`pool::scope`](crate::pool::scope). True warp-racing cannot keep
 //!   counts like `chain_hops` bit-stable (they depend on chain insertion
@@ -59,11 +56,9 @@ pub enum ExecMode {
     /// run to run.
     Parallel { workers: usize },
     /// Execute blocks (and the warps inside them) sequentially in ascending
-    /// order on the calling thread (bit-reproducible results).
-    Deterministic,
-    /// Per-launch execution identical to [`ExecMode::Deterministic`];
-    /// declares that the harness parallelizes across independent
-    /// simulations instead of within a launch. This is the evaluation
+    /// order on the calling thread (bit-reproducible results); the harness
+    /// parallelizes across independent simulations instead of within a
+    /// launch. This is the evaluation
     /// harness's default: paper numbers stay exactly reproducible while
     /// wall-clock time drops with available cores.
     ParallelDeterministic,
@@ -493,11 +488,6 @@ impl Executor {
         &self.metrics
     }
 
-    /// Execution mode in force.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     /// Launch `kernel` over `n_tasks` tasks. Blocks until all warps retire.
     /// A kernel panic is re-raised on the calling thread (the launch drains
     /// first; see [`Executor::try_launch`]).
@@ -556,7 +546,7 @@ impl Executor {
         let n_warps = n_tasks.div_ceil(WARP_SIZE);
         let n_blocks = n_warps.div_ceil(BLOCK_WARPS);
         let (max_slots, chunk) = match self.mode {
-            ExecMode::Deterministic | ExecMode::ParallelDeterministic => (1, n_blocks),
+            ExecMode::ParallelDeterministic => (1, n_blocks),
             ExecMode::Parallel { workers } => {
                 let pool = WorkerPool::global();
                 let cap = if workers == 0 {
@@ -636,7 +626,7 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once_deterministic() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         let n = 97; // not a multiple of warp size
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let stats = e.launch(n, |ctx| {
@@ -645,17 +635,6 @@ mod tests {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         assert_eq!(stats.tasks, 97);
         assert_eq!(stats.warps, 4); // ceil(97/32)
-    }
-
-    #[test]
-    fn deterministic_mode_runs_in_task_order() {
-        let (e, _) = exec(ExecMode::Deterministic);
-        let order = parking_lot::Mutex::new(Vec::new());
-        e.launch(100, |ctx| {
-            order.lock().push(ctx.task());
-        });
-        let order = order.into_inner();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -671,7 +650,7 @@ mod tests {
 
     #[test]
     fn charges_flow_into_metrics() {
-        let (e, m) = exec(ExecMode::Deterministic);
+        let (e, m) = exec(ExecMode::ParallelDeterministic);
         e.launch(10, |ctx| {
             ctx.compute(5);
             ctx.read_stream(100);
@@ -688,7 +667,7 @@ mod tests {
 
     #[test]
     fn uniform_branch_class_causes_no_divergence() {
-        let (e, m) = exec(ExecMode::Deterministic);
+        let (e, m) = exec(ExecMode::ParallelDeterministic);
         let stats = e.launch(64, |ctx| ctx.branch_class(7));
         assert_eq!(stats.divergence_events, 0);
         assert_eq!(m.snapshot().divergence_events, 0);
@@ -696,7 +675,7 @@ mod tests {
 
     #[test]
     fn divergence_counts_extra_classes_per_warp() {
-        let (e, m) = exec(ExecMode::Deterministic);
+        let (e, m) = exec(ExecMode::ParallelDeterministic);
         // Lanes alternate between 4 classes: each full warp sees 4 distinct
         // classes => 3 events per warp; 2 warps => 6.
         let stats = e.launch(64, |ctx| ctx.branch_class((ctx.task() % 4) as u32));
@@ -706,7 +685,7 @@ mod tests {
 
     #[test]
     fn divergence_respects_warp_boundaries() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         // Class = warp index: uniform within each warp => no divergence.
         let stats = e.launch(320, |ctx| ctx.branch_class((ctx.task() / WARP_SIZE) as u32));
         assert_eq!(stats.divergence_events, 0);
@@ -731,7 +710,7 @@ mod tests {
             m.snapshot()
         };
         let par = run(ExecMode::Parallel { workers: 8 });
-        let det = run(ExecMode::Deterministic);
+        let det = run(ExecMode::ParallelDeterministic);
         assert_eq!(par.compute_units, det.compute_units);
         assert_eq!(par.divergence_events, det.divergence_events);
         assert_eq!(par.tasks, det.tasks);
@@ -752,7 +731,7 @@ mod tests {
             m.snapshot()
         };
         assert_eq!(
-            run(ExecMode::Deterministic),
+            run(ExecMode::ParallelDeterministic),
             run(ExecMode::ParallelDeterministic)
         );
     }
@@ -779,7 +758,7 @@ mod tests {
 
     #[test]
     fn launch_unwinds_with_original_payload() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             e.launch(10, |_| panic!("boom-{}", 42));
         }))
@@ -839,8 +818,8 @@ mod tests {
                 poisoned_launch_rate: 0.0,
             }),
         );
-        let e =
-            Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(Arc::clone(&plan));
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m))
+            .with_faults(Arc::clone(&plan));
         let ran = AtomicU64::new(0);
         let err = e
             .try_launch(100, |_| {
@@ -856,7 +835,7 @@ mod tests {
 
     #[test]
     fn kernel_panics_are_not_hard_faults() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         let err = e.try_launch(10, |_| panic!("plain panic")).unwrap_err();
         assert!(err.hard_fault().is_none());
         assert_eq!(err.message(), "plain panic");
@@ -864,7 +843,7 @@ mod tests {
 
     #[test]
     fn no_fault_plan_means_no_aborts() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         let stats = e.launch(100, |_| {});
         assert_eq!(stats.lanes_aborted, 0);
         assert_eq!(stats.tasks, 100);
@@ -910,7 +889,10 @@ mod tests {
     #[test]
     fn block_scratch_init_and_finish_run_once_per_block() {
         let block = WARP_SIZE * BLOCK_WARPS;
-        for mode in [ExecMode::Deterministic, ExecMode::Parallel { workers: 4 }] {
+        for mode in [
+            ExecMode::ParallelDeterministic,
+            ExecMode::Parallel { workers: 4 },
+        ] {
             // 2 full blocks + a short tail block of 3 warps (the last one
             // 4 lanes wide); then a launch smaller than one warp.
             for n in [2 * block + 2 * WARP_SIZE + 4, 5] {
@@ -945,7 +927,7 @@ mod tests {
             seed: 5,
             lane_abort_rate: 1.0,
         }));
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m)).with_faults(plan);
         let n = WARP_SIZE * BLOCK_WARPS + 40; // 2 blocks, the tail 2 warps
         let (inits, lanes, stats) = scoped_counting_launch(&e, n);
         assert_eq!(stats.lanes_aborted, n as u64);
@@ -959,7 +941,7 @@ mod tests {
             seed: 5,
             lane_abort_rate: 0.5,
         }));
-        let e = Executor::new(ExecMode::Deterministic, Arc::clone(&m)).with_faults(plan);
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m)).with_faults(plan);
         let (inits, lanes, stats) = scoped_counting_launch(&e, n);
         assert!(stats.lanes_aborted > 0 && stats.tasks > 0);
         assert_eq!(inits, 2);
@@ -970,7 +952,7 @@ mod tests {
 
     #[test]
     fn plain_launch_has_no_scratch() {
-        let (e, _) = exec(ExecMode::Deterministic);
+        let (e, _) = exec(ExecMode::ParallelDeterministic);
         e.launch(10, |ctx| {
             let (scratch, _) = ctx.scratch_parts();
             assert!(scratch.is_none());

@@ -11,12 +11,11 @@
 //!
 //! Each fault kind is one seeded stream: a monotone draw counter hashed
 //! together with the stream's seed and salt (SplitMix64). Under
-//! [`ExecMode::Deterministic`] and [`ExecMode::ParallelDeterministic`] the
+//! [`ExecMode::ParallelDeterministic`] the
 //! draw *order* equals the execution order, so the same seed reproduces the
 //! same fault sequence — iteration counts and results JSON stay
 //! byte-identical across runs.
 //!
-//! [`ExecMode::Deterministic`]: crate::executor::ExecMode::Deterministic
 //! [`ExecMode::ParallelDeterministic`]: crate::executor::ExecMode::ParallelDeterministic
 
 use std::sync::atomic::{AtomicU64, Ordering};

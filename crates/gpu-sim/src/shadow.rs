@@ -912,7 +912,8 @@ mod tests {
     fn broken_bucket_head_publish_is_detected_through_the_executor() {
         let sanitizer = Arc::new(ShadowSanitizer::new());
         let m = Arc::new(Metrics::new());
-        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        let e =
+            Executor::new(ExecMode::ParallelDeterministic, m).with_shadow(Arc::clone(&sanitizer));
         // 64 tasks = 2 warps. Warp 0 "publishes" an entry with a plain
         // store to the bucket head; warp 1 loads the head atomically.
         e.launch(64, |lane| {
@@ -943,7 +944,8 @@ mod tests {
     fn correct_cas_publish_through_the_executor_is_clean() {
         let sanitizer = Arc::new(ShadowSanitizer::new());
         let m = Arc::new(Metrics::new());
-        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        let e =
+            Executor::new(ExecMode::ParallelDeterministic, m).with_shadow(Arc::clone(&sanitizer));
         e.launch(64, |lane| {
             let entry = ShadowAddr::Entry {
                 page: 1,
@@ -1256,7 +1258,8 @@ mod tests {
     fn a_warp_that_panics_before_retiring_declares_nothing() {
         let sanitizer = Arc::new(ShadowSanitizer::new());
         let m = Arc::new(Metrics::new());
-        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        let e =
+            Executor::new(ExecMode::ParallelDeterministic, m).with_shadow(Arc::clone(&sanitizer));
         // Warp 0 retires; warp 1's third lane panics after its first three
         // lanes declared, so only warp 0's 32 accesses reach the sanitizer.
         let err = e.try_launch(96, |lane| {
@@ -1273,7 +1276,8 @@ mod tests {
     fn launch_buffers_keep_their_capacity() {
         let sanitizer = Arc::new(ShadowSanitizer::new());
         let m = Arc::new(Metrics::new());
-        let e = Executor::new(ExecMode::Deterministic, m).with_shadow(Arc::clone(&sanitizer));
+        let e =
+            Executor::new(ExecMode::ParallelDeterministic, m).with_shadow(Arc::clone(&sanitizer));
         let kernel = |lane: &mut crate::executor::LaneCtx<'_>| {
             lane.access(ShadowAddr::BitmapWord(0), AccessKind::Atomic);
         };

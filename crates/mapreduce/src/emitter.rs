@@ -149,7 +149,7 @@ mod tests {
         start: u32,
         f: impl Fn(&mut Emitter<'_, '_, '_>) + Sync,
     ) -> TaskResult {
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(table.metrics()));
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()));
         let result = parking_lot::Mutex::new(None);
         exec.launch(1, |lane| {
             let mut e = Emitter::new(table, lane, start);

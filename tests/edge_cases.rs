@@ -20,7 +20,7 @@ fn table(org: Organization, heap: u64) -> SepoTable {
 #[test]
 fn empty_driver_run_finishes_immediately() {
     let t = table(Organization::Combining(Combiner::Add), 64 * 1024);
-    let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
     let outcome = SepoDriver::new(&t, &e).run(0, |_| 0, |_, _, _| TaskResult::Done);
     assert_eq!(outcome.n_iterations(), 0);
     assert!(outcome.is_complete());
@@ -125,7 +125,7 @@ fn lookup_phase_with_no_queries_or_empty_table() {
     let mut ch = NoCharge;
     t.insert_combining(b"k", 1, &mut ch);
     t.finalize();
-    let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
     let out = t.lookup_phase(&e, &[]);
     assert_eq!(out.hits(), 0);
     assert!(out.results.is_empty());
@@ -144,7 +144,7 @@ fn datasets_with_single_record() {
     let mut ds = Dataset::new();
     ds.push_record(b"GET http://only.example.com/ 200 1\n");
     let metrics = Arc::new(Metrics::new());
-    let exec = Executor::new(ExecMode::Deterministic, Arc::clone(&metrics));
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
     let run = sepo_apps::pvc::run(&ds, &sepo_apps::AppConfig::new(1 << 20), &exec);
     assert_eq!(run.iterations(), 1);
     assert_eq!(run.table.collect_combining().len(), 1);
@@ -155,7 +155,7 @@ fn driver_handles_tasks_that_do_nothing() {
     // Malformed records (the apps' parse-failure path) complete without
     // inserting anything.
     let t = table(Organization::Combining(Combiner::Add), 64 * 1024);
-    let e = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
     let outcome = SepoDriver::new(&t, &e).run(100, |_| 8, |_, _, _| TaskResult::Done);
     assert_eq!(outcome.n_iterations(), 1);
     assert!(outcome.is_complete());

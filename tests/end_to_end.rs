@@ -34,8 +34,8 @@ fn every_app_is_exact_under_memory_pressure() {
         // Heap far below the table size: forces SEPO iterations for most
         // apps (a couple stay single-pass at this tiny dataset, which is
         // fine — exactness is what's asserted).
-        let pressured = run_mode(app, &ds, 24 * 1024, ExecMode::Deterministic);
-        let ample = run_mode(app, &ds, 32 << 20, ExecMode::Deterministic);
+        let pressured = run_mode(app, &ds, 24 * 1024, ExecMode::ParallelDeterministic);
+        let ample = run_mode(app, &ds, 32 << 20, ExecMode::ParallelDeterministic);
         assert_eq!(ample.iterations(), 1, "{}", app.name());
         assert_eq!(
             normalized(&pressured),
@@ -52,7 +52,7 @@ fn parallel_and_deterministic_modes_agree() {
     // must still be identical (the iteration counts may differ).
     for app in [App::PageViewCount, App::WordCount, App::PatentCitation] {
         let ds = app.generate(0, 32_768);
-        let det = run_mode(app, &ds, 48 * 1024, ExecMode::Deterministic);
+        let det = run_mode(app, &ds, 48 * 1024, ExecMode::ParallelDeterministic);
         let par = run_mode(app, &ds, 48 * 1024, ExecMode::Parallel { workers: 4 });
         assert_eq!(
             normalized(&det),
@@ -69,7 +69,7 @@ fn gpu_results_match_cpu_baseline_results() {
     // must agree with the pressured GPU run.
     for app in App::ALL {
         let ds = app.generate(0, 65_536);
-        let gpu = run_mode(app, &ds, 32 * 1024, ExecMode::Deterministic);
+        let gpu = run_mode(app, &ds, 32 * 1024, ExecMode::ParallelDeterministic);
         let cpu = sepo_baselines::run_cpu_app(app, &ds);
         assert_eq!(
             normalized(&gpu).len(),
@@ -84,7 +84,7 @@ fn gpu_results_match_cpu_baseline_results() {
 fn mapreduce_runtime_agrees_with_phoenix_baseline() {
     for app in App::MAPREDUCE {
         let ds = app.generate(0, 32_768);
-        let gpu = run_mode(app, &ds, 64 * 1024, ExecMode::Deterministic);
+        let gpu = run_mode(app, &ds, 64 * 1024, ExecMode::ParallelDeterministic);
         let phoenix = sepo_baselines::run_phoenix(app, &ds);
         assert_eq!(
             normalized(&gpu).len(),
@@ -102,7 +102,12 @@ fn pinned_variant_is_single_pass_and_routes_traffic_remotely() {
     assert_eq!(pinned.iterations, 1);
     assert!(pinned.snapshot.pcie_small_transactions > 0);
     // A device-heap run of the same workload has no small-PCIe traffic.
-    let device = run_mode(App::PageViewCount, &ds, 32 << 20, ExecMode::Deterministic);
+    let device = run_mode(
+        App::PageViewCount,
+        &ds,
+        32 << 20,
+        ExecMode::ParallelDeterministic,
+    );
     let _ = device;
 }
 
@@ -112,10 +117,10 @@ fn mapcg_fails_exactly_where_sepo_succeeds() {
     // the SEPO runtime iterates and finishes.
     let ds = App::GeoLocation.generate(0, 4_096);
     let heap = 16 * 1024;
-    let exec = Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()));
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
     let mapcg = sepo_baselines::run_mapcg(App::GeoLocation, &ds, heap, &exec);
     assert!(mapcg.is_err(), "MapCG must run out of memory");
-    let sepo = run_mode(App::GeoLocation, &ds, heap, ExecMode::Deterministic);
+    let sepo = run_mode(App::GeoLocation, &ds, heap, ExecMode::ParallelDeterministic);
     assert!(sepo.iterations() > 1);
     assert_eq!(
         normalized(&sepo),

@@ -33,7 +33,7 @@ fn every_app_passes_the_audit_under_memory_pressure() {
     // boundaries) for most apps; the audit panics on any violation.
     for app in App::ALL {
         let ds = app.generate(0, 32_768);
-        let run = audited_run(app, &ds, 24 * 1024, ExecMode::Deterministic);
+        let run = audited_run(app, &ds, 24 * 1024, ExecMode::ParallelDeterministic);
         assert!(run.outcome.is_complete(), "{}", app.name());
     }
 }
@@ -119,12 +119,17 @@ fn injected_faults_never_change_the_results() {
     // agree on the final table exactly — faults cost iterations, not
     // correctness.
     let ds = App::WordCount.generate(0, 32_768);
-    let clean = audited_run(App::WordCount, &ds, 24 * 1024, ExecMode::Deterministic);
+    let clean = audited_run(
+        App::WordCount,
+        &ds,
+        24 * 1024,
+        ExecMode::ParallelDeterministic,
+    );
     let plan = Arc::new(FaultPlan::new(FaultConfig {
         seed: 99,
         lane_abort_rate: 0.2,
     }));
-    let exec = Executor::new(ExecMode::Deterministic, Arc::new(Metrics::new()))
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
         .with_faults(Arc::clone(&plan));
     let faulted = run_app(
         App::WordCount,

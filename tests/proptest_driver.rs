@@ -76,7 +76,7 @@ proptest! {
         let got = run_with(
             &records, 3, chunk, 0.5,
             Organization::Combining(Combiner::Add),
-            ExecMode::Deterministic,
+            ExecMode::ParallelDeterministic,
         );
         prop_assert_eq!(got, model(&records));
     }
@@ -91,7 +91,7 @@ proptest! {
         let det = run_with(
             &records, 3, 64, 0.5,
             Organization::Combining(Combiner::Add),
-            ExecMode::Deterministic,
+            ExecMode::ParallelDeterministic,
         );
         let par = run_with(
             &records, 3, 64, 0.5,
@@ -117,7 +117,7 @@ proptest! {
                 .with_page_size(1024)
                 .with_halt_threshold(thr);
             let table = SepoTable::new(cfg, 3 * 1024, Arc::new(Metrics::new()));
-            let exec = Executor::new(ExecMode::Deterministic, Arc::clone(table.metrics()));
+            let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()));
             SepoDriver::new(&table, &exec)
                 .with_config(DriverConfig { chunk_tasks: chunk, audit: true, ..DriverConfig::default() })
                 .run(

@@ -90,7 +90,7 @@ proptest! {
             seed,
             lane_abort_rate: abort_rate,
         }));
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(table.metrics()))
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()))
             .with_faults(Arc::clone(&plan));
         let result = SepoDriver::new(&table, &exec)
             .with_config(DriverConfig {

@@ -339,7 +339,7 @@ proptest! {
     /// values and first-eviction order — with one entry per key and no
     /// byte beyond the entries. Through the driver, multi-pair tasks give
     /// the model's values, and the compacted image is the same under
-    /// `Deterministic` and `Parallel { workers: 2 }`, block combiner off
+    /// `ParallelDeterministic` and `Parallel { workers: 2 }`, block combiner off
     /// and on.
     #[test]
     fn compaction_equals_the_collector_fold(script in ops()) {
@@ -368,7 +368,7 @@ proptest! {
 
                 let mut images = Vec::new();
                 for combiner in [false, true] {
-                    for mode in [ExecMode::Deterministic, ExecMode::Parallel { workers: 2 }] {
+                    for mode in [ExecMode::ParallelDeterministic, ExecMode::Parallel { workers: 2 }] {
                         let (image, pairs) = drive(comb, pages, combiner, mode, &tasks);
                         prop_assert_eq!(pairs.len(), model.len(), "one entry per key");
                         let pairs: HashMap<Vec<u8>, u64> = pairs.into_iter().collect();

@@ -23,7 +23,7 @@ fn table(org: Organization, pages: usize) -> SepoTable {
 }
 
 fn drive_combining(t: &SepoTable, records: &[Vec<u8>]) -> sepo_core::SepoOutcome {
-    let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
     SepoDriver::new(t, &exec).run(
         records.len(),
         |i| records[i].len() as u64,
@@ -107,7 +107,7 @@ fn eviction_accounting_balances() {
     let keys: Vec<Vec<u8>> = (0..150)
         .map(|i| format!("key-{i:05}").into_bytes())
         .collect();
-    let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+    let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
     let outcome = SepoDriver::new(&t, &exec)
         .with_config(DriverConfig {
             audit: true,
@@ -182,7 +182,7 @@ proptest! {
                 (format!("key-{k:02}").into_bytes(), format!("value-{i:05}").into_bytes())
             })
             .collect();
-        let exec = Executor::new(ExecMode::Deterministic, Arc::clone(t.metrics()));
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
         SepoDriver::new(&t, &exec).run(
             records.len(),
             |_| 16,

@@ -28,7 +28,7 @@ fn full_table1_matrix_parallel() {
                 app,
                 &ds,
                 &AppConfig::new(64 << 20),
-                &Executor::new(ExecMode::Deterministic, m2),
+                &Executor::new(ExecMode::ParallelDeterministic, m2),
             );
             let a: HashMap<_, _> = par
                 .table
