@@ -8,7 +8,6 @@
 //! | [`pinned`] | Hash table with its heap pinned in CPU memory, accessed remotely per entry | Fig. 7 |
 //! | [`paging`] | LRU demand-paging replay of PVC's recorded access trace | Table III |
 //! | [`stadium`] | Stadium-hashing-like table: device fingerprint board over a pinned-CPU slot store (no duplicate handling, fixed slots) | §VII related-work comparison |
-//! | [`megakv`] | Mega-KV-like store: compact device index over CPU-resident data, batched ops | §VII related-work comparison |
 //!
 //! Each baseline *executes* its computation for real and returns the event
 //! counts ([`gpu_sim::Snapshot`] + [`gpu_sim::ContentionHistogram`]) that
@@ -16,7 +15,6 @@
 
 pub mod cpu;
 pub mod mapcg;
-pub mod megakv;
 pub mod paging;
 pub mod phoenix;
 pub mod pinned;
@@ -24,7 +22,6 @@ pub mod stadium;
 
 pub use cpu::{ample_heap, run_cpu_app, BaselineRun};
 pub use mapcg::{run_mapcg, MapCgRun, OutOfMemory};
-pub use megakv::{IndexFull, MegaKvStore};
 pub use paging::{paging_lower_bounds, record_pvc_trace, PagingRow};
 pub use phoenix::{run_phoenix, PhoenixRun};
 pub use pinned::{run_pinned, PinnedRun};

@@ -25,8 +25,8 @@ pub struct Flags {
     /// sanitizer, panicking on publish-discipline violations. Results are
     /// byte-identical either way.
     pub sanitize: bool,
-    /// Persist an iteration-boundary checkpoint to this path (`SEPOCKP3`;
-    /// one `SEPOCKS3` file with `--shards N`), enabling hard-fault recovery.
+    /// Persist an iteration-boundary checkpoint to this path (one
+    /// `SEPOCKS3` file, a section per shard), enabling hard-fault recovery.
     pub checkpoint: Option<String>,
     /// Seed for hard-fault chaos injection (device loss, poisoned
     /// launches). Turns on in-memory checkpointing so the run survives.

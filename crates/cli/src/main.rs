@@ -27,10 +27,9 @@
 //!                                        violation; results identical either
 //!                                        way)
 //!   --checkpoint <path>                  persist an iteration-boundary
-//!                                        checkpoint to <path> (SEPOCKP3; with
-//!                                        --shards N one SEPOCKS3 file, a
-//!                                        section per shard), enabling
-//!                                        hard-fault recovery
+//!                                        checkpoint to <path> (one SEPOCKS3
+//!                                        file, a section per shard),
+//!                                        enabling hard-fault recovery
 //!   --chaos-seed <seed>                  inject hard device faults (device
 //!                                        loss, poisoned launches) at the
 //!                                        standard rates; runs recover from
@@ -81,8 +80,8 @@ use sepo_bench::report::{fmt_bytes, fmt_speedup};
 use sepo_bench::{cpu_total_time, device_heap, gpu_total_time, sharded_total_time};
 use sepo_cli::{app_by_slug, parse_flags, slug, Flags};
 use sepo_core::{
-    CheckpointPolicy, Combiner, CompactReport, EpochPublisher, EpochSnapshot, Organization,
-    QueryError, SepoTable, ShardedCheckpointFile, ShardedSnapshot,
+    CheckpointFile, CheckpointPolicy, Combiner, CompactReport, EpochPublisher, EpochSnapshot,
+    Organization, QueryError, SepoTable, ShardedSnapshot,
 };
 use sepo_datagen::App;
 use std::collections::HashMap;
@@ -318,9 +317,10 @@ fn shard_executor(f: &Flags, mode: ExecMode, i: u32) -> Executor {
     exec
 }
 
-/// One device's `AppConfig` from the flags. `disk` is its `--checkpoint`
-/// policy; without one, `--chaos-seed` and `--corrupt` still need somewhere
-/// to recover from, so they keep a checkpoint in memory.
+/// One device's `AppConfig` from the flags. `disk` writes this device's
+/// section of the `--checkpoint` file; without one, `--chaos-seed` and
+/// `--corrupt` still need somewhere to recover from, so they keep a
+/// checkpoint in memory.
 fn shard_config(
     f: &Flags,
     heap: u64,
@@ -403,16 +403,13 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     if f.sanitize {
         println!("shadow-memory sanitizer: on");
     }
-    // --checkpoint persists boundary checkpoints: one SEPOCKP3 image for a
-    // single device, one SEPOCKS3 file with a section per shard otherwise.
-    let shared_ckp = f.checkpoint.as_ref().filter(|_| n > 1).map(|path| {
-        println!("checkpoint: sharded SEPOCKS3 file at {path} ({n} sections)");
-        Arc::new(ShardedCheckpointFile::new(path.into(), n))
+    // --checkpoint persists boundary checkpoints: one SEPOCKS3 file with a
+    // section per shard.
+    let ckp_file = f.checkpoint.as_ref().map(|path| {
+        let sections = if n == 1 { "section" } else { "sections" };
+        println!("checkpoint: SEPOCKS3 file at {path} ({n} {sections})");
+        Arc::new(CheckpointFile::new(path.into(), n))
     });
-    let disk = |i: u32| match &shared_ckp {
-        Some(file) => Some(CheckpointPolicy::SharedDisk(Arc::clone(file), i)),
-        None => Some(CheckpointPolicy::Disk(f.checkpoint.as_ref()?.into())),
-    };
     // --serve: epoch-snapshot serving under the live run. Every boundary's
     // snapshot is handed to a hook that answers a Zipf-skewed query batch
     // through a *separate* serving executor per shard (own metrics, own
@@ -453,7 +450,10 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     let cfgs: Vec<AppConfig> = (0..n)
         .map(|i| {
             let serving = serving.as_ref().map(|(_, shards)| &shards[i as usize]);
-            shard_config(f, heap, disk(i), serving)
+            let disk = ckp_file
+                .as_ref()
+                .map(|file| CheckpointPolicy::Disk(Arc::clone(file), i));
+            shard_config(f, heap, disk, serving)
         })
         .collect();
     let sharded = run_app_sharded(app, &ds, &cfgs, &execs);

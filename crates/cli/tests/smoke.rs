@@ -5,7 +5,9 @@
 //! round-trip through `sepo query` on a single table and be rejected for a
 //! sharded run, and the `host compaction:` line must appear on a
 //! multi-iteration run that folded partial aggregates and not on a
-//! one-iteration run. These are the CLI's only smoke checks of those paths.
+//! one-iteration run, and `--checkpoint` must leave a file with one
+//! readable section per shard. These are the CLI's only smoke checks of
+//! those paths.
 
 use std::process::{Command, Output};
 
@@ -129,4 +131,29 @@ fn host_compaction_is_reported_exactly_when_it_ran() {
     let wordcount = run_wordcount("1", &[]);
     assert_eq!(iterations(&wordcount), 1, "{wordcount}");
     assert!(!wordcount.contains("host compaction"), "{wordcount}");
+}
+
+#[test]
+fn checkpoint_writes_one_section_per_shard() {
+    for (shards, n) in [("1", 1), ("4", 4)] {
+        let path =
+            std::env::temp_dir().join(format!("sepo-smoke-{}-{shards}.ckp", std::process::id()));
+        let file = path.to_str().expect("utf-8 temp path");
+        let args = [
+            "--chaos-seed",
+            "142",
+            "--heap",
+            "98304",
+            "--checkpoint",
+            file,
+        ];
+        let report = run_wordcount(shards, &args);
+        let sections = sepo_core::CheckpointFile::read(&path);
+        std::fs::remove_file(&path).expect("the checkpoint file exists");
+        let sections = sections.expect("read the checkpoint file back");
+        assert_eq!(sections.len(), n, "{report}");
+        assert!(sections.iter().all(Option::is_some), "{report}");
+        assert!(count(&report, "checkpoints: ", " taken") >= 1, "{report}");
+        assert!(count(&report, "), ", " recoveries") >= 1, "{report}");
+    }
 }

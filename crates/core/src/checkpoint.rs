@@ -19,7 +19,23 @@
 //! part of a checkpoint — restoring them would make a seeded
 //! `DeviceLost` re-fire at the same draw and kill the run forever.
 //!
-//! On-disk format (`SEPOCKP3`, little-endian):
+//! On disk a checkpoint is one `SEPOCKS3` file ([`CheckpointFile`])
+//! holding one `SEPOCKP3` section per shard; a one-device run writes a
+//! one-section file. Each shard's driver replaces its own section at every
+//! boundary, and resume reads every section back with
+//! [`CheckpointFile::read`]. A section of length 0 belongs to a shard that
+//! has not checkpointed yet.
+//!
+//! File layout (`SEPOCKS3`, little-endian):
+//!
+//! ```text
+//! magic        8 bytes  "SEPOCKS3"
+//! shard count  u32
+//! sections     per shard: len u32, len bytes of SEPOCKP3 section
+//! trailer      u32      CRC32C of every preceding byte
+//! ```
+//!
+//! Section layout (`SEPOCKP3`, little-endian):
 //!
 //! ```text
 //! magic        8 bytes  "SEPOCKP3"
@@ -49,30 +65,13 @@
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
-//! The trailer is verified against the whole image *before* any
+//! Both trailers are verified against their whole image *before* any
 //! structural parsing, so any single flipped bit anywhere in a checkpoint
-//! file is rejected with a checksum error naming the section, never a
-//! panic or a silently different boundary. Disk writes go through a
-//! write/read-back/verify loop ([`Checkpoint::write_to_path_with`]) that
-//! rewrites the file when a seeded disk byte flip damaged it in flight,
-//! giving up with a checksum error after a bounded number of rewrites.
-//!
-//! Sharded runs write one file for all shards (`SEPOCKS3`): a global
-//! header naming the shard count, then one length-prefixed standard
-//! `SEPOCKP3` section per shard (length 0 = that shard has not
-//! checkpointed yet), then a whole-container CRC32C trailer. Each
-//! shard's driver updates its own section through a shared
-//! [`ShardedCheckpointFile`]; resume reads every section back with
-//! [`read_sharded_from_path`] and restores every shard. Every section is
-//! a complete `SEPOCKP3` image, so shard payloads are covered by their
-//! own trailers *and* the container trailer.
-//!
-//! ```text
-//! magic        8 bytes  "SEPOCKS3"
-//! shard count  u32
-//! sections     per shard: len u32, len bytes of SEPOCKP3 image
-//! trailer      u32      CRC32C of every preceding byte
-//! ```
+//! file is rejected with a checksum error naming the format, never a
+//! panic or a silently different boundary. Every write goes through a
+//! write/read-back/verify loop ([`CheckpointFile::update`]) that rewrites
+//! the file when a seeded disk byte flip damaged it in flight, giving up
+//! with a checksum error after [`MAX_CHECKPOINT_REWRITES`] rewrites.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -93,8 +92,8 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEPOCKP3";
 const MAGIC_NAME: &str = "SEPOCKP3";
-const SHARDED_MAGIC: &[u8; 8] = b"SEPOCKS3";
-const SHARDED_MAGIC_NAME: &str = "SEPOCKS3";
+const FILE_MAGIC: &[u8; 8] = b"SEPOCKS3";
+const FILE_MAGIC_NAME: &str = "SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
 // part of the format: adding, removing or reordering a counter must bump
 // both magics.
@@ -110,12 +109,7 @@ pub const MAX_CHECKPOINT_REWRITES: u32 = 8;
 /// seeded disk byte flip from `plan` damaged the bytes in flight.
 /// Returns the number of rewrites a caller can fold into its recovery
 /// accounting.
-fn write_image_verified(
-    path: &Path,
-    image: &[u8],
-    plan: Option<&FaultPlan>,
-    section: &str,
-) -> io::Result<u32> {
+fn write_image_verified(path: &Path, image: &[u8], plan: Option<&FaultPlan>) -> io::Result<u32> {
     let mut rewrites = 0u32;
     loop {
         match plan.and_then(|p| p.draw_corruption(CorruptionKind::DiskByteFlip)) {
@@ -129,14 +123,14 @@ fn write_image_verified(
             None => std::fs::write(path, image)?,
         }
         let back = std::fs::read(path)?;
-        match verify_trailer(&back, section) {
+        match verify_trailer(&back, FILE_MAGIC_NAME) {
             Ok(_) => return Ok(rewrites),
             Err(err) => {
                 if rewrites >= MAX_CHECKPOINT_REWRITES {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!(
-                            "{section} write failed verification after \
+                            "{FILE_MAGIC_NAME} write failed verification after \
                              {MAX_CHECKPOINT_REWRITES} rewrites: {err}"
                         ),
                     ));
@@ -156,31 +150,11 @@ pub enum CheckpointPolicy {
     /// Keep the latest checkpoint in memory (host pages are shared `Arc`s,
     /// so the marginal cost is the resident device bytes).
     Memory,
-    /// Keep the latest checkpoint in memory *and* persist it to this path
-    /// as a `SEPOCKP3` image after every boundary, so a separate process
-    /// can resume after the original one dies.
-    Disk(PathBuf),
-    /// Sharded-run variant of `Disk`: keep the latest checkpoint in memory
-    /// and write it through to this shard's section of a shared
-    /// `SEPOCKS3` container, so one file resumes every shard.
-    SharedDisk(Arc<ShardedCheckpointFile>, u32),
+    /// Keep the latest checkpoint in memory *and* write it through to
+    /// this shard's section of a [`CheckpointFile`] after every boundary,
+    /// so a separate process can resume after the original one dies.
+    Disk(Arc<CheckpointFile>, u32),
 }
-
-impl PartialEq for CheckpointPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (CheckpointPolicy::Off, CheckpointPolicy::Off) => true,
-            (CheckpointPolicy::Memory, CheckpointPolicy::Memory) => true,
-            (CheckpointPolicy::Disk(a), CheckpointPolicy::Disk(b)) => a == b,
-            (CheckpointPolicy::SharedDisk(fa, sa), CheckpointPolicy::SharedDisk(fb, sb)) => {
-                Arc::ptr_eq(fa, fb) && sa == sb
-            }
-            _ => false,
-        }
-    }
-}
-
-impl Eq for CheckpointPolicy {}
 
 impl CheckpointPolicy {
     /// Is checkpointing enabled at all?
@@ -189,59 +163,43 @@ impl CheckpointPolicy {
     }
 }
 
-/// The shared writer behind [`CheckpointPolicy::SharedDisk`]: one
-/// `SEPOCKS3` file holding every shard's latest boundary checkpoint.
+/// The writer behind [`CheckpointPolicy::Disk`]: one `SEPOCKS3` file
+/// holding every shard's latest boundary checkpoint as a `SEPOCKP3`
+/// section (one section for a one-device run).
 ///
 /// Shard drivers run concurrently, so updates serialize behind a mutex;
-/// each update replaces one shard's section and rewrites the file whole
-/// (checkpoints already rewrite their file whole in the unsharded `Disk`
-/// policy — this only batches N of them into one artifact).
-pub struct ShardedCheckpointFile {
+/// each update replaces one shard's section and rewrites the file whole.
+pub struct CheckpointFile {
     path: PathBuf,
     sections: parking_lot::Mutex<Vec<Vec<u8>>>,
 }
 
-impl std::fmt::Debug for ShardedCheckpointFile {
+impl std::fmt::Debug for CheckpointFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCheckpointFile")
+        f.debug_struct("CheckpointFile")
             .field("path", &self.path)
             .field("shards", &self.sections.lock().len())
             .finish()
     }
 }
 
-impl ShardedCheckpointFile {
-    /// A container for `shard_count` shards at `path`. Sections start
-    /// empty ("not yet checkpointed"); the file is not written until the
-    /// first [`ShardedCheckpointFile::update`].
-    pub fn new(path: PathBuf, shard_count: u32) -> ShardedCheckpointFile {
-        assert!(shard_count >= 1, "a sharded checkpoint needs shards");
-        ShardedCheckpointFile {
+impl CheckpointFile {
+    /// A file for `shard_count` shards at `path`. Sections start empty
+    /// ("not yet checkpointed"); the file is not written until the first
+    /// [`CheckpointFile::update`].
+    pub fn new(path: PathBuf, shard_count: u32) -> CheckpointFile {
+        assert!(shard_count >= 1, "a checkpoint file needs shards");
+        CheckpointFile {
             path,
             sections: parking_lot::Mutex::new(vec![Vec::new(); shard_count as usize]),
         }
     }
 
-    /// The file this container persists to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of shard sections.
-    pub fn shard_count(&self) -> usize {
-        self.sections.lock().len()
-    }
-
-    /// Replace `shard`'s section with `ckp` and rewrite the file.
-    pub fn update(&self, shard: u32, ckp: &Checkpoint) -> io::Result<()> {
-        self.update_with(shard, ckp, None).map(|_| ())
-    }
-
-    /// [`ShardedCheckpointFile::update`] with seeded disk-corruption
-    /// injection: the rewritten container is read back and its checksum
-    /// trailer verified, rewriting when `plan` flipped a byte in flight.
-    /// Returns the number of rewrites.
-    pub fn update_with(
+    /// Replace `shard`'s section with `ckp` and rewrite the file. The
+    /// rewritten file is read back and its checksum trailer verified,
+    /// rewriting when `plan` flipped a byte in flight. Returns the number
+    /// of rewrites.
+    pub fn update(
         &self,
         shard: u32,
         ckp: &Checkpoint,
@@ -249,9 +207,9 @@ impl ShardedCheckpointFile {
     ) -> io::Result<u32> {
         let buf = ckp.image()?;
         // Hold the sections lock across the file write *and* its read-back
-        // verification: concurrent shards updating the same container must
-        // not interleave, or a shard reads back its neighbor's in-flight
-        // write (torn, or damaged by the neighbor's injected flip) and the
+        // verification: concurrent shards updating the same file must not
+        // interleave, or a shard reads back its neighbor's in-flight write
+        // (torn, or damaged by the neighbor's injected flip) and the
         // rewrite accounting no longer matches the injections one-to-one.
         let mut sections = self.sections.lock();
         let n = sections.len();
@@ -263,46 +221,45 @@ impl ShardedCheckpointFile {
         })?;
         *slot = buf;
         let mut image = Vec::new();
-        image.extend_from_slice(SHARDED_MAGIC);
+        image.extend_from_slice(FILE_MAGIC);
         image.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         for s in sections.iter() {
             image.extend_from_slice(&(s.len() as u32).to_le_bytes());
             image.extend_from_slice(s);
         }
         append_trailer(&mut image);
-        write_image_verified(&self.path, &image, plan, SHARDED_MAGIC_NAME)
+        write_image_verified(&self.path, &image, plan)
     }
-}
 
-/// Load a `SEPOCKS3` container: one entry per shard, `None` for a shard
-/// that had not checkpointed when the file was last written. The
-/// container's checksum trailer is verified against the whole file
-/// before any section is parsed.
-pub fn read_sharded_from_path(path: &Path) -> io::Result<Vec<Option<Checkpoint>>> {
-    let image = std::fs::read(path)?;
-    let body = verify_trailer(&image, SHARDED_MAGIC_NAME)?;
-    let mut body_reader = body;
-    let r = &mut body_reader;
-    let magic: [u8; 8] = read_array(r, "magic", SHARDED_MAGIC_NAME)?;
-    if &magic != SHARDED_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a SEPOCKS3 container",
-        ));
-    }
-    let n_shards = read_u32(r, "shard count")? as usize;
-    let mut out = Vec::with_capacity(n_shards.min(1 << 16));
-    for _ in 0..n_shards {
-        let len = read_u32(r, "shard section length")? as usize;
-        if len == 0 {
-            out.push(None);
-            continue;
+    /// Load a `SEPOCKS3` file: one entry per shard, `None` for a shard
+    /// that had not checkpointed when the file was last written. The
+    /// file's checksum trailer is verified against the whole file before
+    /// any section is parsed.
+    pub fn read(path: &Path) -> io::Result<Vec<Option<Checkpoint>>> {
+        let image = std::fs::read(path)?;
+        let body = verify_trailer(&image, FILE_MAGIC_NAME)?;
+        let r = &mut &*body;
+        let magic: [u8; 8] = read_array(r, "magic", FILE_MAGIC_NAME)?;
+        if &magic != FILE_MAGIC {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "not a SEPOCKS3 file",
+            ));
         }
-        let mut section = vec![0u8; len];
-        read_exact_field(r, &mut section, "shard section", SHARDED_MAGIC_NAME)?;
-        out.push(Some(Checkpoint::from_reader(&mut section.as_slice())?));
+        let n_shards = read_u32(r, "shard count")? as usize;
+        let mut out = Vec::with_capacity(n_shards.min(1 << 16));
+        for _ in 0..n_shards {
+            let len = read_u32(r, "shard section length")? as usize;
+            if len == 0 {
+                out.push(None);
+                continue;
+            }
+            let mut section = vec![0u8; len];
+            read_exact_field(r, &mut section, "shard section", FILE_MAGIC_NAME)?;
+            out.push(Some(Checkpoint::from_section(&section)?));
+        }
+        Ok(out)
     }
-    Ok(out)
 }
 
 /// Everything needed to resume a SEPO run from an iteration boundary.
@@ -412,10 +369,10 @@ impl Checkpoint {
         self.n_tasks
     }
 
-    /// Exact size in bytes of the `SEPOCKP3` image [`Checkpoint::to_writer`]
-    /// produces — the checkpoint footprint the chaos benchmark reports.
-    /// Sized by the code that writes the image, into a sink that only
-    /// counts (no page byte is read).
+    /// Exact size in bytes of this checkpoint's `SEPOCKP3` section — the
+    /// footprint [`crate::RecoveryStats::checkpoint_bytes`] reports. Sized
+    /// by the code that writes the image, into a sink that only counts (no
+    /// page byte is read).
     pub fn encoded_size(&self) -> u64 {
         let mut count = ByteCount(0);
         // Counting cannot fail.
@@ -430,11 +387,6 @@ impl Checkpoint {
         self.write_body(&mut image)?;
         append_trailer(&mut image);
         Ok(image)
-    }
-
-    /// Serialize as a `SEPOCKP3` image.
-    pub fn to_writer<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(&self.image()?)
     }
 
     fn write_body<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -497,14 +449,12 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Deserialize a `SEPOCKP3` image. The whole-image checksum trailer
+    /// Decode a `SEPOCKP3` section. The whole-image checksum trailer
     /// is verified first, so any flipped bit anywhere is rejected with a
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
-    pub fn from_reader<R: Read>(r: &mut R) -> io::Result<Checkpoint> {
-        let mut image = Vec::new();
-        r.read_to_end(&mut image)?;
-        let body = verify_trailer(&image, MAGIC_NAME)?;
+    fn from_section(image: &[u8]) -> io::Result<Checkpoint> {
+        let body = verify_trailer(image, MAGIC_NAME)?;
         Checkpoint::parse_body(&mut &*body)
     }
 
@@ -621,25 +571,6 @@ impl Checkpoint {
             },
             host_pages,
         })
-    }
-
-    /// Persist as a `SEPOCKP3` file (the `--checkpoint <path>` flag).
-    pub fn write_to_path(&self, path: &Path) -> io::Result<()> {
-        self.write_to_path_with(path, None).map(|_| ())
-    }
-
-    /// [`Checkpoint::write_to_path`] with seeded disk-corruption
-    /// injection: the written file is read back and its checksum trailer
-    /// verified, rewriting (bounded) when `plan` flipped a byte of it in
-    /// flight. Returns the number of rewrites.
-    pub fn write_to_path_with(&self, path: &Path, plan: Option<&FaultPlan>) -> io::Result<u32> {
-        write_image_verified(path, &self.image()?, plan, MAGIC_NAME)
-    }
-
-    /// Load a `SEPOCKP3` file.
-    pub fn read_from_path(path: &Path) -> io::Result<Checkpoint> {
-        let image = std::fs::read(path)?;
-        Checkpoint::from_reader(&mut image.as_slice())
     }
 }
 
@@ -850,10 +781,9 @@ mod tests {
     fn sepockp3_round_trips_and_sizes_exactly() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        let mut buf = Vec::new();
-        ckp.to_writer(&mut buf).unwrap();
+        let buf = ckp.image().unwrap();
         assert_eq!(buf.len() as u64, ckp.encoded_size());
-        let back = Checkpoint::from_reader(&mut buf.as_slice()).unwrap();
+        let back = Checkpoint::from_section(&buf).unwrap();
         assert_eq!(back, ckp);
     }
 
@@ -872,14 +802,13 @@ mod tests {
         let progress: Vec<Relaxed<u32>> = (0..4).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[], 0, Some(&plan));
         assert!(plan.total_injected() > 0, "the section must carry hits");
-        let mut buf = Vec::new();
-        ckp.to_writer(&mut buf).unwrap();
+        let buf = ckp.image().unwrap();
         assert_eq!(buf.len() as u64, ckp.encoded_size());
         // The transient section is the flag byte plus the lane stream's two
         // counters; without a plan it is the flag byte alone.
         let planless = Checkpoint::capture(&t, &done, &progress, &[], 0, None);
         assert_eq!(ckp.encoded_size() - planless.encoded_size(), 16);
-        let back = Checkpoint::from_reader(&mut buf.as_slice()).unwrap();
+        let back = Checkpoint::from_section(&buf).unwrap();
         assert_eq!(back, ckp);
         // Restoring rolls the plan's transient counters back.
         for _ in 0..5 {
@@ -897,23 +826,30 @@ mod tests {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let path = std::env::temp_dir().join(format!("sepo-ckp-test-{}.bin", std::process::id()));
-        ckp.write_to_path(&path).unwrap();
-        let back = Checkpoint::read_from_path(&path).unwrap();
+        let file = CheckpointFile::new(path.clone(), 1);
+        assert_eq!(file.update(0, &ckp, None).unwrap(), 0);
+        let back = CheckpointFile::read(&path).unwrap();
+        // A one-device file is the section wrapped in the file header
+        // (magic, count 1, length) and the file trailer.
+        let section = ckp.image().unwrap();
+        assert_eq!(
+            std::fs::read(&path).unwrap().len(),
+            8 + 4 + 4 + section.len() + 4
+        );
         let _ = std::fs::remove_file(&path);
-        assert_eq!(back, ckp);
+        assert_eq!(back, vec![Some(ckp)]);
     }
 
     #[test]
-    fn sharded_container_round_trips_with_empty_sections() {
+    fn file_round_trips_with_empty_sections() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let path = std::env::temp_dir().join(format!("sepo-cks-test-{}.bin", std::process::id()));
-        let file = ShardedCheckpointFile::new(path.clone(), 4);
-        assert_eq!(file.shard_count(), 4);
+        let file = CheckpointFile::new(path.clone(), 4);
         // Shards 1 and 3 checkpoint; 0 and 2 have not yet.
-        file.update(1, &ckp).unwrap();
-        file.update(3, &ckp).unwrap();
-        let back = read_sharded_from_path(&path).unwrap();
+        file.update(1, &ckp, None).unwrap();
+        file.update(3, &ckp, None).unwrap();
+        let back = CheckpointFile::read(&path).unwrap();
         assert_eq!(back.len(), 4);
         assert!(back[0].is_none() && back[2].is_none());
         assert_eq!(back[1].as_ref().unwrap(), &ckp);
@@ -922,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_update_replaces_only_its_own_section() {
+    fn update_replaces_only_its_own_section() {
         let t = small_table();
         let (ckp, done, progress) = mid_run_checkpoint(&t);
         let later = Checkpoint::capture(
@@ -935,72 +871,56 @@ mod tests {
         );
         assert_ne!(later, ckp);
         let path = std::env::temp_dir().join(format!("sepo-cks-upd-{}.bin", std::process::id()));
-        let file = ShardedCheckpointFile::new(path.clone(), 2);
-        file.update(0, &ckp).unwrap();
-        file.update(1, &ckp).unwrap();
-        file.update(0, &later).unwrap();
-        let back = read_sharded_from_path(&path).unwrap();
+        let file = CheckpointFile::new(path.clone(), 2);
+        file.update(0, &ckp, None).unwrap();
+        file.update(1, &ckp, None).unwrap();
+        file.update(0, &later, None).unwrap();
+        let back = CheckpointFile::read(&path).unwrap();
         assert_eq!(back[0].as_ref().unwrap(), &later, "shard 0 advanced");
         assert_eq!(back[1].as_ref().unwrap(), &ckp, "shard 1 untouched");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn sharded_update_rejects_an_out_of_range_shard() {
+    fn update_rejects_an_out_of_range_shard() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let path = std::env::temp_dir().join(format!("sepo-cks-oob-{}.bin", std::process::id()));
-        let file = ShardedCheckpointFile::new(path.clone(), 2);
-        let err = file.update(2, &ckp).unwrap_err();
+        let file = CheckpointFile::new(path.clone(), 2);
+        let err = file.update(2, &ckp, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn sharded_container_rejects_garbage_and_truncation() {
+    fn file_rejects_garbage_and_truncation() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let path = std::env::temp_dir().join(format!("sepo-cks-bad-{}.bin", std::process::id()));
-        let file = ShardedCheckpointFile::new(path.clone(), 2);
-        file.update(0, &ckp).unwrap();
+        let file = CheckpointFile::new(path.clone(), 2);
+        file.update(0, &ckp, None).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // A plain SEPOCKP3 image is not a container (its own trailer is
-        // valid, so this exercises the magic check, not the checksum).
-        let mut plain = Vec::new();
-        ckp.to_writer(&mut plain).unwrap();
-        std::fs::write(&path, &plain).unwrap();
-        let err = read_sharded_from_path(&path).unwrap_err();
-        assert!(err.to_string().contains("not a SEPOCKS3 container"));
-        // Truncating the container anywhere is a clean InvalidData error.
+        // A bare SEPOCKP3 section is not a checkpoint file (its own trailer
+        // is valid, so this exercises the magic check, not the checksum).
+        std::fs::write(&path, ckp.image().unwrap()).unwrap();
+        let err = CheckpointFile::read(&path).unwrap_err();
+        assert!(err.to_string().contains("not a SEPOCKS3 file"));
+        // Truncating the file anywhere is a clean InvalidData error.
         for len in [0, 4, 11, full.len() / 2, full.len() - 1] {
             std::fs::write(&path, &full[..len]).unwrap();
-            let err = read_sharded_from_path(&path).unwrap_err();
+            let err = CheckpointFile::read(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
         }
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn shared_disk_policy_equality_is_by_file_identity() {
-        let path = std::env::temp_dir().join(format!("sepo-cks-eq-{}.bin", std::process::id()));
-        let a = Arc::new(ShardedCheckpointFile::new(path.clone(), 2));
-        let b = Arc::new(ShardedCheckpointFile::new(path, 2));
-        let pa0 = CheckpointPolicy::SharedDisk(Arc::clone(&a), 0);
-        assert_eq!(pa0, CheckpointPolicy::SharedDisk(Arc::clone(&a), 0));
-        assert_ne!(pa0, CheckpointPolicy::SharedDisk(Arc::clone(&a), 1));
-        assert_ne!(pa0, CheckpointPolicy::SharedDisk(b, 0));
-        assert_ne!(pa0, CheckpointPolicy::Off);
-        assert!(pa0.is_enabled());
-    }
-
-    #[test]
     fn truncation_at_every_byte_is_rejected_with_the_field_name() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        let mut buf = Vec::new();
-        ckp.to_writer(&mut buf).unwrap();
+        let buf = ckp.image().unwrap();
         for len in 0..buf.len() {
-            let err = Checkpoint::from_reader(&mut &buf[..len]).unwrap_err();
+            let err = Checkpoint::from_section(&buf[..len]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
@@ -1019,7 +939,7 @@ mod tests {
         previous[..8].copy_from_slice(b"SEPOCKP2");
         append_trailer(&mut previous);
         for image in [garbage, previous] {
-            let err = Checkpoint::from_reader(&mut image.as_slice()).unwrap_err();
+            let err = Checkpoint::from_section(&image).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains("not a SEPOCKP3 image"));
         }
@@ -1032,12 +952,11 @@ mod tests {
         let done = Bitmap::new(40);
         let progress: Vec<Relaxed<u32>> = (0..40).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[fake_iteration(1)], 0, None);
-        let mut buf = Vec::new();
-        ckp.to_writer(&mut buf).unwrap();
+        let buf = ckp.image().unwrap();
         for at in 0..buf.len() {
             let mut damaged = buf.clone();
             damaged[at] ^= 1 << (at % 8);
-            let err = Checkpoint::from_reader(&mut damaged.as_slice()).unwrap_err();
+            let err = Checkpoint::from_section(&damaged).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
@@ -1049,22 +968,22 @@ mod tests {
     }
 
     #[test]
-    fn container_bit_flips_are_rejected_with_checksum_error() {
+    fn file_bit_flips_are_rejected_with_checksum_error() {
         let t = small_table();
         fill(&t, 0..40);
         let done = Bitmap::new(40);
         let progress: Vec<Relaxed<u32>> = (0..40).map(|_| Relaxed::new(0)).collect();
         let ckp = Checkpoint::capture(&t, &done, &progress, &[fake_iteration(1)], 0, None);
         let path = std::env::temp_dir().join(format!("sepo-cks-flip-{}.bin", std::process::id()));
-        let file = ShardedCheckpointFile::new(path.clone(), 2);
-        file.update(0, &ckp).unwrap();
-        file.update(1, &ckp).unwrap();
+        let file = CheckpointFile::new(path.clone(), 2);
+        file.update(0, &ckp, None).unwrap();
+        file.update(1, &ckp, None).unwrap();
         let full = std::fs::read(&path).unwrap();
         for at in 0..full.len() {
             let mut damaged = full.clone();
             damaged[at] ^= 1 << (at % 8);
             std::fs::write(&path, &damaged).unwrap();
-            let err = read_sharded_from_path(&path).unwrap_err();
+            let err = CheckpointFile::read(&path).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
@@ -1089,12 +1008,16 @@ mod tests {
             },
         );
         let path = std::env::temp_dir().join(format!("sepo-ckp-flip-{}.bin", std::process::id()));
+        let file = CheckpointFile::new(path.clone(), 1);
         let mut total_rewrites = 0u64;
         for _ in 0..8 {
-            total_rewrites += u64::from(ckp.write_to_path_with(&path, Some(&plan)).unwrap());
+            total_rewrites += u64::from(file.update(0, &ckp, Some(&plan)).unwrap());
             // Whatever the corruption did in flight, what is on disk now
             // verifies and restores the identical boundary.
-            assert_eq!(Checkpoint::read_from_path(&path).unwrap(), ckp);
+            assert_eq!(
+                CheckpointFile::read(&path).unwrap(),
+                vec![Some(ckp.clone())]
+            );
         }
         assert!(
             total_rewrites > 0,
@@ -1121,7 +1044,8 @@ mod tests {
             },
         );
         let path = std::env::temp_dir().join(format!("sepo-ckp-exh-{}.bin", std::process::id()));
-        let err = ckp.write_to_path_with(&path, Some(&plan)).unwrap_err();
+        let file = CheckpointFile::new(path.clone(), 1);
+        let err = file.update(0, &ckp, Some(&plan)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string().contains("failed verification after"),

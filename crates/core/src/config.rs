@@ -3,7 +3,6 @@
 use crate::entry::EntryKind;
 use crate::shard::ShardSpec;
 use sepo_alloc::PageKind;
-use std::fmt;
 
 /// How two KV pairs with the same key are handled (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +45,9 @@ impl Organization {
 /// The aggregation applied when a duplicate key is inserted under the
 /// combining organization. Values are 64-bit words; every evaluation
 /// application's combine (counting, bit-set union, score accumulation)
-/// fits, and a `Custom` function pointer covers the rest. The operation
-/// must be commutative and associative: SEPO may apply combines in any
-/// order.
-#[derive(Clone, Copy)]
+/// fits. The operation must be commutative and associative: SEPO may apply
+/// combines in any order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Combiner {
     /// Wrapping sum (counters: PVC, Word Count, Netflix score sums).
     Add,
@@ -59,8 +57,6 @@ pub enum Combiner {
     Min,
     /// Maximum.
     Max,
-    /// Arbitrary commutative/associative function.
-    Custom(fn(u64, u64) -> u64),
 }
 
 impl Combiner {
@@ -72,40 +68,9 @@ impl Combiner {
             Combiner::Or => stored | incoming,
             Combiner::Min => stored.min(incoming),
             Combiner::Max => stored.max(incoming),
-            Combiner::Custom(f) => f(stored, incoming),
         }
     }
 }
-
-impl fmt::Debug for Combiner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            Combiner::Add => "Add",
-            Combiner::Or => "Or",
-            Combiner::Min => "Min",
-            Combiner::Max => "Max",
-            Combiner::Custom(_) => "Custom",
-        };
-        write!(f, "Combiner::{name}")
-    }
-}
-
-impl PartialEq for Combiner {
-    fn eq(&self, other: &Self) -> bool {
-        matches!(
-            (self, other),
-            (Combiner::Add, Combiner::Add)
-                | (Combiner::Or, Combiner::Or)
-                | (Combiner::Min, Combiner::Min)
-                | (Combiner::Max, Combiner::Max)
-        ) || match (self, other) {
-            (Combiner::Custom(a), Combiner::Custom(b)) => std::ptr::fn_addr_eq(*a, *b),
-            _ => false,
-        }
-    }
-}
-
-impl Eq for Combiner {}
 
 /// Construction parameters for a [`SepoTable`](crate::table::SepoTable).
 #[derive(Debug, Clone, PartialEq)]
@@ -271,10 +236,6 @@ mod tests {
         assert_eq!(Combiner::Or.apply(0b101, 0b011), 0b111);
         assert_eq!(Combiner::Min.apply(9, 4), 4);
         assert_eq!(Combiner::Max.apply(9, 4), 9);
-        fn xor(a: u64, b: u64) -> u64 {
-            a ^ b
-        }
-        assert_eq!(Combiner::Custom(xor).apply(0b110, 0b011), 0b101);
     }
 
     #[test]
@@ -333,9 +294,5 @@ mod tests {
     fn combiner_equality() {
         assert_eq!(Combiner::Add, Combiner::Add);
         assert_ne!(Combiner::Add, Combiner::Or);
-        fn f(a: u64, _b: u64) -> u64 {
-            a
-        }
-        assert_eq!(Combiner::Custom(f), Combiner::Custom(f));
     }
 }

@@ -7,9 +7,10 @@
 //! they cross the simulated PCIe bus, and its bytes are reachable only
 //! through [`StampedPage::verify`] — at host adoption, [`HostStore`]
 //! absorption, every finalized-table reader, and an end-of-run scrub. The
-//! persisted formats (`SEPOHST2`, `SEPOCKP3`, `SEPOCKS3`) carry whole-image
-//! trailing checksums so any single flipped bit on disk is rejected at
-//! load, never parsed into a silently wrong image.
+//! persisted formats — the `SEPOHST2` table image, the `SEPOCKS3`
+//! checkpoint file and each `SEPOCKP3` section inside it — carry
+//! whole-image trailing checksums so any single flipped bit on disk is
+//! rejected at load, never parsed into a silently wrong image.
 //!
 //! CRC32C detects *all* single-bit errors (and all odd-weight errors, all
 //! burst errors up to 32 bits), which is exactly the fault model

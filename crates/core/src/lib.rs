@@ -70,7 +70,7 @@ pub mod table;
 
 pub use audit::{AuditViolation, TableAudit};
 pub use bitmap::Bitmap;
-pub use checkpoint::{read_sharded_from_path, Checkpoint, CheckpointPolicy, ShardedCheckpointFile};
+pub use checkpoint::{Checkpoint, CheckpointFile, CheckpointPolicy};
 pub use combiner::{CombinerConfig, WarpCombiner};
 pub use compact::CompactReport;
 pub use config::{Combiner, Organization, TableConfig};
@@ -82,7 +82,7 @@ pub use sepo::{
     DriverConfig, IterationStats, RecoveryStats, SepoDriver, SepoError, SepoOutcome, TaskResult,
 };
 pub use sepo_alloc::crc32c;
-pub use serve::{EpochPublisher, EpochSnapshot, HostStore, QueryError, ServeConfig};
+pub use serve::{EpochPublisher, EpochSnapshot, HostStore, QueryError};
 pub use shard::{canonical_image, shard_of, shard_of_key, ShardSpec, ShardedSnapshot};
 pub use stats::TableStats;
 pub use table::{InsertStatus, SepoTable};

@@ -25,9 +25,6 @@
 //! ([`crate::integrity`]) across the round trip, keeping the detection
 //! chain end-to-end: a restored page re-verifies against the checksum
 //! computed when it originally left the device.
-//!
-//! Custom combiners carry function pointers and cannot be serialized;
-//! saving such a table is an error.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -41,21 +38,15 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEPOHST2";
 
-fn org_tag(org: Organization) -> io::Result<u8> {
-    Ok(match org {
+fn org_tag(org: Organization) -> u8 {
+    match org {
         Organization::Basic => 0,
         Organization::MultiValued => 1,
         Organization::Combining(Combiner::Add) => 2,
         Organization::Combining(Combiner::Or) => 3,
         Organization::Combining(Combiner::Min) => 4,
         Organization::Combining(Combiner::Max) => 5,
-        Organization::Combining(Combiner::Custom(_)) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "custom combiners cannot be serialized",
-            ))
-        }
-    })
+    }
 }
 
 fn org_from_tag(tag: u8) -> io::Result<Organization> {
@@ -116,7 +107,7 @@ impl SepoTable {
         );
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
-        buf.push(org_tag(self.config().organization)?);
+        buf.push(org_tag(self.config().organization));
         let pages = self.host_heap().pages();
         buf.extend_from_slice(&(pages.len() as u32).to_le_bytes());
         for page in pages {
@@ -331,20 +322,5 @@ mod tests {
                 "flip at byte {at}: unexpected message {msg:?}"
             );
         }
-    }
-
-    #[test]
-    fn custom_combiners_refuse_to_serialize() {
-        fn f(a: u64, _b: u64) -> u64 {
-            a
-        }
-        let cfg = TableConfig::new(Organization::Combining(Combiner::Custom(f)))
-            .with_buckets(16)
-            .with_buckets_per_group(4)
-            .with_page_size(1024);
-        let t = SepoTable::new(cfg, 2 * 1024, Arc::new(Metrics::new()));
-        t.finalize();
-        let mut buf = Vec::new();
-        assert!(t.save(&mut buf).is_err());
     }
 }

@@ -177,9 +177,9 @@ pub enum SepoError {
         /// The incomplete run's accounting (`pending_tasks > 0`).
         outcome: Box<SepoOutcome>,
     },
-    /// More than [`DriverConfig::max_fault_retries`] consecutive
-    /// iterations made no progress while the fault plan was aborting
-    /// lanes: the injected fault rate is too high to ever finish.
+    /// More than [`MAX_FAULT_RETRIES`] consecutive iterations made no
+    /// progress while the fault plan was aborting lanes: the injected
+    /// fault rate is too high to ever finish.
     FaultBudgetExhausted {
         /// 1-based iteration at which the budget ran out.
         iteration: u32,
@@ -204,7 +204,7 @@ pub enum SepoError {
         source: HardFaultError,
     },
     /// Writing the iteration-boundary checkpoint to the
-    /// [`CheckpointPolicy::Disk`] path failed. The underlying
+    /// [`CheckpointPolicy::Disk`] file failed. The underlying
     /// [`io::Error`] is exposed through [`std::error::Error::source`].
     CheckpointIo {
         /// Completed iterations at the failed checkpoint.
@@ -368,6 +368,12 @@ impl std::error::Error for SepoError {
     }
 }
 
+/// Consecutive zero-progress iterations tolerated while injected faults
+/// are aborting lanes, before [`SepoError::FaultBudgetExhausted`].
+/// Iterations that make progress reset the count; zero-progress iterations
+/// *without* fault activity fail immediately as [`SepoError::NoProgress`].
+pub const MAX_FAULT_RETRIES: u32 = 8;
+
 /// Driver configuration.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -378,12 +384,6 @@ pub struct DriverConfig {
     /// baseline sets 1 to model a runtime with no larger-than-memory
     /// support.
     pub max_iterations: u32,
-    /// Consecutive zero-progress iterations tolerated while injected
-    /// faults are aborting lanes, before
-    /// [`SepoError::FaultBudgetExhausted`]. Iterations that make progress
-    /// reset the count; zero-progress iterations *without* fault activity
-    /// fail immediately as [`SepoError::NoProgress`].
-    pub max_fault_retries: u32,
     /// Run the [`TableAudit`] cross-layer invariant checks at every
     /// iteration boundary (and after `finalize()`), failing the run with
     /// [`SepoError::AuditFailed`] on a violation. Off by default; enabled
@@ -450,7 +450,6 @@ impl Default for DriverConfig {
         DriverConfig {
             chunk_tasks: 8 * 1024,
             max_iterations: 10_000,
-            max_fault_retries: 8,
             audit: false,
             combiner: None,
             sanitize: false,
@@ -516,8 +515,8 @@ impl<'a> SepoDriver<'a> {
     /// Transient injected faults (see [`gpu_sim::FaultPlan`]) degrade
     /// gracefully: an aborted lane simply leaves its task pending, and the
     /// next iteration retries it — paying simulated time, never losing
-    /// work. Only when [`DriverConfig::max_fault_retries`] consecutive
-    /// iterations stall with fault activity does the run give up with
+    /// work. Only when [`MAX_FAULT_RETRIES`] consecutive iterations stall
+    /// with fault activity does the run give up with
     /// [`SepoError::FaultBudgetExhausted`].
     ///
     /// Hard injected faults (device loss, poisoned launches) kill a whole
@@ -707,7 +706,7 @@ impl<'d> Run<'d> {
     }
 
     /// Capture a boundary checkpoint per [`DriverConfig::checkpoint`],
-    /// writing it through to disk under the disk policies.
+    /// writing it through to disk under [`CheckpointPolicy::Disk`].
     fn take_checkpoint(&mut self) -> Result<(), SepoError> {
         if !self.config.checkpoint.is_enabled() {
             return Ok(());
@@ -735,15 +734,10 @@ impl<'d> Run<'d> {
         // disk byte flips; the write path reads the image back, verifies
         // its checksum trailer, and rewrites (bounded) until the landed
         // bytes are trustworthy.
-        self.recovery.checkpoint_rewrites += match &self.config.checkpoint {
-            CheckpointPolicy::Disk(path) => {
-                ckp.write_to_path_with(path, self.corrupt).map_err(typed)?
-            }
-            CheckpointPolicy::SharedDisk(file, shard) => file
-                .update_with(*shard, &ckp, self.corrupt)
-                .map_err(typed)?,
-            _ => 0,
-        };
+        if let CheckpointPolicy::Disk(file, shard) = &self.config.checkpoint {
+            self.recovery.checkpoint_rewrites +=
+                file.update(*shard, &ckp, self.corrupt).map_err(typed)?;
+        }
         self.recovery.checkpoints_taken += 1;
         self.recovery.checkpoint_bytes = ckp.encoded_size();
         self.checkpoint = Some(ckp);
@@ -979,12 +973,12 @@ impl<'d> Run<'d> {
         // single allocation succeeded — that configuration can never
         // terminate. Exception: injected lane aborts legitimately
         // produce empty iterations, which are retried up to
-        // `max_fault_retries` consecutive times.
+        // `MAX_FAULT_RETRIES` consecutive times.
         if tasks_completed > 0 || kernel.alloc_success > 0 || next_pending.is_empty() {
             self.fault_stalls = 0;
         } else if l.lanes_aborted > 0 {
             self.fault_stalls += 1;
-            if self.fault_stalls > self.config.max_fault_retries {
+            if self.fault_stalls > MAX_FAULT_RETRIES {
                 return Err(SepoError::FaultBudgetExhausted {
                     iteration: iter_no,
                     pending: next_pending.len() as u64,
@@ -1088,6 +1082,7 @@ impl<'d> Run<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointFile;
     use crate::config::{Combiner, Organization, TableConfig};
     use gpu_sim::executor::ExecMode;
     use gpu_sim::metrics::Metrics;
@@ -1507,7 +1502,6 @@ mod tests {
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
         let err = SepoDriver::new(&t, &e)
             .with_config(DriverConfig {
-                max_fault_retries: 3,
                 audit: true,
                 sanitize: true,
                 ..DriverConfig::default()
@@ -1534,9 +1528,9 @@ mod tests {
         else {
             panic!("expected FaultBudgetExhausted");
         };
-        assert_eq!(iteration, 4, "3 retries then the 4th stall gives up");
+        assert_eq!(iteration, 9, "8 retries then the 9th stall gives up");
         assert_eq!(pending, 50, "no task may be lost");
-        assert_eq!(stalled_iterations, 4);
+        assert_eq!(stalled_iterations, 9);
     }
 
     fn hard_plan(device_loss_rate: f64, poisoned_launch_rate: f64, seed: u64) -> Arc<FaultPlan> {
@@ -1632,7 +1626,13 @@ mod tests {
         let e = exec(t.metrics());
         let err = SepoDriver::new(&t, &e)
             .with_config(DriverConfig {
-                checkpoint: CheckpointPolicy::Disk("/nonexistent-sepo-dir/run.ckp".into()),
+                checkpoint: CheckpointPolicy::Disk(
+                    Arc::new(CheckpointFile::new(
+                        "/nonexistent-sepo-dir/run.ckp".into(),
+                        1,
+                    )),
+                    0,
+                ),
                 audit: true,
                 sanitize: true,
                 ..DriverConfig::default()
@@ -2085,7 +2085,10 @@ mod tests {
         let (dirty, dirty_img) = corrupted_run(
             Some(Arc::clone(&plan)),
             DriverConfig {
-                checkpoint: CheckpointPolicy::Disk(path.clone()),
+                checkpoint: CheckpointPolicy::Disk(
+                    Arc::new(CheckpointFile::new(path.clone(), 1)),
+                    0,
+                ),
                 ..audited()
             },
         );
@@ -2100,7 +2103,10 @@ mod tests {
             "every injected disk flip must be caught by read-back verification"
         );
         // The landed checkpoint is trustworthy despite the flips.
-        assert!(crate::checkpoint::Checkpoint::read_from_path(&path).is_ok());
+        assert!(matches!(
+            CheckpointFile::read(&path).as_deref(),
+            Ok([Some(_)])
+        ));
         assert_eq!(clean.unwrap().iterations, dirty.iterations);
         assert_eq!(clean_img, dirty_img);
         let _ = std::fs::remove_dir_all(&dir);

@@ -169,18 +169,9 @@ pub(crate) fn ensure_batch_fits(len: usize, max: usize) -> Result<(), QueryError
     Ok(())
 }
 
-/// Serving-layer tunables.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeConfig {
-    /// Maximum queries per [`EpochSnapshot::batch_get`] call.
-    pub max_batch: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig { max_batch: 1 << 16 }
-    }
-}
+/// Maximum queries per [`EpochSnapshot::batch_get`] or
+/// [`EpochSnapshot::batch_get_grouped`] call.
+pub const MAX_BATCH: usize = 1 << 16;
 
 /// Upper bound on probe relaunches per batch before the serving layer
 /// concludes the fault plan is pathological and gives up.
@@ -219,7 +210,6 @@ pub struct EpochSnapshot {
     finalized: bool,
     organization: Organization,
     n_buckets: usize,
-    max_batch: usize,
     /// Raw bucket-head words (same representation as the live table).
     heads: Arc<[u64]>,
     /// Resident pages by physical page index.
@@ -436,7 +426,7 @@ impl EpochSnapshot {
         queries: &[&[u8]],
     ) -> Result<Vec<Option<u64>>, QueryError> {
         let comb = self.organization.combiner()?;
-        ensure_batch_fits(queries.len(), self.max_batch)?;
+        ensure_batch_fits(queries.len(), MAX_BATCH)?;
         self.ensure_host_intact()?;
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -486,7 +476,7 @@ impl EpochSnapshot {
         queries: &[&[u8]],
     ) -> Result<Vec<Option<Vec<Vec<u8>>>>, QueryError> {
         self.organization.require_multivalued()?;
-        ensure_batch_fits(queries.len(), self.max_batch)?;
+        ensure_batch_fits(queries.len(), MAX_BATCH)?;
         self.ensure_host_intact()?;
         if queries.is_empty() {
             return Ok(Vec::new());
@@ -891,7 +881,6 @@ pub type EpochHook = Box<dyn Fn(&Arc<EpochSnapshot>) + Send + Sync>;
 /// whatever [`EpochPublisher::current`] returns — or reacts to each epoch
 /// through [`EpochPublisher::on_epoch`].
 pub struct EpochPublisher {
-    config: ServeConfig,
     host: Arc<HostStore>,
     current: RwLock<Option<Arc<EpochSnapshot>>>,
     hook: RwLock<Option<EpochHook>>,
@@ -900,7 +889,6 @@ pub struct EpochPublisher {
 impl fmt::Debug for EpochPublisher {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EpochPublisher")
-            .field("config", &self.config)
             .field(
                 "current",
                 &self.current.read().as_ref().map(|s| s.iteration),
@@ -911,14 +899,13 @@ impl fmt::Debug for EpochPublisher {
 
 impl Default for EpochPublisher {
     fn default() -> Self {
-        Self::new(ServeConfig::default())
+        Self::new()
     }
 }
 
 impl EpochPublisher {
-    pub fn new(config: ServeConfig) -> Self {
+    pub fn new() -> Self {
         EpochPublisher {
-            config,
             host: Arc::new(HostStore::new()),
             current: RwLock::new(None),
             hook: RwLock::new(None),
@@ -974,7 +961,6 @@ impl EpochPublisher {
             finalized,
             organization: table.config().organization,
             n_buckets: table.config().n_buckets,
-            max_batch: self.config.max_batch,
             heads,
             pages: Arc::new(pages),
             host,
@@ -1061,6 +1047,30 @@ mod tests {
             ensure_batch_fits(u32::MAX as usize + 1, u32::MAX as usize),
             Err(QueryError::BatchTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn snapshot_batches_over_max_batch_are_refused() {
+        let exec = serving_exec();
+        let q: Vec<&[u8]> = vec![b"k"; MAX_BATCH + 1];
+        let refused: Result<(), _> = Err(QueryError::BatchTooLarge {
+            len: MAX_BATCH + 1,
+            max: MAX_BATCH,
+        });
+        let publisher = Arc::new(EpochPublisher::default());
+        let t = table(Organization::Combining(Combiner::Add), 16);
+        publisher.publish_boundary(&t, 0, false);
+        let snap = publisher.current().expect("epoch 0");
+        assert_eq!(snap.batch_get(&exec, &q).map(|_| ()), refused);
+        assert_eq!(
+            snap.batch_get(&exec, &q[..MAX_BATCH]).map(|a| a.len()),
+            Ok(MAX_BATCH)
+        );
+        let publisher = Arc::new(EpochPublisher::default());
+        let t = table(Organization::MultiValued, 16);
+        publisher.publish_boundary(&t, 0, false);
+        let snap = publisher.current().expect("epoch 0");
+        assert_eq!(snap.batch_get_grouped(&exec, &q).map(|_| ()), refused);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// and in which order. Each line generates a [`Counter`] variant and the
 /// [`Snapshot`] field of the same position. The order is the checkpoint's
 /// serialization order ([`Snapshot::words`]): adding, removing or
-/// reordering a line changes the `SEPOCKP3` layout and must bump that
-/// magic.
+/// reordering a line changes the layout of the checkpoint file's
+/// `SEPOCKP3` sections and must bump both checkpoint magics.
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $field:ident;)*) => {
         /// One event counter; `as usize` is its index in [`Counter::ALL`].
@@ -292,9 +292,9 @@ mod tests {
         assert_eq!(m.snapshot(), Snapshot::default());
     }
 
-    /// Pins the counter order: it is the `SEPOCKP3` / `SEPOCKS3` metric
-    /// layout, so reordering the `counters!` list must fail here (and bump
-    /// the checkpoint magic) instead of silently changing the format.
+    /// Pins the counter order: it is the metric layout of a checkpoint
+    /// section, so reordering the `counters!` list must fail here (and bump
+    /// the checkpoint magics) instead of silently changing the format.
     #[test]
     fn snapshot_words_follow_the_declared_order() {
         let s = Snapshot {

@@ -20,7 +20,7 @@ use gpu_sim::{
 use proptest::prelude::*;
 use sepo_apps::sharded::run_app_sharded;
 use sepo_apps::{run_app, AppConfig};
-use sepo_core::{CheckpointPolicy, RecoveryStats, ShardedCheckpointFile};
+use sepo_core::{CheckpointFile, CheckpointPolicy, RecoveryStats};
 use sepo_datagen::{App, Dataset};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ struct Layers<'a> {
     /// (seed, pcie bit-flip rate, resting page-flip rate, disk byte-flip
     /// rate).
     corrupt: Option<(u64, f64, f64, f64)>,
-    /// Checkpoint file (a `SEPOCKS3` container when sharded). Without one
+    /// Checkpoint file (`SEPOCKS3`, a section per shard). Without one
     /// chaos and corruption checkpoint in memory, where the disk stream has
     /// no image write to strike.
     disk: Option<&'a Path>,
@@ -139,7 +139,8 @@ fn run_once(app: App, ds: &Dataset, layers: Layers) -> Observed {
     let execs = [executor(layers)];
     let mut cfg = config(layers);
     if let Some(path) = layers.disk {
-        cfg = cfg.with_checkpoint(CheckpointPolicy::Disk(path.into()));
+        let file = Arc::new(CheckpointFile::new(path.into(), 1));
+        cfg = cfg.with_checkpoint(CheckpointPolicy::Disk(file, 0));
     }
     let run = run_app(app, ds, &cfg, &execs[0]);
     let mut image = Vec::new();
@@ -171,12 +172,13 @@ fn run_sharded(app: App, ds: &Dataset, n: u32, layers: Layers) -> Observed {
     };
     let file = layers
         .disk
-        .map(|path| Arc::new(ShardedCheckpointFile::new(path.into(), n)));
+        .map(|path| Arc::new(CheckpointFile::new(path.into(), n)));
     let execs: Vec<Executor> = (0..n).map(|i| executor(layered(i))).collect();
     let cfgs: Vec<AppConfig> = (0..n)
         .map(|i| match &file {
-            Some(file) => config(layered(i))
-                .with_checkpoint(CheckpointPolicy::SharedDisk(Arc::clone(file), i)),
+            Some(file) => {
+                config(layered(i)).with_checkpoint(CheckpointPolicy::Disk(Arc::clone(file), i))
+            }
             None => config(layered(i)),
         })
         .collect();

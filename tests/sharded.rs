@@ -1,7 +1,7 @@
 //! Multi-device sharded execution, end to end: every shard count merges to
 //! the one-device canonical image, hard-fault recovery on a single shard
 //! must be invisible (per-shard images, trajectories, and the merged
-//! canonical image all byte-identical to an unkilled run), and the shared
+//! canonical image all byte-identical to an unkilled run), and the
 //! SEPOCKS3 checkpoint file must carry a restorable section for every
 //! shard.
 
@@ -10,7 +10,7 @@ use gpu_sim::metrics::Metrics;
 use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
 use sepo_apps::sharded::{run_app_sharded, unsharded_image, ShardedAppRun};
 use sepo_apps::AppConfig;
-use sepo_core::{read_sharded_from_path, CheckpointPolicy, ShardedCheckpointFile};
+use sepo_core::{CheckpointFile, CheckpointPolicy};
 use sepo_datagen::{App, Dataset};
 use std::sync::Arc;
 
@@ -161,7 +161,7 @@ fn killing_one_shards_device_resumes_byte_identically() {
     }
 }
 
-/// A sharded run writing through one `ShardedCheckpointFile` leaves a
+/// A sharded run writing through one `CheckpointFile` leaves a
 /// SEPOCKS3 file with a readable section per shard, each sized to its
 /// shard's routed task count — the state a cross-process resume restores
 /// shard by shard.
@@ -174,9 +174,9 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
         std::process::id(),
         std::thread::current().id()
     ));
-    let file = Arc::new(ShardedCheckpointFile::new(path.clone(), N));
+    let file = Arc::new(CheckpointFile::new(path.clone(), N));
     let cfgs: Vec<AppConfig> = (0..N)
-        .map(|i| base_cfg(CheckpointPolicy::SharedDisk(Arc::clone(&file), i)))
+        .map(|i| base_cfg(CheckpointPolicy::Disk(Arc::clone(&file), i)))
         .collect();
     let execs: Vec<Executor> = (0..N).map(|_| executor(None)).collect();
     let run = run_app_sharded(app, &ds, &cfgs, &execs);
@@ -187,7 +187,7 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
         );
     }
 
-    let sections = read_sharded_from_path(&path).expect("read SEPOCKS3 file back");
+    let sections = CheckpointFile::read(&path).expect("read SEPOCKS3 file back");
     std::fs::remove_file(&path).ok();
     assert_eq!(sections.len(), N as usize, "one section per shard");
     for (i, (section, shard)) in sections.iter().zip(run.shards.iter()).enumerate() {
