@@ -1,6 +1,6 @@
-//! Small helpers the bench binaries and the repo benchmark (`perf/`) share:
-//! the per-iteration trajectory of a run, and the host stamp (CPU count,
-//! single-CPU warning) written beside wall-clock figures.
+//! Small helpers for the repo benchmark (`perf/`): the per-iteration
+//! trajectory of a run, and the host stamp (CPU count, single-CPU warning)
+//! written beside wall-clock figures.
 
 use sepo_apps::AppRun;
 

@@ -1,32 +1,36 @@
 //! # sepo-bench — the evaluation harness (§VI)
 //!
 //! Regenerates every table and figure of the paper from real runs of the
-//! system and its baselines:
+//! system and its baselines. [`paper`] holds one function per artifact;
+//! the `paper` binary runs them (all, or those named on its command line)
+//! and writes `results/<name>.json`:
 //!
-//! | binary | artifact |
+//! | artifact | what it reproduces |
 //! |---|---|
 //! | `table1` | Table I — dataset inventory |
 //! | `figure6` | Fig. 6 — speedup over CPU multi-threaded / Phoenix++, iteration counts |
 //! | `table2` | Table II — speedup over MapCG |
 //! | `figure7` | Fig. 7 — SEPO vs pinned-CPU-memory heap |
 //! | `table3` | Table III — demand-paging lower bounds vs SEPO total time |
+//! | `lookup_phase` | §IV-C SEPO lookups on a larger-than-memory table |
+//! | `sensitivity` | the Fig. 6 runs re-priced under other GPUs and buses |
+//! | `related_stadium` | §VII Stadium-hashing-like comparator |
 //! | `ablation_group_size` | §IV-A bucket-group trade-off |
 //! | `ablation_threshold` | §IV-C halt-threshold (50%) choice |
 //! | `ablation_wc_keys` | §VI-B Word Count distinct-key sensitivity |
 //! | `ablation_pipeline` | BigKernel overlap vs serial transfers |
-//! | `lookup_phase` | §IV-C SEPO lookups on a larger-than-memory table |
-//! | `related_stadium` | §VII Stadium-hashing-like comparator |
-//! | `sensitivity` | the same runs re-priced under other GPUs and buses |
 //!
 //! All reported durations are **simulated** ([`gpu_sim::SimTime`]) —
 //! deterministic functions of counted events through the calibrated cost
 //! models — while iteration counts, postponements and transfer volumes come
-//! from real execution. Set `SEPO_SCALE` (default 256) to change the 1/N
-//! capacity/dataset scale. Pass/fail invariants (byte-identity of a feature
-//! against its "off" run) are tier-1 tests, not binaries; wall-clock
-//! figures come from the repo benchmark (`perf/`).
+//! from real execution. The binary's `SEPO_SCALE` (default 256) sets the
+//! 1/N capacity/dataset scale. `tests/paper_claims.rs` pins the paper's
+//! shapes on these functions' JSON; byte-identity invariants of a feature
+//! against its "off" run are tier-1 tests too; wall-clock figures come from
+//! the repo benchmark (`perf/`).
 
 pub mod harness;
+pub mod paper;
 pub mod report;
 pub mod timing;
 
@@ -45,11 +49,6 @@ pub fn scale() -> u64 {
         .and_then(|s| s.parse().ok())
         .filter(|&s| s >= 1)
         .unwrap_or(256)
-}
-
-/// The system spec at the active scale.
-pub fn system() -> SystemSpec {
-    SystemSpec::scaled(scale())
 }
 
 /// Fraction of device memory available to the hash-table heap after the

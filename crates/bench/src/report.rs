@@ -1,8 +1,8 @@
 //! Plain-text table rendering and JSON result persistence.
 //!
-//! Every regeneration binary prints a fixed-width table mirroring the
-//! paper's layout and writes the same data as JSON under `results/` so
-//! EXPERIMENTS.md can reference machine-readable numbers.
+//! Every paper artifact renders a fixed-width table mirroring the paper's
+//! layout, and the `paper` binary writes the same data as JSON under
+//! `results/` so EXPERIMENTS.md can reference machine-readable numbers.
 
 use serde_json::Serialize;
 use std::fmt::Write as _;
@@ -68,11 +68,6 @@ impl Table {
             let _ = writeln!(out, "  note: {note}");
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        println!("{}", self.render());
     }
 }
 
@@ -168,10 +163,6 @@ impl BarChart {
             let _ = writeln!(out, "  ('|' marks {r:.1})");
         }
         out
-    }
-
-    pub fn print(&self) {
-        println!("{}", self.render());
     }
 }
 

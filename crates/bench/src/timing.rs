@@ -32,7 +32,7 @@ pub struct GpuTiming {
     pub iterations: u32,
 }
 
-fn empty_hist() -> ContentionHistogram {
+pub(crate) fn empty_hist() -> ContentionHistogram {
     ContentionHistogram::from_counts(std::iter::empty::<u64>())
 }
 

@@ -75,7 +75,7 @@ use gpu_sim::metrics::Metrics;
 use gpu_sim::{FaultConfig, FaultPlan, HardFaultKind};
 use sepo_apps::sharded::unsharded_image;
 use sepo_apps::{run_app, run_app_sharded, AppConfig};
-use sepo_baselines::{run_cpu_app, run_phoenix};
+use sepo_bench::paper::cpu_baseline;
 use sepo_bench::report::{fmt_bytes, fmt_speedup};
 use sepo_bench::{cpu_total_time, device_heap, gpu_total_time, sharded_total_time};
 use sepo_cli::{app_by_slug, parse_flags, slug, Flags};
@@ -578,16 +578,12 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
         );
     }
 
-    let (cpu, baseline) = if App::MAPREDUCE.contains(&app) {
-        let p = run_phoenix(app, &ds);
-        (
-            cpu_total_time(&p.snapshot, &p.contention, &spec),
-            "Phoenix++-style",
-        )
+    let (snapshot, contention) = cpu_baseline(app, &ds);
+    let cpu = cpu_total_time(&snapshot, &contention, &spec);
+    let baseline = if App::MAPREDUCE.contains(&app) {
+        "Phoenix++-style"
     } else {
-        let b = run_cpu_app(app, &ds);
-        let cpu = cpu_total_time(&b.snapshot, &b.contention, &spec);
-        (cpu, "shared hash table, 8 threads")
+        "shared hash table, 8 threads"
     };
     println!("\nCPU baseline");
     println!("  sim time          {cpu} ({baseline})");

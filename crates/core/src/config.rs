@@ -92,17 +92,6 @@ pub struct TableConfig {
     /// groups is postponing ("we observed acceptable performance with
     /// setting the threshold to 50%", §IV-C).
     pub halt_threshold: f64,
-    /// Multi-valued method only: cap on the fraction of heap pages that may
-    /// be *kept* resident across an iteration because they hold pending
-    /// keys. The paper keeps every such page (§IV-C), which livelocks once
-    /// pending key pages cover the whole heap (no page left for value
-    /// nodes); evicting a pending key page is safe — a duplicate key entry
-    /// is created next iteration and the result collectors merge groups by
-    /// key — so beyond the cap the pages with the fewest pending keys are
-    /// evicted. 0.25 keeps the hottest keys resident (the paper's intent)
-    /// while leaving most of the heap for value pages, guaranteeing
-    /// forward progress.
-    pub max_kept_fraction: f64,
     /// Place the heap in *pinned CPU memory* instead of device memory — the
     /// alternative design evaluated in Fig. 7 (§VI-D): "we modified our
     /// dynamic memory allocator to pre-allocate its heap as a pinned CPU
@@ -129,7 +118,6 @@ impl TableConfig {
             page_size: 64 * 1024,
             organization,
             halt_threshold: 0.5,
-            max_kept_fraction: 0.25,
             remote_heap: false,
             shard: None,
         }
@@ -162,7 +150,6 @@ impl TableConfig {
             page_size,
             organization,
             halt_threshold: 0.5,
-            max_kept_fraction: 0.25,
             remote_heap: false,
             shard: None,
         }

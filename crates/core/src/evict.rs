@@ -33,6 +33,17 @@ use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
 use std::sync::Arc;
 
+/// Multi-valued method only: cap on the fraction of heap pages that may be
+/// *kept* resident across an iteration because they hold pending keys. The
+/// paper keeps every such page (§IV-C), which livelocks once pending key
+/// pages cover the whole heap (no page left for value nodes); evicting a
+/// pending key page is safe — a duplicate key entry is created next
+/// iteration and the result collectors merge groups by key — so beyond the
+/// cap the pages with the fewest pending keys are evicted. 0.25 keeps the
+/// hottest keys resident (the paper's intent) while leaving most of the
+/// heap for value pages, guaranteeing forward progress.
+pub const MAX_KEPT_FRACTION: f64 = 0.25;
+
 /// What an eviction moved and kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvictReport {
@@ -209,16 +220,16 @@ impl SepoTable {
         }
 
         // 3. Key pages leave unless they hold pending keys (or we are
-        //    finalizing). Keeping is capped at `max_kept_fraction` of the
+        //    finalizing). Keeping is capped at [`MAX_KEPT_FRACTION`] of the
         //    heap — beyond that, pages with the fewest pending keys are
         //    evicted anyway (their keys reappear as mergeable duplicates) so
         //    value allocation always has pages to draw from.
-        let max_kept = if force || self.cfg.max_kept_fraction <= 0.0 {
+        let max_kept = if force {
             0
         } else {
             // At least one page may always be kept: tiny test heaps must
             // still honour the paper's keep-pending-keys behaviour.
-            ((self.heap.total_pages() as f64 * self.cfg.max_kept_fraction).ceil() as usize).max(1)
+            ((self.heap.total_pages() as f64 * MAX_KEPT_FRACTION).ceil() as usize).max(1)
         };
         let mut candidates: Vec<u32> = key_pages
             .iter()

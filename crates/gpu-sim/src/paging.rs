@@ -77,11 +77,6 @@ impl AccessTrace {
     pub fn footprint(&self) -> u64 {
         self.addresses.iter().copied().max().map_or(0, |a| a + 1)
     }
-
-    /// Append another trace (used to merge per-chunk traces).
-    pub fn extend_from(&mut self, other: &AccessTrace) {
-        self.addresses.extend_from_slice(&other.addresses);
-    }
 }
 
 /// Result of one LRU replay.

@@ -91,23 +91,6 @@ impl<'a, 'l, 'w> Emitter<'a, 'l, 'w> {
         }
     }
 
-    /// Emit a `<key, value>` pair into a basic table.
-    pub fn emit_basic(&mut self, key: &[u8], value: &[u8]) -> bool {
-        if !self.should_attempt() {
-            return self.postponed_at.is_none();
-        }
-        match self
-            .table
-            .insert_basic_hashed(key, fnv1a(key), value, self.lane)
-        {
-            InsertStatus::Success => true,
-            InsertStatus::Postponed => {
-                self.note_postponed();
-                false
-            }
-        }
-    }
-
     /// The lane, for charging map-side parse work.
     pub fn lane(&mut self) -> &mut LaneCtx<'w> {
         self.lane

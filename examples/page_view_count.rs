@@ -57,7 +57,7 @@ fn main() {
     }
 
     // Simulated timing (the evaluation harness does this for every app —
-    // see `cargo run -p sepo-bench --bin figure6`).
+    // see `cargo run -p sepo-bench --bin paper figure6`).
     let spec = SystemSpec::paper();
     let gpu_model = gpu_sim::GpuCostModel::new(spec.device.clone());
     let hist = run.table.full_contention_histogram();
