@@ -5,7 +5,7 @@ use sepo_core::config::{Organization, TableConfig};
 use sepo_core::sepo::{DriverConfig, SepoDriver, SepoOutcome, TaskResult};
 use sepo_core::table::SepoTable;
 use sepo_datagen::Dataset;
-use sepo_mapreduce::{run_job, JobConfig, Mapper, Mode, Partition};
+use sepo_mapreduce::{Emitter, Mode};
 
 /// Result of running one application on the SEPO substrate: the iteration
 /// accounting plus the finalized table holding the results in host memory.
@@ -60,11 +60,6 @@ impl AppConfig {
             "table override organization must match the application"
         );
         cfg
-    }
-
-    pub fn with_chunk_tasks(mut self, n: usize) -> Self {
-        self.driver.chunk_tasks = n;
-        self
     }
 
     /// Run the cross-layer [`sepo_core::TableAudit`] at every iteration
@@ -130,13 +125,7 @@ impl AppConfig {
     }
 }
 
-/// View a generated [`Dataset`]'s record boundaries as a MapReduce
-/// [`Partition`] (the generators double as the input data partitioner).
-pub fn partition_of(ds: &Dataset) -> Partition {
-    Partition::from_offsets(ds.offsets.clone(), ds.bytes.len())
-}
-
-/// The shared body of the direct-driver apps: build `cfg`'s table for
+/// The shared body of every app: build `cfg`'s table for
 /// `organization` on `executor`'s metrics and run
 /// `kernel(table, task, start_pair, lane)` over every record of `dataset`.
 /// The driver finalizes inside its guarded boundary, so the returned table
@@ -166,33 +155,30 @@ where
     AppRun { outcome, table }
 }
 
-/// The shared body of the MapReduce apps: translate `cfg` into a
-/// [`JobConfig`] for `mode` and run `mapper` over `dataset` through the
-/// §V runtime.
-pub(crate) fn run_mapper<M: Mapper>(
+/// The §V MapReduce runtime: run `map` over every record of `dataset`,
+/// one map task per record, storing its pairs in `cfg`'s table for `mode`.
+/// Each task attempt maps its record through a fresh [`Emitter`] resuming
+/// at the task's saved progress, so map functions re-emit every pair and
+/// stay exact across SEPO iterations — including map output larger than
+/// device memory.
+pub fn run_mapper(
     dataset: &Dataset,
     cfg: &AppConfig,
     executor: &Executor,
     mode: Mode,
-    mapper: &M,
+    map: impl Fn(&[u8], &mut Emitter<'_, '_>) + Sync,
 ) -> AppRun {
-    let mut job = JobConfig::new(mode, cfg.heap_bytes);
-    job.driver = cfg.driver.clone();
-    if let Some(t) = cfg.table.clone() {
-        job = job.with_table(t);
-    }
-    let out = run_job(
-        &dataset.bytes,
-        &partition_of(dataset),
-        mapper,
-        job,
+    run_kernel(
+        dataset,
+        cfg,
         executor,
-        executor.metrics().clone(),
-    );
-    AppRun {
-        outcome: out.outcome,
-        table: out.table,
-    }
+        mode.organization(),
+        |table, t, start, lane| {
+            let mut emitter = Emitter::new(table, lane, start);
+            map(dataset.record(t), &mut emitter);
+            emitter.finish()
+        },
+    )
 }
 
 /// Convenience: a deterministic executor + metrics pair for tests.
@@ -210,23 +196,96 @@ pub fn test_executor() -> (Executor, std::sync::Arc<gpu_sim::metrics::Metrics>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sepo_core::config::Combiner;
+    use std::collections::HashMap;
+
+    /// One record per line, terminator included.
+    fn lines(text: &str) -> Dataset {
+        let mut ds = Dataset::new();
+        for line in text.split_inclusive('\n') {
+            ds.push_record(line.as_bytes());
+        }
+        ds
+    }
+
+    fn count_words(record: &[u8], out: &mut Emitter<'_, '_>) {
+        for w in record.split(|&b| b == b' ' || b == b'\n') {
+            if !w.is_empty() && !out.emit_combining(w, 1) {
+                return;
+            }
+        }
+    }
 
     #[test]
-    fn partition_of_mirrors_dataset_records() {
+    fn word_count_end_to_end() {
+        let ds = lines("the cat sat\nthe cat ran\nthe end\n");
+        let (e, _) = test_executor();
+        let cfg = AppConfig::new(64 * 1024);
+        let run = run_mapper(&ds, &cfg, &e, Mode::MapReduce(Combiner::Add), count_words);
+        assert_eq!(run.iterations(), 1);
+        let got: HashMap<Vec<u8>, u64> = run.table.collect_combining().into_iter().collect();
+        assert_eq!(got[&b"the".to_vec()], 3);
+        assert_eq!(got[&b"cat".to_vec()], 2);
+        assert_eq!(got[&b"end".to_vec()], 1);
+        assert_eq!(got.len(), 5);
+    }
+
+    #[test]
+    fn map_group_end_to_end() {
+        let ds = lines("x a\ny b\nx c\nx d\n");
+        let (e, _) = test_executor();
+        let cfg = AppConfig::new(64 * 1024);
+        let run = run_mapper(&ds, &cfg, &e, Mode::MapGroup, |record, out| {
+            let rec = record.strip_suffix(b"\n").unwrap_or(record);
+            let sp = rec.iter().position(|&b| b == b' ').unwrap();
+            out.emit_grouped(&rec[..sp], &rec[sp + 1..]);
+        });
+        let mut got = run.table.collect_multivalued();
+        got.sort();
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].0, b"x");
+        let mut xs = got[0].1.clone();
+        xs.sort();
+        assert_eq!(xs, vec![b"a".to_vec(), b"c".to_vec(), b"d".to_vec()]);
+        assert_eq!(got[1].0, b"y");
+    }
+
+    #[test]
+    fn larger_than_memory_job_iterates_and_stays_exact() {
+        // KV volume far beyond the 4 KiB heap: the job must need several
+        // SEPO iterations yet produce exact counts.
         let mut ds = Dataset::new();
-        ds.push_record(b"alpha\n");
-        ds.push_record(b"bravo-longer\n");
-        let p = partition_of(&ds);
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.record(&ds.bytes, 0), b"alpha\n");
-        assert_eq!(p.record(&ds.bytes, 1), b"bravo-longer\n");
-        assert_eq!(p.record_bytes(1), 13);
+        for i in 0..600 {
+            ds.push_record(format!("word-{:03} filler\n", i % 300).as_bytes());
+        }
+        let (e, _) = test_executor();
+        let cfg = AppConfig::new(4 * 1024).with_table(
+            TableConfig::new(Organization::Combining(Combiner::Add))
+                .with_buckets(128)
+                .with_buckets_per_group(32)
+                .with_page_size(1024),
+        );
+        let run = run_mapper(&ds, &cfg, &e, Mode::MapReduce(Combiner::Add), count_words);
+        assert!(run.iterations() > 1, "must exceed device memory");
+        let got: HashMap<Vec<u8>, u64> = run.table.collect_combining().into_iter().collect();
+        assert_eq!(got.len(), 301); // 300 word-### plus "filler"
+        assert_eq!(got[&b"filler".to_vec()], 600);
+        for i in 0..300 {
+            assert_eq!(got[format!("word-{i:03}").as_bytes()], 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "organization must match")]
+    fn mismatched_table_organization_rejected() {
+        let cfg = AppConfig::new(1024)
+            .with_table(TableConfig::new(Organization::Combining(Combiner::Add)));
+        let _ = cfg.table_config(Mode::MapGroup.organization());
     }
 
     #[test]
     fn app_config_builders() {
         let c = AppConfig::new(1024)
-            .with_chunk_tasks(7)
             .with_audit(true)
             .with_sanitize(true)
             .with_checkpoint(sepo_core::CheckpointPolicy::Memory)
@@ -236,7 +295,6 @@ mod tests {
             .with_serving(std::sync::Arc::new(sepo_core::EpochPublisher::default()))
             .with_combiner(true);
         assert_eq!(c.heap_bytes, 1024);
-        assert_eq!(c.driver.chunk_tasks, 7);
         assert!(c.driver.audit);
         assert!(c.driver.sanitize);
         assert!(matches!(

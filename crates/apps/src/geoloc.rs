@@ -13,7 +13,7 @@ use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// The Geo Location mapper.
-pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
+fn mapper(record: &[u8], out: &mut Emitter<'_, '_>) {
     out.lane().compute(6 * record.len() as u64);
     if let Some((article, location)) = parse_article(record) {
         out.emit_grouped(location, article);
@@ -22,7 +22,7 @@ pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
 
 /// Run Geo Location over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    run_mapper(dataset, cfg, executor, Mode::MapGroup, &mapper)
+    run_mapper(dataset, cfg, executor, Mode::MapGroup, mapper)
 }
 
 /// Sequential reference implementation: location → sorted article ids.

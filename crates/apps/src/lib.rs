@@ -15,6 +15,8 @@
 //! | [`patent`] | Patent Citation | MAP_GROUP |
 //! | [`geoloc`] | Geo Location | MAP_GROUP |
 //!
+//! The three MapReduce apps are map functions run by [`run_mapper`], the
+//! §V runtime; every app's run goes through one driver body.
 //! [`runner`] dispatches by [`sepo_datagen::App`] so the benchmark harness
 //! can sweep Table I uniformly.
 
@@ -29,6 +31,6 @@ pub mod runner;
 pub mod sharded;
 pub mod wordcount;
 
-pub use common::{partition_of, AppConfig, AppRun};
+pub use common::{run_mapper, AppConfig, AppRun};
 pub use runner::run_app;
 pub use sharded::{run_app_sharded, ShardRouter, ShardedAppRun};

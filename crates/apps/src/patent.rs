@@ -16,7 +16,7 @@ use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// The Patent Citation mapper.
-pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
+fn mapper(record: &[u8], out: &mut Emitter<'_, '_>) {
     out.lane().compute(6 * record.len() as u64);
     if let Some((citing, cited)) = parse_citation(record) {
         out.emit_grouped(cited, citing);
@@ -25,7 +25,7 @@ pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
 
 /// Run Patent Citation over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    run_mapper(dataset, cfg, executor, Mode::MapGroup, &mapper)
+    run_mapper(dataset, cfg, executor, Mode::MapGroup, mapper)
 }
 
 /// Sequential reference implementation: cited → sorted list of citing.

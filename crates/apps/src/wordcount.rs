@@ -22,15 +22,16 @@ use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
 /// Tokenize a record into words (ASCII whitespace separated). Shared with
-/// the shard router, which must enumerate exactly the keys the mapper emits.
-pub(crate) fn words(record: &[u8]) -> impl Iterator<Item = &[u8]> {
+/// the shard router and the Phoenix++ baseline, which must enumerate
+/// exactly the keys the mapper emits.
+pub fn words(record: &[u8]) -> impl Iterator<Item = &[u8]> {
     record
         .split(|&b| b == b' ' || b == b'\n' || b == b'\t' || b == b'\r')
         .filter(|w| !w.is_empty())
 }
 
 /// The Word Count mapper.
-pub fn mapper(record: &[u8], out: &mut Emitter<'_, '_, '_>) {
+fn mapper(record: &[u8], out: &mut Emitter<'_, '_>) {
     out.lane().compute(8 * record.len() as u64);
     for w in words(record) {
         if !out.emit_combining(w, 1) {
@@ -46,7 +47,7 @@ pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
         cfg,
         executor,
         Mode::MapReduce(Combiner::Add),
-        &mapper,
+        mapper,
     )
 }
 

@@ -22,11 +22,10 @@
 
 use gpu_sim::executor::Executor;
 use gpu_sim::metrics::{ContentionHistogram, Snapshot};
-use sepo_apps::{geoloc, partition_of, patent, wordcount};
-use sepo_core::config::{Combiner, TableConfig};
-use sepo_core::sepo::DriverConfig;
+use sepo_apps::sharded::organization_of;
+use sepo_apps::{run_app, AppConfig};
+use sepo_core::config::TableConfig;
 use sepo_datagen::{App, Dataset};
-use sepo_mapreduce::{run_job, JobConfig, Mode};
 use std::fmt;
 
 /// MapCG ran out of device memory: the job cannot complete.
@@ -82,49 +81,19 @@ pub fn run_mapcg(
         "{} is not a MapReduce application",
         app.name()
     );
-    let mode = match app {
-        App::WordCount => Mode::MapReduce(Combiner::Add),
-        _ => Mode::MapGroup,
-    };
     // Single bucket group == single active allocation pointer (MapCG's
     // global bump allocator).
-    let mut table_cfg = TableConfig::tuned(
-        match mode {
-            Mode::MapReduce(c) => sepo_core::config::Organization::Combining(c),
-            Mode::MapGroup => sepo_core::config::Organization::MultiValued,
-        },
-        heap_bytes,
-    );
-    table_cfg.buckets_per_group = table_cfg.n_buckets;
-    let mut job = JobConfig::new(mode, heap_bytes).with_table(table_cfg);
+    let mut table = TableConfig::tuned(organization_of(app), heap_bytes);
+    table.buckets_per_group = table.n_buckets;
+    let mut cfg = AppConfig::new(heap_bytes).with_table(table);
     // One pass only: any postponement is MapCG's OOM failure. The driver
     // would otherwise iterate; cap it so a full heap aborts quickly.
-    job.driver = DriverConfig {
-        max_iterations: 1,
-        ..job.driver.clone()
-    };
-    let partition = partition_of(dataset);
+    cfg.driver.max_iterations = 1;
     let before = executor.metrics().snapshot();
-    let mapper: &dyn sepo_mapreduce::Mapper = match app {
-        App::WordCount => {
-            &(wordcount::mapper as fn(&[u8], &mut sepo_mapreduce::Emitter<'_, '_, '_>))
-        }
-        App::PatentCitation => {
-            &(patent::mapper as fn(&[u8], &mut sepo_mapreduce::Emitter<'_, '_, '_>))
-        }
-        _ => &(geoloc::mapper as fn(&[u8], &mut sepo_mapreduce::Emitter<'_, '_, '_>)),
-    };
-    let out = run_job(
-        &dataset.bytes,
-        &partition,
-        &mapper,
-        job,
-        executor,
-        executor.metrics().clone(),
-    );
+    let run = run_app(app, dataset, &cfg, executor);
     let after = executor.metrics().snapshot();
     let snapshot = after.delta(&before);
-    if !out.outcome.is_complete() || snapshot.alloc_postponed > 0 {
+    if !run.outcome.is_complete() || snapshot.alloc_postponed > 0 {
         return Err(OutOfMemory {
             failed_inserts: snapshot.alloc_postponed.max(1),
         });
@@ -132,10 +101,10 @@ pub fn run_mapcg(
     // With a single bucket group the allocator's bump word appears in the
     // full contention histogram as one location carrying every allocation —
     // MapCG's central free-pointer hot spot.
-    let contention = out.table.full_contention_histogram();
+    let contention = run.table.full_contention_histogram();
     let alloc_serial = gpu_sim::SimTime::from_nanos(snapshot.alloc_success * MAPCG_ALLOC_SERIAL_NS);
-    let (_, output_bytes) = out.table.host_footprint();
-    let result_keys = out.table.collect_grouped().len();
+    let (_, output_bytes) = run.table.host_footprint();
+    let result_keys = run.table.collect_grouped().len();
     Ok(MapCgRun {
         snapshot,
         contention,

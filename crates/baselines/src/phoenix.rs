@@ -12,6 +12,7 @@
 
 use gpu_sim::charge::{Charge, MetricsCharge};
 use gpu_sim::metrics::{ContentionHistogram, Metrics, Snapshot};
+use sepo_apps::wordcount;
 use sepo_datagen::{geo, patents, App, Dataset};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,10 +63,7 @@ pub fn run_phoenix(app: App, dataset: &Dataset) -> PhoenixRun {
                         for i in (t..dataset.len()).step_by(THREADS) {
                             let rec = dataset.record(i);
                             charge.compute(8 * rec.len() as u64);
-                            for w in rec
-                                .split(|&b| b == b' ' || b == b'\n')
-                                .filter(|w| !w.is_empty())
-                            {
+                            for w in wordcount::words(rec) {
                                 // Hash + probe + combine in host memory.
                                 charge.compute(100 + 2 * w.len() as u64);
                                 charge.device_bytes(64 + w.len() as u64);
@@ -145,10 +143,22 @@ mod tests {
     fn word_count_matches_reference() {
         let ds = App::WordCount.generate(0, 16_384);
         let run = run_phoenix(App::WordCount, &ds);
-        let reference = sepo_apps::wordcount::reference(&ds);
+        let reference = wordcount::reference(&ds);
         assert_eq!(run.result_keys, reference.len());
         assert!(run.snapshot.compute_units > 0);
         assert_eq!(run.contention.total_updates(), 0, "no shared contention");
+    }
+
+    #[test]
+    fn word_count_tokenizes_like_the_app() {
+        // Tabs and CRLF line ends separate words in the app's mapper, so
+        // they must in the baseline too.
+        let mut ds = Dataset::new();
+        ds.push_record(b"a\tb\r\n");
+        ds.push_record(b"b c\r\n");
+        ds.push_record(b"c\td\te\n");
+        let run = run_phoenix(App::WordCount, &ds);
+        assert_eq!(run.result_keys, wordcount::reference(&ds).len());
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! run at 1/4096, where one application × dataset sweep takes seconds, and
 //! every sweep-priced claim reads that one sweep.
 
+use gpu_sim::{ExecMode, Executor, Metrics};
+use sepo_baselines::run_mapcg;
 use sepo_bench::paper::{self, Sweep};
+use sepo_datagen::App;
 use serde_json::Value;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const SCALE: u64 = 4096;
 
@@ -109,6 +112,45 @@ fn table2_word_count_is_near_parity_and_allocator_bound_apps_win_twice() {
     for name in ["Patent Citation (MapReduce)", "Geo Location (MapReduce)"] {
         let s = num(row_of(rows, name), "speedup");
         assert!(s >= 2.0, "{name} vs MapCG = {s:.2}x");
+    }
+}
+
+#[test]
+fn mapcg_fails_on_every_larger_dataset_whose_table_outgrows_one_pass() {
+    // "MapCG is unable to support a larger-than-memory hash table" (§VI-C):
+    // the paper has it fail beyond the smallest dataset. Here it fails on
+    // five of the nine larger cells. Word Count's table fits the heap on
+    // every dataset (SEPO needs one pass there too), and at this scale
+    // Geo Location #2 fits MapCG's single bucket group, which wastes less
+    // of the heap than SEPO's per-group pages (EXPERIMENTS.md, Known
+    // deviation 6).
+    let fits = [
+        (App::WordCount, [true, true, true]),
+        (App::PatentCitation, [false, false, false]),
+        (App::GeoLocation, [true, false, false]),
+    ];
+    let sweep = sweep();
+    for (app, fits) in fits {
+        for (idx, fits) in (1..4).zip(fits) {
+            let ds = app.generate(idx, SCALE);
+            let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
+            let mapcg = run_mapcg(app, &ds, sweep.heap, &exec);
+            assert_eq!(
+                mapcg.is_ok(),
+                fits,
+                "{} #{}: MapCG {mapcg:?}",
+                app.name(),
+                idx + 1
+            );
+            // Where MapCG runs out of memory, SEPO iterates and finishes.
+            let sepo_iterations = sweep.cell(app, idx).outcome.n_iterations();
+            assert!(
+                fits || sepo_iterations > 1,
+                "{} #{}: MapCG failed where SEPO needed {sepo_iterations} pass",
+                app.name(),
+                idx + 1
+            );
+        }
     }
 }
 

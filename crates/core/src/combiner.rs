@@ -542,7 +542,9 @@ mod tests {
         wc.flush(&t, &mut c);
         // The table was keyed by the same (wrong) hash, so both live in one
         // bucket — but remain separate entries with separate totals.
-        assert_eq!(t.lookup_combining_hashed(b"first", h, &mut c), Some(11));
-        assert_eq!(t.lookup_combining_hashed(b"second", h, &mut c), Some(20));
+        t.finalize();
+        let mut got = t.collect_combining();
+        got.sort();
+        assert_eq!(got, [(b"first".to_vec(), 11), (b"second".to_vec(), 20)]);
     }
 }

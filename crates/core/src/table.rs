@@ -467,17 +467,7 @@ impl SepoTable {
     /// Resident-side lookup of a combining key's current value (testing and
     /// intra-phase reads; evicted keys are not consulted).
     pub fn lookup_combining<C: Charge>(&self, key: &[u8], charge: &mut C) -> Option<u64> {
-        self.lookup_combining_hashed(key, fnv1a(key), charge)
-    }
-
-    /// [`SepoTable::lookup_combining`] with a precomputed [`fnv1a`] hash.
-    pub fn lookup_combining_hashed<C: Charge>(
-        &self,
-        key: &[u8],
-        hash: u64,
-        charge: &mut C,
-    ) -> Option<u64> {
-        let bucket = bucket_for(hash, self.cfg.n_buckets);
+        let bucket = bucket_of(key, self.cfg.n_buckets);
         let head_raw = self.head_raw(bucket);
         let e = self.find_resident(head_raw, key, combining::KLEN, combining::KEY, charge)?;
         Some(self.heap.atomic_u64(e, combining::VALUE).observe())
@@ -511,17 +501,6 @@ impl SepoTable {
         value: &[u8],
         charge: &mut C,
     ) -> InsertStatus {
-        self.insert_basic_hashed(key, fnv1a(key), value, charge)
-    }
-
-    /// [`SepoTable::insert_basic`] with a precomputed [`fnv1a`] hash.
-    pub fn insert_basic_hashed<C: Charge>(
-        &self,
-        key: &[u8],
-        hash: u64,
-        value: &[u8],
-        charge: &mut C,
-    ) -> InsertStatus {
         assert!(
             matches!(self.cfg.organization, Organization::Basic),
             "insert_basic on a {} table",
@@ -531,6 +510,7 @@ impl SepoTable {
             (value.len() as u64) < (1 << 31),
             "basic values are capped below 2^31 bytes (tombstone bit)"
         );
+        let hash = fnv1a(key);
         // Sharded ownership filter (see `insert_combining_hashed`).
         if !self.cfg.owns_hash(hash) {
             return InsertStatus::Success;
@@ -582,22 +562,12 @@ impl SepoTable {
         value: &[u8],
         charge: &mut C,
     ) -> InsertStatus {
-        self.insert_multivalued_hashed(key, fnv1a(key), value, charge)
-    }
-
-    /// [`SepoTable::insert_multivalued`] with a precomputed [`fnv1a`] hash.
-    pub fn insert_multivalued_hashed<C: Charge>(
-        &self,
-        key: &[u8],
-        hash: u64,
-        value: &[u8],
-        charge: &mut C,
-    ) -> InsertStatus {
         assert!(
             matches!(self.cfg.organization, Organization::MultiValued),
             "insert_multivalued on a {} table",
             self.cfg.organization.label()
         );
+        let hash = fnv1a(key);
         // Sharded ownership filter (see `insert_combining_hashed`).
         if !self.cfg.owns_hash(hash) {
             return InsertStatus::Success;

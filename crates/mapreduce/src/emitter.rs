@@ -14,16 +14,15 @@ use sepo_core::sepo::TaskResult;
 use sepo_core::table::{InsertStatus, SepoTable};
 
 /// Pair-emission state for one task execution.
-pub struct Emitter<'a, 'l, 'w> {
+pub struct Emitter<'a, 'w> {
     table: &'a SepoTable,
     lane: &'a mut LaneCtx<'w>,
     start_pair: u32,
     next_pair: u32,
     postponed_at: Option<u32>,
-    _marker: std::marker::PhantomData<&'l ()>,
 }
 
-impl<'a, 'l, 'w> Emitter<'a, 'l, 'w> {
+impl<'a, 'w> Emitter<'a, 'w> {
     /// An emitter resuming at `start_pair` (0 on a task's first attempt).
     pub fn new(table: &'a SepoTable, lane: &'a mut LaneCtx<'w>, start_pair: u32) -> Self {
         Emitter {
@@ -32,7 +31,6 @@ impl<'a, 'l, 'w> Emitter<'a, 'l, 'w> {
             start_pair,
             next_pair: 0,
             postponed_at: None,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -79,10 +77,7 @@ impl<'a, 'l, 'w> Emitter<'a, 'l, 'w> {
         if !self.should_attempt() {
             return self.postponed_at.is_none();
         }
-        match self
-            .table
-            .insert_multivalued_hashed(key, fnv1a(key), value, self.lane)
-        {
+        match self.table.insert_multivalued(key, value, self.lane) {
             InsertStatus::Success => true,
             InsertStatus::Postponed => {
                 self.note_postponed();
@@ -130,7 +125,7 @@ mod tests {
     fn run_one_task(
         table: &SepoTable,
         start: u32,
-        f: impl Fn(&mut Emitter<'_, '_, '_>) + Sync,
+        f: impl Fn(&mut Emitter<'_, '_>) + Sync,
     ) -> TaskResult {
         let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()));
         let result = parking_lot::Mutex::new(None);

@@ -20,9 +20,9 @@
 //! | [`gpu_sim`] | SIMT executor, device memory, PCIe + cost models, LRU paging sim |
 //! | [`sepo_alloc`] | page heap, free pool, bucket-group allocator, dual pointers |
 //! | [`sepo_core`] | the SEPO hash table: 3 organizations, driver, eviction, results |
-//! | [`sepo_mapreduce`] | MAP_REDUCE / MAP_GROUP runtime on the SEPO table |
+//! | [`sepo_mapreduce`] | map-side MapReduce API: `Emitter` and MAP_REDUCE / MAP_GROUP `Mode` |
 //! | [`sepo_datagen`] | seeded synthetic datasets for the 7 evaluation apps |
-//! | [`sepo_apps`] | the 7 applications + sequential reference oracles |
+//! | [`sepo_apps`] | the 7 applications, the MapReduce runtime (`run_mapper`), reference oracles |
 //! | [`sepo_baselines`] | CPU, Phoenix++-like, MapCG-like, pinned, paging baselines |
 //!
 //! ## Quickstart
@@ -71,10 +71,11 @@ pub mod prelude {
         Charge, DeviceMemory, ExecMode, Executor, Metrics, MetricsCharge, NoCharge, PcieBus,
         SimTime, SystemSpec,
     };
+    pub use sepo_apps::{run_mapper, AppConfig, AppRun};
     pub use sepo_core::{
         Combiner, InsertStatus, Organization, SepoDriver, SepoOutcome, SepoTable, TableConfig,
         TaskResult,
     };
     pub use sepo_datagen::{App, Dataset};
-    pub use sepo_mapreduce::{run_job, Emitter, JobConfig, Mode, Partition};
+    pub use sepo_mapreduce::{Emitter, Mode};
 }

@@ -51,10 +51,10 @@ fn run_once(
     }
     exec = exec.with_shadow(Arc::new(ShadowSanitizer::new()));
     let mut cfg = AppConfig::new(heap)
-        .with_chunk_tasks(CHUNK_TASKS)
         .with_audit(true)
         .with_sanitize(true)
         .with_evict_overlap(evict_overlap);
+    cfg.driver.chunk_tasks = CHUNK_TASKS;
     if hard_seed.is_some() {
         cfg = cfg
             .with_checkpoint(CheckpointPolicy::Memory)

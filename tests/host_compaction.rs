@@ -96,9 +96,8 @@ fn lookup_phase_answers_the_oracle_on_every_combining_app() {
 fn netflix_run(hard_seed: Option<u64>) -> (Vec<u8>, Option<CompactReport>, u32) {
     let ds = App::Netflix.generate(0, 16_384);
     let mut exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
-    let mut cfg = AppConfig::new(48 << 10)
-        .with_chunk_tasks(32)
-        .with_audit(true);
+    let mut cfg = AppConfig::new(48 << 10).with_audit(true);
+    cfg.driver.chunk_tasks = 32;
     if let Some(seed) = hard_seed {
         let plan = FaultPlan::new(FaultConfig::quiet(seed)).with_hard(HardFaultConfig {
             seed,

@@ -122,10 +122,8 @@ fn executor(layers: Layers) -> Executor {
 /// The shared app config; chaos and corruption arm in-memory
 /// checkpointing so every detected fault has a repair source.
 fn config(layers: Layers) -> AppConfig {
-    let mut cfg = AppConfig::new(HEAP)
-        .with_chunk_tasks(CHUNK_TASKS)
-        .with_audit(true)
-        .with_sanitize(true);
+    let mut cfg = AppConfig::new(HEAP).with_audit(true).with_sanitize(true);
+    cfg.driver.chunk_tasks = CHUNK_TASKS;
     if layers.chaos_seed.is_some() || layers.corrupt.is_some() {
         cfg = cfg
             .with_checkpoint(CheckpointPolicy::Memory)

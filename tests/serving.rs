@@ -142,10 +142,10 @@ fn run_serving(
     }
 
     let mut cfg = AppConfig::new(HEAP)
-        .with_chunk_tasks(CHUNK_TASKS)
         .with_audit(true)
         .with_sanitize(true)
         .with_serving(Arc::clone(&publisher));
+    cfg.driver.chunk_tasks = CHUNK_TASKS;
     if chaos_seed.is_some() {
         cfg = cfg
             .with_checkpoint(CheckpointPolicy::Memory)
@@ -183,10 +183,8 @@ fn run_plain(app: App, ds: &Dataset, fault_seed: Option<u64>) -> (Vec<u8>, Vec<u
     if let Some(seed) = fault_seed {
         exec = exec.with_faults(Arc::new(FaultPlan::new(FaultConfig::standard(seed))));
     }
-    let cfg = AppConfig::new(HEAP)
-        .with_chunk_tasks(CHUNK_TASKS)
-        .with_audit(true)
-        .with_sanitize(true);
+    let mut cfg = AppConfig::new(HEAP).with_audit(true).with_sanitize(true);
+    cfg.driver.chunk_tasks = CHUNK_TASKS;
     let run = run_app(app, ds, &cfg, &exec);
     let mut image = Vec::new();
     run.table.save(&mut image).expect("save table image");
@@ -367,10 +365,10 @@ fn duplicate_queries_agree_across_serving_and_lookup_phase() {
     let metrics = Arc::new(Metrics::new());
     let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
     let publisher = Arc::new(EpochPublisher::default());
-    let cfg = AppConfig::new(HEAP / 2)
-        .with_chunk_tasks(CHUNK_TASKS)
+    let mut cfg = AppConfig::new(HEAP / 2)
         .with_audit(true)
         .with_serving(Arc::clone(&publisher));
+    cfg.driver.chunk_tasks = CHUNK_TASKS;
     let run = run_app(app, &ds, &cfg, &exec);
     assert!(
         run.outcome.compaction.is_some(),

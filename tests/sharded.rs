@@ -35,12 +35,13 @@ fn executor(faults: Option<FaultPlan>) -> Executor {
 }
 
 fn base_cfg(policy: CheckpointPolicy) -> AppConfig {
-    AppConfig::new(HEAP)
-        .with_chunk_tasks(CHUNK)
+    let mut cfg = AppConfig::new(HEAP)
         .with_audit(true)
         .with_sanitize(true)
         .with_checkpoint(policy)
-        .with_max_recoveries(10_000)
+        .with_max_recoveries(10_000);
+    cfg.driver.chunk_tasks = CHUNK;
+    cfg
 }
 
 /// Run `app` over `N` shards; shard `chaos` (if any) additionally draws
@@ -89,10 +90,10 @@ fn every_shard_count_merges_to_the_one_device_image() {
     const SEED: u64 = 0x5AAD_ED01;
     // A heap the one-device run spills out of, so sharding relieves real
     // table pressure.
-    let cfg = AppConfig::new(48 << 10)
-        .with_chunk_tasks(512)
+    let mut cfg = AppConfig::new(48 << 10)
         .with_audit(true)
         .with_sanitize(true);
+    cfg.driver.chunk_tasks = 512;
     let faulted = |seed| executor(Some(FaultPlan::new(FaultConfig::standard(seed))));
     for app in App::ALL {
         let ds = app.generate(0, 16_384);
