@@ -30,7 +30,7 @@ use sepo_core::config::{Combiner, Organization};
 use sepo_core::hash::fnv1a;
 use sepo_core::shard::{audit_ownership, shard_bits};
 use sepo_core::table::SepoTable;
-use sepo_core::{canonical_image, shard_of, shard_of_key, ShardSpec};
+use sepo_core::{canonical_image, shard_of, ShardSpec};
 use sepo_datagen::geo::parse_article;
 use sepo_datagen::html::parse_page;
 use sepo_datagen::patents::parse_citation;
@@ -121,33 +121,6 @@ impl ShardRouter {
     /// Owner shard of a key hash.
     pub fn shard_of_hash(&self, hash: u64) -> u32 {
         shard_of(hash, self.bits)
-    }
-
-    /// Owner shard of a key.
-    pub fn shard_of_key(&self, key: &[u8]) -> u32 {
-        shard_of_key(key, self.bits)
-    }
-
-    /// Split a batch of keys into per-shard index lists. The concatenation
-    /// of the lists is a permutation of `0..keys.len()`: every key routes
-    /// to exactly one shard.
-    pub fn split_keys(&self, keys: &[&[u8]]) -> Vec<Vec<usize>> {
-        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); self.shard_count() as usize];
-        for (i, key) in keys.iter().enumerate() {
-            slots[self.shard_of_key(key) as usize].push(i);
-        }
-        slots
-    }
-
-    /// Deduplicated, ascending owner shards of one record (empty when the
-    /// record emits no keys).
-    pub fn owners_of_record(&self, record: &[u8]) -> Vec<u32> {
-        let mut hashes = Vec::new();
-        record_key_hashes(self.app, record, &mut hashes);
-        let mut owners: Vec<u32> = hashes.iter().map(|&h| self.shard_of_hash(h)).collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners
     }
 
     /// Split `dataset` into one sub-dataset per shard, preserving record
@@ -348,10 +321,9 @@ mod tests {
         for record in ds.records() {
             hashes.clear();
             record_key_hashes(App::WordCount, record, &mut hashes);
-            let owners = router.owners_of_record(record);
             for (s, subset) in subsets.iter().enumerate() {
                 let held = subset.records().any(|r| r == record);
-                let owns = owners.contains(&(s as u32));
+                let owns = hashes.iter().any(|&h| router.shard_of_hash(h) == s as u32);
                 // A record identical to another may appear in shards owned
                 // by either copy; only check the "must hold" direction.
                 if owns {
@@ -365,28 +337,12 @@ mod tests {
     fn keyless_records_route_to_shard_zero() {
         let mut ds = Dataset::new();
         ds.push_record(b"not a weblog line\n");
-        let router = ShardRouter::new(App::PageViewCount, 4);
-        assert!(router.owners_of_record(ds.record(0)).is_empty());
-        let subsets = router.split_dataset(&ds);
+        let mut hashes = Vec::new();
+        record_key_hashes(App::PageViewCount, ds.record(0), &mut hashes);
+        assert!(hashes.is_empty(), "the record must be keyless");
+        let subsets = ShardRouter::new(App::PageViewCount, 4).split_dataset(&ds);
         assert_eq!(subsets[0].len(), 1);
         assert!(subsets[1..].iter().all(|d| d.is_empty()));
-    }
-
-    #[test]
-    fn split_keys_is_a_permutation_of_the_batch() {
-        let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("key-{i}").into_bytes()).collect();
-        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let router = ShardRouter::new(App::PageViewCount, 8);
-        let slots = router.split_keys(&refs);
-        assert_eq!(slots.len(), 8);
-        let mut all: Vec<usize> = slots.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..keys.len()).collect::<Vec<_>>());
-        for (s, slot) in slots.iter().enumerate() {
-            for &i in slot {
-                assert_eq!(router.shard_of_key(&keys[i]), s as u32);
-            }
-        }
     }
 
     #[test]

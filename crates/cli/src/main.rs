@@ -72,7 +72,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultKind};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan};
 use sepo_apps::sharded::unsharded_image;
 use sepo_apps::{run_app, run_app_sharded, AppConfig};
 use sepo_bench::paper::cpu_baseline;
@@ -291,24 +291,21 @@ fn load_dataset(app: App, f: &Flags) -> Result<sepo_datagen::Dataset, String> {
 }
 
 /// Shard `i`'s simulated device: its own metrics, sanitizer and fault
-/// plan. Every stream is seeded `seed ^ i`, so each device sees independent
-/// faults and shard 0 draws exactly the single-device streams.
+/// plan. Each fault flag attaches its family under its own seed, and every
+/// stream is seeded `seed ^ i`, so each device sees independent faults and
+/// shard 0 draws exactly the single-device streams.
 fn shard_executor(f: &Flags, mode: ExecMode, i: u32) -> Executor {
-    let seeded = |seed: u64| seed ^ u64::from(i);
-    let quiet = |seed| FaultPlan::new(FaultConfig::quiet(seeded(seed)));
-    let mut plan = f
-        .faults
-        .map(|seed| FaultPlan::new(FaultConfig::standard(seeded(seed))));
-    if let Some(seed) = f.chaos_seed {
-        let base = plan.take().unwrap_or_else(|| quiet(seed));
-        plan = Some(base.with_hard(gpu_sim::HardFaultConfig::standard(seeded(seed))));
-    }
-    if let Some(seed) = f.corrupt {
-        let base = plan.take().unwrap_or_else(|| quiet(seed));
-        plan = Some(base.with_corruption(gpu_sim::CorruptionConfig::standard(seeded(seed))));
-    }
+    let shard = u64::from(i);
+    let mut configs = [
+        f.faults.map(|seed| FaultConfig::standard(seed ^ shard)),
+        f.chaos_seed.map(|seed| FaultConfig::chaos(seed ^ shard)),
+        f.corrupt.map(|seed| FaultConfig::corruption(seed ^ shard)),
+    ]
+    .into_iter()
+    .flatten();
     let mut exec = Executor::new(mode, Arc::new(Metrics::new()));
-    if let Some(plan) = plan {
+    if let Some(first) = configs.next() {
+        let plan = configs.fold(FaultPlan::new(first), FaultPlan::with);
         exec = exec.with_faults(Arc::new(plan));
     }
     if f.sanitize {
@@ -464,15 +461,15 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
     if !plans.is_empty() {
         println!(
             "  injected faults: {} lane aborts over {} draws",
-            total(&plans, |p| p.total_injected()),
-            total(&plans, |p| p.draws())
+            total(&plans, |p| p.injected(FaultKind::LaneAbort)),
+            total(&plans, |p| p.draws(FaultKind::LaneAbort))
         );
     }
     if plans.iter().any(|p| p.has_hard_faults()) {
         println!(
             "  hard faults: {} device losses, {} poisoned launches",
-            total(&plans, |p| p.hard_injected(HardFaultKind::DeviceLost)),
-            total(&plans, |p| p.hard_injected(HardFaultKind::PoisonedLaunch))
+            total(&plans, |p| p.injected(FaultKind::DeviceLost)),
+            total(&plans, |p| p.injected(FaultKind::PoisonedLaunch))
         );
     }
     if plans.iter().any(|p| p.has_corruption()) {
@@ -481,7 +478,10 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
         println!(
             "  integrity: recovered ({} flips injected: {} retransmits, \
              {} checkpoint restores, {} image rewrites; {} host pages scrubbed clean)",
-            total(&plans, |p| p.total_corruption_injected()),
+            total(&plans, |p| FaultKind::CORRUPTION
+                .iter()
+                .map(|&k| p.injected(k))
+                .sum()),
             total(&recs, |r| r.retransmits),
             total(&recs, |r| r.integrity_restores.into()),
             total(&recs, |r| r.checkpoint_rewrites.into()),

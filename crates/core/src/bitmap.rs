@@ -117,13 +117,6 @@ impl Bitmap {
     pub fn all_set(&self) -> bool {
         self.count_set() == self.len
     }
-
-    /// Clear every bit.
-    pub fn clear_all(&self) {
-        for w in self.words.iter() {
-            w.set(0);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,17 +161,6 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.all_set());
         assert!(b.unset_indices().is_empty());
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let b = Bitmap::new(100);
-        for i in 0..100 {
-            b.set(i);
-        }
-        b.clear_all();
-        assert_eq!(b.count_set(), 0);
-        assert_eq!(b.unset_indices().len(), 100);
     }
 
     #[test]

@@ -80,10 +80,9 @@ use crate::integrity;
 use crate::persist::{append_trailer, verify_trailer};
 use crate::sepo::IterationStats;
 use crate::table::SepoTable;
-use gpu_sim::faults::CorruptionKind;
 use gpu_sim::metrics::{Counter, Snapshot};
 use gpu_sim::sync::Relaxed;
-use gpu_sim::{FaultPlan, TransientDrawState};
+use gpu_sim::{FaultKind, FaultPlan, TransientDrawState};
 use sepo_alloc::hostheap::{read_array, read_exact_field};
 use sepo_alloc::{HeapSnapshot, PageKind, ResidentPage, StampedPage};
 use std::io::{self, Read, Write};
@@ -112,7 +111,7 @@ pub const MAX_CHECKPOINT_REWRITES: u32 = 8;
 fn write_image_verified(path: &Path, image: &[u8], plan: Option<&FaultPlan>) -> io::Result<u32> {
     let mut rewrites = 0u32;
     loop {
-        match plan.and_then(|p| p.draw_corruption(CorruptionKind::DiskByteFlip)) {
+        match plan.and_then(|p| p.draw(FaultKind::DiskByteFlip)) {
             Some(hit) => {
                 // The write is damaged in flight: flip one byte of what
                 // actually lands on disk.
@@ -791,10 +790,7 @@ mod tests {
     fn transient_draw_state_survives_serialization() {
         let t = small_table();
         fill(&t, 0..20);
-        let plan = FaultPlan::new(gpu_sim::FaultConfig {
-            seed: 5,
-            lane_abort_rate: 0.5,
-        });
+        let plan = FaultPlan::new(gpu_sim::FaultConfig::quiet(5).rate(FaultKind::LaneAbort, 0.5));
         for _ in 0..10 {
             let _ = plan.should_abort_lane();
         }
@@ -818,7 +814,7 @@ mod tests {
         let mut stalls = 0;
         back.restore(&t, &done, &progress, &mut iters, &mut stalls, Some(&plan));
         assert_eq!(plan.transient_snapshot(), ckp.transient.unwrap());
-        assert_eq!(plan.draws(), 10);
+        assert_eq!(plan.draws(FaultKind::LaneAbort), 10);
     }
 
     #[test]
@@ -999,14 +995,8 @@ mod tests {
     fn disk_byte_flips_force_rewrites_until_the_image_verifies() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        let plan = FaultPlan::new(gpu_sim::FaultConfig::quiet(9)).with_corruption(
-            gpu_sim::CorruptionConfig {
-                seed: 9,
-                pcie_bit_flip_rate: 0.0,
-                resting_page_flip_rate: 0.0,
-                disk_byte_flip_rate: 0.6,
-            },
-        );
+        let plan =
+            FaultPlan::new(gpu_sim::FaultConfig::quiet(9).rate(FaultKind::DiskByteFlip, 0.6));
         let path = std::env::temp_dir().join(format!("sepo-ckp-flip-{}.bin", std::process::id()));
         let file = CheckpointFile::new(path.clone(), 1);
         let mut total_rewrites = 0u64;
@@ -1025,7 +1015,7 @@ mod tests {
         );
         assert_eq!(
             total_rewrites,
-            plan.corruption_injected(CorruptionKind::DiskByteFlip),
+            plan.injected(FaultKind::DiskByteFlip),
             "every injected disk flip must be caught by read-back verification"
         );
         let _ = std::fs::remove_file(&path);
@@ -1035,14 +1025,8 @@ mod tests {
     fn exhausted_rewrites_surface_a_checksum_error() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        let plan = FaultPlan::new(gpu_sim::FaultConfig::quiet(3)).with_corruption(
-            gpu_sim::CorruptionConfig {
-                seed: 3,
-                pcie_bit_flip_rate: 0.0,
-                resting_page_flip_rate: 0.0,
-                disk_byte_flip_rate: 1.0,
-            },
-        );
+        let plan =
+            FaultPlan::new(gpu_sim::FaultConfig::quiet(3).rate(FaultKind::DiskByteFlip, 1.0));
         let path = std::env::temp_dir().join(format!("sepo-ckp-exh-{}.bin", std::process::id()));
         let file = CheckpointFile::new(path.clone(), 1);
         let err = file.update(0, &ckp, Some(&plan)).unwrap_err();

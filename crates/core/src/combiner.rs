@@ -117,7 +117,7 @@ impl CombinerConfig {
 /// The tile's storage, indexed by slot (`set * ways + way`) except
 /// `filled`, which is per set. A slot's delta is meaningful only while its
 /// fold count is non-zero: right after admission the first value went into
-/// the table inline, so Min/Max combiners need no identity element.
+/// the table inline, so a combiner needs no identity element.
 #[derive(Debug)]
 struct Tile {
     /// Occupied ways per set (always the lowest ones).
@@ -325,24 +325,6 @@ mod tests {
             let key = format!("key-{i}");
             let expect = (100 / 7) + u64::from(i < 100 % 7);
             assert_eq!(t.lookup_combining(key.as_bytes(), &mut c), Some(expect));
-        }
-    }
-
-    #[test]
-    fn min_and_max_need_no_identity_element() {
-        for (comb, values, expect) in [
-            (Combiner::Min, [9u64, 3, 7], 3u64),
-            (Combiner::Max, [9, 3, 7], 9),
-        ] {
-            let t = table(comb, 64);
-            let mut wc = WarpCombiner::new(comb, CombinerConfig::default());
-            let mut c = NoCharge;
-            let h = crate::hash::fnv1a(b"k");
-            for v in values {
-                assert!(wc.emit(&t, b"k", h, v, &mut c).is_success());
-            }
-            wc.flush(&t, &mut c);
-            assert_eq!(t.lookup_combining(b"k", &mut c), Some(expect));
         }
     }
 

@@ -315,7 +315,7 @@ mod tests {
 
     #[test]
     fn packing_respects_the_page_size_and_takes_fresh_ids() {
-        let t = table(Combiner::Max, 64);
+        let t = table(Combiner::Or, 64);
         let keys: Vec<String> = (0..300).map(|i| format!("key-{i:04}")).collect();
         let pairs: Vec<(&str, u64)> = keys
             .iter()
@@ -324,7 +324,7 @@ mod tests {
             .map(|(i, k)| (k.as_str(), i as u64))
             .collect();
         partials(&t, &pairs, 300);
-        let want = collector_fold(&t, Combiner::Max);
+        let want = collector_fold(&t, Combiner::Or);
         let old_max = t.host_heap().pages().last().unwrap().host_id();
         let report = t.compact_host().unwrap().unwrap();
         assert_eq!((report.entries, report.keys), (600, 300));
@@ -342,11 +342,8 @@ mod tests {
             .map(|(i, k)| (k.as_bytes(), i))
             .collect();
         for (k, v) in &got {
-            assert_eq!(
-                *v,
-                300 + index[k.as_slice()] as u64,
-                "Max keeps the later partial"
-            );
+            let i = index[k.as_slice()] as u64;
+            assert_eq!(*v, i | (300 + i), "Or unions both partials");
         }
     }
 

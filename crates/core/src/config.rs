@@ -53,10 +53,6 @@ pub enum Combiner {
     Add,
     /// Bitwise OR (sets of edges: DNA Assembly).
     Or,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
 }
 
 impl Combiner {
@@ -66,8 +62,6 @@ impl Combiner {
         match self {
             Combiner::Add => stored.wrapping_add(incoming),
             Combiner::Or => stored | incoming,
-            Combiner::Min => stored.min(incoming),
-            Combiner::Max => stored.max(incoming),
         }
     }
 }
@@ -221,8 +215,6 @@ mod tests {
     fn combiner_semantics() {
         assert_eq!(Combiner::Add.apply(3, 4), 7);
         assert_eq!(Combiner::Or.apply(0b101, 0b011), 0b111);
-        assert_eq!(Combiner::Min.apply(9, 4), 4);
-        assert_eq!(Combiner::Max.apply(9, 4), 9);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::hash::bucket_of;
 use crate::integrity::{self, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
-use gpu_sim::faults::{CorruptionError, CorruptionKind, FaultPlan};
+use gpu_sim::faults::{FaultKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
 use std::sync::Arc;
@@ -106,7 +106,7 @@ impl SepoTable {
         self.integrity.note_stamped();
         if let Some(plan) = corrupt {
             let mut retransmits = 0;
-            while let Some(hit) = plan.draw_corruption(CorruptionKind::PcieBitFlip) {
+            while let Some(hit) = plan.draw(FaultKind::PcieBitFlip) {
                 // Materialize the damage and verify the stamp detects it
                 // (CRC32C catches all single-bit errors by construction).
                 let damaged = integrity::flip_bit(&data, hit.entropy);
@@ -118,10 +118,7 @@ impl SepoTable {
                 if retransmits >= MAX_TRANSFER_RETRANSMITS {
                     self.integrity.note_failure(TransferFailure {
                         host_id,
-                        error: CorruptionError {
-                            kind: hit.kind,
-                            draw: hit.draw,
-                        },
+                        error: hit,
                     });
                     break;
                 }

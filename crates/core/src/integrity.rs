@@ -14,19 +14,19 @@
 //!
 //! CRC32C detects *all* single-bit errors (and all odd-weight errors, all
 //! burst errors up to 32 bits), which is exactly the fault model
-//! [`CorruptionKind`] injects — so a seeded-corruption run either recovers
-//! to a byte-identical image or fails loudly with a witness; it can never
-//! complete with a divergent image.
+//! [`FaultKind::CORRUPTION`] injects — so a seeded-corruption run either
+//! recovers to a byte-identical image or fails loudly with a witness; it
+//! can never complete with a divergent image.
 //!
 //! [`StampedPage`]: sepo_alloc::StampedPage
 //! [`StampedPage::verify`]: sepo_alloc::StampedPage::verify
 //! [`HostStore`]: crate::serve::HostStore
-//! [`CorruptionKind`]: gpu_sim::CorruptionKind
+//! [`FaultKind::CORRUPTION`]: gpu_sim::FaultKind::CORRUPTION
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use gpu_sim::CorruptionError;
+use gpu_sim::sync::Relaxed;
+use gpu_sim::FaultDraw;
 
 /// How many times a transfer whose checksum failed verification is
 /// re-issued before the eviction is declared unrecoverable.
@@ -40,7 +40,7 @@ pub struct TransferFailure {
     /// Host id of the page whose eviction transfer failed verification.
     pub host_id: u64,
     /// The corruption draw behind the final failed attempt.
-    pub error: CorruptionError,
+    pub error: FaultDraw,
 }
 
 /// Shared integrity state attached to a `SepoTable`: detection counters
@@ -48,26 +48,26 @@ pub struct TransferFailure {
 /// boundaries.
 #[derive(Debug, Default)]
 pub struct IntegrityState {
-    pages_stamped: AtomicU64,
-    pages_verified: AtomicU64,
-    retransmits: AtomicU64,
+    pages_stamped: Relaxed<u64>,
+    pages_verified: Relaxed<u64>,
+    retransmits: Relaxed<u64>,
     failure: Mutex<Option<TransferFailure>>,
 }
 
 impl IntegrityState {
     /// Record a page stamped at eviction.
     pub fn note_stamped(&self) {
-        self.pages_stamped.fetch_add(1, Ordering::Relaxed);
+        self.pages_stamped.fetch_add(1);
     }
 
     /// Record a page whose stamp was re-verified clean.
     pub fn note_verified(&self) {
-        self.pages_verified.fetch_add(1, Ordering::Relaxed);
+        self.pages_verified.fetch_add(1);
     }
 
     /// Record one detected-and-retransmitted in-flight corruption.
     pub fn note_retransmit(&self) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
+        self.retransmits.fetch_add(1);
     }
 
     /// Record an eviction transfer that failed verification on every
@@ -89,17 +89,17 @@ impl IntegrityState {
 
     /// Pages stamped at eviction so far.
     pub fn pages_stamped(&self) -> u64 {
-        self.pages_stamped.load(Ordering::Relaxed)
+        self.pages_stamped.get()
     }
 
     /// Stamp re-verifications that passed so far.
     pub fn pages_verified(&self) -> u64 {
-        self.pages_verified.load(Ordering::Relaxed)
+        self.pages_verified.get()
     }
 
     /// Detected-and-retransmitted in-flight corruptions so far.
     pub fn retransmits(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
+        self.retransmits.get()
     }
 }
 
@@ -130,7 +130,7 @@ pub fn flip_byte_in_place(data: &mut [u8], entropy: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::CorruptionKind;
+    use gpu_sim::FaultKind;
 
     #[test]
     fn flip_bit_damages_exactly_one_bit_deterministically() {
@@ -159,17 +159,19 @@ mod tests {
         s.note_retransmit();
         let first = TransferFailure {
             host_id: 3,
-            error: CorruptionError {
-                kind: CorruptionKind::PcieBitFlip,
+            error: FaultDraw {
+                kind: FaultKind::PcieBitFlip,
                 draw: 9,
+                entropy: 0,
             },
         };
         s.note_failure(first);
         s.note_failure(TransferFailure {
             host_id: 4,
-            error: CorruptionError {
-                kind: CorruptionKind::PcieBitFlip,
+            error: FaultDraw {
+                kind: FaultKind::PcieBitFlip,
                 draw: 10,
+                entropy: 0,
             },
         });
         assert_eq!(s.take_failure(), Some(first));

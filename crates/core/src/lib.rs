@@ -83,6 +83,6 @@ pub use sepo::{
 };
 pub use sepo_alloc::crc32c;
 pub use serve::{EpochPublisher, EpochSnapshot, HostStore, QueryError};
-pub use shard::{canonical_image, shard_of, shard_of_key, ShardSpec, ShardedSnapshot};
+pub use shard::{canonical_image, shard_of, shard_of_key, split_keys, ShardSpec, ShardedSnapshot};
 pub use stats::TableStats;
 pub use table::{InsertStatus, SepoTable};

@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! magic       8 bytes  "SEPOHST2"
-//! org         1 byte   0 basic | 1 multi-valued | 2..=5 combining Add/Or/Min/Max
+//! org         1 byte   0 basic | 1 multi-valued | 2..=3 combining Add/Or
 //! page count  u32
 //! per page:   host_id u64, kind u8 (1 mixed | 2 key | 3 value), crc u32,
 //!             len u32, bytes
@@ -44,8 +44,6 @@ fn org_tag(org: Organization) -> u8 {
         Organization::MultiValued => 1,
         Organization::Combining(Combiner::Add) => 2,
         Organization::Combining(Combiner::Or) => 3,
-        Organization::Combining(Combiner::Min) => 4,
-        Organization::Combining(Combiner::Max) => 5,
     }
 }
 
@@ -55,8 +53,6 @@ fn org_from_tag(tag: u8) -> io::Result<Organization> {
         1 => Organization::MultiValued,
         2 => Organization::Combining(Combiner::Add),
         3 => Organization::Combining(Combiner::Or),
-        4 => Organization::Combining(Combiner::Min),
-        5 => Organization::Combining(Combiner::Max),
         other => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -268,6 +264,19 @@ mod tests {
         assert_eq!(got.len(), 350, "old and new keys must coexist");
         assert_eq!(got[&b"key-0005".to_vec()], 5);
         assert_eq!(got[&b"key-1005".to_vec()], 1);
+    }
+
+    #[test]
+    fn combining_tags_are_two_and_three_and_retired_tags_are_refused() {
+        for (comb, tag) in [(Combiner::Add, 2), (Combiner::Or, 3)] {
+            let org = Organization::Combining(comb);
+            assert_eq!(org_tag(org), tag);
+            assert_eq!(org_from_tag(tag).unwrap(), org);
+        }
+        for tag in [4, 5] {
+            let err = org_from_tag(tag).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown organization tag {tag}"));
+        }
     }
 
     #[test]

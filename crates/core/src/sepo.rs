@@ -30,7 +30,7 @@ use gpu_sim::charge::Charge;
 use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
 use gpu_sim::metrics::Snapshot;
 use gpu_sim::sync::Relaxed;
-use gpu_sim::{CorruptionKind, FaultPlan, HardFaultError, NoCharge, ShadowSanitizer};
+use gpu_sim::{FaultDraw, FaultKind, FaultPlan, NoCharge, ShadowSanitizer};
 use sepo_alloc::crc32c;
 use std::any::Any;
 use std::fmt;
@@ -188,11 +188,11 @@ pub enum SepoError {
         /// Consecutive zero-progress, fault-afflicted iterations seen.
         stalled_iterations: u32,
     },
-    /// A hard device fault ([`gpu_sim::HardFaultKind`]) killed a launch and
+    /// A hard device fault ([`FaultKind::HARD`]) killed a launch and
     /// the run could not recover: checkpointing was off
     /// ([`DriverConfig::checkpoint`]), or the fault struck more than
     /// [`DriverConfig::max_recoveries`] times. The underlying
-    /// [`HardFaultError`] is exposed through [`std::error::Error::source`].
+    /// [`FaultDraw`] is exposed through [`std::error::Error::source`].
     DeviceLost {
         /// 1-based iteration whose launch was killed.
         at_iteration: u32,
@@ -201,7 +201,7 @@ pub enum SepoError {
         /// Recoveries performed before giving up.
         recoveries: u32,
         /// The fault that killed the launch.
-        source: HardFaultError,
+        source: FaultDraw,
     },
     /// Writing the iteration-boundary checkpoint to the
     /// [`CheckpointPolicy::Disk`] file failed. The underlying
@@ -222,7 +222,7 @@ pub enum SepoError {
         /// Host id of the page whose transfer kept failing verification.
         host_id: u64,
         /// The corruption draw that condemned the final attempt.
-        source: gpu_sim::CorruptionError,
+        source: FaultDraw,
     },
     /// Silent corruption of a resting page was detected by a checksum
     /// scrub (at an iteration boundary, or end-of-run for host pages) or by
@@ -411,7 +411,7 @@ pub struct DriverConfig {
     /// Iteration-boundary checkpointing for hard-fault recovery. With a
     /// policy other than [`CheckpointPolicy::Off`], the driver captures a
     /// [`Checkpoint`] at every quiescent boundary; a hard device fault
-    /// ([`gpu_sim::HardFaultKind`]) then restores the last checkpoint and
+    /// ([`FaultKind::HARD`]) then restores the last checkpoint and
     /// replays the killed iteration instead of failing the run. Restored
     /// runs are byte-identical to unkilled ones. Off by default; the CLI's
     /// `--checkpoint <path>` / `--chaos-seed` flags turn it on.
@@ -583,7 +583,7 @@ impl<'a> SepoDriver<'a> {
 /// checkpoint. The two causes keep separate recovery budgets.
 enum Rollback {
     /// A hard device fault killed one of the iteration's launches.
-    DeviceLost(HardFaultError),
+    DeviceLost(FaultDraw),
     /// The pre-launch scrub found a damaged resting page (its host id).
     CorruptPage(u64),
 }
@@ -765,7 +765,7 @@ impl<'d> Run<'d> {
         };
         let heap = self.table.heap();
         for &(page, _, _) in &self.resting {
-            if let Some(hit) = plan.draw_corruption(CorruptionKind::RestingPageFlip) {
+            if let Some(hit) = plan.draw(FaultKind::RestingPageFlip) {
                 heap.corrupt_bit(page, hit.entropy);
             }
         }
@@ -1459,10 +1459,9 @@ mod tests {
         // 10% lane aborts: tasks skipped by a fault stay pending and are
         // retried; every key must still land exactly once.
         let t = small_table(Organization::Combining(Combiner::Add), 64);
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 0xFA17,
-            lane_abort_rate: 0.10,
-        }));
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::quiet(0xFA17).rate(FaultKind::LaneAbort, 0.10),
+        ));
         let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(Arc::clone(&plan))
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
@@ -1493,10 +1492,9 @@ mod tests {
     fn certain_lane_aborts_exhaust_the_fault_budget() {
         use gpu_sim::{FaultConfig, FaultPlan};
         let t = small_table(Organization::Combining(Combiner::Add), 64);
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 1,
-            lane_abort_rate: 1.0,
-        }));
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::quiet(1).rate(FaultKind::LaneAbort, 1.0),
+        ));
         let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
             .with_faults(plan)
             .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
@@ -1534,14 +1532,10 @@ mod tests {
     }
 
     fn hard_plan(device_loss_rate: f64, poisoned_launch_rate: f64, seed: u64) -> Arc<FaultPlan> {
-        use gpu_sim::{FaultConfig, HardFaultConfig};
-        Arc::new(
-            FaultPlan::new(FaultConfig::quiet(seed)).with_hard(HardFaultConfig {
-                seed,
-                device_loss_rate,
-                poisoned_launch_rate,
-            }),
-        )
+        let config = gpu_sim::FaultConfig::quiet(seed)
+            .rate(FaultKind::DeviceLost, device_loss_rate)
+            .rate(FaultKind::PoisonedLaunch, poisoned_launch_rate);
+        Arc::new(FaultPlan::new(config))
     }
 
     #[test]
@@ -1886,15 +1880,11 @@ mod tests {
     }
 
     fn corruption_plan(seed: u64, pcie: f64, resting: f64, disk: f64) -> Arc<FaultPlan> {
-        use gpu_sim::{CorruptionConfig, FaultConfig};
-        Arc::new(
-            FaultPlan::new(FaultConfig::quiet(seed)).with_corruption(CorruptionConfig {
-                seed,
-                pcie_bit_flip_rate: pcie,
-                resting_page_flip_rate: resting,
-                disk_byte_flip_rate: disk,
-            }),
-        )
+        let config = gpu_sim::FaultConfig::quiet(seed)
+            .rate(FaultKind::PcieBitFlip, pcie)
+            .rate(FaultKind::RestingPageFlip, resting)
+            .rate(FaultKind::DiskByteFlip, disk);
+        Arc::new(FaultPlan::new(config))
     }
 
     /// Run the 30-key multivalued grouping workload with `plan` installed
@@ -1976,7 +1966,7 @@ mod tests {
         );
         let dirty = dirty.unwrap();
         assert!(
-            plan.total_corruption_injected() > 0,
+            plan.total_injected() > 0,
             "the seed must inject at least one flip for this test to bite"
         );
         assert!(
@@ -2011,7 +2001,7 @@ mod tests {
         );
         let dirty = dirty.unwrap();
         assert!(
-            plan.corruption_injected(gpu_sim::CorruptionKind::RestingPageFlip) > 0,
+            plan.injected(FaultKind::RestingPageFlip) > 0,
             "kept multivalued pages must give resting flips a target"
         );
         assert!(dirty.recovery.corruptions_detected > 0);
@@ -2099,7 +2089,7 @@ mod tests {
         );
         assert_eq!(
             u64::from(dirty.recovery.checkpoint_rewrites),
-            plan.corruption_injected(gpu_sim::CorruptionKind::DiskByteFlip),
+            plan.injected(FaultKind::DiskByteFlip),
             "every injected disk flip must be caught by read-back verification"
         );
         // The landed checkpoint is trustworthy despite the flips.

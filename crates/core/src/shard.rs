@@ -91,6 +91,17 @@ pub fn shard_of_key(key: &[u8], bits: u32) -> u32 {
     shard_of(fnv1a(key), bits)
 }
 
+/// Split a batch of keys into per-shard index lists under a `bits`-bit
+/// prefix partition. The concatenation of the lists is a permutation of
+/// `0..keys.len()`: every key routes to exactly one shard.
+pub fn split_keys(keys: &[&[u8]], bits: u32) -> Vec<Vec<usize>> {
+    let mut slots: Vec<Vec<usize>> = vec![Vec::new(); 1 << bits];
+    for (i, key) in keys.iter().enumerate() {
+        slots[shard_of_key(key, bits) as usize].push(i);
+    }
+    slots
+}
+
 /// Deterministic serialization of the merged results of finalized shard
 /// tables — the identity artifact of a sharded run.
 ///
@@ -285,23 +296,15 @@ impl ShardedSnapshot {
         queries: &[&[u8]],
         f: impl Fn(usize, &[&[u8]]) -> Result<Vec<T>, QueryError>,
     ) -> Result<Vec<T>, QueryError> {
-        let n_shards = self.shards.len();
-        let mut sub: Vec<Vec<&[u8]>> = vec![Vec::new(); n_shards];
-        let mut slots: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
-        for (i, q) in queries.iter().enumerate() {
-            let s = self.shard_for(q);
-            sub[s].push(q);
-            slots[s].push(i);
-        }
         let mut out: Vec<Option<T>> = Vec::new();
         out.resize_with(queries.len(), || None);
-        for s in 0..n_shards {
-            if sub[s].is_empty() {
+        for (s, slots) in split_keys(queries, self.bits).iter().enumerate() {
+            if slots.is_empty() {
                 continue;
             }
-            let answers = f(s, &sub[s])?;
-            for (slot, answer) in slots[s].iter().zip(answers) {
-                out[*slot] = Some(answer);
+            let sub: Vec<&[u8]> = slots.iter().map(|&i| queries[i]).collect();
+            for (&slot, answer) in slots.iter().zip(f(s, &sub)?) {
+                out[slot] = Some(answer);
             }
         }
         Ok(out
@@ -339,6 +342,22 @@ mod tests {
                     .filter(|&s| ShardSpec::new(s, count).owns_hash(h))
                     .collect();
                 assert_eq!(owners, vec![owner]);
+            }
+        }
+    }
+
+    #[test]
+    fn split_keys_is_a_permutation_of_the_batch() {
+        let keys: Vec<Vec<u8>> = (0..500).map(|i| format!("key-{i}").into_bytes()).collect();
+        let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
+        let slots = split_keys(&refs, 3);
+        assert_eq!(slots.len(), 8);
+        let mut all: Vec<usize> = slots.iter().flatten().copied().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..keys.len()).collect::<Vec<_>>());
+        for (s, slot) in slots.iter().enumerate() {
+            for &i in slot {
+                assert_eq!(shard_of_key(&keys[i], 3), s as u32);
             }
         }
     }

@@ -73,8 +73,8 @@ impl SepoTable {
     ///
     /// The bucket array and per-bucket counters are device structures too,
     /// but tiny next to the heap; callers that track device capacity
-    /// precisely reserve them via [`gpu_sim::DeviceMemory`] before sizing
-    /// the heap with `reserve_remaining` (see the examples).
+    /// precisely subtract them from the capacity and give the heap the
+    /// rest, the paper's §IV-A sizing (see `examples/quickstart.rs`).
     pub fn new(cfg: TableConfig, heap_bytes: u64, metrics: Arc<Metrics>) -> Self {
         let heap = Arc::new(Heap::new(heap_bytes, cfg.page_size, Arc::clone(&metrics)));
         let (_, primary_kind) = cfg.organization.primary_layout();
@@ -150,13 +150,6 @@ impl SepoTable {
             h.add_location(c);
         }
         h
-    }
-
-    /// Reset the per-bucket touch counters (between measured phases).
-    pub fn reset_touches(&self) {
-        for t in self.touches.iter() {
-            t.set(0);
-        }
     }
 
     /// Raw per-bucket touch counters, for checkpoint capture at a
@@ -894,8 +887,6 @@ mod tests {
         let h = t.contention_histogram();
         assert_eq!(h.total_updates(), 11);
         assert_eq!(h.max_count(), 10);
-        t.reset_touches();
-        assert_eq!(t.contention_histogram().total_updates(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! atomic adds per launch instead of five per warp.
 
 use crate::charge::Charge;
-use crate::faults::{FaultPlan, HardFaultError};
+use crate::faults::{FaultDraw, FaultPlan};
 use crate::metrics::{Counter, Metrics, Tally};
 use crate::pool::{self, Work, WorkerPool};
 use crate::shadow::{AccessKind, ShadowAddr, ShadowEvent, ShadowSanitizer, WARP_LEVEL_LANE};
@@ -223,9 +223,9 @@ enum LaunchFailure {
     /// A kernel lane panicked; carries the first panic payload. The launch
     /// still drained (every remaining warp ran) and the pool is unaffected.
     Panic(Box<dyn Any + Send + 'static>),
-    /// A hard fault ([`HardFaultError`]) killed the launch before it
+    /// A hard fault ([`FaultDraw`]) killed the launch before it
     /// started: no lane ran, no state was touched, no metrics were charged.
-    Hard(HardFaultError),
+    Hard(FaultDraw),
 }
 
 /// A launch failed: either a kernel panicked mid-launch, or a hard device
@@ -242,7 +242,7 @@ impl LaunchError {
         }
     }
 
-    fn hard(fault: HardFaultError) -> Self {
+    fn hard(fault: FaultDraw) -> Self {
         LaunchError {
             failure: LaunchFailure::Hard(fault),
         }
@@ -267,7 +267,7 @@ impl LaunchError {
     /// The hard fault that killed this launch, when the failure was a hard
     /// fault rather than a kernel panic. A hard-faulted launch never ran:
     /// callers holding a checkpoint can rebuild device state and retry.
-    pub fn hard_fault(&self) -> Option<HardFaultError> {
+    pub fn hard_fault(&self) -> Option<FaultDraw> {
         match &self.failure {
             LaunchFailure::Hard(fault) => Some(*fault),
             LaunchFailure::Panic(_) => None,
@@ -775,13 +775,12 @@ mod tests {
 
     #[test]
     fn lane_aborts_skip_tasks_deterministically() {
-        use crate::faults::{FaultConfig, FaultPlan};
+        use crate::faults::{FaultConfig, FaultKind, FaultPlan};
         let run = |seed| {
             let m = Arc::new(Metrics::new());
-            let plan = Arc::new(FaultPlan::new(FaultConfig {
-                seed,
-                lane_abort_rate: 0.2,
-            }));
+            let plan = Arc::new(FaultPlan::new(
+                FaultConfig::quiet(seed).rate(FaultKind::LaneAbort, 0.2),
+            ));
             let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m))
                 .with_faults(Arc::clone(&plan));
             let n = 4_000;
@@ -809,14 +808,11 @@ mod tests {
 
     #[test]
     fn hard_fault_kills_the_launch_before_anything_runs() {
-        use crate::faults::{FaultConfig, FaultPlan, HardFaultConfig, HardFaultKind};
+        use crate::faults::{FaultConfig, FaultKind, FaultPlan};
         let m = Arc::new(Metrics::new());
         let plan = Arc::new(
-            FaultPlan::new(FaultConfig::quiet(1)).with_hard(HardFaultConfig {
-                seed: 3,
-                device_loss_rate: 1.0,
-                poisoned_launch_rate: 0.0,
-            }),
+            FaultPlan::new(FaultConfig::quiet(1))
+                .with(FaultConfig::quiet(3).rate(FaultKind::DeviceLost, 1.0)),
         );
         let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m))
             .with_faults(Arc::clone(&plan));
@@ -827,10 +823,10 @@ mod tests {
             })
             .unwrap_err();
         let fault = err.hard_fault().expect("must be a hard fault");
-        assert_eq!(fault.kind, HardFaultKind::DeviceLost);
+        assert_eq!(fault.kind, FaultKind::DeviceLost);
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no lane may run");
         assert_eq!(m.snapshot(), crate::metrics::Snapshot::default());
-        assert_eq!(plan.hard_injected(HardFaultKind::DeviceLost), 1);
+        assert_eq!(plan.injected(FaultKind::DeviceLost), 1);
     }
 
     #[test]
@@ -919,14 +915,13 @@ mod tests {
 
     #[test]
     fn block_scratch_finishes_when_faults_kill_lanes_of_the_last_warp() {
-        use crate::faults::{FaultConfig, FaultPlan};
+        use crate::faults::{FaultConfig, FaultKind, FaultPlan};
         // Every lane aborts: no kernel lane ever runs, yet each block's
         // scratch state is still created and drained exactly once.
         let m = Arc::new(Metrics::new());
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 5,
-            lane_abort_rate: 1.0,
-        }));
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::quiet(5).rate(FaultKind::LaneAbort, 1.0),
+        ));
         let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m)).with_faults(plan);
         let n = WARP_SIZE * BLOCK_WARPS + 40; // 2 blocks, the tail 2 warps
         let (inits, lanes, stats) = scoped_counting_launch(&e, n);
@@ -937,10 +932,9 @@ mod tests {
         // A partial abort rate kills some lanes of the last warp; finish
         // still runs after the survivors, seeing exactly the lanes that ran.
         let m = Arc::new(Metrics::new());
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed: 5,
-            lane_abort_rate: 0.5,
-        }));
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::quiet(5).rate(FaultKind::LaneAbort, 0.5),
+        ));
         let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&m)).with_faults(plan);
         let (inits, lanes, stats) = scoped_counting_launch(&e, n);
         assert!(stats.lanes_aborted > 0 && stats.tasks > 0);

@@ -4,10 +4,11 @@
 //! of GPU hash tables is missing failure-handling, not raw speed — and the
 //! SEPO paper's own claim is *graceful* degradation under resource
 //! exhaustion. A [`FaultPlan`] lets the harness prove that claim with three
-//! classes of fault: *transient* lane aborts (the executor skips a lane's
-//! task, and the SEPO driver re-issues it next iteration), *hard* faults
-//! that kill a launch before it starts ([`HardFaultKind`]), and *silent*
-//! corruption of data in flight or at rest ([`CorruptionKind`]).
+//! classes of fault, six [`FaultKind`]s in all: *transient* lane aborts
+//! (the executor skips a lane's task, and the SEPO driver re-issues it next
+//! iteration), *hard* faults that kill a launch before it starts
+//! ([`FaultKind::HARD`]), and *silent* corruption of data in flight or at
+//! rest ([`FaultKind::CORRUPTION`]).
 //!
 //! Each fault kind is one seeded stream: a monotone draw counter hashed
 //! together with the stream's seed and salt (SplitMix64). Under
@@ -18,278 +19,167 @@
 //!
 //! [`ExecMode::ParallelDeterministic`]: crate::executor::ExecMode::ParallelDeterministic
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::Relaxed;
 
-/// Salt of the lane-abort stream.
-const LANE_SALT: u64 = 0x1A7E_AB07_0000_0003;
-
-/// A *hard* fault kind: unlike transient lane aborts, these are not retried
-/// in place. They kill the in-flight launch before it touches any state and
-/// surface to the driver, which either resumes from its last
-/// iteration-boundary checkpoint or aborts the run.
+/// One fault kind: a row of the fault table. `as usize` indexes
+/// [`FaultConfig::rates`] and a plan's streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HardFaultKind {
-    /// The simulated device is lost (ECC double-bit error, bus drop,
-    /// external reset). All device memory contents are gone.
+pub enum FaultKind {
+    /// *Transient*: a kernel lane aborts before its task runs; the SEPO
+    /// driver re-issues the task next iteration.
+    LaneAbort,
+    /// *Hard*: the simulated device is lost (ECC double-bit error, bus
+    /// drop, external reset). All device memory contents are gone.
     DeviceLost,
-    /// The launch itself is poisoned (corrupted kernel image, sticky
-    /// uncorrectable error): it never starts, and the device context must
-    /// be rebuilt before anything else can run.
+    /// *Hard*: the launch itself is poisoned (corrupted kernel image,
+    /// sticky uncorrectable error): it never starts, and the device context
+    /// must be rebuilt before anything else can run.
     PoisonedLaunch,
-}
-
-/// A *silent* corruption kind: unlike both transient lane aborts and the
-/// [`HardFaultKind`]s, these do not announce themselves — they flip bits in
-/// data at rest or in flight and it is the integrity layer's job (CRC32C
-/// stamps in `sepo_core`) to notice before the damage propagates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CorruptionKind {
-    /// A bit flips in an evicted page while it crosses the PCIe bus
-    /// (in-flight transfer corruption).
+    /// *Corruption*: a bit flips in an evicted page while it crosses the
+    /// PCIe bus (in-flight transfer corruption).
     PcieBitFlip,
-    /// A bit flips in a device-resident page between kernel launches
-    /// (cosmic ray / weak cell in simulated device DRAM).
+    /// *Corruption*: a bit flips in a device-resident page between kernel
+    /// launches (cosmic ray / weak cell in simulated device DRAM).
     RestingPageFlip,
-    /// A byte is damaged in a checkpoint or host-image file on its way
-    /// to or from disk.
+    /// *Corruption*: a byte is damaged in a checkpoint or host-image file
+    /// on its way to or from disk.
     DiskByteFlip,
 }
 
-impl CorruptionKind {
-    /// All kinds in draw order.
-    pub const ALL: [CorruptionKind; 3] = [
-        CorruptionKind::PcieBitFlip,
-        CorruptionKind::RestingPageFlip,
-        CorruptionKind::DiskByteFlip,
+use FaultKind::{
+    DeviceLost, DiskByteFlip, LaneAbort, PcieBitFlip, PoisonedLaunch, RestingPageFlip,
+};
+
+impl FaultKind {
+    /// Every kind, in row order.
+    pub const ALL: [FaultKind; 6] = [
+        LaneAbort,
+        DeviceLost,
+        PoisonedLaunch,
+        PcieBitFlip,
+        RestingPageFlip,
+        DiskByteFlip,
     ];
 
-    /// Per-kind salt; distinct from the lane and hard-kind salts so
-    /// corruption streams never correlate with fault streams.
-    fn salt(self) -> u64 {
-        match self {
-            CorruptionKind::PcieBitFlip => 0xBADF_00D0_0000_0006,
-            CorruptionKind::RestingPageFlip => 0x0E57_F11A_0000_0007,
-            CorruptionKind::DiskByteFlip => 0xD15C_B17E_0000_0008,
-        }
-    }
+    /// The *hard* kinds, in draw order: device loss first. Unlike transient
+    /// lane aborts, these are not retried in place. They kill the in-flight
+    /// launch before it touches any state and surface to the driver, which
+    /// either resumes from its last iteration-boundary checkpoint or aborts
+    /// the run.
+    pub const HARD: [FaultKind; 2] = [DeviceLost, PoisonedLaunch];
+
+    /// The *silent corruption* kinds: unlike both transient lane aborts and
+    /// the hard kinds, these do not announce themselves — they flip bits in
+    /// data at rest or in flight and it is the integrity layer's job (CRC32C
+    /// stamps in `sepo_core`) to notice before the damage propagates.
+    pub const CORRUPTION: [FaultKind; 3] = [PcieBitFlip, RestingPageFlip, DiskByteFlip];
 
     /// Human-readable name used in error messages and reports.
     pub fn label(self) -> &'static str {
-        match self {
-            CorruptionKind::PcieBitFlip => "pcie bit flip",
-            CorruptionKind::RestingPageFlip => "resting page flip",
-            CorruptionKind::DiskByteFlip => "disk byte flip",
-        }
+        ROWS[self as usize].1
     }
 }
 
-/// One corruption decision that hit: which kind, the per-kind draw index
+/// Per-kind salt (distinct, so no stream correlates with another), label,
+/// and the family a [`FaultDraw`]'s message names, in row order.
+const ROWS: [(u64, &str, &str); 6] = [
+    (0x1A7E_AB07_0000_0003, "lane abort", "lane-abort"),
+    (0xDE51_CE10_0000_0004, "device lost", "hard-fault"),
+    (0x9015_0ED0_0000_0005, "poisoned launch", "hard-fault"),
+    (0xBADF_00D0_0000_0006, "pcie bit flip", "corruption"),
+    (0x0E57_F11A_0000_0007, "resting page flip", "corruption"),
+    (0xD15C_B17E_0000_0008, "disk byte flip", "corruption"),
+];
+
+/// One fault decision that hit: which kind, the per-kind draw index
 /// (correlates a failure with a seed when reproducing), and an entropy word
-/// derived from the draw hash that injection sites use to pick *which* bit
+/// derived from the draw hash that corruption sites use to pick *which* bit
 /// or byte to flip — so the damaged offset is as reproducible as the
-/// decision to damage.
+/// decision to damage. It is also the error value a hard fault or an
+/// *unrecovered* corruption surfaces as (the witness carried in
+/// `LaunchError` and the `SepoError::{DeviceLost, Corrupt*}` chains).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorruptionDraw {
-    /// Which corruption kind struck.
-    pub kind: CorruptionKind,
+pub struct FaultDraw {
+    /// Which fault kind struck.
+    pub kind: FaultKind,
     /// The 0-based draw index (for this kind) that hit.
     pub draw: u64,
     /// Deterministic entropy for choosing the flipped bit/byte offset.
     pub entropy: u64,
 }
 
-/// The error value an *unrecovered* corruption surfaces as (the witness
-/// carried in `SepoError::Corrupt*` chains).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorruptionError {
-    /// Which corruption kind struck.
-    pub kind: CorruptionKind,
-    /// The 0-based draw index (for this kind) that hit.
-    pub draw: u64,
-}
-
-impl std::fmt::Display for CorruptionError {
+impl std::fmt::Display for FaultDraw {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} (corruption draw #{})", self.kind.label(), self.draw)
+        let (_, label, family) = ROWS[self.kind as usize];
+        write!(f, "{label} ({family} draw #{})", self.draw)
     }
 }
 
-impl std::error::Error for CorruptionError {}
+impl std::error::Error for FaultDraw {}
 
-/// Per-kind silent-corruption rates in `[0.0, 1.0]`, plus their own seed.
-/// Kept separate from [`FaultConfig`] and [`HardFaultConfig`] so existing
-/// plans are untouched: a corruption-free comparison run simply never
-/// attaches a corruption config, and its transient/hard draw streams stay
-/// byte-identical to a corrupting run's.
+/// Per-kind fault rates in `[0.0, 1.0]`, indexed by [`FaultKind`], plus the
+/// seed of their streams. Each fault family keeps its own config and seed
+/// (see [`FaultPlan::with`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorruptionConfig {
-    /// Seed for the corruption draw streams (independent of the transient
-    /// and hard seeds).
+pub struct FaultConfig {
+    /// Seed for the draw streams of this config's nonzero rates.
     pub seed: u64,
-    /// Probability that an evicted page is damaged in flight on the bus.
-    pub pcie_bit_flip_rate: f64,
-    /// Per-page, per-iteration probability that a resident page is damaged
-    /// between launches.
-    pub resting_page_flip_rate: f64,
-    /// Probability that a checkpoint/host-image write is damaged on disk.
-    pub disk_byte_flip_rate: f64,
+    /// Per-kind probability that one opportunity (a lane, a launch, a
+    /// transfer, a resident page per iteration, a disk write) faults.
+    pub rates: [f64; 6],
 }
 
-impl CorruptionConfig {
+impl FaultConfig {
     /// Every rate zero (a base to tweak).
     pub fn quiet(seed: u64) -> Self {
-        CorruptionConfig {
+        FaultConfig {
             seed,
-            pcie_bit_flip_rate: 0.0,
-            resting_page_flip_rate: 0.0,
-            disk_byte_flip_rate: 0.0,
+            rates: [0.0; 6],
         }
     }
 
-    /// The silent-corruption mix used by `--corrupt <seed>`: rates high
-    /// enough that multi-iteration runs see detections on every path.
+    /// This config with `kind`'s rate set to `rate`.
+    pub fn rate(mut self, kind: FaultKind, rate: f64) -> Self {
+        self.rates[kind as usize] = rate;
+        self
+    }
+
+    /// The transient mix used by `--faults <seed>`: occasional lane aborts
+    /// (one lane in 200), which the driver re-issues next iteration.
     pub fn standard(seed: u64) -> Self {
-        CorruptionConfig {
-            seed,
-            pcie_bit_flip_rate: 0.05,
-            resting_page_flip_rate: 0.01,
-            disk_byte_flip_rate: 0.05,
-        }
-    }
-
-    fn rate(&self, kind: CorruptionKind) -> f64 {
-        match kind {
-            CorruptionKind::PcieBitFlip => self.pcie_bit_flip_rate,
-            CorruptionKind::RestingPageFlip => self.resting_page_flip_rate,
-            CorruptionKind::DiskByteFlip => self.disk_byte_flip_rate,
-        }
-    }
-}
-
-impl HardFaultKind {
-    /// All kinds in draw order: device loss first.
-    const ALL: [HardFaultKind; 2] = [HardFaultKind::DeviceLost, HardFaultKind::PoisonedLaunch];
-
-    /// Per-kind salt; distinct from the lane salt so the hard streams never
-    /// correlate with the transient one.
-    fn salt(self) -> u64 {
-        match self {
-            HardFaultKind::DeviceLost => 0xDE51_CE10_0000_0004,
-            HardFaultKind::PoisonedLaunch => 0x9015_0ED0_0000_0005,
-        }
-    }
-
-    /// Human-readable name used in error messages and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            HardFaultKind::DeviceLost => "device lost",
-            HardFaultKind::PoisonedLaunch => "poisoned launch",
-        }
-    }
-}
-
-/// The error value a hard fault surfaces as: which kind struck, and the
-/// per-kind draw index that produced it (useful to correlate a failure with
-/// a seed when reproducing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HardFaultError {
-    /// Which hard fault struck.
-    pub kind: HardFaultKind,
-    /// The 0-based draw index (for this kind) that hit.
-    pub draw: u64,
-}
-
-impl std::fmt::Display for HardFaultError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} (hard-fault draw #{})", self.kind.label(), self.draw)
-    }
-}
-
-impl std::error::Error for HardFaultError {}
-
-/// Per-kind hard-fault rates in `[0.0, 1.0]`, plus their own seed. Kept
-/// separate from [`FaultConfig`] so existing transient plans are untouched:
-/// an unkilled comparison run simply never attaches a hard config, and its
-/// transient draw stream stays byte-identical to a chaos run's.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HardFaultConfig {
-    /// Seed for the hard-fault draw streams (independent of the transient
-    /// seed).
-    pub seed: u64,
-    /// Probability that a launch is killed by device loss.
-    pub device_loss_rate: f64,
-    /// Probability that a launch is poisoned before it starts.
-    pub poisoned_launch_rate: f64,
-}
-
-impl HardFaultConfig {
-    /// Every rate zero (a base to tweak).
-    pub fn quiet(seed: u64) -> Self {
-        HardFaultConfig {
-            seed,
-            device_loss_rate: 0.0,
-            poisoned_launch_rate: 0.0,
-        }
+        Self::quiet(seed).rate(LaneAbort, 0.005)
     }
 
     /// The chaos mix used by `--chaos-seed <seed>`: per-launch kill
     /// probabilities high enough that multi-iteration runs see recoveries.
-    pub fn standard(seed: u64) -> Self {
-        HardFaultConfig {
-            seed,
-            device_loss_rate: 0.01,
-            poisoned_launch_rate: 0.005,
-        }
+    pub fn chaos(seed: u64) -> Self {
+        Self::quiet(seed)
+            .rate(DeviceLost, 0.01)
+            .rate(PoisonedLaunch, 0.005)
     }
 
-    fn rate(&self, kind: HardFaultKind) -> f64 {
-        match kind {
-            HardFaultKind::DeviceLost => self.device_loss_rate,
-            HardFaultKind::PoisonedLaunch => self.poisoned_launch_rate,
-        }
+    /// The silent-corruption mix used by `--corrupt <seed>`: rates high
+    /// enough that multi-iteration runs see detections on every path.
+    pub fn corruption(seed: u64) -> Self {
+        Self::quiet(seed)
+            .rate(PcieBitFlip, 0.05)
+            .rate(RestingPageFlip, 0.01)
+            .rate(DiskByteFlip, 0.05)
     }
 }
 
 /// Point-in-time copy of the transient lane stream's draw/injection
 /// counters, captured into iteration-boundary checkpoints so a resumed run
-/// replays the exact same lane aborts as an unkilled run. Hard-fault
-/// counters are deliberately **not** part of this: restoring them would
-/// make the replayed launch re-draw the very kill that triggered recovery,
-/// looping forever.
+/// replays the exact same lane aborts as an unkilled run. Hard-fault and
+/// corruption counters are deliberately **not** part of this: restoring
+/// them would make the replayed launch re-draw the very fault that
+/// triggered recovery, looping forever.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransientDrawState {
     /// Lane decisions drawn.
     pub draws: u64,
     /// Lanes aborted.
     pub injected: u64,
-}
-
-/// The transient injection rate in `[0.0, 1.0]`, plus the seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Seed for the deterministic lane-abort stream.
-    pub seed: u64,
-    /// Probability that a kernel lane aborts before its task runs.
-    pub lane_abort_rate: f64,
-}
-
-impl FaultConfig {
-    /// A plan with every rate zero (useful as a base to tweak).
-    pub fn quiet(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            lane_abort_rate: 0.0,
-        }
-    }
-
-    /// The transient mix used by `--faults <seed>`: occasional lane aborts
-    /// (one lane in 200), which the driver re-issues next iteration.
-    pub fn standard(seed: u64) -> Self {
-        FaultConfig {
-            seed,
-            lane_abort_rate: 0.005,
-        }
-    }
 }
 
 /// SplitMix64 finalizer: decorrelates consecutive counter values.
@@ -308,25 +198,20 @@ struct Stream {
     seed: u64,
     salt: u64,
     threshold: u64,
-    draws: AtomicU64,
-    injected: AtomicU64,
+    draws: Relaxed<u64>,
+    injected: Relaxed<u64>,
 }
 
 impl Stream {
-    fn new(seed: u64, salt: u64, rate: f64) -> Self {
-        // `u64::MAX as f64` rounds up, so rate 1.0 saturates explicitly.
-        let r = rate.clamp(0.0, 1.0);
-        let threshold = if r >= 1.0 {
-            u64::MAX
-        } else {
-            (r * u64::MAX as f64) as u64
-        };
+    fn new(seed: u64, kind: FaultKind, rate: f64) -> Self {
         Stream {
             seed,
-            salt,
-            threshold,
-            draws: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
+            salt: ROWS[kind as usize].0,
+            // `u64::MAX as f64` rounds up; the cast back saturates, so rate
+            // 1.0 hits on every draw.
+            threshold: (rate.clamp(0.0, 1.0) * u64::MAX as f64) as u64,
+            draws: Relaxed::new(0),
+            injected: Relaxed::new(0),
         }
     }
 
@@ -341,115 +226,62 @@ impl Stream {
         if !self.is_live() {
             return None;
         }
-        let n = self.draws.fetch_add(1, Ordering::Relaxed);
+        let n = self.draws.fetch_add(1);
         let hash = splitmix64(self.seed ^ self.salt ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
         if hash >= self.threshold {
             return None;
         }
-        self.injected.fetch_add(1, Ordering::Relaxed);
+        self.injected.fetch_add(1);
         Some((n, hash))
-    }
-
-    fn draws(&self) -> u64 {
-        self.draws.load(Ordering::Relaxed)
-    }
-
-    fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
     }
 }
 
-/// A live fault plan: the lane-abort stream of a [`FaultConfig`], plus the
-/// hard-fault and corruption streams when attached (rate-0 streams until
-/// then, which never draw). One plan belongs to one simulation (like
-/// `Metrics`); sharing a plan across concurrent simulations would
-/// interleave their draw streams and break reproducibility.
+/// A live fault plan: one stream per [`FaultKind`], each under the seed of
+/// the config that attached it (rate-0 streams until then, which never
+/// draw). One plan belongs to one simulation (like `Metrics`); sharing a
+/// plan across concurrent simulations would interleave their draw streams
+/// and break reproducibility.
 #[derive(Debug)]
 pub struct FaultPlan {
-    lane: Stream,
-    /// Indexed by [`HardFaultKind`] declaration order.
-    hard: [Stream; 2],
-    /// Indexed by [`CorruptionKind`] declaration order.
-    corruption: [Stream; 3],
+    /// Indexed by [`FaultKind`].
+    streams: [Stream; 6],
 }
 
 impl FaultPlan {
+    /// A plan with every stream of `config`, under its seed.
     pub fn new(config: FaultConfig) -> Self {
         FaultPlan {
-            lane: Stream::new(config.seed, LANE_SALT, config.lane_abort_rate),
-            hard: HardFaultKind::ALL.map(|k| Stream::new(0, k.salt(), 0.0)),
-            corruption: CorruptionKind::ALL.map(|k| Stream::new(0, k.salt(), 0.0)),
+            streams: FaultKind::ALL.map(|k| Stream::new(config.seed, k, config.rates[k as usize])),
         }
     }
 
-    /// Attach hard-fault streams (device loss, poisoned launches) to this
-    /// plan. Hard faults draw once per kernel launch, *before* the launch
-    /// touches any state, so a killed launch mutates nothing.
-    pub fn with_hard(mut self, config: HardFaultConfig) -> Self {
-        self.hard = HardFaultKind::ALL.map(|k| Stream::new(config.seed, k.salt(), config.rate(k)));
+    /// Attach the streams `config` gives a nonzero rate, under `config`'s
+    /// seed; every other stream keeps its seed, rate and counters, so
+    /// families attached from separate configs keep separate seeds and none
+    /// shifts another's draws. Hard faults draw once per kernel launch,
+    /// *before* the launch touches any state, so a killed launch mutates
+    /// nothing. Corruption draws once per *opportunity* (one per transfer
+    /// attempt, one per resident page per iteration, one per disk write) at
+    /// quiescent points, so the draw order is deterministic under
+    /// `ParallelDeterministic`.
+    pub fn with(mut self, config: FaultConfig) -> Self {
+        for kind in FaultKind::ALL {
+            let stream = Stream::new(config.seed, kind, config.rates[kind as usize]);
+            if stream.is_live() {
+                self.streams[kind as usize] = stream;
+            }
+        }
         self
     }
 
-    /// Attach silent-corruption streams (in-flight bit flips, resting-page
-    /// flips, disk byte flips) to this plan. Corruption draws once per
-    /// *opportunity* (one per transfer attempt, one per resident page per
-    /// iteration, one per disk write) at quiescent points, so the draw
-    /// order is deterministic under `ParallelDeterministic`.
-    pub fn with_corruption(mut self, config: CorruptionConfig) -> Self {
-        self.corruption =
-            CorruptionKind::ALL.map(|k| Stream::new(config.seed, k.salt(), config.rate(k)));
-        self
-    }
-
-    /// Whether any hard-fault stream is attached with a nonzero rate.
-    pub fn has_hard_faults(&self) -> bool {
-        self.hard.iter().any(Stream::is_live)
-    }
-
-    /// Draw the hard-fault decisions for one launch; `Some` means the
-    /// launch is killed before it starts. Kinds are drawn in a fixed order
-    /// (device loss first) and the first hit short-circuits, so the draw
-    /// sequence is deterministic under a seed. Hard draw counters are never
-    /// rolled back by checkpoint recovery — a replayed launch draws the
-    /// *next* decision and therefore cannot deterministically re-kill
-    /// itself.
-    pub fn draw_hard(&self) -> Option<HardFaultError> {
-        HardFaultKind::ALL.into_iter().find_map(|kind| {
-            let (draw, _) = self.hard[kind as usize].draw()?;
-            Some(HardFaultError { kind, draw })
-        })
-    }
-
-    /// Hard-fault decisions drawn so far for `kind`.
-    pub fn hard_draws(&self, kind: HardFaultKind) -> u64 {
-        self.hard[kind as usize].draws()
-    }
-
-    /// Hard faults injected so far for `kind`.
-    pub fn hard_injected(&self, kind: HardFaultKind) -> u64 {
-        self.hard[kind as usize].injected()
-    }
-
-    /// Total hard faults injected across both kinds.
-    pub fn total_hard_injected(&self) -> u64 {
-        self.hard.iter().map(Stream::injected).sum()
-    }
-
-    /// Whether any silent-corruption stream is attached with a nonzero
-    /// rate. Gates every injection/stamp/scrub code path so corruption-off
-    /// runs pay nothing and stay byte-identical.
-    pub fn has_corruption(&self) -> bool {
-        self.corruption.iter().any(Stream::is_live)
-    }
-
-    /// Draw the next corruption decision for `kind`: `Some` means "flip a
-    /// bit/byte here", with deterministic entropy for choosing the offset.
-    /// Like hard faults, corruption counters are never rolled back by
-    /// checkpoint recovery — a replayed iteration draws the *next*
-    /// decision and therefore cannot deterministically re-corrupt itself.
-    pub fn draw_corruption(&self, kind: CorruptionKind) -> Option<CorruptionDraw> {
-        let (draw, hash) = self.corruption[kind as usize].draw()?;
-        Some(CorruptionDraw {
+    /// Draw the next decision for `kind`: `Some` means "fault here", with
+    /// deterministic entropy for choosing a corruption's offset. Only the
+    /// lane stream is ever rolled back ([`FaultPlan::restore_transient`]):
+    /// a replayed iteration draws the *next* hard or corruption decision
+    /// and therefore cannot deterministically re-fault itself.
+    pub fn draw(&self, kind: FaultKind) -> Option<FaultDraw> {
+        let (draw, hash) = self.streams[kind as usize].draw()?;
+        Some(FaultDraw {
             kind,
             draw,
             // Re-finalize the hit hash so the offset entropy is
@@ -458,27 +290,58 @@ impl FaultPlan {
         })
     }
 
-    /// Corruption decisions drawn so far for `kind`.
-    pub fn corruption_draws(&self, kind: CorruptionKind) -> u64 {
-        self.corruption[kind as usize].draws()
+    /// Draw the hard-fault decisions for one launch; `Some` means the
+    /// launch is killed before it starts. Kinds are drawn in
+    /// [`FaultKind::HARD`] order and the first hit short-circuits, so the
+    /// draw sequence is deterministic under a seed.
+    pub fn draw_hard(&self) -> Option<FaultDraw> {
+        FaultKind::HARD.into_iter().find_map(|kind| self.draw(kind))
     }
 
-    /// Corruptions injected so far for `kind`.
-    pub fn corruption_injected(&self, kind: CorruptionKind) -> u64 {
-        self.corruption[kind as usize].injected()
+    /// Draw the next lane decision: `true` means "abort this lane".
+    /// Deterministic in the draw sequence: the n-th call under a given
+    /// seed always returns the same answer.
+    pub fn should_abort_lane(&self) -> bool {
+        self.streams[LaneAbort as usize].draw().is_some()
     }
 
-    /// Total corruptions injected across all kinds.
-    pub fn total_corruption_injected(&self) -> u64 {
-        self.corruption.iter().map(Stream::injected).sum()
+    /// Decisions drawn so far for `kind`.
+    pub fn draws(&self, kind: FaultKind) -> u64 {
+        self.streams[kind as usize].draws.get()
+    }
+
+    /// Faults injected so far for `kind`.
+    pub fn injected(&self, kind: FaultKind) -> u64 {
+        self.streams[kind as usize].injected.get()
+    }
+
+    /// Faults injected so far across every kind.
+    pub fn total_injected(&self) -> u64 {
+        FaultKind::ALL.into_iter().map(|k| self.injected(k)).sum()
+    }
+
+    /// Whether any hard-fault stream is attached with a nonzero rate.
+    pub fn has_hard_faults(&self) -> bool {
+        FaultKind::HARD
+            .iter()
+            .any(|&k| self.streams[k as usize].is_live())
+    }
+
+    /// Whether any silent-corruption stream is attached with a nonzero
+    /// rate. Gates every injection/stamp/scrub code path so corruption-off
+    /// runs pay nothing and stay byte-identical.
+    pub fn has_corruption(&self) -> bool {
+        FaultKind::CORRUPTION
+            .iter()
+            .any(|&k| self.streams[k as usize].is_live())
     }
 
     /// Capture the lane stream's counters for a checkpoint. Only
     /// meaningful at quiescent points (iteration boundaries).
     pub fn transient_snapshot(&self) -> TransientDrawState {
         TransientDrawState {
-            draws: self.lane.draws(),
-            injected: self.lane.injected(),
+            draws: self.draws(LaneAbort),
+            injected: self.injected(LaneAbort),
         }
     }
 
@@ -486,31 +349,20 @@ impl FaultPlan {
     /// resumed iteration replays the exact lane aborts the killed attempt
     /// drew. Hard and corruption counters are untouched.
     pub fn restore_transient(&self, s: &TransientDrawState) {
-        self.lane.draws.store(s.draws, Ordering::Relaxed);
-        self.lane.injected.store(s.injected, Ordering::Relaxed);
-    }
-
-    /// Draw the next lane decision: `true` means "abort this lane".
-    /// Deterministic in the draw sequence: the n-th call under a given
-    /// seed always returns the same answer.
-    pub fn should_abort_lane(&self) -> bool {
-        self.lane.draw().is_some()
-    }
-
-    /// Lane decisions drawn so far.
-    pub fn draws(&self) -> u64 {
-        self.lane.draws()
-    }
-
-    /// Lanes aborted so far — every transient fault this plan injected.
-    pub fn total_injected(&self) -> u64 {
-        self.lane.injected()
+        let lane = &self.streams[LaneAbort as usize];
+        lane.draws.set(s.draws);
+        lane.injected.set(s.injected);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A quiet plan with `kind` attached at `rate` under `seed`.
+    fn one(kind: FaultKind, seed: u64, rate: f64) -> FaultPlan {
+        FaultPlan::new(FaultConfig::quiet(1)).with(FaultConfig::quiet(seed).rate(kind, rate))
+    }
 
     #[test]
     fn zero_rates_never_fault() {
@@ -519,15 +371,12 @@ mod tests {
             assert!(!p.should_abort_lane());
         }
         assert_eq!(p.total_injected(), 0);
-        assert_eq!(p.draws(), 0, "rate 0 must not burn draws");
+        assert_eq!(p.draws(LaneAbort), 0, "rate 0 must not burn draws");
     }
 
     #[test]
     fn rate_one_always_faults() {
-        let p = FaultPlan::new(FaultConfig {
-            seed: 1,
-            lane_abort_rate: 1.0,
-        });
+        let p = FaultPlan::new(FaultConfig::quiet(1).rate(LaneAbort, 1.0));
         for _ in 0..1_000 {
             assert!(p.should_abort_lane());
         }
@@ -561,60 +410,56 @@ mod tests {
         for _ in 0..1_000 {
             assert!(p.draw_hard().is_none());
         }
-        assert_eq!(p.total_hard_injected(), 0);
-        assert_eq!(p.hard_draws(HardFaultKind::DeviceLost), 0);
+        assert_eq!(p.injected(DeviceLost) + p.injected(PoisonedLaunch), 0);
+        assert_eq!(p.draws(DeviceLost), 0);
     }
 
     #[test]
     fn quiet_hard_rates_never_kill() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_hard(HardFaultConfig::quiet(2));
+        let p = FaultPlan::new(FaultConfig::quiet(1)).with(FaultConfig::quiet(2));
         assert!(!p.has_hard_faults());
         for _ in 0..10_000 {
             assert!(p.draw_hard().is_none());
         }
-        assert_eq!(p.total_hard_injected(), 0);
+        assert_eq!(p.total_injected(), 0);
     }
 
     #[test]
     fn hard_rate_one_kills_every_launch() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_hard(HardFaultConfig {
-            seed: 9,
-            device_loss_rate: 1.0,
-            poisoned_launch_rate: 0.0,
-        });
+        let p = one(DeviceLost, 9, 1.0);
         for n in 0..1_000u64 {
             let hit = p.draw_hard().expect("rate 1.0 must kill");
-            assert_eq!(hit.kind, HardFaultKind::DeviceLost);
+            assert_eq!(hit.kind, DeviceLost);
             assert_eq!(hit.draw, n);
         }
-        assert_eq!(p.hard_injected(HardFaultKind::DeviceLost), 1_000);
+        assert_eq!(p.injected(DeviceLost), 1_000);
         // Device loss short-circuits: the poisoned-launch stream never drew.
-        assert_eq!(p.hard_draws(HardFaultKind::PoisonedLaunch), 0);
+        assert_eq!(p.draws(PoisonedLaunch), 0);
     }
 
     #[test]
     fn same_hard_seed_reproduces_the_same_kill_points() {
         let mk = || {
-            FaultPlan::new(FaultConfig::quiet(7)).with_hard(HardFaultConfig {
-                seed: 0xC0FFEE,
-                device_loss_rate: 0.05,
-                poisoned_launch_rate: 0.02,
-            })
+            FaultPlan::new(FaultConfig::quiet(7)).with(
+                FaultConfig::quiet(0xC0FFEE)
+                    .rate(DeviceLost, 0.05)
+                    .rate(PoisonedLaunch, 0.02),
+            )
         };
         let (a, b) = (mk(), mk());
-        let seq_a: Vec<Option<HardFaultKind>> =
+        let seq_a: Vec<Option<FaultKind>> =
             (0..5_000).map(|_| a.draw_hard().map(|e| e.kind)).collect();
-        let seq_b: Vec<Option<HardFaultKind>> =
+        let seq_b: Vec<Option<FaultKind>> =
             (0..5_000).map(|_| b.draw_hard().map(|e| e.kind)).collect();
         assert_eq!(seq_a, seq_b);
-        assert!(a.total_hard_injected() > 0, "rates should produce kills");
+        assert!(a.total_injected() > 0, "rates should produce kills");
     }
 
     #[test]
     fn hard_draws_do_not_perturb_transient_streams() {
         let cfg = FaultConfig::standard(0xFEED);
         let plain = FaultPlan::new(cfg);
-        let chaotic = FaultPlan::new(cfg).with_hard(HardFaultConfig::standard(0xFEED));
+        let chaotic = FaultPlan::new(cfg).with(FaultConfig::chaos(0xFEED));
         let seq_plain: Vec<bool> = (0..5_000).map(|_| plain.should_abort_lane()).collect();
         let seq_chaos: Vec<bool> = (0..5_000)
             .map(|_| {
@@ -629,11 +474,35 @@ mod tests {
     }
 
     #[test]
+    fn attaching_a_family_keeps_the_other_streams_and_their_seeds() {
+        let plan = FaultPlan::new(FaultConfig::standard(3))
+            .with(FaultConfig::chaos(4))
+            .with(FaultConfig::corruption(5));
+        let mixed = FaultPlan::new(
+            FaultConfig::corruption(5)
+                .rate(DeviceLost, 0.01)
+                .rate(PoisonedLaunch, 0.005)
+                .rate(LaneAbort, 0.005),
+        );
+        let lanes = |p: &FaultPlan| {
+            (0..5_000)
+                .map(|_| p.should_abort_lane())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            lanes(&plan),
+            lanes(&FaultPlan::new(FaultConfig::standard(3)))
+        );
+        assert_ne!(
+            lanes(&plan),
+            lanes(&mixed),
+            "each family keeps its own seed"
+        );
+    }
+
+    #[test]
     fn transient_snapshot_round_trips_and_replays() {
-        let p = FaultPlan::new(FaultConfig {
-            seed: 11,
-            lane_abort_rate: 0.3,
-        });
+        let p = FaultPlan::new(FaultConfig::quiet(11).rate(LaneAbort, 0.3));
         for _ in 0..100 {
             p.should_abort_lane();
         }
@@ -647,11 +516,7 @@ mod tests {
 
     #[test]
     fn restore_transient_leaves_hard_counters_alone() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_hard(HardFaultConfig {
-            seed: 5,
-            device_loss_rate: 1.0,
-            poisoned_launch_rate: 0.0,
-        });
+        let p = one(DeviceLost, 5, 1.0);
         let snap = p.transient_snapshot();
         assert!(p.draw_hard().is_some());
         p.restore_transient(&snap);
@@ -663,83 +528,74 @@ mod tests {
     fn plans_without_corruption_config_never_draw_corruption() {
         let p = FaultPlan::new(FaultConfig::standard(3));
         assert!(!p.has_corruption());
-        for kind in CorruptionKind::ALL {
+        for kind in FaultKind::CORRUPTION {
             for _ in 0..1_000 {
-                assert!(p.draw_corruption(kind).is_none());
+                assert!(p.draw(kind).is_none());
             }
-            assert_eq!(p.corruption_draws(kind), 0);
+            assert_eq!(p.draws(kind), 0);
         }
-        assert_eq!(p.total_corruption_injected(), 0);
+        assert_eq!(p.total_injected(), 0);
     }
 
     #[test]
     fn quiet_corruption_rates_burn_no_draws() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_corruption(CorruptionConfig::quiet(2));
+        let p = FaultPlan::new(FaultConfig::quiet(1)).with(FaultConfig::quiet(2));
         assert!(!p.has_corruption());
-        for kind in CorruptionKind::ALL {
+        for kind in FaultKind::CORRUPTION {
             for _ in 0..10_000 {
-                assert!(p.draw_corruption(kind).is_none());
+                assert!(p.draw(kind).is_none());
             }
-            assert_eq!(p.corruption_draws(kind), 0, "rate 0 must not burn draws");
+            assert_eq!(p.draws(kind), 0, "rate 0 must not burn draws");
         }
-        assert_eq!(p.total_corruption_injected(), 0);
+        assert_eq!(p.total_injected(), 0);
     }
 
     #[test]
     fn corruption_rate_one_always_hits_with_monotone_draws() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_corruption(CorruptionConfig {
-            seed: 9,
-            pcie_bit_flip_rate: 1.0,
-            resting_page_flip_rate: 0.0,
-            disk_byte_flip_rate: 0.0,
-        });
+        let p = one(PcieBitFlip, 9, 1.0);
         assert!(p.has_corruption());
         for n in 0..1_000u64 {
-            let hit = p
-                .draw_corruption(CorruptionKind::PcieBitFlip)
-                .expect("rate 1.0 must hit");
-            assert_eq!(hit.kind, CorruptionKind::PcieBitFlip);
+            let hit = p.draw(PcieBitFlip).expect("rate 1.0 must hit");
+            assert_eq!(hit.kind, PcieBitFlip);
             assert_eq!(hit.draw, n);
         }
-        assert_eq!(p.corruption_injected(CorruptionKind::PcieBitFlip), 1_000);
-        assert_eq!(p.corruption_draws(CorruptionKind::RestingPageFlip), 0);
+        assert_eq!(p.injected(PcieBitFlip), 1_000);
+        assert_eq!(p.draws(RestingPageFlip), 0);
     }
 
     #[test]
     fn same_corruption_seed_reproduces_hits_and_entropy() {
         let mk = || {
-            FaultPlan::new(FaultConfig::quiet(7)).with_corruption(CorruptionConfig {
-                seed: 0xC0FFEE,
-                pcie_bit_flip_rate: 0.05,
-                resting_page_flip_rate: 0.03,
-                disk_byte_flip_rate: 0.02,
-            })
+            FaultPlan::new(FaultConfig::quiet(7)).with(
+                FaultConfig::quiet(0xC0FFEE)
+                    .rate(PcieBitFlip, 0.05)
+                    .rate(RestingPageFlip, 0.03)
+                    .rate(DiskByteFlip, 0.02),
+            )
         };
         let (a, b) = (mk(), mk());
-        for kind in CorruptionKind::ALL {
-            let seq_a: Vec<Option<CorruptionDraw>> =
-                (0..5_000).map(|_| a.draw_corruption(kind)).collect();
-            let seq_b: Vec<Option<CorruptionDraw>> =
-                (0..5_000).map(|_| b.draw_corruption(kind)).collect();
+        for kind in FaultKind::CORRUPTION {
+            let seq_a: Vec<Option<FaultDraw>> = (0..5_000).map(|_| a.draw(kind)).collect();
+            let seq_b: Vec<Option<FaultDraw>> = (0..5_000).map(|_| b.draw(kind)).collect();
             assert_eq!(seq_a, seq_b, "kind {kind:?} must replay exactly");
-            assert!(a.corruption_injected(kind) > 0, "rates should hit");
+            assert!(a.injected(kind) > 0, "rates should hit");
         }
     }
 
     #[test]
     fn corruption_draws_do_not_perturb_transient_or_hard_streams() {
         let cfg = FaultConfig::standard(0xFEED);
-        let plain = FaultPlan::new(cfg).with_hard(HardFaultConfig::standard(0xFEED));
+        let plain = FaultPlan::new(cfg).with(FaultConfig::chaos(0xFEED));
         let noisy = FaultPlan::new(cfg)
-            .with_hard(HardFaultConfig::standard(0xFEED))
-            .with_corruption(CorruptionConfig::standard(0xFEED));
-        let seq_plain: Vec<(bool, Option<HardFaultKind>)> = (0..5_000)
+            .with(FaultConfig::chaos(0xFEED))
+            .with(FaultConfig::corruption(0xFEED));
+        let seq_plain: Vec<(bool, Option<FaultKind>)> = (0..5_000)
             .map(|_| (plain.should_abort_lane(), plain.draw_hard().map(|e| e.kind)))
             .collect();
-        let seq_noisy: Vec<(bool, Option<HardFaultKind>)> = (0..5_000)
+        let seq_noisy: Vec<(bool, Option<FaultKind>)> = (0..5_000)
             .map(|_| {
-                for kind in CorruptionKind::ALL {
-                    let _ = noisy.draw_corruption(kind);
+                for kind in FaultKind::CORRUPTION {
+                    let _ = noisy.draw(kind);
                 }
                 (noisy.should_abort_lane(), noisy.draw_hard().map(|e| e.kind))
             })
@@ -752,32 +608,30 @@ mod tests {
 
     #[test]
     fn restore_transient_leaves_corruption_counters_alone() {
-        let p = FaultPlan::new(FaultConfig::quiet(1)).with_corruption(CorruptionConfig {
-            seed: 5,
-            pcie_bit_flip_rate: 1.0,
-            resting_page_flip_rate: 0.0,
-            disk_byte_flip_rate: 0.0,
-        });
+        let p = one(PcieBitFlip, 5, 1.0);
         let snap = p.transient_snapshot();
-        assert!(p.draw_corruption(CorruptionKind::PcieBitFlip).is_some());
+        assert!(p.draw(PcieBitFlip).is_some());
         p.restore_transient(&snap);
         // The next corruption draw advances — recovery cannot replay the
         // very flip that triggered it.
-        assert_eq!(
-            p.draw_corruption(CorruptionKind::PcieBitFlip)
-                .expect("still rate 1.0")
-                .draw,
-            1
-        );
+        assert_eq!(p.draw(PcieBitFlip).expect("still rate 1.0").draw, 1);
     }
 
     #[test]
-    fn corruption_error_display_names_kind_and_draw() {
-        let e = CorruptionError {
-            kind: CorruptionKind::RestingPageFlip,
-            draw: 17,
+    fn fault_draw_display_names_kind_family_and_draw() {
+        let at = |kind, draw| FaultDraw {
+            kind,
+            draw,
+            entropy: 0,
         };
-        assert_eq!(e.to_string(), "resting page flip (corruption draw #17)");
+        assert_eq!(
+            at(RestingPageFlip, 17).to_string(),
+            "resting page flip (corruption draw #17)"
+        );
+        assert_eq!(
+            at(DeviceLost, 3).to_string(),
+            "device lost (hard-fault draw #3)"
+        );
     }
 
     /// Every seeded stream, pinned to recorded values: a changed seed mix,
@@ -785,9 +639,6 @@ mod tests {
     /// same-seed tests above (two plans from one build) cannot notice.
     #[test]
     fn seeded_streams_match_recorded_draws() {
-        use CorruptionKind::{DiskByteFlip, PcieBitFlip, RestingPageFlip};
-        use HardFaultKind::{DeviceLost, PoisonedLaunch};
-
         // (seed, lane abort rate, hits among the first 2,000 decisions)
         let lanes: [(u64, f64, &[u64]); 2] = [
             (
@@ -805,21 +656,18 @@ mod tests {
             ),
         ];
         for (seed, rate, hits) in lanes {
-            let p = FaultPlan::new(FaultConfig {
-                lane_abort_rate: rate,
-                ..FaultConfig::quiet(seed)
-            });
+            let p = FaultPlan::new(FaultConfig::quiet(seed).rate(LaneAbort, rate));
             let got: Vec<u64> = (0..2_000u64).filter(|_| p.should_abort_lane()).collect();
             assert_eq!(got, hits, "lane stream, seed {seed:#x}");
         }
 
         // The first 20 kills, device loss drawn first on every launch.
-        let p = FaultPlan::new(FaultConfig::quiet(7)).with_hard(HardFaultConfig {
-            seed: 0xC0FFEE,
-            device_loss_rate: 0.05,
-            poisoned_launch_rate: 0.02,
-        });
-        let kills: Vec<(HardFaultKind, u64)> = std::iter::from_fn(|| Some(p.draw_hard()))
+        let p = FaultPlan::new(FaultConfig::quiet(7)).with(
+            FaultConfig::quiet(0xC0FFEE)
+                .rate(DeviceLost, 0.05)
+                .rate(PoisonedLaunch, 0.02),
+        );
+        let kills: Vec<(FaultKind, u64)> = std::iter::from_fn(|| Some(p.draw_hard()))
             .flatten()
             .take(20)
             .map(|e| (e.kind, e.draw))
@@ -849,13 +697,13 @@ mod tests {
         assert_eq!(kills, want, "hard streams");
 
         // (kind, [(draw, entropy)] of every hit among 1,000 draws)
-        let p = FaultPlan::new(FaultConfig::quiet(7)).with_corruption(CorruptionConfig {
-            seed: 0xC0DE,
-            pcie_bit_flip_rate: 0.01,
-            resting_page_flip_rate: 0.01,
-            disk_byte_flip_rate: 0.01,
-        });
-        let corruptions: [(CorruptionKind, &[(u64, u64)]); 3] = [
+        let p = FaultPlan::new(FaultConfig::quiet(7)).with(
+            FaultConfig::quiet(0xC0DE)
+                .rate(PcieBitFlip, 0.01)
+                .rate(RestingPageFlip, 0.01)
+                .rate(DiskByteFlip, 0.01),
+        );
+        let corruptions: [(FaultKind, &[(u64, u64)]); 3] = [
             (
                 PcieBitFlip,
                 &[
@@ -900,7 +748,7 @@ mod tests {
         ];
         for (kind, hits) in corruptions {
             let got: Vec<(u64, u64)> = (0..1_000)
-                .filter_map(|_| p.draw_corruption(kind))
+                .filter_map(|_| p.draw(kind))
                 .map(|h| (h.draw, h.entropy))
                 .collect();
             assert_eq!(got, hits, "{kind:?} stream");
@@ -909,16 +757,13 @@ mod tests {
 
     #[test]
     fn injection_rate_tracks_configured_rate() {
-        let p = FaultPlan::new(FaultConfig {
-            seed: 7,
-            lane_abort_rate: 0.25,
-        });
+        let p = FaultPlan::new(FaultConfig::quiet(7).rate(LaneAbort, 0.25));
         let n = 100_000u64;
         for _ in 0..n {
             p.should_abort_lane();
         }
         let rate = p.total_injected() as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.01, "observed rate {rate}");
-        assert_eq!(p.draws(), n);
+        assert_eq!(p.draws(LaneAbort), n);
     }
 }

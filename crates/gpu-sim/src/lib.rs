@@ -8,9 +8,6 @@
 //!   closures run once per task, grouped into warps of 32; in parallel mode
 //!   warps execute concurrently on host threads, so shared structures see
 //!   real atomics and real races. Warp divergence is tracked per warp.
-//! * [`memory::DeviceMemory`] — capacity accounting for the 3 GB device,
-//!   including the "query free space, then grab all of it for the heap"
-//!   idiom the paper's allocator uses.
 //! * [`pcie::PcieBus`] — transfer cost model distinguishing bulk DMA from
 //!   small remote transactions (the economics behind Figures 7 and
 //!   Table III).
@@ -22,9 +19,10 @@
 //!   kernels, and (when a run is priced as overlapped) boundary-eviction
 //!   DMA behind the next iteration's kernels.
 //! * [`paging`] — the LRU demand-paging replay used for Table III.
-//! * [`faults`] — seeded, deterministic fault injection (transient lane
-//!   aborts, hard launch-killing faults, silent corruption) used to prove
-//!   degradation stays graceful under resource trouble.
+//! * [`faults`] — seeded, deterministic fault injection: one table of six
+//!   [`faults::FaultKind`]s (transient lane aborts, hard launch-killing
+//!   faults, silent corruption) used to prove degradation stays graceful
+//!   under resource trouble.
 //! * [`shadow`] — epoch-based shadow-memory sanitizer: data structures
 //!   declare logical accesses through [`charge::Charge::access`] and the
 //!   sanitizer flags plain/atomic mixing, unpublished cross-warp sharing,
@@ -42,7 +40,6 @@ pub mod clock;
 pub mod cost;
 pub mod executor;
 pub mod faults;
-pub mod memory;
 pub mod metrics;
 pub mod paging;
 pub mod pcie;
@@ -58,11 +55,7 @@ pub use cost::{CpuCostModel, GpuCostModel};
 pub use executor::{
     BlockScratch, ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, WarpCharge,
 };
-pub use faults::{
-    CorruptionConfig, CorruptionDraw, CorruptionError, CorruptionKind, FaultConfig, FaultPlan,
-    HardFaultConfig, HardFaultError, HardFaultKind, TransientDrawState,
-};
-pub use memory::{DeviceMemory, OutOfDeviceMemory, Reservation};
+pub use faults::{FaultConfig, FaultDraw, FaultKind, FaultPlan, TransientDrawState};
 pub use metrics::{ContentionHistogram, Counter, Metrics, Snapshot};
 pub use paging::{AccessTrace, LruSimulator, PagingOutcome};
 pub use pcie::PcieBus;

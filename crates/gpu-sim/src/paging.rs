@@ -37,27 +37,6 @@ impl AccessTrace {
         self.addresses.push(addr);
     }
 
-    /// Record an access spanning `[addr, addr + len)`; every page the span
-    /// touches is (at replay) treated as accessed.
-    #[inline]
-    pub fn record_span(&mut self, addr: u64, len: u64) {
-        // Store as address plus sentinel expansion at replay time would
-        // complicate the format; spans are rare (multi-page entries), so
-        // record one address per 4 KiB boundary crossed — the finest page
-        // size Table III uses.
-        const FINEST: u64 = 4096;
-        let mut a = addr;
-        let end = addr.saturating_add(len.max(1));
-        loop {
-            self.addresses.push(a);
-            let next = (a / FINEST + 1) * FINEST;
-            if next >= end {
-                break;
-            }
-            a = next;
-        }
-    }
-
     /// Number of recorded accesses.
     pub fn len(&self) -> usize {
         self.addresses.len()
@@ -260,14 +239,6 @@ mod tests {
             }
             prev = Some(out.replacements);
         }
-    }
-
-    #[test]
-    fn span_recording_touches_every_page() {
-        let mut t = AccessTrace::new();
-        t.record_span(4000, 9000); // crosses 4096 and 8192 boundaries
-        let pages: Vec<u64> = t.pages(4096).collect();
-        assert_eq!(pages, vec![0, 1, 2, 3]); // 4000..13000 spans pages 0..=3
     }
 
     #[test]

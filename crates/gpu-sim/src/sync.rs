@@ -146,6 +146,12 @@ words!(u32 => AtomicU32, u64 => AtomicU64);
 #[repr(transparent)]
 pub struct Relaxed<W: Word>(W::Atomic);
 
+impl<W: Word + Default> Default for Relaxed<W> {
+    fn default() -> Self {
+        Relaxed::new(W::default())
+    }
+}
+
 impl<W: Word> Relaxed<W> {
     pub fn new(v: W) -> Self {
         Relaxed(W::atomic(v))

@@ -13,24 +13,20 @@ use std::sync::Arc;
 
 fn main() {
     // --- 1. A simulated device: 8 MiB of "GPU memory" for this demo. ----
-    let device = DeviceMemory::new(8 << 20);
+    let capacity: u64 = 8 << 20;
 
     // The paper's sizing idiom (§IV-A): allocate every other structure
     // first, then give the heap all remaining free space.
-    device.reserve("bucket array", 512 * 1024).unwrap();
-    device.reserve("staging buffers", 2 * 1024 * 1024).unwrap();
-    device.reserve("locks + bitmaps", 256 * 1024).unwrap();
-    let heap = device.reserve_remaining("hash-table heap");
-    println!(
-        "device: {} total, heap gets {} bytes",
-        device.capacity(),
-        heap.bytes
-    );
+    let bucket_array = 512 * 1024;
+    let staging_buffers = 2 * 1024 * 1024;
+    let locks_and_bitmaps = 256 * 1024;
+    let heap = capacity - bucket_array - staging_buffers - locks_and_bitmaps;
+    println!("device: {capacity} total, heap gets {heap} bytes");
 
     // --- 2. The table + executor. --------------------------------------
     let metrics = Arc::new(Metrics::new());
-    let config = TableConfig::tuned(Organization::Combining(Combiner::Add), heap.bytes);
-    let table = SepoTable::new(config, heap.bytes, Arc::clone(&metrics));
+    let config = TableConfig::tuned(Organization::Combining(Combiner::Add), heap);
+    let table = SepoTable::new(config, heap, Arc::clone(&metrics));
     let executor = Executor::new(ExecMode::Parallel { workers: 0 }, metrics);
 
     // --- 3. A workload that outgrows the heap. -------------------------
@@ -65,7 +61,7 @@ fn main() {
     println!(
         "total shipped to CPU memory: {} bytes (heap is only {})",
         outcome.total_evicted_bytes(),
-        heap.bytes
+        heap
     );
 
     // --- 5. Results are exact despite all the postponing. ---------------

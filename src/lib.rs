@@ -68,8 +68,7 @@ pub use sepo_mapreduce;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use gpu_sim::{
-        Charge, DeviceMemory, ExecMode, Executor, Metrics, MetricsCharge, NoCharge, PcieBus,
-        SimTime, SystemSpec,
+        Charge, ExecMode, Executor, Metrics, MetricsCharge, NoCharge, PcieBus, SimTime, SystemSpec,
     };
     pub use sepo_apps::{run_mapper, AppConfig, AppRun};
     pub use sepo_core::{

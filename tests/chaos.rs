@@ -8,7 +8,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{Metrics, Snapshot};
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan, ShadowSanitizer};
 use proptest::prelude::*;
 use sepo_apps::{run_app, AppConfig};
 use sepo_core::{CheckpointPolicy, RecoveryStats};
@@ -41,11 +41,10 @@ fn run_once(
         None => FaultConfig::quiet(0),
     };
     if let Some(seed) = hard_seed {
-        exec = exec.with_faults(Arc::new(FaultPlan::new(base).with_hard(HardFaultConfig {
-            seed,
-            device_loss_rate: HARD_RATES.0,
-            poisoned_launch_rate: HARD_RATES.1,
-        })));
+        let hard = FaultConfig::quiet(seed)
+            .rate(FaultKind::DeviceLost, HARD_RATES.0)
+            .rate(FaultKind::PoisonedLaunch, HARD_RATES.1);
+        exec = exec.with_faults(Arc::new(FaultPlan::new(base).with(hard)));
     } else if transient_seed.is_some() {
         exec = exec.with_faults(Arc::new(FaultPlan::new(base)));
     }

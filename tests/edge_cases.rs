@@ -100,8 +100,6 @@ fn combiner_variants_behave_distinctly() {
     for (comb, a, b, want) in [
         (Combiner::Add, 3u64, 4u64, 7u64),
         (Combiner::Or, 0b101, 0b010, 0b111),
-        (Combiner::Min, 9, 4, 4),
-        (Combiner::Max, 9, 4, 9),
     ] {
         let t = table(Organization::Combining(comb), 64 * 1024);
         t.insert_combining(b"k", a, &mut ch);

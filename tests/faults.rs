@@ -4,7 +4,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, SystemSpec};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan, SystemSpec};
 use sepo_apps::{run_app, AppConfig, AppRun};
 use sepo_datagen::App;
 use std::collections::HashMap;
@@ -59,10 +59,9 @@ fn faulted_pvc(seed: u64) -> (AppRun, u64, u64) {
     let ds = App::PageViewCount.generate(0, 32_768);
     // The standard rates rarely fire on a dataset this small; raise the
     // lane-abort rate so the reproducibility claim covers real injections.
-    let plan = Arc::new(FaultPlan::new(FaultConfig {
-        lane_abort_rate: 0.1,
-        ..FaultConfig::standard(seed)
-    }));
+    let plan = Arc::new(FaultPlan::new(
+        FaultConfig::standard(seed).rate(FaultKind::LaneAbort, 0.1),
+    ));
     let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
         .with_faults(Arc::clone(&plan));
     let run = run_app(
@@ -71,7 +70,7 @@ fn faulted_pvc(seed: u64) -> (AppRun, u64, u64) {
         &AppConfig::new(24 * 1024).with_audit(true),
         &exec,
     );
-    (run, plan.total_injected(), plan.draws())
+    (run, plan.total_injected(), plan.draws(FaultKind::LaneAbort))
 }
 
 /// Serialize the outcome fields a results file would carry; key order is
@@ -125,10 +124,9 @@ fn injected_faults_never_change_the_results() {
         24 * 1024,
         ExecMode::ParallelDeterministic,
     );
-    let plan = Arc::new(FaultPlan::new(FaultConfig {
-        seed: 99,
-        lane_abort_rate: 0.2,
-    }));
+    let plan = Arc::new(FaultPlan::new(
+        FaultConfig::quiet(99).rate(FaultKind::LaneAbort, 0.2),
+    ));
     let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
         .with_faults(Arc::clone(&plan));
     let faulted = run_app(

@@ -7,7 +7,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan};
 use sepo_apps::{run_app, AppConfig};
 use sepo_core::entry::{EntryKind, PageWalker};
 use sepo_core::{CheckpointPolicy, CompactReport};
@@ -99,11 +99,11 @@ fn netflix_run(hard_seed: Option<u64>) -> (Vec<u8>, Option<CompactReport>, u32) 
     let mut cfg = AppConfig::new(48 << 10).with_audit(true);
     cfg.driver.chunk_tasks = 32;
     if let Some(seed) = hard_seed {
-        let plan = FaultPlan::new(FaultConfig::quiet(seed)).with_hard(HardFaultConfig {
-            seed,
-            device_loss_rate: 0.05,
-            poisoned_launch_rate: 0.02,
-        });
+        let plan = FaultPlan::new(
+            FaultConfig::quiet(seed)
+                .rate(FaultKind::DeviceLost, 0.05)
+                .rate(FaultKind::PoisonedLaunch, 0.02),
+        );
         exec = exec.with_faults(Arc::new(plan));
         cfg = cfg
             .with_checkpoint(CheckpointPolicy::Memory)

@@ -6,7 +6,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sepo_core::{
@@ -86,10 +86,8 @@ proptest! {
             .with_buckets_per_group(16)
             .with_page_size(1024);
         let table = SepoTable::new(cfg, (pages * 1024) as u64, Arc::new(Metrics::new()));
-        let plan = Arc::new(FaultPlan::new(FaultConfig {
-            seed,
-            lane_abort_rate: abort_rate,
-        }));
+        let config = FaultConfig::quiet(seed).rate(FaultKind::LaneAbort, abort_rate);
+        let plan = Arc::new(FaultPlan::new(config));
         let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(table.metrics()))
             .with_faults(Arc::clone(&plan));
         let result = SepoDriver::new(&table, &exec)
@@ -149,10 +147,8 @@ proptest! {
                 .with_buckets_per_group(16)
                 .with_page_size(1024);
             let table = SepoTable::new(cfg, 4 * 1024, Arc::new(Metrics::new()));
-            let plan = Arc::new(FaultPlan::new(FaultConfig {
-                seed,
-                lane_abort_rate: 0.15,
-            }));
+            let config = FaultConfig::quiet(seed).rate(FaultKind::LaneAbort, 0.15);
+            let plan = Arc::new(FaultPlan::new(config));
             let exec = Executor::new(
                 ExecMode::ParallelDeterministic,
                 Arc::clone(table.metrics()),
@@ -184,7 +180,7 @@ proptest! {
                 outcome.n_iterations(),
                 completions,
                 plan.total_injected(),
-                plan.draws(),
+                plan.draws(FaultKind::LaneAbort),
                 contents,
             )
         };

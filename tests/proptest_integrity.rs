@@ -14,9 +14,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{
-    CorruptionConfig, CorruptionKind, FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer,
-};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan, ShadowSanitizer};
 use proptest::prelude::*;
 use sepo_apps::sharded::run_app_sharded;
 use sepo_apps::{run_app, AppConfig};
@@ -61,19 +59,19 @@ impl Layers<'_> {
         };
         let mut plan = FaultPlan::new(base);
         if let Some(seed) = self.chaos_seed {
-            plan = plan.with_hard(HardFaultConfig {
-                seed,
-                device_loss_rate: HARD_RATES.0,
-                poisoned_launch_rate: HARD_RATES.1,
-            });
+            plan = plan.with(
+                FaultConfig::quiet(seed)
+                    .rate(FaultKind::DeviceLost, HARD_RATES.0)
+                    .rate(FaultKind::PoisonedLaunch, HARD_RATES.1),
+            );
         }
         if let Some((seed, pcie, resting, disk)) = self.corrupt {
-            plan = plan.with_corruption(CorruptionConfig {
-                seed,
-                pcie_bit_flip_rate: pcie,
-                resting_page_flip_rate: resting,
-                disk_byte_flip_rate: disk,
-            });
+            plan = plan.with(
+                FaultConfig::quiet(seed)
+                    .rate(FaultKind::PcieBitFlip, pcie)
+                    .rate(FaultKind::RestingPageFlip, resting)
+                    .rate(FaultKind::DiskByteFlip, disk),
+            );
         }
         plan
     }
@@ -102,11 +100,14 @@ fn detected(rec: &RecoveryStats) -> u64 {
 }
 
 /// Flips the executors' plans injected: of every kind, or of one.
-fn injected(execs: &[Executor], kind: Option<CorruptionKind>) -> u64 {
+fn injected(execs: &[Executor], kind: Option<FaultKind>) -> u64 {
+    let kinds = kind
+        .as_ref()
+        .map_or(&FaultKind::CORRUPTION[..], std::slice::from_ref);
     execs
         .iter()
         .filter_map(|e| e.faults())
-        .map(|p| kind.map_or(p.total_corruption_injected(), |k| p.corruption_injected(k)))
+        .map(|p| kinds.iter().map(|&k| p.injected(k)).sum::<u64>())
         .sum()
 }
 
@@ -152,7 +153,7 @@ fn run_once(app: App, ds: &Dataset, layers: Layers) -> Observed {
             .map(|i| i.tasks_completed)
             .collect(),
         injected: injected(&execs, None),
-        disk_flips: injected(&execs, Some(CorruptionKind::DiskByteFlip)),
+        disk_flips: injected(&execs, Some(FaultKind::DiskByteFlip)),
         detected: detected(&run.outcome.recovery),
     }
 }
@@ -185,7 +186,7 @@ fn run_sharded(app: App, ds: &Dataset, n: u32, layers: Layers) -> Observed {
         image: sharded.image,
         trajectory: Vec::new(),
         injected: injected(&execs, None),
-        disk_flips: injected(&execs, Some(CorruptionKind::DiskByteFlip)),
+        disk_flips: injected(&execs, Some(FaultKind::DiskByteFlip)),
         detected: sharded
             .shards
             .iter()
@@ -264,7 +265,7 @@ impl Drop for ScratchDir {
 #[test]
 fn every_flip_is_detected_once_with_checkpoints_on_disk() {
     /// (tier, pcie bit-flip, resting page-flip, disk byte-flip) rates; the
-    /// first is `CorruptionConfig::standard`.
+    /// first is `FaultConfig::corruption`.
     const TIERS: [(&str, f64, f64, f64); 2] = [
         ("standard", 0.05, 0.01, 0.05),
         ("elevated", 0.20, 0.08, 0.25),

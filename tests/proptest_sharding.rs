@@ -1,14 +1,15 @@
 //! Property-based tests for the hash-prefix shard partition and the
-//! host-side batching router: every key has exactly one owner shard under
-//! every partition width, and a routed batch is a permutation of its
-//! input — nothing dropped, nothing duplicated, nothing misrouted.
+//! host-side routing: every key has exactly one owner shard under every
+//! partition width, a split key batch is a permutation of its input —
+//! nothing dropped, nothing duplicated, nothing misrouted — and a record
+//! reaches exactly the shards owning its keys.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sepo_apps::sharded::ShardRouter;
 use sepo_core::hash::fnv1a;
-use sepo_core::{shard_of, shard_of_key, ShardSpec};
-use sepo_datagen::App;
+use sepo_core::{shard_of, shard_of_key, split_keys, ShardSpec};
+use sepo_datagen::{App, Dataset};
 
 /// Arbitrary key bytes (length 0..24, any byte values).
 fn keys() -> impl Strategy<Value = Vec<Vec<u8>>> {
@@ -32,14 +33,14 @@ proptest! {
         prop_assert_eq!(owners, vec![owner], "ownership must be a partition");
     }
 
-    /// The router's split of a key batch is a permutation of the input
-    /// indices, and every index lands on its key's owner shard.
+    /// The split of a key batch (the one query serving routes by) is a
+    /// permutation of the input indices, and every index lands on its
+    /// key's owner shard.
     #[test]
     fn split_keys_is_a_permutation_of_the_batch(batch in keys(), bits in 0u32..4) {
         let count = 1u32 << bits;
-        let router = ShardRouter::new(App::WordCount, count);
         let refs: Vec<&[u8]> = batch.iter().map(|k| k.as_slice()).collect();
-        let slots = router.split_keys(&refs);
+        let slots = split_keys(&refs, bits);
         prop_assert_eq!(slots.len(), count as usize);
         let mut all: Vec<usize> = slots.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -47,21 +48,22 @@ proptest! {
             "split must be a permutation of 0..{}", batch.len());
         for (s, slot) in slots.iter().enumerate() {
             for &i in slot {
-                prop_assert_eq!(router.shard_of_key(&batch[i]), s as u32,
+                prop_assert_eq!(shard_of_key(&batch[i], bits), s as u32,
                     "index {i} misrouted to shard {s}");
             }
         }
     }
 
-    /// Record routing replicates to exactly the owner set: each listed
-    /// owner owns at least one of the record's keys, and every key's owner
-    /// is listed.
+    /// Record routing replicates to exactly the owner set: the shards
+    /// `split_dataset` hands a one-record dataset to each own at least one
+    /// of the record's keys, and every key's owner receives it.
     #[test]
     fn record_owners_cover_exactly_the_key_owners(words in vec(vec(97u8..123, 1..8), 1..12), bits in 1u32..4) {
         let count = 1u32 << bits;
-        let record: Vec<u8> = words.join(&b' ');
-        let router = ShardRouter::new(App::WordCount, count);
-        let owners = router.owners_of_record(&record);
+        let mut dataset = Dataset::new();
+        dataset.push_record(&words.join(&b' '));
+        let subsets = ShardRouter::new(App::WordCount, count).split_dataset(&dataset);
+        let owners: Vec<u32> = (0..count).filter(|&s| !subsets[s as usize].is_empty()).collect();
         let mut want: Vec<u32> = words.iter().map(|w| shard_of_key(w, bits)).collect();
         want.sort_unstable();
         want.dedup();

@@ -16,7 +16,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{Metrics, Snapshot};
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan, ShadowSanitizer};
 use proptest::prelude::*;
 use sepo_apps::{run_app, AppConfig};
 use sepo_core::{CheckpointPolicy, Combiner, EpochPublisher, Organization};
@@ -90,18 +90,16 @@ fn run_serving(
     let metrics = Arc::new(Metrics::new());
     let mut exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics))
         .with_shadow(Arc::new(ShadowSanitizer::new()));
-    let mut plan = fault_seed.map(|s| FaultPlan::new(FaultConfig::standard(s)));
-    if let Some(seed) = chaos_seed {
-        let base = plan
-            .take()
-            .unwrap_or_else(|| FaultPlan::new(FaultConfig::quiet(seed)));
-        plan = Some(base.with_hard(HardFaultConfig {
-            seed,
-            device_loss_rate: 0.05,
-            poisoned_launch_rate: 0.02,
-        }));
-    }
-    if let Some(plan) = plan {
+    let chaos = chaos_seed.map(|seed| {
+        FaultConfig::quiet(seed)
+            .rate(FaultKind::DeviceLost, 0.05)
+            .rate(FaultKind::PoisonedLaunch, 0.02)
+    });
+    let mut configs = [fault_seed.map(FaultConfig::standard), chaos]
+        .into_iter()
+        .flatten();
+    if let Some(first) = configs.next() {
+        let plan = configs.fold(FaultPlan::new(first), FaultPlan::with);
         exec = exec.with_faults(Arc::new(plan));
     }
 
@@ -206,35 +204,32 @@ fn assert_epochs_sound(app: App, ds: &Dataset, keys: &[Vec<u8>], run: &ServingRu
         Organization::Combining(comb) => {
             let epochs = &run.combined_epochs;
             assert!(!epochs.is_empty(), "{}: no epochs published", app.name());
-            // Monotone for the order-preserving combiners.
-            if matches!(comb, Combiner::Add | Combiner::Or) {
-                for pair in epochs.windows(2) {
-                    for (k, (a, b)) in keys.iter().zip(pair[0].1.iter().zip(&pair[1].1)) {
-                        match (a, b) {
-                            (Some(x), Some(y)) => {
-                                let ok = match comb {
-                                    Combiner::Add => y >= x,
-                                    Combiner::Or => y & x == *x,
-                                    _ => true,
-                                };
-                                assert!(
-                                    ok,
-                                    "{}: key {:?} regressed between epochs {} and {}",
-                                    app.name(),
-                                    String::from_utf8_lossy(k),
-                                    pair[0].0,
-                                    pair[1].0
-                                );
-                            }
-                            (Some(_), None) => panic!(
-                                "{}: key {:?} vanished between epochs {} and {}",
+            // Monotone: sums only rise and bit sets only gain bits.
+            for pair in epochs.windows(2) {
+                for (k, (a, b)) in keys.iter().zip(pair[0].1.iter().zip(&pair[1].1)) {
+                    match (a, b) {
+                        (Some(x), Some(y)) => {
+                            let ok = match comb {
+                                Combiner::Add => y >= x,
+                                Combiner::Or => y & x == *x,
+                            };
+                            assert!(
+                                ok,
+                                "{}: key {:?} regressed between epochs {} and {}",
                                 app.name(),
                                 String::from_utf8_lossy(k),
                                 pair[0].0,
                                 pair[1].0
-                            ),
-                            _ => {}
+                            );
                         }
+                        (Some(_), None) => panic!(
+                            "{}: key {:?} vanished between epochs {} and {}",
+                            app.name(),
+                            String::from_utf8_lossy(k),
+                            pair[0].0,
+                            pair[1].0
+                        ),
+                        _ => {}
                     }
                 }
             }

@@ -7,7 +7,7 @@
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::{FaultConfig, FaultPlan, HardFaultConfig, ShadowSanitizer};
+use gpu_sim::{FaultConfig, FaultKind, FaultPlan, ShadowSanitizer};
 use sepo_apps::sharded::{run_app_sharded, unsharded_image, ShardedAppRun};
 use sepo_apps::AppConfig;
 use sepo_core::{CheckpointFile, CheckpointPolicy};
@@ -53,11 +53,8 @@ fn run_sharded(app: App, ds: &Dataset, chaos: Option<(u32, u64)>) -> ShardedAppR
         .map(|i| {
             let plan = FaultPlan::new(FaultConfig::quiet(7));
             let plan = match chaos {
-                Some((shard, seed)) if shard == i => plan.with_hard(HardFaultConfig {
-                    seed,
-                    device_loss_rate: DEVICE_LOSS_RATE,
-                    poisoned_launch_rate: 0.0,
-                }),
+                Some((shard, seed)) if shard == i => plan
+                    .with(FaultConfig::quiet(seed).rate(FaultKind::DeviceLost, DEVICE_LOSS_RATE)),
                 _ => plan,
             };
             executor(Some(plan))
