@@ -62,9 +62,40 @@ const CRC32C_TABLES: [[u32; 256]; 8] = {
 };
 
 /// CRC32C of `data` (initial value all-ones, final inversion — the standard
-/// iSCSI/ext4 convention, so `crc32c(b"123456789") == 0xE3069283`).
-/// Slice-by-8: zero dependencies, several times the bytewise table's rate.
+/// iSCSI/ext4 convention, so `crc32c(b"123456789") == 0xE3069283`). Uses
+/// the CPU's CRC32C instruction where there is one (SSE4.2, detected at
+/// run time), eight bytes a step; otherwise slice-by-8 tables. Both give
+/// the same value.
 pub fn crc32c(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the CPU supports SSE4.2, checked just above.
+        return unsafe { crc32c_sse42(data) };
+    }
+    crc32c_sliced(data)
+}
+
+/// CRC32C through the SSE4.2 `crc32` instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42(data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = data.chunks_exact(8);
+    let mut crc = u64::from(!0u32);
+    for w in &mut words {
+        let word = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        crc = _mm_crc32_u64(crc, word);
+    }
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// CRC32C through the slice-by-8 tables: zero dependencies, several times
+/// the bytewise table's rate.
+fn crc32c_sliced(data: &[u8]) -> u32 {
     let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32C_TABLES;
     let mut crc = !0u32;
     let mut words = data.chunks_exact(8);
@@ -278,16 +309,6 @@ impl HostHeap {
         self.pages.lock().values().cloned().collect()
     }
 
-    /// The pages with host id `first` or above, in ascending host-id order
-    /// — what arrived since a reader last saw id `first - 1`.
-    pub fn pages_from(&self, first: u64) -> Vec<StampedPage> {
-        self.pages
-            .lock()
-            .range(first..)
-            .map(|(_, p)| p.clone())
-            .collect()
-    }
-
     /// Replace the entire store with `pages` under one lock acquisition
     /// (checkpoint restore, host compaction). Stamps travel with the pages,
     /// so a restored store verifies exactly like the original.
@@ -314,7 +335,7 @@ mod tests {
     }
 
     #[test]
-    fn slice_by_8_matches_the_bytewise_oracle_at_every_length_and_alignment() {
+    fn every_path_matches_the_bytewise_oracle_at_every_length_and_alignment() {
         const MAX_LEN: usize = 4100;
         let data: Vec<u8> = (0..(MAX_LEN + 8) as u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
@@ -325,6 +346,11 @@ mod tests {
             for len in 0..=MAX_LEN {
                 let slice = &data[start..start + len];
                 assert_eq!(crc32c(slice), !state, "start {start} len {len}");
+                assert_eq!(
+                    crc32c_sliced(slice),
+                    !state,
+                    "sliced, start {start} len {len}"
+                );
                 state = bytewise_step(state, &data[start + len]);
             }
         }
@@ -420,12 +446,5 @@ mod tests {
         hh.store(StampedPage::stamp(3, PageKind::Value, vec![3]));
         let ids: Vec<u64> = hh.pages().iter().map(StampedPage::host_id).collect();
         assert_eq!(ids, vec![1, 3, 5]);
-        let since = |first| -> Vec<u64> {
-            let pages = hh.pages_from(first);
-            pages.iter().map(StampedPage::host_id).collect()
-        };
-        assert_eq!(since(2), vec![3, 5]);
-        assert_eq!(since(5), vec![5]);
-        assert!(since(6).is_empty());
     }
 }

@@ -70,7 +70,7 @@ impl DevHandle {
 
     /// Raw packed representation (for atomic head words).
     #[inline]
-    pub fn to_raw(self) -> u64 {
+    pub const fn to_raw(self) -> u64 {
         self.0
     }
 
@@ -111,7 +111,7 @@ impl HostLink {
     }
 
     #[inline]
-    pub fn to_raw(self) -> u64 {
+    pub const fn to_raw(self) -> u64 {
         self.0
     }
 

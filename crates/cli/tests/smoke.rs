@@ -3,9 +3,10 @@
 //! and corruption report lines must be present with non-zero counts, a
 //! sharded run must print its merged-image identity line, `--save` must
 //! round-trip through `sepo query` on a single table and be rejected for a
-//! sharded run, and the `host compaction:` line must appear on a
-//! multi-iteration run that folded partial aggregates and not on a
-//! one-iteration run, and `--checkpoint` must leave a file with one
+//! sharded run, and the `host compaction:` line must appear on
+//! multi-iteration runs that folded partial aggregates or joined
+//! multi-valued key entries and not on a one-iteration run, and
+//! `--checkpoint` must leave a file with one
 //! readable section per shard. These are the CLI's only smoke checks of
 //! those paths.
 
@@ -126,6 +127,27 @@ fn host_compaction_is_reported_exactly_when_it_ran() {
     let keys = count(&dna, " entries -> ", " keys, ");
     assert!(entries > keys, "{dna}");
     assert!(dna.contains(" KB -> "), "{dna}");
+
+    // Patent Citation is multi-valued: popular patents' key entries leave
+    // the device before their last citations arrive, and compaction joins
+    // each key's entries into one.
+    let out = sepo(&[
+        "run",
+        "patents",
+        "--dataset",
+        "4",
+        "--scale",
+        "16384",
+        "--heap",
+        "65536",
+        "--audit",
+    ]);
+    let patents = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(out.status.success(), "{patents}");
+    assert!(iterations(&patents) > 1, "{patents}");
+    let entries = count(&patents, "host compaction: ", " entries -> ");
+    let keys = count(&patents, " entries -> ", " keys, ");
+    assert!(entries > keys, "{patents}");
 
     // One iteration: one eviction holds each key once; nothing to report.
     let wordcount = run_wordcount("1", &[]);

@@ -24,18 +24,20 @@
 //!   every page before it returns, so the books balance exactly at every
 //!   boundary.
 //!
-//! After a combining table's host compaction ([`crate::compact`]), which
-//! follows the final eviction's check, [`TableAudit::check_compacted`]
-//! checks the one-entry-per-key image itself.
+//! After host compaction ([`crate::compact`]), which follows the final
+//! eviction's check, [`TableAudit::check_compacted`] checks the
+//! one-entry-per-key image itself, combining or multi-valued.
 //!
 //! A violation is a *bug*, not an environmental condition, so the driver
 //! panics on one; [`TableAudit`] itself reports
 //! [`AuditViolation`] values so tests can assert on specific checks.
 
 use crate::bitmap::Bitmap;
-use crate::entry::{combining, parse_at, EntryKind};
+use crate::config::Organization;
+use crate::entry::{combining, parse_at, EntryKind, ParsedEntry};
 use crate::evict::EvictReport;
 use crate::table::SepoTable;
+use sepo_alloc::{HostLink, PageKind, StampedPage, VerifiedPage, ALIGN};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -215,47 +217,160 @@ impl TableAudit {
         self.check_structure(table)
     }
 
-    /// Check a combining table's host image after compaction
-    /// ([`crate::compact`]): no key has two entries, no region is a
-    /// tombstone, and the host bytes are exactly the entries' sizes.
+    /// Check a host image after compaction ([`crate::compact`]): every
+    /// page is of the organization's kinds, no key has two entries, no
+    /// region of any page is a tombstone, and the host bytes are exactly
+    /// the entries' sizes. A multi-valued image must also reach every value
+    /// node through exactly one key's chain. A basic table is never
+    /// compacted; its image passes as it is.
     pub fn check_compacted(&self, table: &SepoTable) -> Result<(), AuditViolation> {
-        let mut keys = HashSet::new();
-        let (mut host_bytes, mut entry_bytes) = (0u64, 0u64);
-        for page in table.host_heap().pages() {
-            let page = page.verify().map_err(|e| AuditViolation {
+        let org = table.config().organization;
+        if org == Organization::Basic {
+            return Ok(());
+        }
+        let pages = table.host_heap().pages();
+        let pages = pages.iter().map(StampedPage::verify);
+        let pages = pages
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| AuditViolation {
                 check: "compacted-page-stamp",
                 detail: e.to_string(),
             })?;
+        let (primary, primary_page) = org.primary_layout();
+        // Every primary entry takes at least a combining entry's header.
+        let primary_bytes: usize = pages
+            .iter()
+            .filter(|p| p.kind() == primary_page)
+            .map(|p| p.bytes().len())
+            .sum();
+        let mut keys = HashSet::with_capacity(primary_bytes / combining::HEADER);
+        let mut heads = Vec::new();
+        // Value pages in host-id order, with a mark per 8-byte slot that a
+        // reached node covers.
+        let mut values: Vec<(&VerifiedPage, Vec<bool>)> = Vec::new();
+        let (mut key_bytes, mut entry_bytes, mut value_bytes) = (0u64, 0u64, 0u64);
+        for page in &pages {
+            match page.kind() {
+                k if k == primary_page => {}
+                PageKind::Value if org == Organization::MultiValued => {
+                    value_bytes += page.bytes().len() as u64;
+                    values.push((page, vec![false; page.bytes().len() / ALIGN]));
+                    continue;
+                }
+                k => {
+                    return Err(AuditViolation {
+                        check: "compacted-page-kind",
+                        detail: format!("host page {} is a {k:?} page", page.host_id()),
+                    })
+                }
+            }
             let bytes = page.bytes();
-            host_bytes += bytes.len() as u64;
+            key_bytes += bytes.len() as u64;
             let mut off = 0;
-            while let Some((entry, next)) = parse_at(bytes, off, EntryKind::Combining) {
+            while let Some((entry, next)) = parse_at(bytes, off, primary) {
+                let Some(entry) = entry else {
+                    return Err(tombstone(page, off));
+                };
+                let key = entry.key().expect("primary entries carry keys");
                 ensure!(
-                    entry.is_some(),
-                    "compacted-no-tombstones",
-                    "host page {} holds a tombstone at offset {off}",
+                    keys.insert(key),
+                    "compacted-one-entry-per-key",
+                    "key {:?} has a second entry on host page {}",
+                    String::from_utf8_lossy(key),
                     page.host_id()
                 );
-                if let Some(key) = entry.and_then(|e| e.key()) {
-                    ensure!(
-                        keys.insert(key.to_vec()),
-                        "compacted-one-entry-per-key",
-                        "key {:?} has a second entry on host page {}",
-                        String::from_utf8_lossy(key),
-                        page.host_id()
-                    );
-                    entry_bytes += combining::size(key.len()) as u64;
+                if let ParsedEntry::Key {
+                    value_host_cont, ..
+                } = entry
+                {
+                    heads.push((page.host_id(), off, value_host_cont));
                 }
+                entry_bytes += (next - off) as u64;
                 off = next;
             }
         }
         ensure!(
-            host_bytes == entry_bytes,
+            key_bytes == entry_bytes,
             "compacted-byte-count",
-            "host pages hold {host_bytes} bytes, but their {} entries take {entry_bytes}",
+            "host pages hold {key_bytes} bytes, but their {} entries take {entry_bytes}",
             keys.len()
         );
-        Ok(())
+        // Walk every chain, marking the slots each node covers: a node
+        // reached twice, or a link to no node, meets a mark or no node.
+        let mut last = None;
+        for (host_id, off, cont) in heads {
+            let unreached = |link: HostLink| AuditViolation {
+                check: "compacted-chains-reach-each-value-once",
+                detail: format!(
+                    "the chain of the key entry at host page {host_id} offset {off} reaches \
+                     host page {} offset {}, where no unreached value node starts",
+                    link.host_page(),
+                    link.offset()
+                ),
+            };
+            let mut link = HostLink::from_raw(cont);
+            while !link.is_null() {
+                let id = link.host_page();
+                let page = match last {
+                    Some((last_id, i)) if last_id == id => Some(i),
+                    _ => values.binary_search_by_key(&id, |(p, _)| p.host_id()).ok(),
+                };
+                let Some(i) = page else {
+                    return Err(unreached(link));
+                };
+                last = Some((id, i));
+                let (page, marks) = &mut values[i];
+                let at = link.offset() as usize;
+                let Some((entry, end)) = parse_at(page.bytes(), at, EntryKind::Value) else {
+                    return Err(unreached(link));
+                };
+                let Some(ParsedEntry::Value { next_host, .. }) = entry else {
+                    return Err(tombstone(page, at));
+                };
+                match marks.get_mut(at / ALIGN..end.div_ceil(ALIGN)) {
+                    Some(m) if at.is_multiple_of(ALIGN) && !m.contains(&true) => m.fill(true),
+                    _ => return Err(unreached(link)),
+                }
+                entry_bytes += (end - at) as u64;
+                link = HostLink::from_raw(next_host);
+            }
+        }
+        if entry_bytes == key_bytes + value_bytes {
+            return Ok(());
+        }
+        // Some value bytes no chain reached: name the first such node.
+        for (page, marks) in &values {
+            let mut off = 0;
+            while let Some((entry, next)) = parse_at(page.bytes(), off, EntryKind::Value) {
+                if entry.is_none() {
+                    return Err(tombstone(page, off));
+                }
+                ensure!(
+                    marks[off / ALIGN],
+                    "compacted-no-orphan-values",
+                    "no key's chain reaches the value node at host page {} offset {off}",
+                    page.host_id()
+                );
+                off = next;
+            }
+        }
+        Err(AuditViolation {
+            check: "compacted-byte-count",
+            detail: format!(
+                "host pages hold {} bytes, but their entries take {entry_bytes}",
+                key_bytes + value_bytes
+            ),
+        })
+    }
+}
+
+fn tombstone(page: &VerifiedPage, off: usize) -> AuditViolation {
+    AuditViolation {
+        check: "compacted-no-tombstones",
+        detail: format!(
+            "host page {} holds a tombstone at offset {off}",
+            page.host_id()
+        ),
     }
 }
 
@@ -414,5 +529,90 @@ mod tests {
         let used = t.heap().stats().used_bytes;
         let fin = t.finalize();
         audit.check_final(&t, used, &fin).unwrap();
+    }
+
+    /// A multi-valued table whose keys each own entries from two
+    /// iterations, compacted: two value nodes per key, one key page.
+    fn compacted_groups() -> SepoTable {
+        let t = table(Organization::MultiValued, 8);
+        for round in 0..2 {
+            for key in ["a", "b", "c"] {
+                let value = format!("{key}{round}");
+                assert!(t
+                    .insert_multivalued(key.as_bytes(), value.as_bytes(), &mut NoCharge)
+                    .is_success());
+            }
+            t.end_iteration();
+        }
+        assert!(t.compact_host().unwrap().is_some());
+        t
+    }
+
+    /// Replace `t`'s first host page of `kind` with `edit` of its bytes,
+    /// stamped afresh under the same id.
+    fn mutate(t: &SepoTable, kind: PageKind, edit: impl FnOnce(&mut Vec<u8>)) {
+        let page = t.host_heap().pages().into_iter().find(|p| p.kind() == kind);
+        let page = page.expect("a page of that kind");
+        let mut bytes = page.verify().unwrap().bytes().to_vec();
+        edit(&mut bytes);
+        t.host_heap()
+            .store(StampedPage::stamp(page.host_id(), kind, bytes));
+    }
+
+    /// A value node with no successor: `vlen` bytes of `fill`, the length
+    /// word ORed with `flags`.
+    fn value_node(fill: u8, flags: u64) -> Vec<u8> {
+        let mut node = vec![0xFF; 16];
+        node.extend_from_slice(&(1 | flags).to_le_bytes());
+        node.extend_from_slice(&[fill, 0, 0, 0, 0, 0, 0, 0]);
+        node
+    }
+
+    #[test]
+    fn compacted_multivalued_image_passes_and_each_mutation_fails() {
+        let audit = TableAudit::begin(&table(Organization::MultiValued, 8));
+        let check = |t: &SepoTable| audit.check_compacted(t).map_err(|v| v.check);
+        let t = compacted_groups();
+        assert_eq!(check(&t), Ok(()));
+        let groups = t.collect_multivalued();
+        assert_eq!(groups.len(), 3);
+        assert!(groups.iter().all(|(_, vs)| vs.len() == 2));
+
+        let dup = compacted_groups();
+        mutate(&dup, PageKind::Key, |b| {
+            let first = b[..crate::entry::key_entry::size(1)].to_vec();
+            b.extend_from_slice(&first);
+        });
+        assert_eq!(check(&dup), Err("compacted-one-entry-per-key"));
+
+        let dead = compacted_groups();
+        mutate(&dead, PageKind::Value, |b| {
+            b.extend_from_slice(&value_node(b'x', crate::entry::TOMBSTONE))
+        });
+        assert_eq!(check(&dead), Err("compacted-no-tombstones"));
+
+        let orphan = compacted_groups();
+        mutate(&orphan, PageKind::Value, |b| {
+            b.extend_from_slice(&value_node(b'x', 0))
+        });
+        assert_eq!(check(&orphan), Err("compacted-no-orphan-values"));
+
+        // A chain stepping onto a tombstone, and two chains sharing a node.
+        let cut = compacted_groups();
+        mutate(&cut, PageKind::Value, |b| {
+            b[16..24].copy_from_slice(&(1 | crate::entry::TOMBSTONE).to_le_bytes())
+        });
+        assert_eq!(check(&cut), Err("compacted-no-tombstones"));
+        let shared = compacted_groups();
+        mutate(&shared, PageKind::Key, |b| {
+            let size = crate::entry::key_entry::size(1);
+            let cont = crate::entry::key_entry::VALUE_HOST_CONT as usize;
+            let first: [u8; 8] = b[cont..cont + 8].try_into().unwrap();
+            b[size + cont..size + cont + 8].copy_from_slice(&first);
+        });
+        assert_eq!(
+            check(&shared),
+            Err("compacted-chains-reach-each-value-once")
+        );
     }
 }

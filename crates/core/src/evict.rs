@@ -17,8 +17,10 @@
 //!
 //! [`SepoTable::finalize`] evicts everything that remains (kept pages
 //! included) once the run is complete, leaving the whole table addressable
-//! from CPU memory, one entry per key for combining tables
-//! ([`crate::compact`]).
+//! from CPU memory, one entry per key for combining and multi-valued
+//! tables ([`crate::compact`]). Until then a multi-valued key can own
+//! several host key entries: a key page evicted without pending keys, or
+//! past the kept-page cap, leaves its keys to fresh entries next iteration.
 //!
 //! These routines require quiescence — no kernels in flight — which the
 //! SEPO driver guarantees by running them between launches.
@@ -38,7 +40,7 @@ use std::sync::Arc;
 /// paper keeps every such page (§IV-C), which livelocks once pending key
 /// pages cover the whole heap (no page left for value nodes); evicting a
 /// pending key page is safe — a duplicate key entry is created next
-/// iteration and the result collectors merge groups by key — so beyond the
+/// iteration and host compaction joins the groups by key — so beyond the
 /// cap the pages with the fewest pending keys are evicted. 0.25 keeps the
 /// hottest keys resident (the paper's intent) while leaving most of the
 /// heap for value pages, guaranteeing forward progress.
@@ -74,7 +76,7 @@ impl SepoTable {
     }
 
     /// Evict everything that remains (kept pages included), then compact a
-    /// combining table's host image to one entry per key
+    /// combining or multi-valued table's host image to one entry per key
     /// ([`SepoTable::compact_host`]). Call once after the last iteration;
     /// afterwards the result collectors see the full table in the host
     /// heap. A host page that fails its stamp is left in place, uncompacted,
@@ -219,7 +221,8 @@ impl SepoTable {
         // 3. Key pages leave unless they hold pending keys (or we are
         //    finalizing). Keeping is capped at [`MAX_KEPT_FRACTION`] of the
         //    heap — beyond that, pages with the fewest pending keys are
-        //    evicted anyway (their keys reappear as mergeable duplicates) so
+        //    evicted anyway (their keys reappear as duplicates that host
+        //    compaction joins) so
         //    value allocation always has pages to draw from.
         let max_kept = if force {
             0
@@ -264,7 +267,7 @@ impl SepoTable {
 
     /// Walk the complete, non-tombstoned entries of resident key page `p`
     /// (quiescent).
-    fn for_each_key_entry(&self, p: u32, mut f: impl FnMut(DevHandle)) {
+    pub(crate) fn for_each_key_entry(&self, p: u32, mut f: impl FnMut(DevHandle)) {
         let used = self.heap.page_used(p);
         let mut off = 0usize;
         while off + key_entry::HEADER <= used {

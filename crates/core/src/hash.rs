@@ -89,7 +89,8 @@ impl<V> KeyMap<V> {
         self.entries.len()
     }
 
-    fn key(&self, id: usize) -> &[u8] {
+    /// The key with id `id` (ids count keys in first-insertion order).
+    pub(crate) fn key(&self, id: usize) -> &[u8] {
         let (start, len, _) = self.entries[id];
         &self.arena[start..start + len as usize]
     }
@@ -126,14 +127,15 @@ impl<V> KeyMap<V> {
         Some(&self.entries[id].2)
     }
 
-    /// Apply `update` to `key`'s value, or insert `new()` for a new key.
+    /// Apply `update` to `key`'s value, or insert `new()` for a new key;
+    /// returns the key's id.
     pub(crate) fn upsert(
         &mut self,
         key: &[u8],
         new: impl FnOnce() -> V,
         update: impl FnOnce(&mut V),
-    ) {
-        self.upsert_tagged(key, self.tag(key), new, update);
+    ) -> usize {
+        self.upsert_tagged(key, self.tag(key), new, update)
     }
 
     fn upsert_tagged(
@@ -142,9 +144,12 @@ impl<V> KeyMap<V> {
         tag: u32,
         new: impl FnOnce() -> V,
         update: impl FnOnce(&mut V),
-    ) {
+    ) -> usize {
         match self.probe(key, tag) {
-            Ok(id) => update(&mut self.entries[id].2),
+            Ok(id) => {
+                update(&mut self.entries[id].2);
+                id
+            }
             Err(slot) => {
                 self.entries
                     .push((self.arena.len(), key.len() as u32, new()));
@@ -153,6 +158,7 @@ impl<V> KeyMap<V> {
                 if 2 * self.entries.len() > self.slots.len() {
                     self.grow();
                 }
+                self.entries.len() - 1
             }
         }
     }

@@ -21,7 +21,9 @@
 //!   (basic/combining) or selective value-page / non-pending-key-page
 //!   eviction with chain rebuild (multi-valued).
 //! * [`compact`] — host compaction at the end of a run: a combining key's
-//!   partial aggregates from several iterations fold into one host entry.
+//!   partial aggregates from several iterations fold into one host entry,
+//!   and a multi-valued key's key entries join into one with one value
+//!   chain.
 //! * [`results`] — final result enumeration from the CPU-side store by
 //!   page walking and host-linked chain traversal, over pages that passed
 //!   their checksum stamp.

@@ -125,7 +125,9 @@ impl SepoTable {
     /// The image's trailing checksum is verified before anything is
     /// parsed, and every page's persisted stamp is re-verified against its
     /// payload — a damaged file is rejected with a typed checksum error,
-    /// never restored into a silently wrong table.
+    /// never restored into a silently wrong table. The restored host image
+    /// is compacted ([`SepoTable::compact_host`]): an image saved without
+    /// compaction loads with one entry per key.
     pub fn load<R: Read>(r: &mut R, heap_bytes: u64, metrics: Arc<Metrics>) -> io::Result<Self> {
         let mut image = Vec::new();
         r.read_to_end(&mut image)?;
@@ -158,6 +160,11 @@ impl SepoTable {
         }
         // The host-id sequence resumes past every restored page.
         table.heap.advance_host_ids(max_id + 1);
+        // An image saved without compaction can hold a key twice; the
+        // collectors read one entry per key.
+        table.compact_host().map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("SEPOHST2 image: {e}"))
+        })?;
         Ok(table)
     }
 }
@@ -331,5 +338,47 @@ mod tests {
                 "flip at byte {at}: unexpected message {msg:?}"
             );
         }
+    }
+
+    /// An image saved without compaction — two boundaries evicted every
+    /// key page, so each key owns two host entries — loads with one entry
+    /// per key, and its groups are the ones the uncompacted image held.
+    #[test]
+    fn an_uncompacted_multivalued_image_loads_compacted() {
+        let cfg = TableConfig::new(Organization::MultiValued)
+            .with_buckets(64)
+            .with_buckets_per_group(16)
+            .with_page_size(1024);
+        let t = SepoTable::new(cfg, 16 * 1024, Arc::new(Metrics::new()));
+        for round in 0..2 {
+            for i in 0..20 {
+                let (key, value) = (format!("key-{i:02}"), format!("v{round}-{i}"));
+                assert!(t
+                    .insert_multivalued(key.as_bytes(), value.as_bytes(), &mut NoCharge)
+                    .is_success());
+            }
+            assert_eq!(t.end_iteration().kept_pages, 0);
+        }
+        let mut buf = Vec::new();
+        t.save(&mut buf).unwrap();
+        assert_eq!(
+            t.collect_multivalued().len(),
+            40,
+            "saved with every key twice"
+        );
+
+        let restored =
+            SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new())).unwrap();
+        t.compact_host().unwrap().expect("two entries per key");
+        let groups = restored.collect_multivalued();
+        assert_eq!(groups.len(), 20);
+        assert_eq!(groups, t.collect_multivalued());
+        let groups: HashMap<Vec<u8>, Vec<Vec<u8>>> = groups.into_iter().collect();
+        for i in 0..20 {
+            let want = [format!("v0-{i}"), format!("v1-{i}")].map(String::into_bytes);
+            assert_eq!(groups[format!("key-{i:02}").as_bytes()], want);
+        }
+        let audit = crate::audit::TableAudit::begin(&restored);
+        audit.check_compacted(&restored).unwrap();
     }
 }

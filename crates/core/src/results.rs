@@ -6,7 +6,9 @@
 //! back — no chain traversal and no extra index, matching how the paper's
 //! applications consume the copied-back heap. Multi-valued results walk key
 //! pages and then follow each key's host-linked value chain, which remains
-//! intact across evictions thanks to the dual-pointer scheme.
+//! intact across evictions thanks to the dual-pointer scheme. A finalized
+//! combining or multi-valued table holds each key once ([`crate::compact`]),
+//! so no collector merges anything.
 //!
 //! Every host-side reader comes through here: page bytes are only reachable
 //! via [`StampedPage::verify`](sepo_alloc::StampedPage::verify), primary
@@ -17,7 +19,6 @@ use crate::entry::{parse_at, EntryKind, PageWalker, ParsedEntry};
 use crate::serve::QueryError;
 use crate::table::SepoTable;
 use sepo_alloc::{CorruptPage, HostLink, VerifiedPage};
-use std::collections::HashMap;
 
 /// Owned multi-valued result: a key with every value inserted for it.
 pub type GroupedPair = (Vec<u8>, Vec<Vec<u8>>);
@@ -128,12 +129,15 @@ impl SepoTable {
         out
     }
 
-    /// Collect `(key, values)` groups of a multi-valued table. Value order
-    /// within a key is newest-first (chains are prepend-only). A key entry
-    /// can leave the device before its key's last value arrives — a key
-    /// page with no pending key is evicted, and the kept-page cap evicts
-    /// pending ones too — so a key may own entries from several
-    /// iterations; their groups are concatenated.
+    /// Collect `(key, values)` groups of a multi-valued table, in the
+    /// order of the key pages: a page walk plus one chain walk per key,
+    /// because a finalized multi-valued table holds each key once
+    /// ([`crate::compact`] joined the entries of keys evicted in several
+    /// iterations into one chain). Value order within a key is newest-first
+    /// (chains are prepend-only).
+    ///
+    /// Requires `finalize()`; panics if pages are still resident or a host
+    /// page fails verification.
     pub fn collect_multivalued(&self) -> Vec<GroupedPair> {
         let pages = self.host_pages_or_panic("collect_multivalued");
         // Pages arrive in host-id order, so a chain link resolves by search.
@@ -141,7 +145,6 @@ impl SepoTable {
             let at = pages.binary_search_by_key(&id, VerifiedPage::host_id);
             at.ok().map(|i| &pages[i])
         };
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
         let mut out: Vec<GroupedPair> = Vec::new();
         for page in &pages {
             for (_, e) in primary_entries(Organization::MultiValued, page) {
@@ -150,19 +153,12 @@ impl SepoTable {
                     value_host_cont,
                 } = e
                 {
-                    let i = match index.get(key) {
-                        Some(&i) => i,
-                        None => {
-                            index.insert(key.to_vec(), out.len());
-                            out.push((key.to_vec(), Vec::new()));
-                            out.len() - 1
-                        }
-                    };
-                    let values = &mut out[i].1;
+                    let mut values = Vec::new();
                     walk_value_chain(HostLink::from_raw(value_host_cont), page_of, |v| {
                         values.push(v.to_vec())
                     })
                     .unwrap_or_else(|e| panic!("collect_multivalued: {e}"));
+                    out.push((key.to_vec(), values));
                 }
             }
         }

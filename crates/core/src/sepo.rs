@@ -632,8 +632,8 @@ struct Run<'d> {
     /// `(page, host id, CRC32C)` of every resident device page with used
     /// bytes, stamped at the last quiescent boundary.
     resting: Vec<(u32, u64, u32)>,
-    /// Host compaction of a combining table, fed at every checkpointed
-    /// boundary.
+    /// Host compaction of a combining or multi-valued table, fed at every
+    /// checkpointed boundary.
     compactor: Option<Compactor>,
 }
 
@@ -666,10 +666,7 @@ impl<'d> Run<'d> {
             shadow,
             audit,
             resting: Vec::new(),
-            compactor: match table.config().organization {
-                Organization::Combining(comb) => Some(Compactor::new(comb)),
-                _ => None,
-            },
+            compactor: Compactor::new(table.config().organization),
         };
         run.stamp_resting();
         run.take_checkpoint()?;
@@ -744,11 +741,12 @@ impl<'d> Run<'d> {
         Ok(())
     }
 
-    /// Hand the host pages this boundary stored to the compactor. After
-    /// the checkpoint, so no rollback can take them back.
+    /// Hand the host pages this boundary stored, and the host
+    /// continuations of the key entries it kept on the device, to the
+    /// compactor. After the checkpoint, so no rollback can take them back.
     fn commit_host_pages(&mut self) {
         if let Some(c) = &mut self.compactor {
-            c.commit(self.table.host_heap());
+            c.commit(self.table);
         }
     }
 
@@ -1008,9 +1006,9 @@ impl<'d> Run<'d> {
         Ok(())
     }
 
-    /// Host compaction of a combining table: wait for the fold of the
-    /// committed boundaries, fold the final flush, and replace the host
-    /// pages with one entry per key — then audit the result. A damaged page
+    /// Host compaction: wait for the fold of the committed boundaries,
+    /// fold the final flush, and replace the host pages with one entry per
+    /// key — then audit the result. A damaged page
     /// the fold meets fails the run with its host id.
     fn compact(&mut self, at_iteration: u32) -> Result<Option<CompactReport>, SepoError> {
         let Some(compactor) = self.compactor.take() else {

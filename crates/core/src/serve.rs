@@ -684,10 +684,11 @@ impl HostStoreInner {
 /// (`seq < watermark`). Offline readers index a finalized table in one go
 /// with [`HostStore::of_finalized`] and see everything.
 ///
-/// A key can own entries from several SEPO iterations. Combining partials
-/// merge at query time through the table's combiner — in-run epochs see
-/// them; a finalized table holds one per key ([`crate::compact`]) — and
-/// multi-valued chains concatenate, as the collectors concatenate them.
+/// A key can own entries from several SEPO iterations. In-run epochs see
+/// them: combining partials merge at query time through the table's
+/// combiner, and multi-valued chains concatenate in eviction order, the
+/// order host compaction joins them in. A finalized table holds one entry
+/// per key ([`crate::compact`]).
 pub struct HostStore {
     inner: RwLock<HostStoreInner>,
 }
@@ -824,7 +825,7 @@ impl HostStore {
     /// Values of every host-indexed key entry for `key` below `watermark`
     /// (multi-valued tables; `None` for a key never evicted): each evicted
     /// key entry contributes its host-linked continuation chain, in
-    /// eviction order — the order the collectors concatenate them in.
+    /// eviction order — the order host compaction joins them in.
     fn grouped_under(
         &self,
         key: &[u8],

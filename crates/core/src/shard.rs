@@ -19,6 +19,7 @@
 
 use crate::config::Organization;
 use crate::hash::fnv1a;
+use crate::results::GroupedPair;
 use crate::serve::{EpochSnapshot, QueryError};
 use crate::table::SepoTable;
 use gpu_sim::Executor;
@@ -105,12 +106,12 @@ pub fn split_keys(keys: &[&[u8]], bits: u32) -> Vec<Vec<usize>> {
 /// Deterministic serialization of the merged results of finalized shard
 /// tables — the identity artifact of a sharded run.
 ///
-/// A combining key is stored once, on its owner shard, so combining pairs
-/// are concatenated and sorted (a key stored twice would show twice);
-/// multi-valued groups of the same key are concatenated and the values
-/// sorted; basic pairs are sorted whole. Keys are sorted last, so the image
-/// depends only on the logical table contents, not on shard count,
-/// eviction timing, or per-shard page order. An unsharded run is the
+/// A key is stored once, on its owner shard, and a finalized combining or
+/// multi-valued table holds it once ([`crate::compact`]), so pairs and
+/// groups are concatenated and sorted by key (a key stored twice would
+/// show twice), a group's values sorted too; basic pairs are sorted
+/// whole. The image depends only on the logical table contents, not on
+/// shard count, eviction timing, or per-shard page order. An unsharded run is the
 /// 1-element case, which is what anchors `--shards N` correctness to
 /// `--shards 1`.
 pub fn canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
@@ -129,14 +130,10 @@ pub fn canonical_image(tables: &[&SepoTable]) -> Vec<u8> {
             }
         }
         Organization::MultiValued => {
-            let mut merged: std::collections::HashMap<Vec<u8>, Vec<Vec<u8>>> =
-                std::collections::HashMap::new();
-            for t in tables {
-                for (k, vs) in t.collect_multivalued() {
-                    merged.entry(k).or_default().extend(vs);
-                }
-            }
-            let mut groups: Vec<(Vec<u8>, Vec<Vec<u8>>)> = merged.into_iter().collect();
+            let mut groups: Vec<GroupedPair> = tables
+                .iter()
+                .flat_map(|t| t.collect_multivalued())
+                .collect();
             groups.sort_by(|a, b| a.0.cmp(&b.0));
             write_len(&mut out, groups.len());
             for (k, mut vs) in groups {

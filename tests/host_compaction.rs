@@ -3,11 +3,15 @@
 //! key, and the §IV-C lookup phase answers every query — present or
 //! absent — with exactly the CPU oracle's merged value. Before compaction
 //! the lookup phase answered a key evicted in several iterations with the
-//! first partial aggregate it paged in.
+//! first partial aggregate it paged in. Patent Citation, a multi-valued
+//! table, holds one key entry per key whose chain carries every citing
+//! patent. Runs killed by hard faults and resumed from checkpoints compact
+//! to the unkilled run's image.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::{FaultConfig, FaultKind, FaultPlan};
+use sepo_alloc::PageKind;
 use sepo_apps::{run_app, AppConfig};
 use sepo_core::entry::{EntryKind, PageWalker};
 use sepo_core::{CheckpointPolicy, CompactReport};
@@ -89,31 +93,44 @@ fn lookup_phase_answers_the_oracle_on_every_combining_app() {
     }
 }
 
+/// One audited run of `app` on dataset `ds` with a `heap`-byte device,
+/// killed by `hard` faults and resumed from in-memory checkpoints when
+/// given. Returns the run, its saved image and the recoveries spent.
+fn checkpointed_run(
+    app: App,
+    ds: &sepo_datagen::Dataset,
+    heap: u64,
+    hard: Option<FaultConfig>,
+) -> (sepo_apps::AppRun, Vec<u8>, u32) {
+    let mut exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
+    let mut cfg = AppConfig::new(heap).with_audit(true);
+    cfg.driver.chunk_tasks = 32;
+    if let Some(config) = hard {
+        exec = exec.with_faults(Arc::new(FaultPlan::new(config)));
+        cfg = cfg
+            .with_checkpoint(CheckpointPolicy::Memory)
+            .with_max_recoveries(10_000);
+    }
+    let run = run_app(app, ds, &cfg, &exec);
+    let mut image = Vec::new();
+    run.table.save(&mut image).expect("save table image");
+    let recoveries = run.outcome.recovery.recoveries;
+    (run, image, recoveries)
+}
+
 /// One Netflix run whose keys recur over several iterations, killed by
 /// seeded hard faults and resumed from in-memory checkpoints when
 /// `hard_seed` is set. Returns the saved image, the compaction report and
 /// the recoveries spent.
 fn netflix_run(hard_seed: Option<u64>) -> (Vec<u8>, Option<CompactReport>, u32) {
     let ds = App::Netflix.generate(0, 16_384);
-    let mut exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
-    let mut cfg = AppConfig::new(48 << 10).with_audit(true);
-    cfg.driver.chunk_tasks = 32;
-    if let Some(seed) = hard_seed {
-        let plan = FaultPlan::new(
-            FaultConfig::quiet(seed)
-                .rate(FaultKind::DeviceLost, 0.05)
-                .rate(FaultKind::PoisonedLaunch, 0.02),
-        );
-        exec = exec.with_faults(Arc::new(plan));
-        cfg = cfg
-            .with_checkpoint(CheckpointPolicy::Memory)
-            .with_max_recoveries(10_000);
-    }
-    let run = run_app(App::Netflix, &ds, &cfg, &exec);
-    let mut image = Vec::new();
-    run.table.save(&mut image).expect("save table image");
-    let outcome = run.outcome;
-    (image, outcome.compaction, outcome.recovery.recoveries)
+    let hard = hard_seed.map(|seed| {
+        FaultConfig::quiet(seed)
+            .rate(FaultKind::DeviceLost, 0.05)
+            .rate(FaultKind::PoisonedLaunch, 0.02)
+    });
+    let (run, image, recoveries) = checkpointed_run(App::Netflix, &ds, 48 << 10, hard);
+    (image, run.outcome.compaction, recoveries)
 }
 
 /// The compactor folds only pages a checkpoint has made permanent, so a
@@ -127,6 +144,59 @@ fn kill_and_resume_compacts_to_the_unkilled_image() {
         let (c_image, c_compaction, recoveries) = netflix_run(Some(0xC0DE + i));
         assert_eq!(c_image, image, "resumed image differs (seed {i})");
         assert_eq!(c_compaction, compaction);
+        (recoveries >= 1).then_some(recoveries)
+    });
+    assert!(struck.is_some(), "no hard fault struck in 10 seeds");
+}
+
+/// Patent Citation on dataset #4 at 1/16384 with a 64 KiB device iterates
+/// eight times; popular patents' key entries leave the device before their
+/// last citations arrive, so keys own entries from several iterations
+/// until compaction joins them. Afterwards every key has one key entry
+/// whose chain holds exactly the oracle's citing patents, and a run killed
+/// by the `--chaos-seed` fault mix and resumed from checkpoints saves the
+/// same image byte for byte.
+#[test]
+fn patent_citation_holds_one_key_entry_per_key_with_every_citation() {
+    let ds = App::PatentCitation.generate(3, 16_384);
+    let (run, image, _) = checkpointed_run(App::PatentCitation, &ds, 64 << 10, None);
+    assert!(run.iterations() >= 3, "{} iterations", run.iterations());
+    let report = run.outcome.compaction.expect("keys re-entered the device");
+    assert!(report.entries > report.keys, "{report:?}");
+
+    let truth = sepo_apps::patent::reference(&ds);
+    let mut keys = HashSet::new();
+    for page in run.table.host_heap().pages() {
+        let page = page.verify().expect("clean run");
+        if page.kind() != PageKind::Key {
+            continue;
+        }
+        for (_, e) in PageWalker::new(page.bytes(), EntryKind::Key) {
+            let key = e.key().expect("key entries carry keys");
+            assert!(
+                keys.insert(key.to_vec()),
+                "key {key:?} has two host key entries"
+            );
+        }
+    }
+    assert_eq!(keys.len() as u64, report.keys);
+    assert_eq!(keys.len(), truth.len(), "host keys vs oracle");
+    let groups = run.table.collect_multivalued();
+    assert_eq!(groups.len(), truth.len());
+    for (key, mut citing) in groups {
+        citing.sort();
+        assert_eq!(truth.get(&key), Some(&citing), "citations of {key:?}");
+    }
+
+    let struck = (0..10u64).find_map(|seed| {
+        let chaos = Some(FaultConfig::chaos(142 + seed));
+        let (_, c_image, recoveries) = checkpointed_run(App::PatentCitation, &ds, 64 << 10, chaos);
+        assert_eq!(
+            c_image,
+            image,
+            "resumed image differs (chaos seed {})",
+            142 + seed
+        );
         (recoveries >= 1).then_some(recoveries)
     });
     assert!(struck.is_some(), "no hard fault struck in 10 seeds");

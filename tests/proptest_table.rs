@@ -6,11 +6,12 @@ use gpu_sim::NoCharge;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sepo_core::entry::{EntryKind, PageWalker, ParsedEntry};
+use sepo_alloc::{HostLink, PageKind};
+use sepo_core::entry::{parse_at, EntryKind, PageWalker, ParsedEntry};
 use sepo_core::hash::fnv1a;
 use sepo_core::{
     Combiner, CombinerConfig, DriverConfig, InsertStatus, Organization, SepoDriver, SepoTable,
-    TableConfig, WarpCombiner,
+    TableAudit, TableConfig, WarpCombiner,
 };
 use sepo_mapreduce::Emitter;
 use std::collections::HashMap;
@@ -163,6 +164,94 @@ fn drive(
     (image, t.collect_combining())
 }
 
+/// Run `script` against multi-valued table `t` the SEPO way — a postponed
+/// insert is re-issued after the next eviction — with `value_len`-byte
+/// values, until nothing is pending; returns each key's stored values.
+fn replay_multivalued(
+    t: &SepoTable,
+    script: &[Op],
+    value_len: usize,
+) -> Result<HashMap<Vec<u8>, Vec<Vec<u8>>>, TestCaseError> {
+    let mut model: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+    let mut pending: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut ch = NoCharge;
+    let mut insert = |k: Vec<u8>, v: Vec<u8>, pending: &mut Vec<(Vec<u8>, Vec<u8>)>| match t
+        .insert_multivalued(&k, &v, &mut ch)
+    {
+        InsertStatus::Success => model.entry(k).or_default().push(v),
+        InsertStatus::Postponed => pending.push((k, v)),
+    };
+    for op in script {
+        match op {
+            Op::Insert { key, value } => {
+                insert(key_bytes(*key), vec![*value; value_len], &mut pending)
+            }
+            Op::EndIteration => {
+                t.end_iteration();
+                for (k, v) in std::mem::take(&mut pending) {
+                    insert(k, v, &mut pending);
+                }
+            }
+        }
+    }
+    let mut guard = 0;
+    while !pending.is_empty() {
+        t.end_iteration();
+        for (k, v) in std::mem::take(&mut pending) {
+            insert(k, v, &mut pending);
+        }
+        guard += 1;
+        prop_assert!(guard < 50, "no progress draining pending inserts");
+    }
+    Ok(model)
+}
+
+/// The merge `collect_multivalued` performed before host compaction joined
+/// a key's entries: walk the key pages in host-id order; a key's first
+/// entry fixes its place, and the chains of its later entries are
+/// concatenated onto its group.
+fn concatenating_collector(t: &SepoTable) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
+    let pages: Vec<_> = t
+        .host_heap()
+        .pages()
+        .iter()
+        .map(|p| p.verify().expect("clean pages"))
+        .collect();
+    let page_of = |id: u64| {
+        let at = pages.binary_search_by_key(&id, |p| p.host_id());
+        &pages[at.expect("chains stay in the host image")]
+    };
+    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
+    let mut out: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
+    for page in pages.iter().filter(|p| p.kind() == PageKind::Key) {
+        for (_, e) in PageWalker::new(page.bytes(), EntryKind::Key) {
+            let ParsedEntry::Key {
+                key,
+                value_host_cont,
+            } = e
+            else {
+                continue;
+            };
+            let i = *index.entry(key.to_vec()).or_insert_with(|| {
+                out.push((key.to_vec(), Vec::new()));
+                out.len() - 1
+            });
+            let mut link = HostLink::from_raw(value_host_cont);
+            while !link.is_null() {
+                let page = page_of(link.host_page());
+                let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
+                    parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
+                else {
+                    break;
+                };
+                out[i].1.push(value.to_vec());
+                link = HostLink::from_raw(next_host);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -182,41 +271,7 @@ proptest! {
     #[test]
     fn multivalued_matches_model(script in ops()) {
         let t = tiny_table(Organization::MultiValued, 3);
-        let mut model: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-        let mut pending: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut ch = NoCharge;
-        let mut apply = |t: &SepoTable, k: Vec<u8>, v: Vec<u8>,
-                         model: &mut HashMap<Vec<u8>, Vec<Vec<u8>>>,
-                         pending: &mut Vec<(Vec<u8>, Vec<u8>)>| {
-            match t.insert_multivalued(&k, &v, &mut ch) {
-                InsertStatus::Success => model.entry(k).or_default().push(v),
-                InsertStatus::Postponed => pending.push((k, v)),
-            }
-        };
-        for op in &script {
-            match op {
-                Op::Insert { key, value } => {
-                    apply(&t, key_bytes(*key), vec![*value; 3], &mut model, &mut pending);
-                }
-                Op::EndIteration => {
-                    t.end_iteration();
-                    let retry = std::mem::take(&mut pending);
-                    for (k, v) in retry {
-                        apply(&t, k, v, &mut model, &mut pending);
-                    }
-                }
-            }
-        }
-        let mut guard = 0;
-        while !pending.is_empty() {
-            t.end_iteration();
-            let retry = std::mem::take(&mut pending);
-            for (k, v) in retry {
-                apply(&t, k, v, &mut model, &mut pending);
-            }
-            guard += 1;
-            prop_assert!(guard < 50, "no progress draining pending inserts");
-        }
+        let model = replay_multivalued(&t, &script, 3)?;
         t.finalize();
         let mut got: HashMap<Vec<u8>, Vec<Vec<u8>>> =
             t.collect_multivalued().into_iter().collect();
@@ -381,6 +436,32 @@ proptest! {
                     "exec mode or block combiner changed the compacted image"
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Multi-valued host compaction joins exactly what the collectors used
+    /// to concatenate: over heaps of three to six 1 KiB pages — small enough
+    /// that pending key pages overflow the kept-page cap and keys re-enter
+    /// under new entries — the compacted image collects to the
+    /// concatenating collector's groups, keys and value order alike, and
+    /// passes the audit's check of a compacted image.
+    #[test]
+    fn multivalued_compaction_equals_the_concatenating_collector(script in ops()) {
+        for pages in [3, 4, 6] {
+            let t = tiny_table(Organization::MultiValued, pages);
+            replay_multivalued(&t, &script, 24)?;
+            t.evict_boundary(&mut NoCharge, true, None);
+            let want = concatenating_collector(&t);
+            let entries = t.collect_multivalued().len();
+            let report = t.compact_host().expect("clean pages");
+            prop_assert!(entries == want.len() || report.is_some(), "duplicates left in place");
+            let got = t.collect_multivalued();
+            prop_assert_eq!(&got, &want);
+            TableAudit::begin(&t).check_compacted(&t).expect("a compacted image");
         }
     }
 }
