@@ -1,11 +1,12 @@
 //! Shared application harness types.
 
 use gpu_sim::executor::{Executor, LaneCtx};
-use sepo_core::config::{Organization, TableConfig};
+use sepo_core::config::{Combiner, Organization, TableConfig};
 use sepo_core::sepo::{DriverConfig, SepoDriver, SepoOutcome, TaskResult};
 use sepo_core::table::SepoTable;
 use sepo_datagen::Dataset;
 use sepo_mapreduce::{Emitter, Mode};
+use std::collections::HashMap;
 
 /// Result of running one application on the SEPO substrate: the iteration
 /// accounting plus the finalized table holding the results in host memory.
@@ -181,6 +182,23 @@ pub fn run_mapper(
     )
 }
 
+/// Combine `value` into `map[key]` with `comb` — the sequential oracles'
+/// combining insert. The key is looked up first and copied only when new,
+/// so an oracle allocates once per distinct key, not once per pair.
+pub(crate) fn combine_into(
+    map: &mut HashMap<Vec<u8>, u64>,
+    key: &[u8],
+    value: u64,
+    comb: Combiner,
+) {
+    match map.get_mut(key) {
+        Some(stored) => *stored = comb.apply(*stored, value),
+        None => {
+            map.insert(key.to_vec(), value);
+        }
+    }
+}
+
 /// Convenience: a deterministic executor + metrics pair for tests.
 pub fn test_executor() -> (Executor, std::sync::Arc<gpu_sim::metrics::Metrics>) {
     let m = std::sync::Arc::new(gpu_sim::metrics::Metrics::new());
@@ -196,8 +214,6 @@ pub fn test_executor() -> (Executor, std::sync::Arc<gpu_sim::metrics::Metrics>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sepo_core::config::Combiner;
-    use std::collections::HashMap;
 
     /// One record per line, terminator included.
     fn lines(text: &str) -> Dataset {

@@ -9,7 +9,7 @@
 //! observed predecessor/successor bases, combined with bitwise OR — the
 //! de Bruijn graph edge set accumulates across overlapping reads.
 
-use crate::common::{run_kernel, AppConfig, AppRun};
+use crate::common::{combine_into, run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::{Combiner, Organization};
@@ -69,7 +69,12 @@ pub fn reference(dataset: &Dataset) -> HashMap<Vec<u8>, u64> {
         for i in 0..=read.len() - K {
             let prev = (i > 0).then(|| read[i - 1]);
             let next = (i + K < read.len()).then(|| read[i + K]);
-            *graph.entry(read[i..i + K].to_vec()).or_insert(0) |= edge_bits(prev, next);
+            combine_into(
+                &mut graph,
+                &read[i..i + K],
+                edge_bits(prev, next),
+                Combiner::Or,
+            );
         }
     }
     graph

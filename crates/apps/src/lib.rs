@@ -10,13 +10,15 @@
 //! | [`pvc`] | Page View Count | combining (Add) |
 //! | [`inverted_index`] | Inverted Index | multi-valued |
 //! | [`dna`] | DNA Assembly | combining (Or) |
-//! | [`netflix`] | Netflix | combining (Add) |
+//! | [`netflix`] | Netflix | combining (Add), as a MAP_REDUCE mapper |
 //! | [`wordcount`] | Word Count | MAP_REDUCE (Add) |
 //! | [`patent`] | Patent Citation | MAP_GROUP |
 //! | [`geoloc`] | Geo Location | MAP_GROUP |
 //!
 //! The three MapReduce apps are map functions run by [`run_mapper`], the
-//! §V runtime; every app's run goes through one driver body.
+//! §V runtime. So is Netflix, so that its user-pair emits reach the block
+//! combiner; it keeps the paper's CPU baseline. Every app's run goes
+//! through one driver body.
 //! [`runner`] dispatches by [`sepo_datagen::App`] so the benchmark harness
 //! can sweep Table I uniformly.
 

@@ -8,52 +8,45 @@
 //! One task is one movie record; it emits a pair for every two users who
 //! rated the movie (k·(k−1)/2 pairs), combined by addition across movies.
 
-use crate::common::{run_kernel, AppConfig, AppRun};
+use crate::common::{combine_into, run_mapper, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
-use sepo_core::config::{Combiner, Organization};
-use sepo_core::sepo::TaskResult;
-use sepo_core::table::InsertStatus;
+use sepo_core::config::Combiner;
 use sepo_datagen::ratings::{pair_key, parse_movie, similarity};
 use sepo_datagen::Dataset;
+use sepo_mapreduce::{Emitter, Mode};
 use std::collections::HashMap;
 
-/// Run Netflix over `dataset` on the SEPO substrate.
+/// The Netflix mapper: every pair goes through the emitter, so pairs of a
+/// hot user reach the block combiner and a resumed task skips the pairs it
+/// stored before. Building a pair costs 30 compute units, charged only on
+/// the pairs this attempt stores.
+fn mapper(record: &[u8], out: &mut Emitter<'_, '_>) {
+    out.lane().compute(8 * record.len() as u64);
+    let Some((_movie, raters)) = parse_movie(record) else {
+        return;
+    };
+    // Deterministic pair enumeration order: (i, j), j > i.
+    for (i, &(ua, ra)) in raters.iter().enumerate() {
+        for &(ub, rb) in &raters[i + 1..] {
+            if out.will_attempt() {
+                out.lane().compute(30);
+            }
+            if !out.emit_combining(&pair_key(ua, ub), similarity(ra, rb)) {
+                return;
+            }
+        }
+    }
+}
+
+/// Run Netflix over `dataset` through the MapReduce runtime.
 pub fn run(dataset: &Dataset, cfg: &AppConfig, executor: &Executor) -> AppRun {
-    run_kernel(
+    run_mapper(
         dataset,
         cfg,
         executor,
-        Organization::Combining(Combiner::Add),
-        |table, t, start, lane| {
-            let record = dataset.record(t);
-            lane.compute(8 * record.len() as u64);
-            let Some((_movie, raters)) = parse_movie(record) else {
-                return TaskResult::Done;
-            };
-            // Deterministic pair enumeration order: (i, j), j > i.
-            let mut pair_idx = 0u32;
-            for i in 0..raters.len() {
-                for j in i + 1..raters.len() {
-                    if pair_idx >= start {
-                        let (ua, ra) = raters[i];
-                        let (ub, rb) = raters[j];
-                        let key = pair_key(ua, ub);
-                        lane.compute(30);
-                        match table.insert_combining(&key, similarity(ra, rb), lane) {
-                            InsertStatus::Success => {}
-                            InsertStatus::Postponed => {
-                                return TaskResult::Postponed {
-                                    next_pair: pair_idx,
-                                };
-                            }
-                        }
-                    }
-                    pair_idx += 1;
-                }
-            }
-            TaskResult::Done
-        },
+        Mode::MapReduce(Combiner::Add),
+        mapper,
     )
 }
 
@@ -65,11 +58,10 @@ pub fn reference(dataset: &Dataset) -> HashMap<Vec<u8>, u64> {
         let Some((_m, raters)) = parse_movie(record) else {
             continue;
         };
-        for i in 0..raters.len() {
-            for j in i + 1..raters.len() {
-                let (ua, ra) = raters[i];
-                let (ub, rb) = raters[j];
-                *scores.entry(pair_key(ua, ub).to_vec()).or_insert(0) += similarity(ra, rb);
+        for (i, &(ua, ra)) in raters.iter().enumerate() {
+            for &(ub, rb) in &raters[i + 1..] {
+                let score = similarity(ra, rb);
+                combine_into(&mut scores, &pair_key(ua, ub), score, Combiner::Add);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! after `n` inserts. One record emits one pair, so this is the cleanest
 //! SEPO workload: a postponed record simply retries whole next iteration.
 
-use crate::common::{run_kernel, AppConfig, AppRun};
+use crate::common::{combine_into, run_kernel, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::paging::AccessTrace;
 use gpu_sim::Charge;
@@ -77,7 +77,7 @@ pub fn reference(dataset: &Dataset) -> HashMap<Vec<u8>, u64> {
     let mut counts = HashMap::new();
     for rec in dataset.records() {
         if let Some(url) = parse_url(rec) {
-            *counts.entry(url.to_vec()).or_insert(0) += 1;
+            combine_into(&mut counts, url, 1, Combiner::Add);
         }
     }
     counts

@@ -13,7 +13,7 @@
 //! artificially increasing the number of distinct keys recovers the lost
 //! performance.
 
-use crate::common::{run_mapper, AppConfig, AppRun};
+use crate::common::{combine_into, run_mapper, AppConfig, AppRun};
 use gpu_sim::executor::Executor;
 use gpu_sim::Charge;
 use sepo_core::config::Combiner;
@@ -56,7 +56,7 @@ pub fn reference(dataset: &Dataset) -> HashMap<Vec<u8>, u64> {
     let mut counts = HashMap::new();
     for rec in dataset.records() {
         for w in words(rec) {
-            *counts.entry(w.to_vec()).or_insert(0) += 1;
+            combine_into(&mut counts, w, 1, Combiner::Add);
         }
     }
     counts

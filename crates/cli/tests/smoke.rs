@@ -7,8 +7,10 @@
 //! multi-iteration runs that folded partial aggregates or joined
 //! multi-valued key entries and not on a one-iteration run, and
 //! `--checkpoint` must leave a file with one
-//! readable section per shard. These are the CLI's only smoke checks of
-//! those paths.
+//! readable section per shard. Netflix must report block-combiner
+//! absorption (DNA and PVC must not), and save the same image with the
+//! combiner on and off. These are the CLI's only smoke checks of those
+//! paths.
 
 use std::process::{Command, Output};
 
@@ -178,4 +180,53 @@ fn checkpoint_writes_one_section_per_shard() {
         assert!(count(&report, "checkpoints: ", " taken") >= 1, "{report}");
         assert!(count(&report, "), ", " recoveries") >= 1, "{report}");
     }
+}
+
+/// `sepo run <app> --scale 16384 <extra>`; the run must exit 0. Returns
+/// its stdout.
+fn run_app(app: &str, extra: &[&str]) -> String {
+    let mut args = vec!["run", app, "--scale", "16384"];
+    args.extend(extra);
+    let out = sepo(&args);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(
+        out.status.success(),
+        "sepo {args:?} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+#[test]
+fn netflix_reaches_the_block_combiner_and_dna_and_pvc_do_not() {
+    for app in ["dna", "pvc"] {
+        let report = run_app(app, &[]);
+        assert!(!report.contains("block combiner:"), "{app}:\n{report}");
+    }
+
+    // The combiner moves traffic, never results: the saved images match
+    // byte for byte.
+    let image = |tag: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "sepo-smoke-{}-netflix-{tag}.img",
+            std::process::id()
+        ));
+        path.to_str().expect("utf-8 temp path").to_owned()
+    };
+    let (on, off) = (image("on"), image("off"));
+    let netflix = run_app("netflix", &["--save", &on]);
+    assert!(
+        count(&netflix, "block combiner: ", " emits absorbed") > 0,
+        "{netflix}"
+    );
+    run_app("netflix", &["--combiner", "off", "--save", &off]);
+    let bytes = |path: &str| std::fs::read(path).expect("the saved image exists");
+    let (on_bytes, off_bytes) = (bytes(&on), bytes(&off));
+    std::fs::remove_file(&on).expect("remove the combiner-on image");
+    std::fs::remove_file(&off).expect("remove the combiner-off image");
+    assert!(!on_bytes.is_empty());
+    assert!(
+        on_bytes == off_bytes,
+        "combiner on and off saved different images"
+    );
 }

@@ -16,30 +16,44 @@
 //!
 //! ## Layout and probe
 //!
-//! The tile is flat: hash / entry-handle / delta / fold-count / key-length
-//! arrays indexed by slot, plus a key arena of [`KEY_BYTES`] per slot — no
-//! per-slot heap object, nothing allocated per emit, and nothing allocated
-//! at all until a block's first emit (a kernel that never combines pays
-//! nothing for the hook). A key longer than [`KEY_BYTES`] bypasses the
-//! tile and goes straight to the table.
+//! The tile is flat: hash / entry-handle / delta / key-length arrays
+//! indexed by slot, a fill count and a fold mask per set, plus a key arena
+//! of [`KEY_BYTES`] per slot — no per-slot heap object, nothing allocated
+//! per emit, and nothing allocated at all until a block's first emit (a
+//! kernel that never combines pays nothing for the hook). A key longer
+//! than [`KEY_BYTES`] bypasses the tile and goes straight to the table.
 //!
-//! Slots are grouped into sets of [`WAYS`]. An emit probes only its home
-//! set (`mix(hash) % sets`): at most `WAYS` tag reads, however full the
-//! tile is. Ways fill lowest-first and a victim is replaced in place, so a
-//! set's occupied ways are always a prefix and one count per set finds the
-//! free way.
+//! Slots are grouped into a power-of-two number of sets of [`WAYS`]. An
+//! emit probes only its home set (`mix(hash) & (sets - 1)`): at most `WAYS` tag reads, however full the
+//! tile is, charged in one `smem_bytes` call. Ways fill lowest-first
+//! and a victim is replaced in place, so a set's occupied ways are always
+//! a prefix and one count per set finds the free way.
 //!
 //! ## Victim rule
 //!
-//! On a miss in a full set the victim is the way with the fewest folds
-//! since admission (ties to the lowest way) — and only if that way has
-//! folded *nothing*: a newcomer has itself been seen once, so it may
+//! On a miss in a full set the victim is the lowest way that has folded
+//! *nothing* since admission: bit `way` of the set's `folded` mask is set
+//! by a way's first fold and cleared when a key is admitted, so the victim
+//! is `(!folded & full).trailing_zeros()` — one instruction, not a scan of
+//! per-way counts. A newcomer has itself been seen once, so it may
 //! displace another key seen once but never a key that is absorbing
-//! traffic. When every way is warmer the newcomer is simply not cached
-//! (its insert already happened; see below). Frequency without recency is
+//! traffic. When every way has folded the newcomer is simply not cached
+//! (its insert already happened; see below). This is the rule "fewest
+//! folds, ties to the lowest way, and only if that is zero", because only
+//! zero versus non-zero ever decides it. Frequency without recency is
 //! enough here because a tile lives for one block: over ~3 K emits a key's
 //! popularity does not drift, so a way that has folded once is, with Zipf
 //! odds, a better tenant than the next once-seen word.
+//!
+//! ## Which apps reach the tile
+//!
+//! Every emit of a MAP_REDUCE mapper goes through
+//! `Emitter::emit_combining`, which routes to the tile whenever the driver
+//! installed one: Word Count's words and Netflix's 16-byte user-pair keys.
+//! DNA Assembly and Page View Count insert directly and never reach it.
+//! DNA's k-mers are nearly all distinct within a block, so the tile only
+//! adds probe traffic; PVC's URLs are longer than [`KEY_BYTES`] and would
+//! bypass it anyway (DESIGN.md §8 has the measurements).
 //!
 //! ## Exactness (why results stay byte-identical)
 //!
@@ -78,15 +92,15 @@ pub const WAYS: usize = 8;
 /// Key-arena bytes per slot; longer keys are not cached.
 pub const KEY_BYTES: usize = 16;
 /// Shared-memory bytes per slot: hash, entry handle and delta words, the
-/// fold count, the key length, and the slot's share of the key arena.
-const SLOT_BYTES: usize = 8 + 8 + 8 + 4 + 1 + KEY_BYTES;
+/// key length, and the slot's share of the key arena.
+const SLOT_BYTES: usize = 8 + 8 + 8 + 1 + KEY_BYTES;
 
 /// Configuration of the block combiner layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CombinerConfig {
     /// Slots per block tile, grouped into sets of `min(WAYS, capacity)`
-    /// ways (a capacity that is not a multiple of the way count rounds
-    /// down to whole sets). The default 256 slots keep four resident
+    /// ways (a capacity rounds down to a power-of-two number of whole
+    /// sets). The default 256 slots keep four resident
     /// blocks within an SMX's 48 KiB of shared memory
     /// ([`CombinerConfig::tile_bytes`]); capacity 1 degenerates to a
     /// single-entry cache and exercises the overflow path constantly.
@@ -100,33 +114,36 @@ impl Default for CombinerConfig {
 }
 
 impl CombinerConfig {
-    /// `(sets, ways)` of the tile this configuration describes.
+    /// `(sets, ways)` of the tile this configuration describes; `sets` is
+    /// a power of two.
     fn geometry(&self) -> (usize, usize) {
         let ways = self.capacity.clamp(1, WAYS);
-        ((self.capacity / ways).max(1), ways)
+        let whole_sets = (self.capacity / ways).max(1);
+        (1 << whole_sets.ilog2(), ways)
     }
 
     /// Shared-memory footprint of one block's tile: slot arrays, key arena,
-    /// and the per-set fill counts.
+    /// and the per-set fill counts and fold masks.
     pub fn tile_bytes(&self) -> usize {
         let (sets, ways) = self.geometry();
-        sets * ways * SLOT_BYTES + sets
+        sets * ways * SLOT_BYTES + 2 * sets
     }
 }
 
 /// The tile's storage, indexed by slot (`set * ways + way`) except
-/// `filled`, which is per set. A slot's delta is meaningful only while its
-/// fold count is non-zero: right after admission the first value went into
-/// the table inline, so a combiner needs no identity element.
+/// `filled` and `folded`, which are per set. A slot's delta is meaningful
+/// only while its fold bit is set: right after admission the first value
+/// went into the table inline, so a combiner needs no identity element.
 #[derive(Debug)]
 struct Tile {
     /// Occupied ways per set (always the lowest ones).
     filled: Box<[u8]>,
+    /// Per set, bit `way` set once an emit folded into that way since its
+    /// key was admitted.
+    folded: Box<[u8]>,
     hash: Box<[u64]>,
     entry: Box<[DevHandle]>,
     delta: Box<[u64]>,
-    /// Emits folded into the slot since its key was admitted.
-    folds: Box<[u32]>,
     key_len: Box<[u8]>,
     /// `KEY_BYTES` per slot.
     keys: Box<[u8]>,
@@ -137,10 +154,10 @@ impl Tile {
         let slots = sets * ways;
         Tile {
             filled: vec![0; sets].into(),
+            folded: vec![0; sets].into(),
             hash: vec![0; slots].into(),
             entry: vec![DevHandle::NULL; slots].into(),
             delta: vec![0; slots].into(),
-            folds: vec![0; slots].into(),
             key_len: vec![0; slots].into(),
             keys: vec![0; slots * KEY_BYTES].into(),
         }
@@ -150,10 +167,12 @@ impl Tile {
         &self.keys[slot * KEY_BYTES..][..self.key_len[slot] as usize]
     }
 
-    /// Occupied slots, in slot order.
-    fn occupied(&self, ways: usize) -> impl Iterator<Item = usize> + '_ {
-        let sets = self.filled.iter().enumerate();
-        sets.flat_map(move |(set, &filled)| set * ways..set * ways + filled as usize)
+    /// Occupied slots in slot order, each with whether it holds a delta.
+    fn occupied(&self, ways: usize) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let sets = self.filled.iter().zip(self.folded.iter()).enumerate();
+        sets.flat_map(move |(set, (&filled, &folded))| {
+            (0..filled as usize).map(move |way| (set * ways + way, folded >> way & 1 == 1))
+        })
     }
 }
 
@@ -166,6 +185,13 @@ pub struct WarpCombiner {
     ways: usize,
     /// Allocated by the first emit.
     tile: Option<Tile>,
+}
+
+/// The set `hash` probes. `sets` is a power of two
+/// ([`CombinerConfig::geometry`]), so a mask picks it: on the host a 64-bit
+/// division would cost more than the rest of the probe.
+fn home_set(hash: u64, sets: usize) -> usize {
+    (mix(hash) & (sets as u64 - 1)) as usize
 }
 
 /// Simulated bytes moved per way inspected (the 8-byte hash word).
@@ -214,50 +240,48 @@ impl WarpCombiner {
         }
         let (sets, ways, comb) = (self.sets, self.ways, self.comb);
         let tile = self.tile.get_or_insert_with(|| Tile::empty(sets, ways));
-        let set = (mix(hash) % sets as u64) as usize;
+        let set = home_set(hash, sets);
         let base = set * ways;
         let filled = tile.filled[set] as usize;
-        for slot in base..base + filled {
-            charge.smem_bytes(PROBE_BYTES);
-            if tile.hash[slot] == hash && tile.key(slot) == key {
-                tile.delta[slot] = match tile.folds[slot] {
-                    0 => value,
-                    _ => comb.apply(tile.delta[slot], value),
-                };
-                tile.folds[slot] = tile.folds[slot].saturating_add(1);
-                charge.smem_bytes(UPDATE_BYTES);
-                charge.combiner_hits(1);
-                return InsertStatus::Success;
-            }
+        let hit =
+            (base..base + filled).position(|slot| tile.hash[slot] == hash && tile.key(slot) == key);
+        if let Some(way) = hit {
+            let (slot, bit) = (base + way, 1u8 << way);
+            tile.delta[slot] = match tile.folded[set] & bit {
+                0 => value,
+                _ => comb.apply(tile.delta[slot], value),
+            };
+            tile.folded[set] |= bit;
+            charge.smem_bytes(PROBE_BYTES * (way as u64 + 1) + UPDATE_BYTES);
+            charge.combiner_hits(1);
+            return InsertStatus::Success;
         }
-        if filled < ways {
-            charge.smem_bytes(PROBE_BYTES); // the free way that ends the probe
-        }
+        // Every occupied way, plus the free way that ends the probe.
+        charge.smem_bytes(PROBE_BYTES * (filled + 1).min(ways) as u64);
         // Miss: run the real insert first. A postponement must surface now,
         // exactly as it would without the combiner, and leaves no slot.
         let entry = match insert(charge) {
             Ok(e) => e,
             Err(()) => return InsertStatus::Postponed,
         };
-        let slot = if filled < ways {
+        let way = if filled < ways {
             tile.filled[set] += 1;
-            base + filled
+            filled
         } else {
-            // Set full: the coldest way (first of equals) makes room, but
-            // only if it never folded — so it has no delta to write back.
-            let victim = (base..base + ways)
-                .min_by_key(|&slot| tile.folds[slot])
-                .expect("a set has at least one way");
-            if tile.folds[victim] > 0 {
+            // Set full: the lowest way that never folded makes room — it
+            // has no delta to write back. Every way warmer: decline.
+            let cold = !tile.folded[set] & (u8::MAX >> (WAYS - ways));
+            if cold == 0 {
                 return InsertStatus::Success;
             }
             charge.smem_bytes(UPDATE_BYTES);
             charge.combiner_overflows(1);
-            victim
+            cold.trailing_zeros() as usize
         };
+        let slot = base + way;
+        tile.folded[set] &= !(1 << way);
         tile.hash[slot] = hash;
         tile.entry[slot] = entry;
-        tile.folds[slot] = 0;
         tile.key_len[slot] = key.len() as u8;
         tile.keys[slot * KEY_BYTES..][..key.len()].copy_from_slice(key);
         charge.smem_bytes(UPDATE_BYTES + key.len() as u64);
@@ -272,21 +296,23 @@ impl WarpCombiner {
         let Some(tile) = self.tile.as_mut() else {
             return;
         };
-        for slot in tile.occupied(self.ways) {
+        for (slot, pending) in tile.occupied(self.ways) {
             charge.smem_bytes(UPDATE_BYTES);
-            if tile.folds[slot] > 0 {
+            if pending {
                 table.combine_delta(tile.entry[slot], tile.delta[slot], self.comb, charge);
                 charge.combiner_flushes(1);
             }
         }
         tile.filled.fill(0);
+        tile.folded.fill(0);
     }
 
     /// Pending deltas currently buffered (tests / instrumentation).
     pub fn pending(&self) -> usize {
         self.tile.as_ref().map_or(0, |tile| {
-            let pending = |&slot: &usize| tile.folds[slot] > 0;
-            tile.occupied(self.ways).filter(pending).count()
+            tile.occupied(self.ways)
+                .filter(|&(_, pending)| pending)
+                .count()
         })
     }
 }
@@ -295,8 +321,10 @@ impl WarpCombiner {
 mod tests {
     use super::*;
     use crate::config::{Organization, TableConfig};
-    use gpu_sim::charge::NoCharge;
+    use gpu_sim::charge::{MetricsCharge, NoCharge};
     use gpu_sim::metrics::Metrics;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn table(comb: Combiner, heap_kb: usize) -> SepoTable {
@@ -496,14 +524,17 @@ mod tests {
         let bytes = CombinerConfig::default().tile_bytes();
         assert!(bytes <= 12 * 1024, "default tile is {bytes} B");
         assert!(4 * bytes <= 48 * 1024);
-        // Geometry: whole sets of min(WAYS, capacity) ways.
+        // Geometry: a power-of-two number of whole sets of
+        // min(WAYS, capacity) ways.
         for (capacity, sets, ways) in [
             (0, 1, 1),
             (1, 1, 1),
             (7, 1, 7),
             (8, 1, 8),
             (12, 1, 8),
+            (24, 2, 8),
             (64, 8, 8),
+            (200, 16, 8),
             (256, 32, 8),
         ] {
             assert_eq!(CombinerConfig { capacity }.geometry(), (sets, ways));
@@ -528,5 +559,196 @@ mod tests {
         let mut got = t.collect_combining();
         got.sort();
         assert_eq!(got, [(b"first".to_vec(), 11), (b"second".to_vec(), 20)]);
+    }
+
+    /// The victim rule before the fold mask, kept as the model: a fold
+    /// count per slot, the victim found by a scan for the fewest folds
+    /// (ties to the lowest way), displaced only when it folded nothing.
+    /// Probes charge per way inspected.
+    struct FewestFolds {
+        comb: Combiner,
+        sets: usize,
+        ways: usize,
+        filled: Vec<u8>,
+        hash: Vec<u64>,
+        entry: Vec<DevHandle>,
+        delta: Vec<u64>,
+        folds: Vec<u32>,
+        keys: Vec<Vec<u8>>,
+    }
+
+    impl FewestFolds {
+        fn new(comb: Combiner, cfg: CombinerConfig) -> Self {
+            let (sets, ways) = cfg.geometry();
+            let slots = sets * ways;
+            FewestFolds {
+                comb,
+                sets,
+                ways,
+                filled: vec![0; sets],
+                hash: vec![0; slots],
+                entry: vec![DevHandle::NULL; slots],
+                delta: vec![0; slots],
+                folds: vec![0; slots],
+                keys: vec![Vec::new(); slots],
+            }
+        }
+
+        fn emit<C: Charge>(
+            &mut self,
+            table: &SepoTable,
+            key: &[u8],
+            hash: u64,
+            value: u64,
+            charge: &mut C,
+        ) -> InsertStatus {
+            let insert = |charge: &mut C| table.insert_combining_entry(key, hash, value, charge);
+            if key.len() > KEY_BYTES {
+                return match insert(charge) {
+                    Ok(_) => InsertStatus::Success,
+                    Err(()) => InsertStatus::Postponed,
+                };
+            }
+            let set = (mix(hash) % self.sets as u64) as usize;
+            let base = set * self.ways;
+            let filled = self.filled[set] as usize;
+            for slot in base..base + filled {
+                charge.smem_bytes(PROBE_BYTES);
+                if self.hash[slot] == hash && self.keys[slot] == key {
+                    self.delta[slot] = match self.folds[slot] {
+                        0 => value,
+                        _ => self.comb.apply(self.delta[slot], value),
+                    };
+                    self.folds[slot] = self.folds[slot].saturating_add(1);
+                    charge.smem_bytes(UPDATE_BYTES);
+                    charge.combiner_hits(1);
+                    return InsertStatus::Success;
+                }
+            }
+            if filled < self.ways {
+                charge.smem_bytes(PROBE_BYTES);
+            }
+            let entry = match insert(charge) {
+                Ok(e) => e,
+                Err(()) => return InsertStatus::Postponed,
+            };
+            let slot = if filled < self.ways {
+                self.filled[set] += 1;
+                base + filled
+            } else {
+                let victim = (base..base + self.ways)
+                    .min_by_key(|&slot| self.folds[slot])
+                    .expect("a set has at least one way");
+                if self.folds[victim] > 0 {
+                    return InsertStatus::Success;
+                }
+                charge.smem_bytes(UPDATE_BYTES);
+                charge.combiner_overflows(1);
+                victim
+            };
+            self.hash[slot] = hash;
+            self.entry[slot] = entry;
+            self.folds[slot] = 0;
+            self.keys[slot] = key.to_vec();
+            charge.smem_bytes(UPDATE_BYTES + key.len() as u64);
+            InsertStatus::Success
+        }
+
+        fn flush<C: Charge>(&mut self, table: &SepoTable, charge: &mut C) {
+            for slot in self.occupied() {
+                charge.smem_bytes(UPDATE_BYTES);
+                if self.folds[slot] > 0 {
+                    table.combine_delta(self.entry[slot], self.delta[slot], self.comb, charge);
+                    charge.combiner_flushes(1);
+                }
+            }
+            self.filled.fill(0);
+        }
+
+        fn occupied(&self) -> Vec<usize> {
+            let ways = self.ways;
+            let sets = self.filled.iter().enumerate();
+            sets.flat_map(|(set, &filled)| set * ways..set * ways + filled as usize)
+                .collect()
+        }
+
+        /// Cached keys in slot order, each with its pending delta.
+        fn cached(&self) -> Vec<(Vec<u8>, Option<u64>)> {
+            let pending = |slot: usize| (self.folds[slot] > 0).then_some(self.delta[slot]);
+            let slots = self.occupied().into_iter();
+            slots
+                .map(|slot| (self.keys[slot].clone(), pending(slot)))
+                .collect()
+        }
+    }
+
+    /// [`FewestFolds::cached`] for the tile under test.
+    fn cached(wc: &WarpCombiner) -> Vec<(Vec<u8>, Option<u64>)> {
+        let Some(tile) = wc.tile.as_ref() else {
+            return Vec::new();
+        };
+        let slots = tile.occupied(wc.ways);
+        let pending = |slot: usize, folded: bool| folded.then_some(tile.delta[slot]);
+        slots
+            .map(|(slot, folded)| (tile.key(slot).to_vec(), pending(slot, folded)))
+            .collect()
+    }
+
+    fn traffic(m: &Metrics) -> [u64; 4] {
+        let s = m.snapshot();
+        [
+            s.smem_bytes,
+            s.combiner_hits,
+            s.combiner_overflows,
+            s.combiner_flushes,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fold-mask victim rule is the fewest-folds rule: over skewed
+        /// key streams, at capacities 1, 8 and 256, on an ample heap and on
+        /// one that postpones, the tile and the model cache the same keys
+        /// with the same deltas and charge the same traffic after every
+        /// emit and every flush.
+        #[test]
+        fn fold_mask_victims_match_the_fewest_folds_rule(
+            capacity in prop_oneof![Just(1usize), Just(8usize), Just(256usize)],
+            pool in 1u64..200,
+            heap_kb in prop_oneof![Just(2usize), Just(64usize)],
+            stream in vec(
+                (0u64..1 << 20, 0u64..1 << 20, 1u64..5, 0usize..400),
+                0..600,
+            ),
+        ) {
+            let cfg = CombinerConfig { capacity };
+            let (t_tile, t_model) = (table(Combiner::Add, heap_kb), table(Combiner::Add, heap_kb));
+            let (m_tile, m_model) = (Metrics::new(), Metrics::new());
+            let mut tile = WarpCombiner::new(Combiner::Add, cfg);
+            let mut model = FewestFolds::new(Combiner::Add, cfg);
+            for (a, b, value, flush_at) in stream {
+                // The smaller of two draws: low key ids dominate.
+                let id = (a % pool).min(b % pool);
+                let key = match id % 17 {
+                    0 => format!("a-key-longer-than-the-arena-{id}"),
+                    _ => format!("k{id}"),
+                };
+                let h = crate::hash::fnv1a(key.as_bytes());
+                let got = tile.emit(&t_tile, key.as_bytes(), h, value, &mut MetricsCharge(&m_tile));
+                let want =
+                    model.emit(&t_model, key.as_bytes(), h, value, &mut MetricsCharge(&m_model));
+                prop_assert_eq!(got, want);
+                if flush_at == 0 {
+                    tile.flush(&t_tile, &mut MetricsCharge(&m_tile));
+                    model.flush(&t_model, &mut MetricsCharge(&m_model));
+                }
+                prop_assert_eq!(cached(&tile), model.cached());
+                prop_assert_eq!(traffic(&m_tile), traffic(&m_model));
+            }
+            tile.flush(&t_tile, &mut MetricsCharge(&m_tile));
+            model.flush(&t_model, &mut MetricsCharge(&m_model));
+            prop_assert_eq!(traffic(&m_tile), traffic(&m_model));
+        }
     }
 }

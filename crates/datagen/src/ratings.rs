@@ -72,16 +72,90 @@ pub fn generate(cfg: &RatingsConfig, seed: u64) -> Dataset {
 }
 
 /// Parse a movie record into `(movie_id, [(user, rating)])`.
+///
+/// The grammar is ASCII: whitespace-separated fields, the first
+/// `m<digits>` and every other `u<digits>:<digits>`, with ids that fit a
+/// `u64` and ratings that fit a `u8`. Whitespace is space, `\t`, `\n`,
+/// vertical tab, form feed and `\r`. A leading `+` on a number and any
+/// non-ASCII byte (non-ASCII whitespace included) reject the record. The
+/// parse works on bytes and allocates once: the raters vector, sized by the
+/// record's colon count.
 pub fn parse_movie(record: &[u8]) -> Option<(u64, Vec<(u64, u8)>)> {
-    let s = std::str::from_utf8(record).ok()?;
-    let mut fields = s.split_whitespace();
-    let movie = fields.next()?.strip_prefix('m')?.parse().ok()?;
-    let mut raters = Vec::new();
-    for f in fields {
-        let (u, r) = f.split_once(':')?;
-        raters.push((u.strip_prefix('u')?.parse().ok()?, r.parse().ok()?));
+    let colons: usize = record.iter().map(|&b| usize::from(b == b':')).sum();
+    let mut raters = Vec::with_capacity(colons);
+    let mut p = Cursor { rest: record };
+    p.skip_space();
+    p.eat(b'm')?;
+    let movie = p.decimal()?;
+    while p.end_field()? {
+        p.eat(b'u')?;
+        let user = p.decimal()?;
+        p.eat(b':')?;
+        let rating = u8::try_from(p.decimal()?).ok()?;
+        raters.push((user, rating));
     }
     Some((movie, raters))
+}
+
+/// A read position in a movie record.
+struct Cursor<'a> {
+    rest: &'a [u8],
+}
+
+impl Cursor<'_> {
+    fn skip_space(&mut self) {
+        let n = self.rest.iter().take_while(|&&b| is_space(b)).count();
+        self.rest = &self.rest[n..];
+    }
+
+    /// Consume `byte` if it is next.
+    fn eat(&mut self, byte: u8) -> Option<()> {
+        let (&first, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        (first == byte).then_some(())
+    }
+
+    /// The unsigned decimal next (one digit at least); `None` when there
+    /// is no digit or it overflows a `u64`.
+    fn decimal(&mut self) -> Option<u64> {
+        let mut value = 0u64;
+        let mut digits = 0;
+        for &b in self.rest {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            // Nineteen digits cannot overflow a u64; only longer runs
+            // pay for the checked arithmetic.
+            value = match digits {
+                0..19 => value * 10 + u64::from(d),
+                _ => value.checked_mul(10)?.checked_add(u64::from(d))?,
+            };
+            digits += 1;
+        }
+        self.rest = &self.rest[digits..];
+        (digits > 0).then_some(value)
+    }
+
+    /// Close the field just read: `Some(true)` when another field follows,
+    /// `Some(false)` at the end of the record, `None` when the field runs
+    /// on into something that is not whitespace.
+    fn end_field(&mut self) -> Option<bool> {
+        match self.rest.first() {
+            None => Some(false),
+            Some(&b) if is_space(b) => {
+                self.skip_space();
+                Some(!self.rest.is_empty())
+            }
+            Some(_) => None,
+        }
+    }
+}
+
+/// ASCII whitespace as `char::is_whitespace` has it: space, `\t`, `\n`,
+/// vertical tab, form feed and `\r`.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
 }
 
 /// The pair key for users `a` and `b` — order-normalized so `<a,b>` and
@@ -173,5 +247,8 @@ mod tests {
     fn parse_rejects_malformed() {
         assert!(parse_movie(b"not a movie line").is_none());
         assert!(parse_movie(b"m1 u2").is_none()); // missing rating
+        assert!(parse_movie(b"m1 u2:256").is_none()); // rating beyond a u8
+        assert!(parse_movie(b"m1 u+2:3").is_none()); // signs are not ASCII digits
+        assert_eq!(parse_movie(b"\tm1  u2:3\r\n"), Some((1, vec![(2, 3)])));
     }
 }

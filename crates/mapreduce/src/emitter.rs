@@ -5,7 +5,9 @@
 //! in a previous iteration (resuming at the saved progress), and records
 //! the index of the first postponed pair so the task can resume exactly
 //! there next iteration. Map functions simply emit every pair every time;
-//! idempotence across SEPO iterations is the emitter's job.
+//! idempotence across SEPO iterations is the emitter's job. A map function
+//! that charges simulated work per pair asks [`Emitter::will_attempt`]
+//! first, so skipped pairs cost nothing.
 
 use gpu_sim::executor::LaneCtx;
 use sepo_core::combiner::WarpCombiner;
@@ -91,13 +93,18 @@ impl<'a, 'w> Emitter<'a, 'w> {
         self.lane
     }
 
-    /// Should the pair about to be emitted actually be attempted? Advances
-    /// the pair counter; skips pairs below the resume point and everything
-    /// after a postponement.
+    /// Will the next emit be attempted? No below the resume point and after
+    /// a postponement. A map function that charges per-pair work asks
+    /// first, so a resumed task pays only for the pairs it stores.
+    pub fn will_attempt(&self) -> bool {
+        self.postponed_at.is_none() && self.next_pair >= self.start_pair
+    }
+
+    /// [`Emitter::will_attempt`], advancing the pair counter.
     fn should_attempt(&mut self) -> bool {
-        let idx = self.next_pair;
+        let attempt = self.will_attempt();
         self.next_pair += 1;
-        self.postponed_at.is_none() && idx >= self.start_pair
+        attempt
     }
 
     fn note_postponed(&mut self) {
@@ -227,5 +234,27 @@ mod tests {
             got.iter().all(|(k, _)| k != b"late-key"),
             "post-postponement emit leaked into the table"
         );
+    }
+
+    #[test]
+    fn will_attempt_is_false_below_the_resume_point_and_after_a_postponement() {
+        let t = combining_table(1);
+        let r = run_one_task(&t, 2, |e| {
+            for key in [b"p0", b"p1"] {
+                assert!(!e.will_attempt());
+                assert!(e.emit_combining(key, 1));
+            }
+            let mut i = 0u64;
+            while e.will_attempt() {
+                let key = format!("key-{i:04}-{}", "z".repeat(40));
+                e.emit_combining(key.as_bytes(), 1);
+                i += 1;
+                assert!(i < 1000, "heap never filled");
+            }
+        });
+        match r {
+            TaskResult::Postponed { next_pair } => assert!(next_pair >= 2),
+            TaskResult::Done => panic!("must postpone"),
+        }
     }
 }

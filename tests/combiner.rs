@@ -2,10 +2,11 @@
 //! seven paper applications, a run with the combiner on produces the exact
 //! results JSON, iteration count, and per-iteration accounting of a run
 //! with it off — under `ParallelDeterministic`, with the cross-layer audit
-//! on, and under seeded fault injection. Only the combining-organization
-//! apps route through the combiner at all; the others must be untouched
-//! by the flag. On skewed Word Count it must also pay for itself: fewer
-//! bucket touches and chain hops, no thrashing, bounded shared memory.
+//! on, and under seeded fault injection. Only the MAP_REDUCE mappers (Word
+//! Count and Netflix) route through the combiner at all; the others must
+//! be untouched by the flag. On skewed Word Count it must also pay for
+//! itself: fewer bucket touches and chain hops, no thrashing, bounded
+//! shared memory.
 
 use gpu_sim::executor::{ExecMode, Executor};
 use gpu_sim::metrics::{Metrics, Snapshot};
@@ -232,4 +233,42 @@ fn combiner_absorbs_traffic_on_the_combining_apps() {
         "{} B of shared-memory traffic over {emits} emits, over 128 B each",
         s.smem_bytes
     );
+}
+
+#[test]
+fn netflix_routes_through_the_combiner_and_dna_and_pvc_do_not() {
+    // At the 48 KiB heap of the identity tests above: Netflix iterates, so
+    // resumed tasks skip the pairs they stored before through the emitter.
+    for (app, reaches) in [
+        (App::Netflix, true),
+        (App::DnaAssembly, false),
+        (App::PageViewCount, false),
+    ] {
+        let ds = app.generate(0, 32_768);
+        let [off, on] = [false, true].map(|combiner| {
+            let metrics = Arc::new(Metrics::new());
+            let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
+            let cfg = AppConfig::new(48 * 1024).with_combiner(combiner);
+            let run = run_app(app, &ds, &cfg, &exec);
+            (run.iterations(), results_json(&run), metrics.snapshot())
+        });
+        assert_eq!(on.1, off.1, "{}: combiner changed the results", app.name());
+        assert_eq!(on.0, off.0, "{}: combiner changed iterations", app.name());
+        let (s, off_s) = (&on.2, &off.2);
+        assert_eq!(
+            s.combiner_hits > 0 && s.combiner_flushes > 0,
+            reaches,
+            "{}: {} hits, {} flushes",
+            app.name(),
+            s.combiner_hits,
+            s.combiner_flushes
+        );
+        if reaches {
+            assert!(on.0 > 1, "{}: one iteration resumes nothing", app.name());
+        } else {
+            // Never reached, the tile charges nothing: the whole snapshot
+            // is the combiner-off run's.
+            assert_eq!(s, off_s, "{}: untouched tile moved a counter", app.name());
+        }
+    }
 }
