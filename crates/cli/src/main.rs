@@ -539,8 +539,21 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
         .map(|r| r.table.host_footprint())
         .fold((0, 0), |a, (p, b)| (a.0 + p, a.1 + b));
     let evicted: u64 = runs.iter().map(|r| r.outcome.total_evicted_bytes()).sum();
+    let stopped_early = runs
+        .iter()
+        .flat_map(|r| &r.outcome.iterations)
+        .filter(|i| i.halted_early)
+        .count();
+    let across = if n > 1 {
+        format!(" across {n} shards")
+    } else {
+        String::new()
+    };
     println!("\nGPU/SEPO run");
-    println!("  iterations        {}", gpu.iterations);
+    println!(
+        "  iterations        {} ({stopped_early} stopped early{across})",
+        gpu.iterations
+    );
     println!(
         "  table (host side) {} in {} pages",
         fmt_bytes(bytes),

@@ -8,14 +8,21 @@
 //! halt policy, triggers eviction at iteration boundaries, and repeats
 //! until every record is processed.
 //!
-//! Halt policy, per Fig. 5:
+//! Halt policy, per Fig. 5 with one addition:
 //! * **basic** — halt as soon as the fraction of postponing bucket groups
 //!   reaches the configured threshold (default 50%), because entries of
 //!   *any* key need fresh memory;
-//! * **multi-valued / combining** — run each pass to the end of the input:
-//!   duplicate-key work still succeeds with a full heap (combining updates
-//!   in place; multi-valued must see the full pass to know which keys are
-//!   pending).
+//! * **multi-valued / combining** — no threshold: duplicate-key work still
+//!   succeeds with a full heap (combining updates in place; multi-valued
+//!   marks which keys are pending), so Fig. 5 runs the pass to the end of
+//!   the input;
+//! * **every organization** — end the iteration after a launch in which no
+//!   task completed or moved its resume pair, unless the fault plan aborted
+//!   every lane of it. This departs from Fig. 5: past that launch the rest
+//!   of the input would only upload and postpone. Multi-valued loses the
+//!   pending-key marks the skipped records would have set, so a few more
+//!   of its key pages leave the device and host compaction joins the extra
+//!   key entries.
 
 use crate::audit::TableAudit;
 use crate::bitmap::Bitmap;
@@ -67,7 +74,9 @@ pub struct IterationStats {
     pub kernel: Snapshot,
     /// What the iteration-boundary eviction moved.
     pub evict: EvictReport,
-    /// Basic method: did the halt threshold fire before end of input?
+    /// Did the iteration stop before the end of its pending set? The basic
+    /// method's halt threshold fired, or (any organization) a launch stored
+    /// nothing.
     pub halted_early: bool,
 }
 
@@ -808,6 +817,7 @@ impl<'d> Run<'d> {
             l.input_bytes += chunk.iter().map(|&t| task_bytes(t as usize)).sum::<u64>();
             l.chunks += 1;
             l.attempted += chunk.len() as u64;
+            let resume: Vec<u32> = chunk.iter().map(|&t| progress[t as usize].get()).collect();
             let launch = |lane: &mut LaneCtx<'_>| {
                 let t = chunk[lane.task()] as usize;
                 lane.read_stream(task_bytes(t));
@@ -835,6 +845,19 @@ impl<'d> Run<'d> {
             if is_basic && self.table.fraction_failed() >= halt_threshold {
                 // §IV-C: halt, evict, restart from the first postponed
                 // record (the boundary's pending-set rescan realizes that).
+                l.halted_early = true;
+                break;
+            }
+            // Any organization: a launch in which no task completed or
+            // moved its resume pair stored nothing, so the heap is spent and
+            // the rest of the pending set would only upload and postpone.
+            // A launch whose every lane the fault plan aborted ran nothing
+            // and proves nothing.
+            let stored = chunk
+                .iter()
+                .zip(&resume)
+                .any(|(&t, &start)| done.get(t as usize) || progress[t as usize].get() != start);
+            if !stored && stats.lanes_aborted < chunk.len() as u64 {
                 l.halted_early = true;
                 break;
             }
@@ -1278,6 +1301,193 @@ mod tests {
         assert_eq!(total, 240, "every value grouped exactly once");
     }
 
+    /// Split a run's kernel-call log into its launches. Iteration `i` made
+    /// `tasks_attempted` calls in launches of `chunk` tasks, and each logged
+    /// call says whether its task stored a pair. Returns, per iteration,
+    /// whether each launch stored anything.
+    fn stored_per_launch(outcome: &SepoOutcome, log: &[bool], chunk: usize) -> Vec<Vec<bool>> {
+        let mut calls = log.iter().copied();
+        let launches: Vec<Vec<bool>> = outcome
+            .iterations
+            .iter()
+            .map(|it| {
+                let calls: Vec<bool> = calls.by_ref().take(it.tasks_attempted as usize).collect();
+                let stored: Vec<bool> = calls.chunks(chunk).map(|c| c.contains(&true)).collect();
+                assert_eq!(
+                    stored.len(),
+                    it.chunks as usize,
+                    "iteration {}",
+                    it.iteration
+                );
+                stored
+            })
+            .collect();
+        assert_eq!(
+            calls.next(),
+            None,
+            "every logged call belongs to an iteration"
+        );
+        launches
+    }
+
+    /// Tasks pending when each iteration opened.
+    fn pending_at_open(outcome: &SepoOutcome) -> Vec<u64> {
+        let mut pending = outcome.total_tasks;
+        outcome
+            .iterations
+            .iter()
+            .map(|it| {
+                let open = pending;
+                pending -= it.tasks_completed;
+                open
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multivalued_iteration_ends_at_the_first_launch_that_stores_nothing() {
+        const CHUNK: usize = 16;
+        const PAIRS: u32 = 3;
+        let t = small_table(Organization::MultiValued, 6);
+        let e = exec(t.metrics());
+        let pair = |task: usize, p: u32| {
+            let key = format!("key-{:02}", (task * 7 + p as usize) % 30);
+            (key, format!("value-{task:04}-{p}-pad"))
+        };
+        let n_tasks = 200;
+        let log = parking_lot::Mutex::new(Vec::new());
+        let outcome = SepoDriver::new(&t, &e)
+            .with_config(DriverConfig {
+                chunk_tasks: CHUNK,
+                ..audited()
+            })
+            .run(
+                n_tasks,
+                |_| 64,
+                |task, start, lane| {
+                    let mut result = TaskResult::Done;
+                    for p in start..PAIRS {
+                        let (k, v) = pair(task, p);
+                        match t.insert_multivalued(k.as_bytes(), v.as_bytes(), lane) {
+                            crate::table::InsertStatus::Success => {}
+                            crate::table::InsertStatus::Postponed => {
+                                result = TaskResult::Postponed { next_pair: p };
+                                break;
+                            }
+                        }
+                    }
+                    log.lock()
+                        .push(result != TaskResult::Postponed { next_pair: start });
+                    result
+                },
+            );
+
+        // The result is the reference grouping.
+        let mut reference: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+        for task in 0..n_tasks {
+            for p in 0..PAIRS {
+                let (k, v) = pair(task, p);
+                reference
+                    .entry(k.into_bytes())
+                    .or_default()
+                    .push(v.into_bytes());
+            }
+        }
+        let mut got: HashMap<Vec<u8>, Vec<Vec<u8>>> = t.collect_multivalued().into_iter().collect();
+        for values in got.values_mut().chain(reference.values_mut()) {
+            values.sort();
+        }
+        assert_eq!(got, reference);
+
+        // Every launch but an iteration's last stored something; the last
+        // stored nothing exactly when the iteration halted early, and then
+        // the rest of the pending set was left unattempted.
+        let launches = stored_per_launch(&outcome, &log.lock(), CHUNK);
+        let pending = pending_at_open(&outcome);
+        for ((it, stored), &open) in outcome.iterations.iter().zip(&launches).zip(&pending) {
+            let (last, earlier) = stored.split_last().expect("an iteration launches");
+            assert!(
+                earlier.iter().all(|&s| s),
+                "iteration {} launched after a launch that stored nothing",
+                it.iteration
+            );
+            assert_eq!(it.halted_early, !last, "iteration {}", it.iteration);
+            if !it.halted_early {
+                assert_eq!(it.tasks_attempted, open, "iteration {}", it.iteration);
+            }
+        }
+        assert!(
+            outcome
+                .iterations
+                .iter()
+                .zip(&pending)
+                .any(|(it, &open)| it.halted_early && it.tasks_attempted < open),
+            "the tight heap must end some iteration before its pending set"
+        );
+    }
+
+    #[test]
+    fn combining_dna_attempts_every_pending_task_each_iteration() {
+        // Reads of a small genome at 24x coverage: every launch meets k-mers
+        // already resident and combines them in place, so the stored-nothing
+        // rule never ends an iteration even when the heap is tight.
+        const K: usize = 12;
+        const READ: usize = 40;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let genome: Vec<u8> = (0..400).map(|_| b"ACGT"[next() % 4]).collect();
+        let reads: Vec<&[u8]> = (0..240)
+            .map(|_| {
+                let at = next() % (genome.len() - READ);
+                &genome[at..at + READ]
+            })
+            .collect();
+        let t = small_table(Organization::Combining(Combiner::Or), 4);
+        let e = exec(t.metrics());
+        let outcome = SepoDriver::new(&t, &e)
+            .with_config(DriverConfig {
+                chunk_tasks: 32,
+                ..audited()
+            })
+            .run(
+                reads.len(),
+                |t| reads[t].len() as u64,
+                |task, start, lane| {
+                    let read = reads[task];
+                    for i in start as usize..=READ - K {
+                        let bit = 1u64 << (i % 64);
+                        match t.insert_combining(&read[i..i + K], bit, lane) {
+                            crate::table::InsertStatus::Success => {}
+                            crate::table::InsertStatus::Postponed => {
+                                return TaskResult::Postponed {
+                                    next_pair: i as u32,
+                                };
+                            }
+                        }
+                    }
+                    TaskResult::Done
+                },
+            );
+        assert!(outcome.n_iterations() > 1, "the heap must be tight");
+        for (it, open) in outcome.iterations.iter().zip(pending_at_open(&outcome)) {
+            assert!(!it.halted_early, "iteration {}", it.iteration);
+            assert_eq!(it.tasks_attempted, open, "iteration {}", it.iteration);
+        }
+        let mut reference: HashMap<Vec<u8>, u64> = HashMap::new();
+        for read in &reads {
+            for i in 0..=READ - K {
+                *reference.entry(read[i..i + K].to_vec()).or_default() |= 1u64 << (i % 64);
+            }
+        }
+        let got: HashMap<Vec<u8>, u64> = t.collect_combining().into_iter().collect();
+        assert_eq!(got, reference);
+    }
+
     /// Heap of one page, entries bigger than the page: no progress ever.
     fn impossible_table() -> SepoTable {
         let cfg = TableConfig::new(Organization::Basic)
@@ -1527,6 +1737,47 @@ mod tests {
         assert_eq!(iteration, 9, "8 retries then the 9th stall gives up");
         assert_eq!(pending, 50, "no task may be lost");
         assert_eq!(stalled_iterations, 9);
+    }
+
+    #[test]
+    fn a_launch_whose_lanes_all_aborted_does_not_end_the_iteration() {
+        use gpu_sim::{FaultConfig, FaultPlan};
+        // One task per launch and three lanes in four aborted: most
+        // launches run nothing. Each must be passed over, not read as a
+        // spent heap. Ending the iteration there would turn aborts into
+        // stalled iterations and, nine in a row, into
+        // `FaultBudgetExhausted`.
+        let t = small_table(Organization::Combining(Combiner::Add), 64);
+        let plan = Arc::new(FaultPlan::new(
+            FaultConfig::quiet(0xAB07).rate(FaultKind::LaneAbort, 0.75),
+        ));
+        let e = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()))
+            .with_faults(Arc::clone(&plan))
+            .with_shadow(Arc::new(gpu_sim::ShadowSanitizer::new()));
+        let keys: Vec<String> = (0..40).map(|i| format!("key-{i:03}")).collect();
+        let outcome = SepoDriver::new(&t, &e)
+            .with_config(DriverConfig {
+                chunk_tasks: 1,
+                ..audited()
+            })
+            .try_run(
+                keys.len(),
+                |_| 16,
+                |task, _start, lane| match t.insert_combining(keys[task].as_bytes(), 1, lane) {
+                    crate::table::InsertStatus::Success => TaskResult::Done,
+                    crate::table::InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+                },
+            )
+            .unwrap();
+        assert!(outcome.is_complete());
+        assert!(plan.injected(FaultKind::LaneAbort) > 0);
+        for (it, open) in outcome.iterations.iter().zip(pending_at_open(&outcome)) {
+            assert!(!it.halted_early, "iteration {}", it.iteration);
+            assert_eq!(it.tasks_attempted, open, "iteration {}", it.iteration);
+        }
+        let got: HashMap<Vec<u8>, u64> = t.collect_combining().into_iter().collect();
+        assert_eq!(got.len(), keys.len());
+        assert!(got.values().all(|&v| v == 1));
     }
 
     fn hard_plan(device_loss_rate: f64, poisoned_launch_rate: f64, seed: u64) -> Arc<FaultPlan> {
