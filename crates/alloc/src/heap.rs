@@ -65,7 +65,7 @@ impl PageKind {
         }
     }
 
-    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP3` page
+    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP4` page
     /// records).
     pub fn tag(self) -> u8 {
         self as u8

@@ -188,7 +188,7 @@ impl StampedPage {
         Ok(VerifiedPage(self.clone()))
     }
 
-    /// Write the page record shared by the `SEPOHST2` and `SEPOCKP3`
+    /// Write the page record shared by the `SEPOHST2` and `SEPOCKP4`
     /// formats: `host_id u64, kind u8, crc u32, len u32, bytes`,
     /// little-endian.
     pub fn write_record<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -395,9 +395,9 @@ mod tests {
             err.to_string(),
             "SEPOHST2 image: host page 3 failed checksum verification"
         );
-        let err = StampedPage::read_record(&mut &buf[..10], "SEPOCKP3").unwrap_err();
+        let err = StampedPage::read_record(&mut &buf[..10], "SEPOCKP4").unwrap_err();
         assert!(
-            err.to_string().contains("truncated SEPOCKP3 image"),
+            err.to_string().contains("truncated SEPOCKP4 image"),
             "{err}"
         );
     }

@@ -619,10 +619,10 @@ type Variant = (&'static str, fn(&mut SystemSpec));
 /// sweep's PVC #2 (one pass) and DNA #4 (heavily oversubscribed) runs
 /// under a Pascal-class GPU and a ladder of interconnects; event counts do
 /// not depend on the hardware. Measured shape: a faster GPU alone moves
-/// almost nothing (these kernels are memory- and transfer-bound); a faster
-/// interconnect helps dramatically where transfers dominate (PVC: +82% at
-/// NVLink-class rates) and modestly where device-memory traffic dominates
-/// (DNA: +10%).
+/// almost nothing (these kernels are memory- and transfer-bound; DNA loses
+/// 4% to the variant's 320 GB/s memory); a faster interconnect helps
+/// dramatically where transfers dominate (PVC: +91% at NVLink-class rates)
+/// and modestly where device-memory traffic dominates (DNA: +7%).
 pub fn sensitivity(sweep: &Sweep) -> Artifact {
     let scale = sweep.scale();
     let cases = [(App::PageViewCount, 1), (App::DnaAssembly, 3)];

@@ -1,8 +1,8 @@
 //! The paper's evaluation claims (§VI), asserted on the JSON the `paper`
 //! binary writes.
 //!
-//! Averages depend on the scale (Figure 6's mean speedup is 3.47x at
-//! 1/256 and 2.56x at 1/4096), so these tests pin the paper's *shapes*:
+//! Averages depend on the scale (Figure 6's mean speedup is 3.52x at
+//! 1/256 and 2.59x at 1/4096), so these tests pin the paper's *shapes*:
 //! who beats whom, by roughly how much, and where the curves cross. They
 //! run at 1/4096, where one application × dataset sweep takes seconds, and
 //! every sweep-priced claim reads that one sweep.

@@ -23,10 +23,15 @@
 //!   per acquisition, so nothing is silently replaced). Eviction stores
 //!   every page before it returns, so the books balance exactly at every
 //!   boundary.
+//! * **key tags** — every live combining or key entry still on the device
+//!   (the multi-valued key pages a boundary keeps) carries its key's tag
+//!   in its length word ([`key_lens`]); an entry without it is invisible to
+//!   every chain walk, and its key would be stored twice.
 //!
 //! After host compaction ([`crate::compact`]), which follows the final
 //! eviction's check, [`TableAudit::check_compacted`] checks the
-//! one-entry-per-key image itself, combining or multi-valued.
+//! one-entry-per-key image itself, combining or multi-valued, key tags
+//! included: device-written pages and compaction-packed pages alike.
 //!
 //! A violation is a *bug*, not an environmental condition, so the driver
 //! panics on one; [`TableAudit`] itself reports
@@ -34,7 +39,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::config::Organization;
-use crate::entry::{combining, parse_at, EntryKind, ParsedEntry};
+use crate::entry::{combining, key_lens, parse_at, EntryKind, PageWalker, ParsedEntry};
 use crate::evict::EvictReport;
 use crate::table::SepoTable;
 use sepo_alloc::{HostLink, PageKind, StampedPage, VerifiedPage, ALIGN};
@@ -103,7 +108,8 @@ impl TableAudit {
     }
 
     /// Structural checks valid at any quiescent point: heap page
-    /// accounting and host-id uniqueness.
+    /// accounting, host-id uniqueness, and the key tags of the resident
+    /// combining and key entries.
     pub fn check_structure(&self, table: &SepoTable) -> Result<(), AuditViolation> {
         let heap = table.heap();
         let resident = heap.resident_pages();
@@ -130,6 +136,27 @@ impl TableAudit {
                 "host-id-uniqueness",
                 "host id {id} stamped on two resident pages"
             );
+        }
+        let org = table.config().organization;
+        if org != Organization::Basic {
+            let (primary, primary_page) = org.primary_layout();
+            for &p in &resident {
+                if heap.page_kind(p) != primary_page {
+                    continue;
+                }
+                let bytes = heap.page_data(p);
+                for (off, entry) in PageWalker::new(&bytes, primary) {
+                    let key = entry.key().expect("primary entries carry keys");
+                    ensure!(
+                        carries_tag(&bytes, off, primary, key),
+                        "resident-key-tags",
+                        "the entry of key {:?} at resident page {p} (host id {}) offset {off} \
+                         lacks its key tag",
+                        String::from_utf8_lossy(key),
+                        heap.host_id(p)
+                    );
+                }
+            }
         }
         Ok(())
     }
@@ -218,11 +245,11 @@ impl TableAudit {
     }
 
     /// Check a host image after compaction ([`crate::compact`]): every
-    /// page is of the organization's kinds, no key has two entries, no
-    /// region of any page is a tombstone, and the host bytes are exactly
-    /// the entries' sizes. A multi-valued image must also reach every value
-    /// node through exactly one key's chain. A basic table is never
-    /// compacted; its image passes as it is.
+    /// page is of the organization's kinds, no key has two entries, every
+    /// entry carries its key's tag, no region of any page is a tombstone,
+    /// and the host bytes are exactly the entries' sizes. A multi-valued
+    /// image must also reach every value node through exactly one key's
+    /// chain. A basic table is never compacted; its image passes as it is.
     pub fn check_compacted(&self, table: &SepoTable) -> Result<(), AuditViolation> {
         let org = table.config().organization;
         if org == Organization::Basic {
@@ -276,6 +303,13 @@ impl TableAudit {
                     keys.insert(key),
                     "compacted-one-entry-per-key",
                     "key {:?} has a second entry on host page {}",
+                    String::from_utf8_lossy(key),
+                    page.host_id()
+                );
+                ensure!(
+                    carries_tag(bytes, off, primary, key),
+                    "compacted-key-tags",
+                    "the entry of key {:?} at host page {} offset {off} lacks its key tag",
                     String::from_utf8_lossy(key),
                     page.host_id()
                 );
@@ -362,6 +396,13 @@ impl TableAudit {
             ),
         })
     }
+}
+
+/// Whether the `kind` entry at `off` of `bytes`, holding `key`, carries
+/// its key's tagged length word ([`key_lens`]).
+fn carries_tag(bytes: &[u8], off: usize, kind: EntryKind, key: &[u8]) -> bool {
+    let at = off + kind.key_fields().0 as usize;
+    bytes.get(at..at + 8) == Some(&key_lens(key).to_le_bytes()[..])
 }
 
 fn tombstone(page: &VerifiedPage, off: usize) -> AuditViolation {
@@ -502,6 +543,62 @@ mod tests {
             .store(StampedPage::stamp(3, PageKind::Mixed, page));
         let v = audit.check_compacted(&dead).unwrap_err();
         assert_eq!(v.check, "compacted-no-tombstones");
+    }
+
+    /// A multi-valued table whose key page the boundary kept on the
+    /// device: one key, its value page filled until a value postponed.
+    fn kept_key_page() -> (SepoTable, u32) {
+        let t = table(Organization::MultiValued, 2);
+        assert!(t
+            .insert_multivalued(b"key", b"v0", &mut NoCharge)
+            .is_success());
+        for i in 0..60 {
+            let v = format!("value-{i:03}-padding-padding");
+            if !t
+                .insert_multivalued(b"key", v.as_bytes(), &mut NoCharge)
+                .is_success()
+            {
+                break;
+            }
+        }
+        assert!(t.end_iteration().kept_pages > 0, "pending key page kept");
+        let kept = t.heap().resident_pages();
+        let page = kept
+            .into_iter()
+            .find(|&p| t.heap().page_kind(p) == PageKind::Key);
+        (t, page.expect("a resident key page"))
+    }
+
+    #[test]
+    fn an_entry_without_its_key_tag_fails_the_audit() {
+        let audit = TableAudit::begin(&table(Organization::Combining(Combiner::Add), 8));
+        // One eviction: the host image is the device-written pages as they
+        // left the device.
+        let t = table(Organization::Combining(Combiner::Add), 8);
+        for i in 0..10 {
+            let key = format!("key-{i}");
+            assert!(t
+                .insert_combining(key.as_bytes(), 1, &mut NoCharge)
+                .is_success());
+        }
+        t.finalize();
+        assert_eq!(audit.check_compacted(&t).map_err(|v| v.check), Ok(()));
+        mutate(&t, PageKind::Mixed, |b| {
+            b[combining::KLEN as usize + 4] ^= 1;
+        });
+        let v = audit.check_compacted(&t).unwrap_err();
+        assert_eq!(v.check, "compacted-key-tags");
+        assert!(v.detail.contains("offset 0"), "{v}");
+
+        // A key entry the boundary kept on the device.
+        let (t, page) = kept_key_page();
+        audit.check_structure(&t).unwrap();
+        let k = sepo_alloc::DevHandle::new(page, 0);
+        let klen = crate::entry::key_entry::KLEN;
+        let lens = t.heap().read_u64(k, klen);
+        t.heap().write_u64(k, klen, lens & !crate::entry::TAG_MASK);
+        let v = audit.check_structure(&t).unwrap_err();
+        assert_eq!(v.check, "resident-key-tags");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `DeviceLost` re-fire at the same draw and kill the run forever.
 //!
 //! On disk a checkpoint is one `SEPOCKS3` file ([`CheckpointFile`])
-//! holding one `SEPOCKP3` section per shard; a one-device run writes a
+//! holding one `SEPOCKP4` section per shard; a one-device run writes a
 //! one-section file. Each shard's driver replaces its own section at every
 //! boundary, and resume reads every section back with
 //! [`CheckpointFile::read`]. A section of length 0 belongs to a shard that
@@ -31,14 +31,14 @@
 //! ```text
 //! magic        8 bytes  "SEPOCKS3"
 //! shard count  u32
-//! sections     per shard: len u32, len bytes of SEPOCKP3 section
+//! sections     per shard: len u32, len bytes of SEPOCKP4 section
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
-//! Section layout (`SEPOCKP3`, little-endian):
+//! Section layout (`SEPOCKP4`, little-endian):
 //!
 //! ```text
-//! magic        8 bytes  "SEPOCKP3"
+//! magic        8 bytes  "SEPOCKP4"
 //! iteration    u32      completed iterations at capture
 //! fault_stalls u32      consecutive fault-stalled iterations
 //! n_tasks      u64
@@ -65,6 +65,14 @@
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
+//! The resident page bytes are the device heap verbatim, so the section
+//! also fixes the entry layout: combining and key entries carry a key tag
+//! in their length words ([`tagged_lens`](crate::entry::tagged_lens)).
+//! A `SEPOCKP3` section predates the tags; its resident entries would
+//! match no chain walk, and a run resumed from it would insert every
+//! resident key a second time, so it is refused as not a `SEPOCKP4` image.
+//! The file layout around the sections did not change.
+//!
 //! Both trailers are verified against their whole image *before* any
 //! structural parsing, so any single flipped bit anywhere in a checkpoint
 //! file is rejected with a checksum error naming the format, never a
@@ -89,8 +97,8 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOCKP3";
-const MAGIC_NAME: &str = "SEPOCKP3";
+const MAGIC: &[u8; 8] = b"SEPOCKP4";
+const MAGIC_NAME: &str = "SEPOCKP4";
 const FILE_MAGIC: &[u8; 8] = b"SEPOCKS3";
 const FILE_MAGIC_NAME: &str = "SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
@@ -163,7 +171,7 @@ impl CheckpointPolicy {
 }
 
 /// The writer behind [`CheckpointPolicy::Disk`]: one `SEPOCKS3` file
-/// holding every shard's latest boundary checkpoint as a `SEPOCKP3`
+/// holding every shard's latest boundary checkpoint as a `SEPOCKP4`
 /// section (one section for a one-device run).
 ///
 /// Shard drivers run concurrently, so updates serialize behind a mutex;
@@ -329,18 +337,11 @@ impl Checkpoint {
         faults: Option<&FaultPlan>,
     ) {
         assert_eq!(
-            self.heads.len(),
-            table.heads.len(),
-            "checkpoint bucket count mismatch"
-        );
-        assert_eq!(
             self.progress.len(),
             progress.len(),
             "checkpoint task count mismatch"
         );
-        for (h, &v) in table.heads.iter().zip(&self.heads) {
-            h.set(v);
-        }
+        table.restore_heads(&self.heads);
         table.groups.reset_iteration();
         table.groups.restore_alloc_counts(&self.group_allocs);
         table.heap.restore(&self.heap);
@@ -368,7 +369,7 @@ impl Checkpoint {
         self.n_tasks
     }
 
-    /// Exact size in bytes of this checkpoint's `SEPOCKP3` section — the
+    /// Exact size in bytes of this checkpoint's `SEPOCKP4` section — the
     /// footprint [`crate::RecoveryStats::checkpoint_bytes`] reports. Sized
     /// by the code that writes the image, into a sink that only counts (no
     /// page byte is read).
@@ -379,7 +380,7 @@ impl Checkpoint {
         count.0 + 4 // whole-image checksum trailer
     }
 
-    /// The `SEPOCKP3` image: the body followed by a CRC32C trailer over
+    /// The `SEPOCKP4` image: the body followed by a CRC32C trailer over
     /// every preceding byte.
     fn image(&self) -> io::Result<Vec<u8>> {
         let mut image = Vec::new();
@@ -448,7 +449,7 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Decode a `SEPOCKP3` section. The whole-image checksum trailer
+    /// Decode a `SEPOCKP4` section. The whole-image checksum trailer
     /// is verified first, so any flipped bit anywhere is rejected with a
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
@@ -462,7 +463,7 @@ impl Checkpoint {
         if &magic != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "not a SEPOCKP3 image",
+                "not a SEPOCKP4 image",
             ));
         }
         let iteration = read_u32(r, "iteration")?;
@@ -715,6 +716,36 @@ mod tests {
         (ckp, done, progress)
     }
 
+    /// Section `image` under another `magic`, with a valid trailer.
+    fn with_section_magic(image: &[u8], magic: &[u8; 8]) -> Vec<u8> {
+        let mut other = image[..image.len() - 4].to_vec();
+        other[..8].copy_from_slice(magic);
+        append_trailer(&mut other);
+        other
+    }
+
+    /// A checkpoint file written before entries carried key tags holds a
+    /// `SEPOCKP3` section. Resuming from it would walk resident chains
+    /// whose length words match no tagged key, so reading it fails typed
+    /// before any state is restored.
+    #[test]
+    fn a_pre_tag_checkpoint_file_is_refused() {
+        let t = small_table();
+        let (ckp, _done, _progress) = mid_run_checkpoint(&t);
+        let section = with_section_magic(&ckp.image().unwrap(), b"SEPOCKP3");
+        let mut file = FILE_MAGIC.to_vec();
+        file.extend_from_slice(&1u32.to_le_bytes());
+        file.extend_from_slice(&(section.len() as u32).to_le_bytes());
+        file.extend_from_slice(&section);
+        append_trailer(&mut file);
+        let path = std::env::temp_dir().join(format!("sepo-cks-pretag-{}.bin", std::process::id()));
+        std::fs::write(&path, &file).unwrap();
+        let err = CheckpointFile::read(&path).unwrap_err();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not a SEPOCKP4 image"), "{err}");
+    }
+
     #[test]
     fn capture_restore_recaptures_identically() {
         let t = small_table();
@@ -777,7 +808,7 @@ mod tests {
     }
 
     #[test]
-    fn sepockp3_round_trips_and_sizes_exactly() {
+    fn sepockp4_round_trips_and_sizes_exactly() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let buf = ckp.image().unwrap();
@@ -896,7 +927,7 @@ mod tests {
         let file = CheckpointFile::new(path.clone(), 2);
         file.update(0, &ckp, None).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // A bare SEPOCKP3 section is not a checkpoint file (its own trailer
+        // A bare SEPOCKP4 section is not a checkpoint file (its own trailer
         // is valid, so this exercises the magic check, not the checksum).
         std::fs::write(&path, ckp.image().unwrap()).unwrap();
         let err = CheckpointFile::read(&path).unwrap_err();
@@ -920,24 +951,26 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOCKP3 image")
-                    || msg.contains("SEPOCKP3 image failed checksum verification"),
+                msg.contains("truncated SEPOCKP4 image")
+                    || msg.contains("SEPOCKP4 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
         // Garbage magic under a *valid* trailer is a distinct, equally
         // clean rejection (garbage without a trailer fails the checksum) —
-        // and so is an image of the previous format, whose transient
-        // section this build would misread.
+        // and so are images of earlier formats: a `SEPOCKP2` transient
+        // section this build would misread, a `SEPOCKP3` heap without key
+        // tags.
         let mut garbage = b"GARBAGE!________".to_vec();
         append_trailer(&mut garbage);
-        let mut previous = buf[..buf.len() - 4].to_vec();
-        previous[..8].copy_from_slice(b"SEPOCKP2");
-        append_trailer(&mut previous);
-        for image in [garbage, previous] {
+        let mut images = vec![garbage];
+        for magic in [b"SEPOCKP2", b"SEPOCKP3"] {
+            images.push(with_section_magic(&buf, magic));
+        }
+        for image in images {
             let err = Checkpoint::from_section(&image).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("not a SEPOCKP3 image"));
+            assert!(err.to_string().contains("not a SEPOCKP4 image"));
         }
     }
 
@@ -956,7 +989,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
-                    .contains("SEPOCKP3 image failed checksum verification"),
+                    .contains("SEPOCKP4 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {:?}",
                 err.to_string()
             );

@@ -20,7 +20,8 @@
 //!
 //! The entries are written into freshly stamped pages — [`PageKind::Mixed`],
 //! or [`PageKind::Value`] pages followed by [`PageKind::Key`] pages — with
-//! new host ids, null device links and no tombstones, which replace the
+//! new host ids, null device links, no tombstones and, as the device writes
+//! them, key tags in the length words ([`key_lens`]), which replace the
 //! host heap's pages. An image that already holds each key once, without
 //! tombstones, is left as it is.
 //!
@@ -38,7 +39,7 @@
 //! moved earlier.
 
 use crate::config::{Combiner, Organization};
-use crate::entry::{combining, key_entry, parse_at, value_node, EntryKind, ParsedEntry};
+use crate::entry::{combining, key_entry, key_lens, parse_at, value_node, EntryKind, ParsedEntry};
 use crate::hash::KeyMap;
 use crate::results::primary_entries;
 use crate::table::SepoTable;
@@ -150,7 +151,7 @@ impl HostFold {
             Folded::Combining(_, keys) => {
                 let mut out = Packer::new(PageKind::Mixed, page_size, || heap.reserve_host_ids(1));
                 for (key, &value) in keys.iter() {
-                    let words = [NULL_DEV, NULL_HOST, value, key.len() as u64];
+                    let words = [NULL_DEV, NULL_HOST, value, key_lens(key)];
                     out.put(&words, key, combining::size(key.len()));
                 }
                 out.finish()
@@ -415,8 +416,8 @@ impl Groups {
         let mut key_pages = Packer::new(PageKind::Key, page_size, next_id);
         for (&key, cont) in order.iter().zip(heads) {
             let key = self.keys.key(key as usize);
-            let (head, flags, klen) = (NULL_DEV, 0, key.len() as u64);
-            let words = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, klen];
+            let (head, flags, lens) = (NULL_DEV, 0, key_lens(key));
+            let words = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, lens];
             key_pages.put(&words, key, key_entry::size(key.len()));
         }
         let mut out = value_pages.finish();

@@ -13,14 +13,22 @@
 //! 0  next_dev   u64         0  next_dev   u64         0  next_dev        u64     0  next_dev  u64
 //! 8  next_host  u64         8  next_host  u64         8  next_host       u64     8  next_host u64
 //! 16 value      u64 (at.)   16 klen u32 | vlen u32    16 value_head_dev  u64(at) 16 vlen u32 | pad
-//! 24 klen u32 | pad         24 key bytes ‖ val bytes  24 value_host_cont u64     24 value bytes
+//! 24 klen u32 | tag         24 key bytes ‖ val bytes  24 value_host_cont u64     24 value bytes
 //! 32 key bytes                                        32 flags           u64(at)
-//!                                                     40 klen u32 | pad
+//!                                                     40 klen u32 | tag
 //!                                                     48 key bytes
 //! ```
 //!
 //! `(at.)` marks words mutated after publication; they are only ever
 //! accessed through `Heap::atomic_u64`.
+//!
+//! The length word of a combining entry and of a key entry — the two
+//! entries a chain walk looks a key up in — carries a 31-bit *tag* of the
+//! key's hash in bits 32–62 ([`tagged_lens`]). A walk compares the whole
+//! word against the one its key would carry and reads key bytes only when
+//! the two are equal, so an entry holding another key of the same length
+//! is rejected from the word the walk reads anyway. Basic entries keep
+//! `vlen` there and are never walked for a key; value nodes carry no key.
 
 use sepo_alloc::align_up;
 
@@ -38,8 +46,33 @@ pub const NEXT_HOST: u32 = 8;
 ///
 /// Consequence: value lengths are capped at 2^31-1 (the basic layout packs
 /// `klen | vlen << 32` into the length word, so vlen shares the top half
-/// with the tombstone bit).
+/// with the tombstone bit), and a key tag has 31 bits (bits 32–62 of a
+/// tagged length word, [`TAG_MASK`]). Every reader takes the key length
+/// from the low 32 bits only.
 pub const TOMBSTONE: u64 = 1 << 63;
+
+/// Bits 32–62 of a tagged length word: the key tag.
+pub const TAG_MASK: u64 = 0x7FFF_FFFF << 32;
+
+/// The length word of a combining entry or a multi-valued key entry for a
+/// `klen`-byte key whose [`fnv1a`](crate::hash::fnv1a) hash
+/// [`mix`](crate::hash::mix)es to `mixed`: the key length in the low half
+/// and the low 31 bits of `mixed` as the tag. The bucket index takes the
+/// high bits of the same word
+/// ([`bucket_of_mixed`](crate::hash::bucket_of_mixed)), so the keys of one
+/// chain do not share tag bits. Every writer of such a word goes through
+/// here.
+#[inline]
+pub fn tagged_lens(klen: usize, mixed: u64) -> u64 {
+    debug_assert!(klen as u64 <= u32::MAX as u64, "key length exceeds 32 bits");
+    klen as u64 | ((mixed << 32) & TAG_MASK)
+}
+
+/// [`tagged_lens`] for `key`, hashing it here — the host-side writers and
+/// checkers, which hold the key but not its hash.
+pub fn key_lens(key: &[u8]) -> u64 {
+    tagged_lens(key.len(), crate::hash::mix(crate::hash::fnv1a(key)))
+}
 
 /// Combining entry field offsets and size.
 pub mod combining {

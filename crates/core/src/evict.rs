@@ -289,7 +289,7 @@ impl SepoTable {
     /// link words to point at the previous head (quiescent: eviction's
     /// chain rebuild and the lookup phase's, over paged-in copies).
     pub(crate) fn prepend_resident(&self, bucket: usize, e: DevHandle) {
-        let old_raw = self.heads[bucket].get();
+        let old_raw = self.buckets[bucket].head.get();
         let next = if old_raw == u64::MAX {
             Link::NULL
         } else {
@@ -297,13 +297,13 @@ impl SepoTable {
         };
         self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
         self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
-        self.heads[bucket].set(e.to_raw());
+        self.buckets[bucket].head.set(e.to_raw());
     }
 
     /// Empty every bucket chain (quiescent).
     pub(crate) fn reset_heads(&self) {
-        for h in self.heads.iter() {
-            h.set(u64::MAX);
+        for b in self.buckets.iter() {
+            b.head.set(u64::MAX);
         }
     }
 }

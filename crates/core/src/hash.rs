@@ -44,9 +44,18 @@ pub fn mix(mut h: u64) -> u64 {
 /// over the key bytes at each call site.
 #[inline]
 pub fn bucket_for(hash: u64, n_buckets: usize) -> usize {
+    bucket_of_mixed(mix(hash), n_buckets)
+}
+
+/// Bucket index for an already [`mix`]ed hash. The reduction consumes the
+/// word's high bits; its low bits are the key's chain tag
+/// ([`tagged_lens`](crate::entry::tagged_lens)), so a caller that needs
+/// both mixes once.
+#[inline]
+pub fn bucket_of_mixed(mixed: u64, n_buckets: usize) -> usize {
     debug_assert!(n_buckets > 0);
     // Multiply-shift reduction avoids the modulo bias and division cost.
-    ((mix(hash) as u128 * n_buckets as u128) >> 64) as usize
+    ((mixed as u128 * n_buckets as u128) >> 64) as usize
 }
 
 /// Bucket index for `key` in a table of `n_buckets`.

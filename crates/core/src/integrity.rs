@@ -8,7 +8,7 @@
 //! through [`StampedPage::verify`] — at host adoption, [`HostStore`]
 //! absorption, every finalized-table reader, and an end-of-run scrub. The
 //! persisted formats — the `SEPOHST2` table image, the `SEPOCKS3`
-//! checkpoint file and each `SEPOCKP3` section inside it — carry
+//! checkpoint file and each `SEPOCKP4` section inside it — carry
 //! whole-image trailing checksums so any single flipped bit on disk is
 //! rejected at load, never parsed into a silently wrong image.
 //!

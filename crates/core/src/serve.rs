@@ -40,8 +40,8 @@
 //! with the offline query paths (the collectors, the lookup phase).
 
 use crate::config::{Combiner, Organization};
-use crate::entry::{self, combining, key_entry, value_node, EntryKind};
-use crate::hash::{bucket_of, KeyMap};
+use crate::entry::{self, combining, key_entry, tagged_lens, value_node, EntryKind};
+use crate::hash::{bucket_of_mixed, fnv1a, mix, KeyMap};
 use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, MetricsCharge};
@@ -295,9 +295,10 @@ impl EpochSnapshot {
 
     /// Walk the snapshot's bucket chain for `key`, mirroring the live
     /// table's `find_resident`: charge a hop and a header read per entry,
-    /// compare lengths before bytes, stop at the first dead link. No shadow
-    /// accesses are declared — the snapshot is an immutable host-side copy,
-    /// not the live device heap the sanitizer tracks.
+    /// compare the tagged length word ([`tagged_lens`]) before any key
+    /// byte, stop at the first dead link. No shadow accesses are declared —
+    /// the snapshot is an immutable host-side copy, not the live device
+    /// heap the sanitizer tracks.
     fn probe_entry<C: Charge>(
         &self,
         key: &[u8],
@@ -305,14 +306,15 @@ impl EpochSnapshot {
         charge: &mut C,
     ) -> Option<DevHandle> {
         let (klen_field, key_field) = kind.key_fields();
+        let mixed = mix(fnv1a(key));
+        let lens = tagged_lens(key.len(), mixed);
         charge.device_bytes(8);
-        for cur in self.chain(self.heads[bucket_of(key, self.n_buckets)]) {
+        for cur in self.chain(self.heads[bucket_of_mixed(mixed, self.n_buckets)]) {
             charge.chain_hops(1);
             charge.device_bytes(16);
-            let klen = (self.read_u64(cur, klen_field)? & 0xFFFF_FFFF) as usize;
-            if klen == key.len() {
-                charge.device_bytes(klen as u64);
-                if self.read_bytes(cur, key_field, klen)? == key {
+            if self.read_u64(cur, klen_field)? == lens {
+                charge.device_bytes(key.len() as u64);
+                if self.read_bytes(cur, key_field, key.len())? == key {
                     return Some(cur);
                 }
             }

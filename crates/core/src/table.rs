@@ -15,7 +15,7 @@
 
 use crate::config::{Combiner, Organization, TableConfig};
 use crate::entry::{self, basic, combining, key_entry, value_node};
-use crate::hash::{bucket_for, bucket_of, fnv1a};
+use crate::hash::{bucket_for, bucket_of_mixed, fnv1a, mix};
 use crate::integrity::IntegrityState;
 use gpu_sim::charge::{Charge, MetricsCharge};
 use gpu_sim::metrics::{ContentionHistogram, Counter, Metrics};
@@ -46,15 +46,25 @@ pub struct SepoTable {
     pub(crate) cfg: TableConfig,
     pub(crate) heap: Arc<Heap>,
     pub(crate) groups: GroupAllocator,
-    pub(crate) heads: Box<[Published]>,
-    /// Per-bucket insert-touch counters feeding the contention model.
-    touches: Box<[Relaxed<u32>]>,
+    pub(crate) buckets: Box<[Bucket]>,
     pub(crate) host: HostHeap,
     /// Integrity layer: checksum counters, the installed corruption plan,
     /// and the unrecovered-transfer witness slot.
     pub(crate) integrity: IntegrityState,
     metrics: Arc<Metrics>,
 }
+
+/// One bucket: the head of its chain and, on the same host cache line, the
+/// insert-touch counter feeding the contention model — an insert updates
+/// both, so it misses one line instead of two. Sixteen bytes aligned to
+/// sixteen: four buckets share a line and none straddles two.
+#[repr(align(16))]
+pub(crate) struct Bucket {
+    pub(crate) head: Published,
+    touches: Relaxed<u32>,
+}
+
+const _: () = assert!(std::mem::size_of::<Bucket>() == 16);
 
 const NULL_RAW: u64 = u64::MAX;
 
@@ -79,16 +89,17 @@ impl SepoTable {
         let heap = Arc::new(Heap::new(heap_bytes, cfg.page_size, Arc::clone(&metrics)));
         let (_, primary_kind) = cfg.organization.primary_layout();
         let groups = GroupAllocator::new(Arc::clone(&heap), cfg.n_groups(), primary_kind);
-        let heads = (0..cfg.n_buckets)
-            .map(|_| Published::new(NULL_RAW))
+        let buckets = (0..cfg.n_buckets)
+            .map(|_| Bucket {
+                head: Published::new(NULL_RAW),
+                touches: Relaxed::new(0),
+            })
             .collect();
-        let touches = (0..cfg.n_buckets).map(|_| Relaxed::new(0)).collect();
         SepoTable {
             cfg,
             heap,
             groups,
-            heads,
-            touches,
+            buckets,
             host: HostHeap::new(),
             integrity: IntegrityState::default(),
             metrics,
@@ -124,7 +135,16 @@ impl SepoTable {
     /// shared by checkpoint capture and epoch-snapshot publication. Only
     /// meaningful between launches, when no kernel is mutating heads.
     pub(crate) fn snapshot_heads(&self) -> Vec<u64> {
-        self.heads.iter().map(Published::get).collect()
+        self.buckets.iter().map(|b| b.head.get()).collect()
+    }
+
+    /// Set every bucket head to a [`SepoTable::snapshot_heads`] word
+    /// (checkpoint restore, quiescent). Panics on a bucket-count mismatch.
+    pub(crate) fn restore_heads(&self, heads: &[u64]) {
+        assert_eq!(heads.len(), self.buckets.len(), "bucket count mismatch");
+        for (b, &h) in self.buckets.iter().zip(heads) {
+            b.head.set(h);
+        }
     }
 
     /// Fraction of bucket groups currently postponing allocations — the
@@ -136,7 +156,7 @@ impl SepoTable {
     /// Histogram of per-bucket insert touches, for the contention term of
     /// the cost model.
     pub fn contention_histogram(&self) -> ContentionHistogram {
-        ContentionHistogram::from_counts(self.touches.iter().map(|t| t.get() as u64))
+        ContentionHistogram::from_counts(self.buckets.iter().map(|b| b.touches.get() as u64))
     }
 
     /// Bucket-touch contention plus the allocator's per-group bump-pointer
@@ -155,16 +175,16 @@ impl SepoTable {
     /// Raw per-bucket touch counters, for checkpoint capture at a
     /// quiescent point.
     pub fn touch_counts(&self) -> Vec<u32> {
-        self.touches.iter().map(Relaxed::get).collect()
+        self.buckets.iter().map(|b| b.touches.get()).collect()
     }
 
     /// Roll the per-bucket touch counters back to a checkpointed state
     /// (hard-fault recovery), so contention histograms of a resumed run
     /// match an unkilled one. Panics on a bucket-count mismatch.
     pub fn restore_touches(&self, counts: &[u32]) {
-        assert_eq!(counts.len(), self.touches.len(), "bucket count mismatch");
-        for (t, &c) in self.touches.iter().zip(counts) {
-            t.set(c);
+        assert_eq!(counts.len(), self.buckets.len(), "bucket count mismatch");
+        for (b, &c) in self.buckets.iter().zip(counts) {
+            b.touches.set(c);
         }
     }
 
@@ -174,7 +194,17 @@ impl SepoTable {
 
     #[inline]
     fn touch(&self, bucket: usize) {
-        self.touches[bucket].fetch_add(1);
+        self.buckets[bucket].touches.fetch_add(1);
+    }
+
+    /// The bucket of a key with [`fnv1a`] hash `hash`, and the tagged
+    /// length word ([`entry::tagged_lens`]) its combining or key entry
+    /// carries — both from one [`mix`].
+    #[inline]
+    fn place(&self, key: &[u8], hash: u64) -> (usize, u64) {
+        let mixed = mix(hash);
+        let bucket = bucket_of_mixed(mixed, self.cfg.n_buckets);
+        (bucket, entry::tagged_lens(key.len(), mixed))
     }
 
     /// Logical shadow address of entry `e` for sanitizer declarations:
@@ -190,7 +220,7 @@ impl SepoTable {
 
     #[inline]
     fn head_raw(&self, bucket: usize) -> u64 {
-        self.heads[bucket].observe()
+        self.buckets[bucket].head.observe()
     }
 
     /// Dual link naming the current head of `bucket` (NULL when empty).
@@ -203,13 +233,17 @@ impl SepoTable {
         }
     }
 
-    /// Walk the resident portion of `bucket`'s chain looking for `key`.
-    /// `klen_off`/`key_off` locate the key within an entry of the table's
-    /// organization.
+    /// Walk the resident portion of a bucket's chain looking for `key`,
+    /// whose entry carries the tagged length word `lens` (from
+    /// [`SepoTable::place`]). `klen_off`/`key_off` locate the length word
+    /// and the key within an entry of the table's organization. An entry
+    /// whose length word differs — another length or another tag — is
+    /// rejected without reading or charging its key bytes.
     fn find_resident<C: Charge>(
         &self,
         head_raw: u64,
         key: &[u8],
+        lens: u64,
         klen_off: u32,
         key_off: u32,
         charge: &mut C,
@@ -221,13 +255,12 @@ impl SepoTable {
             // One declaration covers this entry visit (lens, key bytes and
             // next-link reads all land on the entry's shadow cell).
             charge.access(self.shadow_entry(cur), AccessKind::PlainRead);
-            let klen = (self.heap.read_u64(cur, klen_off) & 0xFFFF_FFFF) as usize;
-            if klen == key.len() {
-                self.charge_heap(charge, klen as u64, 1);
-                if self
-                    .heap
-                    .read(DevHandle::new(cur.page(), cur.offset() + key_off), klen)
-                    == key
+            if self.heap.read_u64(cur, klen_off) == lens {
+                self.charge_heap(charge, key.len() as u64, 1);
+                if self.heap.read(
+                    DevHandle::new(cur.page(), cur.offset() + key_off),
+                    key.len(),
+                ) == key
                 {
                     return Some(cur);
                 }
@@ -303,7 +336,7 @@ impl SepoTable {
         e: DevHandle,
         charge: &mut C,
     ) -> Result<(), u64> {
-        match self.heads[bucket].cas_publish(expect, e.to_raw()) {
+        match self.buckets[bucket].head.cas_publish(expect, e.to_raw()) {
             Ok(_) => {
                 charge.access(
                     ShadowAddr::BucketHead(bucket as u32),
@@ -379,7 +412,7 @@ impl SepoTable {
                 self.cfg.organization.label()
             ),
         };
-        let bucket = bucket_for(hash, self.cfg.n_buckets);
+        let (bucket, lens) = self.place(key, hash);
         self.touch(bucket);
         // Hash + bucket lookup + allocator bookkeeping: ~120 scalar ops
         // plus the per-byte hashing/compare work.
@@ -392,7 +425,7 @@ impl SepoTable {
             let head_raw = self.head_raw(bucket);
             charge.access(ShadowAddr::BucketHead(bucket as u32), AccessKind::Atomic);
             if let Some(e) =
-                self.find_resident(head_raw, key, combining::KLEN, combining::KEY, charge)
+                self.find_resident(head_raw, key, lens, combining::KLEN, combining::KEY, charge)
             {
                 // Duplicate: combine atomically via the callback.
                 charge.access(self.shadow_entry(e), AccessKind::Atomic);
@@ -405,7 +438,7 @@ impl SepoTable {
                     // inserting the same key: tombstone the entry so the
                     // host page walk neither misparses nor double-counts it.
                     charge.access(self.shadow_entry(a), AccessKind::PlainWrite);
-                    self.abandon(a, combining::KLEN, key.len() as u64, size);
+                    self.abandon(a, combining::KLEN, lens, size);
                 }
                 return Ok(e);
             }
@@ -420,7 +453,7 @@ impl SepoTable {
             charge.access(self.shadow_entry(e), AccessKind::PlainWrite);
             self.write_next(e, self.head_link(head_raw));
             self.heap.write_u64(e, combining::VALUE, value);
-            self.heap.write_u64(e, combining::KLEN, key.len() as u64);
+            self.heap.write_u64(e, combining::KLEN, lens);
             self.heap
                 .write(DevHandle::new(e.page(), e.offset() + combining::KEY), key);
             match self.publish(bucket, head_raw, e, charge) {
@@ -460,9 +493,9 @@ impl SepoTable {
     /// Resident-side lookup of a combining key's current value (testing and
     /// intra-phase reads; evicted keys are not consulted).
     pub fn lookup_combining<C: Charge>(&self, key: &[u8], charge: &mut C) -> Option<u64> {
-        let bucket = bucket_of(key, self.cfg.n_buckets);
+        let (bucket, lens) = self.place(key, fnv1a(key));
         let head_raw = self.head_raw(bucket);
-        let e = self.find_resident(head_raw, key, combining::KLEN, combining::KEY, charge)?;
+        let e = self.find_resident(head_raw, key, lens, combining::KLEN, combining::KEY, charge)?;
         Some(self.heap.atomic_u64(e, combining::VALUE).observe())
     }
 
@@ -470,12 +503,13 @@ impl SepoTable {
     /// eventual CPU address, used by the access-trace instrumentation of
     /// the Table III experiment.
     pub fn resident_entry_host(&self, key: &[u8]) -> Option<sepo_alloc::HostLink> {
-        let bucket = bucket_of(key, self.cfg.n_buckets);
+        let (bucket, lens) = self.place(key, fnv1a(key));
         let head_raw = self.head_raw(bucket);
         let mut nocharge = gpu_sim::charge::NoCharge;
         let e = self.find_resident(
             head_raw,
             key,
+            lens,
             combining::KLEN,
             combining::KEY,
             &mut nocharge,
@@ -565,7 +599,7 @@ impl SepoTable {
         if !self.cfg.owns_hash(hash) {
             return InsertStatus::Success;
         }
-        let bucket = bucket_for(hash, self.cfg.n_buckets);
+        let (bucket, lens) = self.place(key, hash);
         self.touch(bucket);
         charge.compute(120 + 2 * key.len() as u64 + value.len() as u64 / 4);
         charge.device_bytes(16);
@@ -577,16 +611,11 @@ impl SepoTable {
             let head_raw = self.head_raw(bucket);
             charge.access(ShadowAddr::BucketHead(bucket as u32), AccessKind::Atomic);
             if let Some(k) =
-                self.find_resident(head_raw, key, key_entry::KLEN, key_entry::KEY, charge)
+                self.find_resident(head_raw, key, lens, key_entry::KLEN, key_entry::KEY, charge)
             {
                 if let Some(a) = allocated_key {
                     charge.access(self.shadow_entry(a), AccessKind::PlainWrite);
-                    self.abandon(
-                        a,
-                        key_entry::KLEN,
-                        key.len() as u64,
-                        key_entry::size(key.len()),
-                    );
+                    self.abandon(a, key_entry::KLEN, lens, key_entry::size(key.len()));
                 }
                 return self.append_value(k, group, value, vsize, charge);
             }
@@ -605,7 +634,7 @@ impl SepoTable {
                     // The key entry was carved out but can't be completed;
                     // tombstone it so key-page walks skip the region.
                     charge.access(self.shadow_entry(k), AccessKind::PlainWrite);
-                    self.abandon(k, key_entry::KLEN, key.len() as u64, ksize);
+                    self.abandon(k, key_entry::KLEN, lens, ksize);
                     return InsertStatus::Postponed;
                 }
             };
@@ -624,7 +653,7 @@ impl SepoTable {
             self.heap
                 .write_u64(k, key_entry::VALUE_HOST_CONT, HostLink::NULL.to_raw());
             self.heap.write_u64(k, key_entry::FLAGS, 0);
-            self.heap.write_u64(k, key_entry::KLEN, key.len() as u64);
+            self.heap.write_u64(k, key_entry::KLEN, lens);
             self.heap
                 .write(DevHandle::new(k.page(), k.offset() + key_entry::KEY), key);
             match self.publish(bucket, head_raw, k, charge) {
@@ -796,8 +825,8 @@ mod tests {
         assert!(t.insert_basic(b"k", b"v1", &mut c).is_success());
         assert!(t.insert_basic(b"k", b"v2", &mut c).is_success());
         // Both entries resident: walk the chain by hand through the heap.
-        let bucket = bucket_of(b"k", t.cfg.n_buckets);
-        let head = DevHandle::from_raw(t.heads[bucket].observe());
+        let bucket = crate::hash::bucket_of(b"k", t.cfg.n_buckets);
+        let head = DevHandle::from_raw(t.buckets[bucket].head.observe());
         assert!(!head.is_null());
         let next_raw = t.heap.read_u64(head, entry::NEXT_DEV);
         assert_ne!(next_raw, NULL_RAW, "second entry links to first");
@@ -864,6 +893,91 @@ mod tests {
             .insert_multivalued(b"key", b"another-long-value-xxxx", &mut c)
             .is_success());
         assert_eq!(t.heap.pending_keys(key_page), 1);
+    }
+
+    /// A table whose every key shares one bucket, so each lookup walks
+    /// every entry.
+    fn one_bucket(org: Organization) -> SepoTable {
+        let cfg = TableConfig::new(org)
+            .with_buckets(1)
+            .with_buckets_per_group(1)
+            .with_page_size(1024);
+        SepoTable::new(cfg, 64 * 1024, Arc::new(Metrics::new()))
+    }
+
+    /// Two distinct 16-byte keys whose tagged length words are equal: the
+    /// first collision of a birthday search over 31-bit tags, which comes
+    /// after about 2^16 keys.
+    fn keys_with_one_tag() -> (Vec<u8>, Vec<u8>) {
+        let mut seen = std::collections::HashMap::new();
+        for i in 0u32..1 << 20 {
+            let key = format!("{i:016}").into_bytes();
+            if let Some(other) = seen.insert(entry::key_lens(&key), key.clone()) {
+                return (other, key);
+            }
+        }
+        panic!("no two of 2^20 keys share a tag");
+    }
+
+    #[test]
+    fn keys_sharing_a_tag_stay_exact() {
+        let (a, b) = keys_with_one_tag();
+        assert_ne!(a, b);
+        let mut c = NoCharge;
+
+        let t = one_bucket(Organization::Combining(Combiner::Add));
+        for round in 1..=3 {
+            assert!(t.insert_combining(&a, round, &mut c).is_success());
+            assert!(t.insert_combining(&b, 10 * round, &mut c).is_success());
+        }
+        assert_eq!(t.lookup_combining(&a, &mut c), Some(6));
+        assert_eq!(t.lookup_combining(&b, &mut c), Some(60));
+        t.finalize();
+        let mut got = t.collect_combining();
+        got.sort();
+        assert_eq!(got, vec![(a.clone(), 6), (b.clone(), 60)]);
+
+        let t = one_bucket(Organization::MultiValued);
+        let mut want: Vec<(Vec<u8>, Vec<Vec<u8>>)> = vec![(a, Vec::new()), (b, Vec::new())];
+        for round in 0..3 {
+            for (key, values) in want.iter_mut() {
+                let value = [&key[12..], format!("-{round}").as_bytes()].concat();
+                assert!(t.insert_multivalued(key, &value, &mut c).is_success());
+                values.push(value);
+            }
+        }
+        t.finalize();
+        let mut got = t.collect_multivalued();
+        for (_, values) in got.iter_mut() {
+            values.sort();
+        }
+        got.sort();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_non_matching_hop_charges_its_link_and_no_key_bytes() {
+        let (a, b, absent) = (
+            &b"AAAAAAAAAAAAAAAA"[..],
+            &b"CCCCCCCCCCCCCCCC"[..],
+            &b"GGGGGGGGGGGGGGGG"[..],
+        );
+        let tags = [a, b, absent].map(entry::key_lens);
+        assert!(tags[0] != tags[1] && tags[1] != tags[2] && tags[0] != tags[2]);
+        let t = one_bucket(Organization::Combining(Combiner::Add));
+        assert!(t.insert_combining(a, 1, &mut NoCharge).is_success());
+        assert!(t.insert_combining(b, 2, &mut NoCharge).is_success());
+        // The chain is b -> a. Finding a passes b's entry on its length word.
+        let m = Metrics::new();
+        assert_eq!(t.lookup_combining(a, &mut MetricsCharge(&m)), Some(1));
+        let s = m.snapshot();
+        assert_eq!(s.chain_hops, 2);
+        assert_eq!(s.device_bytes, 2 * 16 + a.len() as u64);
+        // A miss reads two links and no key byte.
+        let m = Metrics::new();
+        assert_eq!(t.lookup_combining(absent, &mut MetricsCharge(&m)), None);
+        let s = m.snapshot();
+        assert_eq!((s.chain_hops, s.device_bytes), (2, 2 * 16));
     }
 
     #[test]
