@@ -19,7 +19,7 @@ use crate::layout::DevHandle;
 use gpu_sim::charge::{Charge, MetricsCharge};
 use gpu_sim::metrics::Counter;
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use gpu_sim::sync::{Published, Relaxed};
 use std::sync::Arc;
 
 /// Which of a group's current pages an allocation draws from.
@@ -36,25 +36,30 @@ pub enum PageClass {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Postpone;
 
-const NO_PAGE: u32 = u32::MAX;
+const NO_PAGE: u64 = u64::MAX;
 
 #[derive(Debug)]
 struct Group {
-    current: [AtomicU32; 2],
-    failed: AtomicBool,
+    /// The page each [`PageClass`] bumps, or `NO_PAGE`. Published: it
+    /// hands a page this group's lanes did not acquire themselves, and a
+    /// lane that observes it must see the page's reset metadata.
+    current: [Published; 2],
+    /// 1 once an allocation of this iteration was postponed. Relaxed: a
+    /// flag whose first setter counts the group in `failed_count`.
+    failed: Relaxed<u8>,
     /// Successful allocations served by this group — each one an atomic
     /// bump on the group's current-page pointer, the location the paper
     /// distributes load over (§IV-A). Feeds the allocator-contention
-    /// histogram.
-    allocs: std::sync::atomic::AtomicU64,
+    /// histogram. Relaxed: a statistics counter.
+    allocs: Relaxed<u64>,
 }
 
 impl Group {
     fn new() -> Self {
         Group {
-            current: [AtomicU32::new(NO_PAGE), AtomicU32::new(NO_PAGE)],
-            failed: AtomicBool::new(false),
-            allocs: std::sync::atomic::AtomicU64::new(0),
+            current: [Published::new(NO_PAGE), Published::new(NO_PAGE)],
+            failed: Relaxed::new(0),
+            allocs: Relaxed::new(0),
         }
     }
 }
@@ -64,7 +69,9 @@ impl Group {
 pub struct GroupAllocator {
     heap: Arc<Heap>,
     groups: Box<[Group]>,
-    failed_count: AtomicUsize,
+    /// Groups whose `failed` flag is set. Relaxed: the halt policy reads
+    /// it between launches.
+    failed_count: Relaxed<u32>,
     /// Kind stamped on Primary-class pages (Mixed for basic/combining,
     /// Key for multi-valued).
     primary_kind: PageKind,
@@ -79,7 +86,7 @@ impl GroupAllocator {
         GroupAllocator {
             heap,
             groups: (0..n_groups).map(|_| Group::new()).collect(),
-            failed_count: AtomicUsize::new(0),
+            failed_count: Relaxed::new(0),
             primary_kind,
         }
     }
@@ -131,24 +138,25 @@ impl GroupAllocator {
         // fresh page, or observes pool exhaustion. A small bound guarantees
         // kernel-side termination even under pathological races.
         for _ in 0..16 {
-            let cur = slot.load(Ordering::Acquire);
+            let cur = slot.observe();
             if cur == NO_PAGE {
                 match self.install_fresh(slot, NO_PAGE, class) {
                     Some(_) => continue,
                     None => return self.postpone(g),
                 }
             }
-            if let Some(offset) = self.heap.bump(cur, size) {
+            let page = cur as u32;
+            if let Some(offset) = self.heap.bump(page, size) {
                 charge.access(
-                    ShadowAddr::HeapCursor(self.heap.host_id(cur)),
+                    ShadowAddr::HeapCursor(self.heap.host_id(page)),
                     AccessKind::Atomic,
                 );
-                g.allocs.fetch_add(1, Ordering::Relaxed); // statistics counter
+                g.allocs.fetch_add(1);
                 let mut heap_charge = MetricsCharge(self.heap.metrics());
                 heap_charge.add(Counter::AllocSuccess, 1);
                 // Touching the page's bump word is one irregular access.
                 heap_charge.device_bytes(8);
-                return Ok(DevHandle::new(cur, offset));
+                return Ok(DevHandle::new(page, offset));
             }
             // Current page full: swap in a fresh one.
             match self.install_fresh(slot, cur, class) {
@@ -161,12 +169,12 @@ impl GroupAllocator {
 
     /// Try to replace `expect` in `slot` with a freshly acquired page.
     /// Returns the page now in the slot, or `None` on pool exhaustion.
-    fn install_fresh(&self, slot: &AtomicU32, expect: u32, class: PageClass) -> Option<u32> {
+    fn install_fresh(&self, slot: &Published, expect: u64, class: PageClass) -> Option<u64> {
         let fresh = match self.heap.acquire_page(self.kind_for(class)) {
             Some(p) => p,
             None => {
                 // Pool dry. If a peer already swapped in a new page, use it.
-                let now = slot.load(Ordering::Acquire);
+                let now = slot.observe();
                 return if now != expect && now != NO_PAGE {
                     Some(now)
                 } else {
@@ -174,8 +182,12 @@ impl GroupAllocator {
                 };
             }
         };
-        match slot.compare_exchange(expect, fresh, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => Some(fresh),
+        // `Release` on success publishes the page this lane just reset.
+        // Nothing is read through the word it replaces (a full page is
+        // abandoned, `NO_PAGE` names none), so the success half needs no
+        // `Acquire`; a failed install observes the winner's page.
+        match slot.cas_publish(expect, fresh as u64) {
+            Ok(_) => Some(fresh as u64),
             Err(other) => {
                 // Lost the race; hand the page back untouched.
                 self.heap.release_page(fresh);
@@ -189,8 +201,8 @@ impl GroupAllocator {
     }
 
     fn postpone(&self, g: &Group) -> Result<DevHandle, Postpone> {
-        if !g.failed.swap(true, Ordering::Relaxed) {
-            self.failed_count.fetch_add(1, Ordering::Relaxed);
+        if g.failed.fetch_or(1) == 0 {
+            self.failed_count.fetch_add(1);
         }
         MetricsCharge(self.heap.metrics()).add(Counter::AllocPostponed, 1);
         Err(Postpone)
@@ -199,36 +211,28 @@ impl GroupAllocator {
     /// Fraction of bucket groups whose allocations are currently being
     /// postponed — the basic method's halt signal (§IV-C).
     pub fn fraction_failed(&self) -> f64 {
-        self.failed_count.load(Ordering::Relaxed) as f64 / self.groups.len() as f64
-    }
-
-    /// Number of failed groups.
-    pub fn failed_groups(&self) -> usize {
-        self.failed_count.load(Ordering::Relaxed)
+        self.failed_count.get() as f64 / self.groups.len() as f64
     }
 
     /// Start a new iteration: forget failure flags and detach all current
     /// pages (after eviction the pages they referenced were released; kept
     /// pages simply stop receiving new allocations, accepting a little
-    /// fragmentation as the paper does).
+    /// fragmentation as the paper does). Quiescent: between iterations.
     pub fn reset_iteration(&self) {
         for g in self.groups.iter() {
-            g.failed.store(false, Ordering::Relaxed);
+            g.failed.set(0);
             for slot in &g.current {
-                slot.store(NO_PAGE, Ordering::Relaxed);
+                slot.set(NO_PAGE);
             }
         }
-        self.failed_count.store(0, Ordering::Relaxed);
+        self.failed_count.set(0);
     }
 
     /// Successful allocations per group — the update profile of the
     /// allocator's distributed bump pointers. A MapCG-style central
     /// allocator is the degenerate single-group case.
     pub fn alloc_counts(&self) -> Vec<u64> {
-        self.groups
-            .iter()
-            .map(|g| g.allocs.load(Ordering::Relaxed))
-            .collect()
+        self.groups.iter().map(|g| g.allocs.get()).collect()
     }
 
     /// Roll the per-group allocation counters back to a checkpointed state
@@ -238,14 +242,8 @@ impl GroupAllocator {
     pub fn restore_alloc_counts(&self, counts: &[u64]) {
         assert_eq!(counts.len(), self.groups.len(), "group count mismatch");
         for (g, &c) in self.groups.iter().zip(counts) {
-            g.allocs.store(c, Ordering::Relaxed);
+            g.allocs.set(c);
         }
-    }
-
-    /// Current page of `group` for `class`, if any (stats/eviction use).
-    pub fn current_page(&self, group: usize, class: PageClass) -> Option<u32> {
-        let p = self.groups[group].current[class as usize].load(Ordering::Acquire);
-        (p != NO_PAGE).then_some(p)
     }
 }
 
@@ -264,14 +262,18 @@ mod tests {
         (heap, ga)
     }
 
+    fn primary_page(ga: &GroupAllocator, group: usize) -> u64 {
+        ga.groups[group].current[PageClass::Primary as usize].get()
+    }
+
     #[test]
     fn first_alloc_installs_a_page() {
         let (heap, ga) = setup(4, 1024, 2);
         let h = ga.alloc(0, PageClass::Primary, 64).unwrap();
         assert_eq!(h.offset(), 0);
         assert_eq!(heap.free_pages(), 3);
-        assert!(ga.current_page(0, PageClass::Primary).is_some());
-        assert!(ga.current_page(1, PageClass::Primary).is_none());
+        assert_ne!(primary_page(&ga, 0), NO_PAGE);
+        assert_eq!(primary_page(&ga, 1), NO_PAGE);
     }
 
     #[test]
@@ -297,11 +299,10 @@ mod tests {
         assert_eq!(ga.fraction_failed(), 0.0);
         // Page full, pool empty => postpone.
         assert_eq!(ga.alloc(0, PageClass::Primary, 600), Err(Postpone));
-        assert_eq!(ga.failed_groups(), 1);
         assert_eq!(ga.fraction_failed(), 0.5);
         // Repeat failure doesn't double-count.
         assert_eq!(ga.alloc(0, PageClass::Primary, 600), Err(Postpone));
-        assert_eq!(ga.failed_groups(), 1);
+        assert_eq!(ga.fraction_failed(), 0.5);
     }
 
     #[test]
@@ -319,14 +320,14 @@ mod tests {
         let (heap, ga) = setup(1, 1024, 1);
         ga.alloc(0, PageClass::Primary, 600).unwrap();
         let _ = ga.alloc(0, PageClass::Primary, 600);
-        assert_eq!(ga.failed_groups(), 1);
+        assert_eq!(ga.fraction_failed(), 1.0);
         // Simulate eviction: release all resident pages, then reset.
         for p in heap.resident_pages() {
             heap.release_page(p);
         }
         ga.reset_iteration();
-        assert_eq!(ga.failed_groups(), 0);
-        assert!(ga.current_page(0, PageClass::Primary).is_none());
+        assert_eq!(ga.fraction_failed(), 0.0);
+        assert_eq!(primary_page(&ga, 0), NO_PAGE);
         assert!(ga.alloc(0, PageClass::Primary, 600).is_ok());
     }
 

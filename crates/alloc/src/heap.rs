@@ -3,7 +3,7 @@
 //! Reproduces the allocator of §IV-A: "The dynamic memory allocator … uses a
 //! heap that is pre-allocated in GPU memory. The heap is partitioned into
 //! pages, from which allocation requests are serviced." Pages are acquired
-//! from a free pool, bump-allocated with a single atomic `fetch_add` (the
+//! from a free pool, bump-allocated with one atomic bounded add (the
 //! per-page "free-list pointer" the paper distributes contention over), and
 //! returned to the pool when the SEPO driver evicts them to CPU memory.
 //!
@@ -20,7 +20,7 @@
 //! through raw pointers derived from it. Soundness rests on two invariants:
 //!
 //! 1. **Disjointness** — `bump` hands out non-overlapping `[offset,
-//!    offset+len)` ranges within a page (it is a monotone `fetch_add`), and
+//!    offset+len)` ranges within a page (a monotone bounded add), and
 //!    pages are disjoint by construction. Plain writes target only the range
 //!    returned by the caller's own allocation.
 //! 2. **Publication** — entry bytes are fully written *before* the entry is
@@ -29,14 +29,17 @@
 //!    mutated after publication (combine values, value-chain heads) are
 //!    accessed exclusively through the `&Published` cell obtained from
 //!    [`Heap::atomic_u64`], never through plain reads.
+//!
+//! Every shared word of the heap's own bookkeeping is a
+//! [`gpu_sim::sync`] cell whose protocol its field states; quiescent code
+//! (snapshot, restore, loading a saved table) uses the cells' `get`/`set`.
 
 use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE};
 use gpu_sim::metrics::Metrics;
-use gpu_sim::sync::Published;
+use gpu_sim::sync::{Published, Relaxed};
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a page currently stores. The *multi-valued* organization keeps keys
@@ -65,7 +68,7 @@ impl PageKind {
         }
     }
 
-    /// The byte this kind is persisted as (`SEPOHST2` / `SEPOCKP4` page
+    /// The byte this kind is persisted as (`SEPOHST3` / `SEPOCKP5` page
     /// records).
     pub fn tag(self) -> u8 {
         self as u8
@@ -90,30 +93,30 @@ const NO_HOST_ID: u64 = u64::MAX;
 /// Per-page metadata.
 #[derive(Debug)]
 pub struct PageMeta {
-    /// Bump offset: next free byte. May overshoot `page_size` when
-    /// concurrent allocations race past the end; overshoot simply means
-    /// "full".
-    head: AtomicU32,
+    /// Bump offset: the next free byte, never past the page end. Relaxed:
+    /// the range a bump grants is its caller's own until a bucket head
+    /// publishes the entry written there.
+    head: Relaxed<u32>,
     /// Host page id stamped at acquisition; `NO_HOST_ID` when free.
+    /// Published: a lane that observes the id sees the page's reset
+    /// metadata.
     host_id: Published,
-    /// Current [`PageKind`] as `u8`.
-    kind: std::sync::atomic::AtomicU8,
+    /// Current [`PageKind`] as `u8`. Relaxed: written before the host id
+    /// publishes the page, and read by lanes that observed that id.
+    kind: Relaxed<u8>,
     /// Count of *pending* keys on this page (multi-valued: keys that still
     /// have values to insert, which pin the page on the device, §IV-C).
-    pending_keys: AtomicU32,
-    /// Set when the SEPO driver decides to keep this page resident across
-    /// an iteration boundary.
-    kept: AtomicBool,
+    /// Relaxed: a counter read at the boundary, after the launches joined.
+    pending_keys: Relaxed<u32>,
 }
 
 impl PageMeta {
     fn new() -> Self {
         PageMeta {
-            head: AtomicU32::new(0),
+            head: Relaxed::new(0),
             host_id: Published::new(NO_HOST_ID),
-            kind: std::sync::atomic::AtomicU8::new(PageKind::Free as u8),
-            pending_keys: AtomicU32::new(0),
-            kept: AtomicBool::new(false),
+            kind: Relaxed::new(PageKind::Free as u8),
+            pending_keys: Relaxed::new(0),
         }
     }
 }
@@ -124,15 +127,18 @@ pub struct Heap {
     page_size: usize,
     pages: Box<[PageMeta]>,
     pool: Mutex<Vec<u32>>,
-    next_host_id: AtomicU64,
+    /// Next host id to stamp. Relaxed: each `fetch_add` hands out a unique
+    /// id, and the page's own `host_id` publishes it.
+    next_host_id: Relaxed<u64>,
     /// Bytes allocated but abandoned (lost CAS races, partial iterations);
     /// the fragmentation the paper trades against allocator scalability.
-    wasted: AtomicU64,
-    acquired_total: AtomicU64,
+    /// Relaxed, like `acquired_total`: statistics counters.
+    wasted: Relaxed<u64>,
+    acquired_total: Relaxed<u64>,
     metrics: Arc<Metrics>,
 }
 
-// SAFETY: all shared mutation goes through atomics or through disjoint
+// SAFETY: all shared mutation goes through atomic cells or through disjoint
 // ranges handed out by the bump allocator (see module docs).
 unsafe impl Send for Heap {}
 unsafe impl Sync for Heap {}
@@ -148,7 +154,7 @@ impl std::fmt::Debug for Heap {
 }
 
 /// One resident page inside a [`HeapSnapshot`]: its full physical identity
-/// (index, host id, kind, flags, bump head) plus the used prefix of its
+/// (index, host id, kind, pending keys, bump head) plus the used prefix of its
 /// bytes. Capturing raw values — not re-derived ones — is what lets a
 /// restore reproduce the device heap *exactly*, so links embedded in
 /// evicted entry bytes stay valid and a resumed run replays byte-identically.
@@ -160,8 +166,6 @@ pub struct ResidentPage {
     pub host_id: u64,
     /// Page kind at capture time.
     pub kind: PageKind,
-    /// Kept-resident flag (multi-valued pages pinned across boundaries).
-    pub kept: bool,
     /// Pending-key count (multi-valued).
     pub pending_keys: u32,
     /// Raw bump head at capture time.
@@ -226,9 +230,9 @@ impl Heap {
             page_size,
             pages,
             pool,
-            next_host_id: AtomicU64::new(0),
-            wasted: AtomicU64::new(0),
-            acquired_total: AtomicU64::new(0),
+            next_host_id: Relaxed::new(0),
+            wasted: Relaxed::new(0),
+            acquired_total: Relaxed::new(0),
             metrics,
         }
     }
@@ -266,15 +270,12 @@ impl Heap {
         debug_assert!(kind != PageKind::Free);
         let page = self.pool.lock().pop()?;
         let meta = &self.pages[page as usize];
-        let host_id = self.next_host_id.fetch_add(1, Ordering::Relaxed);
-        meta.head.store(0, Ordering::Relaxed);
-        meta.pending_keys.store(0, Ordering::Relaxed);
-        meta.kept.store(false, Ordering::Relaxed);
-        meta.kind.store(kind as u8, Ordering::Relaxed);
-        // Published so that threads that learn of this page (via the
-        // group's current-page pointer) observe the reset metadata.
+        let host_id = self.next_host_id.fetch_add(1);
+        meta.head.set(0);
+        meta.pending_keys.set(0);
+        meta.kind.set(kind as u8);
         meta.host_id.publish(host_id);
-        self.acquired_total.fetch_add(1, Ordering::Relaxed);
+        self.acquired_total.fetch_add(1);
         Some(page)
     }
 
@@ -283,20 +284,20 @@ impl Heap {
     /// [`Heap::link_is_live`] detects via the host-id stamp.
     pub fn release_page(&self, page: u32) {
         let meta = &self.pages[page as usize];
-        let used = meta.head.load(Ordering::Relaxed).min(self.page_size as u32);
+        let used = meta.head.get().min(self.page_size as u32);
         let waste = self.page_size as u32 - used;
-        self.wasted.fetch_add(waste as u64, Ordering::Relaxed);
+        self.wasted.fetch_add(waste as u64);
         // Quiescent, or a page the releasing lane never published.
         meta.host_id.set(NO_HOST_ID);
-        meta.kind.store(PageKind::Free as u8, Ordering::Relaxed);
-        meta.head.store(0, Ordering::Relaxed);
+        meta.kind.set(PageKind::Free as u8);
+        meta.head.set(0);
         self.pool.lock().push(page);
     }
 
     /// Bump-allocate `size` bytes on `page`. Returns the offset, or `None`
-    /// if the page is full. Lock-free CAS loop: the head never overshoots
-    /// the page size, so `page_used` is always the exact extent of valid
-    /// entries — page-walking eviction depends on that.
+    /// if the page is full. The head never overshoots the page size, so
+    /// `page_used` is always the exact extent of valid entries —
+    /// page-walking eviction depends on that.
     pub fn bump(&self, page: u32, size: usize) -> Option<u32> {
         let size = align_up(size);
         if size > self.page_size {
@@ -305,22 +306,9 @@ impl Heap {
             // progress check produces a diagnosable abort.
             return None;
         }
-        let meta = &self.pages[page as usize];
-        let mut old = meta.head.load(Ordering::Relaxed);
-        loop {
-            if old as usize + size > self.page_size {
-                return None;
-            }
-            match meta.head.compare_exchange_weak(
-                old,
-                old + size as u32,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(old),
-                Err(cur) => old = cur,
-            }
-        }
+        self.pages[page as usize]
+            .head
+            .fetch_add_within(size as u32, self.page_size as u32)
     }
 
     // ------------------------------------------------------------------
@@ -336,13 +324,13 @@ impl Heap {
     /// Kind of `page`.
     #[inline]
     pub fn page_kind(&self, page: u32) -> PageKind {
-        PageKind::from_u8(self.pages[page as usize].kind.load(Ordering::Relaxed))
+        PageKind::from_u8(self.pages[page as usize].kind.get())
     }
 
     /// Bytes bump-allocated on `page`, clamped to the page size.
     #[inline]
     pub fn page_used(&self, page: u32) -> usize {
-        (self.pages[page as usize].head.load(Ordering::Relaxed) as usize).min(self.page_size)
+        (self.pages[page as usize].head.get() as usize).min(self.page_size)
     }
 
     /// The dual-pointer link naming the entry at `dev` under the page's
@@ -370,39 +358,19 @@ impl Heap {
     /// this page has values that could not yet be inserted).
     #[inline]
     pub fn add_pending_key(&self, page: u32) {
-        self.pages[page as usize]
-            .pending_keys
-            .fetch_add(1, Ordering::Relaxed);
+        self.pages[page as usize].pending_keys.fetch_add(1);
     }
 
     /// Pending-key count of `page`.
     #[inline]
     pub fn pending_keys(&self, page: u32) -> u32 {
-        self.pages[page as usize]
-            .pending_keys
-            .load(Ordering::Relaxed)
+        self.pages[page as usize].pending_keys.get()
     }
 
     /// Clear the pending-key count of `page` (start of a new iteration).
     #[inline]
     pub fn clear_pending_keys(&self, page: u32) {
-        self.pages[page as usize]
-            .pending_keys
-            .store(0, Ordering::Relaxed);
-    }
-
-    /// Mark/unmark `page` as kept across the iteration boundary.
-    #[inline]
-    pub fn set_kept(&self, page: u32, kept: bool) {
-        self.pages[page as usize]
-            .kept
-            .store(kept, Ordering::Relaxed);
-    }
-
-    /// Is `page` marked kept?
-    #[inline]
-    pub fn is_kept(&self, page: u32) -> bool {
-        self.pages[page as usize].kept.load(Ordering::Relaxed)
+        self.pages[page as usize].pending_keys.set(0);
     }
 
     /// Pages that are currently resident (not free), in index order.
@@ -416,7 +384,7 @@ impl Heap {
     /// losing an insert race).
     #[inline]
     pub fn note_waste(&self, bytes: u64) {
-        self.wasted.fetch_add(bytes, Ordering::Relaxed);
+        self.wasted.fetch_add(bytes);
     }
 
     /// Aggregate statistics.
@@ -431,8 +399,8 @@ impl Heap {
             total_pages: self.pages.len(),
             free_pages: free,
             used_bytes,
-            wasted_bytes: self.wasted.load(Ordering::Relaxed),
-            pages_acquired: self.acquired_total.load(Ordering::Relaxed),
+            wasted_bytes: self.wasted.get(),
+            pages_acquired: self.acquired_total.get(),
         }
     }
 
@@ -511,14 +479,17 @@ impl Heap {
 
     /// Ensure future host ids start at or beyond `min` (restoring a saved
     /// table must not reuse ids its stored pages already occupy).
+    /// Quiescent: called while a saved table loads, before any launch.
     pub fn advance_host_ids(&self, min: u64) {
-        self.next_host_id.fetch_max(min, Ordering::Relaxed);
+        if self.next_host_id.get() < min {
+            self.next_host_id.set(min);
+        }
     }
 
     /// Reserve `n` consecutive host ids for pages built on the host (host
     /// compaction) and return the first. No device page ever carries them.
     pub fn reserve_host_ids(&self, n: u64) -> u64 {
-        self.next_host_id.fetch_add(n, Ordering::Relaxed)
+        self.next_host_id.fetch_add(n)
     }
 
     /// Load a host page image back onto the device (the lookup phase's
@@ -538,9 +509,7 @@ impl Heap {
             self.write(DevHandle::new(page, 0), data);
             // `bump` aligns up; clamp the head to the exact image length so
             // entry walks stop at the true end.
-            self.pages[page as usize]
-                .head
-                .store(data.len() as u32, Ordering::Relaxed);
+            self.pages[page as usize].head.set(data.len() as u32);
         }
         Some(page)
     }
@@ -557,11 +526,10 @@ impl Heap {
                 let meta = &self.pages[p as usize];
                 ResidentPage {
                     index: p,
-                    host_id: meta.host_id.observe(),
+                    host_id: meta.host_id.get(),
                     kind: self.page_kind(p),
-                    kept: meta.kept.load(Ordering::Relaxed),
-                    pending_keys: meta.pending_keys.load(Ordering::Relaxed),
-                    head: meta.head.load(Ordering::Relaxed),
+                    pending_keys: meta.pending_keys.get(),
+                    head: meta.head.get(),
                     data: self.page_data(p),
                 }
             })
@@ -570,9 +538,9 @@ impl Heap {
             page_size: self.page_size,
             total_pages: self.pages.len(),
             pool,
-            next_host_id: self.next_host_id.load(Ordering::Relaxed),
-            wasted: self.wasted.load(Ordering::Relaxed),
-            acquired_total: self.acquired_total.load(Ordering::Relaxed),
+            next_host_id: self.next_host_id.get(),
+            wasted: self.wasted.get(),
+            acquired_total: self.acquired_total.get(),
             resident,
         }
     }
@@ -593,10 +561,9 @@ impl Heap {
             "snapshot page count mismatch"
         );
         for meta in self.pages.iter() {
-            meta.head.store(0, Ordering::Relaxed);
-            meta.pending_keys.store(0, Ordering::Relaxed);
-            meta.kept.store(false, Ordering::Relaxed);
-            meta.kind.store(PageKind::Free as u8, Ordering::Relaxed);
+            meta.head.set(0);
+            meta.pending_keys.set(0);
+            meta.kind.set(PageKind::Free as u8);
             meta.host_id.set(NO_HOST_ID);
         }
         for p in &s.resident {
@@ -612,17 +579,15 @@ impl Heap {
                     );
                 }
             }
-            meta.head.store(p.head, Ordering::Relaxed);
-            meta.pending_keys.store(p.pending_keys, Ordering::Relaxed);
-            meta.kept.store(p.kept, Ordering::Relaxed);
-            meta.kind.store(p.kind as u8, Ordering::Relaxed);
-            meta.host_id.publish(p.host_id);
+            meta.head.set(p.head);
+            meta.pending_keys.set(p.pending_keys);
+            meta.kind.set(p.kind as u8);
+            meta.host_id.set(p.host_id);
         }
         *self.pool.lock() = s.pool.clone();
-        self.next_host_id.store(s.next_host_id, Ordering::Relaxed);
-        self.wasted.store(s.wasted, Ordering::Relaxed);
-        self.acquired_total
-            .store(s.acquired_total, Ordering::Relaxed);
+        self.next_host_id.set(s.next_host_id);
+        self.wasted.set(s.wasted);
+        self.acquired_total.set(s.acquired_total);
     }
 
     /// Snapshot the used prefix of `page` (for eviction to the host store).
@@ -800,7 +765,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_keys_and_kept_flags() {
+    fn pending_keys_count_and_clear() {
         let h = heap(1, 1024);
         let p = h.acquire_page(PageKind::Key).unwrap();
         assert_eq!(h.pending_keys(p), 0);
@@ -809,9 +774,6 @@ mod tests {
         assert_eq!(h.pending_keys(p), 2);
         h.clear_pending_keys(p);
         assert_eq!(h.pending_keys(p), 0);
-        assert!(!h.is_kept(p));
-        h.set_kept(p, true);
-        assert!(h.is_kept(p));
     }
 
     #[test]
@@ -883,7 +845,6 @@ mod tests {
         h.bump(b, 8).unwrap();
         h.write(DevHandle::new(b, 0), b"keypage!");
         h.add_pending_key(b);
-        h.set_kept(b, true);
         h.note_waste(13);
         let snap = h.snapshot();
 
@@ -899,7 +860,6 @@ mod tests {
         assert_eq!(h.read(DevHandle::new(a, off), 16), b"checkpointed-a!!");
         assert_eq!(h.page_kind(b), PageKind::Key);
         assert_eq!(h.pending_keys(b), 1);
-        assert!(h.is_kept(b));
         assert_eq!(h.stats().wasted_bytes, 13);
     }
 

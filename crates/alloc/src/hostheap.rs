@@ -188,7 +188,7 @@ impl StampedPage {
         Ok(VerifiedPage(self.clone()))
     }
 
-    /// Write the page record shared by the `SEPOHST2` and `SEPOCKP4`
+    /// Write the page record shared by the `SEPOHST3` and `SEPOCKP5`
     /// formats: `host_id u64, kind u8, crc u32, len u32, bytes`,
     /// little-endian.
     pub fn write_record<W: Write>(&self, w: &mut W) -> io::Result<()> {
@@ -387,17 +387,17 @@ mod tests {
         let mut buf = Vec::new();
         page.write_record(&mut buf).unwrap();
         assert_eq!(buf.len(), 8 + 1 + 4 + 4 + b"payload".len());
-        let back = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST2").unwrap();
+        let back = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST3").unwrap();
         assert_eq!(back, page);
         *buf.last_mut().unwrap() ^= 1;
-        let err = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST2").unwrap_err();
+        let err = StampedPage::read_record(&mut buf.as_slice(), "SEPOHST3").unwrap_err();
         assert_eq!(
             err.to_string(),
-            "SEPOHST2 image: host page 3 failed checksum verification"
+            "SEPOHST3 image: host page 3 failed checksum verification"
         );
-        let err = StampedPage::read_record(&mut &buf[..10], "SEPOCKP4").unwrap_err();
+        let err = StampedPage::read_record(&mut &buf[..10], "SEPOCKP5").unwrap_err();
         assert!(
-            err.to_string().contains("truncated SEPOCKP4 image"),
+            err.to_string().contains("truncated SEPOCKP5 image"),
             "{err}"
         );
     }

@@ -12,11 +12,12 @@
 //! * [`HostLink`] — `(host_page_id, offset)`: addresses the entry *forever*.
 //!   Every acquisition of a device page stamps it with a fresh, globally
 //!   unique host page id — the identity under which that page's bytes will
-//!   eventually live in CPU memory. Host ids are monotonically increasing,
-//!   which gives the residency test used during kernel chain walks: an
-//!   entry is resident iff its host id is at least the first id issued in
-//!   the current iteration (for organizations that evict wholesale), or iff
-//!   its page is marked kept (multi-valued).
+//!   eventually live in CPU memory. Host ids are never reused, which gives
+//!   the residency test used during kernel chain walks: an entry is
+//!   resident iff its device page still carries the host id the link was
+//!   created under ([`Heap::link_is_live`](crate::Heap::link_is_live)),
+//!   whether the page was filled this iteration or kept resident across a
+//!   boundary (multi-valued).
 //!
 //! A stored [`Link`] is simply the pair. All entry offsets are 8-byte
 //! aligned; page sizes are capped at 2^[`OFFSET_BITS`] bytes so offsets pack

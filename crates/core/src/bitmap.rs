@@ -112,11 +112,6 @@ impl Bitmap {
             w.set(v);
         }
     }
-
-    /// Are all bits set?
-    pub fn all_set(&self) -> bool {
-        self.count_set() == self.len
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +146,7 @@ mod tests {
         for i in 0..70 {
             b.set(i);
         }
-        assert!(b.all_set());
+        assert_eq!(b.count_set(), b.len());
         assert!(b.unset_indices().is_empty());
     }
 
@@ -159,7 +154,7 @@ mod tests {
     fn empty_bitmap() {
         let b = Bitmap::new(0);
         assert!(b.is_empty());
-        assert!(b.all_set());
+        assert_eq!(b.count_set(), 0);
         assert!(b.unset_indices().is_empty());
     }
 
@@ -198,7 +193,7 @@ mod tests {
                 });
             }
         });
-        assert!(b.all_set());
+        assert_eq!(b.count_set(), b.len());
     }
 
     #[test]

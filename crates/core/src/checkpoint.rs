@@ -20,7 +20,7 @@
 //! `DeviceLost` re-fire at the same draw and kill the run forever.
 //!
 //! On disk a checkpoint is one `SEPOCKS3` file ([`CheckpointFile`])
-//! holding one `SEPOCKP4` section per shard; a one-device run writes a
+//! holding one `SEPOCKP5` section per shard; a one-device run writes a
 //! one-section file. Each shard's driver replaces its own section at every
 //! boundary, and resume reads every section back with
 //! [`CheckpointFile::read`]. A section of length 0 belongs to a shard that
@@ -31,14 +31,14 @@
 //! ```text
 //! magic        8 bytes  "SEPOCKS3"
 //! shard count  u32
-//! sections     per shard: len u32, len bytes of SEPOCKP4 section
+//! sections     per shard: len u32, len bytes of SEPOCKP5 section
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
-//! Section layout (`SEPOCKP4`, little-endian):
+//! Section layout (`SEPOCKP5`, little-endian):
 //!
 //! ```text
-//! magic        8 bytes  "SEPOCKP4"
+//! magic        8 bytes  "SEPOCKP5"
 //! iteration    u32      completed iterations at capture
 //! fault_stalls u32      consecutive fault-stalled iterations
 //! n_tasks      u64
@@ -56,9 +56,9 @@
 //! device heap  page_size/next_host_id/wasted/acquired u64,
 //!              total_pages u32, pool u32 count + u32 x n,
 //!              resident u32 count, per page:
-//!              index/pending/head u32, host_id u64, kind u8, kept u8,
+//!              index/pending/head u32, host_id u64, kind u8,
 //!              len u32, bytes
-//! host pages   u32 count, per page the `SEPOHST2` page record: id u64,
+//! host pages   u32 count, per page the `SEPOHST3` page record: id u64,
 //!              kind u8, crc u32, len u32, bytes — crc is the CRC32C stamp
 //!              the page carried at eviction, re-verified against the
 //!              bytes at load
@@ -70,8 +70,9 @@
 //! in their length words ([`tagged_lens`](crate::entry::tagged_lens)).
 //! A `SEPOCKP3` section predates the tags; its resident entries would
 //! match no chain walk, and a run resumed from it would insert every
-//! resident key a second time, so it is refused as not a `SEPOCKP4` image.
-//! The file layout around the sections did not change.
+//! resident key a second time. A `SEPOCKP4` section carries a per-page
+//! kept byte that nothing read. Both are refused as not a `SEPOCKP5`
+//! image. The file layout around the sections did not change.
 //!
 //! Both trailers are verified against their whole image *before* any
 //! structural parsing, so any single flipped bit anywhere in a checkpoint
@@ -85,7 +86,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::integrity;
-use crate::persist::{append_trailer, verify_trailer};
+use crate::persist::{append_trailer, verify_trailer, wrong_magic};
 use crate::sepo::IterationStats;
 use crate::table::SepoTable;
 use gpu_sim::metrics::{Counter, Snapshot};
@@ -97,8 +98,8 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOCKP4";
-const MAGIC_NAME: &str = "SEPOCKP4";
+const MAGIC: &[u8; 8] = b"SEPOCKP5";
+const MAGIC_NAME: &str = "SEPOCKP5";
 const FILE_MAGIC: &[u8; 8] = b"SEPOCKS3";
 const FILE_MAGIC_NAME: &str = "SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
@@ -171,7 +172,7 @@ impl CheckpointPolicy {
 }
 
 /// The writer behind [`CheckpointPolicy::Disk`]: one `SEPOCKS3` file
-/// holding every shard's latest boundary checkpoint as a `SEPOCKP4`
+/// holding every shard's latest boundary checkpoint as a `SEPOCKP5`
 /// section (one section for a one-device run).
 ///
 /// Shard drivers run concurrently, so updates serialize behind a mutex;
@@ -369,7 +370,7 @@ impl Checkpoint {
         self.n_tasks
     }
 
-    /// Exact size in bytes of this checkpoint's `SEPOCKP4` section — the
+    /// Exact size in bytes of this checkpoint's `SEPOCKP5` section — the
     /// footprint [`crate::RecoveryStats::checkpoint_bytes`] reports. Sized
     /// by the code that writes the image, into a sink that only counts (no
     /// page byte is read).
@@ -380,7 +381,7 @@ impl Checkpoint {
         count.0 + 4 // whole-image checksum trailer
     }
 
-    /// The `SEPOCKP4` image: the body followed by a CRC32C trailer over
+    /// The `SEPOCKP5` image: the body followed by a CRC32C trailer over
     /// every preceding byte.
     fn image(&self) -> io::Result<Vec<u8>> {
         let mut image = Vec::new();
@@ -438,7 +439,7 @@ impl Checkpoint {
             w.write_all(&p.pending_keys.to_le_bytes())?;
             w.write_all(&p.head.to_le_bytes())?;
             w.write_all(&p.host_id.to_le_bytes())?;
-            w.write_all(&[p.kind.tag(), p.kept as u8])?;
+            w.write_all(&[p.kind.tag()])?;
             w.write_all(&(p.data.len() as u32).to_le_bytes())?;
             w.write_all(&p.data)?;
         }
@@ -449,7 +450,7 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Decode a `SEPOCKP4` section. The whole-image checksum trailer
+    /// Decode a `SEPOCKP5` section. The whole-image checksum trailer
     /// is verified first, so any flipped bit anywhere is rejected with a
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
@@ -461,10 +462,7 @@ impl Checkpoint {
     fn parse_body<R: Read>(r: &mut R) -> io::Result<Checkpoint> {
         let magic: [u8; 8] = read_array(r, "magic", MAGIC_NAME)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a SEPOCKP4 image",
-            ));
+            return Err(wrong_magic(&magic, MAGIC_NAME));
         }
         let iteration = read_u32(r, "iteration")?;
         let fault_stalls = read_u32(r, "fault stalls")?;
@@ -529,7 +527,6 @@ impl Checkpoint {
             let head = read_u32(r, "resident page head")?;
             let host_id = read_u64(r, "resident host id")?;
             let kind = PageKind::from_tag(read_u8(r, "resident page kind")?)?;
-            let kept = read_u8(r, "resident kept flag")? != 0;
             let len = read_u32(r, "resident page length")? as usize;
             let mut data = vec![0u8; len];
             read_exact_field(r, &mut data, "resident page payload", MAGIC_NAME)?;
@@ -537,7 +534,6 @@ impl Checkpoint {
                 index,
                 host_id,
                 kind,
-                kept,
                 pending_keys,
                 head,
                 data,
@@ -724,26 +720,34 @@ mod tests {
         other
     }
 
-    /// A checkpoint file written before entries carried key tags holds a
-    /// `SEPOCKP3` section. Resuming from it would walk resident chains
-    /// whose length words match no tagged key, so reading it fails typed
-    /// before any state is restored.
+    /// A checkpoint file written by an earlier build holds a `SEPOCKP3`
+    /// section (before entries carried key tags: resuming would walk
+    /// resident chains whose length words match no tagged key) or a
+    /// `SEPOCKP4` one (a kept byte per resident page). Reading either fails
+    /// typed, naming both magics, before any state is restored.
     #[test]
     fn a_pre_tag_checkpoint_file_is_refused() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        let section = with_section_magic(&ckp.image().unwrap(), b"SEPOCKP3");
-        let mut file = FILE_MAGIC.to_vec();
-        file.extend_from_slice(&1u32.to_le_bytes());
-        file.extend_from_slice(&(section.len() as u32).to_le_bytes());
-        file.extend_from_slice(&section);
-        append_trailer(&mut file);
-        let path = std::env::temp_dir().join(format!("sepo-cks-pretag-{}.bin", std::process::id()));
-        std::fs::write(&path, &file).unwrap();
-        let err = CheckpointFile::read(&path).unwrap_err();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("not a SEPOCKP4 image"), "{err}");
+        for magic in [b"SEPOCKP3", b"SEPOCKP4"] {
+            let section = with_section_magic(&ckp.image().unwrap(), magic);
+            let mut file = FILE_MAGIC.to_vec();
+            file.extend_from_slice(&1u32.to_le_bytes());
+            file.extend_from_slice(&(section.len() as u32).to_le_bytes());
+            file.extend_from_slice(&section);
+            append_trailer(&mut file);
+            let path =
+                std::env::temp_dir().join(format!("sepo-cks-old-{}.bin", std::process::id()));
+            std::fs::write(&path, &file).unwrap();
+            let err = CheckpointFile::read(&path).unwrap_err();
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let want = format!(
+                "not a SEPOCKP5 image (magic {})",
+                std::str::from_utf8(magic).unwrap()
+            );
+            assert!(err.to_string().contains(&want), "{err}");
+        }
     }
 
     #[test]
@@ -808,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn sepockp4_round_trips_and_sizes_exactly() {
+    fn sepockp5_round_trips_and_sizes_exactly() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
         let buf = ckp.image().unwrap();
@@ -927,7 +931,7 @@ mod tests {
         let file = CheckpointFile::new(path.clone(), 2);
         file.update(0, &ckp, None).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // A bare SEPOCKP4 section is not a checkpoint file (its own trailer
+        // A bare SEPOCKP5 section is not a checkpoint file (its own trailer
         // is valid, so this exercises the magic check, not the checksum).
         std::fs::write(&path, ckp.image().unwrap()).unwrap();
         let err = CheckpointFile::read(&path).unwrap_err();
@@ -951,8 +955,8 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOCKP4 image")
-                    || msg.contains("SEPOCKP4 image failed checksum verification"),
+                msg.contains("truncated SEPOCKP5 image")
+                    || msg.contains("SEPOCKP5 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
@@ -960,17 +964,17 @@ mod tests {
         // clean rejection (garbage without a trailer fails the checksum) —
         // and so are images of earlier formats: a `SEPOCKP2` transient
         // section this build would misread, a `SEPOCKP3` heap without key
-        // tags.
+        // tags, a `SEPOCKP4` heap with a kept byte per page.
         let mut garbage = b"GARBAGE!________".to_vec();
         append_trailer(&mut garbage);
         let mut images = vec![garbage];
-        for magic in [b"SEPOCKP2", b"SEPOCKP3"] {
+        for magic in [b"SEPOCKP2", b"SEPOCKP3", b"SEPOCKP4"] {
             images.push(with_section_magic(&buf, magic));
         }
         for image in images {
             let err = Checkpoint::from_section(&image).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("not a SEPOCKP4 image"));
+            assert!(err.to_string().contains("not a SEPOCKP5 image"));
         }
     }
 
@@ -989,7 +993,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
-                    .contains("SEPOCKP4 image failed checksum verification"),
+                    .contains("SEPOCKP5 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {:?}",
                 err.to_string()
             );

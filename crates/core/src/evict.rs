@@ -240,7 +240,6 @@ impl SepoTable {
         let kept: Vec<u32> = candidates.into_iter().take(max_kept).collect();
         for &p in &key_pages {
             if kept.contains(&p) {
-                self.heap.set_kept(p, true);
                 self.heap.clear_pending_keys(p);
                 report.kept_pages += 1;
                 report.kept_bytes += self.heap.page_used(p) as u64;

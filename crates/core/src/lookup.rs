@@ -21,8 +21,8 @@
 //! same graceful-degradation economics as the insert side.
 
 use crate::bitmap::Bitmap;
-use crate::entry::{combining, tagged_lens, EntryKind, PageWalker};
-use crate::hash::{bucket_of_mixed, fnv1a, mix};
+use crate::entry::{EntryKind, PageWalker};
+use crate::hash::bucket_of;
 use crate::serve::{ensure_batch_fits, QueryError};
 use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, MetricsCharge};
@@ -192,20 +192,16 @@ impl SepoTable {
     }
 
     /// Prepend every (non-tombstoned) combining entry of the loaded pages
-    /// into the bucket chains, rewriting the copies' link words and length
-    /// words (key bytes and values are untouched, so `lookup_combining`
-    /// works as-is). Writing the length word gives each copy its key tag,
-    /// so an image saved before entries carried tags stays searchable.
+    /// into the bucket chains, rewriting the copies' link words (key bytes,
+    /// tagged length words and values are untouched, so `lookup_combining`
+    /// works as-is).
     fn rebuild_chains_over(&self, pages: &[u32]) {
         for &p in pages {
             let data = self.heap.page_data(p);
             for (off, entry) in PageWalker::new(&data, EntryKind::Combining) {
                 if let Some(key) = entry.key() {
-                    let mixed = mix(fnv1a(key));
                     let e = DevHandle::new(p, off as u32);
-                    self.heap
-                        .write_u64(e, combining::KLEN, tagged_lens(key.len(), mixed));
-                    self.prepend_resident(bucket_of_mixed(mixed, self.cfg.n_buckets), e);
+                    self.prepend_resident(bucket_of(key, self.cfg.n_buckets), e);
                 }
             }
         }
@@ -400,10 +396,12 @@ mod tests {
     }
 
     /// An image saved before entries carried key tags: a finalized
-    /// combining image with bits 32–62 of every length word cleared. The
-    /// phase tags each paged-in copy, so every query still answers.
+    /// combining image with bits 32–62 of every length word cleared, under
+    /// the `SEPOHST2` magic of that build. The chain rebuild keeps each
+    /// paged-in copy's length word, so such an image is refused at load,
+    /// typed and naming both magics, before any lookup could miss its keys.
     #[test]
-    fn an_image_without_key_tags_answers_every_query() {
+    fn an_image_without_key_tags_is_refused_at_load() {
         let t = populated(300, 4);
         for page in t.host_heap().pages() {
             let mut bytes = page.verify().unwrap().bytes().to_vec();
@@ -411,7 +409,7 @@ mod tests {
                 .map(|(off, _)| off)
                 .collect();
             for off in offsets {
-                let at = off + combining::KLEN as usize;
+                let at = off + crate::entry::combining::KLEN as usize;
                 let lens = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
                 let untagged = lens & !crate::entry::TAG_MASK;
                 bytes[at..at + 8].copy_from_slice(&untagged.to_le_bytes());
@@ -423,15 +421,15 @@ mod tests {
         let v = audit.check_compacted(&t).unwrap_err();
         assert_eq!(v.check, "compacted-key-tags", "the tags are gone");
 
-        let e = exec(&t);
-        let mut owned: Vec<String> = (0..300).map(|i| format!("key-{i:05}")).collect();
-        owned.push("key-absent".to_string());
-        let queries: Vec<&[u8]> = owned.iter().map(|s| s.as_bytes()).collect();
-        let out = t.lookup_phase(&e, &queries);
-        for (i, r) in out.results[..300].iter().enumerate() {
-            assert_eq!(*r, Some(i as u64 + 1), "wrong value for key {i}");
-        }
-        assert_eq!(out.results[300], None);
+        let mut image = Vec::new();
+        t.save(&mut image).unwrap();
+        image.truncate(image.len() - 4);
+        image[..8].copy_from_slice(b"SEPOHST2");
+        crate::persist::append_trailer(&mut image);
+        let err =
+            SepoTable::load(&mut image.as_slice(), 4 * 1024, Arc::clone(t.metrics())).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "not a SEPOHST3 image (magic SEPOHST2)");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! iterations (restored heaps continue the host-id sequence so dual
 //! pointers never collide).
 //!
-//! Format (`SEPOHST2`, little-endian):
+//! Format (`SEPOHST3`, little-endian):
 //!
 //! ```text
-//! magic       8 bytes  "SEPOHST2"
+//! magic       8 bytes  "SEPOHST3"
 //! org         1 byte   0 basic | 1 multi-valued | 2..=3 combining Add/Or
 //! page count  u32
 //! per page:   host_id u64, kind u8 (1 mixed | 2 key | 3 value), crc u32,
@@ -25,6 +25,14 @@
 //! ([`crate::integrity`]) across the round trip, keeping the detection
 //! chain end-to-end: a restored page re-verifies against the checksum
 //! computed when it originally left the device.
+//!
+//! The pages are the finalized table's host heap verbatim, so the format
+//! also fixes what they hold: every combining and multi-valued key entry
+//! carries its key tag ([`tagged_lens`](crate::entry::tagged_lens)), and
+//! [`SepoTable::finalize`] has compacted the image to one entry per key.
+//! A `SEPOHST2` image may hold untagged entries (saved before the tags)
+//! or a key twice (saved before compaction); it is refused as not a
+//! `SEPOHST3` image rather than repaired on load.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -36,7 +44,8 @@ use sepo_alloc::{crc32c, StampedPage};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOHST2";
+const MAGIC: &[u8; 8] = b"SEPOHST3";
+const MAGIC_NAME: &str = "SEPOHST3";
 
 fn org_tag(org: Organization) -> u8 {
     match org {
@@ -63,7 +72,7 @@ fn org_from_tag(tag: u8) -> io::Result<Organization> {
 }
 
 /// Split `image` into its body and trailing CRC32C and verify the trailer,
-/// naming `section` (a format magic like `SEPOHST2`) in every error. Used
+/// naming `section` (a format magic like `SEPOHST3`) in every error. Used
 /// by all three persisted formats — whole-image verification comes first,
 /// before any structural parsing.
 pub(crate) fn verify_trailer<'a>(image: &'a [u8], section: &str) -> io::Result<&'a [u8]> {
@@ -87,6 +96,15 @@ pub(crate) fn verify_trailer<'a>(image: &'a [u8], section: &str) -> io::Result<&
     Ok(body)
 }
 
+/// The error for an image whose magic is not `want`'s: it names both, so
+/// an image of an earlier format says which one it is.
+pub(crate) fn wrong_magic(found: &[u8; 8], want: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("not a {want} image (magic {})", found.escape_ascii()),
+    )
+}
+
 /// Append the CRC32C trailer to a serialized image body.
 pub(crate) fn append_trailer(body: &mut Vec<u8>) {
     let crc = crc32c(body);
@@ -94,7 +112,9 @@ pub(crate) fn append_trailer(body: &mut Vec<u8>) {
 }
 
 impl SepoTable {
-    /// Write this *finalized* table's host image to `w`.
+    /// Write this *finalized* table's host image to `w`: the host heap as
+    /// it stands, which [`SepoTable::finalize`] (or a driver run) has
+    /// compacted to one entry per key.
     pub fn save<W: Write>(&self, w: &mut W) -> io::Result<()> {
         assert_eq!(
             self.heap().free_pages(),
@@ -125,46 +145,37 @@ impl SepoTable {
     /// The image's trailing checksum is verified before anything is
     /// parsed, and every page's persisted stamp is re-verified against its
     /// payload — a damaged file is rejected with a typed checksum error,
-    /// never restored into a silently wrong table. The restored host image
-    /// is compacted ([`SepoTable::compact_host`]): an image saved without
-    /// compaction loads with one entry per key.
+    /// never restored into a silently wrong table. An image of an earlier
+    /// format (`SEPOHST2`) is refused the same way, naming its magic.
     pub fn load<R: Read>(r: &mut R, heap_bytes: u64, metrics: Arc<Metrics>) -> io::Result<Self> {
         let mut image = Vec::new();
         r.read_to_end(&mut image)?;
         if image.len() < MAGIC.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                "truncated SEPOHST2 image: unexpected end of input reading magic",
+                "truncated SEPOHST3 image: unexpected end of input reading magic",
             ));
         }
-        let body = verify_trailer(&image, "SEPOHST2")?;
+        let body = verify_trailer(&image, MAGIC_NAME)?;
         let r = &mut &body[..];
-        let magic: [u8; 8] = read_array(r, "magic", "SEPOHST2")?;
+        let magic: [u8; 8] = read_array(r, "magic", MAGIC_NAME)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a SEPOHST2 image",
-            ));
+            return Err(wrong_magic(&magic, MAGIC_NAME));
         }
-        let [tag] = read_array(r, "organization tag", "SEPOHST2")?;
+        let [tag] = read_array(r, "organization tag", MAGIC_NAME)?;
         let organization = org_from_tag(tag)?;
-        let n_pages = u32::from_le_bytes(read_array(r, "page count", "SEPOHST2")?);
+        let n_pages = u32::from_le_bytes(read_array(r, "page count", MAGIC_NAME)?);
 
         let cfg = TableConfig::tuned(organization, heap_bytes);
         let table = SepoTable::new(cfg, heap_bytes, metrics);
         let mut max_id = 0u64;
         for _ in 0..n_pages {
-            let page = StampedPage::read_record(r, "SEPOHST2")?;
+            let page = StampedPage::read_record(r, MAGIC_NAME)?;
             max_id = max_id.max(page.host_id());
             table.host.store(page);
         }
         // The host-id sequence resumes past every restored page.
         table.heap.advance_host_ids(max_id + 1);
-        // An image saved without compaction can hold a key twice; the
-        // collectors read one entry per key.
-        table.compact_host().map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("SEPOHST2 image: {e}"))
-        })?;
         Ok(table)
     }
 }
@@ -295,9 +306,9 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("SEPOHST2"), "{err}");
+        assert!(err.to_string().contains("SEPOHST3"), "{err}");
         // Truncation at *every* byte offset must be rejected with a
-        // descriptive SEPOHST2 error — the truncation message for cuts
+        // descriptive SEPOHST3 error — the truncation message for cuts
         // inside the fixed header, the checksum error once enough bytes
         // remain to carry a (now wrong) trailer — never a bare EOF and
         // never a partial table.
@@ -310,8 +321,8 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOHST2 image")
-                    || msg.contains("SEPOHST2 image failed checksum verification"),
+                msg.contains("truncated SEPOHST3 image")
+                    || msg.contains("SEPOHST3 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
@@ -334,17 +345,18 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             let msg = err.to_string();
             assert!(
-                msg.contains("SEPOHST2 image failed checksum verification"),
+                msg.contains("SEPOHST3 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {msg:?}"
             );
         }
     }
 
-    /// An image saved without compaction — two boundaries evicted every
-    /// key page, so each key owns two host entries — loads with one entry
-    /// per key, and its groups are the ones the uncompacted image held.
+    /// An image an earlier build saved without compaction — two
+    /// boundaries evicted every key page, so each key owns two host
+    /// entries — under the `SEPOHST2` magic is refused typed, naming both
+    /// magics, not loaded with a key twice.
     #[test]
-    fn an_uncompacted_multivalued_image_loads_compacted() {
+    fn an_uncompacted_sepohst2_image_is_refused() {
         let cfg = TableConfig::new(Organization::MultiValued)
             .with_buckets(64)
             .with_buckets_per_group(16)
@@ -359,26 +371,16 @@ mod tests {
             }
             assert_eq!(t.end_iteration().kept_pages, 0);
         }
+        assert_eq!(t.collect_multivalued().len(), 40, "every key twice");
         let mut buf = Vec::new();
         t.save(&mut buf).unwrap();
-        assert_eq!(
-            t.collect_multivalued().len(),
-            40,
-            "saved with every key twice"
-        );
+        buf.truncate(buf.len() - 4);
+        buf[..8].copy_from_slice(b"SEPOHST2");
+        append_trailer(&mut buf);
 
-        let restored =
-            SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new())).unwrap();
-        t.compact_host().unwrap().expect("two entries per key");
-        let groups = restored.collect_multivalued();
-        assert_eq!(groups.len(), 20);
-        assert_eq!(groups, t.collect_multivalued());
-        let groups: HashMap<Vec<u8>, Vec<Vec<u8>>> = groups.into_iter().collect();
-        for i in 0..20 {
-            let want = [format!("v0-{i}"), format!("v1-{i}")].map(String::into_bytes);
-            assert_eq!(groups[format!("key-{i:02}").as_bytes()], want);
-        }
-        let audit = crate::audit::TableAudit::begin(&restored);
-        audit.check_compacted(&restored).unwrap();
+        let err =
+            SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "not a SEPOHST3 image (magic SEPOHST2)");
     }
 }

@@ -91,7 +91,7 @@ pub struct RecoveryStats {
     /// Checkpoints captured over the run (one per iteration boundary plus
     /// the pre-run baseline when checkpointing is on).
     pub checkpoints_taken: u32,
-    /// `SEPOCKP4` footprint of the latest checkpoint, in bytes.
+    /// `SEPOCKP5` footprint of the latest checkpoint, in bytes.
     pub checkpoint_bytes: u64,
     /// In-flight eviction corruptions detected by the transfer checksum
     /// and repaired by retransmitting the page.

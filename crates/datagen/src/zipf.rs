@@ -55,20 +55,22 @@ impl Zipf {
         // reaches u.
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Expected probability of rank `k` (testing / analysis).
-    pub fn prob(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Zipf {
+        /// Expected probability of rank `k`.
+        fn prob(&self, k: usize) -> f64 {
+            if k == 0 {
+                self.cdf[0]
+            } else {
+                self.cdf[k] - self.cdf[k - 1]
+            }
+        }
+    }
 
     #[test]
     fn ranks_stay_in_range() {

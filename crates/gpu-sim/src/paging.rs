@@ -72,14 +72,6 @@ pub struct PagingOutcome {
     pub accesses: u64,
 }
 
-impl PagingOutcome {
-    /// Bytes transferred over PCIe under the paper's lower-bound accounting
-    /// (replacements only; the initially-resident set is free).
-    pub fn transfer_bytes(&self, page_size: u64) -> u64 {
-        self.replacements.saturating_mul(page_size)
-    }
-}
-
 /// LRU page-replacement simulator.
 #[derive(Debug, Clone, Copy)]
 pub struct LruSimulator {
@@ -187,7 +179,6 @@ mod tests {
         assert_eq!(out.replacements, 0);
         assert_eq!(out.cold_loads, 3);
         assert_eq!(out.distinct_pages, 3);
-        assert_eq!(out.transfer_bytes(4096), 0);
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! which is much costlier than a few bulky PCIe transactions" (§VI-D).
 
 use crate::clock::SimTime;
-use crate::metrics::{Counter, Metrics};
+use crate::metrics::Metrics;
 use crate::spec::PcieSpec;
 use std::sync::Arc;
 
-/// The simulated PCIe bus. Transfer methods return the simulated duration
-/// and record volumes into the shared [`Metrics`] sink.
+/// The simulated PCIe bus. Its methods price transfers and record
+/// nothing: the volumes are charged by the callers' `Charge` sinks.
 #[derive(Debug, Clone)]
 pub struct PcieBus {
     spec: PcieSpec,
-    metrics: Arc<Metrics>,
 }
 
 impl PcieBus {
-    pub fn new(spec: PcieSpec, metrics: Arc<Metrics>) -> Self {
-        PcieBus { spec, metrics }
+    /// A bus of `spec`. The metrics sink is not kept: the bus records
+    /// nothing, and the argument stays for the callers that pass one.
+    pub fn new(spec: PcieSpec, _metrics: Arc<Metrics>) -> Self {
+        PcieBus { spec }
     }
 
     /// The bus specification in force.
@@ -47,14 +48,6 @@ impl PcieBus {
     /// rates, not their sum per transaction. `overlap` is the number of
     /// outstanding transactions the DMA/driver path can keep in flight
     /// (memory-level parallelism across PCIe, typically a few tens).
-    pub fn small_transactions(&self, transactions: u64, bytes: u64, overlap: u32) -> SimTime {
-        self.metrics
-            .add(Counter::PcieSmallTransactions, transactions);
-        self.metrics.add(Counter::PcieSmallBytes, bytes);
-        self.small_transactions_time(transactions, bytes, overlap)
-    }
-
-    /// Pure cost computation for small transactions (no metrics recorded).
     pub fn small_transactions_time(&self, transactions: u64, bytes: u64, overlap: u32) -> SimTime {
         let overlap = overlap.max(1) as f64;
         let latency_limited =
@@ -108,17 +101,6 @@ mod tests {
         let t = b.bulk_transfer_time(12_000_000_000); // 12 GB at 12 GB/s = 1 s
         let expected = 1.0 + spec.transaction_latency_ns as f64 / 1e9;
         assert!((t.as_secs_f64() - expected).abs() < 1e-6, "{t}");
-    }
-
-    #[test]
-    fn small_transactions_record_metrics() {
-        let m = Arc::new(Metrics::new());
-        let b = PcieBus::new(PcieSpec::default(), Arc::clone(&m));
-        b.small_transactions(10, 1_000, 32);
-        b.small_transactions(5, 2_000, 32);
-        let s = m.snapshot();
-        assert_eq!(s.pcie_small_transactions, 15);
-        assert_eq!(s.pcie_small_bytes, 3_000);
     }
 
     #[test]

@@ -6,19 +6,22 @@
 //! * [`Published`] — a word whose value hands other data to its readers. A
 //!   bucket head names an entry whose bytes were written before the head
 //!   moved; a page's host id vouches for metadata reset before the page
-//!   was handed out; an in-heap combine value or value-chain head is read
-//!   by lanes that act on it. Writers publish with `Release`, readers
+//!   was handed out; a bucket group's current page hands that page to the
+//!   lanes that bump it; an in-heap combine value or value-chain head is
+//!   read by lanes that act on it. Writers publish with `Release`, readers
 //!   observe with `Acquire`, and read-modify-writes are `AcqRel`.
 //! * [`Relaxed`] — a word that carries no payload: a statistics counter,
-//!   an idempotent flag bit, a result slot read only after its launch
-//!   joined. Nothing is read *through* it, so `Relaxed` suffices.
+//!   an idempotent flag bit, a page's bump cursor (the range it grants is
+//!   the caller's own until a bucket head publishes it), a result slot
+//!   read only after its launch joined. Nothing is read *through* it, so
+//!   `Relaxed` suffices.
 //!
 //! Both cells are `#[repr(transparent)]` over the std atomic and their
 //! accessors are `#[inline]`: they compile to the same instructions as the
 //! raw atomics they replace.
 
 use std::fmt::Debug;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// A `u64` that publishes data to its readers (see the module docs).
 ///
@@ -107,6 +110,7 @@ pub trait Word: Copy {
     fn store(a: &Self::Atomic, v: Self);
     fn fetch_add(a: &Self::Atomic, n: Self) -> Self;
     fn fetch_or(a: &Self::Atomic, bits: Self) -> Self;
+    fn fetch_add_within(a: &Self::Atomic, n: Self, limit: Self) -> Option<Self>;
 }
 
 macro_rules! words {
@@ -132,11 +136,18 @@ macro_rules! words {
             fn fetch_or(a: &$atomic, bits: Self) -> Self {
                 a.fetch_or(bits, Ordering::Relaxed)
             }
+            #[inline]
+            fn fetch_add_within(a: &$atomic, n: Self, limit: Self) -> Option<Self> {
+                a.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                    v.checked_add(n).filter(|&sum| sum <= limit)
+                })
+                .ok()
+            }
         }
     )*};
 }
 
-words!(u32 => AtomicU32, u64 => AtomicU64);
+words!(u8 => AtomicU8, u32 => AtomicU32, u64 => AtomicU64);
 
 /// A word that carries no payload (see the module docs): every access is
 /// `Relaxed`, because no other data is read through it. A reader that
@@ -176,6 +187,15 @@ impl<W: Word> Relaxed<W> {
     pub fn fetch_or(&self, bits: W) -> W {
         W::fetch_or(&self.0, bits)
     }
+
+    /// Add `n` unless the sum would pass `limit`: returns the previous
+    /// word, or `None` and leaves the word as it is. A CAS loop, so
+    /// concurrent callers never push the word past `limit` and the ranges
+    /// `[prev, prev + n)` they are granted never overlap.
+    #[inline]
+    pub fn fetch_add_within(&self, n: W, limit: W) -> Option<W> {
+        W::fetch_add_within(&self.0, n, limit)
+    }
 }
 
 #[cfg(test)]
@@ -205,9 +225,38 @@ mod tests {
     }
 
     #[test]
+    fn byte_words_hold_and_flag() {
+        let kind = Relaxed::<u8>::new(0);
+        kind.set(3);
+        assert_eq!(kind.get(), 3);
+        assert_eq!(kind.fetch_or(4), 3);
+        assert_eq!(kind.fetch_add(1), 7);
+        assert_eq!(kind.get(), 8);
+    }
+
+    #[test]
+    fn a_bounded_update_refuses_to_pass_the_page_end() {
+        let head = Relaxed::<u32>::new(0);
+        assert_eq!(head.fetch_add_within(104, 256), Some(0));
+        assert_eq!(head.fetch_add_within(104, 256), Some(104));
+        // 208 + 104 > 256: refused, and the word stays where it was.
+        assert_eq!(head.fetch_add_within(104, 256), None);
+        assert_eq!(head.get(), 208);
+        // Exactly to the end is allowed; one byte more is not.
+        assert_eq!(head.fetch_add_within(48, 256), Some(208));
+        assert_eq!(head.fetch_add_within(1, 256), None);
+        assert_eq!(head.get(), 256);
+        // A sum that would wrap the word is refused too.
+        let near_max = Relaxed::<u8>::new(250);
+        assert_eq!(near_max.fetch_add_within(10, u8::MAX), None);
+        assert_eq!(near_max.get(), 250);
+    }
+
+    #[test]
     fn cells_are_as_large_as_their_atomics() {
         use std::mem::size_of;
         assert_eq!(size_of::<Published>(), size_of::<AtomicU64>());
+        assert_eq!(size_of::<Relaxed<u8>>(), size_of::<AtomicU8>());
         assert_eq!(size_of::<Relaxed<u32>>(), size_of::<AtomicU32>());
         assert_eq!(size_of::<Relaxed<u64>>(), size_of::<AtomicU64>());
     }

@@ -91,7 +91,7 @@ proptest! {
             }
             ga.reset_iteration();
             prop_assert_eq!(heap.free_pages(), 4, "page leak across iteration");
-            prop_assert_eq!(ga.failed_groups(), 0);
+            prop_assert_eq!(ga.fraction_failed(), 0.0);
         }
     }
 

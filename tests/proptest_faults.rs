@@ -64,7 +64,7 @@ proptest! {
         for &i in &distinct {
             prop_assert!(bitmap.get(i));
         }
-        prop_assert_eq!(bitmap.all_set(), distinct.len() == len);
+        prop_assert_eq!(bitmap.count_set() == bitmap.len(), distinct.len() == len);
     }
 
     /// Under a random transient fault plan, `try_run` either completes

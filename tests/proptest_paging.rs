@@ -3,9 +3,13 @@
 //! monotonicity rests on.
 
 use gpu_sim::paging::{AccessTrace, LruSimulator};
+use gpu_sim::pcie::PcieBus;
+use gpu_sim::spec::PcieSpec;
+use gpu_sim::{Metrics, SimTime};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Textbook O(n·capacity) LRU fault counter.
 fn naive_lru(pages: &[u64], capacity: usize) -> (u64, u64) {
@@ -83,13 +87,18 @@ proptest! {
         prop_assert_eq!(out.cold_loads, out.distinct_pages);
     }
 
-    /// Transfer bytes are exactly replacements x page size (the paper's
-    /// lower-bound arithmetic).
+    /// Only replacements cost transfer time (the paper's lower-bound
+    /// arithmetic: the initially-resident set is free). Cold loads fill
+    /// the free frames, never more, and a trace priced at zero is exactly
+    /// one that replaced nothing.
     #[test]
     fn transfer_arithmetic(pages in vec(0u64..32, 1..300), capacity in 1u64..8) {
         let page_size = 8192u64;
         let trace = trace_from(&pages, page_size);
         let out = LruSimulator::new(page_size, capacity * page_size).replay(&trace);
-        prop_assert_eq!(out.transfer_bytes(page_size), out.replacements * page_size);
+        prop_assert_eq!(out.cold_loads, out.distinct_pages.min(capacity));
+        let bus = PcieBus::new(PcieSpec::default(), Arc::new(Metrics::new()));
+        let priced = bus.paged_transfer_time(out.replacements, page_size, true);
+        prop_assert_eq!(priced == SimTime::ZERO, out.replacements == 0);
     }
 }

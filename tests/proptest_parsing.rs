@@ -151,7 +151,7 @@ proptest! {
         prop_assert_eq!(verified.bytes(), &data[..]);
         let mut record = Vec::new();
         page.write_record(&mut record).unwrap();
-        prop_assert_eq!(&StampedPage::read_record(&mut &record[..], "SEPOHST2").unwrap(), &page);
+        prop_assert_eq!(&StampedPage::read_record(&mut &record[..], "SEPOHST3").unwrap(), &page);
 
         let bit = bit % (data.len() * 8);
         let mut damaged = data;
@@ -160,8 +160,8 @@ proptest! {
         prop_assert_eq!(damaged.verify().unwrap_err(), CorruptPage { host_id });
         let mut record = Vec::new();
         damaged.write_record(&mut record).unwrap();
-        let err = StampedPage::read_record(&mut &record[..], "SEPOHST2").unwrap_err();
-        let expected = format!("SEPOHST2 image: {}", CorruptPage { host_id });
+        let err = StampedPage::read_record(&mut &record[..], "SEPOHST3").unwrap_err();
+        let expected = format!("SEPOHST3 image: {}", CorruptPage { host_id });
         prop_assert_eq!(err.to_string(), expected);
     }
 
