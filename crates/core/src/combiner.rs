@@ -61,14 +61,14 @@
 //! deferred-insert queue:
 //!
 //! * The **first** emit of a key in a tile's lifetime goes through the real
-//!   table insert inline ([`SepoTable::insert_combining_entry`]) — the
+//!   table insert inline (`SepoTable::insert_combining_entry`) — the
 //!   allocation sequence, postponement outcome, and fault draws are exactly
 //!   those of a combiner-off run. Only on success is the resident entry's
 //!   handle cached — and not even then when the victim rule declines it.
 //! * **Subsequent** emits of a cached key accumulate a local delta against
 //!   the handle: no bucket touch, no chain walk, no device atomic.
 //! * **Flush** (block retirement) applies each pending delta with one
-//!   device atomic ([`SepoTable::combine_delta`]). The cached handle is
+//!   device atomic (`SepoTable::combine_delta`). The cached handle is
 //!   valid by construction: eviction only runs at iteration boundaries,
 //!   after every block of the launch has retired — so a flush can never
 //!   miss. Because the executor drains `finish` hooks before a launch

@@ -12,7 +12,8 @@
 //! the table is finalized, in the order the collectors report:
 //!
 //! * **combining** — every entry of a key folds through the table's
-//!   [`Combiner`] into one entry, in first-eviction order;
+//!   [`Combiner`](crate::config::Combiner) into one entry, in
+//!   first-eviction order;
 //! * **multi-valued** — every key entry of a key becomes one key entry,
 //!   placed where the key's first entry stood in host-link (host id, then
 //!   offset) order. Its host-linked value chain yields the chains of the
@@ -27,25 +28,21 @@
 //!
 //! The fold is a pure function of the host pages, read only through
 //! [`StampedPage::verify`]: the compacted image is the same under every
-//! exec mode, feature toggle, shard layout and kill + resume, however the
-//! pages were batched. The driver's `Compactor` feeds the fold each
-//! boundary's committed pages on a pool worker while the next iteration's
-//! launches run — a multi-valued fold walks each boundary's chains across
-//! that boundary's value pages only, which it holds by `Arc`, and copies
-//! their values into one arena — so the end of the run pays only for the
-//! last batches, the packing and the stamps; [`SepoTable::finalize`] and
-//! [`SepoTable::load`] fold in line. Compaction charges no simulated time:
-//! it is the CPU-side merge the collectors used to perform at read time,
-//! moved earlier.
+//! exec mode, feature toggle, shard layout and kill + resume. It runs
+//! once, over the whole host image, in [`SepoTable::compact_host`]: the
+//! driver calls it after a run's final flush when host pages arrived in
+//! more than one batch, and [`SepoTable::finalize`] and
+//! [`SepoTable::save`] call it too, so every saved image is compacted and
+//! [`SepoTable::load`] refuses one that is not. Compaction charges no
+//! simulated time: it is the CPU-side merge the collectors used to
+//! perform at read time, moved earlier.
 
-use crate::config::{Combiner, Organization};
+use crate::config::Organization;
 use crate::entry::{combining, key_entry, key_lens, parse_at, value_node, EntryKind, ParsedEntry};
 use crate::hash::KeyMap;
 use crate::results::primary_entries;
 use crate::table::SepoTable;
-use gpu_sim::pool::{Background, WorkerPool};
 use sepo_alloc::{CorruptPage, DevHandle, Heap, HostLink, PageKind, StampedPage, VerifiedPage};
-use std::collections::{HashMap, HashSet};
 
 /// What one compaction did to the host image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +60,8 @@ pub struct CompactReport {
     pub bytes_after: u64,
 }
 
-/// The running fold of a table's host entries.
-pub(crate) struct HostFold {
-    pages: u64,
+/// A table's host entries, folded to one per key.
+struct HostFold {
     entries: u64,
     bytes: u64,
     keys: Folded,
@@ -73,74 +69,59 @@ pub(crate) struct HostFold {
 
 enum Folded {
     /// Each key's combined value, in first-eviction order.
-    Combining(Combiner, KeyMap<u64>),
+    Combining(KeyMap<u64>),
     Grouped(Box<Groups>),
 }
 
 impl HostFold {
-    /// An empty fold for a combining or multi-valued table (a basic
-    /// table's duplicates are data: nothing compacts it).
-    fn new(org: Organization) -> Self {
-        let keys = match org {
-            Organization::Combining(comb) => Folded::Combining(comb, KeyMap::default()),
-            Organization::MultiValued => Folded::Grouped(Box::default()),
-            Organization::Basic => unreachable!("a basic table is never compacted"),
-        };
-        HostFold {
-            pages: 0,
-            entries: 0,
-            bytes: 0,
-            keys,
-        }
-    }
-
-    /// Fold `pages` — the host pages one or more boundaries stored —
-    /// into the running result, refusing the first that fails its stamp.
-    /// A combining table's pages arrive in host-id order (every boundary
-    /// evicts every page); a multi-valued table's may come in any order,
-    /// and `kept` holds the host continuations of the key entries still on
-    /// the device after the last of those boundaries.
-    pub(crate) fn absorb(
-        &mut self,
-        pages: &[StampedPage],
-        kept: &[HostLink],
-    ) -> Result<(), CorruptPage> {
+    /// Fold `pages` — every host page of a combining or multi-valued table
+    /// (a basic table's duplicates are data: nothing compacts it), in
+    /// host-id order — refusing the first that fails its stamp.
+    fn new(org: Organization, pages: &[StampedPage]) -> Result<Self, CorruptPage> {
         let pages = pages
             .iter()
             .map(StampedPage::verify)
             .collect::<Result<Vec<_>, _>>()?;
-        self.pages += pages.len() as u64;
-        self.bytes += pages.iter().map(|p| p.bytes().len() as u64).sum::<u64>();
-        match &mut self.keys {
-            Folded::Combining(comb, keys) => {
-                let (comb, org) = (*comb, Organization::Combining(*comb));
+        let bytes = pages.iter().map(|p| p.bytes().len() as u64).sum();
+        let (entries, keys) = match org {
+            Organization::Combining(comb) => {
+                let (mut entries, mut keys) = (0, KeyMap::default());
                 for page in &pages {
                     for (_, e) in primary_entries(org, page) {
                         if let ParsedEntry::Combining { key, value } = e {
-                            self.entries += 1;
+                            entries += 1;
                             keys.upsert(key, || value, |v| *v = comb.apply(*v, value));
                         }
                     }
                 }
+                (entries, Folded::Combining(keys))
             }
-            Folded::Grouped(groups) => self.entries += groups.absorb(pages, kept)?,
-        }
-        Ok(())
+            Organization::MultiValued => {
+                let groups = Box::new(Groups::new(pages)?);
+                (groups.entries.len() as u64, Folded::Grouped(groups))
+            }
+            Organization::Basic => unreachable!("a basic table is never compacted"),
+        };
+        Ok(HostFold {
+            entries,
+            bytes,
+            keys,
+        })
     }
 
     fn report(&self) -> CompactReport {
         let (keys, bytes_after) = match &self.keys {
-            Folded::Combining(_, keys) => {
+            Folded::Combining(keys) => {
                 let sizes = keys.iter().map(|(key, _)| combining::size(key.len()));
-                (keys.len(), sizes.sum::<usize>())
+                (keys.len(), sizes.sum::<usize>() as u64)
             }
-            Folded::Grouped(groups) => (groups.keys.len(), groups.packed_bytes as usize),
+            Folded::Grouped(groups) => (groups.keys.len(), groups.packed_bytes),
         };
         CompactReport {
             entries: self.entries,
             keys: keys as u64,
             bytes_before: self.bytes,
-            bytes_after: bytes_after as u64,
+            bytes_after,
         }
     }
 
@@ -148,7 +129,7 @@ impl HostFold {
     /// `page_size` bytes, under host ids `heap` reserves.
     fn pack(self, page_size: usize, heap: &Heap) -> Vec<StampedPage> {
         match self.keys {
-            Folded::Combining(_, keys) => {
+            Folded::Combining(keys) => {
                 let mut out = Packer::new(PageKind::Mixed, page_size, || heap.reserve_host_ids(1));
                 for (key, &value) in keys.iter() {
                     let words = [NULL_DEV, NULL_HOST, value, key_lens(key)];
@@ -161,37 +142,21 @@ impl HostFold {
     }
 }
 
-/// A multi-valued table's key entries, folded batch by batch.
+/// A multi-valued table's key entries, grouped by key.
 ///
-/// A chain is prepend-only, so it runs from its newest batch back through
-/// older ones, and value pages leave at the boundary that filled them. A
-/// batch's chains are therefore walked only across the batch's own value
-/// pages, each cut where it leaves them into a *segment*: its values,
-/// copied into one arena, and its exit link. A chain enters older batches
-/// only from a key entry that stayed on the device (a kept key page), and
-/// every such entry's segment is cut at each boundary it sits through,
-/// under the entry's host continuation at that boundary — which is where
-/// the next boundary's segment of the same chain exits. A key entry's
-/// chain is then a list of segments.
+/// Key pages arrive in host-id order, so key entries arrive in host-link
+/// order and a key's id in `keys` is its place in the compacted image.
+/// Each entry's chain is walked across every value page, and its values
+/// are copied, newest first, into one range of an arena.
 #[derive(Default)]
 struct Groups {
-    /// Every value page absorbed, shared with the host heap, and its
-    /// `(host id, index)` sorted by host id.
-    pages: Vec<VerifiedPage>,
-    by_id: Vec<(u64, u32)>,
-    segments: Vec<Segment>,
-    /// The segments of kept key entries' chains, by the link they start at.
-    heads: HashMap<u64, u32>,
-    /// Segment values: bytes, and each value's `(offset, length)` in them.
+    /// Every key, and the index of its latest entry in `entries`.
+    keys: KeyMap<u32>,
+    /// Every key entry, in host-link order.
+    entries: Vec<KeyRun>,
+    /// Chain values: bytes, and each value's `(offset, length)` in them.
     bytes: Vec<u8>,
     values: Vec<(u32, u32)>,
-    /// Every key, in arrival order (not the collectors' order: a kept key
-    /// page reaches the host boundaries after pages with higher ids).
-    keys: KeyMap<()>,
-    /// Every key entry absorbed.
-    entries: Vec<KeyRun>,
-    /// Each entry's chain as segment ids, entry after entry.
-    chains: Vec<u32>,
     /// Bytes of the compacted image: every key's entry and every chain's
     /// nodes.
     packed_bytes: u64,
@@ -199,223 +164,101 @@ struct Groups {
 
 const NONE: u32 = u32::MAX;
 
-/// A chain's run inside one batch: [`Groups::values`] `start..end`, newest
-/// first, the bytes their nodes take, and the link its last node continues
-/// to.
-#[derive(Clone, Copy)]
-struct Segment {
-    start: u32,
-    end: u32,
-    bytes: u64,
-    exit: HostLink,
-}
-
-/// One absorbed key entry: its host link (the collectors' order), its
-/// key's id in [`Groups::keys`], and its chain, newest first, as the
-/// segments [`Groups::chains`] `start..end`.
+/// One key entry: its chain, newest first, as [`Groups::values`]
+/// `start..end`, and its key's entry before it (`NONE` for the first).
 #[derive(Clone, Copy)]
 struct KeyRun {
-    at: HostLink,
-    key: u32,
+    prev: u32,
     start: u32,
     end: u32,
 }
 
 impl Groups {
-    /// Absorb one batch of verified pages — with `kept`, the host
-    /// continuations of the key entries still on the device — and return
-    /// the key entries it held.
-    fn absorb(&mut self, pages: Vec<VerifiedPage>, kept: &[HostLink]) -> Result<u64, CorruptPage> {
+    /// Group the key entries of `pages`, every host page in host-id order.
+    fn new(pages: Vec<VerifiedPage>) -> Result<Self, CorruptPage> {
         let (key_pages, value_pages): (Vec<_>, Vec<_>) =
             pages.into_iter().partition(|p| p.kind() == PageKind::Key);
-        let first = self.pages.len() as u32;
-        for page in value_pages {
-            self.by_id.push((page.host_id(), self.pages.len() as u32));
-            self.pages.push(page);
-        }
-        // Value pages leave at the boundary that filled them, so batches
-        // arrive in host-id order and this sort finds one run.
-        self.by_id.sort_unstable();
-
-        let mut held = 0;
+        let mut groups = Groups::default();
         for page in &key_pages {
-            for (at, e) in primary_entries(Organization::MultiValued, page) {
+            for (_, e) in primary_entries(Organization::MultiValued, page) {
                 if let ParsedEntry::Key {
                     key,
                     value_host_cont,
                 } = e
                 {
-                    self.add_entry(at, key, HostLink::from_raw(value_host_cont), first)?;
-                    held += 1;
+                    let start = groups.values.len() as u32;
+                    groups.walk(HostLink::from_raw(value_host_cont), &value_pages)?;
+                    let (id, mut prev) = (groups.entries.len() as u32, NONE);
+                    groups
+                        .keys
+                        .upsert(key, || id, |last| prev = std::mem::replace(last, id));
+                    if prev == NONE {
+                        groups.packed_bytes += key_entry::size(key.len()) as u64;
+                    }
+                    let end = groups.values.len() as u32;
+                    groups.entries.push(KeyRun { prev, start, end });
                 }
             }
         }
-        for &cont in kept {
-            if let Some(seg) = self.cut(cont, first)? {
-                self.heads.insert(cont.to_raw(), seg);
-            }
-        }
-        Ok(held)
+        Ok(groups)
     }
 
-    /// Record the key entry at `at`, whose chain starts at `cont`.
-    fn add_entry(
-        &mut self,
-        at: HostLink,
-        key: &[u8],
-        cont: HostLink,
-        first: u32,
-    ) -> Result<(), CorruptPage> {
-        let start = self.chains.len() as u32;
-        let mut link = cont;
-        if let Some(seg) = self.cut(link, first)? {
-            self.add_segment(seg);
-            link = self.segments[seg as usize].exit;
-        }
-        // Older batches hold the chain only past a kept entry's segment
-        // head; any other link is walked node by node, as the collectors
-        // walk it.
-        while !link.is_null() {
-            let seg = match self.heads.get(&link.to_raw()) {
-                Some(&seg) => seg,
-                None => self.walk(link, 0)?,
-            };
-            self.add_segment(seg);
-            link = self.segments[seg as usize].exit;
-        }
-        let id = self.keys.upsert(key, || (), |_| ());
-        if id + 1 == self.keys.len() {
-            self.packed_bytes += key_entry::size(key.len()) as u64;
-        }
-        self.entries.push(KeyRun {
-            at,
-            key: id as u32,
-            start,
-            end: self.chains.len() as u32,
-        });
-        Ok(())
-    }
-
-    fn add_segment(&mut self, seg: u32) {
-        self.chains.push(seg);
-        self.packed_bytes += self.segments[seg as usize].bytes;
-    }
-
-    /// Cut the run of the chain from `link` that lies on value pages
-    /// `first..` into a new segment; `None` when `link` is null or on an
-    /// older page.
-    fn cut(&mut self, link: HostLink, first: u32) -> Result<Option<u32>, CorruptPage> {
-        if link.is_null() {
-            return Ok(None);
-        }
-        let host_id = link.host_page();
-        match self.page_of(link).ok_or(CorruptPage { host_id })? {
-            page if page < first => Ok(None),
-            _ => self.walk(link, first).map(Some),
-        }
-    }
-
-    /// Copy the chain from `link`, node by node, into a new segment that
-    /// ends where the chain leaves value pages `first..` (or ends), and
-    /// return its id. A link to a page the fold has not seen is refused by
-    /// host id.
-    fn walk(&mut self, mut link: HostLink, first: u32) -> Result<u32, CorruptPage> {
-        let (start, mut bytes) = (self.values.len() as u32, 0);
+    /// Copy the chain from `link` into the arena, node by node, as the
+    /// collectors walk it. A link to a page not among `pages` (sorted by
+    /// host id) is refused by host id.
+    fn walk(&mut self, mut link: HostLink, pages: &[VerifiedPage]) -> Result<(), CorruptPage> {
         // A chain's nodes mostly share pages with their neighbours.
-        let mut last = None;
+        let mut last: Option<&VerifiedPage> = None;
         while !link.is_null() {
             let host_id = link.host_page();
             let page = match last {
-                Some((id, page)) if id == host_id => page,
+                Some(page) if page.host_id() == host_id => page,
                 _ => {
-                    let page = self.page_of(link).ok_or(CorruptPage { host_id })?;
-                    last.insert((host_id, page)).1
+                    let at = pages.binary_search_by_key(&host_id, VerifiedPage::host_id);
+                    let at = at.map_err(|_| CorruptPage { host_id })?;
+                    last.insert(&pages[at])
                 }
             };
-            if page < first {
-                break;
-            }
-            let Some((Some(ParsedEntry::Value { value, next_host }), _)) = parse_at(
-                self.pages[page as usize].bytes(),
-                link.offset() as usize,
-                EntryKind::Value,
-            ) else {
-                link = HostLink::NULL;
+            let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
+                parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
+            else {
                 break;
             };
-            bytes += value_node::size(value.len()) as u64;
+            self.packed_bytes += value_node::size(value.len()) as u64;
             self.values
                 .push((self.bytes.len() as u32, value.len() as u32));
             self.bytes.extend_from_slice(value);
             link = HostLink::from_raw(next_host);
         }
-        let end = self.values.len() as u32;
-        self.segments.push(Segment {
-            start,
-            end,
-            bytes,
-            exit: link,
-        });
-        Ok(self.segments.len() as u32 - 1)
-    }
-
-    /// Index of the absorbed value page `link` lands on.
-    fn page_of(&self, link: HostLink) -> Option<u32> {
-        let host_id = link.host_page();
-        let at = self.by_id.binary_search_by_key(&host_id, |&(id, _)| id);
-        at.ok().map(|i| self.by_id[i].1)
+        Ok(())
     }
 
     /// One key entry per key, in the order of each key's first entry by
     /// host link, on key pages after the value pages that hold its chain:
     /// the old entries' chains one after another in host-link order.
-    fn pack(mut self, page_size: usize, heap: &Heap) -> Vec<StampedPage> {
-        // Batches arrive mostly in host-link order: a stable sort merges
-        // their runs.
-        self.entries.sort_by_key(|e| e.at);
-        // Each key's entries as a list through `prev`, in host-link order,
-        // and the keys in the order of their first entries.
-        let mut last = vec![NONE; self.keys.len()];
-        let mut prev = vec![NONE; self.entries.len()];
-        let mut order = Vec::with_capacity(self.keys.len());
-        for (i, e) in self.entries.iter().enumerate() {
-            let key = e.key as usize;
-            match last[key] {
-                NONE => order.push(e.key),
-                before => prev[i] = before,
-            }
-            last[key] = i as u32;
-        }
-
+    fn pack(self, page_size: usize, heap: &Heap) -> Vec<StampedPage> {
         // A chain is written oldest value first, so each node links to the
         // one written before it and the key entry to the last one.
         let next_id = || heap.reserve_host_ids(1);
         let mut value_pages = Packer::new(PageKind::Value, page_size, next_id);
-        let mut heads = Vec::with_capacity(order.len());
-        for &key in &order {
+        let mut key_pages = Packer::new(PageKind::Key, page_size, next_id);
+        let mut heads = Vec::with_capacity(self.keys.len());
+        for (_, &last) in self.keys.iter() {
             let mut next = HostLink::NULL;
-            let mut entry = last[key as usize];
+            let mut entry = last;
             while entry != NONE {
                 let run = self.entries[entry as usize];
-                for &seg in self.chains[run.start as usize..run.end as usize]
-                    .iter()
-                    .rev()
-                {
-                    let seg = self.segments[seg as usize];
-                    let values = &self.values[seg.start as usize..seg.end as usize];
-                    for &(at, len) in values.iter().rev() {
-                        let value = &self.bytes[at as usize..(at + len) as usize];
-                        let words = [NULL_DEV, next.to_raw(), u64::from(len)];
-                        next = value_pages.put(&words, value, value_node::size(value.len()));
-                    }
+                let values = &self.values[run.start as usize..run.end as usize];
+                for &(at, len) in values.iter().rev() {
+                    let value = &self.bytes[at as usize..(at + len) as usize];
+                    let words = [NULL_DEV, next.to_raw(), u64::from(len)];
+                    next = value_pages.put(&words, value, value_node::size(value.len()));
                 }
-                entry = prev[entry as usize];
+                entry = run.prev;
             }
             heads.push(next);
         }
-        let mut key_pages = Packer::new(PageKind::Key, page_size, next_id);
-        for (&key, cont) in order.iter().zip(heads) {
-            let key = self.keys.key(key as usize);
+        for ((key, _), cont) in self.keys.iter().zip(heads) {
             let (head, flags, lens) = (NULL_DEV, 0, key_lens(key));
             let words = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, lens];
             key_pages.put(&words, key, key_entry::size(key.len()));
@@ -491,25 +334,6 @@ impl<F: FnMut() -> u64> Packer<F> {
 }
 
 impl SepoTable {
-    /// The host continuations of the multi-valued key entries on resident
-    /// key pages — the chains that reach the host heap from the device.
-    /// Quiescent callers only.
-    fn kept_conts(&self) -> Vec<HostLink> {
-        let mut conts = Vec::new();
-        for p in self.heap.resident_pages() {
-            if self.heap.page_kind(p) == PageKind::Key {
-                self.for_each_key_entry(p, |k| {
-                    let cont =
-                        HostLink::from_raw(self.heap.read_u64(k, key_entry::VALUE_HOST_CONT));
-                    if !cont.is_null() {
-                        conts.push(cont);
-                    }
-                });
-            }
-        }
-        conts
-    }
-
     /// Fold every host entry of this finalized combining or multi-valued
     /// table into one entry per key (see the [module docs](crate::compact))
     /// and replace the host heap with the packed pages — when that removes
@@ -523,106 +347,14 @@ impl SepoTable {
         if self.cfg.organization == Organization::Basic || resident {
             return Ok(None);
         }
-        let mut fold = HostFold::new(self.cfg.organization);
-        fold.absorb(&self.host.pages(), &[])?;
-        Ok(self.apply_fold(fold))
-    }
-
-    /// Replace the host heap with `fold` packed into fresh pages, unless
-    /// that would remove nothing.
-    fn apply_fold(&self, fold: HostFold) -> Option<CompactReport> {
-        assert_eq!(
-            fold.pages,
-            self.host.len() as u64,
-            "host compaction must see every host page"
-        );
+        let fold = HostFold::new(self.cfg.organization, &self.host.pages())?;
         let report = fold.report();
         if report.entries == report.keys && report.bytes_before == report.bytes_after {
-            return None;
+            return Ok(None);
         }
         let pages = fold.pack(self.cfg.page_size, &self.heap);
         self.host.restore(&pages);
-        Some(report)
-    }
-}
-
-/// The driver's side of compaction. Boundaries hand it the pages they
-/// committed (after the boundary's checkpoint, so a rollback never
-/// retracts them); from the second batch on it folds them on a pool worker
-/// — chained, each task owning the fold the previous one returned — while
-/// the next iteration's launches run on the calling thread.
-pub(crate) struct Compactor {
-    org: Organization,
-    /// Host ids committed so far.
-    seen: HashSet<u64>,
-    /// Commits that brought at least one page.
-    batches: u32,
-    /// Committed pages not yet handed to the fold, and the host
-    /// continuations of the key entries kept on the device at the last
-    /// commit. The first batch waits for a second: one eviction batch holds
-    /// each key once, so a run that evicts once never folds at all.
-    held: Vec<StampedPage>,
-    kept: Vec<HostLink>,
-    fold: Option<Background<Result<HostFold, CorruptPage>>>,
-}
-
-impl Compactor {
-    /// A compactor for a combining or multi-valued table; `None` for a
-    /// basic one.
-    pub(crate) fn new(org: Organization) -> Option<Self> {
-        (org != Organization::Basic).then(|| Compactor {
-            org,
-            seen: HashSet::new(),
-            batches: 0,
-            held: Vec::new(),
-            kept: Vec::new(),
-            fold: None,
-        })
-    }
-
-    /// Take the pages that reached `table`'s host heap since the last
-    /// commit, and the host continuations of the key entries its device
-    /// still holds. Host ids rise with every page acquisition, but a kept
-    /// multi-valued key page is evicted boundaries after it took its id —
-    /// below pages already committed — so the compactor remembers every id
-    /// it took instead of a watermark. A replayed boundary re-evicts under
-    /// ids not yet committed.
-    pub(crate) fn commit(&mut self, table: &SepoTable) {
-        let mut pages = table.host_heap().pages();
-        pages.retain(|p| self.seen.insert(p.host_id()));
-        if pages.is_empty() {
-            return;
-        }
-        self.batches += 1;
-        self.held.extend(pages);
-        self.kept = table.kept_conts();
-        if self.batches >= 2 {
-            let prev = self.fold.take();
-            let org = self.org;
-            let (pages, kept) = (
-                std::mem::take(&mut self.held),
-                std::mem::take(&mut self.kept),
-            );
-            self.fold = Some(WorkerPool::global().background(move || {
-                let mut fold = prev.map_or_else(|| Ok(HostFold::new(org)), Background::join)?;
-                fold.absorb(&pages, &kept)?;
-                Ok(fold)
-            }));
-        }
-    }
-
-    /// Commit the final flush, wait for the fold and compact the table;
-    /// `Ok(None)` when the run evicted only once or nothing would shrink.
-    pub(crate) fn finish(
-        mut self,
-        table: &SepoTable,
-    ) -> Result<Option<CompactReport>, CorruptPage> {
-        self.commit(table);
-        let Some(fold) = self.fold.take() else {
-            return Ok(None);
-        };
-        let fold = fold.join()?;
-        Ok(table.apply_fold(fold))
+        Ok(Some(report))
     }
 }
 
@@ -630,7 +362,7 @@ impl Compactor {
 mod tests {
     use super::*;
     use crate::audit::TableAudit;
-    use crate::config::TableConfig;
+    use crate::config::{Combiner, TableConfig};
     use crate::entry::{parse_at, EntryKind};
     use gpu_sim::charge::NoCharge;
     use gpu_sim::metrics::Metrics;
@@ -781,26 +513,6 @@ mod tests {
         assert_eq!(t.host_heap().pages(), pages);
     }
 
-    #[test]
-    fn the_driver_fold_matches_the_inline_fold_across_batches() {
-        let a = table(Combiner::Add, 16);
-        let b = table(Combiner::Add, 16);
-        let pairs: Vec<(String, u64)> = (0..90).map(|i| (format!("k{}", i % 25), i)).collect();
-        let pairs: Vec<(&str, u64)> = pairs.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        let mut compactor = Compactor::new(Organization::Combining(Combiner::Add)).unwrap();
-        for batch in pairs.chunks(20) {
-            for t in [&a, &b] {
-                partials(t, batch, batch.len());
-            }
-            compactor.commit(&b);
-        }
-        let inline = a.compact_host().unwrap();
-        let driven = compactor.finish(&b).unwrap();
-        assert!(inline.is_some());
-        assert_eq!(inline, driven);
-        assert_eq!(a.host_heap().pages(), b.host_heap().pages());
-    }
-
     fn grouped_table(pages: usize) -> SepoTable {
         let cfg = TableConfig::new(Organization::MultiValued)
             .with_buckets(64)
@@ -866,12 +578,11 @@ mod tests {
     }
 
     #[test]
-    fn a_kept_key_page_committed_after_higher_ids_folds_like_the_inline_fold() {
-        let (a, b) = (grouped_table(8), grouped_table(8));
-        let mut compactor = Compactor::new(Organization::MultiValued).unwrap();
+    fn a_kept_key_page_evicted_after_higher_ids_folds_in_host_link_order() {
+        let t = grouped_table(8);
         // Three rounds of more values than the heap holds keep the sticky
         // key page on the device across three boundaries, so its chain
-        // reaches the host in a segment per fold.
+        // crosses three boundaries' value pages, all with higher ids.
         let rounds: Vec<Vec<String>> = (0..3)
             .map(|r| (0..400).map(|i| format!("value-{r}-{i:03}")).collect())
             .collect();
@@ -888,37 +599,28 @@ mod tests {
         ];
         let mut kept_values = Vec::new();
         for (i, batch) in batches.into_iter().enumerate() {
-            for t in [&a, &b] {
-                let stored = insert_grouped(t, batch);
-                let postpones = stored.len() < batch.len();
-                assert_eq!(postpones, i < 3, "only the sticky rounds postpone");
-                if postpones && std::ptr::eq(t, &b) {
-                    kept_values.push(stored);
-                }
-                t.end_iteration();
+            let stored = insert_grouped(&t, batch);
+            let postpones = stored.len() < batch.len();
+            assert_eq!(postpones, i < 3, "only the sticky rounds postpone");
+            if postpones {
+                kept_values.push(stored);
             }
+            t.end_iteration();
             if i < 3 {
                 // The pending sticky key page stays, under a lower id than
-                // the value pages committed now; a later boundary commits
-                // it.
-                let kept = b.heap().resident_pages();
+                // the value pages evicted now; a later boundary evicts it.
+                let kept = t.heap().resident_pages();
                 assert_eq!(kept.len(), 1);
-                let newest = b.host_heap().pages().last().unwrap().host_id();
-                assert!(b.heap().host_id(kept[0]) < newest);
+                let newest = t.host_heap().pages().last().unwrap().host_id();
+                assert!(t.heap().host_id(kept[0]) < newest);
             }
-            compactor.commit(&b);
         }
-        a.finalize();
-        b.evict_boundary(&mut NoCharge, true, None);
-        let driven = compactor.finish(&b).unwrap();
-        assert_eq!(a.host_heap().pages(), b.host_heap().pages());
-        let report = driven.expect("sticky, k1 and k2 each own two entries");
-        assert_eq!((report.entries, report.keys), (6, 3));
+        t.finalize();
         // The kept entry's chain (newest first), then the later entry's.
         let mut sticky = vec!["late"];
         sticky.extend(kept_values.iter().rev().flat_map(|vs| vs.iter().rev()));
         sticky.push("later");
-        let mut got = strings(&b.collect_multivalued());
+        let mut got = strings(&t.collect_multivalued());
         assert_eq!(
             got.remove(0),
             (
@@ -929,6 +631,6 @@ mod tests {
         got.sort();
         let pair = |k: &str, a: &str, b: &str| (k.to_string(), vec![a.to_string(), b.to_string()]);
         assert_eq!(got, [pair("k1", "x", "z"), pair("k2", "y", "w")]);
-        TableAudit::begin(&b).check_compacted(&b).unwrap();
+        TableAudit::begin(&t).check_compacted(&t).unwrap();
     }
 }

@@ -29,7 +29,8 @@
 //! The pages are the finalized table's host heap verbatim, so the format
 //! also fixes what they hold: every combining and multi-valued key entry
 //! carries its key tag ([`tagged_lens`](crate::entry::tagged_lens)), and
-//! [`SepoTable::finalize`] has compacted the image to one entry per key.
+//! [`SepoTable::save`] compacts the image to one entry per key before it
+//! writes it.
 //! A `SEPOHST2` image may hold untagged entries (saved before the tags)
 //! or a key twice (saved before compaction); it is refused as not a
 //! `SEPOHST3` image rather than repaired on load.
@@ -112,15 +113,21 @@ pub(crate) fn append_trailer(body: &mut Vec<u8>) {
 }
 
 impl SepoTable {
-    /// Write this *finalized* table's host image to `w`: the host heap as
-    /// it stands, which [`SepoTable::finalize`] (or a driver run) has
-    /// compacted to one entry per key.
+    /// Write this table's host image to `w`, first compacting it to one
+    /// entry per key ([`SepoTable::compact_host`]; an image already
+    /// compacted is left as it is). Every page must be on the host, as
+    /// after [`SepoTable::finalize`] or a driver run: a table with resident
+    /// pages is refused with [`io::ErrorKind::InvalidInput`], since their
+    /// entries would be lost.
     pub fn save<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        assert_eq!(
-            self.heap().free_pages(),
-            self.heap().total_pages(),
-            "save requires finalize(): resident pages would be lost"
-        );
+        if self.heap().free_pages() != self.heap().total_pages() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "save requires finalize(): resident pages would be lost",
+            ));
+        }
+        self.compact_host()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.push(org_tag(self.config().organization));
@@ -351,12 +358,9 @@ mod tests {
         }
     }
 
-    /// An image an earlier build saved without compaction — two
-    /// boundaries evicted every key page, so each key owns two host
-    /// entries — under the `SEPOHST2` magic is refused typed, naming both
-    /// magics, not loaded with a key twice.
-    #[test]
-    fn an_uncompacted_sepohst2_image_is_refused() {
+    /// A multi-valued table, never finalized, whose two boundaries evicted
+    /// every key page: each of its 20 keys owns two host entries.
+    fn evicted_twice() -> SepoTable {
         let cfg = TableConfig::new(Organization::MultiValued)
             .with_buckets(64)
             .with_buckets_per_group(16)
@@ -372,6 +376,40 @@ mod tests {
             assert_eq!(t.end_iteration().kept_pages, 0);
         }
         assert_eq!(t.collect_multivalued().len(), 40, "every key twice");
+        t
+    }
+
+    /// Saving compacts: the image of a table whose boundaries evicted
+    /// everything, but which was never finalized, loads with each key once
+    /// and every value. A table with resident pages is refused typed.
+    #[test]
+    fn an_unfinalized_table_saves_compacted_and_a_resident_one_is_refused() {
+        let t = evicted_twice();
+        let mut buf = Vec::new();
+        t.save(&mut buf).unwrap();
+        let restored =
+            SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new())).unwrap();
+        let groups = restored.collect_multivalued();
+        assert_eq!(groups.len(), 20);
+        for (key, mut values) in groups {
+            let i: u32 = std::str::from_utf8(&key[4..]).unwrap().parse().unwrap();
+            let want = [format!("v0-{i}"), format!("v1-{i}")].map(String::into_bytes);
+            values.sort();
+            assert_eq!(values, want);
+        }
+
+        assert!(t
+            .insert_multivalued(b"key-00", b"resident", &mut NoCharge)
+            .is_success());
+        let err = t.save(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A `SEPOHST2` image, which an earlier build could save uncompacted,
+    /// is refused typed by its magic alone, naming both magics.
+    #[test]
+    fn a_sepohst2_image_is_refused() {
+        let t = evicted_twice();
         let mut buf = Vec::new();
         t.save(&mut buf).unwrap();
         buf.truncate(buf.len() - 4);

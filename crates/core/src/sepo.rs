@@ -28,7 +28,7 @@ use crate::audit::TableAudit;
 use crate::bitmap::Bitmap;
 use crate::checkpoint::{Checkpoint, CheckpointPolicy};
 use crate::combiner::{CombinerConfig, WarpCombiner};
-use crate::compact::{CompactReport, Compactor};
+use crate::compact::CompactReport;
 use crate::config::Organization;
 use crate::evict::EvictReport;
 use crate::serve::EpochPublisher;
@@ -132,8 +132,9 @@ pub struct SepoOutcome {
     /// the benchmark layer's makespan model is its only reader.
     pub evict_overlap: bool,
     /// What host compaction folded at the end of the run ([`crate::compact`]):
-    /// `None` unless a combining table evicted in more than one batch and
-    /// some key had several host entries (or a tombstone had to go).
+    /// `None` unless a combining or multi-valued table's host pages arrived
+    /// in more than one batch and some key had several host entries (or a
+    /// tombstone had to go).
     pub compaction: Option<CompactReport>,
 }
 
@@ -610,8 +611,7 @@ struct Launched {
 
 /// The state of one [`SepoDriver::try_run`]; each step of its loop is a
 /// method here. The boundary order — publish → evict → verdicts →
-/// checkpoint → commit host pages → re-stamp — is fixed by the quiescence
-/// invariant.
+/// checkpoint → re-stamp — is fixed by the quiescence invariant.
 struct Run<'d> {
     table: &'d SepoTable,
     executor: &'d Executor,
@@ -641,9 +641,9 @@ struct Run<'d> {
     /// `(page, host id, CRC32C)` of every resident device page with used
     /// bytes, stamped at the last quiescent boundary.
     resting: Vec<(u32, u64, u32)>,
-    /// Host compaction of a combining or multi-valued table, fed at every
-    /// checkpointed boundary.
-    compactor: Option<Compactor>,
+    /// The table held host pages when the run began: a batch of its own
+    /// for host compaction.
+    inherited_pages: bool,
 }
 
 impl<'d> Run<'d> {
@@ -675,11 +675,10 @@ impl<'d> Run<'d> {
             shadow,
             audit,
             resting: Vec::new(),
-            compactor: Compactor::new(table.config().organization),
+            inherited_pages: !table.host_heap().is_empty(),
         };
         run.stamp_resting();
         run.take_checkpoint()?;
-        run.commit_host_pages();
         run.publish(0, false);
         Ok(run)
     }
@@ -748,15 +747,6 @@ impl<'d> Run<'d> {
         self.recovery.checkpoint_bytes = ckp.encoded_size();
         self.checkpoint = Some(ckp);
         Ok(())
-    }
-
-    /// Hand the host pages this boundary stored, and the host
-    /// continuations of the key entries it kept on the device, to the
-    /// compactor. After the checkpoint, so no rollback can take them back.
-    fn commit_host_pages(&mut self) {
-        if let Some(c) = &mut self.compactor {
-            c.commit(self.table);
-        }
     }
 
     /// Open the iteration: stamp its number on the sanitizer, then close the
@@ -1024,21 +1014,29 @@ impl<'d> Run<'d> {
         });
         self.pending = next_pending;
         self.take_checkpoint()?;
-        self.commit_host_pages();
         self.stamp_resting();
         Ok(())
     }
 
-    /// Host compaction: wait for the fold of the committed boundaries,
-    /// fold the final flush, and replace the host pages with one entry per
-    /// key — then audit the result. A damaged page
-    /// the fold meets fails the run with its host id.
-    fn compact(&mut self, at_iteration: u32) -> Result<Option<CompactReport>, SepoError> {
-        let Some(compactor) = self.compactor.take() else {
+    /// Host compaction: when host pages arrived in more than one batch —
+    /// the pages the run began with, each surviving boundary that evicted,
+    /// the final flush — replace them with one entry per key, then audit
+    /// the result. One batch holds each key once, so a run that evicts
+    /// once never folds. A damaged page the fold meets fails the run with
+    /// its host id.
+    fn compact(
+        &self,
+        at_iteration: u32,
+        final_evict: &EvictReport,
+    ) -> Result<Option<CompactReport>, SepoError> {
+        let evicted = |e: &EvictReport| usize::from(e.evicted_pages > 0);
+        let boundaries: usize = self.iterations.iter().map(|it| evicted(&it.evict)).sum();
+        if usize::from(self.inherited_pages) + boundaries + evicted(final_evict) < 2 {
             return Ok(None);
-        };
-        let report = compactor
-            .finish(self.table)
+        }
+        let report = self
+            .table
+            .compact_host()
             .map_err(|corrupt| SepoError::CorruptPage {
                 at_iteration,
                 host_id: corrupt.host_id,
@@ -1059,7 +1057,7 @@ impl<'d> Run<'d> {
     fn finish(mut self) -> Result<SepoOutcome, SepoError> {
         let at_iteration = self.iter_no();
         let final_evict = self.evict(at_iteration, None)?;
-        let compaction = self.compact(at_iteration)?;
+        let compaction = self.compact(at_iteration, &final_evict)?;
         // End-of-run scrub — the one place a run re-checks stamps: every
         // page now lives in the host store; walk them all and re-verify the
         // CRC32C stamp each carried out of the device. Always on under
@@ -1105,6 +1103,7 @@ mod tests {
     use super::*;
     use crate::checkpoint::CheckpointFile;
     use crate::config::{Combiner, Organization, TableConfig};
+    use crate::table::InsertStatus;
     use gpu_sim::executor::ExecMode;
     use gpu_sim::metrics::Metrics;
     use std::collections::HashMap;
@@ -2391,6 +2390,76 @@ mod tests {
         assert_eq!(recoveries, 0);
         let after = t.host_heap().pages();
         assert_eq!(before, after[..before.len()], "compaction wrote nothing");
+    }
+
+    /// Drive `records` into `t` through `insert` in two runs of 60. Each
+    /// evicts once, at its only boundary; only the second begins over
+    /// host pages, and only it compacts.
+    fn two_runs(
+        t: &SepoTable,
+        records: &[(String, String)],
+        insert: impl Fn(&(String, String), &mut LaneCtx<'_>) -> InsertStatus + Sync,
+    ) {
+        let e = exec(t.metrics());
+        let driver = SepoDriver::new(t, &e).with_config(audited());
+        for (run, part) in records.chunks(60).enumerate() {
+            let outcome = driver.run(
+                part.len(),
+                |_| 16,
+                |task, _, lane| match insert(&part[task], lane) {
+                    InsertStatus::Success => TaskResult::Done,
+                    InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+                },
+            );
+            let evicted: Vec<usize> = outcome
+                .iterations
+                .iter()
+                .map(|it| it.evict.evicted_pages)
+                .collect();
+            assert!(matches!(evicted[..], [n] if n > 0), "{evicted:?}");
+            assert_eq!(outcome.final_evict.evicted_pages, 0);
+            assert_eq!(outcome.compaction.is_some(), run == 1, "run {run}");
+        }
+    }
+
+    /// The host pages a table holds when a run begins are a batch of their
+    /// own: a run over them whose own boundaries evict only once still
+    /// ends with one entry per key, for both organizations that compact.
+    #[test]
+    fn inherited_host_pages_count_as_a_batch() {
+        let records: Vec<(String, String)> = (0..120)
+            .map(|i| (format!("key-{:02}", i % 30), format!("v{i}")))
+            .collect();
+
+        let t = small_table(Organization::Combining(Combiner::Add), 64);
+        two_runs(&t, &records, |(k, _), lane| {
+            t.insert_combining(k.as_bytes(), 1, lane)
+        });
+        let mut want: HashMap<Vec<u8>, u64> = HashMap::new();
+        for (k, _) in &records {
+            *want.entry(k.clone().into_bytes()).or_default() += 1;
+        }
+        let got = t.collect_combining();
+        assert_eq!(got.len(), 30, "one host entry per key");
+        assert_eq!(got.into_iter().collect::<HashMap<_, _>>(), want);
+
+        let t = small_table(Organization::MultiValued, 64);
+        two_runs(&t, &records, |(k, v), lane| {
+            t.insert_multivalued(k.as_bytes(), v.as_bytes(), lane)
+        });
+        let mut want: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
+        for (k, v) in &records {
+            let values = want.entry(k.clone().into_bytes()).or_default();
+            values.push(v.clone().into_bytes());
+        }
+        let got = t.collect_multivalued();
+        assert_eq!(got.len(), 30, "one host key entry per key");
+        let mut got: HashMap<_, _> = got.into_iter().collect();
+        for values in got.values_mut().chain(want.values_mut()) {
+            values.sort();
+        }
+        assert_eq!(got, want);
+        TableAudit::begin(&t).check_compacted(&t).unwrap();
     }
 
     #[test]

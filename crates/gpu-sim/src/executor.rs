@@ -10,7 +10,7 @@
 //! of a launch may be short.
 //!
 //! * In [`ExecMode::Parallel`], blocks are executed concurrently by the
-//!   process-wide persistent [`pool`](crate::pool) (no threads are spawned
+//!   process-wide persistent [`pool`] (no threads are spawned
 //!   per launch; whole blocks are claimed in adaptive chunks, so anything
 //!   that depends only on a block's own lanes — scratch-state counters
 //!   included — does not depend on the worker count). The data structures
@@ -23,7 +23,7 @@
 //!   and every per-launch event count are byte-identical *by construction*.
 //!   The surrounding harness may run independent simulations
 //!   (separate tables, separate [`Metrics`]) concurrently on the pool via
-//!   [`pool::scope`](crate::pool::scope). True warp-racing cannot keep
+//!   [`pool::scope`]. True warp-racing cannot keep
 //!   counts like `chain_hops` bit-stable (they depend on chain insertion
 //!   order), so parallelism is hoisted to the between-simulations level
 //!   where there is no shared mutable state to race on.

@@ -27,9 +27,9 @@
 //!   concurrently while each cell stays internally deterministic.
 //! * [`WorkerPool::background`] hands one owned `FnOnce` to an idle worker
 //!   while the submitter carries on; [`Background::join`] takes its result
-//!   (running it on the joining thread if no worker has). The SEPO driver
-//!   folds evicted host pages this way while the next iteration's launches
-//!   run on the calling thread.
+//!   (running it on the joining thread if no worker has). The shadow
+//!   sanitizer replays a retired launch's events this way while the next
+//!   launch runs on the calling thread.
 
 use std::any::Any;
 use std::collections::VecDeque;
