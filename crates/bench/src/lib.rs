@@ -24,8 +24,8 @@
 //! deterministic functions of counted events through the calibrated cost
 //! models — while iteration counts, postponements and transfer volumes come
 //! from real execution. The binary's `SEPO_SCALE` (default 256) sets the
-//! 1/N capacity/dataset scale. `tests/paper_claims.rs` pins the paper's
-//! shapes on these functions' JSON; byte-identity invariants of a feature
+//! 1/N capacity/dataset scale. The root package's `tests/paper_claims.rs`
+//! pins the paper's shapes on these functions' JSON; byte-identity invariants of a feature
 //! against its "off" run are tier-1 tests too; wall-clock figures come from
 //! the repo benchmark (`perf/`).
 

@@ -11,7 +11,8 @@
 //! Each function returns an [`Artifact`]: the text the `paper` binary
 //! prints and the JSON it writes to `results/<name>.json`. Nothing here
 //! reads `SEPO_SCALE` or touches the filesystem, so the paper-claims test
-//! asserts on exactly what the binary writes.
+//! (the root package's `tests/paper_claims.rs`) asserts on exactly what
+//! the binary writes.
 
 use crate::report::{fmt_bytes, fmt_speedup, BarChart, Table};
 use crate::timing::{empty_hist, pinned_total_time, single_pass_gpu_time};

@@ -26,23 +26,28 @@
 //! host heap's pages. An image that already holds each key once, without
 //! tombstones, is left as it is.
 //!
-//! The fold is a pure function of the host pages, read only through
-//! [`StampedPage::verify`]: the compacted image is the same under every
-//! exec mode, feature toggle, shard layout and kill + resume. It runs
-//! once, over the whole host image, in [`SepoTable::compact_host`]: the
-//! driver calls it after a run's final flush when host pages arrived in
-//! more than one batch, and [`SepoTable::finalize`] and
-//! [`SepoTable::save`] call it too, so every saved image is compacted and
-//! [`SepoTable::load`] refuses one that is not. Compaction charges no
-//! simulated time: it is the CPU-side merge the collectors used to
-//! perform at read time, moved earlier.
+//! There is one fold of a key's host entries, and it lives with the one
+//! key index, [`HostStore`](crate::serve::HostStore): compaction indexes
+//! the host image as `HostStore::of_finalized` does, verifying every page
+//! through [`StampedPage::verify`], and packs each key, in the order of
+//! its first entry, from the fold the serving epochs and `sepo query` read
+//! through. So the compacted image is a pure function of the host pages,
+//! the same under every exec mode, feature toggle, shard layout and kill +
+//! resume, and an in-run epoch's answer for a key is what compaction
+//! packs for it. It runs once, over the whole host image, in
+//! [`SepoTable::compact_host`]: the driver calls it after a run's final
+//! flush when host pages arrived in more than one batch, and
+//! [`SepoTable::finalize`] and [`SepoTable::save`] call it too, so every
+//! saved image is compacted and [`SepoTable::load`] refuses one that is
+//! not. Compaction charges no simulated time: it is the CPU-side merge the
+//! collectors used to perform at read time, moved earlier.
 
 use crate::config::Organization;
-use crate::entry::{combining, key_entry, key_lens, parse_at, value_node, EntryKind, ParsedEntry};
-use crate::hash::KeyMap;
-use crate::results::primary_entries;
+use crate::entry::{combining, key_entry, key_lens, value_node};
+use crate::serve::HostIndex;
 use crate::table::SepoTable;
-use sepo_alloc::{CorruptPage, DevHandle, Heap, HostLink, PageKind, StampedPage, VerifiedPage};
+use sepo_alloc::{CorruptPage, DevHandle, HostLink, PageKind, StampedPage};
+use std::cell::Cell;
 
 /// What one compaction did to the host image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,213 +65,59 @@ pub struct CompactReport {
     pub bytes_after: u64,
 }
 
-/// A table's host entries, folded to one per key.
-struct HostFold {
-    entries: u64,
-    bytes: u64,
-    keys: Folded,
-}
-
-enum Folded {
-    /// Each key's combined value, in first-eviction order.
-    Combining(KeyMap<u64>),
-    Grouped(Box<Groups>),
-}
-
-impl HostFold {
-    /// Fold `pages` — every host page of a combining or multi-valued table
-    /// (a basic table's duplicates are data: nothing compacts it), in
-    /// host-id order — refusing the first that fails its stamp.
-    fn new(org: Organization, pages: &[StampedPage]) -> Result<Self, CorruptPage> {
-        let pages = pages
-            .iter()
-            .map(StampedPage::verify)
-            .collect::<Result<Vec<_>, _>>()?;
-        let bytes = pages.iter().map(|p| p.bytes().len() as u64).sum();
-        let (entries, keys) = match org {
-            Organization::Combining(comb) => {
-                let (mut entries, mut keys) = (0, KeyMap::default());
-                for page in &pages {
-                    for (_, e) in primary_entries(org, page) {
-                        if let ParsedEntry::Combining { key, value } = e {
-                            entries += 1;
-                            keys.upsert(key, || value, |v| *v = comb.apply(*v, value));
-                        }
-                    }
-                }
-                (entries, Folded::Combining(keys))
-            }
-            Organization::MultiValued => {
-                let groups = Box::new(Groups::new(pages)?);
-                (groups.entries.len() as u64, Folded::Grouped(groups))
-            }
-            Organization::Basic => unreachable!("a basic table is never compacted"),
-        };
-        Ok(HostFold {
-            entries,
-            bytes,
-            keys,
-        })
-    }
-
-    fn report(&self) -> CompactReport {
-        let (keys, bytes_after) = match &self.keys {
-            Folded::Combining(keys) => {
-                let sizes = keys.iter().map(|(key, _)| combining::size(key.len()));
-                (keys.len(), sizes.sum::<usize>() as u64)
-            }
-            Folded::Grouped(groups) => (groups.keys.len(), groups.packed_bytes),
-        };
-        CompactReport {
-            entries: self.entries,
-            keys: keys as u64,
-            bytes_before: self.bytes,
-            bytes_after,
+/// Each key of `index`, a combining or multi-valued table's host image,
+/// folded to one entry, in the order of the key's first entry, and packed
+/// into stamped pages of at most `page_size` bytes under consecutive host
+/// ids from `first_id` on: [`PageKind::Mixed`] pages, or
+/// [`PageKind::Value`] pages with each key's chain back to back, followed
+/// by the [`PageKind::Key`] pages. Returns the pages and the bytes of the
+/// entries on them; a value chain that leaves the image is refused by host
+/// id.
+fn pack(
+    index: &HostIndex,
+    org: Organization,
+    page_size: usize,
+    first_id: u64,
+) -> Result<(Vec<StampedPage>, u64), CorruptPage> {
+    let id = Cell::new(first_id);
+    let next_id = || id.replace(id.get() + 1);
+    if let Organization::Combining(comb) = org {
+        let mut out = Packer::new(PageKind::Mixed, page_size, next_id);
+        let mut words = Vec::new();
+        for (key, last) in index.keys() {
+            index.words(last, u64::MAX, &mut words);
+            let value = HostIndex::combine(&words, comb, &mut 0);
+            let value = value.expect("an indexed key has an entry");
+            let fields = [NULL_DEV, NULL_HOST, value, key_lens(key)];
+            out.put(&fields, key, combining::size(key.len()));
         }
+        return Ok(out.finish());
     }
-
-    /// The compacted entries packed into stamped pages of at most
-    /// `page_size` bytes, under host ids `heap` reserves.
-    fn pack(self, page_size: usize, heap: &Heap) -> Vec<StampedPage> {
-        match self.keys {
-            Folded::Combining(keys) => {
-                let mut out = Packer::new(PageKind::Mixed, page_size, || heap.reserve_host_ids(1));
-                for (key, &value) in keys.iter() {
-                    let words = [NULL_DEV, NULL_HOST, value, key_lens(key)];
-                    out.put(&words, key, combining::size(key.len()));
-                }
-                out.finish()
-            }
-            Folded::Grouped(groups) => (*groups).pack(page_size, heap),
+    // A chain is written oldest value first, so each node links to the one
+    // written before it and the key entry to the last one.
+    let mut value_pages = Packer::new(PageKind::Value, page_size, next_id);
+    let mut key_pages = Packer::new(PageKind::Key, page_size, next_id);
+    let (mut words, mut values, mut heads) = (Vec::new(), Vec::new(), Vec::new());
+    for (_, last) in index.keys() {
+        index.words(last, u64::MAX, &mut words);
+        values.clear();
+        index.values(&words, &mut 0, |v| values.push(v))?;
+        let mut next = HostLink::NULL;
+        for value in values.iter().rev() {
+            let fields = [NULL_DEV, next.to_raw(), value.len() as u64];
+            next = value_pages.put(&fields, value, value_node::size(value.len()));
         }
+        heads.push(next);
     }
-}
-
-/// A multi-valued table's key entries, grouped by key.
-///
-/// Key pages arrive in host-id order, so key entries arrive in host-link
-/// order and a key's id in `keys` is its place in the compacted image.
-/// Each entry's chain is walked across every value page, and its values
-/// are copied, newest first, into one range of an arena.
-#[derive(Default)]
-struct Groups {
-    /// Every key, and the index of its latest entry in `entries`.
-    keys: KeyMap<u32>,
-    /// Every key entry, in host-link order.
-    entries: Vec<KeyRun>,
-    /// Chain values: bytes, and each value's `(offset, length)` in them.
-    bytes: Vec<u8>,
-    values: Vec<(u32, u32)>,
-    /// Bytes of the compacted image: every key's entry and every chain's
-    /// nodes.
-    packed_bytes: u64,
-}
-
-const NONE: u32 = u32::MAX;
-
-/// One key entry: its chain, newest first, as [`Groups::values`]
-/// `start..end`, and its key's entry before it (`NONE` for the first).
-#[derive(Clone, Copy)]
-struct KeyRun {
-    prev: u32,
-    start: u32,
-    end: u32,
-}
-
-impl Groups {
-    /// Group the key entries of `pages`, every host page in host-id order.
-    fn new(pages: Vec<VerifiedPage>) -> Result<Self, CorruptPage> {
-        let (key_pages, value_pages): (Vec<_>, Vec<_>) =
-            pages.into_iter().partition(|p| p.kind() == PageKind::Key);
-        let mut groups = Groups::default();
-        for page in &key_pages {
-            for (_, e) in primary_entries(Organization::MultiValued, page) {
-                if let ParsedEntry::Key {
-                    key,
-                    value_host_cont,
-                } = e
-                {
-                    let start = groups.values.len() as u32;
-                    groups.walk(HostLink::from_raw(value_host_cont), &value_pages)?;
-                    let (id, mut prev) = (groups.entries.len() as u32, NONE);
-                    groups
-                        .keys
-                        .upsert(key, || id, |last| prev = std::mem::replace(last, id));
-                    if prev == NONE {
-                        groups.packed_bytes += key_entry::size(key.len()) as u64;
-                    }
-                    let end = groups.values.len() as u32;
-                    groups.entries.push(KeyRun { prev, start, end });
-                }
-            }
-        }
-        Ok(groups)
+    for ((key, _), cont) in index.keys().zip(heads) {
+        let (head, flags, lens) = (NULL_DEV, 0, key_lens(key));
+        let fields = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, lens];
+        key_pages.put(&fields, key, key_entry::size(key.len()));
     }
-
-    /// Copy the chain from `link` into the arena, node by node, as the
-    /// collectors walk it. A link to a page not among `pages` (sorted by
-    /// host id) is refused by host id.
-    fn walk(&mut self, mut link: HostLink, pages: &[VerifiedPage]) -> Result<(), CorruptPage> {
-        // A chain's nodes mostly share pages with their neighbours.
-        let mut last: Option<&VerifiedPage> = None;
-        while !link.is_null() {
-            let host_id = link.host_page();
-            let page = match last {
-                Some(page) if page.host_id() == host_id => page,
-                _ => {
-                    let at = pages.binary_search_by_key(&host_id, VerifiedPage::host_id);
-                    let at = at.map_err(|_| CorruptPage { host_id })?;
-                    last.insert(&pages[at])
-                }
-            };
-            let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
-                parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
-            else {
-                break;
-            };
-            self.packed_bytes += value_node::size(value.len()) as u64;
-            self.values
-                .push((self.bytes.len() as u32, value.len() as u32));
-            self.bytes.extend_from_slice(value);
-            link = HostLink::from_raw(next_host);
-        }
-        Ok(())
-    }
-
-    /// One key entry per key, in the order of each key's first entry by
-    /// host link, on key pages after the value pages that hold its chain:
-    /// the old entries' chains one after another in host-link order.
-    fn pack(self, page_size: usize, heap: &Heap) -> Vec<StampedPage> {
-        // A chain is written oldest value first, so each node links to the
-        // one written before it and the key entry to the last one.
-        let next_id = || heap.reserve_host_ids(1);
-        let mut value_pages = Packer::new(PageKind::Value, page_size, next_id);
-        let mut key_pages = Packer::new(PageKind::Key, page_size, next_id);
-        let mut heads = Vec::with_capacity(self.keys.len());
-        for (_, &last) in self.keys.iter() {
-            let mut next = HostLink::NULL;
-            let mut entry = last;
-            while entry != NONE {
-                let run = self.entries[entry as usize];
-                let values = &self.values[run.start as usize..run.end as usize];
-                for &(at, len) in values.iter().rev() {
-                    let value = &self.bytes[at as usize..(at + len) as usize];
-                    let words = [NULL_DEV, next.to_raw(), u64::from(len)];
-                    next = value_pages.put(&words, value, value_node::size(value.len()));
-                }
-                entry = run.prev;
-            }
-            heads.push(next);
-        }
-        for ((key, _), cont) in self.keys.iter().zip(heads) {
-            let (head, flags, lens) = (NULL_DEV, 0, key_lens(key));
-            let words = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, lens];
-            key_pages.put(&words, key, key_entry::size(key.len()));
-        }
-        let mut out = value_pages.finish();
-        out.extend(key_pages.finish());
-        out
-    }
+    let (mut pages, value_bytes) = value_pages.finish();
+    let (key_pages, key_bytes) = key_pages.finish();
+    pages.extend(key_pages);
+    Ok((pages, value_bytes + key_bytes))
 }
 
 const NULL_DEV: u64 = DevHandle::NULL.to_raw();
@@ -283,6 +134,8 @@ struct Packer<F> {
     page: Vec<u8>,
     used: usize,
     id: u64,
+    /// Bytes of every entry put.
+    bytes: u64,
 }
 
 impl<F: FnMut() -> u64> Packer<F> {
@@ -294,6 +147,7 @@ impl<F: FnMut() -> u64> Packer<F> {
             page: vec![0; page_size],
             used: 0,
             id: 0,
+            bytes: 0,
         }
     }
 
@@ -314,6 +168,7 @@ impl<F: FnMut() -> u64> Packer<F> {
         value.copy_from_slice(payload);
         padding.fill(0);
         self.used += size;
+        self.bytes += size as u64;
         HostLink::new(self.id, at as u32)
     }
 
@@ -327,9 +182,10 @@ impl<F: FnMut() -> u64> Packer<F> {
         }
     }
 
-    fn finish(mut self) -> Vec<StampedPage> {
+    /// The stamped pages and the bytes of their entries.
+    fn finish(mut self) -> (Vec<StampedPage>, u64) {
         self.seal();
-        self.pages
+        (self.pages, self.bytes)
     }
 }
 
@@ -341,18 +197,33 @@ impl SepoTable {
     /// tombstones, is left as it is (`Ok(None)`), as is a basic table's and
     /// one with resident pages (their entries link into the host pages). A
     /// page that fails its stamp, or a value chain that leaves the host
-    /// image, is refused by host id and nothing changes.
+    /// image, is refused by host id and nothing changes, the heap's next
+    /// host id included.
     pub fn compact_host(&self) -> Result<Option<CompactReport>, CorruptPage> {
+        let org = self.cfg.organization;
         let resident = self.heap.free_pages() != self.heap.total_pages();
-        if self.cfg.organization == Organization::Basic || resident {
+        if org == Organization::Basic || resident {
             return Ok(None);
         }
-        let fold = HostFold::new(self.cfg.organization, &self.host.pages())?;
-        let report = fold.report();
+        let index = HostIndex::of_image(org, &self.host.pages())?;
+        // Pack under the host ids the heap hands out next, and reserve them
+        // only when the packed image replaces the old one.
+        let first_id = self.heap.snapshot().next_host_id;
+        let (pages, bytes_after) = pack(&index, org, self.cfg.page_size, first_id)?;
+        let report = CompactReport {
+            entries: index.entries() as u64,
+            keys: index.len() as u64,
+            bytes_before: index.page_bytes(),
+            bytes_after,
+        };
         if report.entries == report.keys && report.bytes_before == report.bytes_after {
             return Ok(None);
         }
-        let pages = fold.pack(self.cfg.page_size, &self.heap);
+        let reserved = self.heap.reserve_host_ids(pages.len() as u64);
+        assert_eq!(
+            reserved, first_id,
+            "no host id is reserved while a table compacts"
+        );
         self.host.restore(&pages);
         Ok(Some(report))
     }
@@ -363,7 +234,8 @@ mod tests {
     use super::*;
     use crate::audit::TableAudit;
     use crate::config::{Combiner, TableConfig};
-    use crate::entry::{parse_at, EntryKind};
+    use crate::entry::{parse_at, EntryKind, ParsedEntry};
+    use crate::results::primary_entries;
     use gpu_sim::charge::NoCharge;
     use gpu_sim::metrics::Metrics;
     use std::collections::HashMap;
@@ -482,8 +354,10 @@ mod tests {
         let t = table(Combiner::Or, 16);
         partials(&t, &[("x", 1), ("y", 2), ("z", 4)], 2);
         let pages = t.host_heap().pages();
+        let next_id = t.heap().snapshot().next_host_id;
         assert_eq!(t.compact_host(), Ok(None), "no key twice, nothing to drop");
         assert_eq!(t.host_heap().pages(), pages);
+        assert_eq!(t.heap().snapshot().next_host_id, next_id);
 
         let cfg = TableConfig::new(Organization::Basic)
             .with_buckets(16)
@@ -508,9 +382,11 @@ mod tests {
         let damaged = StampedPage::from_parts(page.host_id(), page.kind(), bytes, page.crc());
         t.host_heap().store(damaged);
         let pages = t.host_heap().pages();
+        let next_id = t.heap().snapshot().next_host_id;
         let err = t.compact_host().unwrap_err();
         assert_eq!(err.host_id, page.host_id());
         assert_eq!(t.host_heap().pages(), pages);
+        assert_eq!(t.heap().snapshot().next_host_id, next_id);
     }
 
     fn grouped_table(pages: usize) -> SepoTable {
@@ -535,6 +411,24 @@ mod tests {
         let s = |b: &[u8]| String::from_utf8(b.to_vec()).unwrap();
         let group = |(k, vs): &(Vec<u8>, Vec<Vec<u8>>)| (s(k), vs.iter().map(|v| s(v)).collect());
         groups.iter().map(group).collect()
+    }
+
+    #[test]
+    fn a_chain_into_a_missing_page_is_refused_by_host_id_and_nothing_changes() {
+        let t = grouped_table(16);
+        for batch in [[("b", "1"), ("a", "2")], [("b", "3"), ("c", "4")]] {
+            assert_eq!(insert_grouped(&t, &batch).len(), 2);
+            t.end_iteration();
+        }
+        let mut pages = t.host_heap().pages();
+        let missing = pages.iter().find(|p| p.kind() == PageKind::Value);
+        let missing = missing.unwrap().host_id();
+        pages.retain(|p| p.host_id() != missing);
+        t.host_heap().restore(&pages);
+        let next_id = t.heap().snapshot().next_host_id;
+        assert_eq!(t.compact_host().unwrap_err().host_id, missing);
+        assert_eq!(t.host_heap().pages(), pages);
+        assert_eq!(t.heap().snapshot().next_host_id, next_id);
     }
 
     #[test]

@@ -43,16 +43,22 @@ pub(crate) fn primary_entries(
 /// Walk the host-linked value chain starting at `link`, newest to oldest,
 /// handing each value to `visit`. `page_of` resolves a host id to its
 /// verified page; a link to a page it does not know — never evicted, or
-/// quarantined for a bad checksum — is a typed
-/// [`QueryError::CorruptPage`], not a shorter group.
+/// quarantined for a bad checksum — is a typed [`CorruptPage`], not a
+/// shorter group.
 pub(crate) fn walk_value_chain<'p>(
     mut link: HostLink,
     page_of: impl Fn(u64) -> Option<&'p VerifiedPage>,
     mut visit: impl FnMut(&'p [u8]),
-) -> Result<(), QueryError> {
+) -> Result<(), CorruptPage> {
+    // A chain's nodes mostly share pages with their neighbours.
+    let mut last: Option<&'p VerifiedPage> = None;
     while !link.is_null() {
         let host_id = link.host_page();
-        let page = page_of(host_id).ok_or(CorruptPage { host_id })?;
+        let page = match last {
+            Some(page) if page.host_id() == host_id => page,
+            _ => page_of(host_id).ok_or(CorruptPage { host_id })?,
+        };
+        last = Some(page);
         let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
             parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
         else {

@@ -23,10 +23,12 @@
 //!   absorbs evicted pages as boundaries land them — no `finalize()`
 //!   required. Every epoch carries a *watermark*: host entries indexed at
 //!   or after it are invisible, so a reader pinned to epoch N never sees a
-//!   partially applied later iteration. The finalized epoch indexes the
-//!   compacted host image ([`crate::compact`]) in a store of its own, and
-//!   the same index, built in one go by [`HostStore::of_finalized`], is the
-//!   offline read path over a finalized table (`sepo query`).
+//!   partially applied later iteration. A key's several host entries
+//!   resolve through the index's one fold, the fold host compaction
+//!   ([`crate::compact`]) packs each key from. The finalized epoch indexes
+//!   the compacted host image in a store of its own, and the same index,
+//!   built in one go by [`HostStore::of_finalized`], is the offline read
+//!   path over a finalized table (`sepo query`).
 //!
 //! Reads never touch the live table: the driver's final image, iteration
 //! trajectory, and metrics are byte-identical with serving on or off
@@ -40,7 +42,7 @@
 //! with the offline query paths (the collectors, the lookup phase).
 
 use crate::config::{Combiner, Organization};
-use crate::entry::{self, combining, key_entry, tagged_lens, value_node, EntryKind};
+use crate::entry::{self, combining, key_entry, tagged_lens, value_node, EntryKind, ParsedEntry};
 use crate::hash::{bucket_of_mixed, fnv1a, mix, KeyMap};
 use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
@@ -49,7 +51,7 @@ use gpu_sim::executor::Executor;
 use gpu_sim::metrics::Counter;
 use gpu_sim::sync::Relaxed;
 use parking_lot::{Mutex, RwLock};
-use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, VerifiedPage};
+use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, StampedPage, VerifiedPage};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -76,6 +78,15 @@ pub enum QueryError {
         epoch: Option<u32>,
         /// Host id of the page whose bytes no longer match their stamp.
         host_id: u64,
+    },
+    /// A serving batch still had unresolved probe slots after `launches`
+    /// launches: the serving executor's fault plan aborts every lane or
+    /// kills every launch.
+    ProbeExhausted {
+        /// The serving epoch the batch read.
+        epoch: u32,
+        /// The probe launches spent: the serving layer's budget of 10,000.
+        launches: u32,
     },
 }
 
@@ -105,6 +116,11 @@ impl fmt::Display for QueryError {
                 epoch: None,
                 host_id,
             } => write!(f, "host page {host_id} failed checksum verification"),
+            QueryError::ProbeExhausted { epoch, launches } => write!(
+                f,
+                "epoch {epoch}: serving probe left slots unresolved after {launches} launches \
+                 (the fault plan aborts every lane or kills every launch)"
+            ),
         }
     }
 }
@@ -173,8 +189,9 @@ pub(crate) fn ensure_batch_fits(len: usize, max: usize) -> Result<(), QueryError
 /// [`EpochSnapshot::batch_get_grouped`] call.
 pub const MAX_BATCH: usize = 1 << 16;
 
-/// Upper bound on probe relaunches per batch before the serving layer
-/// concludes the fault plan is pathological and gives up.
+/// Upper bound on probe launches per batch before the serving layer
+/// concludes the fault plan is pathological and fails the batch with
+/// [`QueryError::ProbeExhausted`].
 const MAX_PROBE_ROUNDS: u32 = 10_000;
 
 /// Result-word encoding for the probe kernel: bit 63 marks the slot
@@ -382,22 +399,29 @@ impl EpochSnapshot {
 
     /// Launch the probe kernel over `unique` keys through `executor`,
     /// retrying lanes aborted by transient faults and launches killed by
-    /// hard faults until every slot resolves. `probe` must store a
-    /// [`PROBE_DONE`]-tagged word into its slot.
-    fn launch_probe<F>(&self, executor: &Executor, n_unique: usize, probe: F) -> Vec<u64>
+    /// hard faults until every slot resolves, or fails with
+    /// [`QueryError::ProbeExhausted`] after [`MAX_PROBE_ROUNDS`] launches.
+    /// `probe` must store a [`PROBE_DONE`]-tagged word into its slot.
+    fn launch_probe<F>(
+        &self,
+        executor: &Executor,
+        n_unique: usize,
+        probe: F,
+    ) -> Result<Vec<u64>, QueryError>
     where
         F: Fn(usize, &mut gpu_sim::executor::LaneCtx<'_>) -> u64 + Sync,
     {
         let results: Vec<Relaxed<u64>> = (0..n_unique).map(|_| Relaxed::new(0)).collect();
         let mut pending: Vec<u32> = (0..n_unique as u32).collect();
-        let mut rounds = 0;
+        let mut launches = 0;
         while !pending.is_empty() {
-            rounds += 1;
-            assert!(
-                rounds <= MAX_PROBE_ROUNDS,
-                "serving probe failed to complete after {MAX_PROBE_ROUNDS} launches \
-                 — fault plan aborts every lane"
-            );
+            if launches == MAX_PROBE_ROUNDS {
+                return Err(QueryError::ProbeExhausted {
+                    epoch: self.iteration,
+                    launches,
+                });
+            }
+            launches += 1;
             let launch = executor.try_launch(pending.len(), |lane| {
                 let u = pending[lane.task()] as usize;
                 let word = probe(u, lane);
@@ -414,7 +438,7 @@ impl EpochSnapshot {
                 Err(e) => std::panic::resume_unwind(e.into_panic()),
             }
         }
-        results.iter().map(Relaxed::get).collect()
+        Ok(results.iter().map(Relaxed::get).collect())
     }
 
     /// Answer a batch of point lookups against this epoch (combining
@@ -448,7 +472,7 @@ impl EpochSnapshot {
                 }
                 None => PROBE_DONE,
             }
-        });
+        })?;
         self.charge_bulk(executor, unique.len() as u64 * 8);
         let mut host_bytes = 0u64;
         let mut merged: Vec<Option<u64>> = Vec::with_capacity(unique.len());
@@ -456,8 +480,7 @@ impl EpochSnapshot {
             let dev = (word & PROBE_FOUND != 0).then_some(word & PROBE_VALUE_MASK);
             let host = self
                 .host
-                .combined_under(key, self.watermark, comb, &mut host_bytes)
-                .map_err(|e| e.at_epoch(self.iteration))?;
+                .combined_under(key, self.watermark, comb, &mut host_bytes);
             merged.push(match (dev, host) {
                 (Some(d), Some(h)) => Some(comb.apply(d, h)),
                 (d, h) => d.or(h),
@@ -493,7 +516,7 @@ impl EpochSnapshot {
             lane.compute(40 + key.len() as u64);
             *resident[u].lock() = self.probe_grouped(key, lane);
             PROBE_DONE
-        });
+        })?;
         let mut host_bytes = 0u64;
         let mut down_bytes = 0u64;
         let mut merged: Vec<Option<Vec<Vec<u8>>>> = Vec::with_capacity(unique.len());
@@ -509,11 +532,9 @@ impl EpochSnapshot {
                 // host side.
                 None => (Vec::new(), HostLink::NULL),
             };
-            self.host
-                .inner
-                .read()
-                .extend_chain(cont, &mut values, &mut host_bytes)
-                .map_err(|e| e.at_epoch(self.iteration))?;
+            let host = self.host.inner.read();
+            host.walk(cont, &mut host_bytes, |v| values.push(v.to_vec()))
+                .map_err(|e| QueryError::from(e).at_epoch(self.iteration))?;
             values.extend(host_tail.unwrap_or_default());
             down_bytes += values.iter().map(|v| v.len() as u64 + 8).sum::<u64>();
             merged.push((!values.is_empty()).then_some(values));
@@ -551,7 +572,7 @@ impl EpochSnapshot {
     /// page that was quarantined at absorption: the page's entries are
     /// invisible to the index, so any answer could silently miss data.
     fn ensure_host_intact(&self) -> Result<(), QueryError> {
-        let intact = self.host.intact_under(self.watermark);
+        let intact = self.host.inner.read().intact_under(self.watermark);
         intact.map_err(|e| QueryError::from(e).at_epoch(self.iteration))
     }
 
@@ -578,27 +599,30 @@ impl EpochSnapshot {
     }
 }
 
-/// Per-entry record in the incremental host index.
+/// One indexed host entry.
 #[derive(Debug, Clone, Copy)]
 struct HostEntryRef {
     /// Index-order sequence number; visible to an epoch iff `< watermark`.
-    seq: u64,
-    link: HostLink,
-    /// The same key's next entry in index order, or [`NO_REF`].
-    next: u32,
+    seq: u32,
+    /// The same key's entry before it in index order, or [`NO_REF`].
+    prev: u32,
+    /// The word the fold reads, copied at absorption: a combining entry's
+    /// partial aggregate, a key entry's value-chain host link.
+    word: u64,
 }
 
 const NO_REF: u32 = u32::MAX;
 
+/// The key index over absorbed host pages, and the one fold of a key's
+/// several host entries ([`HostIndex::combine`], [`HostIndex::values`]).
 #[derive(Default)]
-struct HostStoreInner {
+pub(crate) struct HostIndex {
     /// Organization of the table being indexed (set at first absorption).
     organization: Option<Organization>,
-    next_seq: u64,
+    next_seq: u32,
     /// Per key: its first and last entry in `refs`.
     keys: KeyMap<(u32, u32)>,
-    /// Every indexed entry; one key's entries chain in index (so `seq`)
-    /// order.
+    /// Every indexed entry; one key's entries chain back from its last.
     refs: Vec<HostEntryRef>,
     /// The absorbed page images, verified once at absorption. They share
     /// the evicted buffers, and an epoch's host reads are isolated from
@@ -611,88 +635,183 @@ struct HostStoreInner {
     /// any epoch whose watermark covers one fails its batches with
     /// [`QueryError::CorruptPage`] instead of silently dropping the
     /// page's entries from answers.
-    corrupt: HashMap<u64, u64>,
+    corrupt: HashMap<u64, u32>,
 }
 
-impl HostStoreInner {
-    fn add_ref(&mut self, key: &[u8], seq: u64, link: HostLink) {
-        let r = self.refs.len() as u32;
-        self.refs.push(HostEntryRef {
-            seq,
-            link,
-            next: NO_REF,
-        });
-        let refs = &mut self.refs;
-        self.keys.upsert(
-            key,
-            || (r, r),
-            |(_, last)| refs[std::mem::replace(last, r) as usize].next = r,
-        );
+impl HostIndex {
+    /// Index `pages`, a finalized host image in host-id order; refuses the
+    /// lowest damaged host id.
+    pub(crate) fn of_image(
+        org: Organization,
+        pages: &[StampedPage],
+    ) -> Result<HostIndex, CorruptPage> {
+        let mut index = HostIndex::default();
+        let watermark = index.absorb(org, pages);
+        index.intact_under(watermark)?;
+        Ok(index)
     }
 
-    /// `key`'s entries below `watermark`, in index order; `None` for a key
-    /// never indexed.
-    fn refs_under(
-        &self,
-        key: &[u8],
-        watermark: u64,
-    ) -> Option<impl Iterator<Item = &HostEntryRef> + '_> {
-        let &(first, _) = self.keys.get(key)?;
-        let chain = std::iter::successors(Some(&self.refs[first as usize]), |r| {
-            self.refs.get(r.next as usize)
-        });
-        Some(chain.take_while(move |r| r.seq < watermark))
+    /// Absorb every page of `pages` (ascending host id) not indexed yet, in
+    /// that order, and return the new watermark.
+    fn absorb(&mut self, org: Organization, pages: &[StampedPage]) -> u64 {
+        self.organization = Some(org);
+        for page in pages {
+            let host_id = page.host_id();
+            if self.pages.contains_key(&host_id) || self.corrupt.contains_key(&host_id) {
+                continue;
+            }
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            let Ok(page) = page.verify() else {
+                // The page's bytes no longer match the stamp they were
+                // evicted with: quarantine rather than index damaged
+                // data. It still consumes a sequence number, so epochs
+                // published *before* this boundary stay readable.
+                self.corrupt.insert(host_id, seq);
+                continue;
+            };
+            for (_, parsed) in primary_entries(org, &page) {
+                let (key, word) = match parsed {
+                    ParsedEntry::Combining { key, value } => (key, value),
+                    ParsedEntry::Key {
+                        key,
+                        value_host_cont,
+                    } => (key, value_host_cont),
+                    // Nothing folds a basic table's entries.
+                    ParsedEntry::Basic { key, .. } => (key, 0),
+                    ParsedEntry::Value { .. } => continue,
+                };
+                self.add_ref(key, seq, word);
+            }
+            self.pages.insert(host_id, page);
+        }
+        u64::from(self.next_seq)
     }
 
-    fn read_u64(&self, link: HostLink, field: u32) -> Result<u64, QueryError> {
-        let word = self.pages.get(&link.host_page()).and_then(|page| {
-            let off = (link.offset() + field) as usize;
-            page.bytes().get(off..off + 8)?.try_into().ok()
-        });
-        // A link that lands on a quarantined (or vanished) page.
-        let host_id = link.host_page();
-        Ok(word
-            .map(u64::from_le_bytes)
-            .ok_or(CorruptPage { host_id })?)
+    fn add_ref(&mut self, key: &[u8], seq: u32, word: u64) {
+        let (r, mut prev) = (self.refs.len() as u32, NO_REF);
+        let update = |(_, last): &mut (u32, u32)| prev = std::mem::replace(last, r);
+        self.keys.upsert(key, || (r, r), update);
+        self.refs.push(HostEntryRef { seq, prev, word });
     }
 
-    /// Append the host-linked value chain starting at `link` to `out`.
+    /// Distinct keys indexed.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Host entries indexed.
+    pub(crate) fn entries(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// Bytes of the indexed pages.
+    pub(crate) fn page_bytes(&self) -> u64 {
+        self.pages.values().map(|p| p.bytes().len() as u64).sum()
+    }
+
+    /// Every key, in the order of its first entry, with its last entry.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = (&[u8], u32)> + '_ {
+        self.keys.iter().map(|(key, &(_, last))| (key, last))
+    }
+
+    /// The words of the entries from `last` back — one key's — below
+    /// `watermark`, in index order, into `words`.
+    pub(crate) fn words(&self, last: u32, watermark: u64, words: &mut Vec<u64>) {
+        words.clear();
+        let mut at = last;
+        while let Some(r) = self.refs.get(at as usize) {
+            if u64::from(r.seq) < watermark {
+                words.push(r.word);
+            }
+            at = r.prev;
+        }
+        words.reverse();
+    }
+
+    /// `key`'s entry words below `watermark`, in index order; `None` for a
+    /// key never indexed.
+    fn words_under(&self, key: &[u8], watermark: u64) -> Option<Vec<u64>> {
+        let &(_, last) = self.keys.get(key)?;
+        let mut words = Vec::new();
+        self.words(last, watermark, &mut words);
+        Some(words)
+    }
+
+    /// The fold of a combining key's entries, given by their `words` in
+    /// index order: the partial aggregates through `comb`. `bytes`
+    /// accumulates simulated CPU-side read traffic.
+    pub(crate) fn combine(words: &[u64], comb: Combiner, bytes: &mut u64) -> Option<u64> {
+        *bytes += 8 * words.len() as u64;
+        words.iter().copied().reduce(|a, v| comb.apply(a, v))
+    }
+
+    /// The fold of a multi-valued key's entries, given by their `words` in
+    /// index order: each entry's host-linked value chain, newest first,
+    /// one after another, handed to `visit`. `bytes` accumulates simulated
+    /// CPU-side read traffic.
+    pub(crate) fn values<'p>(
+        &'p self,
+        words: &[u64],
+        bytes: &mut u64,
+        mut visit: impl FnMut(&'p [u8]),
+    ) -> Result<(), CorruptPage> {
+        for &word in words {
+            *bytes += 8;
+            self.walk(HostLink::from_raw(word), bytes, &mut visit)?;
+        }
+        Ok(())
+    }
+
+    /// Hand the host-linked value chain starting at `link` to `visit`.
     /// Pages a visible entry's chain references were evicted at the same
     /// boundary or earlier, so they are always absorbed by the time any
     /// epoch can see the entry; a quarantined page is not among them, so a
     /// chain crossing into one fails typed rather than truncating.
-    fn extend_chain(
-        &self,
+    fn walk<'p>(
+        &'p self,
         link: HostLink,
-        out: &mut Vec<Vec<u8>>,
         bytes: &mut u64,
-    ) -> Result<(), QueryError> {
+        mut visit: impl FnMut(&'p [u8]),
+    ) -> Result<(), CorruptPage> {
         walk_value_chain(
             link,
             |id| self.pages.get(&id),
             |value| {
                 *bytes += value.len() as u64 + 24;
-                out.push(value.to_vec());
+                visit(value)
             },
         )
     }
+
+    /// Refuses with the lowest-id corrupt page an epoch with `watermark`
+    /// can see, if any.
+    fn intact_under(&self, watermark: u64) -> Result<(), CorruptPage> {
+        let visible = self.corrupt.iter();
+        let visible = visible.filter(|(_, &seq)| u64::from(seq) < watermark);
+        match visible.map(|(&host_id, _)| host_id).min() {
+            Some(host_id) => Err(CorruptPage { host_id }),
+            None => Ok(()),
+        }
+    }
 }
 
-/// The one host-side key index: key → host links of every evicted entry
-/// stored under it, over verified page images. The serving path grows it
+/// The one host-side key index: key → every evicted entry stored under
+/// it, over verified page images. The serving path grows it
 /// incrementally — the publisher absorbs evicted pages at each iteration
 /// boundary, and sequence numbers assigned in absorption order let each
 /// epoch see exactly the entries that existed at its boundary
 /// (`seq < watermark`). Offline readers index a finalized table in one go
 /// with [`HostStore::of_finalized`] and see everything.
 ///
-/// A key can own entries from several SEPO iterations. In-run epochs see
-/// them: combining partials merge at query time through the table's
-/// combiner, and multi-valued chains concatenate in eviction order, the
-/// order host compaction joins them in. A finalized table holds one entry
-/// per key ([`crate::compact`]).
+/// A key can own entries from several SEPO iterations. Every reader
+/// resolves them through one fold: combining partials merge through the
+/// table's combiner, and multi-valued chains concatenate in host-link
+/// order, each newest first. In-run epochs fold at query time; host
+/// compaction ([`crate::compact`]) packs each key's fold from the same
+/// index, so a finalized table holds one entry per key.
 pub struct HostStore {
-    inner: RwLock<HostStoreInner>,
+    inner: RwLock<HostIndex>,
 }
 
 impl fmt::Debug for HostStore {
@@ -709,7 +828,7 @@ impl fmt::Debug for HostStore {
 impl HostStore {
     fn new() -> Self {
         HostStore {
-            inner: RwLock::new(HostStoreInner::default()),
+            inner: RwLock::new(HostIndex::default()),
         }
     }
 
@@ -722,15 +841,16 @@ impl HostStore {
     /// match the stamp it was evicted with.
     pub fn of_finalized(table: &SepoTable) -> Result<HostStore, QueryError> {
         table.ensure_finalized()?;
-        let store = HostStore::new();
-        let watermark = store.absorb(table);
-        store.intact_under(watermark)?;
-        Ok(store)
+        let org = table.config().organization;
+        let index = HostIndex::of_image(org, &table.host_heap().pages())?;
+        Ok(HostStore {
+            inner: RwLock::new(index),
+        })
     }
 
     /// Distinct keys indexed.
     pub fn len(&self) -> usize {
-        self.inner.read().keys.len()
+        self.inner.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -750,7 +870,7 @@ impl HostStore {
     /// non-combining tables.
     pub fn get_combined(&self, key: &[u8]) -> Result<Option<u64>, QueryError> {
         let comb = self.organization().combiner()?;
-        self.combined_under(key, u64::MAX, comb, &mut 0)
+        Ok(self.combined_under(key, u64::MAX, comb, &mut 0))
     }
 
     /// All values grouped under `key` over everything indexed
@@ -772,31 +892,7 @@ impl HostStore {
     /// fresh store.)
     fn absorb(&self, table: &SepoTable) -> u64 {
         let org = table.config().organization;
-        let mut inner = self.inner.write();
-        inner.organization = Some(org);
-        for page in table.host_heap().pages() {
-            let host_id = page.host_id();
-            if inner.pages.contains_key(&host_id) || inner.corrupt.contains_key(&host_id) {
-                continue;
-            }
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            let Ok(page) = page.verify() else {
-                // The page's bytes no longer match the stamp they were
-                // evicted with: quarantine rather than index damaged
-                // data. It still consumes a sequence number, so epochs
-                // published *before* this boundary stay readable.
-                inner.corrupt.insert(host_id, seq);
-                continue;
-            };
-            for (link, parsed) in primary_entries(org, &page) {
-                if let Some(key) = parsed.key() {
-                    inner.add_ref(key, seq, link);
-                }
-            }
-            inner.pages.insert(host_id, page);
-        }
-        inner.next_seq
+        self.inner.write().absorb(org, &table.host_heap().pages())
     }
 
     /// Combined host partial for `key` below `watermark` (combining
@@ -807,27 +903,14 @@ impl HostStore {
         watermark: u64,
         comb: Combiner,
         bytes: &mut u64,
-    ) -> Result<Option<u64>, QueryError> {
-        let inner = self.inner.read();
-        let Some(refs) = inner.refs_under(key, watermark) else {
-            return Ok(None);
-        };
-        let mut acc: Option<u64> = None;
-        for r in refs {
-            let v = inner.read_u64(r.link, combining::VALUE)?;
-            *bytes += 8;
-            acc = Some(match acc {
-                None => v,
-                Some(a) => comb.apply(a, v),
-            });
-        }
-        Ok(acc)
+    ) -> Option<u64> {
+        let words = self.inner.read().words_under(key, watermark)?;
+        HostIndex::combine(&words, comb, bytes)
     }
 
     /// Values of every host-indexed key entry for `key` below `watermark`
-    /// (multi-valued tables; `None` for a key never evicted): each evicted
-    /// key entry contributes its host-linked continuation chain, in
-    /// eviction order — the order host compaction joins them in.
+    /// (multi-valued tables; `None` for a key never evicted), folded as
+    /// [`HostIndex::values`] folds them.
     fn grouped_under(
         &self,
         key: &[u8],
@@ -835,36 +918,20 @@ impl HostStore {
         bytes: &mut u64,
     ) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
         let inner = self.inner.read();
-        let Some(refs) = inner.refs_under(key, watermark) else {
+        let Some(words) = inner.words_under(key, watermark) else {
             return Ok(None);
         };
         let mut values = Vec::new();
-        for r in refs {
-            let cont = inner.read_u64(r.link, key_entry::VALUE_HOST_CONT)?;
-            *bytes += 8;
-            inner.extend_chain(HostLink::from_raw(cont), &mut values, bytes)?;
-        }
+        inner.values(&words, bytes, |v| values.push(v.to_vec()))?;
         Ok(Some(values))
-    }
-
-    /// Refuses with the lowest-id corrupt page an epoch with `watermark`
-    /// can see, if any. Batches against such an epoch fail typed: the
-    /// quarantined page's entries are unrecoverable from the serving side,
-    /// so any answer could silently miss data.
-    fn intact_under(&self, watermark: u64) -> Result<(), CorruptPage> {
-        let inner = self.inner.read();
-        let visible = inner.corrupt.iter().filter(|(_, &seq)| seq < watermark);
-        match visible.map(|(&host_id, _)| host_id).min() {
-            Some(host_id) => Err(CorruptPage { host_id }),
-            None => Ok(()),
-        }
     }
 
     /// Keys with at least one entry below `watermark`.
     fn keys_under(&self, watermark: u64) -> Vec<Vec<u8>> {
         let inner = self.inner.read();
         // A key's first entry is its earliest.
-        let visible = |&(first, _): &(u32, u32)| inner.refs[first as usize].seq < watermark;
+        let visible =
+            |&(first, _): &(u32, u32)| u64::from(inner.refs[first as usize].seq) < watermark;
         inner
             .keys
             .iter()
@@ -985,7 +1052,7 @@ mod tests {
     use crate::{DriverConfig, SepoDriver};
     use gpu_sim::executor::ExecMode;
     use gpu_sim::metrics::Metrics;
-    use gpu_sim::{FaultConfig, FaultPlan};
+    use gpu_sim::{FaultConfig, FaultKind, FaultPlan};
     use sepo_alloc::{PageKind, StampedPage};
 
     fn serving_exec() -> Executor {
@@ -1199,6 +1266,40 @@ mod tests {
         for (k, a) in keys.iter().zip(&ans) {
             assert_eq!(*a, truth.get(k).copied());
         }
+    }
+
+    #[test]
+    fn probe_exhaustion_fails_both_batch_kinds_typed() {
+        // One plan aborts every lane; the other kills every launch, which
+        // the probe re-issues through its hard-fault arm.
+        let plans = [
+            FaultConfig::quiet(7).rate(FaultKind::LaneAbort, 1.0),
+            FaultConfig::quiet(7).rate(FaultKind::DeviceLost, 1.0),
+        ];
+        let exhausted = QueryError::ProbeExhausted {
+            epoch: 3,
+            launches: MAX_PROBE_ROUNDS,
+        };
+        let q: Vec<&[u8]> = vec![b"k"];
+        for plan in plans {
+            let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()))
+                .with_faults(Arc::new(FaultPlan::new(plan)));
+            for org in [
+                Organization::Combining(Combiner::Add),
+                Organization::MultiValued,
+            ] {
+                let publisher = EpochPublisher::default();
+                publisher.publish_boundary(&table(org, 16), 3, false);
+                let snap = publisher.current().expect("epoch 3");
+                let got = match org {
+                    Organization::MultiValued => snap.batch_get_grouped(&exec, &q).map(|_| ()),
+                    _ => snap.batch_get(&exec, &q).map(|_| ()),
+                };
+                assert_eq!(got, Err(exhausted), "{plan:?} on a {} table", org.label());
+            }
+        }
+        let msg = exhausted.to_string();
+        assert!(msg.contains("epoch 3") && msg.contains("10000"), "{msg}");
     }
 
     #[test]
