@@ -170,8 +170,9 @@ pub struct ResidentPage {
     pub pending_keys: u32,
     /// Raw bump head at capture time.
     pub head: u32,
-    /// The used prefix of the page's bytes.
-    pub data: Vec<u8>,
+    /// The used prefix of the page's bytes, shared by every holder of the
+    /// image (a checkpoint, a serving epoch, the host page evicted from it).
+    pub data: Arc<[u8]>,
 }
 
 /// Physical snapshot of a [`Heap`] at a quiescent point (an iteration
@@ -590,15 +591,16 @@ impl Heap {
         self.acquired_total.set(s.acquired_total);
     }
 
-    /// Snapshot the used prefix of `page` (for eviction to the host store).
-    pub fn page_data(&self, page: u32) -> Vec<u8> {
-        let used = self.page_used(page);
-        let mut out = vec![0u8; used];
-        // SAFETY: quiescent at eviction time (no kernels in flight).
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.ptr_at(page, 0), out.as_mut_ptr(), used);
-        }
-        out
+    /// The used prefix of `page`, borrowed (quiescent readers: no kernel
+    /// may write the page while the borrow lives).
+    pub fn page_bytes(&self, page: u32) -> &[u8] {
+        self.read(DevHandle::new(page, 0), self.page_used(page))
+    }
+
+    /// Copy the used prefix of `page` out of the device, once, into a
+    /// shareable image (eviction to the host store, snapshots).
+    pub fn page_data(&self, page: u32) -> Arc<[u8]> {
+        self.page_bytes(page).into()
     }
 
     /// Fault-injection hook: XOR one bit of `page`'s used prefix in place
@@ -690,7 +692,7 @@ mod tests {
         assert_ne!(clean, dirty);
         let flipped: u32 = clean
             .iter()
-            .zip(&dirty)
+            .zip(dirty.iter())
             .map(|(a, b)| (a ^ b).count_ones())
             .sum();
         assert_eq!(flipped, 1);
@@ -801,7 +803,7 @@ mod tests {
         h.write(DevHandle::new(p, off), b"abcdefgh");
         let data = h.page_data(p);
         assert_eq!(data.len(), 8);
-        assert_eq!(&data, b"abcdefgh");
+        assert_eq!(&*data, b"abcdefgh");
     }
 
     #[test]
@@ -898,7 +900,7 @@ mod tests {
         let image = b"entry-bytes-go-here-12345".to_vec();
         let p = h.load_page_image(&image, PageKind::Mixed).unwrap();
         assert_eq!(h.page_used(p), image.len());
-        assert_eq!(h.page_data(p), image);
+        assert_eq!(h.page_bytes(p), &image[..]);
         assert_eq!(h.page_kind(p), PageKind::Mixed);
         // Oversized images and exhausted pools are declined.
         assert!(h

@@ -15,7 +15,7 @@
 //! the binary writes.
 
 use crate::report::{fmt_bytes, fmt_speedup, BarChart, Table};
-use crate::timing::{empty_hist, pinned_total_time, single_pass_gpu_time};
+use crate::timing::{empty_hist, iteration_costs, pinned_total_time, single_pass_gpu_time};
 use crate::{cpu_total_time, device_heap, gpu_total_time, GpuTiming};
 use gpu_sim::clock::SimTime;
 use gpu_sim::cost::GpuCostModel;
@@ -1003,34 +1003,6 @@ pub fn ablation_wc_keys(scale: u64) -> Artifact {
     }
 }
 
-/// The simulated time of a run's iterations: per iteration, its chunk
-/// uploads and kernels composed pipelined and serially, and its boundary
-/// eviction.
-fn iteration_schedule(run: &AppRun, spec: &SystemSpec) -> Vec<(SimTime, SimTime, SimTime)> {
-    let gpu = GpuCostModel::new(spec.device.clone());
-    let bus = PcieBus::new(spec.pcie.clone(), Arc::new(Metrics::new()));
-    run.outcome
-        .iterations
-        .iter()
-        .map(|iter| {
-            let k = gpu.kernel_time(&iter.kernel, &empty_hist());
-            let chunks = iter.chunks.max(1) as usize;
-            let uploads = vec![bus.bulk_transfer_time(iter.input_bytes / chunks as u64); chunks];
-            let kernels = vec![k / chunks as u64; chunks];
-            let evict = if iter.evict.evicted_bytes > 0 {
-                bus.bulk_transfer_time(iter.evict.evicted_bytes)
-            } else {
-                SimTime::ZERO
-            };
-            (
-                pipelined_total(&uploads, &kernels),
-                serial_total(&uploads, &kernels),
-                evict,
-            )
-        })
-        .collect()
-}
-
 /// `saved` as text with its share of `serial`.
 fn fmt_saved(saved: SimTime, serial: SimTime) -> String {
     format!(
@@ -1059,8 +1031,8 @@ pub fn ablation_pipeline(scale: u64) -> Artifact {
         let mut cfg = AppConfig::new(heap);
         cfg.driver.chunk_tasks = chunk_tasks;
         let run = run_app(App::PageViewCount, &ds, &cfg, &executor());
-        let schedule = iteration_schedule(&run, &spec);
-        (run, schedule)
+        let costs = iteration_costs(&run.outcome, &spec);
+        (run, costs)
     };
     let mut table = Table::new(
         "Ablation D (SS V): BigKernel pipelining benefit (PVC dataset #4)",
@@ -1085,10 +1057,10 @@ pub fn ablation_pipeline(scale: u64) -> Artifact {
     let mut rows = Vec::new();
     let mut evict_rows = Vec::new();
     for chunk_tasks in [1usize << 10, 1 << 12, 1 << 14, 1 << 16] {
-        let (run, schedule) = run_with(heap, chunk_tasks);
+        let (run, costs) = run_with(heap, chunk_tasks);
         let n_chunks: u32 = run.outcome.iterations.iter().map(|i| i.chunks).sum();
-        let piped = schedule.iter().fold(SimTime::ZERO, |acc, s| acc + s.0);
-        let serial = schedule.iter().fold(SimTime::ZERO, |acc, s| acc + s.1);
+        let sum = |times: &[SimTime]| times.iter().fold(SimTime::ZERO, |acc, &t| acc + t);
+        let (piped, serial) = (sum(&costs.segments), sum(&costs.serial_segments));
         table.row(vec![
             chunk_tasks.to_string(),
             n_chunks.to_string(),
@@ -1105,12 +1077,11 @@ pub fn ablation_pipeline(scale: u64) -> Artifact {
 
         // Whole iteration segments are the "transfer" lane and boundary
         // evictions the "compute" lane of the same recurrence.
-        let (_, schedule) = run_with(tight_heap, chunk_tasks);
-        let segments: Vec<SimTime> = schedule.iter().map(|s| s.0).collect();
-        let evictions: Vec<SimTime> = schedule.iter().map(|s| s.2).collect();
+        let (_, costs) = run_with(tight_heap, chunk_tasks);
+        let (segments, evictions) = (&costs.segments, &costs.evictions);
         let boundaries = evictions.iter().filter(|e| **e > SimTime::ZERO).count();
-        let overlapped = pipelined_total(&segments, &evictions);
-        let serial = serial_total(&segments, &evictions);
+        let overlapped = pipelined_total(segments, evictions);
+        let serial = serial_total(segments, evictions);
         evict_table.row(vec![
             chunk_tasks.to_string(),
             boundaries.to_string(),

@@ -36,20 +36,24 @@ pub(crate) fn empty_hist() -> ContentionHistogram {
     ContentionHistogram::from_counts(std::iter::empty::<u64>())
 }
 
-/// Per-iteration simulated costs of one device's SEPO run: the pipelined
-/// upload/kernel segment, the boundary eviction DMA, and the raw kernel
-/// time, plus the final result download.
-struct IterationCosts {
-    segments: Vec<SimTime>,
-    evictions: Vec<SimTime>,
+/// Per-iteration simulated costs of one device's SEPO run: the
+/// upload/kernel segment of its chunks, pipelined and serial, the boundary
+/// eviction DMA, and the raw kernel time, plus the final result download.
+pub(crate) struct IterationCosts {
+    pub(crate) segments: Vec<SimTime>,
+    pub(crate) serial_segments: Vec<SimTime>,
+    pub(crate) evictions: Vec<SimTime>,
     kernels: Vec<SimTime>,
     final_download: SimTime,
 }
 
-fn iteration_costs(outcome: &SepoOutcome, gpu: &GpuCostModel, bus: &PcieBus) -> IterationCosts {
+pub(crate) fn iteration_costs(outcome: &SepoOutcome, spec: &SystemSpec) -> IterationCosts {
+    let gpu = GpuCostModel::new(spec.device.clone());
+    let bus = PcieBus::new(spec.pcie.clone(), Arc::new(Metrics::new()));
     let n = outcome.iterations.len();
     let mut costs = IterationCosts {
         segments: Vec::with_capacity(n),
+        serial_segments: Vec::with_capacity(n),
         evictions: Vec::with_capacity(n),
         kernels: Vec::with_capacity(n),
         final_download: SimTime::ZERO,
@@ -63,6 +67,7 @@ fn iteration_costs(outcome: &SepoOutcome, gpu: &GpuCostModel, bus: &PcieBus) -> 
         let uploads = vec![per_chunk_upload; chunks];
         let kernels = vec![per_chunk_kernel; chunks];
         costs.segments.push(pipelined_total(&uploads, &kernels));
+        costs.serial_segments.push(serial_total(&uploads, &kernels));
         costs.evictions.push(if iter.evict.evicted_bytes > 0 {
             bus.bulk_transfer_time(iter.evict.evicted_bytes)
         } else {
@@ -104,10 +109,9 @@ pub fn sharded_total_time(
 ) -> GpuTiming {
     assert!(!shards.is_empty(), "at least one shard");
     let gpu = GpuCostModel::new(spec.device.clone());
-    let bus = PcieBus::new(spec.pcie.clone(), Arc::new(Metrics::new()));
     let per_shard: Vec<IterationCosts> = shards
         .iter()
-        .map(|(o, _)| iteration_costs(o, &gpu, &bus))
+        .map(|(o, _)| iteration_costs(o, spec))
         .collect();
     let n_iters = per_shard.iter().map(|c| c.segments.len()).max().unwrap();
     let max_at = |field: fn(&IterationCosts) -> &[SimTime], i: usize| {

@@ -144,11 +144,11 @@ impl TableAudit {
                 if heap.page_kind(p) != primary_page {
                     continue;
                 }
-                let bytes = heap.page_data(p);
-                for (off, entry) in PageWalker::new(&bytes, primary) {
+                let bytes = heap.page_bytes(p);
+                for (off, entry) in PageWalker::new(bytes, primary) {
                     let key = entry.key().expect("primary entries carry keys");
                     ensure!(
-                        carries_tag(&bytes, off, primary, key),
+                        carries_tag(bytes, off, primary, key),
                         "resident-key-tags",
                         "the entry of key {:?} at resident page {p} (host id {}) offset {off} \
                          lacks its key tag",

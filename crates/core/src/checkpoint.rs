@@ -536,7 +536,7 @@ impl Checkpoint {
                 kind,
                 pending_keys,
                 head,
-                data,
+                data: data.into(),
             });
         }
         let n_host = read_u32(r, "host page count")? as usize;

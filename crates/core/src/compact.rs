@@ -86,7 +86,7 @@ fn pack(
         let mut words = Vec::new();
         for (key, last) in index.keys() {
             index.words(last, u64::MAX, &mut words);
-            let value = HostIndex::combine(&words, comb, &mut 0);
+            let value = HostIndex::combine(&words, comb);
             let value = value.expect("an indexed key has an entry");
             let fields = [NULL_DEV, NULL_HOST, value, key_lens(key)];
             out.put(&fields, key, combining::size(key.len()));
@@ -118,6 +118,25 @@ fn pack(
     let (key_pages, key_bytes) = key_pages.finish();
     pages.extend(key_pages);
     Ok((pages, value_bytes + key_bytes))
+}
+
+/// The bytes [`pack`] writes for `index`: one entry per key and, for a
+/// multi-valued table, one node per value of its chains. A value chain
+/// that leaves the image is refused by host id.
+fn packed_bytes(index: &HostIndex, org: Organization) -> Result<u64, CorruptPage> {
+    let (mut bytes, mut words) = (0, Vec::new());
+    for (key, last) in index.keys() {
+        if org == Organization::MultiValued {
+            bytes += key_entry::size(key.len()) as u64;
+            index.words(last, u64::MAX, &mut words);
+            index.values(&words, &mut 0, |v| {
+                bytes += value_node::size(v.len()) as u64
+            })?;
+        } else {
+            bytes += combining::size(key.len()) as u64;
+        }
+    }
+    Ok(bytes)
 }
 
 const NULL_DEV: u64 = DevHandle::NULL.to_raw();
@@ -206,19 +225,22 @@ impl SepoTable {
             return Ok(None);
         }
         let index = HostIndex::of_image(org, &self.host.pages())?;
+        let (entries, keys, bytes_before) = (index.entries(), index.len(), index.page_bytes());
+        // One entry per key, and no bytes besides those entries and their
+        // chains (no tombstone): packing would rewrite the image as it is.
+        if entries == keys && packed_bytes(&index, org)? == bytes_before {
+            return Ok(None);
+        }
         // Pack under the host ids the heap hands out next, and reserve them
         // only when the packed image replaces the old one.
         let first_id = self.heap.snapshot().next_host_id;
         let (pages, bytes_after) = pack(&index, org, self.cfg.page_size, first_id)?;
         let report = CompactReport {
-            entries: index.entries() as u64,
-            keys: index.len() as u64,
-            bytes_before: index.page_bytes(),
+            entries: entries as u64,
+            keys: keys as u64,
+            bytes_before,
             bytes_after,
         };
-        if report.entries == report.keys && report.bytes_before == report.bytes_after {
-            return Ok(None);
-        }
         let reserved = self.heap.reserve_host_ids(pages.len() as u64);
         assert_eq!(
             reserved, first_id,

@@ -32,7 +32,7 @@ use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
 use gpu_sim::faults::{FaultKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, Link, PageKind, StampedPage};
+use sepo_alloc::{DevHandle, Link, PageKind, ResidentPage, StampedPage};
 use std::sync::Arc;
 
 /// Multi-valued method only: cap on the fraction of heap pages that may be
@@ -72,7 +72,7 @@ impl SepoTable {
     /// End-of-iteration eviction per the table's organization. Quiescent
     /// callers only.
     pub fn end_iteration(&self) -> EvictReport {
-        self.evict_boundary(&mut NoCharge, false, None)
+        self.evict_boundary(&mut NoCharge, false, None, &[])
     }
 
     /// Evict everything that remains (kept pages included), then compact a
@@ -82,7 +82,7 @@ impl SepoTable {
     /// heap. A host page that fails its stamp is left in place, uncompacted,
     /// for every reader to refuse by host id.
     pub fn finalize(&self) -> EvictReport {
-        let report = self.evict_boundary(&mut NoCharge, true, None);
+        let report = self.evict_boundary(&mut NoCharge, true, None, &[]);
         let _ = self.compact_host();
         report
     }
@@ -100,10 +100,9 @@ impl SepoTable {
         &self,
         host_id: u64,
         kind: PageKind,
-        data: Vec<u8>,
+        data: Arc<[u8]>,
         corrupt: Option<&FaultPlan>,
     ) -> StampedPage {
-        let data: Arc<[u8]> = data.into();
         let page = StampedPage::stamp(host_id, kind, Arc::clone(&data));
         self.integrity.note_stamped();
         if let Some(plan) = corrupt {
@@ -132,19 +131,32 @@ impl SepoTable {
     }
 
     /// Copy one page off the device under its stamped identity into the
-    /// host heap and release it. Declares the page's logical identity
-    /// evicted *before* the release, while the identity is still readable.
+    /// host heap — or, for a `Mixed` or `Value` page, store its `captured`
+    /// image (step 1 of the eviction rewrites key pages after a capture) —
+    /// and release it. Declares the page's logical identity evicted
+    /// *before* the release, while the identity is still readable.
     fn evict_page<C: Charge>(
         &self,
         p: u32,
         charge: &mut C,
         corrupt: Option<&FaultPlan>,
+        captured: &[ResidentPage],
     ) -> EvictReport {
         let host_id = self.heap.host_id(p);
         charge.access(ShadowAddr::Page(host_id), AccessKind::Evicted);
-        let data = self.heap.page_data(p);
-        let bytes = data.len() as u64;
         let kind = self.heap.page_kind(p);
+        let at = captured.binary_search_by_key(&p, |rp| rp.index);
+        let data = match at.map(|i| &captured[i]) {
+            Ok(rp) if kind != PageKind::Key && rp.host_id == host_id => {
+                debug_assert!(
+                    *rp.data == *self.heap.page_bytes(p),
+                    "the captured image of page {p} (host id {host_id}) is stale"
+                );
+                Arc::clone(&rp.data)
+            }
+            _ => self.heap.page_data(p),
+        };
+        let bytes = data.len() as u64;
         self.host
             .store(self.wire_page(host_id, kind, data, corrupt));
         self.heap.release_page(p);
@@ -172,11 +184,15 @@ impl SepoTable {
     /// Whether its DMA is *priced* as hidden behind the next iteration's
     /// kernels is a benchmark-layer decision (`SepoOutcome::evict_overlap`);
     /// the eviction itself is one path.
+    /// `captured` holds page images taken at this point, in page order (the
+    /// serving epoch just published, or nothing); their `Mixed` and `Value`
+    /// pages are stored as those images instead of copied again.
     pub fn evict_boundary<C: Charge>(
         &self,
         charge: &mut C,
         force: bool,
         corrupt: Option<&FaultPlan>,
+        captured: &[ResidentPage],
     ) -> EvictReport {
         let mut report = EvictReport::default();
         let resident = self.heap.resident_pages();
@@ -215,7 +231,7 @@ impl SepoTable {
         //    which have no key pages, so for them this is the whole
         //    eviction — always leave.
         for &p in &other_pages {
-            report.absorb(self.evict_page(p, charge, corrupt));
+            report.absorb(self.evict_page(p, charge, corrupt, captured));
         }
 
         // 3. Key pages leave unless they hold pending keys (or we are
@@ -244,7 +260,7 @@ impl SepoTable {
                 report.kept_pages += 1;
                 report.kept_bytes += self.heap.page_used(p) as u64;
             } else {
-                report.absorb(self.evict_page(p, charge, corrupt));
+                report.absorb(self.evict_page(p, charge, corrupt, captured));
             }
         }
 
@@ -441,7 +457,7 @@ mod tests {
             .collect();
         let n_keys: usize = key_pages
             .iter()
-            .map(|&p| entry::PageWalker::new(&t.heap().page_data(p), entry::EntryKind::Key).count())
+            .map(|&p| entry::PageWalker::new(t.heap().page_bytes(p), entry::EntryKind::Key).count())
             .sum();
         assert_eq!(n_keys, 1, "exactly one key entry for the sticky key");
     }
@@ -472,7 +488,7 @@ mod tests {
         let stale = ShadowAddr::Page(t.heap().host_id(page));
 
         // ...the iteration boundary evicts everything...
-        t.evict_boundary(&mut sz.host_charge(), false, None);
+        t.evict_boundary(&mut sz.host_charge(), false, None, &[]);
 
         // ...and the next launch dereferences the stale handle.
         sz.set_iteration(2);
@@ -508,7 +524,7 @@ mod tests {
         let addr = ShadowAddr::Page(t.heap().host_id(page));
 
         let sz = ShadowSanitizer::new();
-        t.evict_boundary(&mut sz.host_charge(), false, None);
+        t.evict_boundary(&mut sz.host_charge(), false, None, &[]);
         sz.record_host(addr, AccessKind::PlainRead);
         assert_eq!(sz.finding_count(), 0);
     }

@@ -31,14 +31,14 @@ use crate::combiner::{CombinerConfig, WarpCombiner};
 use crate::compact::CompactReport;
 use crate::config::Organization;
 use crate::evict::EvictReport;
-use crate::serve::EpochPublisher;
+use crate::serve::{EpochPublisher, EpochSnapshot};
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
 use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
 use gpu_sim::metrics::Snapshot;
 use gpu_sim::sync::Relaxed;
 use gpu_sim::{FaultDraw, FaultKind, FaultPlan, NoCharge, ShadowSanitizer};
-use sepo_alloc::crc32c;
+use sepo_alloc::{crc32c, ResidentPage};
 use std::any::Any;
 use std::fmt;
 use std::io;
@@ -689,10 +689,9 @@ impl<'d> Run<'d> {
     }
 
     /// Serving: publish a boundary's epoch ([`DriverConfig::serving`]).
-    fn publish(&self, iteration: u32, finalized: bool) {
-        if let Some(publisher) = &self.config.serving {
-            publisher.publish_boundary(self.table, iteration, finalized);
-        }
+    fn publish(&self, iteration: u32, finalized: bool) -> Option<Arc<EpochSnapshot>> {
+        let publisher = self.config.serving.as_ref()?;
+        Some(publisher.publish_boundary(self.table, iteration, finalized))
     }
 
     /// Stamp the resident pages: this quiescent point starts the next
@@ -706,7 +705,7 @@ impl<'d> Run<'d> {
             .resident_pages()
             .into_iter()
             .filter(|&p| heap.page_used(p) > 0)
-            .map(|p| (p, heap.host_id(p), crc32c(&heap.page_data(p))))
+            .map(|p| (p, heap.host_id(p), crc32c(heap.page_bytes(p))))
             .collect();
     }
 
@@ -768,7 +767,7 @@ impl<'d> Run<'d> {
         }
         let mut witness = None;
         for &(page, host_id, crc) in &self.resting {
-            if crc32c(&heap.page_data(page)) != crc {
+            if crc32c(heap.page_bytes(page)) != crc {
                 self.recovery.corruptions_detected += 1;
                 witness.get_or_insert(host_id);
             }
@@ -927,19 +926,21 @@ impl<'d> Run<'d> {
 
     /// Evict and judge: the boundary eviction (`pending_after` tasks remain)
     /// or, with `None`, the run-ending `finalize` — then the transfer,
-    /// audit and sanitizer verdicts.
+    /// audit and sanitizer verdicts. `captured` are the page images of
+    /// the epoch published at this boundary, if any.
     fn evict(
         &mut self,
         at_iteration: u32,
         pending_after: Option<usize>,
+        captured: &[ResidentPage],
     ) -> Result<EvictReport, SepoError> {
         let force = pending_after.is_none();
         let iteration = pending_after.map(|_| at_iteration);
         let table = self.table;
         let used_before = self.audit.as_ref().map(|_| table.heap().stats().used_bytes);
         let report = match &self.shadow {
-            Some(sz) => table.evict_boundary(&mut sz.host_charge(), force, self.corrupt),
-            None => table.evict_boundary(&mut NoCharge, force, self.corrupt),
+            Some(sz) => table.evict_boundary(&mut sz.host_charge(), force, self.corrupt, captured),
+            None => table.evict_boundary(&mut NoCharge, force, self.corrupt, captured),
         };
         self.transfer_verdict(at_iteration)?;
         if let (Some(a), Some(used_before)) = (self.audit.as_mut(), used_before) {
@@ -967,15 +968,17 @@ impl<'d> Run<'d> {
     /// and the device is quiescent.
     fn boundary(&mut self, l: Launched) -> Result<(), SepoError> {
         let iter_no = self.iter_no();
-        // Publish the epoch before eviction rearranges residency.
-        self.publish(iter_no, false);
+        // Publish the epoch before eviction rearranges residency; the
+        // eviction stores the epoch's page images as its host pages.
+        let epoch = self.publish(iter_no, false);
         let next_pending: Vec<u32> = self
             .pending
             .iter()
             .copied()
             .filter(|&t| !self.done.get(t as usize))
             .collect();
-        let evict = self.evict(iter_no, Some(next_pending.len()))?;
+        let captured = epoch.as_deref().map_or(&[][..], EpochSnapshot::resident);
+        let evict = self.evict(iter_no, Some(next_pending.len()), captured)?;
         let kernel = self.table.metrics().snapshot().delta(&l.before);
         let tasks_completed = (self.pending.len() - next_pending.len()) as u64;
         // Progress check: an iteration may complete no whole task yet
@@ -1056,7 +1059,12 @@ impl<'d> Run<'d> {
     /// epoch.
     fn finish(mut self) -> Result<SepoOutcome, SepoError> {
         let at_iteration = self.iter_no();
-        let final_evict = self.evict(at_iteration, None)?;
+        let final_evict = self.evict(at_iteration, None, &[])?;
+        // The shared host index takes the final flush before compaction
+        // replaces those pages; the finalized epoch reads that index.
+        if let Some(publisher) = &self.config.serving {
+            publisher.absorb_final_flush(self.table);
+        }
         let compaction = self.compact(at_iteration, &final_evict)?;
         // End-of-run scrub — the one place a run re-checks stamps: every
         // page now lives in the host store; walk them all and re-verify the

@@ -9,10 +9,10 @@
 //! - **Epochs.** At every quiescent iteration boundary (after all launches
 //!   of the iteration retired, before the boundary's own eviction) the
 //!   driver publishes an [`EpochSnapshot`] through the [`EpochPublisher`]
-//!   wired into [`crate::DriverConfig::serving`]. The snapshot shares the
-//!   same state a checkpoint captures — bucket-head words and
-//!   resident-page images — but hands them out behind `Arc` instead of
-//!   copying per reader.
+//!   wired into [`crate::DriverConfig::serving`]. It holds the bucket-head
+//!   words and one image of each resident page, shared behind `Arc`; the
+//!   boundary's eviction stores the `Mixed` and `Value` images as their
+//!   host pages instead of copying those pages again.
 //! - **Device-resident probes.** [`EpochSnapshot::batch_get`] dedups the
 //!   batch, charges one bulk PCIe upload, and probes the snapshot's bucket
 //!   chains with a batched kernel launched through a caller-supplied
@@ -25,18 +25,16 @@
 //!   or after it are invisible, so a reader pinned to epoch N never sees a
 //!   partially applied later iteration. A key's several host entries
 //!   resolve through the index's one fold, the fold host compaction
-//!   ([`crate::compact`]) packs each key from. The finalized epoch indexes
-//!   the compacted host image in a store of its own, and the same index,
-//!   built in one go by [`HostStore::of_finalized`], is the offline read
-//!   path over a finalized table (`sepo query`).
+//!   ([`crate::compact`]) packs each key from. The finalized epoch reads
+//!   the same index, which took the final flush before compaction replaced
+//!   those pages, and the index built in one go by
+//!   [`HostStore::of_finalized`] is the offline read path (`sepo query`).
 //!
 //! Reads never touch the live table: the driver's final image, iteration
 //! trajectory, and metrics are byte-identical with serving on or off
 //! (serving charges land on the serving executor's own metrics). Snapshot
-//! capture itself is treated as zero-cost aliasing of already-resident
-//! state; a real
-//! implementation would piggyback on the checkpoint DMA that PR 5 already
-//! prices.
+//! capture is charged no simulated time: for `Mixed` and `Value` pages it
+//! is the boundary eviction's own transfer, taken early.
 //!
 //! This module also owns [`QueryError`], the typed error surface shared
 //! with the offline query paths (the collectors, the lookup phase).
@@ -51,7 +49,7 @@ use gpu_sim::executor::Executor;
 use gpu_sim::metrics::Counter;
 use gpu_sim::sync::Relaxed;
 use parking_lot::{Mutex, RwLock};
-use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, StampedPage, VerifiedPage};
+use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, ResidentPage, StampedPage, VerifiedPage};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -206,31 +204,24 @@ const PROBE_VALUE_MASK: u64 = PROBE_FOUND - 1;
 /// slice of the group plus the host-linked continuation to stitch on.
 type GroupProbeSlot = Mutex<Option<(Vec<Vec<u8>>, HostLink)>>;
 
-/// An immutable resident-page image inside an epoch snapshot.
-#[derive(Debug, Clone)]
-struct SnapshotPage {
-    /// Host identity of the physical page at capture time — the liveness
-    /// token dual-pointer links are checked against.
-    host_id: u64,
-    /// Used prefix of the page at capture time.
-    data: Arc<[u8]>,
-}
-
 /// A consistent, immutable view of the table at one iteration boundary.
 ///
 /// Holding an `Arc<EpochSnapshot>` pins the epoch: reads against it keep
 /// answering from iteration N's state no matter how far the live run has
 /// advanced. Snapshots are cheap to hold — resident pages are shared
-/// buffers, host pages are shared with the incremental host index.
+/// buffers (the boundary's eviction stores the same buffers as its host
+/// pages), host pages are shared with the incremental host index.
 pub struct EpochSnapshot {
     iteration: u32,
     finalized: bool,
     organization: Organization,
     n_buckets: usize,
     /// Raw bucket-head words (same representation as the live table).
-    heads: Arc<[u64]>,
-    /// Resident pages by physical page index.
-    pages: Arc<HashMap<u32, SnapshotPage>>,
+    heads: Vec<u64>,
+    /// The boundary's resident pages, in page order: each one's host
+    /// identity at capture (the liveness token dual-pointer links are
+    /// checked against) and its used prefix.
+    pages: Vec<ResidentPage>,
     /// The shared incremental host index.
     host: Arc<HostStore>,
     /// Host entries with sequence `< watermark` are visible to this epoch.
@@ -271,8 +262,14 @@ impl EpochSnapshot {
         self.watermark
     }
 
-    fn page(&self, h: DevHandle) -> Option<&SnapshotPage> {
-        self.pages.get(&h.page())
+    /// The resident page images this epoch captured, in page order.
+    pub(crate) fn resident(&self) -> &[ResidentPage] {
+        &self.pages
+    }
+
+    fn page(&self, h: DevHandle) -> Option<&ResidentPage> {
+        let at = self.pages.binary_search_by_key(&h.page(), |p| p.index);
+        at.ok().map(|i| &self.pages[i])
     }
 
     /// Dual-pointer liveness against the *snapshot*: the link's device side
@@ -311,9 +308,9 @@ impl EpochSnapshot {
     }
 
     /// Walk the snapshot's bucket chain for `key`, mirroring the live
-    /// table's `find_resident`: charge a hop and a header read per entry,
-    /// compare the tagged length word ([`tagged_lens`]) before any key
-    /// byte, stop at the first dead link. No shadow accesses are declared —
+    /// table's `find_resident`: charge the bucket-head read, then a hop
+    /// per entry (its 16-byte link read), compare the tagged length word
+    /// ([`tagged_lens`]) before any key byte, stop at the first dead link. No shadow accesses are declared —
     /// the snapshot is an immutable host-side copy, not the live device
     /// heap the sanitizer tracks.
     fn probe_entry<C: Charge>(
@@ -328,7 +325,6 @@ impl EpochSnapshot {
         charge.device_bytes(8);
         for cur in self.chain(self.heads[bucket_of_mixed(mixed, self.n_buckets)]) {
             charge.chain_hops(1);
-            charge.device_bytes(16);
             if self.read_u64(cur, klen_field)? == lens {
                 charge.device_bytes(key.len() as u64);
                 if self.read_bytes(cur, key_field, key.len())? == key {
@@ -476,11 +472,13 @@ impl EpochSnapshot {
         self.charge_bulk(executor, unique.len() as u64 * 8);
         let mut host_bytes = 0u64;
         let mut merged: Vec<Option<u64>> = Vec::with_capacity(unique.len());
+        let index = self.host.inner.read();
         for (key, &word) in unique.iter().zip(&words) {
             let dev = (word & PROBE_FOUND != 0).then_some(word & PROBE_VALUE_MASK);
-            let host = self
-                .host
-                .combined_under(key, self.watermark, comb, &mut host_bytes);
+            let host = index.words_under(key, self.watermark).and_then(|words| {
+                host_bytes += self.entry_bytes(&words);
+                HostIndex::combine(&words, comb)
+            });
             merged.push(match (dev, host) {
                 (Some(d), Some(h)) => Some(comb.apply(d, h)),
                 (d, h) => d.or(h),
@@ -520,22 +518,27 @@ impl EpochSnapshot {
         let mut host_bytes = 0u64;
         let mut down_bytes = 0u64;
         let mut merged: Vec<Option<Vec<Vec<u8>>>> = Vec::with_capacity(unique.len());
+        let index = self.host.inner.read();
+        let at_epoch = |e: CorruptPage| QueryError::from(e).at_epoch(self.iteration);
+        let mut host_tail = Vec::new();
         for (key, slot) in unique.iter().zip(&resident) {
-            let probed = slot.lock().take();
-            let host_tail = self
-                .host
-                .grouped_under(key, self.watermark, &mut host_bytes)
-                .map_err(|e| e.at_epoch(self.iteration))?;
-            let (mut values, cont) = match probed {
+            host_tail.clear();
+            if let Some(words) = index.words_under(key, self.watermark) {
+                host_bytes += self.entry_bytes(&words);
+                let tail = |v| host_tail.push(v);
+                index
+                    .values(&words, &mut host_bytes, tail)
+                    .map_err(at_epoch)?;
+            }
+            let (mut values, cont) = match slot.lock().take() {
                 Some((v, c)) => (v, c),
                 // Not resident: the whole group (if any) lives on the
                 // host side.
                 None => (Vec::new(), HostLink::NULL),
             };
-            let host = self.host.inner.read();
-            host.walk(cont, &mut host_bytes, |v| values.push(v.to_vec()))
-                .map_err(|e| QueryError::from(e).at_epoch(self.iteration))?;
-            values.extend(host_tail.unwrap_or_default());
+            let walked = index.walk(cont, &mut host_bytes, |v| values.push(v.to_vec()));
+            walked.map_err(at_epoch)?;
+            values.extend(host_tail.iter().map(|v| v.to_vec()));
             down_bytes += values.iter().map(|v| v.len() as u64 + 8).sum::<u64>();
             merged.push((!values.is_empty()).then_some(values));
         }
@@ -574,6 +577,14 @@ impl EpochSnapshot {
     fn ensure_host_intact(&self) -> Result<(), QueryError> {
         let intact = self.host.inner.read().intact_under(self.watermark);
         intact.map_err(|e| QueryError::from(e).at_epoch(self.iteration))
+    }
+
+    /// Host-read bytes of a key's visible entries, given by their `words`:
+    /// each entry's word, or one for the finalized epoch, which answers
+    /// what compaction packed — one entry per key.
+    fn entry_bytes(&self, words: &[u64]) -> u64 {
+        let read = words.len().min(if self.finalized { 1 } else { usize::MAX });
+        8 * read as u64
     }
 
     /// One bulk PCIe upload for the deduplicated key batch.
@@ -739,17 +750,15 @@ impl HostIndex {
     }
 
     /// The fold of a combining key's entries, given by their `words` in
-    /// index order: the partial aggregates through `comb`. `bytes`
-    /// accumulates simulated CPU-side read traffic.
-    pub(crate) fn combine(words: &[u64], comb: Combiner, bytes: &mut u64) -> Option<u64> {
-        *bytes += 8 * words.len() as u64;
+    /// index order: the partial aggregates through `comb`.
+    pub(crate) fn combine(words: &[u64], comb: Combiner) -> Option<u64> {
         words.iter().copied().reduce(|a, v| comb.apply(a, v))
     }
 
     /// The fold of a multi-valued key's entries, given by their `words` in
     /// index order: each entry's host-linked value chain, newest first,
-    /// one after another, handed to `visit`. `bytes` accumulates simulated
-    /// CPU-side read traffic.
+    /// one after another, handed to `visit`. `bytes` accumulates the
+    /// simulated CPU-side read traffic of the chains.
     pub(crate) fn values<'p>(
         &'p self,
         words: &[u64],
@@ -757,7 +766,6 @@ impl HostIndex {
         mut visit: impl FnMut(&'p [u8]),
     ) -> Result<(), CorruptPage> {
         for &word in words {
-            *bytes += 8;
             self.walk(HostLink::from_raw(word), bytes, &mut visit)?;
         }
         Ok(())
@@ -870,7 +878,8 @@ impl HostStore {
     /// non-combining tables.
     pub fn get_combined(&self, key: &[u8]) -> Result<Option<u64>, QueryError> {
         let comb = self.organization().combiner()?;
-        Ok(self.combined_under(key, u64::MAX, comb, &mut 0))
+        let words = self.inner.read().words_under(key, u64::MAX);
+        Ok(words.and_then(|words| HostIndex::combine(&words, comb)))
     }
 
     /// All values grouped under `key` over everything indexed
@@ -879,7 +888,13 @@ impl HostStore {
     /// non-multi-valued tables.
     pub fn get_grouped(&self, key: &[u8]) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
         self.organization().require_multivalued()?;
-        self.grouped_under(key, u64::MAX, &mut 0)
+        let inner = self.inner.read();
+        let Some(words) = inner.words_under(key, u64::MAX) else {
+            return Ok(None);
+        };
+        let mut values = Vec::new();
+        inner.values(&words, &mut 0, |v| values.push(v.to_vec()))?;
+        Ok(Some(values))
     }
 
     /// Absorb every host page the table has that we have not indexed yet,
@@ -887,43 +902,17 @@ impl HostStore {
     /// return the new watermark. Called by the publisher at quiescent
     /// boundaries only — the host heap never changes mid-iteration, and
     /// hard-fault recovery replays boundaries with identical content, so
-    /// skipping already-seen ids is safe. (Compaction replaces the pages
-    /// after the last boundary; the finalized epoch reads them through a
-    /// fresh store.)
+    /// skipping already-seen ids is safe. The last call takes the run's
+    /// final flush, before compaction replaces the pages (see
+    /// [`EpochPublisher::absorb_final_flush`]).
     fn absorb(&self, table: &SepoTable) -> u64 {
         let org = table.config().organization;
         self.inner.write().absorb(org, &table.host_heap().pages())
     }
 
-    /// Combined host partial for `key` below `watermark` (combining
-    /// tables). `bytes` accumulates simulated CPU-side read traffic.
-    fn combined_under(
-        &self,
-        key: &[u8],
-        watermark: u64,
-        comb: Combiner,
-        bytes: &mut u64,
-    ) -> Option<u64> {
-        let words = self.inner.read().words_under(key, watermark)?;
-        HostIndex::combine(&words, comb, bytes)
-    }
-
-    /// Values of every host-indexed key entry for `key` below `watermark`
-    /// (multi-valued tables; `None` for a key never evicted), folded as
-    /// [`HostIndex::values`] folds them.
-    fn grouped_under(
-        &self,
-        key: &[u8],
-        watermark: u64,
-        bytes: &mut u64,
-    ) -> Result<Option<Vec<Vec<u8>>>, QueryError> {
-        let inner = self.inner.read();
-        let Some(words) = inner.words_under(key, watermark) else {
-            return Ok(None);
-        };
-        let mut values = Vec::new();
-        inner.values(&words, bytes, |v| values.push(v.to_vec()))?;
-        Ok(Some(values))
+    /// The watermark that sees every entry indexed so far.
+    fn watermark(&self) -> u64 {
+        u64::from(self.inner.read().next_seq)
     }
 
     /// Keys with at least one entry below `watermark`.
@@ -993,53 +982,53 @@ impl EpochPublisher {
         self.current.read().clone()
     }
 
-    /// Publish the epoch at a quiescent iteration boundary. Driver-only:
-    /// every launch of the iteration has retired and every earlier
-    /// eviction is stored, so heads, resident pages, and the host heap are
-    /// mutually consistent. Pure reads — the table, its metrics, and
-    /// the driver's trajectory are untouched, which is what keeps
-    /// serving-on runs byte-identical to serving-off runs.
-    pub(crate) fn publish_boundary(&self, table: &SepoTable, iteration: u32, finalized: bool) {
-        // The finalized epoch reads the compacted host image through a
-        // store of its own: the shared one still indexes the partial
-        // entries that compaction replaced, for the earlier epochs that
-        // hold it.
-        let host = if finalized {
-            Arc::new(HostStore::new())
+    /// Publish the epoch at a quiescent iteration boundary and return it.
+    /// Driver-only: every launch of the iteration has retired and every
+    /// earlier eviction is stored, so heads, resident pages, and the host
+    /// heap are mutually consistent. Pure reads — the table, its metrics,
+    /// and the driver's trajectory are untouched, which is what keeps
+    /// serving-on runs byte-identical to serving-off runs. The captured
+    /// page images are the ones the boundary's eviction then stores.
+    ///
+    /// The finalized epoch absorbs nothing: it reads the shared index with
+    /// a watermark that sees everything indexed, the final flush included
+    /// ([`EpochPublisher::absorb_final_flush`]). That is the fold
+    /// compaction packs: a key gets a new host entry only after its
+    /// previous one left the device, on a page acquired later (kept key
+    /// pages take no new allocations), so the index holds each key's
+    /// entries in host-id order.
+    pub(crate) fn publish_boundary(
+        &self,
+        table: &SepoTable,
+        iteration: u32,
+        finalized: bool,
+    ) -> Arc<EpochSnapshot> {
+        let watermark = if finalized {
+            self.host.watermark()
         } else {
-            Arc::clone(&self.host)
+            self.host.absorb(table)
         };
-        let watermark = host.absorb(table);
-        let heads: Arc<[u64]> = table.snapshot_heads().into();
-        // Epoch-guard internals: capturing the boundary's resident pages.
-        let heap = table.heap().snapshot();
-        let pages: HashMap<u32, SnapshotPage> = heap
-            .resident
-            .into_iter()
-            .map(|rp| {
-                (
-                    rp.index,
-                    SnapshotPage {
-                        host_id: rp.host_id,
-                        data: rp.data.into(),
-                    },
-                )
-            })
-            .collect();
         let snap = Arc::new(EpochSnapshot {
             iteration,
             finalized,
             organization: table.config().organization,
             n_buckets: table.config().n_buckets,
-            heads,
-            pages: Arc::new(pages),
-            host,
+            heads: table.snapshot_heads(),
+            pages: table.heap().snapshot().resident,
+            host: Arc::clone(&self.host),
             watermark,
         });
         *self.current.write() = Some(Arc::clone(&snap));
         if let Some(hook) = self.hook.read().as_ref() {
             hook(&snap);
         }
+        snap
+    }
+
+    /// Index the run's final flush. Driver-only, after the last eviction
+    /// and before host compaction replaces the pages it landed as.
+    pub(crate) fn absorb_final_flush(&self, table: &SepoTable) {
+        self.host.absorb(table);
     }
 }
 
@@ -1093,6 +1082,38 @@ mod tests {
                 |task, _start, lane| {
                     let k = key(task as u64 % n);
                     match t.insert_combining(&k, 1, lane) {
+                        InsertStatus::Success => TaskResult::Done,
+                        InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
+                    }
+                },
+            );
+        t
+    }
+
+    /// Drive `n` keys × `per_key` values (value `i` is the task number)
+    /// into a multi-valued table of `pages` pages with serving enabled;
+    /// returns the populated table.
+    fn run_multivalued_with_serving(
+        n: u64,
+        per_key: u64,
+        pages: usize,
+        publisher: &Arc<EpochPublisher>,
+    ) -> SepoTable {
+        let t = table(Organization::MultiValued, pages);
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(t.metrics()));
+        SepoDriver::new(&t, &exec)
+            .with_config(DriverConfig {
+                chunk_tasks: 64,
+                audit: true,
+                serving: Some(Arc::clone(publisher)),
+                ..DriverConfig::default()
+            })
+            .run(
+                (n * per_key) as usize,
+                |_| 16,
+                |task, _start, lane| {
+                    let value = format!("value-{task:06}");
+                    match t.insert_multivalued(&key(task as u64 % n), value.as_bytes(), lane) {
                         InsertStatus::Success => TaskResult::Done,
                         InsertStatus::Postponed => TaskResult::Postponed { next_pair: 0 },
                     }
@@ -1229,6 +1250,89 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// In a serving run every `Mixed` or `Value` page a boundary evicts
+    /// lands in the host store as the image that boundary's epoch
+    /// captured — the same allocation — and no `Key` page does (eviction
+    /// rewrites key entries after the capture).
+    #[test]
+    fn boundary_eviction_stores_the_epochs_page_images() {
+        for org in [
+            Organization::Combining(Combiner::Add),
+            Organization::MultiValued,
+        ] {
+            let publisher = Arc::new(EpochPublisher::default());
+            let epochs: Arc<Mutex<Vec<Arc<EpochSnapshot>>>> = Arc::default();
+            {
+                let epochs = Arc::clone(&epochs);
+                publisher.on_epoch(move |s| epochs.lock().push(Arc::clone(s)));
+            }
+            match org {
+                Organization::MultiValued => run_multivalued_with_serving(40, 12, 4, &publisher),
+                _ => run_combining_with_serving(200, 4, &publisher),
+            };
+            let index = publisher.host.inner.read();
+            let (mut shared, mut key_pages) = (0, 0);
+            for snap in epochs.lock().iter().filter(|s| !s.finalized()) {
+                for rp in snap.resident() {
+                    let stored = index.pages.get(&rp.host_id).map(|p| p.bytes().as_ptr());
+                    let same = stored == Some(rp.data.as_ptr());
+                    let what = format!(
+                        "{} page {} at epoch {}",
+                        org.label(),
+                        rp.host_id,
+                        snap.iteration()
+                    );
+                    if rp.kind == PageKind::Key {
+                        assert!(!same, "{what}: a key page shares the epoch image");
+                        key_pages += 1;
+                    } else {
+                        assert!(same, "{what}: evicted as a second copy");
+                        shared += 1;
+                    }
+                }
+            }
+            assert!(
+                shared > 0,
+                "{}: no page was evicted at a boundary",
+                org.label()
+            );
+            if org == Organization::MultiValued {
+                assert!(key_pages > 0, "the run captured no key page");
+            }
+        }
+    }
+
+    /// The epoch probe prices a walk as the live table's
+    /// `lookup_combining` does — one hop, with its 16-byte link read, per
+    /// entry — plus the bucket-head and value words it reads.
+    #[test]
+    fn epoch_probe_prices_hops_as_the_live_walk() {
+        let t = table(Organization::Combining(Combiner::Add), 24);
+        let n = 400;
+        for i in 0..n {
+            assert!(t
+                .insert_combining(&key(i), i + 1, &mut gpu_sim::NoCharge)
+                .is_success());
+        }
+        let snap = EpochPublisher::default().publish_boundary(&t, 1, false);
+        let mut deepest = 0;
+        for i in 0..n {
+            let (live, epoch) = (Metrics::new(), Metrics::new());
+            let want = t.lookup_combining(&key(i), &mut MetricsCharge(&live));
+            let got = snap.probe_combining(&key(i), &mut MetricsCharge(&epoch));
+            assert_eq!((got, want), (Some(i + 1), Some(i + 1)));
+            let (live, epoch) = (live.snapshot(), epoch.snapshot());
+            assert_eq!(epoch.chain_hops, live.chain_hops, "hops of key {i}");
+            assert_eq!(
+                epoch.device_bytes,
+                live.device_bytes + 16,
+                "key {i}: the head and value words on top of the live walk"
+            );
+            deepest = deepest.max(live.chain_hops);
+        }
+        assert!(deepest > 1, "no key sat behind another in its chain");
     }
 
     #[test]

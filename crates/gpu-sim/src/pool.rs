@@ -305,32 +305,27 @@ impl WorkerPool {
             out: Mutex::new(None),
         });
         let task_ptr: *const BackgroundTask<T> = Arc::as_ptr(&task);
-        let job = single_unit_job(task_ptr);
+        let job = Arc::new(JobCore {
+            work: WorkPtr(task_ptr),
+            n_units: 1,
+            chunk: 1,
+            next: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            slots: AtomicUsize::new(0),
+            max_slots: 1,
+            status: Mutex::new(JobStatus {
+                completed: false,
+                panic: None,
+            }),
+            completed_cv: Condvar::new(),
+        });
         self.shared.submit(Arc::clone(&job));
         Background { task, job }
     }
 }
 
-/// A one-unit job over `work`, which the caller keeps alive until the job
-/// completes.
-fn single_unit_job(work: *const (dyn Work + 'static)) -> Arc<JobCore> {
-    Arc::new(JobCore {
-        work: WorkPtr(work),
-        n_units: 1,
-        chunk: 1,
-        next: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        slots: AtomicUsize::new(0),
-        max_slots: 1,
-        status: Mutex::new(JobStatus {
-            completed: false,
-            panic: None,
-        }),
-        completed_cv: Condvar::new(),
-    })
-}
-
-/// The task behind a [`Background`] handle and the slot for its result.
+/// One `FnOnce` adapted to [`Work`] (one unit) and the slot for its
+/// result: the task behind a [`Background`] handle and a [`Scope::spawn`].
 struct BackgroundTask<T> {
     f: Mutex<Option<Box<dyn FnOnce() -> T + Send + 'static>>>,
     out: Mutex<Option<T>>,
@@ -355,12 +350,18 @@ impl<T: Send + 'static> Background<T> {
     /// Wait for the task — running it here if no worker has started it —
     /// and return its result, re-raising its panic.
     pub fn join(self) -> T {
-        self.job.participate();
-        if let Err(payload) = self.job.wait() {
+        if let Err(payload) = self.wait() {
             std::panic::resume_unwind(payload);
         }
         let out = self.task.out.lock().unwrap().take();
         out.expect("a completed background task left its result")
+    }
+
+    /// Run the task here if no worker has started it, then block until it
+    /// finished. Returns its panic payload the first time it is asked.
+    fn wait(&self) -> Result<(), Box<dyn Any + Send + 'static>> {
+        self.job.participate();
+        self.job.wait()
     }
 }
 
@@ -368,28 +369,15 @@ impl<T: Send + 'static> Drop for Background<T> {
     fn drop(&mut self) {
         // `join` already drained the job; otherwise finish it before the
         // closure it points at can go away.
-        self.job.participate();
-        let _ = self.job.wait();
-    }
-}
-
-/// A single `FnOnce` task adapted to [`Work`] (one unit).
-struct ScopeTask {
-    f: Mutex<Option<Box<dyn FnOnce() + Send + 'static>>>,
-}
-
-impl Work for ScopeTask {
-    fn run_units(&self, _units: Range<usize>, _slot: usize) {
-        let f = self.f.lock().unwrap().take().expect("scope task ran twice");
-        f();
+        let _ = self.wait();
     }
 }
 
 /// Handle for spawning borrowed tasks onto the pool; see [`scope`].
 pub struct Scope<'env> {
     pool: &'static WorkerPool,
-    /// Keeps each task's closure and job alive until [`Scope::wait_all`].
-    jobs: Mutex<Vec<(Arc<ScopeTask>, Arc<JobCore>)>>,
+    /// Keeps each task alive until [`Scope::wait_all`].
+    jobs: Mutex<Vec<Background<()>>>,
     _env: std::marker::PhantomData<&'env mut &'env ()>,
 }
 
@@ -405,13 +393,8 @@ impl<'env> Scope<'env> {
         // Lifetime erasure, made sound by the scope guard: wait_all runs
         // (even on panic) before 'env ends.
         let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(boxed) };
-        let task = Arc::new(ScopeTask {
-            f: Mutex::new(Some(boxed)),
-        });
-        let task_ptr: *const ScopeTask = Arc::as_ptr(&task);
-        let job = single_unit_job(task_ptr);
-        self.pool.shared.submit(Arc::clone(&job));
-        self.jobs.lock().unwrap().push((task, job));
+        let task = self.pool.background(boxed);
+        self.jobs.lock().unwrap().push(task);
     }
 
     /// Help run unstarted tasks, then block until every task finished.
@@ -424,10 +407,9 @@ impl<'env> Scope<'env> {
             if batch.is_empty() {
                 return first_panic;
             }
-            for (_task, job) in &batch {
+            for task in &batch {
                 // Claim it ourselves if no worker has; then wait.
-                job.participate();
-                if let Err(payload) = job.wait() {
+                if let Err(payload) = task.wait() {
                     first_panic.get_or_insert(payload);
                 }
             }

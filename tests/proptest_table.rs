@@ -410,7 +410,7 @@ proptest! {
             for pages in [1, 2, 8] {
                 let t = tiny_table(Organization::Combining(comb), pages);
                 replay_combining(&t, &script)?;
-                t.evict_boundary(&mut NoCharge, true, None);
+                t.evict_boundary(&mut NoCharge, true, None, &[]);
                 let want = collector_fold(&t, comb);
                 t.compact_host().expect("clean pages");
                 let got = t.collect_combining();
@@ -454,7 +454,7 @@ proptest! {
         for pages in [3, 4, 6] {
             let t = tiny_table(Organization::MultiValued, pages);
             replay_multivalued(&t, &script, 24)?;
-            t.evict_boundary(&mut NoCharge, true, None);
+            t.evict_boundary(&mut NoCharge, true, None, &[]);
             let want = concatenating_collector(&t);
             let entries = t.collect_multivalued().len();
             let report = t.compact_host().expect("clean pages");

@@ -399,6 +399,54 @@ fn duplicate_queries_agree_across_serving_and_lookup_phase() {
     }
 }
 
+/// The finalized epoch answers every group in the collectors' value order,
+/// unsorted, on multi-valued runs whose heap keeps key pages across
+/// boundaries: a key's several host entries fold in compaction's order.
+#[test]
+fn finalized_groups_keep_the_collectors_value_order() {
+    for (app, scale, heap) in [
+        (App::InvertedIndex, SCALE, HEAP),
+        (App::PatentCitation, 4096, HEAP / 4),
+    ] {
+        let ds = app.generate(0, scale);
+        let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
+        let publisher = Arc::new(EpochPublisher::default());
+        let mut cfg = AppConfig::new(heap).with_serving(Arc::clone(&publisher));
+        cfg.driver.chunk_tasks = CHUNK_TASKS;
+        let run = run_app(app, &ds, &cfg, &exec);
+        let kept = run.outcome.iterations.iter().map(|i| i.evict.kept_pages);
+        assert!(
+            kept.sum::<usize>() > 0,
+            "{}: no key page was kept",
+            app.name()
+        );
+        let folded = run
+            .outcome
+            .compaction
+            .expect("several host entries to fold");
+        assert!(
+            folded.entries > folded.keys,
+            "{}: no key entry to fold",
+            app.name()
+        );
+        let snap = publisher.current().expect("finalized epoch");
+        assert!(snap.finalized());
+        let serve_exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));
+        let groups = run.table.collect_multivalued();
+        let keys: Vec<&[u8]> = groups.iter().map(|(k, _)| k.as_slice()).collect();
+        let served = snap.batch_get_grouped(&serve_exec, &keys).expect("serve");
+        for ((key, want), got) in groups.iter().zip(served) {
+            assert_eq!(
+                got.as_ref(),
+                Some(want),
+                "{}: group {:?} differs from the collectors",
+                app.name(),
+                String::from_utf8_lossy(key)
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
