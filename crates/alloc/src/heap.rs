@@ -11,7 +11,7 @@
 //! **host page id** — the identity under which its bytes will eventually
 //! live in CPU memory. This implements the paper's dual-pointer scheme: a
 //! [`Link`] holds both the device handle and the host
-//! link, and [`Heap::link_is_live`] decides residency by checking that the
+//! link, and [`Link::is_live`] decides residency by checking that the
 //! target page still carries the host id the link was created under.
 //!
 //! # Safety model
@@ -282,7 +282,7 @@ impl Heap {
 
     /// Return `page` to the free pool. The caller must have evicted (or
     /// abandoned) its contents; any live `Link` into it goes dead, which
-    /// [`Heap::link_is_live`] detects via the host-id stamp.
+    /// [`Link::is_live`] detects via the host-id stamp.
     pub fn release_page(&self, page: u32) {
         let meta = &self.pages[page as usize];
         let used = meta.head.get().min(self.page_size as u32);
@@ -342,17 +342,6 @@ impl Heap {
             dev,
             host: HostLink::new(self.host_id(dev.page()), dev.offset()),
         }
-    }
-
-    /// Is the target of `link` still resident on the device? True iff the
-    /// device page still carries the host id the link was created under —
-    /// exact across page recycling and across kept (multi-valued) pages.
-    #[inline]
-    pub fn link_is_live(&self, link: Link) -> bool {
-        if link.dev.is_null() {
-            return false;
-        }
-        self.host_id(link.dev.page()) == link.host.host_page()
     }
 
     /// Increment the pending-key count of `page` (multi-valued: a key on
@@ -757,13 +746,14 @@ mod tests {
         let p = h.acquire_page(PageKind::Mixed).unwrap();
         let off = h.bump(p, 8).unwrap();
         let link = h.link_for(DevHandle::new(p, off));
-        assert!(h.link_is_live(link));
+        let live = |link: Link| link.is_live(|page| Some(h.host_id(page)));
+        assert!(live(link));
         h.release_page(p);
-        assert!(!h.link_is_live(link));
+        assert!(!live(link));
         // Recycled page gets a new id; the stale link stays dead.
         h.acquire_page(PageKind::Mixed).unwrap();
-        assert!(!h.link_is_live(link));
-        assert!(!h.link_is_live(Link::NULL));
+        assert!(!live(link));
+        assert!(!live(Link::NULL));
     }
 
     #[test]

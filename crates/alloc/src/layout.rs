@@ -15,9 +15,8 @@
 //!   eventually live in CPU memory. Host ids are never reused, which gives
 //!   the residency test used during kernel chain walks: an entry is
 //!   resident iff its device page still carries the host id the link was
-//!   created under ([`Heap::link_is_live`](crate::Heap::link_is_live)),
-//!   whether the page was filled this iteration or kept resident across a
-//!   boundary (multi-valued).
+//!   created under ([`Link::is_live`]), whether the page was filled this
+//!   iteration or kept resident across a boundary (multi-valued).
 //!
 //! A stored [`Link`] is simply the pair. All entry offsets are 8-byte
 //! aligned; page sizes are capped at 2^[`OFFSET_BITS`] bytes so offsets pack
@@ -139,6 +138,16 @@ impl Link {
     #[inline]
     pub fn is_null(self) -> bool {
         self.dev.is_null() && self.host.is_null()
+    }
+
+    /// The residency rule: the target is still resident iff the device half
+    /// is non-null and its page still carries the host id the link was
+    /// created under. `host_id` names the host id a device page carries
+    /// now, `None` where the page is not held; a free heap page's id
+    /// (`u64::MAX`) is above every host page a link can name.
+    #[inline]
+    pub fn is_live(self, host_id: impl FnOnce(u32) -> Option<u64>) -> bool {
+        !self.dev.is_null() && host_id(self.dev.page()) == Some(self.host.host_page())
     }
 
     /// A link whose device half is dead (target evicted) but whose host half

@@ -32,7 +32,7 @@ use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
 use gpu_sim::faults::{FaultKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, Link, PageKind, ResidentPage, StampedPage};
+use sepo_alloc::{DevHandle, PageKind, ResidentPage, StampedPage};
 use std::sync::Arc;
 
 /// Multi-valued method only: cap on the fraction of heap pages that may be
@@ -304,14 +304,7 @@ impl SepoTable {
     /// link words to point at the previous head (quiescent: eviction's
     /// chain rebuild and the lookup phase's, over paged-in copies).
     pub(crate) fn prepend_resident(&self, bucket: usize, e: DevHandle) {
-        let old_raw = self.buckets[bucket].head.get();
-        let next = if old_raw == u64::MAX {
-            Link::NULL
-        } else {
-            self.heap.link_for(DevHandle::from_raw(old_raw))
-        };
-        self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
-        self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
+        self.write_next(e, self.head_link(self.buckets[bucket].head.get()));
         self.buckets[bucket].head.set(e.to_raw());
     }
 

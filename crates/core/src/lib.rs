@@ -53,6 +53,7 @@
 
 pub mod audit;
 pub mod bitmap;
+pub(crate) mod chain;
 pub mod checkpoint;
 pub mod combiner;
 pub mod compact;

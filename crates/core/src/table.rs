@@ -13,11 +13,12 @@
 //! response — the requestor marks the record unprocessed and re-issues it
 //! in a later iteration (§III).
 
+use crate::chain::{self, ChainPages};
 use crate::config::{Combiner, Organization, TableConfig};
-use crate::entry::{self, basic, combining, key_entry, value_node};
-use crate::hash::{bucket_for, bucket_of_mixed, fnv1a, mix};
+use crate::entry::{self, basic, combining, key_entry, value_node, EntryKind};
+use crate::hash::{bucket_for, fnv1a};
 use crate::integrity::IntegrityState;
-use gpu_sim::charge::{Charge, MetricsCharge};
+use gpu_sim::charge::{Charge, MetricsCharge, NoCharge};
 use gpu_sim::metrics::{ContentionHistogram, Counter, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use gpu_sim::sync::{Published, Relaxed};
@@ -197,16 +198,6 @@ impl SepoTable {
         self.buckets[bucket].touches.fetch_add(1);
     }
 
-    /// The bucket of a key with [`fnv1a`] hash `hash`, and the tagged
-    /// length word ([`entry::tagged_lens`]) its combining or key entry
-    /// carries — both from one [`mix`].
-    #[inline]
-    fn place(&self, key: &[u8], hash: u64) -> (usize, u64) {
-        let mixed = mix(hash);
-        let bucket = bucket_of_mixed(mixed, self.cfg.n_buckets);
-        (bucket, entry::tagged_lens(key.len(), mixed))
-    }
-
     /// Logical shadow address of entry `e` for sanitizer declarations:
     /// keyed by the owning page's *host identity*, so a physical page
     /// recycled after eviction never aliases its previous tenant.
@@ -225,7 +216,7 @@ impl SepoTable {
 
     /// Dual link naming the current head of `bucket` (NULL when empty).
     #[inline]
-    fn head_link(&self, head_raw: u64) -> Link {
+    pub(crate) fn head_link(&self, head_raw: u64) -> Link {
         if head_raw == NULL_RAW {
             Link::NULL
         } else {
@@ -233,55 +224,9 @@ impl SepoTable {
         }
     }
 
-    /// Walk the resident portion of a bucket's chain looking for `key`,
-    /// whose entry carries the tagged length word `lens` (from
-    /// [`SepoTable::place`]). `klen_off`/`key_off` locate the length word
-    /// and the key within an entry of the table's organization. An entry
-    /// whose length word differs — another length or another tag — is
-    /// rejected without reading or charging its key bytes.
-    fn find_resident<C: Charge>(
-        &self,
-        head_raw: u64,
-        key: &[u8],
-        lens: u64,
-        klen_off: u32,
-        key_off: u32,
-        charge: &mut C,
-    ) -> Option<DevHandle> {
-        let mut cur_raw = head_raw;
-        while cur_raw != NULL_RAW {
-            let cur = DevHandle::from_raw(cur_raw);
-            self.charge_hop(charge);
-            // One declaration covers this entry visit (lens, key bytes and
-            // next-link reads all land on the entry's shadow cell).
-            charge.access(self.shadow_entry(cur), AccessKind::PlainRead);
-            if self.heap.read_u64(cur, klen_off) == lens {
-                self.charge_heap(charge, key.len() as u64, 1);
-                if self.heap.read(
-                    DevHandle::new(cur.page(), cur.offset() + key_off),
-                    key.len(),
-                ) == key
-                {
-                    return Some(cur);
-                }
-            }
-            let next = Link {
-                dev: DevHandle::from_raw(self.heap.read_u64(cur, entry::NEXT_DEV)),
-                host: HostLink::from_raw(self.heap.read_u64(cur, entry::NEXT_HOST)),
-            };
-            // Stop at the first non-resident link: everything beyond lives
-            // only in CPU memory (§III-B).
-            if !self.heap.link_is_live(next) {
-                break;
-            }
-            cur_raw = next.dev.to_raw();
-        }
-        None
-    }
-
-    /// Write the common prefix (dual next link) of a fresh entry.
+    /// Write the common prefix (dual next link) of an entry.
     #[inline]
-    fn write_next(&self, e: DevHandle, next: Link) {
+    pub(crate) fn write_next(&self, e: DevHandle, next: Link) {
         self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
         self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
     }
@@ -294,16 +239,6 @@ impl SepoTable {
             self.charge_remote(transactions, bytes);
         } else {
             charge.device_bytes(bytes);
-        }
-    }
-
-    /// Charge one chain-link traversal (a 16-byte dual-link read).
-    #[inline]
-    fn charge_hop<C: Charge>(&self, charge: &mut C) {
-        if self.cfg.remote_heap {
-            self.charge_remote(1, 16);
-        } else {
-            charge.chain_hops(1);
         }
     }
 
@@ -412,7 +347,7 @@ impl SepoTable {
                 self.cfg.organization.label()
             ),
         };
-        let (bucket, lens) = self.place(key, hash);
+        let (bucket, lens) = chain::place(key, hash, self.cfg.n_buckets);
         self.touch(bucket);
         // Hash + bucket lookup + allocator bookkeeping: ~120 scalar ops
         // plus the per-byte hashing/compare work.
@@ -424,9 +359,7 @@ impl SepoTable {
         loop {
             let head_raw = self.head_raw(bucket);
             charge.access(ShadowAddr::BucketHead(bucket as u32), AccessKind::Atomic);
-            if let Some(e) =
-                self.find_resident(head_raw, key, lens, combining::KLEN, combining::KEY, charge)
-            {
+            if let Some(e) = chain::find(self, head_raw, EntryKind::Combining, key, lens, charge) {
                 // Duplicate: combine atomically via the callback.
                 charge.access(self.shadow_entry(e), AccessKind::Atomic);
                 self.heap
@@ -490,12 +423,17 @@ impl SepoTable {
         self.charge_heap(charge, 16, 2);
     }
 
+    /// The resident combining entry of `key`.
+    fn find_combining<C: Charge>(&self, key: &[u8], charge: &mut C) -> Option<DevHandle> {
+        let (bucket, lens) = chain::place(key, fnv1a(key), self.cfg.n_buckets);
+        let head_raw = self.head_raw(bucket);
+        chain::find(self, head_raw, EntryKind::Combining, key, lens, charge)
+    }
+
     /// Resident-side lookup of a combining key's current value (testing and
     /// intra-phase reads; evicted keys are not consulted).
     pub fn lookup_combining<C: Charge>(&self, key: &[u8], charge: &mut C) -> Option<u64> {
-        let (bucket, lens) = self.place(key, fnv1a(key));
-        let head_raw = self.head_raw(bucket);
-        let e = self.find_resident(head_raw, key, lens, combining::KLEN, combining::KEY, charge)?;
+        let e = self.find_combining(key, charge)?;
         Some(self.heap.atomic_u64(e, combining::VALUE).observe())
     }
 
@@ -503,17 +441,7 @@ impl SepoTable {
     /// eventual CPU address, used by the access-trace instrumentation of
     /// the Table III experiment.
     pub fn resident_entry_host(&self, key: &[u8]) -> Option<sepo_alloc::HostLink> {
-        let (bucket, lens) = self.place(key, fnv1a(key));
-        let head_raw = self.head_raw(bucket);
-        let mut nocharge = gpu_sim::charge::NoCharge;
-        let e = self.find_resident(
-            head_raw,
-            key,
-            lens,
-            combining::KLEN,
-            combining::KEY,
-            &mut nocharge,
-        )?;
+        let e = self.find_combining(key, &mut NoCharge)?;
         Some(self.heap.link_for(e).host)
     }
 
@@ -599,7 +527,7 @@ impl SepoTable {
         if !self.cfg.owns_hash(hash) {
             return InsertStatus::Success;
         }
-        let (bucket, lens) = self.place(key, hash);
+        let (bucket, lens) = chain::place(key, hash, self.cfg.n_buckets);
         self.touch(bucket);
         charge.compute(120 + 2 * key.len() as u64 + value.len() as u64 / 4);
         charge.device_bytes(16);
@@ -610,9 +538,7 @@ impl SepoTable {
         loop {
             let head_raw = self.head_raw(bucket);
             charge.access(ShadowAddr::BucketHead(bucket as u32), AccessKind::Atomic);
-            if let Some(k) =
-                self.find_resident(head_raw, key, lens, key_entry::KLEN, key_entry::KEY, charge)
-            {
+            if let Some(k) = chain::find(self, head_raw, EntryKind::Key, key, lens, charge) {
                 if let Some(a) = allocated_key {
                     charge.access(self.shadow_entry(a), AccessKind::PlainWrite);
                     self.abandon(a, key_entry::KLEN, lens, key_entry::size(key.len()));
@@ -760,6 +686,34 @@ impl SepoTable {
         self.groups
             .alloc_charged(group, class, size, charge)
             .map_err(|_| ())
+    }
+}
+
+/// The live heap as a chain-walk page source: PCIe transactions when pinned in
+/// CPU memory (Fig. 7 mode), and one sanitizer declaration per visited entry.
+impl ChainPages for SepoTable {
+    #[inline]
+    fn host_id(&self, page: u32) -> Option<u64> {
+        Some(self.heap.host_id(page))
+    }
+
+    #[inline]
+    fn bytes(&self, e: DevHandle, field: u32, len: usize) -> Option<&[u8]> {
+        let at = DevHandle::new(e.page(), e.offset() + field);
+        Some(self.heap.read(at, len))
+    }
+
+    fn hop<C: Charge>(&self, e: DevHandle, charge: &mut C) {
+        if self.cfg.remote_heap {
+            self.charge_remote(1, 16);
+        } else {
+            charge.chain_hops(1);
+        }
+        charge.access(self.shadow_entry(e), AccessKind::PlainRead);
+    }
+
+    fn read<C: Charge>(&self, bytes: u64, charge: &mut C) {
+        self.charge_heap(charge, bytes, 1);
     }
 }
 
