@@ -182,6 +182,7 @@ pub enum EntryKind {
 impl EntryKind {
     /// Offsets of a primary entry's length word (key length in the low 32
     /// bits) and of its key bytes.
+    #[inline]
     pub fn key_fields(self) -> (u32, u32) {
         match self {
             EntryKind::Combining => (combining::KLEN, combining::KEY),
