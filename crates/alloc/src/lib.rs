@@ -13,11 +13,13 @@
 //! * dual device/host addressing ([`layout`]) so evicted chains stay
 //!   traversable from the CPU, and a [`HostHeap`]
 //!   holding the evicted pages as [`StampedPage`]s, whose bytes are only
-//!   reachable through a checksum verification.
+//!   reachable through a checksum verification;
+//! * the [`codec`] every persisted layout is written, read and sized with.
 //!
 //! The allocator reports successes, postponements and metadata traffic into
 //! the shared [`gpu_sim::Metrics`] sink so the cost model can price them.
 
+pub mod codec;
 pub mod group;
 pub mod heap;
 pub mod hostheap;
@@ -25,5 +27,5 @@ pub mod layout;
 
 pub use group::{GroupAllocator, PageClass, Postpone};
 pub use heap::{Heap, HeapSnapshot, HeapStats, PageKind, ResidentPage};
-pub use hostheap::{crc32c, CorruptPage, HostHeap, StampedPage, VerifiedPage};
+pub use hostheap::{crc32c, CorruptPage, HostHeap, PageRecord, StampedPage, VerifiedPage};
 pub use layout::{align_up, DevHandle, HostLink, Link, ALIGN, MAX_PAGE_SIZE, OFFSET_BITS};

@@ -26,7 +26,8 @@
 //! [`CheckpointFile::read`]. A section of length 0 belongs to a shard that
 //! has not checkpointed yet.
 //!
-//! File layout (`SEPOCKS3`, little-endian):
+//! File layout (`SEPOCKS3`, little-endian; the field list `SHARDS` is its
+//! code form):
 //!
 //! ```text
 //! magic        8 bytes  "SEPOCKS3"
@@ -35,7 +36,8 @@
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
-//! Section layout (`SEPOCKP5`, little-endian):
+//! Section layout (`SEPOCKP5`, little-endian; the field list `Section` is
+//! its code form, which writes, reads and sizes a section):
 //!
 //! ```text
 //! magic        8 bytes  "SEPOCKP5"
@@ -85,27 +87,121 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::bitmap::Bitmap;
+use crate::evict::EvictReport;
 use crate::integrity;
-use crate::persist::{append_trailer, verify_trailer, wrong_magic};
 use crate::sepo::IterationStats;
 use crate::table::SepoTable;
 use gpu_sim::metrics::{Counter, Snapshot};
 use gpu_sim::sync::Relaxed;
 use gpu_sim::{FaultKind, FaultPlan, TransientDrawState};
-use sepo_alloc::hostheap::{read_array, read_exact_field};
-use sepo_alloc::{HeapSnapshot, PageKind, ResidentPage, StampedPage};
-use std::io::{self, Read, Write};
+use sepo_alloc::codec::{append_trailer, Bytes, Codec, List, Opt, Sink, Source, U32, U64, U8};
+use sepo_alloc::{record, HeapSnapshot, PageRecord, ResidentPage, StampedPage};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEPOCKP5";
-const MAGIC_NAME: &str = "SEPOCKP5";
 const FILE_MAGIC: &[u8; 8] = b"SEPOCKS3";
-const FILE_MAGIC_NAME: &str = "SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
 // part of the format: adding, removing or reordering a counter must bump
 // both magics.
 const _: () = assert!(Counter::N == 17, "counter table changed: bump the magic");
+
+/// The `SEPOCKS3` file after its magic: a section per shard, empty if none.
+const SHARDS: List<Bytes> = List(
+    "shard count",
+    Bytes("shard section length", "shard section"),
+);
+
+record! {
+    /// The `SEPOCKP5` section after its magic: the code form of the layout
+    /// in the module docs.
+    Section: Checkpoint {
+        iteration: U32("iteration"),
+        fault_stalls: U32("fault stalls"),
+        n_tasks: U64("task count"),
+        done_words: List("done bitmap", U64("done bitmap")),
+        progress: List("task progress", U32("task progress")),
+        heads: List("bucket heads", U64("bucket heads")),
+        touches: List("bucket touches", U32("bucket touches")),
+        group_allocs: List("group alloc counts", U64("group alloc counts")),
+        metrics: Counters("metrics"),
+        transient: Opt("transient flag", Draws),
+        iterations: List("iteration count", Iteration),
+        heap: Heap,
+        host_pages: List("host page count", PageRecord),
+    }
+}
+
+record! {
+    Draws: TransientDrawState {
+        draws: U64("transient draws"),
+        injected: U64("transient injections"),
+    }
+}
+
+record! {
+    Iteration: IterationStats {
+        iteration: U32("iteration number"),
+        chunks: U32("iteration chunks"),
+        halted_early: U8("iteration halt flag"),
+        tasks_attempted: U64("iteration attempts"),
+        tasks_completed: U64("iteration completions"),
+        input_bytes: U64("iteration input bytes"),
+        kernel: Counters("iteration kernel delta"),
+        evict: Evict,
+    }
+}
+
+record! {
+    Evict: EvictReport {
+        evicted_pages: U64("evict pages"),
+        evicted_bytes: U64("evict bytes"),
+        kept_pages: U64("kept pages"),
+        kept_bytes: U64("kept bytes"),
+    }
+}
+
+record! {
+    Heap: HeapSnapshot {
+        page_size: U64("heap page size"),
+        next_host_id: U64("heap next host id"),
+        wasted: U64("heap wasted bytes"),
+        acquired_total: U64("heap acquired total"),
+        total_pages: U32("heap page count"),
+        pool: List("heap free pool", U32("heap free pool")),
+        resident: List("resident page count", Resident),
+    }
+}
+
+record! {
+    Resident: ResidentPage {
+        index: U32("resident page index"),
+        pending_keys: U32("resident pending keys"),
+        head: U32("resident page head"),
+        host_id: U64("resident host id"),
+        kind: U8("resident page kind"),
+        data: Bytes("resident page length", "resident page payload"),
+    }
+}
+
+/// A counter snapshot: one `u64` per [`Counter`], in declaration order,
+/// each named `.0`.
+struct Counters(&'static str);
+
+impl Codec<Snapshot> for Counters {
+    fn put(&self, s: &Snapshot, out: &mut impl Sink) {
+        s.words().iter().for_each(|w| U64(self.0).put(w, out));
+    }
+
+    fn take(&self, src: &mut Source<'_>) -> io::Result<Snapshot> {
+        let mut words = [0u64; Counter::N];
+        for w in &mut words {
+            *w = U64(self.0).take(src)?;
+        }
+        Ok(Snapshot::from_words(words))
+    }
+}
 
 /// How many times a checkpoint write is retried when read-back
 /// verification finds the on-disk image damaged (seeded disk byte
@@ -130,21 +226,18 @@ fn write_image_verified(path: &Path, image: &[u8], plan: Option<&FaultPlan>) -> 
             }
             None => std::fs::write(path, image)?,
         }
-        let back = std::fs::read(path)?;
-        match verify_trailer(&back, FILE_MAGIC_NAME) {
+        match Source::open(&std::fs::read(path)?, FILE_MAGIC) {
             Ok(_) => return Ok(rewrites),
-            Err(err) => {
-                if rewrites >= MAX_CHECKPOINT_REWRITES {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{FILE_MAGIC_NAME} write failed verification after \
-                             {MAX_CHECKPOINT_REWRITES} rewrites: {err}"
-                        ),
-                    ));
-                }
-                rewrites += 1;
+            Err(err) if rewrites >= MAX_CHECKPOINT_REWRITES => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "SEPOCKS3 write failed verification after \
+                         {MAX_CHECKPOINT_REWRITES} rewrites: {err}"
+                    ),
+                ))
             }
+            Err(_) => rewrites += 1,
         }
     }
 }
@@ -228,13 +321,8 @@ impl CheckpointFile {
             )
         })?;
         *slot = buf;
-        let mut image = Vec::new();
-        image.extend_from_slice(FILE_MAGIC);
-        image.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        for s in sections.iter() {
-            image.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            image.extend_from_slice(s);
-        }
+        let mut image = FILE_MAGIC.to_vec();
+        SHARDS.put(&sections, &mut image);
         append_trailer(&mut image);
         write_image_verified(&self.path, &image, plan)
     }
@@ -245,28 +333,16 @@ impl CheckpointFile {
     /// any section is parsed.
     pub fn read(path: &Path) -> io::Result<Vec<Option<Checkpoint>>> {
         let image = std::fs::read(path)?;
-        let body = verify_trailer(&image, FILE_MAGIC_NAME)?;
-        let r = &mut &*body;
-        let magic: [u8; 8] = read_array(r, "magic", FILE_MAGIC_NAME)?;
-        if &magic != FILE_MAGIC {
+        let mut src = Source::open(&image, FILE_MAGIC)?;
+        if src.take(FILE_MAGIC.len(), "magic")? != FILE_MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not a SEPOCKS3 file",
             ));
         }
-        let n_shards = read_u32(r, "shard count")? as usize;
-        let mut out = Vec::with_capacity(n_shards.min(1 << 16));
-        for _ in 0..n_shards {
-            let len = read_u32(r, "shard section length")? as usize;
-            if len == 0 {
-                out.push(None);
-                continue;
-            }
-            let mut section = vec![0u8; len];
-            read_exact_field(r, &mut section, "shard section", FILE_MAGIC_NAME)?;
-            out.push(Some(Checkpoint::from_section(&section)?));
-        }
-        Ok(out)
+        let sections: Vec<Vec<u8>> = SHARDS.take(&mut src)?;
+        let section = |s: &Vec<u8>| (!s.is_empty()).then(|| Checkpoint::from_section(s));
+        sections.iter().map(|s| section(s).transpose()).collect()
     }
 }
 
@@ -372,82 +448,22 @@ impl Checkpoint {
 
     /// Exact size in bytes of this checkpoint's `SEPOCKP5` section — the
     /// footprint [`crate::RecoveryStats::checkpoint_bytes`] reports. Sized
-    /// by the code that writes the image, into a sink that only counts (no
-    /// page byte is read).
+    /// by the field list that writes the image, into a sink that only
+    /// counts (no page byte is read).
     pub fn encoded_size(&self) -> u64 {
-        let mut count = ByteCount(0);
-        // Counting cannot fail.
-        let _ = self.write_body(&mut count);
-        count.0 + 4 // whole-image checksum trailer
+        // The magic and the checksum trailer frame the fields.
+        let mut size = MAGIC.len() as u64 + 4;
+        Section.put(self, &mut size);
+        size
     }
 
-    /// The `SEPOCKP5` image: the body followed by a CRC32C trailer over
-    /// every preceding byte.
+    /// The `SEPOCKP5` image: the magic, the fields, and a CRC32C trailer
+    /// over every preceding byte.
     fn image(&self) -> io::Result<Vec<u8>> {
-        let mut image = Vec::new();
-        self.write_body(&mut image)?;
+        let mut image = MAGIC.to_vec();
+        Section.put(self, &mut image);
         append_trailer(&mut image);
         Ok(image)
-    }
-
-    fn write_body<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&self.iteration.to_le_bytes())?;
-        w.write_all(&self.fault_stalls.to_le_bytes())?;
-        w.write_all(&self.n_tasks.to_le_bytes())?;
-        write_u64s(w, &self.done_words)?;
-        write_u32s(w, &self.progress)?;
-        write_u64s(w, &self.heads)?;
-        write_u32s(w, &self.touches)?;
-        write_u64s(w, &self.group_allocs)?;
-        for v in self.metrics.words() {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        match &self.transient {
-            None => w.write_all(&[0u8])?,
-            Some(t) => {
-                w.write_all(&[1u8])?;
-                w.write_all(&t.draws.to_le_bytes())?;
-                w.write_all(&t.injected.to_le_bytes())?;
-            }
-        }
-        w.write_all(&(self.iterations.len() as u32).to_le_bytes())?;
-        for it in &self.iterations {
-            w.write_all(&it.iteration.to_le_bytes())?;
-            w.write_all(&it.chunks.to_le_bytes())?;
-            w.write_all(&[it.halted_early as u8])?;
-            w.write_all(&it.tasks_attempted.to_le_bytes())?;
-            w.write_all(&it.tasks_completed.to_le_bytes())?;
-            w.write_all(&it.input_bytes.to_le_bytes())?;
-            for v in it.kernel.words() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-            w.write_all(&(it.evict.evicted_pages as u64).to_le_bytes())?;
-            w.write_all(&it.evict.evicted_bytes.to_le_bytes())?;
-            w.write_all(&(it.evict.kept_pages as u64).to_le_bytes())?;
-            w.write_all(&it.evict.kept_bytes.to_le_bytes())?;
-        }
-        w.write_all(&(self.heap.page_size as u64).to_le_bytes())?;
-        w.write_all(&self.heap.next_host_id.to_le_bytes())?;
-        w.write_all(&self.heap.wasted.to_le_bytes())?;
-        w.write_all(&self.heap.acquired_total.to_le_bytes())?;
-        w.write_all(&(self.heap.total_pages as u32).to_le_bytes())?;
-        write_u32s(w, &self.heap.pool)?;
-        w.write_all(&(self.heap.resident.len() as u32).to_le_bytes())?;
-        for p in &self.heap.resident {
-            w.write_all(&p.index.to_le_bytes())?;
-            w.write_all(&p.pending_keys.to_le_bytes())?;
-            w.write_all(&p.head.to_le_bytes())?;
-            w.write_all(&p.host_id.to_le_bytes())?;
-            w.write_all(&[p.kind.tag()])?;
-            w.write_all(&(p.data.len() as u32).to_le_bytes())?;
-            w.write_all(&p.data)?;
-        }
-        w.write_all(&(self.host_pages.len() as u32).to_le_bytes())?;
-        for page in &self.host_pages {
-            page.write_record(w)?;
-        }
-        Ok(())
     }
 
     /// Decode a `SEPOCKP5` section. The whole-image checksum trailer
@@ -455,188 +471,10 @@ impl Checkpoint {
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
     fn from_section(image: &[u8]) -> io::Result<Checkpoint> {
-        let body = verify_trailer(image, MAGIC_NAME)?;
-        Checkpoint::parse_body(&mut &*body)
+        let mut src = Source::open(image, MAGIC)?;
+        src.magic()?;
+        Section.take(&mut src)
     }
-
-    fn parse_body<R: Read>(r: &mut R) -> io::Result<Checkpoint> {
-        let magic: [u8; 8] = read_array(r, "magic", MAGIC_NAME)?;
-        if &magic != MAGIC {
-            return Err(wrong_magic(&magic, MAGIC_NAME));
-        }
-        let iteration = read_u32(r, "iteration")?;
-        let fault_stalls = read_u32(r, "fault stalls")?;
-        let n_tasks = read_u64(r, "task count")?;
-        let done_words = read_u64s(r, "done bitmap")?;
-        let progress = read_u32s(r, "task progress")?;
-        let heads = read_u64s(r, "bucket heads")?;
-        let touches = read_u32s(r, "bucket touches")?;
-        let group_allocs = read_u64s(r, "group alloc counts")?;
-        let metrics = read_snapshot(r, "metrics")?;
-        let transient = match read_u8(r, "transient flag")? {
-            0 => None,
-            1 => Some(TransientDrawState {
-                draws: read_u64(r, "transient draws")?,
-                injected: read_u64(r, "transient injections")?,
-            }),
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad transient flag {other}"),
-                ))
-            }
-        };
-        let n_iters = read_u32(r, "iteration count")? as usize;
-        let mut iterations = Vec::with_capacity(n_iters.min(1 << 16));
-        for _ in 0..n_iters {
-            let iteration = read_u32(r, "iteration number")?;
-            let chunks = read_u32(r, "iteration chunks")?;
-            let halted_early = read_u8(r, "iteration halt flag")? != 0;
-            let tasks_attempted = read_u64(r, "iteration attempts")?;
-            let tasks_completed = read_u64(r, "iteration completions")?;
-            let input_bytes = read_u64(r, "iteration input bytes")?;
-            let kernel = read_snapshot(r, "iteration kernel delta")?;
-            let evict = crate::evict::EvictReport {
-                evicted_pages: read_u64(r, "evict pages")? as usize,
-                evicted_bytes: read_u64(r, "evict bytes")?,
-                kept_pages: read_u64(r, "kept pages")? as usize,
-                kept_bytes: read_u64(r, "kept bytes")?,
-            };
-            iterations.push(IterationStats {
-                iteration,
-                tasks_attempted,
-                tasks_completed,
-                input_bytes,
-                chunks,
-                kernel,
-                evict,
-                halted_early,
-            });
-        }
-        let page_size = read_u64(r, "heap page size")? as usize;
-        let next_host_id = read_u64(r, "heap next host id")?;
-        let wasted = read_u64(r, "heap wasted bytes")?;
-        let acquired_total = read_u64(r, "heap acquired total")?;
-        let total_pages = read_u32(r, "heap page count")? as usize;
-        let pool = read_u32s(r, "heap free pool")?;
-        let n_resident = read_u32(r, "resident page count")? as usize;
-        let mut resident = Vec::with_capacity(n_resident.min(1 << 16));
-        for _ in 0..n_resident {
-            let index = read_u32(r, "resident page index")?;
-            let pending_keys = read_u32(r, "resident pending keys")?;
-            let head = read_u32(r, "resident page head")?;
-            let host_id = read_u64(r, "resident host id")?;
-            let kind = PageKind::from_tag(read_u8(r, "resident page kind")?)?;
-            let len = read_u32(r, "resident page length")? as usize;
-            let mut data = vec![0u8; len];
-            read_exact_field(r, &mut data, "resident page payload", MAGIC_NAME)?;
-            resident.push(ResidentPage {
-                index,
-                host_id,
-                kind,
-                pending_keys,
-                head,
-                data: data.into(),
-            });
-        }
-        let n_host = read_u32(r, "host page count")? as usize;
-        let mut host_pages = Vec::with_capacity(n_host.min(1 << 16));
-        for _ in 0..n_host {
-            host_pages.push(StampedPage::read_record(r, MAGIC_NAME)?);
-        }
-        Ok(Checkpoint {
-            iteration,
-            fault_stalls,
-            n_tasks,
-            done_words,
-            progress,
-            heads,
-            touches,
-            group_allocs,
-            metrics,
-            transient,
-            iterations,
-            heap: HeapSnapshot {
-                page_size,
-                total_pages,
-                pool,
-                next_host_id,
-                wasted,
-                acquired_total,
-                resident,
-            },
-            host_pages,
-        })
-    }
-}
-
-/// A sink that only counts what is written to it.
-struct ByteCount(u64);
-
-impl Write for ByteCount {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0 += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-fn write_u32s<W: Write>(w: &mut W, vs: &[u32]) -> io::Result<()> {
-    w.write_all(&(vs.len() as u32).to_le_bytes())?;
-    for v in vs {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn write_u64s<W: Write>(w: &mut W, vs: &[u64]) -> io::Result<()> {
-    w.write_all(&(vs.len() as u32).to_le_bytes())?;
-    for v in vs {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_u8<R: Read>(r: &mut R, what: &str) -> io::Result<u8> {
-    let [b] = read_array(r, what, MAGIC_NAME)?;
-    Ok(b)
-}
-
-fn read_u32<R: Read>(r: &mut R, what: &str) -> io::Result<u32> {
-    Ok(u32::from_le_bytes(read_array(r, what, MAGIC_NAME)?))
-}
-
-fn read_u64<R: Read>(r: &mut R, what: &str) -> io::Result<u64> {
-    Ok(u64::from_le_bytes(read_array(r, what, MAGIC_NAME)?))
-}
-
-fn read_u32s<R: Read>(r: &mut R, what: &str) -> io::Result<Vec<u32>> {
-    let n = read_u32(r, what)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(read_u32(r, what)?);
-    }
-    Ok(out)
-}
-
-fn read_u64s<R: Read>(r: &mut R, what: &str) -> io::Result<Vec<u64>> {
-    let n = read_u32(r, what)? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(read_u64(r, what)?);
-    }
-    Ok(out)
-}
-
-fn read_snapshot<R: Read>(r: &mut R, what: &str) -> io::Result<Snapshot> {
-    let mut w = [0u64; Counter::N];
-    for v in w.iter_mut() {
-        *v = read_u64(r, what)?;
-    }
-    Ok(Snapshot::from_words(w))
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! iterations (restored heaps continue the host-id sequence so dual
 //! pointers never collide).
 //!
-//! Format (`SEPOHST3`, little-endian):
+//! Format (`SEPOHST3`, little-endian; the field list `Image` is its code
+//! form):
 //!
 //! ```text
 //! magic       8 bytes  "SEPOHST3"
@@ -40,13 +41,27 @@
 use crate::config::{Combiner, Organization, TableConfig};
 use crate::table::SepoTable;
 use gpu_sim::metrics::Metrics;
-use sepo_alloc::hostheap::read_array;
-use sepo_alloc::{crc32c, StampedPage};
+use sepo_alloc::codec::{append_trailer, Codec, List, Sink, Source, U8};
+use sepo_alloc::{record, PageRecord, StampedPage};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 8] = b"SEPOHST3";
-const MAGIC_NAME: &str = "SEPOHST3";
+
+/// A saved table: its organization and its host pages.
+struct HostImage {
+    org: Organization,
+    pages: Vec<StampedPage>,
+}
+
+record! {
+    /// The `SEPOHST3` image after its magic: the code form of the layout
+    /// in the module docs.
+    Image: HostImage {
+        org: U8("organization tag"),
+        pages: List("page count", PageRecord),
+    }
+}
 
 fn org_tag(org: Organization) -> u8 {
     match org {
@@ -72,44 +87,14 @@ fn org_from_tag(tag: u8) -> io::Result<Organization> {
     })
 }
 
-/// Split `image` into its body and trailing CRC32C and verify the trailer,
-/// naming `section` (a format magic like `SEPOHST3`) in every error. Used
-/// by all three persisted formats — whole-image verification comes first,
-/// before any structural parsing.
-pub(crate) fn verify_trailer<'a>(image: &'a [u8], section: &str) -> io::Result<&'a [u8]> {
-    let Some((body, trailer)) = image.split_last_chunk::<4>() else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("truncated {section} image: unexpected end of input reading checksum trailer"),
-        ));
-    };
-    let stored = u32::from_le_bytes(*trailer);
-    let computed = crc32c(body);
-    if stored != computed {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "{section} image failed checksum verification \
-                 (stored 0x{stored:08x}, computed 0x{computed:08x})"
-            ),
-        ));
+impl Codec<Organization> for U8 {
+    fn put(&self, org: &Organization, out: &mut impl Sink) {
+        self.put(&org_tag(*org), out);
     }
-    Ok(body)
-}
 
-/// The error for an image whose magic is not `want`'s: it names both, so
-/// an image of an earlier format says which one it is.
-pub(crate) fn wrong_magic(found: &[u8; 8], want: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("not a {want} image (magic {})", found.escape_ascii()),
-    )
-}
-
-/// Append the CRC32C trailer to a serialized image body.
-pub(crate) fn append_trailer(body: &mut Vec<u8>) {
-    let crc = crc32c(body);
-    body.extend_from_slice(&crc.to_le_bytes());
+    fn take(&self, src: &mut Source<'_>) -> io::Result<Organization> {
+        org_from_tag(self.take(src)?)
+    }
 }
 
 impl SepoTable {
@@ -128,18 +113,18 @@ impl SepoTable {
         }
         self.compact_host()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(org_tag(self.config().organization));
-        let pages = self.host_heap().pages();
-        buf.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-        for page in pages {
+        let image = HostImage {
+            org: self.config().organization,
+            pages: self.host_heap().pages(),
+        };
+        for page in &image.pages {
             // A page that no longer matches its stamp must not be laundered
             // into an image whose trailer vouches for it.
             page.verify()
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            page.write_record(&mut buf)?;
         }
+        let mut buf = MAGIC.to_vec();
+        Image.put(&image, &mut buf);
         append_trailer(&mut buf);
         w.write_all(&buf)
     }
@@ -157,32 +142,18 @@ impl SepoTable {
     pub fn load<R: Read>(r: &mut R, heap_bytes: u64, metrics: Arc<Metrics>) -> io::Result<Self> {
         let mut image = Vec::new();
         r.read_to_end(&mut image)?;
-        if image.len() < MAGIC.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "truncated SEPOHST3 image: unexpected end of input reading magic",
-            ));
-        }
-        let body = verify_trailer(&image, MAGIC_NAME)?;
-        let r = &mut &body[..];
-        let magic: [u8; 8] = read_array(r, "magic", MAGIC_NAME)?;
-        if &magic != MAGIC {
-            return Err(wrong_magic(&magic, MAGIC_NAME));
-        }
-        let [tag] = read_array(r, "organization tag", MAGIC_NAME)?;
-        let organization = org_from_tag(tag)?;
-        let n_pages = u32::from_le_bytes(read_array(r, "page count", MAGIC_NAME)?);
+        // An image too short for its magic is truncated, whatever its last
+        // four bytes say.
+        Source::new(&image, MAGIC).take(MAGIC.len(), "magic")?;
+        let mut src = Source::open(&image, MAGIC)?;
+        src.magic()?;
+        let HostImage { org, pages } = Image.take(&mut src)?;
 
-        let cfg = TableConfig::tuned(organization, heap_bytes);
-        let table = SepoTable::new(cfg, heap_bytes, metrics);
-        let mut max_id = 0u64;
-        for _ in 0..n_pages {
-            let page = StampedPage::read_record(r, MAGIC_NAME)?;
-            max_id = max_id.max(page.host_id());
-            table.host.store(page);
-        }
+        let table = SepoTable::new(TableConfig::tuned(org, heap_bytes), heap_bytes, metrics);
         // The host-id sequence resumes past every restored page.
+        let max_id = pages.iter().map(StampedPage::host_id).max().unwrap_or(0);
         table.heap.advance_host_ids(max_id + 1);
+        table.host.restore(&pages);
         Ok(table)
     }
 }

@@ -7,7 +7,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use sepo_alloc::{CorruptPage, PageKind, StampedPage};
+use sepo_alloc::codec::{Codec, Source};
+use sepo_alloc::{CorruptPage, PageKind, PageRecord, StampedPage};
 use sepo_core::entry::{parse_at, EntryKind, PageWalker};
 use sepo_datagen::ratings::{self, parse_movie, RatingsConfig};
 
@@ -150,8 +151,9 @@ proptest! {
         let verified = page.verify().unwrap();
         prop_assert_eq!(verified.bytes(), &data[..]);
         let mut record = Vec::new();
-        page.write_record(&mut record).unwrap();
-        prop_assert_eq!(&StampedPage::read_record(&mut &record[..], "SEPOHST3").unwrap(), &page);
+        PageRecord.put(&page, &mut record);
+        let read = |record: &[u8]| PageRecord.take(&mut Source::new(record, b"SEPOHST3"));
+        prop_assert_eq!(&read(&record).unwrap(), &page);
 
         let bit = bit % (data.len() * 8);
         let mut damaged = data;
@@ -159,8 +161,8 @@ proptest! {
         let damaged = StampedPage::from_parts(host_id, PageKind::Mixed, damaged, page.crc());
         prop_assert_eq!(damaged.verify().unwrap_err(), CorruptPage { host_id });
         let mut record = Vec::new();
-        damaged.write_record(&mut record).unwrap();
-        let err = StampedPage::read_record(&mut &record[..], "SEPOHST3").unwrap_err();
+        PageRecord.put(&damaged, &mut record);
+        let err = read(&record).unwrap_err();
         let expected = format!("SEPOHST3 image: {}", CorruptPage { host_id });
         prop_assert_eq!(err.to_string(), expected);
     }
