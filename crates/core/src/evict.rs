@@ -25,7 +25,7 @@
 //! These routines require quiescence — no kernels in flight — which the
 //! SEPO driver guarantees by running them between launches.
 
-use crate::entry::{self, key_entry};
+use crate::entry::{key_entry, EntryKind, PageWalker};
 use crate::hash::bucket_of;
 use crate::integrity::{self, TransferFailure, MAX_TRANSFER_RETRANSMITS};
 use crate::table::SepoTable;
@@ -212,7 +212,7 @@ impl SepoTable {
         //    device-side value head. Must happen before any page is copied
         //    so the host images carry the final continuations.
         for &p in &key_pages {
-            self.for_each_key_entry(p, |k| {
+            for (k, ()) in self.live_entries(p, EntryKind::Key, |_| ()) {
                 charge.access(self.shadow_entry(k), AccessKind::PlainWrite);
                 let head_raw = self.heap.read_u64(k, key_entry::VALUE_HEAD);
                 if head_raw != u64::MAX {
@@ -224,7 +224,7 @@ impl SepoTable {
                 }
                 // Pending flags are per-iteration state.
                 self.heap.write_u64(k, key_entry::FLAGS, 0);
-            });
+            }
         }
 
         // 2. Value pages — and the mixed pages of basic / combining tables,
@@ -267,37 +267,29 @@ impl SepoTable {
         // 4. Rebuild bucket chains over exactly the kept key entries so next
         //    iteration's lookups see them through resident links.
         self.reset_heads();
+        let bucket = |key: &[u8]| bucket_of(key, self.cfg.n_buckets);
         for &p in &kept {
-            self.for_each_key_entry(p, |k| {
+            for (k, b) in self.live_entries(p, EntryKind::Key, bucket) {
                 charge.access(self.shadow_entry(k), AccessKind::PlainWrite);
-                let key_off = DevHandle::new(k.page(), k.offset() + key_entry::KEY);
-                let klen = (self.heap.read_u64(k, key_entry::KLEN) & 0xFFFF_FFFF) as usize;
-                let key = self.heap.read(key_off, klen);
-                self.prepend_resident(bucket_of(key, self.cfg.n_buckets), k);
-            });
+                self.prepend_resident(b, k);
+            }
         }
         self.groups.reset_iteration();
         report
     }
 
-    /// Walk the complete, non-tombstoned entries of resident key page `p`
-    /// (quiescent).
-    pub(crate) fn for_each_key_entry(&self, p: u32, mut f: impl FnMut(DevHandle)) {
-        let used = self.heap.page_used(p);
-        let mut off = 0usize;
-        while off + key_entry::HEADER <= used {
-            let k = DevHandle::new(p, off as u32);
-            let lens = self.heap.read_u64(k, key_entry::KLEN);
-            let klen = (lens & 0xFFFF_FFFF) as usize;
-            let size = key_entry::size(klen);
-            if off + size > used {
-                break;
-            }
-            if lens & entry::TOMBSTONE == 0 {
-                f(k);
-            }
-            off += size;
-        }
+    /// The complete, non-tombstoned entries of resident page `p` walked as
+    /// `kind`, each with `of` its key, collected before the caller writes
+    /// into the page (quiescent).
+    pub(crate) fn live_entries<T>(
+        &self,
+        p: u32,
+        kind: EntryKind,
+        of: impl Fn(&[u8]) -> T,
+    ) -> Vec<(DevHandle, T)> {
+        PageWalker::new(self.heap.page_bytes(p), kind)
+            .filter_map(|(off, e)| Some((DevHandle::new(p, off as u32), of(e.key()?))))
+            .collect()
     }
 
     /// Make resident entry `e` the head of `bucket`'s chain, rewriting its
@@ -450,7 +442,7 @@ mod tests {
             .collect();
         let n_keys: usize = key_pages
             .iter()
-            .map(|&p| entry::PageWalker::new(t.heap().page_bytes(p), entry::EntryKind::Key).count())
+            .map(|&p| PageWalker::new(t.heap().page_bytes(p), EntryKind::Key).count())
             .sum();
         assert_eq!(n_keys, 1, "exactly one key entry for the sticky key");
     }
