@@ -743,7 +743,6 @@ impl<'d> Run<'d> {
                 file.update(*shard, &ckp, self.corrupt).map_err(typed)?;
         }
         self.recovery.checkpoints_taken += 1;
-        self.recovery.checkpoint_bytes = ckp.encoded_size();
         self.checkpoint = Some(ckp);
         Ok(())
     }
@@ -1085,6 +1084,8 @@ impl<'d> Run<'d> {
         }
         self.recovery.retransmits =
             self.table.integrity().retransmits() - self.retransmits_baseline;
+        self.recovery.checkpoint_bytes =
+            self.checkpoint.as_ref().map_or(0, Checkpoint::encoded_size);
         // Everything is on the host now, so the finalized epoch's reads
         // resolve entirely through the incremental index.
         self.publish(at_iteration, true);
