@@ -638,9 +638,12 @@ fn cmd_run(app: App, f: &Flags) -> Result<(), String> {
         println!("\nserving under the run");
         println!("  {summary}");
         println!(
-            "  serving traffic: {} bulk transfers, {} over PCIe (charged off-run)",
+            "  serving traffic: {} bulk transfers, {} over PCIe (charged off-run), \
+             {} device bytes, {} chain hops",
             total(&traffic, |s| s.pcie_bulk_transfers),
-            fmt_bytes(total(&traffic, |s| s.pcie_bulk_bytes))
+            fmt_bytes(total(&traffic, |s| s.pcie_bulk_bytes)),
+            total(&traffic, |s| s.device_bytes),
+            total(&traffic, |s| s.chain_hops)
         );
     }
 

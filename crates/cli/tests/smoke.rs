@@ -1,6 +1,8 @@
 //! End-to-end smoke of the `sepo` binary at the toy 1/16384 scale, for one
 //! device and for four, with `--audit --sanitize` on: the chaos, serving
 //! and corruption report lines must be present with non-zero counts, a
+//! multi-valued serving run must report its probes' device bytes and chain
+//! hops, a
 //! sharded run must print its merged-image identity line, `--save` must
 //! round-trip through `sepo query` on a single table and be rejected for a
 //! sharded run, and the `host compaction:` line must appear on
@@ -106,6 +108,22 @@ fn save_round_trips_through_query_on_one_device_only() {
     let why = String::from_utf8_lossy(&sharded.stderr);
     assert!(why.contains("--save needs a single table image"), "{why}");
     assert!(!std::path::Path::new(image).exists());
+}
+
+/// Patent Citation is multi-valued, so `--serve` answers grouped probes:
+/// the serving line reports what they cost on the device.
+#[test]
+fn a_multi_valued_serving_run_reports_its_probe_traffic() {
+    let report = run_app("patents", &["--serve"]);
+    assert!(report.contains("oracle ok"), "{report}");
+    assert!(
+        count(&report, "(charged off-run), ", " device bytes") > 0,
+        "{report}"
+    );
+    assert!(
+        count(&report, " device bytes, ", " chain hops") > 0,
+        "{report}"
+    );
 }
 
 /// The `iterations` figure of the report's GPU/SEPO block.
