@@ -3,9 +3,13 @@
 //! Reproduces the allocator of §IV-A: "The dynamic memory allocator … uses a
 //! heap that is pre-allocated in GPU memory. The heap is partitioned into
 //! pages, from which allocation requests are serviced." Pages are acquired
-//! from a free pool, bump-allocated with one atomic bounded add (the
+//! from a free pool, bump-allocated through a per-page cursor (the
 //! per-page "free-list pointer" the paper distributes contention over), and
-//! returned to the pool when the SEPO driver evicts them to CPU memory.
+//! returned to the pool when the SEPO driver evicts them to CPU memory. One
+//! cursor update either claims a single allocation or a run that a thread
+//! block carves allocations from (`group`'s block leases); the run's
+//! unused tail goes back with one CAS, or stays in the page as a dead
+//! entry when a later claim has moved the cursor on.
 //!
 //! Every page acquisition stamps the page with a fresh, globally unique
 //! **host page id** — the identity under which its bytes will eventually
@@ -19,8 +23,9 @@
 //! The backing store is a `Box<[UnsafeCell<u64>]>`. All mutation goes
 //! through raw pointers derived from it. Soundness rests on two invariants:
 //!
-//! 1. **Disjointness** — `bump` hands out non-overlapping `[offset,
-//!    offset+len)` ranges within a page (a monotone bounded add), and
+//! 1. **Disjointness** — `claim` hands out non-overlapping `[offset,
+//!    offset+len)` runs within a page (a bounded CAS loop; a tail given
+//!    back is one no allocation was carved from), and
 //!    pages are disjoint by construction. Plain writes target only the range
 //!    returned by the caller's own allocation.
 //! 2. **Publication** — entry bytes are fully written *before* the entry is
@@ -34,7 +39,7 @@
 //! [`gpu_sim::sync`] cell whose protocol its field states; quiescent code
 //! (snapshot, restore, loading a saved table) uses the cells' `get`/`set`.
 
-use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE};
+use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE, MIN_TAIL};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::sync::{Published, Relaxed};
 use parking_lot::Mutex;
@@ -295,21 +300,50 @@ impl Heap {
         self.pool.lock().push(page);
     }
 
-    /// Bump-allocate `size` bytes on `page`. Returns the offset, or `None`
-    /// if the page is full. The head never overshoots the page size, so
-    /// `page_used` is always the exact extent of valid entries —
-    /// page-walking eviction depends on that.
-    pub fn bump(&self, page: u32, size: usize) -> Option<u32> {
-        let size = align_up(size);
-        if size > self.page_size {
+    /// Claim a run of `page` with one cursor update: `max` bytes, or what
+    /// is left of the page if less, but at least `min` (both rounded up to
+    /// the alignment), and either exactly `min` or at least [`MIN_TAIL`]
+    /// more. Returns `(offset, len)` of the run, or `None` when not even
+    /// `min` fits. The head never overshoots the page size, so `page_used`
+    /// is always the exact extent of what was claimed — page-walking
+    /// eviction depends on that.
+    pub fn claim(&self, page: u32, min: usize, max: usize) -> Option<(u32, u32)> {
+        let min = align_up(min);
+        if min > self.page_size {
             // An entry larger than a page can never be satisfied; report
             // "full" so the request surfaces as POSTPONE and the driver's
             // progress check produces a diagnosable abort.
             return None;
         }
-        self.pages[page as usize]
-            .head
-            .fetch_add_within(size as u32, self.page_size as u32)
+        let (min, max) = (min as u32, align_up(max).max(min) as u32);
+        let limit = self.page_size as u32;
+        let mut len = 0;
+        let head = self.pages[page as usize].head.fetch_update(|head| {
+            let room = limit - head;
+            if room < min {
+                return None;
+            }
+            len = max.min(room);
+            if len - min < MIN_TAIL as u32 {
+                len = min;
+            }
+            Some(head + len)
+        });
+        head.ok().map(|offset| (offset, len))
+    }
+
+    /// Bump-allocate `size` bytes on `page`: a [`Heap::claim`] of exactly
+    /// `size`. Returns the offset, or `None` if the page is full.
+    pub fn bump(&self, page: u32, size: usize) -> Option<u32> {
+        self.claim(page, size, size).map(|(offset, _)| offset)
+    }
+
+    /// Hand the unused tail `[from, to)` of a claimed run of `page` back
+    /// to its cursor: one CAS, which fails when a later claim has moved
+    /// the cursor past `to`.
+    pub fn give_back(&self, page: u32, from: u32, to: u32) -> bool {
+        let head = &self.pages[page as usize].head;
+        head.compare_exchange(to, from).is_ok()
     }
 
     // ------------------------------------------------------------------

@@ -39,6 +39,16 @@ pub const fn align_up(n: usize) -> usize {
     (n + (ALIGN - 1)) & !(ALIGN - 1)
 }
 
+/// Tombstone marker: bit 63 of an entry's length word, which marks the
+/// region as dead (`sepo_core::entry::TOMBSTONE` documents the entry
+/// formats). The allocator writes one to mark a lost run tail.
+pub const TOMBSTONE: u64 = 1 << 63;
+
+/// A run's spare tail is either empty or at least this long, so a tail
+/// that cannot go back to its page cursor always has room for one dead
+/// entry of any layout (the longest entry header is 48 bytes).
+pub const MIN_TAIL: usize = 48;
+
 /// Device-side handle: `(page index, byte offset)` packed into a `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DevHandle(u64);

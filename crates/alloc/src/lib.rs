@@ -25,7 +25,7 @@ pub mod heap;
 pub mod hostheap;
 pub mod layout;
 
-pub use group::{GroupAllocator, PageClass, Postpone};
+pub use group::{DeadEntry, GroupAllocator, PageClass, Postpone};
 pub use heap::{Heap, HeapSnapshot, HeapStats, PageKind, ResidentPage};
 pub use hostheap::{crc32c, CorruptPage, HostHeap, PageRecord, StampedPage, VerifiedPage};
 pub use layout::{align_up, DevHandle, HostLink, Link, ALIGN, MAX_PAGE_SIZE, OFFSET_BITS};

@@ -35,7 +35,8 @@ pub fn ample_heap(dataset: &Dataset) -> u64 {
 /// Run `app` on the CPU baseline (shared chained hash table, no SEPO).
 pub fn run_cpu_app(app: App, dataset: &Dataset) -> BaselineRun {
     let metrics = Arc::new(Metrics::new());
-    let executor = Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics));
+    let executor =
+        Executor::new(ExecMode::ParallelDeterministic, Arc::clone(&metrics)).without_leases();
     let cfg = AppConfig::new(ample_heap(dataset));
     let run = run_app(app, dataset, &cfg, &executor);
     assert_eq!(

@@ -843,7 +843,7 @@ pub fn ablation_group_size(scale: u64) -> Artifact {
         "scale = 1/{scale}; PVC dataset #3; heap = {}",
         fmt_bytes(heap)
     ));
-    table.note("fewer groups -> less fragmentation waste but one hotter allocation pointer");
+    table.note("fewer groups -> less fragmentation waste; block-leased runs keep even one allocation pointer cool");
     Artifact {
         text: table.render(),
         json: json!({ "scale": scale, "rows": rows }),

@@ -214,6 +214,9 @@ mod tests {
             fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
                 self.0.push((addr, kind));
             }
+            fn leases(&mut self) -> Option<&mut gpu_sim::BlockLeases> {
+                None
+            }
         }
 
         let b = Bitmap::new(130);

@@ -177,7 +177,7 @@ impl Tile {
 }
 
 /// A thread block's combining tile. One per block, created by the driver's
-/// block-scratch `init` hook and drained by its `finish` hook.
+/// block `init` hook and drained by its `finish` hook.
 #[derive(Debug)]
 pub struct WarpCombiner {
     comb: Combiner,

@@ -31,6 +31,7 @@
 //! `vlen` there and are never walked for a key; value nodes carry no key.
 
 use sepo_alloc::align_up;
+use sepo_alloc::DeadEntry;
 
 /// Field offsets shared by every entry type.
 pub const NEXT_DEV: u32 = 0;
@@ -44,12 +45,16 @@ pub const NEXT_HOST: u32 = 8;
 /// abandoned regions would be parsed as garbage entries — or worse, a
 /// fully-written but unpublished duplicate would be double-counted.
 ///
+/// A block's page lease marks a run tail it could not give back to the
+/// page cursor the same way: a dead entry of the page's layout spanning
+/// the tail ([`dead_entry`]).
+///
 /// Consequence: value lengths are capped at 2^31-1 (the basic layout packs
 /// `klen | vlen << 32` into the length word, so vlen shares the top half
 /// with the tombstone bit), and a key tag has 31 bits (bits 32–62 of a
 /// tagged length word, [`TAG_MASK`]). Every reader takes the key length
 /// from the low 32 bits only.
-pub const TOMBSTONE: u64 = 1 << 63;
+pub use sepo_alloc::layout::TOMBSTONE;
 
 /// Bits 32–62 of a tagged length word: the key tag.
 pub const TAG_MASK: u64 = 0x7FFF_FFFF << 32;
@@ -128,6 +133,21 @@ pub mod value_node {
 
     pub fn size(vlen: usize) -> usize {
         HEADER + align_up(vlen)
+    }
+}
+
+/// How a page of `kind` marks a region that holds no entry: a dead entry
+/// whose length word, tombstoned, makes its size the region's length.
+pub fn dead_entry(kind: EntryKind) -> DeadEntry {
+    let (lens, header) = match kind {
+        EntryKind::Combining => (combining::KLEN, combining::HEADER),
+        EntryKind::Basic => (basic::LENS, basic::HEADER),
+        EntryKind::Key => (key_entry::KLEN, key_entry::HEADER),
+        EntryKind::Value => (value_node::VLEN, value_node::HEADER),
+    };
+    DeadEntry {
+        lens,
+        header: header as u32,
     }
 }
 
@@ -405,6 +425,30 @@ mod tests {
                 next_host: 0xCAFE
             }
         );
+    }
+
+    #[test]
+    fn dead_entries_span_exactly_their_region() {
+        use sepo_alloc::layout::MIN_TAIL;
+        for kind in [
+            EntryKind::Combining,
+            EntryKind::Basic,
+            EntryKind::Key,
+            EntryKind::Value,
+        ] {
+            let dead = dead_entry(kind);
+            assert!(dead.header as usize <= MIN_TAIL, "{kind:?}");
+            for len in [MIN_TAIL, MIN_TAIL + 8, 4096] {
+                let mut page = vec![0u8; len + 8];
+                let word = dead.lens_word(len as u32);
+                page[dead.lens as usize..][..8].copy_from_slice(&word.to_le_bytes());
+                assert_eq!(
+                    parse_at(&page, 0, kind),
+                    Some((None, len)),
+                    "{kind:?} {len}"
+                );
+            }
+        }
     }
 
     #[test]

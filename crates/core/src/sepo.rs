@@ -34,12 +34,11 @@ use crate::evict::EvictReport;
 use crate::serve::{EpochPublisher, EpochSnapshot};
 use crate::table::SepoTable;
 use gpu_sim::charge::Charge;
-use gpu_sim::executor::{BlockScratch, Executor, LaneCtx};
+use gpu_sim::executor::{BlockHooks, Executor, LaneCtx, Scratch};
 use gpu_sim::metrics::Snapshot;
 use gpu_sim::sync::Relaxed;
 use gpu_sim::{FaultDraw, FaultKind, FaultPlan, NoCharge, ShadowSanitizer};
 use sepo_alloc::{crc32c, ResidentPage};
-use std::any::Any;
 use std::fmt;
 use std::io;
 use std::sync::Arc;
@@ -546,30 +545,26 @@ impl<'a> SepoDriver<'a> {
         B: Fn(usize) -> u64 + Sync,
         K: Fn(usize, u32, &mut LaneCtx<'_>) -> TaskResult + Sync,
     {
-        // Block-combiner hooks: each thread block gets its own tile, drained
-        // when the block retires — i.e. before a launch returns, hence
-        // before any postponement bookkeeping or eviction observes the table.
+        // Block hooks: each thread block gets its page leases and, when the
+        // combiner is on, its own tile; both are drained when the block
+        // retires — i.e. before a launch returns, hence before any
+        // postponement bookkeeping or eviction observes the table.
         let combiner = match self.table.config().organization {
             Organization::Combining(comb) => self.config.combiner.map(|cc| (comb, cc)),
             _ => None,
         };
         let table = self.table;
-        let scratch_init;
-        let scratch_finish;
-        let scratch_hooks: Option<BlockScratch<'_>> = if let Some((comb, cc)) = combiner {
-            scratch_init = move || -> Box<dyn Any + Send> { Box::new(WarpCombiner::new(comb, cc)) };
-            scratch_finish = move |state: &mut (dyn Any + Send), charge: &mut dyn Charge| {
-                let wc = state
-                    .downcast_mut::<WarpCombiner>()
-                    .expect("block scratch holds the combiner the driver installed");
-                wc.flush(table, &mut &mut *charge);
-            };
-            Some(BlockScratch {
-                init: &scratch_init,
-                finish: &scratch_finish,
-            })
-        } else {
-            None
+        let tile = combiner
+            .map(|(comb, cc)| move || -> Box<Scratch> { Box::new(WarpCombiner::new(comb, cc)) });
+        let retire = move |scratch: Option<&mut Scratch>, mut charge: &mut dyn Charge| {
+            if let Some(wc) = scratch.and_then(|s| s.downcast_mut::<WarpCombiner>()) {
+                wc.flush(table, &mut charge);
+            }
+            table.groups.close_leases(&mut charge);
+        };
+        let hooks = BlockHooks {
+            init: tile.as_ref().map(|tile| tile as _),
+            finish: &retire,
         };
 
         // The paper's loop: launch over the pending set, postpone what does
@@ -579,7 +574,7 @@ impl<'a> SepoDriver<'a> {
         while !run.pending.is_empty() && run.iter_no() <= self.config.max_iterations {
             let attempt = run
                 .open_iteration()
-                .and_then(|()| run.launch(&task_bytes, &kernel, scratch_hooks.as_ref()));
+                .and_then(|()| run.launch(&task_bytes, &kernel, &hooks));
             match attempt {
                 Ok(launched) => run.boundary(launched)?,
                 Err(cause) => run.rollback(cause)?,
@@ -783,7 +778,7 @@ impl<'d> Run<'d> {
         &self,
         task_bytes: &B,
         kernel: &K,
-        scratch: Option<&BlockScratch<'_>>,
+        hooks: &BlockHooks<'_>,
     ) -> Result<Launched, Rollback>
     where
         B: Fn(usize) -> u64 + Sync,
@@ -819,7 +814,7 @@ impl<'d> Run<'d> {
             };
             let stats = match self
                 .executor
-                .try_launch_scoped(chunk.len(), scratch, launch)
+                .try_launch_scoped(chunk.len(), Some(hooks), launch)
             {
                 Ok(stats) => stats,
                 Err(e) => match e.hard_fault() {

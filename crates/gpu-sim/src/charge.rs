@@ -5,14 +5,17 @@
 //! charges go. [`Charge`] abstracts the sink: a kernel lane batches charges
 //! warp-locally ([`crate::executor::LaneCtx`] implements it), while
 //! [`MetricsCharge`] forwards straight to a [`Metrics`] sink for host-side
-//! (baseline) execution.
+//! (baseline) execution. A sink inside a thread block with
+//! [`crate::executor::BlockHooks`] also carries the block's page leases,
+//! which the allocator carves from ([`Charge::leases`]).
 
+use crate::lease::BlockLeases;
 use crate::metrics::{Counter, Metrics};
 use crate::shadow::{AccessKind, ShadowAddr};
 
 /// Sink for simulated-cost events emitted by shared data structures. A sink
-/// implements the two required methods; the named shorthands are what the
-/// data structures call.
+/// implements the three required methods; the named shorthands are what
+/// the data structures call.
 pub trait Charge {
     /// Add `n` events to `counter`.
     fn add(&mut self, counter: Counter, n: u64);
@@ -20,6 +23,11 @@ pub trait Charge {
     /// for the shadow-memory sanitizer ([`crate::shadow`]). Charges no
     /// simulated cost.
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind);
+    /// The page leases of the thread block this sink charges for, or
+    /// `None` outside a block with hooks: the allocator then makes one
+    /// cursor update per allocation. Required, so that a forwarding sink
+    /// cannot drop a block's leases by omission.
+    fn leases(&mut self) -> Option<&mut BlockLeases>;
 
     /// Charge `units` of scalar compute work.
     #[inline]
@@ -68,8 +76,8 @@ pub trait Charge {
     }
 }
 
-/// Forwarding impl so `&mut dyn Charge` (e.g. the sink a block-scratch
-/// `finish` hook receives) satisfies `C: Charge` bounds on generic methods.
+/// Forwarding impl so `&mut dyn Charge` (e.g. the sink a block's `finish`
+/// hook receives) satisfies `C: Charge` bounds on generic methods.
 impl<C: Charge + ?Sized> Charge for &mut C {
     #[inline]
     fn add(&mut self, counter: Counter, n: u64) {
@@ -79,6 +87,11 @@ impl<C: Charge + ?Sized> Charge for &mut C {
     #[inline]
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
         (**self).access(addr, kind);
+    }
+
+    #[inline]
+    fn leases(&mut self) -> Option<&mut BlockLeases> {
+        (**self).leases()
     }
 }
 
@@ -94,6 +107,11 @@ impl Charge for MetricsCharge<'_> {
 
     #[inline]
     fn access(&mut self, _: ShadowAddr, _: AccessKind) {}
+
+    #[inline]
+    fn leases(&mut self) -> Option<&mut BlockLeases> {
+        None
+    }
 }
 
 /// Sink that discards all charges (pure-correctness tests).
@@ -106,6 +124,11 @@ impl Charge for NoCharge {
 
     #[inline]
     fn access(&mut self, _: ShadowAddr, _: AccessKind) {}
+
+    #[inline]
+    fn leases(&mut self) -> Option<&mut BlockLeases> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +146,9 @@ mod tests {
         c.combiner_overflows(1);
         c.head_cas_retries(4);
         c.access(ShadowAddr::BitmapWord(0), AccessKind::PlainRead);
+        if let Some(leases) = c.leases() {
+            leases.put(5, crate::lease::Lease::without_run(5));
+        }
     }
 
     #[test]
@@ -146,13 +172,16 @@ mod tests {
         c.add(Counter::Tasks, u64::MAX);
         c.chain_hops(u64::MAX / 16);
         c.access(ShadowAddr::BucketHead(0), AccessKind::Atomic);
+        assert!(c.leases().is_none());
     }
 
-    /// Sink recording what reaches the two required methods.
+    /// Sink recording what reaches the required methods, with a lease
+    /// table of its own.
     #[derive(Default)]
     struct Recorder {
         adds: Vec<(Counter, u64)>,
         accesses: Vec<(ShadowAddr, AccessKind)>,
+        leases: BlockLeases,
     }
 
     impl Charge for Recorder {
@@ -162,12 +191,15 @@ mod tests {
         fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
             self.accesses.push((addr, kind));
         }
+        fn leases(&mut self) -> Option<&mut BlockLeases> {
+            Some(&mut self.leases)
+        }
     }
 
     /// Every shorthand, driven through the blanket `&mut C` impl and through
-    /// `&mut dyn Charge` (how block-scratch finish hooks charge), lands on
-    /// its own counter, `chain_hops` adds its 16 bytes per hop exactly once,
-    /// and `access` arrives.
+    /// `&mut dyn Charge` (how a block's finish hook charges), lands on its
+    /// own counter, `chain_hops` adds its 16 bytes per hop exactly once,
+    /// and `access` and the sink's leases arrive.
     #[test]
     fn blanket_mut_ref_impl_forwards_every_method() {
         const EXPECT: [(Counter, u64); 9] = [
@@ -187,6 +219,7 @@ mod tests {
                 sink.accesses,
                 [(ShadowAddr::BitmapWord(0), AccessKind::PlainRead)]
             );
+            assert!(!sink.leases.is_empty(), "the lease write reached the sink");
         };
         // One level of &mut: the concrete-sink reference generic code takes.
         let mut sink = Recorder::default();

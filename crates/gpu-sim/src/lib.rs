@@ -27,6 +27,8 @@
 //!   declare logical accesses through [`charge::Charge::access`] and the
 //!   sanitizer flags plain/atomic mixing, unpublished cross-warp sharing,
 //!   and use-after-evict, at zero simulated cost.
+//! * [`lease`] — a thread block's page leases: the fixed-size table the
+//!   allocator's block-local bumps carve from.
 //! * [`sync`] — the two typed atomic cells shared device words live in:
 //!   [`sync::Published`] (Release/Acquire) and [`sync::Relaxed`].
 //!
@@ -40,6 +42,7 @@ pub mod clock;
 pub mod cost;
 pub mod executor;
 pub mod faults;
+pub mod lease;
 pub mod metrics;
 pub mod paging;
 pub mod pcie;
@@ -53,9 +56,10 @@ pub use charge::{Charge, MetricsCharge, NoCharge};
 pub use clock::SimTime;
 pub use cost::{CpuCostModel, GpuCostModel};
 pub use executor::{
-    BlockScratch, ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, WarpCharge,
+    BlockHooks, ExecMode, Executor, LaneCtx, LaunchError, LaunchStats, Scratch, WarpCharge,
 };
 pub use faults::{FaultConfig, FaultDraw, FaultKind, FaultPlan, TransientDrawState};
+pub use lease::{BlockLeases, Lease};
 pub use metrics::{ContentionHistogram, Counter, Metrics, Snapshot};
 pub use paging::{AccessTrace, LruSimulator, PagingOutcome};
 pub use pcie::PcieBus;

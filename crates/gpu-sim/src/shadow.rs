@@ -735,6 +735,11 @@ impl Charge for HostCharge<'_> {
     fn access(&mut self, addr: ShadowAddr, kind: AccessKind) {
         self.0.record_host(addr, kind);
     }
+
+    #[inline]
+    fn leases(&mut self) -> Option<&mut crate::lease::BlockLeases> {
+        None
+    }
 }
 
 #[cfg(test)]

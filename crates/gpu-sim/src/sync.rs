@@ -110,7 +110,8 @@ pub trait Word: Copy {
     fn store(a: &Self::Atomic, v: Self);
     fn fetch_add(a: &Self::Atomic, n: Self) -> Self;
     fn fetch_or(a: &Self::Atomic, bits: Self) -> Self;
-    fn fetch_add_within(a: &Self::Atomic, n: Self, limit: Self) -> Option<Self>;
+    fn compare_exchange(a: &Self::Atomic, current: Self, new: Self) -> Result<Self, Self>;
+    fn fetch_update(a: &Self::Atomic, f: impl FnMut(Self) -> Option<Self>) -> Result<Self, Self>;
 }
 
 macro_rules! words {
@@ -137,11 +138,15 @@ macro_rules! words {
                 a.fetch_or(bits, Ordering::Relaxed)
             }
             #[inline]
-            fn fetch_add_within(a: &$atomic, n: Self, limit: Self) -> Option<Self> {
-                a.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    v.checked_add(n).filter(|&sum| sum <= limit)
-                })
-                .ok()
+            fn compare_exchange(a: &$atomic, current: Self, new: Self) -> Result<Self, Self> {
+                a.compare_exchange(current, new, Ordering::Relaxed, Ordering::Relaxed)
+            }
+            #[inline]
+            fn fetch_update(
+                a: &$atomic,
+                f: impl FnMut(Self) -> Option<Self>,
+            ) -> Result<Self, Self> {
+                a.fetch_update(Ordering::Relaxed, Ordering::Relaxed, f)
             }
         }
     )*};
@@ -188,13 +193,20 @@ impl<W: Word> Relaxed<W> {
         W::fetch_or(&self.0, bits)
     }
 
-    /// Add `n` unless the sum would pass `limit`: returns the previous
-    /// word, or `None` and leaves the word as it is. A CAS loop, so
-    /// concurrent callers never push the word past `limit` and the ranges
-    /// `[prev, prev + n)` they are granted never overlap.
+    /// Replace the word with `new` if it still holds `current`: returns
+    /// the word seen, as `Ok` when the swap happened.
     #[inline]
-    pub fn fetch_add_within(&self, n: W, limit: W) -> Option<W> {
-        W::fetch_add_within(&self.0, n, limit)
+    pub fn compare_exchange(&self, current: W, new: W) -> Result<W, W> {
+        W::compare_exchange(&self.0, current, new)
+    }
+
+    /// Apply `f` in a CAS loop until it declines (`None`: the word stays
+    /// as it is) or its result lands: returns the previous word, as `Ok`
+    /// when `f` accepted it. Concurrent callers each see a word no other
+    /// caller's update has passed, so a bounded `f` is never overrun.
+    #[inline]
+    pub fn fetch_update(&self, f: impl FnMut(W) -> Option<W>) -> Result<W, W> {
+        W::fetch_update(&self.0, f)
     }
 }
 
@@ -235,21 +247,24 @@ mod tests {
     }
 
     #[test]
-    fn a_bounded_update_refuses_to_pass_the_page_end() {
+    fn a_declined_update_leaves_the_word() {
         let head = Relaxed::<u32>::new(0);
-        assert_eq!(head.fetch_add_within(104, 256), Some(0));
-        assert_eq!(head.fetch_add_within(104, 256), Some(104));
-        // 208 + 104 > 256: refused, and the word stays where it was.
-        assert_eq!(head.fetch_add_within(104, 256), None);
+        let within = |n: u32| move |v: u32| v.checked_add(n).filter(|&sum| sum <= 256);
+        assert_eq!(head.fetch_update(within(104)), Ok(0));
+        assert_eq!(head.fetch_update(within(104)), Ok(104));
+        // 208 + 104 > 256: declined, and the word stays where it was.
+        assert_eq!(head.fetch_update(within(104)), Err(208));
         assert_eq!(head.get(), 208);
-        // Exactly to the end is allowed; one byte more is not.
-        assert_eq!(head.fetch_add_within(48, 256), Some(208));
-        assert_eq!(head.fetch_add_within(1, 256), None);
+        assert_eq!(head.fetch_update(within(48)), Ok(208));
         assert_eq!(head.get(), 256);
-        // A sum that would wrap the word is refused too.
-        let near_max = Relaxed::<u8>::new(250);
-        assert_eq!(near_max.fetch_add_within(10, u8::MAX), None);
-        assert_eq!(near_max.get(), 250);
+    }
+
+    #[test]
+    fn a_compare_exchange_swaps_only_the_expected_word() {
+        let head = Relaxed::<u32>::new(64);
+        assert_eq!(head.compare_exchange(64, 16), Ok(64));
+        assert_eq!(head.compare_exchange(64, 8), Err(16));
+        assert_eq!(head.get(), 16);
     }
 
     #[test]
