@@ -1,7 +1,7 @@
 //! One field list per persisted layout.
 //!
-//! The `SEPOHST3` table image, the `SEPOCKS3` checkpoint file, its
-//! `SEPOCKP5` sections and the [`PageRecord`](crate::PageRecord) that the
+//! The `SEPOHST4` table image, the `SEPOCKS3` checkpoint file, its
+//! `SEPOCKP6` sections and the [`PageRecord`](crate::PageRecord) that the
 //! image and the sections share are each one ordered list of fields, each
 //! a [`Codec`] value carrying the name its errors use, which
 //! [`record!`](crate::record) turns into the codec of a struct (as

@@ -723,13 +723,14 @@ mod tests {
                 .offset()
         };
         // A bump, then a run of LEASE_BYTES whose spare a 4000-byte carve
-        // leaves at 56: carving 16 more would leave 40 < MIN_TAIL, so the
+        // leaves at 56: carving 32 more would leave 24 < MIN_TAIL, so the
         // run goes back and a new claim serves the request in its place.
+        const { assert!(56 - 32 < MIN_TAIL) };
         assert_eq!([alloc(40), alloc(40), alloc(4000)], [0, 40, 80]);
-        assert_eq!(alloc(16), 4080);
+        assert_eq!(alloc(32), 4080);
         ga.close_leases(&mut block);
         assert_eq!(updates(&ga), 5, "bump, claim, return, claim, return");
-        assert_eq!(heap.page_used(0), 4096);
+        assert_eq!(heap.page_used(0), 4112);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! Every page acquisition stamps the page with a fresh, globally unique
 //! **host page id** — the identity under which its bytes will eventually
 //! live in CPU memory. This implements the paper's dual-pointer scheme: a
-//! [`Link`] holds both the device handle and the host
-//! link, and [`Link::is_live`] decides residency by checking that the
-//! target page still carries the host id the link was created under.
+//! [`Link`] packs the device page and the host page id into one word, and
+//! [`Link::is_live`] decides residency by checking that the target page
+//! still carries the host id the link was created under.
 //!
 //! # Safety model
 //!
@@ -39,7 +39,9 @@
 //! [`gpu_sim::sync`] cell whose protocol its field states; quiescent code
 //! (snapshot, restore, loading a saved table) uses the cells' `get`/`set`.
 
-use crate::layout::{align_up, DevHandle, HostLink, Link, MAX_PAGE_SIZE, MIN_TAIL};
+use crate::layout::{
+    align_up, DevHandle, Link, MAX_DEVICE_PAGES, MAX_HOST_PAGES, MAX_PAGE_SIZE, MIN_TAIL,
+};
 use gpu_sim::metrics::Metrics;
 use gpu_sim::sync::{Published, Relaxed};
 use parking_lot::Mutex;
@@ -73,7 +75,7 @@ impl PageKind {
         }
     }
 
-    /// The byte this kind is persisted as (`SEPOHST3` / `SEPOCKP5` page
+    /// The byte this kind is persisted as (`SEPOHST4` / `SEPOCKP6` page
     /// records).
     pub fn tag(self) -> u8 {
         self as u8
@@ -215,10 +217,21 @@ pub struct HeapStats {
     pub pages_acquired: u64,
 }
 
+/// Panics unless host ids `0..end` all fit a link's host page field:
+/// an id past it would wrap into another page's.
+fn assert_host_ids(end: u64) {
+    assert!(
+        end <= MAX_HOST_PAGES,
+        "host page id {} exceeds the {MAX_HOST_PAGES} host pages a link can name",
+        end - 1
+    );
+}
+
 impl Heap {
     /// Build a heap of `capacity_bytes` rounded down to whole pages of
     /// `page_size` bytes. `page_size` must be a multiple of 8 and at most
-    /// [`MAX_PAGE_SIZE`]; at least one page must fit.
+    /// [`MAX_PAGE_SIZE`]; at least one page and at most
+    /// [`MAX_DEVICE_PAGES`] must fit (a link's device page field).
     pub fn new(capacity_bytes: u64, page_size: usize, metrics: Arc<Metrics>) -> Heap {
         assert!(page_size >= 64, "page size too small: {page_size}");
         assert!(
@@ -226,7 +239,12 @@ impl Heap {
             "page size exceeds {MAX_PAGE_SIZE}"
         );
         assert_eq!(page_size % 8, 0, "page size must be 8-byte aligned");
-        let n_pages = (capacity_bytes as usize / page_size).max(1);
+        let n_pages = (capacity_bytes / page_size as u64).max(1);
+        assert!(
+            n_pages <= MAX_DEVICE_PAGES as u64,
+            "a heap of {n_pages} pages exceeds the {MAX_DEVICE_PAGES} device pages a link can name"
+        );
+        let n_pages = n_pages as usize;
         let words = n_pages * page_size / 8;
         let backing: Box<[UnsafeCell<u64>]> = (0..words).map(|_| UnsafeCell::new(0)).collect();
         let pages: Box<[PageMeta]> = (0..n_pages).map(|_| PageMeta::new()).collect();
@@ -277,6 +295,7 @@ impl Heap {
         let page = self.pool.lock().pop()?;
         let meta = &self.pages[page as usize];
         let host_id = self.next_host_id.fetch_add(1);
+        assert_host_ids(host_id + 1);
         meta.head.set(0);
         meta.pending_keys.set(0);
         meta.kind.set(kind as u8);
@@ -368,14 +387,11 @@ impl Heap {
         (self.pages[page as usize].head.get() as usize).min(self.page_size)
     }
 
-    /// The dual-pointer link naming the entry at `dev` under the page's
-    /// current host identity.
+    /// The link naming the entry at `dev` under the page's current host
+    /// identity.
     #[inline]
     pub fn link_for(&self, dev: DevHandle) -> Link {
-        Link {
-            dev,
-            host: HostLink::new(self.host_id(dev.page()), dev.offset()),
-        }
+        Link::new(self.host_id(dev.page()), dev.page(), dev.offset())
     }
 
     /// Increment the pending-key count of `page` (multi-valued: a key on
@@ -505,6 +521,7 @@ impl Heap {
     /// table must not reuse ids its stored pages already occupy).
     /// Quiescent: called while a saved table loads, before any launch.
     pub fn advance_host_ids(&self, min: u64) {
+        assert_host_ids(min);
         if self.next_host_id.get() < min {
             self.next_host_id.set(min);
         }
@@ -513,7 +530,9 @@ impl Heap {
     /// Reserve `n` consecutive host ids for pages built on the host (host
     /// compaction) and return the first. No device page ever carries them.
     pub fn reserve_host_ids(&self, n: u64) -> u64 {
-        self.next_host_id.fetch_add(n)
+        let first = self.next_host_id.fetch_add(n);
+        assert_host_ids(first + n);
+        first
     }
 
     /// Load a host page image back onto the device (the lookup phase's
@@ -772,6 +791,21 @@ mod tests {
         let a = h.atomic_u64(dev, 0);
         assert_eq!(a.update(|v| v + 5), 10);
         assert_eq!(h.read_u64(dev, 0), 15);
+    }
+
+    /// One device page past what a link's device field can name: refused
+    /// before anything is allocated.
+    #[test]
+    #[should_panic(expected = "device pages a link can name")]
+    fn a_heap_past_the_link_budget_panics() {
+        let pages = crate::layout::MAX_DEVICE_PAGES as u64 + 1;
+        Heap::new(pages * 1024, 1024, Arc::new(Metrics::new()));
+    }
+
+    #[test]
+    #[should_panic(expected = "host pages a link can name")]
+    fn host_ids_past_the_link_budget_panic() {
+        heap(1, 1024).reserve_host_ids(crate::layout::MAX_HOST_PAGES + 1);
     }
 
     #[test]

@@ -190,7 +190,7 @@ impl StampedPage {
 }
 
 crate::record! {
-    /// The page record that the `SEPOHST3` image and the `SEPOCKP5`
+    /// The page record that the `SEPOHST4` image and the `SEPOCKP6`
     /// section share. Reading one re-verifies the persisted stamp against
     /// the payload, so the detection chain reaches back to the checksum
     /// computed when the page originally left the device.
@@ -345,16 +345,16 @@ mod tests {
         PageRecord.put(&page, &mut buf);
         assert_eq!(buf.len(), 8 + 1 + 4 + 4 + b"payload".len());
         let read = |bytes: &[u8], magic: &[u8]| PageRecord.take(&mut Source::new(bytes, magic));
-        assert_eq!(read(&buf, b"SEPOHST3").unwrap(), page);
+        assert_eq!(read(&buf, b"SEPOHST4").unwrap(), page);
         *buf.last_mut().unwrap() ^= 1;
-        let err = read(&buf, b"SEPOHST3").unwrap_err();
+        let err = read(&buf, b"SEPOHST4").unwrap_err();
         assert_eq!(
             err.to_string(),
-            "SEPOHST3 image: host page 3 failed checksum verification"
+            "SEPOHST4 image: host page 3 failed checksum verification"
         );
-        let err = read(&buf[..10], b"SEPOCKP5").unwrap_err();
+        let err = read(&buf[..10], b"SEPOCKP6").unwrap_err();
         assert!(
-            err.to_string().contains("truncated SEPOCKP5 image"),
+            err.to_string().contains("truncated SEPOCKP6 image"),
             "{err}"
         );
     }

@@ -282,7 +282,7 @@ mod tests {
         // merged image must still be byte-identical, and sharding must cut
         // the per-shard iteration count (the weak-scaling effect).
         for (app, scale, heap) in [
-            (App::PageViewCount, 8_192u64, 16 * 1024u64),
+            (App::PageViewCount, 8_192u64, 12 * 1024u64),
             (App::InvertedIndex, 16_384, 24 * 1024),
         ] {
             let ds = app.generate(0, scale);

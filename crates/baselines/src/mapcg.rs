@@ -149,7 +149,7 @@ mod tests {
     fn large_input_fails_with_oom() {
         let ds = App::GeoLocation.generate(0, 8_192);
         let e = exec();
-        let err = run_mapcg(App::GeoLocation, &ds, 16 * 1024, &e).unwrap_err();
+        let err = run_mapcg(App::GeoLocation, &ds, 8 * 1024, &e).unwrap_err();
         assert!(err.to_string().contains("out of device memory"));
     }
 }

@@ -313,11 +313,8 @@ impl TableAudit {
                     String::from_utf8_lossy(key),
                     page.host_id()
                 );
-                if let ParsedEntry::Key {
-                    value_host_cont, ..
-                } = entry
-                {
-                    heads.push((page.host_id(), off, value_host_cont));
+                if let ParsedEntry::Key { value_head, .. } = entry {
+                    heads.push((page.host_id(), off, value_head));
                 }
                 entry_bytes += (next - off) as u64;
                 off = next;
@@ -332,7 +329,7 @@ impl TableAudit {
         // Walk every chain, marking the slots each node covers: a node
         // reached twice, or a link to no node, meets a mark or no node.
         let mut last = None;
-        for (host_id, off, cont) in heads {
+        for (host_id, off, mut link) in heads {
             let unreached = |link: HostLink| AuditViolation {
                 check: "compacted-chains-reach-each-value-once",
                 detail: format!(
@@ -342,7 +339,6 @@ impl TableAudit {
                     link.offset()
                 ),
             };
-            let mut link = HostLink::from_raw(cont);
             while !link.is_null() {
                 let id = link.host_page();
                 let page = match last {
@@ -358,7 +354,7 @@ impl TableAudit {
                 let Some((entry, end)) = parse_at(page.bytes(), at, EntryKind::Value) else {
                     return Err(unreached(link));
                 };
-                let Some(ParsedEntry::Value { next_host, .. }) = entry else {
+                let Some(ParsedEntry::Value { next, .. }) = entry else {
                     return Err(tombstone(page, at));
                 };
                 match marks.get_mut(at / ALIGN..end.div_ceil(ALIGN)) {
@@ -366,7 +362,7 @@ impl TableAudit {
                     _ => return Err(unreached(link)),
                 }
                 entry_bytes += (end - at) as u64;
-                link = HostLink::from_raw(next_host);
+                link = next;
             }
         }
         if entry_bytes == key_bytes + value_bytes {
@@ -534,7 +530,7 @@ mod tests {
         audit.check_compacted(&t).unwrap();
 
         // A lone tombstoned region: right size, dead entry.
-        let mut page = vec![0xFFu8; 16];
+        let mut page = vec![0xFFu8; crate::entry::combining::VALUE as usize];
         page.extend_from_slice(&0u64.to_le_bytes());
         page.extend_from_slice(&(1u64 | crate::entry::TOMBSTONE).to_le_bytes());
         page.extend_from_slice(&[b'x', 0, 0, 0, 0, 0, 0, 0]);
@@ -659,7 +655,7 @@ mod tests {
     /// A value node with no successor: `vlen` bytes of `fill`, the length
     /// word ORed with `flags`.
     fn value_node(fill: u8, flags: u64) -> Vec<u8> {
-        let mut node = vec![0xFF; 16];
+        let mut node = vec![0xFF; crate::entry::value_node::VLEN as usize];
         node.extend_from_slice(&(1 | flags).to_le_bytes());
         node.extend_from_slice(&[fill, 0, 0, 0, 0, 0, 0, 0]);
         node
@@ -697,13 +693,14 @@ mod tests {
         // A chain stepping onto a tombstone, and two chains sharing a node.
         let cut = compacted_groups();
         mutate(&cut, PageKind::Value, |b| {
-            b[16..24].copy_from_slice(&(1 | crate::entry::TOMBSTONE).to_le_bytes())
+            let vlen = crate::entry::value_node::VLEN as usize;
+            b[vlen..vlen + 8].copy_from_slice(&(1 | crate::entry::TOMBSTONE).to_le_bytes())
         });
         assert_eq!(check(&cut), Err("compacted-no-tombstones"));
         let shared = compacted_groups();
         mutate(&shared, PageKind::Key, |b| {
             let size = crate::entry::key_entry::size(1);
-            let cont = crate::entry::key_entry::VALUE_HOST_CONT as usize;
+            let cont = crate::entry::key_entry::VALUE_HEAD as usize;
             let first: [u8; 8] = b[cont..cont + 8].try_into().unwrap();
             b[size + cont..size + cont + 8].copy_from_slice(&first);
         });

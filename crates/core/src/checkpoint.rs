@@ -20,7 +20,7 @@
 //! `DeviceLost` re-fire at the same draw and kill the run forever.
 //!
 //! On disk a checkpoint is one `SEPOCKS3` file ([`CheckpointFile`])
-//! holding one `SEPOCKP5` section per shard; a one-device run writes a
+//! holding one `SEPOCKP6` section per shard; a one-device run writes a
 //! one-section file. Each shard's driver replaces its own section at every
 //! boundary, and resume reads every section back with
 //! [`CheckpointFile::read`]. A section of length 0 belongs to a shard that
@@ -32,15 +32,15 @@
 //! ```text
 //! magic        8 bytes  "SEPOCKS3"
 //! shard count  u32
-//! sections     per shard: len u32, len bytes of SEPOCKP5 section
+//! sections     per shard: len u32, len bytes of SEPOCKP6 section
 //! trailer      u32      CRC32C of every preceding byte
 //! ```
 //!
-//! Section layout (`SEPOCKP5`, little-endian; the field list `Section` is
+//! Section layout (`SEPOCKP6`, little-endian; the field list `Section` is
 //! its code form, which writes, reads and sizes a section):
 //!
 //! ```text
-//! magic        8 bytes  "SEPOCKP5"
+//! magic        8 bytes  "SEPOCKP6"
 //! iteration    u32      completed iterations at capture
 //! fault_stalls u32      consecutive fault-stalled iterations
 //! n_tasks      u64
@@ -60,7 +60,7 @@
 //!              resident u32 count, per page:
 //!              index/pending/head u32, host_id u64, kind u8,
 //!              len u32, bytes
-//! host pages   u32 count, per page the `SEPOHST3` page record: id u64,
+//! host pages   u32 count, per page the `SEPOHST4` page record: id u64,
 //!              kind u8, crc u32, len u32, bytes — crc is the CRC32C stamp
 //!              the page carried at eviction, re-verified against the
 //!              bytes at load
@@ -68,12 +68,16 @@
 //! ```
 //!
 //! The resident page bytes are the device heap verbatim, so the section
-//! also fixes the entry layout: combining and key entries carry a key tag
-//! in their length words ([`tagged_lens`](crate::entry::tagged_lens)).
-//! A `SEPOCKP3` section predates the tags; its resident entries would
-//! match no chain walk, and a run resumed from it would insert every
-//! resident key a second time. A `SEPOCKP4` section carries a per-page
-//! kept byte that nothing read. Both are refused as not a `SEPOCKP5`
+//! also fixes the entry layout: every entry links on with one
+//! [`Link`](sepo_alloc::Link) word, and combining and key entries carry a
+//! key tag in their length words
+//! ([`tagged_lens`](crate::entry::tagged_lens)). The bucket heads are link
+//! words too. A `SEPOCKP3` section predates the tags; its resident
+//! entries would match no chain walk, and a run resumed from it would
+//! insert every resident key a second time. A `SEPOCKP4` section carries a
+//! per-page kept byte that nothing read. A `SEPOCKP5` section's entries
+//! and heads carry the two-word device/host link of earlier builds, which
+//! this layout would misparse. All three are refused as not a `SEPOCKP6`
 //! image. The file layout around the sections did not change.
 //!
 //! Both trailers are verified against their whole image *before* any
@@ -100,7 +104,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOCKP5";
+const MAGIC: &[u8; 8] = b"SEPOCKP6";
 const FILE_MAGIC: &[u8; 8] = b"SEPOCKS3";
 // Each image stores `Snapshot::words()` verbatim, so the counter table is
 // part of the format: adding, removing or reordering a counter must bump
@@ -114,7 +118,7 @@ const SHARDS: List<Bytes> = List(
 );
 
 record! {
-    /// The `SEPOCKP5` section after its magic: the code form of the layout
+    /// The `SEPOCKP6` section after its magic: the code form of the layout
     /// in the module docs.
     Section: Checkpoint {
         iteration: U32("iteration"),
@@ -265,7 +269,7 @@ impl CheckpointPolicy {
 }
 
 /// The writer behind [`CheckpointPolicy::Disk`]: one `SEPOCKS3` file
-/// holding every shard's latest boundary checkpoint as a `SEPOCKP5`
+/// holding every shard's latest boundary checkpoint as a `SEPOCKP6`
 /// section (one section for a one-device run).
 ///
 /// Shard drivers run concurrently, so updates serialize behind a mutex;
@@ -446,7 +450,7 @@ impl Checkpoint {
         self.n_tasks
     }
 
-    /// Exact size in bytes of this checkpoint's `SEPOCKP5` section — the
+    /// Exact size in bytes of this checkpoint's `SEPOCKP6` section — the
     /// footprint [`crate::RecoveryStats::checkpoint_bytes`] reports. Sized
     /// by the field list that writes the image, into a sink that only
     /// counts (no page byte is read).
@@ -457,7 +461,7 @@ impl Checkpoint {
         size
     }
 
-    /// The `SEPOCKP5` image: the magic, the fields, and a CRC32C trailer
+    /// The `SEPOCKP6` image: the magic, the fields, and a CRC32C trailer
     /// over every preceding byte.
     fn image(&self) -> io::Result<Vec<u8>> {
         let mut image = MAGIC.to_vec();
@@ -466,7 +470,7 @@ impl Checkpoint {
         Ok(image)
     }
 
-    /// Decode a `SEPOCKP5` section. The whole-image checksum trailer
+    /// Decode a `SEPOCKP6` section. The whole-image checksum trailer
     /// is verified first, so any flipped bit anywhere is rejected with a
     /// checksum error before structural parsing begins; truncated input
     /// is rejected with an error naming the field that ended early.
@@ -560,14 +564,15 @@ mod tests {
 
     /// A checkpoint file written by an earlier build holds a `SEPOCKP3`
     /// section (before entries carried key tags: resuming would walk
-    /// resident chains whose length words match no tagged key) or a
-    /// `SEPOCKP4` one (a kept byte per resident page). Reading either fails
-    /// typed, naming both magics, before any state is restored.
+    /// resident chains whose length words match no tagged key), a
+    /// `SEPOCKP4` one (a kept byte per resident page) or a `SEPOCKP5` one
+    /// (two-word links). Reading any fails typed, naming both magics,
+    /// before any state is restored.
     #[test]
     fn a_pre_tag_checkpoint_file_is_refused() {
         let t = small_table();
         let (ckp, _done, _progress) = mid_run_checkpoint(&t);
-        for magic in [b"SEPOCKP3", b"SEPOCKP4"] {
+        for magic in [b"SEPOCKP3", b"SEPOCKP4", b"SEPOCKP5"] {
             let section = with_section_magic(&ckp.image().unwrap(), magic);
             let mut file = FILE_MAGIC.to_vec();
             file.extend_from_slice(&1u32.to_le_bytes());
@@ -581,7 +586,7 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let want = format!(
-                "not a SEPOCKP5 image (magic {})",
+                "not a SEPOCKP6 image (magic {})",
                 std::str::from_utf8(magic).unwrap()
             );
             assert!(err.to_string().contains(&want), "{err}");
@@ -769,7 +774,7 @@ mod tests {
         let file = CheckpointFile::new(path.clone(), 2);
         file.update(0, &ckp, None).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // A bare SEPOCKP5 section is not a checkpoint file (its own trailer
+        // A bare SEPOCKP6 section is not a checkpoint file (its own trailer
         // is valid, so this exercises the magic check, not the checksum).
         std::fs::write(&path, ckp.image().unwrap()).unwrap();
         let err = CheckpointFile::read(&path).unwrap_err();
@@ -793,8 +798,8 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOCKP5 image")
-                    || msg.contains("SEPOCKP5 image failed checksum verification"),
+                msg.contains("truncated SEPOCKP6 image")
+                    || msg.contains("SEPOCKP6 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
@@ -802,17 +807,18 @@ mod tests {
         // clean rejection (garbage without a trailer fails the checksum) —
         // and so are images of earlier formats: a `SEPOCKP2` transient
         // section this build would misread, a `SEPOCKP3` heap without key
-        // tags, a `SEPOCKP4` heap with a kept byte per page.
+        // tags, a `SEPOCKP4` heap with a kept byte per page, a `SEPOCKP5`
+        // heap of two-word links.
         let mut garbage = b"GARBAGE!________".to_vec();
         append_trailer(&mut garbage);
         let mut images = vec![garbage];
-        for magic in [b"SEPOCKP2", b"SEPOCKP3", b"SEPOCKP4"] {
+        for magic in [b"SEPOCKP2", b"SEPOCKP3", b"SEPOCKP4", b"SEPOCKP5"] {
             images.push(with_section_magic(&buf, magic));
         }
         for image in images {
             let err = Checkpoint::from_section(&image).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-            assert!(err.to_string().contains("not a SEPOCKP5 image"));
+            assert!(err.to_string().contains("not a SEPOCKP6 image"));
         }
     }
 
@@ -831,7 +837,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             assert!(
                 err.to_string()
-                    .contains("SEPOCKP5 image failed checksum verification"),
+                    .contains("SEPOCKP6 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {:?}",
                 err.to_string()
             );

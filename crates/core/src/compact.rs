@@ -21,7 +21,7 @@
 //!
 //! The entries are written into freshly stamped pages — [`PageKind::Mixed`],
 //! or [`PageKind::Value`] pages followed by [`PageKind::Key`] pages — with
-//! new host ids, null device links, no tombstones and, as the device writes
+//! new host ids, host-only links, no tombstones and, as the device writes
 //! them, key tags in the length words ([`key_lens`]), which replace the
 //! host heap's pages. An image that already holds each key once, without
 //! tombstones, is left as it is.
@@ -46,7 +46,7 @@ use crate::config::Organization;
 use crate::entry::{combining, key_entry, key_lens, value_node};
 use crate::serve::HostIndex;
 use crate::table::SepoTable;
-use sepo_alloc::{CorruptPage, DevHandle, HostLink, PageKind, StampedPage};
+use sepo_alloc::{CorruptPage, HostLink, Link, PageKind, StampedPage};
 use std::cell::Cell;
 
 /// What one compaction did to the host image.
@@ -88,7 +88,7 @@ fn pack(
             index.words(last, u64::MAX, &mut words);
             let value = HostIndex::combine(&words, comb);
             let value = value.expect("an indexed key has an entry");
-            let fields = [NULL_DEV, NULL_HOST, value, key_lens(key)];
+            let fields = [NULL, value, key_lens(key)];
             out.put(&fields, key, combining::size(key.len()));
         }
         return Ok(out.finish());
@@ -104,14 +104,13 @@ fn pack(
         index.values(&words, &mut 0, |v| values.push(v))?;
         let mut next = HostLink::NULL;
         for value in values.iter().rev() {
-            let fields = [NULL_DEV, next.to_raw(), value.len() as u64];
+            let fields = [host_only(next), value.len() as u64];
             next = value_pages.put(&fields, value, value_node::size(value.len()));
         }
         heads.push(next);
     }
-    for ((key, _), cont) in index.keys().zip(heads) {
-        let (head, flags, lens) = (NULL_DEV, 0, key_lens(key));
-        let fields = [NULL_DEV, NULL_HOST, head, cont.to_raw(), flags, lens];
+    for ((key, _), head) in index.keys().zip(heads) {
+        let fields = [NULL, host_only(head), 0, key_lens(key)];
         key_pages.put(&fields, key, key_entry::size(key.len()));
     }
     let (mut pages, value_bytes) = value_pages.finish();
@@ -139,8 +138,12 @@ fn packed_bytes(index: &HostIndex, org: Organization) -> Result<u64, CorruptPage
     Ok(bytes)
 }
 
-const NULL_DEV: u64 = DevHandle::NULL.to_raw();
-const NULL_HOST: u64 = HostLink::NULL.to_raw();
+/// Packed entries are host entries: their links carry no device half.
+const NULL: u64 = Link::NULL.to_raw();
+
+fn host_only(link: HostLink) -> u64 {
+    Link::host_only(link).to_raw()
+}
 
 /// Entries of one page kind laid back to back in pages of at most
 /// `page_size` bytes, each page taking the host id `next_id` hands out.
@@ -306,10 +309,8 @@ mod tests {
         while off < page.bytes().len() {
             let (entry, next) = parse_at(page.bytes(), off, EntryKind::Combining).unwrap();
             assert!(entry.is_some(), "tombstone at {off}");
-            for word in [0, 8] {
-                let raw = &page.bytes()[off + word..off + word + 8];
-                assert_eq!(raw, &u64::MAX.to_le_bytes(), "link word {word} at {off}");
-            }
+            let raw = &page.bytes()[off..off + 8];
+            assert_eq!(raw, &u64::MAX.to_le_bytes(), "link word at {off}");
             off = next;
         }
     }
@@ -353,7 +354,7 @@ mod tests {
         let report = t.compact_host().unwrap().unwrap();
         assert_eq!((report.entries, report.keys), (600, 300));
         let pages = t.host_heap().pages();
-        assert_eq!(pages.len(), 12, "25 forty-byte entries per 1 KiB page");
+        assert_eq!(pages.len(), 10, "32 thirty-two-byte entries per 1 KiB page");
         assert!(pages.iter().all(|p| p.host_id() > old_max));
         assert!(pages
             .iter()

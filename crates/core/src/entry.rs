@@ -1,26 +1,28 @@
 //! On-page entry layouts.
 //!
 //! Entries are written into heap pages as packed, self-describing records so
-//! that (a) kernels can traverse chains via the embedded dual links, and
+//! that (a) kernels can traverse chains via the embedded links, and
 //! (b) evicted pages can be *walked* sequentially on the CPU without any
 //! index — result enumeration parses host pages front to back.
 //!
-//! All layouts start with the 16-byte dual link (`next_dev`, `next_host`)
-//! and are 8-byte aligned overall. Little-endian throughout.
+//! All layouts start with the entry's `next` link, one
+//! [`Link`](sepo_alloc::Link) word carrying both of §III-B's pointers, and
+//! are 8-byte aligned overall. Little-endian throughout.
 //!
 //! ```text
-//! combining entry           basic entry               key entry (multi-valued)   value node
-//! 0  next_dev   u64         0  next_dev   u64         0  next_dev        u64     0  next_dev  u64
-//! 8  next_host  u64         8  next_host  u64         8  next_host       u64     8  next_host u64
-//! 16 value      u64 (at.)   16 klen u32 | vlen u32    16 value_head_dev  u64(at) 16 vlen u32 | pad
-//! 24 klen u32 | tag         24 key bytes ‖ val bytes  24 value_host_cont u64     24 value bytes
-//! 32 key bytes                                        32 flags           u64(at)
-//!                                                     40 klen u32 | tag
-//!                                                     48 key bytes
+//! combining entry          basic entry               key entry (multi-valued)  value node
+//! 0  next   link           0  next  link             0  next        link       0  next  link
+//! 8  value  u64 (at.)      8  klen u32 | vlen u32    8  value_head  link (at.) 8  vlen u32 | pad
+//! 16 klen u32 | tag        16 key bytes ‖ val bytes  16 flags       u64 (at.)  16 value bytes
+//! 24 key bytes                                       24 klen u32 | tag
+//!                                                    32 key bytes
 //! ```
 //!
 //! `(at.)` marks words mutated after publication; they are only ever
-//! accessed through `Heap::atomic_u64`.
+//! accessed through `Heap::atomic_u64`. A key entry's `value_head` links
+//! its newest value node; once that node's page leaves the device the
+//! link is dead there and its host half names the evicted chain, so host
+//! readers follow the same word.
 //!
 //! The length word of a combining entry and of a key entry — the two
 //! entries a chain walk looks a key up in — carries a 31-bit *tag* of the
@@ -30,12 +32,13 @@
 //! is rejected from the word the walk reads anyway. Basic entries keep
 //! `vlen` there and are never walked for a key; value nodes carry no key.
 
-use sepo_alloc::align_up;
-use sepo_alloc::DeadEntry;
+use sepo_alloc::layout::{LINK_BYTES, MIN_TAIL};
+use sepo_alloc::{align_up, DeadEntry, HostLink, Link};
 
-/// Field offsets shared by every entry type.
-pub const NEXT_DEV: u32 = 0;
-pub const NEXT_HOST: u32 = 8;
+/// The `next` link every entry type starts with.
+pub const NEXT: u32 = 0;
+
+const LINK: usize = LINK_BYTES as usize;
 
 /// Tombstone marker: bit 63 of an entry's length word. An allocation that
 /// was abandoned (value allocation failed after its key entry was carved
@@ -82,10 +85,10 @@ pub fn key_lens(key: &[u8]) -> u64 {
 /// Combining entry field offsets and size.
 pub mod combining {
     use super::*;
-    pub const VALUE: u32 = 16;
-    pub const KLEN: u32 = 24;
-    pub const KEY: u32 = 32;
-    pub const HEADER: usize = 32;
+    pub const VALUE: u32 = LINK as u32;
+    pub const KLEN: u32 = VALUE + 8;
+    pub const KEY: u32 = KLEN + 8;
+    pub const HEADER: usize = KEY as usize;
 
     /// Total on-page size for a key of `klen` bytes.
     pub fn size(klen: usize) -> usize {
@@ -96,9 +99,9 @@ pub mod combining {
 /// Basic entry field offsets and size.
 pub mod basic {
     use super::*;
-    pub const LENS: u32 = 16; // klen u32 | vlen u32
-    pub const PAYLOAD: u32 = 24; // key then value, contiguous
-    pub const HEADER: usize = 24;
+    pub const LENS: u32 = LINK as u32; // klen u32 | vlen u32
+    pub const PAYLOAD: u32 = LENS + 8; // key then value, contiguous
+    pub const HEADER: usize = PAYLOAD as usize;
 
     /// Total on-page size for a `klen`-byte key and `vlen`-byte value.
     pub fn size(klen: usize, vlen: usize) -> usize {
@@ -109,12 +112,12 @@ pub mod basic {
 /// Multi-valued key entry field offsets and size.
 pub mod key_entry {
     use super::*;
-    pub const VALUE_HEAD: u32 = 16;
-    pub const VALUE_HOST_CONT: u32 = 24;
-    pub const FLAGS: u32 = 32;
-    pub const KLEN: u32 = 40;
-    pub const KEY: u32 = 48;
-    pub const HEADER: usize = 48;
+    /// Link to the newest value node (see the module doc).
+    pub const VALUE_HEAD: u32 = LINK as u32;
+    pub const FLAGS: u32 = VALUE_HEAD + LINK as u32;
+    pub const KLEN: u32 = FLAGS + 8;
+    pub const KEY: u32 = KLEN + 8;
+    pub const HEADER: usize = KEY as usize;
 
     /// Flag bit: this key had a value postponed in the current iteration.
     pub const FLAG_PENDING: u64 = 1;
@@ -127,14 +130,23 @@ pub mod key_entry {
 /// Multi-valued value node field offsets and size.
 pub mod value_node {
     use super::*;
-    pub const VLEN: u32 = 16;
-    pub const VALUE: u32 = 24;
-    pub const HEADER: usize = 24;
+    pub const VLEN: u32 = LINK as u32;
+    pub const VALUE: u32 = VLEN + 8;
+    pub const HEADER: usize = VALUE as usize;
 
     pub fn size(vlen: usize) -> usize {
         HEADER + align_up(vlen)
     }
 }
+
+// A lease's lost run tail holds a dead entry of any layout: the longest
+// header is exactly the allocator's minimum tail.
+const _: () = assert!(
+    key_entry::HEADER == MIN_TAIL
+        && combining::HEADER <= MIN_TAIL
+        && basic::HEADER <= MIN_TAIL
+        && value_node::HEADER <= MIN_TAIL
+);
 
 /// How a page of `kind` marks a region that holds no entry: a dead entry
 /// whose length word, tombstoned, makes its size the region's length.
@@ -164,13 +176,13 @@ pub enum ParsedEntry<'a> {
     },
     Key {
         key: &'a [u8],
-        /// Host link (raw) to the newest evicted value node of this key.
-        value_host_cont: u64,
+        /// Host half of the link to this key's newest value node.
+        value_head: HostLink,
     },
     Value {
         value: &'a [u8],
-        /// Host link (raw) to the next-older value node of the same key.
-        next_host: u64,
+        /// Host half of the link to the next-older value node of the key.
+        next: HostLink,
     },
 }
 
@@ -188,6 +200,11 @@ impl<'a> ParsedEntry<'a> {
 
 fn read_u64_at(page: &[u8], off: usize) -> Option<u64> {
     Some(u64::from_le_bytes(page.get(off..off + 8)?.try_into().ok()?))
+}
+
+/// The host half of the link word at `off` of `page`.
+fn read_host_link(page: &[u8], off: usize) -> Option<HostLink> {
+    Some(Link::from_raw(read_u64_at(page, off)?).host())
 }
 
 /// Which entry type a page holds, for walking.
@@ -262,14 +279,8 @@ pub fn parse_at(
             }
             let key =
                 page.get(off + key_entry::KEY as usize..off + key_entry::KEY as usize + klen)?;
-            let cont = read_u64_at(page, off + key_entry::VALUE_HOST_CONT as usize)?;
-            Some((
-                Some(ParsedEntry::Key {
-                    key,
-                    value_host_cont: cont,
-                }),
-                off + size,
-            ))
+            let value_head = read_host_link(page, off + key_entry::VALUE_HEAD as usize)?;
+            Some((Some(ParsedEntry::Key { key, value_head }), off + size))
         }
         EntryKind::Value => {
             let vlen = (lens & 0xFFFF_FFFF) as usize;
@@ -279,8 +290,8 @@ pub fn parse_at(
             }
             let p = off + value_node::VALUE as usize;
             let value = page.get(p..p + vlen)?;
-            let next_host = read_u64_at(page, off + NEXT_HOST as usize)?;
-            Some((Some(ParsedEntry::Value { value, next_host }), off + size))
+            let next = read_host_link(page, off + NEXT as usize)?;
+            Some((Some(ParsedEntry::Value { value, next }), off + size))
         }
     }
 }
@@ -336,20 +347,19 @@ mod tests {
 
     #[test]
     fn sizes_are_aligned_and_minimal() {
-        assert_eq!(combining::size(0), 32);
-        assert_eq!(combining::size(1), 40);
-        assert_eq!(combining::size(8), 40);
-        assert_eq!(basic::size(3, 4), 24 + 8);
-        assert_eq!(key_entry::size(5), 48 + 8);
-        assert_eq!(value_node::size(16), 24 + 16);
+        assert_eq!(combining::size(0), 24);
+        assert_eq!(combining::size(1), 32);
+        assert_eq!(combining::size(8), 32);
+        assert_eq!(basic::size(3, 4), 16 + 8);
+        assert_eq!(key_entry::size(5), 32 + 8);
+        assert_eq!(value_node::size(16), 16 + 16);
     }
 
     #[test]
     fn walk_combining_page() {
         let mut page = Vec::new();
         for (key, value) in [(&b"ab"[..], 7u64), (&b"xyz"[..], 42)] {
-            push_u64(&mut page, u64::MAX); // next_dev
-            push_u64(&mut page, u64::MAX); // next_host
+            push_u64(&mut page, u64::MAX); // next
             push_u64(&mut page, value);
             push_u32(&mut page, key.len() as u32);
             push_u32(&mut page, 0);
@@ -373,7 +383,6 @@ mod tests {
     fn walk_basic_page() {
         let mut page = Vec::new();
         push_u64(&mut page, 0);
-        push_u64(&mut page, 0);
         push_u32(&mut page, 3); // klen
         push_u32(&mut page, 5); // vlen
         page.extend_from_slice(b"keyvalue");
@@ -391,11 +400,11 @@ mod tests {
 
     #[test]
     fn walk_key_and_value_pages() {
+        let head = HostLink::new(7, 48);
+        let older = HostLink::new(3, 1016);
         let mut kpage = Vec::new();
         push_u64(&mut kpage, u64::MAX);
-        push_u64(&mut kpage, u64::MAX);
-        push_u64(&mut kpage, u64::MAX); // value_head_dev
-        push_u64(&mut kpage, 0xBEEF); // value_host_cont
+        push_u64(&mut kpage, Link::new(7, 2, 48).to_raw()); // value_head
         push_u64(&mut kpage, 0); // flags
         push_u32(&mut kpage, 4);
         push_u32(&mut kpage, 0);
@@ -406,13 +415,12 @@ mod tests {
             got[0].1,
             ParsedEntry::Key {
                 key: b"link",
-                value_host_cont: 0xBEEF
+                value_head: head
             }
         );
 
         let mut vpage = Vec::new();
-        push_u64(&mut vpage, u64::MAX);
-        push_u64(&mut vpage, 0xCAFE); // next_host
+        push_u64(&mut vpage, Link::host_only(older).to_raw()); // next
         push_u32(&mut vpage, 6);
         push_u32(&mut vpage, 0);
         vpage.extend_from_slice(b"a.html");
@@ -422,14 +430,13 @@ mod tests {
             got[0].1,
             ParsedEntry::Value {
                 value: b"a.html",
-                next_host: 0xCAFE
+                next: older
             }
         );
     }
 
     #[test]
     fn dead_entries_span_exactly_their_region() {
-        use sepo_alloc::layout::MIN_TAIL;
         for kind in [
             EntryKind::Combining,
             EntryKind::Basic,

@@ -10,10 +10,11 @@
 //! * **multi-valued** — copy out all *value* pages and those *key* pages
 //!   with no pending keys; key pages holding keys that still have values to
 //!   insert stay resident so next iteration's appends find them. Before
-//!   copying, every key entry's `value_host_cont` is advanced to the host
-//!   link of its current value-chain head (whose nodes are all being
-//!   evicted), and the device-side head is cleared; afterwards the bucket
-//!   chains are rebuilt to contain exactly the kept key entries.
+//!   copying, every key entry's pending flag is reset. Its value-head link
+//!   is left as it is: every value page leaves the device here, so the link
+//!   goes dead and its host half names the evicted chain, for the host
+//!   copy and for the next append alike. Afterwards the bucket chains are
+//!   rebuilt to contain exactly the kept key entries.
 //!
 //! [`SepoTable::finalize`] evicts everything that remains (kept pages
 //! included) once the run is complete, leaving the whole table addressable
@@ -32,7 +33,7 @@ use crate::table::SepoTable;
 use gpu_sim::charge::{Charge, NoCharge};
 use gpu_sim::faults::{FaultKind, FaultPlan};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
-use sepo_alloc::{DevHandle, PageKind, ResidentPage, StampedPage};
+use sepo_alloc::{DevHandle, Link, PageKind, ResidentPage, StampedPage};
 use std::sync::Arc;
 
 /// Multi-valued method only: cap on the fraction of heap pages that may be
@@ -207,22 +208,12 @@ impl SepoTable {
             .filter(|&p| self.heap.page_kind(p) != PageKind::Key)
             .collect();
 
-        // 1. Advance every key entry's host continuation past the value
-        //    nodes that are about to leave the device, and clear its
-        //    device-side value head. Must happen before any page is copied
-        //    so the host images carry the final continuations.
+        // 1. Pending flags are per-iteration state: reset every key
+        //    entry's before any page is copied, so the host images carry
+        //    them cleared.
         for &p in &key_pages {
             for (k, ()) in self.live_entries(p, EntryKind::Key, |_| ()) {
                 charge.access(self.shadow_entry(k), AccessKind::PlainWrite);
-                let head_raw = self.heap.read_u64(k, key_entry::VALUE_HEAD);
-                if head_raw != u64::MAX {
-                    let head = DevHandle::from_raw(head_raw);
-                    let cont = self.heap.link_for(head).host;
-                    self.heap
-                        .write_u64(k, key_entry::VALUE_HOST_CONT, cont.to_raw());
-                    self.heap.write_u64(k, key_entry::VALUE_HEAD, u64::MAX);
-                }
-                // Pending flags are per-iteration state.
                 self.heap.write_u64(k, key_entry::FLAGS, 0);
             }
         }
@@ -293,17 +284,19 @@ impl SepoTable {
     }
 
     /// Make resident entry `e` the head of `bucket`'s chain, rewriting its
-    /// link words to point at the previous head (quiescent: eviction's
+    /// link word to point at the previous head (quiescent: eviction's
     /// chain rebuild and the lookup phase's, over paged-in copies).
     pub(crate) fn prepend_resident(&self, bucket: usize, e: DevHandle) {
-        self.write_next(e, self.head_link(self.buckets[bucket].head.get()));
-        self.buckets[bucket].head.set(e.to_raw());
+        self.write_next(e, self.buckets[bucket].head.get());
+        self.buckets[bucket]
+            .head
+            .set(self.heap.link_for(e).to_raw());
     }
 
     /// Empty every bucket chain (quiescent).
     pub(crate) fn reset_heads(&self) {
         for b in self.buckets.iter() {
-            b.head.set(u64::MAX);
+            b.head.set(Link::NULL.to_raw());
         }
     }
 }

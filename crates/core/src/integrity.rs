@@ -7,8 +7,8 @@
 //! they cross the simulated PCIe bus, and its bytes are reachable only
 //! through [`StampedPage::verify`] — at host adoption, [`HostStore`]
 //! absorption, every finalized-table reader, and an end-of-run scrub. The
-//! persisted formats — the `SEPOHST3` table image, the `SEPOCKS3`
-//! checkpoint file and each `SEPOCKP5` section inside it — carry
+//! persisted formats — the `SEPOHST4` table image, the `SEPOCKS3`
+//! checkpoint file and each `SEPOCKP6` section inside it — carry
 //! whole-image trailing checksums so any single flipped bit on disk is
 //! rejected at load, never parsed into a silently wrong image.
 //!

@@ -427,7 +427,7 @@ mod tests {
         let err =
             SepoTable::load(&mut image.as_slice(), 4 * 1024, Arc::clone(t.metrics())).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "not a SEPOHST3 image (magic SEPOHST2)");
+        assert_eq!(err.to_string(), "not a SEPOHST4 image (magic SEPOHST2)");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! iterations (restored heaps continue the host-id sequence so dual
 //! pointers never collide).
 //!
-//! Format (`SEPOHST3`, little-endian; the field list `Image` is its code
+//! Format (`SEPOHST4`, little-endian; the field list `Image` is its code
 //! form):
 //!
 //! ```text
-//! magic       8 bytes  "SEPOHST3"
+//! magic       8 bytes  "SEPOHST4"
 //! org         1 byte   0 basic | 1 multi-valued | 2..=3 combining Add/Or
 //! page count  u32
 //! per page:   host_id u64, kind u8 (1 mixed | 2 key | 3 value), crc u32,
@@ -31,10 +31,11 @@
 //! also fixes what they hold: every combining and multi-valued key entry
 //! carries its key tag ([`tagged_lens`](crate::entry::tagged_lens)), and
 //! [`SepoTable::save`] compacts the image to one entry per key before it
-//! writes it.
+//! writes it. Every link in them is one [`Link`](sepo_alloc::Link) word.
 //! A `SEPOHST2` image may hold untagged entries (saved before the tags)
-//! or a key twice (saved before compaction); it is refused as not a
-//! `SEPOHST3` image rather than repaired on load.
+//! or a key twice (saved before compaction), and a `SEPOHST3` image's
+//! entries carry the two-word device/host link of earlier builds; both
+//! are refused as not a `SEPOHST4` image rather than repaired on load.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -46,7 +47,7 @@ use sepo_alloc::{record, PageRecord, StampedPage};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 8] = b"SEPOHST3";
+const MAGIC: &[u8; 8] = b"SEPOHST4";
 
 /// A saved table: its organization and its host pages.
 struct HostImage {
@@ -55,7 +56,7 @@ struct HostImage {
 }
 
 record! {
-    /// The `SEPOHST3` image after its magic: the code form of the layout
+    /// The `SEPOHST4` image after its magic: the code form of the layout
     /// in the module docs.
     Image: HostImage {
         org: U8("organization tag"),
@@ -138,7 +139,8 @@ impl SepoTable {
     /// parsed, and every page's persisted stamp is re-verified against its
     /// payload — a damaged file is rejected with a typed checksum error,
     /// never restored into a silently wrong table. An image of an earlier
-    /// format (`SEPOHST2`) is refused the same way, naming its magic.
+    /// format (`SEPOHST2`, `SEPOHST3`) is refused the same way, naming its
+    /// magic.
     pub fn load<R: Read>(r: &mut R, heap_bytes: u64, metrics: Arc<Metrics>) -> io::Result<Self> {
         let mut image = Vec::new();
         r.read_to_end(&mut image)?;
@@ -284,9 +286,9 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("SEPOHST3"), "{err}");
+        assert!(err.to_string().contains("SEPOHST4"), "{err}");
         // Truncation at *every* byte offset must be rejected with a
-        // descriptive SEPOHST3 error — the truncation message for cuts
+        // descriptive SEPOHST4 error — the truncation message for cuts
         // inside the fixed header, the checksum error once enough bytes
         // remain to carry a (now wrong) trailer — never a bare EOF and
         // never a partial table.
@@ -299,8 +301,8 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "prefix of {len}");
             let msg = err.to_string();
             assert!(
-                msg.contains("truncated SEPOHST3 image")
-                    || msg.contains("SEPOHST3 image failed checksum verification"),
+                msg.contains("truncated SEPOHST4 image")
+                    || msg.contains("SEPOHST4 image failed checksum verification"),
                 "prefix of {len}: unexpected message {msg:?}"
             );
         }
@@ -323,7 +325,7 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {at}");
             let msg = err.to_string();
             assert!(
-                msg.contains("SEPOHST3 image failed checksum verification"),
+                msg.contains("SEPOHST4 image failed checksum verification"),
                 "flip at byte {at}: unexpected message {msg:?}"
             );
         }
@@ -377,19 +379,24 @@ mod tests {
     }
 
     /// A `SEPOHST2` image, which an earlier build could save uncompacted,
-    /// is refused typed by its magic alone, naming both magics.
+    /// and a `SEPOHST3` one, whose entries carry two-word links, are
+    /// refused typed by their magic alone, naming both magics.
     #[test]
-    fn a_sepohst2_image_is_refused() {
+    fn images_of_earlier_formats_are_refused() {
         let t = evicted_twice();
-        let mut buf = Vec::new();
-        t.save(&mut buf).unwrap();
-        buf.truncate(buf.len() - 4);
-        buf[..8].copy_from_slice(b"SEPOHST2");
-        append_trailer(&mut buf);
-
-        let err =
-            SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.to_string(), "not a SEPOHST3 image (magic SEPOHST2)");
+        let mut saved = Vec::new();
+        t.save(&mut saved).unwrap();
+        for magic in ["SEPOHST2", "SEPOHST3"] {
+            let mut buf = saved[..saved.len() - 4].to_vec();
+            buf[..8].copy_from_slice(magic.as_bytes());
+            append_trailer(&mut buf);
+            let err = SepoTable::load(&mut buf.as_slice(), 16 * 1024, Arc::new(Metrics::new()))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                err.to_string(),
+                format!("not a SEPOHST4 image (magic {magic})")
+            );
+        }
     }
 }

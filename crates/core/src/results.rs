@@ -6,7 +6,8 @@
 //! back — no chain traversal and no extra index, matching how the paper's
 //! applications consume the copied-back heap. Multi-valued results walk key
 //! pages and then follow each key's host-linked value chain, which remains
-//! intact across evictions thanks to the dual-pointer scheme. A finalized
+//! intact across evictions thanks to the dual-pointer scheme: the host half
+//! of every link word. A finalized
 //! combining or multi-valued table holds each key once ([`crate::compact`]),
 //! so no collector merges anything.
 //!
@@ -59,13 +60,13 @@ pub(crate) fn walk_value_chain<'p>(
             _ => page_of(host_id).ok_or(CorruptPage { host_id })?,
         };
         last = Some(page);
-        let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
+        let Some((Some(ParsedEntry::Value { value, next }), _)) =
             parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
         else {
             break;
         };
         visit(value);
-        link = HostLink::from_raw(next_host);
+        link = next;
     }
     Ok(())
 }
@@ -154,16 +155,10 @@ impl SepoTable {
         let mut out: Vec<GroupedPair> = Vec::new();
         for page in &pages {
             for (_, e) in primary_entries(Organization::MultiValued, page) {
-                if let ParsedEntry::Key {
-                    key,
-                    value_host_cont,
-                } = e
-                {
+                if let ParsedEntry::Key { key, value_head } = e {
                     let mut values = Vec::new();
-                    walk_value_chain(HostLink::from_raw(value_host_cont), page_of, |v| {
-                        values.push(v.to_vec())
-                    })
-                    .unwrap_or_else(|e| panic!("collect_multivalued: {e}"));
+                    walk_value_chain(value_head, page_of, |v| values.push(v.to_vec()))
+                        .unwrap_or_else(|e| panic!("collect_multivalued: {e}"));
                     out.push((key.to_vec(), values));
                 }
             }

@@ -45,12 +45,12 @@ use crate::entry::{combining, key_entry, value_node, ParsedEntry};
 use crate::hash::{fnv1a, KeyMap};
 use crate::results::{primary_entries, walk_value_chain};
 use crate::table::SepoTable;
-use gpu_sim::charge::{Charge, MetricsCharge, NoCharge};
+use gpu_sim::charge::{Charge, MetricsCharge, NoCharge, LINK_BYTES};
 use gpu_sim::executor::Executor;
 use gpu_sim::metrics::Counter;
 use gpu_sim::sync::Relaxed;
 use parking_lot::{Mutex, RwLock};
-use sepo_alloc::{CorruptPage, DevHandle, HostLink, ResidentPage, StampedPage, VerifiedPage};
+use sepo_alloc::{CorruptPage, DevHandle, HostLink, Link, ResidentPage, StampedPage, VerifiedPage};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -297,12 +297,8 @@ impl EpochSnapshot {
         charge: &mut C,
     ) -> Option<(Vec<Vec<u8>>, HostLink)> {
         let k = self.probe_entry(key, charge)?;
-        charge.device_bytes(16);
+        charge.device_bytes(LINK_BYTES);
         let head = self.word(k, key_entry::VALUE_HEAD)?;
-        if DevHandle::from_raw(head).is_null() {
-            let cont = self.word(k, key_entry::VALUE_HOST_CONT)?;
-            return Some((Vec::new(), HostLink::from_raw(cont)));
-        }
         let mut values = Vec::new();
         let walked = chain::walk(self, head, charge, |node, charge| {
             let vlen = self.word(node, value_node::VLEN).map(|w| w & 0xFFFF_FFFF);
@@ -566,7 +562,7 @@ struct HostEntryRef {
     /// The same key's entry before it in index order, or [`NO_REF`].
     prev: u32,
     /// The word the fold reads, copied at absorption: a combining entry's
-    /// partial aggregate, a key entry's value-chain host link.
+    /// partial aggregate, a key entry's value-head link (host-only).
     word: u64,
 }
 
@@ -632,10 +628,9 @@ impl HostIndex {
             for (_, parsed) in primary_entries(org, &page) {
                 let (key, word) = match parsed {
                     ParsedEntry::Combining { key, value } => (key, value),
-                    ParsedEntry::Key {
-                        key,
-                        value_host_cont,
-                    } => (key, value_host_cont),
+                    ParsedEntry::Key { key, value_head } => {
+                        (key, Link::host_only(value_head).to_raw())
+                    }
                     // Nothing folds a basic table's entries.
                     ParsedEntry::Basic { key, .. } => (key, 0),
                     ParsedEntry::Value { .. } => continue,
@@ -714,7 +709,7 @@ impl HostIndex {
         mut visit: impl FnMut(&'p [u8]),
     ) -> Result<(), CorruptPage> {
         for &word in words {
-            self.walk(HostLink::from_raw(word), bytes, &mut visit)?;
+            self.walk(Link::from_raw(word).host(), bytes, &mut visit)?;
         }
         Ok(())
     }
@@ -734,7 +729,7 @@ impl HostIndex {
             link,
             |id| self.pages.get(&id),
             |value| {
-                *bytes += value.len() as u64 + 24;
+                *bytes += (value_node::HEADER + value.len()) as u64;
                 visit(value)
             },
         )
@@ -1305,6 +1300,19 @@ mod tests {
         while insert(i).is_success() {
             i += 1;
         }
+        // Each key entry's value head names its newest node, which the
+        // boundary evicts; the link is left as it is.
+        let heads = t.snapshot_heads();
+        let newest_before: HashMap<HostLink, HostLink> = (0..n)
+            .filter_map(|i| {
+                let k = key(i);
+                let (bucket, lens) = chain::place(&k, fnv1a(&k), heads.len());
+                let kind = entry::EntryKind::Key;
+                let e = chain::find(&t, heads[bucket], kind, &k, lens, &mut gpu_sim::NoCharge)?;
+                let head = Link::from_raw(t.heap().read_u64(e, key_entry::VALUE_HEAD));
+                Some((t.heap().link_for(e).host(), head.host()))
+            })
+            .collect();
         assert!(
             t.end_iteration().kept_pages > 0,
             "the boundary kept no key page"
@@ -1345,8 +1353,15 @@ mod tests {
             let (values, exit) = snap
                 .probe_grouped(&k, &mut gpu_sim::NoCharge)
                 .expect("resident");
-            let cont = t.heap().read_u64(e, key_entry::VALUE_HOST_CONT);
-            assert_eq!(exit, HostLink::from_raw(cont), "continuation of key {i}");
+            // A key entry from before the boundary continues where its
+            // chain left the device; one made since has no continuation.
+            let entry = t.heap().link_for(e).host();
+            let want = newest_before.get(&entry).copied();
+            assert_eq!(
+                exit,
+                want.unwrap_or(HostLink::NULL),
+                "continuation of key {i}"
+            );
             through_dead_link += usize::from(!values.is_empty() && !exit.is_null());
         }
         assert!(
@@ -1356,9 +1371,9 @@ mod tests {
     }
 
     /// A grouped probe costs the bucket-head word, one hop and the key
-    /// bytes for the key entry, its value-head and continuation words, and
-    /// per value node one hop (which pays the node's link) plus its length
-    /// word and value bytes.
+    /// bytes for the key entry, its value-head link, and per value node one
+    /// hop (which pays the node's link) plus its length word and value
+    /// bytes.
     #[test]
     fn grouped_probe_prices_each_value_node_once() {
         let t = table(Organization::MultiValued, 16);
@@ -1376,10 +1391,11 @@ mod tests {
             .expect("resident");
         assert_eq!(got, [b"efghijkl".to_vec(), b"bcd".to_vec(), b"a".to_vec()]);
         assert!(cont.is_null());
-        let value_bytes: u64 = values.iter().map(|v| 16 + 8 + v.len() as u64).sum();
+        let value_bytes: u64 = values.iter().map(|v| LINK_BYTES + 8 + v.len() as u64).sum();
         let s = m.snapshot();
         assert_eq!(s.chain_hops, 1 + 3);
-        assert_eq!(s.device_bytes, 8 + 16 + k.len() as u64 + 16 + value_bytes);
+        let key_bytes = LINK_BYTES + k.len() as u64 + LINK_BYTES;
+        assert_eq!(s.device_bytes, 8 + key_bytes + value_bytes);
     }
 
     #[test]

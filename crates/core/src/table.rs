@@ -18,6 +18,7 @@ use crate::config::{Combiner, Organization, TableConfig};
 use crate::entry::{self, basic, combining, key_entry, value_node, EntryKind};
 use crate::hash::{bucket_for, fnv1a};
 use crate::integrity::IntegrityState;
+use gpu_sim::charge::LINK_BYTES;
 use gpu_sim::charge::{Charge, MetricsCharge, NoCharge};
 use gpu_sim::metrics::{ContentionHistogram, Counter, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
@@ -55,7 +56,7 @@ pub struct SepoTable {
     metrics: Arc<Metrics>,
 }
 
-/// One bucket: the head of its chain and, on the same host cache line, the
+/// One bucket: the head of its chain (a [`Link`] word) and, on the same host cache line, the
 /// insert-touch counter feeding the contention model — an insert updates
 /// both, so it misses one line instead of two. Sixteen bytes aligned to
 /// sixteen: four buckets share a line and none straddles two.
@@ -67,7 +68,7 @@ pub(crate) struct Bucket {
 
 const _: () = assert!(std::mem::size_of::<Bucket>() == 16);
 
-const NULL_RAW: u64 = u64::MAX;
+const NULL_RAW: u64 = Link::NULL.to_raw();
 
 impl std::fmt::Debug for SepoTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -225,26 +226,16 @@ impl SepoTable {
         }
     }
 
+    /// The link word at the head of `bucket`'s chain (null when empty).
     #[inline]
     fn head_raw(&self, bucket: usize) -> u64 {
         self.buckets[bucket].head.observe()
     }
 
-    /// Dual link naming the current head of `bucket` (NULL when empty).
+    /// Write the common prefix (the `next` link word) of an entry.
     #[inline]
-    pub(crate) fn head_link(&self, head_raw: u64) -> Link {
-        if head_raw == NULL_RAW {
-            Link::NULL
-        } else {
-            self.heap.link_for(DevHandle::from_raw(head_raw))
-        }
-    }
-
-    /// Write the common prefix (dual next link) of an entry.
-    #[inline]
-    pub(crate) fn write_next(&self, e: DevHandle, next: Link) {
-        self.heap.write_u64(e, entry::NEXT_DEV, next.dev.to_raw());
-        self.heap.write_u64(e, entry::NEXT_HOST, next.host.to_raw());
+    pub(crate) fn write_next(&self, e: DevHandle, next: u64) {
+        self.heap.write_u64(e, entry::NEXT, next);
     }
 
     /// Charge heap-entry traffic: device memory normally, small PCIe
@@ -287,7 +278,8 @@ impl SepoTable {
         e: DevHandle,
         charge: &mut C,
     ) -> Result<(), u64> {
-        match self.buckets[bucket].head.cas_publish(expect, e.to_raw()) {
+        let link = self.heap.link_for(e).to_raw();
+        match self.buckets[bucket].head.cas_publish(expect, link) {
             Ok(_) => {
                 charge.access(
                     ShadowAddr::BucketHead(bucket as u32),
@@ -400,7 +392,7 @@ impl SepoTable {
             };
             // Fill the entry (next = current head) and publish.
             charge.access(self.shadow_entry(e), AccessKind::PlainWrite);
-            self.write_next(e, self.head_link(head_raw));
+            self.write_next(e, head_raw);
             self.heap.write_u64(e, combining::VALUE, value);
             self.heap.write_u64(e, combining::KLEN, lens);
             self.heap
@@ -456,9 +448,9 @@ impl SepoTable {
     /// Stable host link of a *resident* combining entry for `key` — its
     /// eventual CPU address, used by the access-trace instrumentation of
     /// the Table III experiment.
-    pub fn resident_entry_host(&self, key: &[u8]) -> Option<sepo_alloc::HostLink> {
+    pub fn resident_entry_host(&self, key: &[u8]) -> Option<HostLink> {
         let e = self.find_combining(key, &mut NoCharge)?;
-        Some(self.heap.link_for(e).host)
+        Some(self.heap.link_for(e).host())
     }
 
     // ------------------------------------------------------------------
@@ -512,7 +504,7 @@ impl SepoTable {
             let head_raw = self.head_raw(bucket);
             charge.access(ShadowAddr::BucketHead(bucket as u32), AccessKind::Atomic);
             charge.access(self.shadow_entry(e), AccessKind::PlainWrite);
-            self.write_next(e, self.head_link(head_raw));
+            self.write_next(e, head_raw);
             if self.publish(bucket, head_raw, e, charge).is_ok() {
                 self.charge_heap(charge, size as u64, 1);
                 charge.device_bytes(8); // head CAS (device-resident)
@@ -582,7 +574,7 @@ impl SepoTable {
             };
             // First value node of a brand-new key: no predecessor.
             charge.access(self.shadow_entry(v), AccessKind::PlainWrite);
-            self.write_next(v, Link::NULL);
+            self.write_next(v, Link::NULL.to_raw());
             self.heap.write_u64(v, value_node::VLEN, value.len() as u64);
             self.heap.write(
                 DevHandle::new(v.page(), v.offset() + value_node::VALUE),
@@ -590,10 +582,9 @@ impl SepoTable {
             );
             // Key entry.
             charge.access(self.shadow_entry(k), AccessKind::PlainWrite);
-            self.write_next(k, self.head_link(head_raw));
-            self.heap.write_u64(k, key_entry::VALUE_HEAD, v.to_raw());
+            self.write_next(k, head_raw);
             self.heap
-                .write_u64(k, key_entry::VALUE_HOST_CONT, HostLink::NULL.to_raw());
+                .write_u64(k, key_entry::VALUE_HEAD, self.heap.link_for(v).to_raw());
             self.heap.write_u64(k, key_entry::FLAGS, 0);
             self.heap.write_u64(k, key_entry::KLEN, lens);
             self.heap
@@ -645,22 +636,16 @@ impl SepoTable {
             DevHandle::new(v.page(), v.offset() + value_node::VALUE),
             value,
         );
+        // Link to the previous newest node as it stands: resident, or —
+        // its page evicted — dead whose host half continues the chain.
         let head = self.heap.atomic_u64(k, key_entry::VALUE_HEAD);
+        let link = self.heap.link_for(v).to_raw();
         loop {
-            let old_raw = head.observe();
+            let old = head.observe();
             charge.access(self.shadow_entry(k), AccessKind::Atomic);
-            let next = if old_raw == NULL_RAW {
-                // Chain continues in CPU memory (or is empty): link to the
-                // key's host continuation.
-                Link::host_only(HostLink::from_raw(
-                    self.heap.read_u64(k, key_entry::VALUE_HOST_CONT),
-                ))
-            } else {
-                self.heap.link_for(DevHandle::from_raw(old_raw))
-            };
             charge.access(self.shadow_entry(v), AccessKind::PlainWrite);
-            self.write_next(v, next);
-            if head.cas_publish(old_raw, v.to_raw()).is_ok() {
+            self.write_next(v, old);
+            if head.cas_publish(old, link).is_ok() {
                 charge.access(self.shadow_entry(v), AccessKind::CasPublish);
                 self.charge_heap(charge, vsize as u64 + 16, 3);
                 return InsertStatus::Success;
@@ -710,7 +695,8 @@ impl SepoTable {
 impl ChainPages for SepoTable {
     #[inline]
     fn host_id(&self, page: u32) -> Option<u64> {
-        Some(self.heap.host_id(page))
+        // A link read from a loaded image may name a page of a larger heap.
+        ((page as usize) < self.heap.total_pages()).then(|| self.heap.host_id(page))
     }
 
     #[inline]
@@ -721,7 +707,7 @@ impl ChainPages for SepoTable {
 
     fn hop<C: Charge>(&self, e: DevHandle, charge: &mut C) {
         if self.cfg.remote_heap {
-            self.charge_remote(1, 16);
+            self.charge_remote(1, LINK_BYTES);
         } else {
             charge.chain_hops(1);
         }
@@ -941,10 +927,13 @@ mod tests {
         assert!(t.insert_basic(b"k", b"v2", &mut c).is_success());
         // Both entries resident: walk the chain by hand through the heap.
         let bucket = crate::hash::bucket_of(b"k", t.cfg.n_buckets);
-        let head = DevHandle::from_raw(t.buckets[bucket].head.observe());
-        assert!(!head.is_null());
-        let next_raw = t.heap.read_u64(head, entry::NEXT_DEV);
-        assert_ne!(next_raw, NULL_RAW, "second entry links to first");
+        let head = Link::from_raw(t.buckets[bucket].head.observe());
+        assert!(head.is_live(|p| Some(t.heap.host_id(p))));
+        let next = Link::from_raw(t.heap.read_u64(head.dev(), entry::NEXT));
+        assert!(
+            next.is_live(|p| Some(t.heap.host_id(p))),
+            "second entry links to first"
+        );
     }
 
     #[test]
@@ -1003,9 +992,10 @@ mod tests {
             .find(|&p| t.heap.page_kind(p) == PageKind::Key)
             .unwrap();
         assert_eq!(t.heap.pending_keys(key_page), 1);
-        // A second postponement does not double-count.
+        // A second postponement, of a value longer than any that fitted,
+        // does not double-count.
         assert!(!t
-            .insert_multivalued(b"key", b"another-long-value-xxxx", &mut c)
+            .insert_multivalued(b"key", b"another-value-longer-than-the-fill", &mut c)
             .is_success());
         assert_eq!(t.heap.pending_keys(key_page), 1);
     }
@@ -1087,12 +1077,12 @@ mod tests {
         assert_eq!(t.lookup_combining(a, &mut MetricsCharge(&m)), Some(1));
         let s = m.snapshot();
         assert_eq!(s.chain_hops, 2);
-        assert_eq!(s.device_bytes, 2 * 16 + a.len() as u64);
+        assert_eq!(s.device_bytes, 2 * LINK_BYTES + a.len() as u64);
         // A miss reads two links and no key byte.
         let m = Metrics::new();
         assert_eq!(t.lookup_combining(absent, &mut MetricsCharge(&m)), None);
         let s = m.snapshot();
-        assert_eq!((s.chain_hops, s.device_bytes), (2, 2 * 16));
+        assert_eq!((s.chain_hops, s.device_bytes), (2, 2 * LINK_BYTES));
     }
 
     #[test]

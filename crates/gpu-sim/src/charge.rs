@@ -13,6 +13,10 @@ use crate::lease::BlockLeases;
 use crate::metrics::{Counter, Metrics};
 use crate::shadow::{AccessKind, ShadowAddr};
 
+/// Bytes of one hash-chain link, the word a chain hop reads: an entry's
+/// packed device/host pointer (`sepo_alloc::layout::Link`).
+pub const LINK_BYTES: u64 = 8;
+
 /// Sink for simulated-cost events emitted by shared data structures. A sink
 /// implements the three required methods; the named shorthands are what
 /// the data structures call.
@@ -39,12 +43,12 @@ pub trait Charge {
     fn device_bytes(&mut self, bytes: u64) {
         self.add(Counter::DeviceBytes, bytes);
     }
-    /// Record `hops` hash-chain link traversals; each hop reads one 16-byte
-    /// dual link.
+    /// Record `hops` hash-chain link traversals; each hop reads one link
+    /// of [`LINK_BYTES`].
     #[inline]
     fn chain_hops(&mut self, hops: u64) {
         self.add(Counter::ChainHops, hops);
-        self.add(Counter::DeviceBytes, hops * 16);
+        self.add(Counter::DeviceBytes, hops * LINK_BYTES);
     }
     /// Charge `bytes` of on-chip shared-memory traffic (block-combiner
     /// probes and slot updates). Orders of magnitude cheaper than
@@ -158,7 +162,7 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.compute_units, 10);
         assert_eq!(s.chain_hops, 3);
-        assert_eq!(s.device_bytes, 64 + 48);
+        assert_eq!(s.device_bytes, 64 + 3 * LINK_BYTES);
         assert_eq!(s.smem_bytes, 32);
         assert_eq!(s.combiner_hits, 5);
         assert_eq!(s.combiner_flushes, 2);
@@ -170,7 +174,7 @@ mod tests {
     fn no_charge_discards() {
         let mut c = NoCharge;
         c.add(Counter::Tasks, u64::MAX);
-        c.chain_hops(u64::MAX / 16);
+        c.chain_hops(u64::MAX / LINK_BYTES);
         c.access(ShadowAddr::BucketHead(0), AccessKind::Atomic);
         assert!(c.leases().is_none());
     }
@@ -198,7 +202,7 @@ mod tests {
 
     /// Every shorthand, driven through the blanket `&mut C` impl and through
     /// `&mut dyn Charge` (how a block's finish hook charges), lands on its
-    /// own counter, `chain_hops` adds its 16 bytes per hop exactly once,
+    /// own counter, `chain_hops` adds its link bytes per hop exactly once,
     /// and `access` and the sink's leases arrive.
     #[test]
     fn blanket_mut_ref_impl_forwards_every_method() {
@@ -206,7 +210,7 @@ mod tests {
             (Counter::ComputeUnits, 10),
             (Counter::DeviceBytes, 64),
             (Counter::ChainHops, 3),
-            (Counter::DeviceBytes, 48),
+            (Counter::DeviceBytes, 3 * LINK_BYTES),
             (Counter::SmemBytes, 32),
             (Counter::CombinerHits, 5),
             (Counter::CombinerFlushes, 2),

@@ -722,7 +722,7 @@ mod tests {
         assert_eq!(s.compute_units, 50);
         assert_eq!(s.stream_bytes, 1_000);
         assert_eq!(s.chain_hops, 20);
-        assert_eq!(s.device_bytes, 80 + 20 * 16);
+        assert_eq!(s.device_bytes, 80 + 20 * crate::charge::LINK_BYTES);
     }
 
     #[test]

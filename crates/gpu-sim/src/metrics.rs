@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`Snapshot`] field of the same position. The order is the checkpoint's
 /// serialization order ([`Snapshot::words`]): adding, removing or
 /// reordering a line changes the layout of the checkpoint file's
-/// `SEPOCKP5` sections and must bump both checkpoint magics.
+/// `SEPOCKP6` sections and must bump both checkpoint magics.
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $field:ident;)*) => {
         /// One event counter; `as usize` is its index in [`Counter::ALL`].

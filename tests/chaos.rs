@@ -113,7 +113,7 @@ fn run_once(
 fn all_apps_resume_byte_identical_after_hard_kills() {
     for app in App::ALL {
         let stops_early = app == App::PatentCitation;
-        let heap = if stops_early { 12 << 10 } else { 96 << 10 };
+        let heap = if stops_early { 8 << 10 } else { 96 << 10 };
         let base = run_once(app, heap, None, None, false);
         assert_eq!(base.recovery, RecoveryStats::default(), "{}", app.name());
         if stops_early {

@@ -1,5 +1,5 @@
-//! The bytes of every persisted layout, pinned: the `SEPOHST3` table image,
-//! a mid-run `SEPOCKP5` checkpoint section and a two-shard `SEPOCKS3`
+//! The bytes of every persisted layout, pinned: the `SEPOHST4` table image,
+//! a mid-run `SEPOCKP6` checkpoint section and a two-shard `SEPOCKS3`
 //! checkpoint file, each encoded from the same deterministic small
 //! multi-valued table, must keep their length and CRC32C.
 //!
@@ -117,16 +117,16 @@ fn every_persisted_layout_keeps_its_bytes() {
     let one = file_bytes(&[&mid_run], "one");
     let section = &one[FILE_HEADER..one.len() - 4];
     assert_eq!(section.len() as u64, mid_run.encoded_size());
-    assert_eq!(&section[..8], b"SEPOCKP5");
-    assert_eq!(pin(section), (10_297, 0xC355_D7AD), "SEPOCKP5 section");
+    assert_eq!(&section[..8], b"SEPOCKP6");
+    assert_eq!(pin(section), (8_321, 0x16DB_F52C), "SEPOCKP6 section");
 
     let two = file_bytes(&[&mid_run, &later], "two");
     assert_eq!(&two[..8], b"SEPOCKS3");
-    assert_eq!(pin(&two), (20_803, 0x0AFB_914F), "two-shard SEPOCKS3 file");
+    assert_eq!(pin(&two), (16_851, 0xD431_4724), "two-shard SEPOCKS3 file");
 
     t.finalize();
     let mut image = Vec::new();
     t.save(&mut image).unwrap();
-    assert_eq!(&image[..8], b"SEPOHST3");
-    assert_eq!(pin(&image), (5_079, 0x4A87_4569), "SEPOHST3 image");
+    assert_eq!(&image[..8], b"SEPOHST4");
+    assert_eq!(pin(&image), (3_742, 0xCF7B_CC6A), "SEPOHST4 image");
 }

@@ -152,7 +152,7 @@ proptest! {
         prop_assert_eq!(verified.bytes(), &data[..]);
         let mut record = Vec::new();
         PageRecord.put(&page, &mut record);
-        let read = |record: &[u8]| PageRecord.take(&mut Source::new(record, b"SEPOHST3"));
+        let read = |record: &[u8]| PageRecord.take(&mut Source::new(record, b"SEPOHST4"));
         prop_assert_eq!(&read(&record).unwrap(), &page);
 
         let bit = bit % (data.len() * 8);
@@ -163,7 +163,7 @@ proptest! {
         let mut record = Vec::new();
         PageRecord.put(&damaged, &mut record);
         let err = read(&record).unwrap_err();
-        let expected = format!("SEPOHST3 image: {}", CorruptPage { host_id });
+        let expected = format!("SEPOHST4 image: {}", CorruptPage { host_id });
         prop_assert_eq!(err.to_string(), expected);
     }
 

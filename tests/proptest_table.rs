@@ -6,7 +6,7 @@ use gpu_sim::NoCharge;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use sepo_alloc::{HostLink, PageKind};
+use sepo_alloc::PageKind;
 use sepo_core::entry::{parse_at, EntryKind, PageWalker, ParsedEntry};
 use sepo_core::hash::fnv1a;
 use sepo_core::{
@@ -225,27 +225,23 @@ fn concatenating_collector(t: &SepoTable) -> Vec<(Vec<u8>, Vec<Vec<u8>>)> {
     let mut out: Vec<(Vec<u8>, Vec<Vec<u8>>)> = Vec::new();
     for page in pages.iter().filter(|p| p.kind() == PageKind::Key) {
         for (_, e) in PageWalker::new(page.bytes(), EntryKind::Key) {
-            let ParsedEntry::Key {
-                key,
-                value_host_cont,
-            } = e
-            else {
+            let ParsedEntry::Key { key, value_head } = e else {
                 continue;
             };
             let i = *index.entry(key.to_vec()).or_insert_with(|| {
                 out.push((key.to_vec(), Vec::new()));
                 out.len() - 1
             });
-            let mut link = HostLink::from_raw(value_host_cont);
+            let mut link = value_head;
             while !link.is_null() {
                 let page = page_of(link.host_page());
-                let Some((Some(ParsedEntry::Value { value, next_host }), _)) =
+                let Some((Some(ParsedEntry::Value { value, next }), _)) =
                     parse_at(page.bytes(), link.offset() as usize, EntryKind::Value)
                 else {
                     break;
                 };
                 out[i].1.push(value.to_vec());
-                link = HostLink::from_raw(next_host);
+                link = next;
             }
         }
     }

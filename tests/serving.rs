@@ -405,8 +405,8 @@ fn duplicate_queries_agree_across_serving_and_lookup_phase() {
 #[test]
 fn finalized_groups_keep_the_collectors_value_order() {
     for (app, scale, heap) in [
-        (App::InvertedIndex, SCALE, HEAP),
-        (App::PatentCitation, 4096, HEAP / 4),
+        (App::InvertedIndex, SCALE, HEAP * 2 / 3),
+        (App::PatentCitation, 4096, HEAP / 6),
     ] {
         let ds = app.generate(0, scale);
         let exec = Executor::new(ExecMode::ParallelDeterministic, Arc::new(Metrics::new()));

@@ -215,10 +215,10 @@ fn shared_disk_checkpoint_carries_a_section_per_shard() {
 fn one_shard_equals_the_unsharded_run_in_every_observable() {
     for app in App::ALL {
         let ds = app.generate(0, 8_192);
-        // A quarter of the input (floored so multi-valued pages still fit
+        // A sixth of the input (floored so multi-valued pages still fit
         // an entry) makes even the smallest scaled datasets spill.
         let mut cfg = base_cfg(CheckpointPolicy::Memory);
-        cfg.heap_bytes = HEAP.min(ds.size_bytes() / 4).max(12 << 10);
+        cfg.heap_bytes = HEAP.min(ds.size_bytes() / 6).max(8 << 10);
         let plain_exec = executor(None);
         let plain = sepo_apps::run_app(app, &ds, &cfg, &plain_exec);
         assert!(
