@@ -4,8 +4,8 @@
 //! multi-valued serving run must report its probes' device bytes and chain
 //! hops, every run must report its allocations and page-cursor updates, a
 //! sharded run must print its merged-image identity line, `--save` must
-//! round-trip through `sepo query` on a single table and be rejected for a
-//! sharded run, and the `host compaction:` line must appear on
+//! round-trip through `sepo query` on a single combining or multi-valued
+//! table and be rejected for a sharded run, and the `host compaction:` line must appear on
 //! multi-iteration runs that folded partial aggregates or joined
 //! multi-valued key entries and not on a one-iteration run, and
 //! `--checkpoint` must leave a file with one
@@ -108,6 +108,39 @@ fn save_round_trips_through_query_on_one_device_only() {
     let why = String::from_utf8_lossy(&sharded.stderr);
     assert!(why.contains("--save needs a single table image"), "{why}");
     assert!(!std::path::Path::new(image).exists());
+}
+
+/// A multi-valued image round-trips too: `sepo query` in a fresh process
+/// walks each key's value chain over host links alone, and the hottest
+/// cited patent's group is `patent::reference`'s.
+#[test]
+fn a_multi_valued_image_round_trips_through_query() {
+    let image = std::env::temp_dir().join(format!("sepo-smoke-mv-{}.img", std::process::id()));
+    let image = image.to_str().expect("utf-8 temp path");
+    let saved = run_app("patents", &["--save", image]);
+    assert!(saved.contains(&format!("table image saved to {image}")));
+
+    let ds = sepo_datagen::App::PatentCitation.generate(0, 16_384);
+    let reference = sepo_apps::patent::reference(&ds);
+    let (hot, want) = reference
+        .iter()
+        .max_by_key(|&(key, values)| (values.len(), key))
+        .expect("citations");
+    assert!(want.len() > 1, "the hottest patent is cited more than once");
+    let hot = std::str::from_utf8(hot).expect("ASCII patent number");
+    let query = sepo(&["query", image, hot, "no-such-patent"]);
+    let answers = String::from_utf8_lossy(&query.stdout).into_owned();
+    std::fs::remove_file(image).expect("the saved image exists");
+    assert!(query.status.success(), "{answers}");
+    let group = answers
+        .lines()
+        .find_map(|line| line.strip_prefix(&format!("{hot} = [")))
+        .and_then(|rest| rest.strip_suffix(']'))
+        .unwrap_or_else(|| panic!("no group for {hot} in:\n{answers}"));
+    let mut got: Vec<&[u8]> = group.split(", ").map(str::as_bytes).collect();
+    got.sort();
+    assert_eq!(got, want.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    assert!(answers.contains("no-such-patent = <absent>"), "{answers}");
 }
 
 /// Patent Citation is multi-valued, so `--serve` answers grouped probes:

@@ -1248,7 +1248,7 @@ mod tests {
     }
 
     /// The epoch probe prices a walk as the live table's
-    /// `lookup_combining` does — one hop, with its 16-byte link read, per
+    /// `lookup_combining` does — one hop, with its link read, per
     /// entry — plus the bucket-head and value words it reads.
     #[test]
     fn epoch_probe_prices_hops_as_the_live_walk() {
