@@ -3,7 +3,7 @@
 //! An iteration boundary is the driver's quiescent frontier: every kernel
 //! of the iteration has retired, eviction has run, and no device work is in
 //! flight. Everything that distinguishes one boundary from another fits in
-//! a [`Checkpoint`] — the bucket heads (raw dual-pointer words), a
+//! a [`Checkpoint`] — the bucket heads (raw link words), a
 //! bit-exact physical snapshot of the device heap ([`HeapSnapshot`]),
 //! shared references to the evicted host pages, the done bitmap and
 //! per-task pair progress, the per-iteration accounting gathered so far,

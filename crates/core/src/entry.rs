@@ -6,7 +6,7 @@
 //! index — result enumeration parses host pages front to back.
 //!
 //! All layouts start with the entry's `next` link, one
-//! [`Link`](sepo_alloc::Link) word carrying both of §III-B's pointers, and
+//! [`Link`] word carrying both of §III-B's pointers, and
 //! are 8-byte aligned overall. Little-endian throughout.
 //!
 //! ```text

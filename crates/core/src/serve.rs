@@ -220,7 +220,7 @@ pub struct EpochSnapshot {
     /// Raw bucket-head words, one per bucket (as in the live table).
     heads: Vec<u64>,
     /// The boundary's resident pages, in page order: each one's host
-    /// identity at capture (the liveness token dual-pointer links are
+    /// identity at capture (the liveness token every link is
     /// checked against) and its used prefix.
     pages: Vec<ResidentPage>,
     /// The shared incremental host index.

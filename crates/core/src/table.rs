@@ -18,8 +18,7 @@ use crate::config::{Combiner, Organization, TableConfig};
 use crate::entry::{self, basic, combining, key_entry, value_node, EntryKind};
 use crate::hash::{bucket_for, fnv1a};
 use crate::integrity::IntegrityState;
-use gpu_sim::charge::LINK_BYTES;
-use gpu_sim::charge::{Charge, MetricsCharge, NoCharge};
+use gpu_sim::charge::{Charge, MetricsCharge, NoCharge, LINK_BYTES};
 use gpu_sim::metrics::{ContentionHistogram, Counter, Metrics};
 use gpu_sim::shadow::{AccessKind, ShadowAddr};
 use gpu_sim::sync::{Published, Relaxed};
@@ -56,9 +55,9 @@ pub struct SepoTable {
     metrics: Arc<Metrics>,
 }
 
-/// One bucket: the head of its chain (a [`Link`] word) and, on the same host cache line, the
-/// insert-touch counter feeding the contention model — an insert updates
-/// both, so it misses one line instead of two. Sixteen bytes aligned to
+/// One bucket: the head of its chain (a [`Link`] word) and, on the same
+/// host cache line, the insert-touch counter feeding the contention model
+/// — an insert updates both, so it misses one line instead of two. Sixteen bytes aligned to
 /// sixteen: four buckets share a line and none straddles two.
 #[repr(align(16))]
 pub(crate) struct Bucket {
